@@ -29,19 +29,13 @@ import numpy as np
 
 from . import kernel as _kernel
 from .energy import total_energy
-from .field import PeriodicField
+from .field import PeriodicField, gradient
 from .model import ModelParams, double_well
 
 
 def default_delta_grad(u: PeriodicField) -> float:
     """Active-gradient threshold: effectively exact zero detection."""
     return 1e-12 / u.h_grid
-
-
-def _forward_diffs(u: PeriodicField) -> list[np.ndarray]:
-    h = u.h_grid
-    return [(np.roll(u.values, -1, axis=ax) - u.values) / h
-            for ax in range(u.dims)]
 
 
 def _grad_l1(diffs: list[np.ndarray]) -> np.ndarray:
@@ -73,14 +67,6 @@ def _slice_nonlocal_sums(values: np.ndarray, khat: np.ndarray, axis: int,
     ksum = float(np.sum(khat))
     return float(2.0 * (ksum * np.sum(values ** 2) - np.sum(values * conv))
                  * spacing ** (dims + 1))
-
-
-def _shift(arr: np.ndarray, lag: tuple[int, ...]) -> np.ndarray:
-    out = arr
-    for ax, s in enumerate(lag):
-        if s:
-            out = np.roll(out, -s, axis=ax)
-    return out
 
 
 @dataclass(frozen=True)
@@ -120,7 +106,7 @@ def directional_mm(u: PeriodicField, i: int, x_perp, params: ModelParams,
     if delta_grad is None:
         delta_grad = default_delta_grad(u)
     ax = i - 1
-    diffs = _forward_diffs(u)
+    diffs = gradient(u)
     gl1 = _grad_l1(diffs)
 
     idx = tuple(np.atleast_1d(x_perp).astype(int)) if u.dims > 1 else ()
@@ -159,59 +145,70 @@ def directional_g(u: PeriodicField, i: int, x_perp, params: ModelParams,
     return mbar * _kernel.c_tau(params) - nl
 
 
+def _autocorrelation(values: np.ndarray) -> np.ndarray:
+    """C(lam) = sum_x v(x) v(x + lam) on the torus, v = values - mean."""
+    f = np.fft.rfftn(values - values.mean())
+    return np.fft.irfftn(f * f.conj(), s=values.shape,
+                         axes=range(values.ndim))
+
+
+def _cross_table(corr: np.ndarray, ax: int) -> np.ndarray:
+    """The table B_i of ``cross_term`` from C, clipped at 0: every entry is
+    a sum of squares, so a negative value can only be rounding."""
+    c_axis = corr[tuple(slice(None) if a == ax else slice(0, 1)
+                        for a in range(corr.ndim))]
+    c_perp = corr.take([0], axis=ax)
+    c_refl = np.roll(np.flip(corr, axis=ax), 1, axis=ax)
+    table = 4.0 * (corr.flat[0] - c_axis - c_perp) + 2.0 * (corr + c_refl)
+    return np.maximum(table, 0.0)
+
+
 def cross_term(u: PeriodicField, i: int, params: ModelParams,
-               trunc_radius: float | None = None, tol: float = 1e-7
-               ) -> float:
+               trunc_radius: float | None = None, tol: float = 1e-7,
+               autocorr: np.ndarray | None = None) -> float:
     """Nonnegative cross term
 
         I^i = (1/d) int_{zeta_i > 0} int [ (u(x + zeta_i e_i) - u(x))
               - (u(x + zeta) - u(x + zeta_i^perp)) ]^2 K_tau(zeta) dx dzeta.
 
-    By default the lag integral runs over the torus against the periodized
-    kernel (the form entering the exact lattice identity).  With
-    ``trunc_radius`` set, it is a direct sum over the open lattice truncated
-    at ||zeta||_inf <= trunc_radius, with tail controlled by
-    ``cross_term_tail_bound``.
+    For a torus lag lam = (lam_i e_i, lam_perp) the sum over x of the
+    squared bracket is, with C(lam) = sum_x u(x) u(x + lam) from one
+    rfftn/irfftn pair (of u minus its mean: B_i is unchanged and rounding
+    stays relative to the variation of u) and R_i the flip of component i,
+
+        B_i(lam) = 4 C(0) - 4 C(lam_i e_i) - 4 C(lam_perp) + 2 C(lam)
+                   + 2 C(R_i lam) >= 0.
+
+    By default I^i = sum_lam K(lam) B_i(lam) vol^2 / (2d) against the
+    periodized kernel (the form entering the exact lattice identity).  With
+    ``trunc_radius`` set, the sum runs over open-lattice lags 0 < m_i <= M,
+    |m_perp|_inf <= M, M = floor(trunc_radius / h), with weights
+    (||m||_1 h + a)^(-p) on B_i at the wrapped lag, normalisation vol^2 / d
+    and tail controlled by ``cross_term_tail_bound``.  ``autocorr`` (C of
+    ``u.values`` from ``_autocorrelation``) lets callers share C across axes.
     """
     ax = i - 1
     if not (0 <= ax < u.dims):
         raise IndexError(f"axis {i} out of range for dims={u.dims}")
+    if trunc_radius is not None and not (
+            np.isfinite(trunc_radius) and trunc_radius >= u.h_grid):
+        raise ValueError(f"trunc_radius must be finite and >= the grid "
+                         f"spacing {u.h_grid}, got {trunc_radius}")
     n, d = u.n, u.dims
-    vals = u.values
+    if autocorr is None:
+        autocorr = _autocorrelation(u.values)
+    table = _cross_table(autocorr, ax)
     vol2 = u.h_grid ** (2 * d)
     if trunc_radius is None:
         kgrid = _kernel.periodized_kernel_grid(u.L, u.n, params, tol=tol)
-        total = 0.0
-        perp_axes = [a for a in range(d) if a != ax]
-        for zi in range(n):
-            t1 = np.roll(vals, -zi, axis=ax) - vals
-            for zperp in itertools.product(range(n), repeat=d - 1):
-                lag = [0] * d
-                lag[ax] = zi
-                for a, z in zip(perp_axes, zperp):
-                    lag[a] = z
-                bracket = t1 - _shift(t1, tuple(
-                    l if a_ != ax else 0 for a_, l in enumerate(lag)))
-                total += kgrid[tuple(lag)] * float(np.sum(bracket ** 2))
-        return total * vol2 / (2.0 * d)
+        return float(np.sum(kgrid * table)) * vol2 / (2.0 * d)
 
     m_max = int(np.floor(trunc_radius / u.h_grid))
-    total = 0.0
-    rng_perp = range(-m_max, m_max + 1)
-    a = params.kernel_scale
-    for mi in range(1, m_max + 1):
-        t1 = np.roll(vals, -(mi % n), axis=ax) - vals
-        for mperp in itertools.product(rng_perp, repeat=d - 1):
-            lag_perp = [0] * d
-            it = iter(mperp)
-            norm1 = abs(mi) * u.h_grid
-            for a_ in range(d):
-                if a_ != ax:
-                    mp = next(it)
-                    lag_perp[a_] = mp % n
-                    norm1 += abs(mp) * u.h_grid
-            bracket = t1 - _shift(t1, tuple(lag_perp))
-            total += (norm1 + a) ** (-params.p) * float(np.sum(bracket ** 2))
+    lags = np.meshgrid(*[np.arange(1 if a == ax else -m_max, m_max + 1)
+                         for a in range(d)], indexing="ij")
+    weight = (sum(np.abs(m) for m in lags) * u.h_grid
+              + params.kernel_scale) ** (-params.p)
+    total = float(np.sum(weight * table[tuple(m % n for m in lags)]))
     return total * vol2 / d
 
 
@@ -232,7 +229,7 @@ def flat_penalty(u: PeriodicField, params: ModelParams,
     """(3/alpha) sum W(u) vol over the flat set {||grad u||_1 <= delta_grad}."""
     if delta_grad is None:
         delta_grad = default_delta_grad(u)
-    gl1 = _grad_l1(_forward_diffs(u))
+    gl1 = _grad_l1(gradient(u))
     flat = gl1 <= delta_grad
     vol = u.h_grid ** u.dims
     return float((3.0 / params.alpha)
@@ -252,7 +249,7 @@ def lower_bound_report(u: PeriodicField, params: ModelParams,
     d, n = u.dims, u.n
     alpha = params.alpha
     vol = u.h_grid ** d
-    diffs = _forward_diffs(u)
+    diffs = gradient(u)
     gl1 = _grad_l1(diffs)
     active = gl1 > delta_grad
     w = double_well(u.values)
@@ -260,6 +257,7 @@ def lower_bound_report(u: PeriodicField, params: ModelParams,
 
     khat = (_axis_marginal(u, params, tol) if d > 1
             else _kernel.periodized_kernel_grid(u.L, u.n, params, tol=tol))
+    corr = _autocorrelation(u.values) if d > 1 else None
 
     mbars, gbars, crosses = [], [], []
     for ax in range(d):
@@ -271,7 +269,8 @@ def lower_bound_report(u: PeriodicField, params: ModelParams,
         axis_nl = _slice_nonlocal_sums(u.values, khat, ax, u.h_grid, d)
         gbar = mbar * ctau - axis_nl
         cross = (cross_term(u, ax + 1, params, tol=tol,
-                            trunc_radius=trunc_radius) if d > 1 else 0.0)
+                            trunc_radius=trunc_radius, autocorr=corr)
+                 if d > 1 else 0.0)
         mbars.append(mbar)
         gbars.append(gbar)
         crosses.append(cross)
@@ -342,12 +341,13 @@ def positivity_identity_check(u: PeriodicField, j: int, axis_subset,
     vol2 = u.h_grid ** (2 * d)
     lhs = 0.0
     rhs = 0.0
+    axes = tuple(range(d))
     for lag in itertools.product(range(n), repeat=d):
-        s_lag = tuple(l if a in subset else 0 for a, l in enumerate(lag))
-        j_lag = tuple(lag[ax] if a == ax else 0 for a in range(d))
-        u_j = _shift(vals, j_lag)
-        u_s = _shift(vals, s_lag)
-        u_js = _shift(u_j, s_lag)
+        s_lag = tuple(-l if a in subset else 0 for a, l in enumerate(lag))
+        j_lag = tuple(-lag[ax] if a == ax else 0 for a in range(d))
+        u_j = np.roll(vals, j_lag, axis=axes)
+        u_s = np.roll(vals, s_lag, axis=axes)
+        u_js = np.roll(u_j, s_lag, axis=axes)
         k = kgrid[lag]
         lhs += -k * float(np.sum((vals - u_j) * (u_j - u_js)))
         rhs += 0.25 * k * float(np.sum(((u_j - vals) - (u_js - u_s)) ** 2))
