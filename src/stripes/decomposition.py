@@ -145,16 +145,13 @@ def directional_g(u: PeriodicField, i: int, x_perp, params: ModelParams,
     return mbar * _kernel.c_tau(params) - nl
 
 
-def _autocorrelation(values: np.ndarray) -> np.ndarray:
-    """C(lam) = sum_x v(x) v(x + lam) on the torus, v = values - mean."""
+def _cross_table(values: np.ndarray, ax: int) -> np.ndarray:
+    """The table B_i of ``cross_term`` from the autocorrelation C of
+    ``values`` minus its mean, clipped at 0: every entry is a sum of
+    squares, so a negative value can only be rounding."""
     f = np.fft.rfftn(values - values.mean())
-    return np.fft.irfftn(f * f.conj(), s=values.shape,
+    corr = np.fft.irfftn(f * f.conj(), s=values.shape,
                          axes=range(values.ndim))
-
-
-def _cross_table(corr: np.ndarray, ax: int) -> np.ndarray:
-    """The table B_i of ``cross_term`` from C, clipped at 0: every entry is
-    a sum of squares, so a negative value can only be rounding."""
     c_axis = corr[tuple(slice(None) if a == ax else slice(0, 1)
                         for a in range(corr.ndim))]
     c_perp = corr.take([0], axis=ax)
@@ -164,8 +161,8 @@ def _cross_table(corr: np.ndarray, ax: int) -> np.ndarray:
 
 
 def cross_term(u: PeriodicField, i: int, params: ModelParams,
-               trunc_radius: float | None = None, tol: float = 1e-7,
-               autocorr: np.ndarray | None = None) -> float:
+               trunc_radius: float | None = None, tol: float = 1e-7
+               ) -> float:
     """Nonnegative cross term
 
         I^i = (1/d) int_{zeta_i > 0} int [ (u(x + zeta_i e_i) - u(x))
@@ -184,8 +181,7 @@ def cross_term(u: PeriodicField, i: int, params: ModelParams,
     ``trunc_radius`` set, the sum runs over open-lattice lags 0 < m_i <= M,
     |m_perp|_inf <= M, M = floor(trunc_radius / h), with weights
     (||m||_1 h + a)^(-p) on B_i at the wrapped lag, normalisation vol^2 / d
-    and tail controlled by ``cross_term_tail_bound``.  ``autocorr`` (C of
-    ``u.values`` from ``_autocorrelation``) lets callers share C across axes.
+    and tail controlled by ``cross_term_tail_bound``.
     """
     ax = i - 1
     if not (0 <= ax < u.dims):
@@ -195,20 +191,22 @@ def cross_term(u: PeriodicField, i: int, params: ModelParams,
         raise ValueError(f"trunc_radius must be finite and >= the grid "
                          f"spacing {u.h_grid}, got {trunc_radius}")
     n, d = u.n, u.dims
-    if autocorr is None:
-        autocorr = _autocorrelation(u.values)
-    table = _cross_table(autocorr, ax)
+    table = _cross_table(u.values, ax)
     vol2 = u.h_grid ** (2 * d)
     if trunc_radius is None:
         kgrid = _kernel.periodized_kernel_grid(u.L, u.n, params, tol=tol)
         return float(np.sum(kgrid * table)) * vol2 / (2.0 * d)
 
     m_max = int(np.floor(trunc_radius / u.h_grid))
-    lags = np.meshgrid(*[np.arange(1 if a == ax else -m_max, m_max + 1)
-                         for a in range(d)], indexing="ij")
-    weight = (sum(np.abs(m) for m in lags) * u.h_grid
-              + params.kernel_scale) ** (-params.p)
-    total = float(np.sum(weight * table[tuple(m % n for m in lags)]))
+    # one slab of perpendicular lags per m_i: memory stays O((2M+1)^(d-1))
+    perp = np.ix_(*[np.arange(-m_max, m_max + 1)] * (d - 1))
+    perp_norm = sum(np.abs(m) for m in perp)
+    wrapped = tuple(m % n for m in perp)
+    total = 0.0
+    for mi in range(1, m_max + 1):
+        weight = ((mi + perp_norm) * u.h_grid
+                  + params.kernel_scale) ** (-params.p)
+        total += float(np.sum(weight * table.take(mi % n, axis=ax)[wrapped]))
     return total * vol2 / d
 
 
@@ -257,7 +255,6 @@ def lower_bound_report(u: PeriodicField, params: ModelParams,
 
     khat = (_axis_marginal(u, params, tol) if d > 1
             else _kernel.periodized_kernel_grid(u.L, u.n, params, tol=tol))
-    corr = _autocorrelation(u.values) if d > 1 else None
 
     mbars, gbars, crosses = [], [], []
     for ax in range(d):
@@ -269,8 +266,7 @@ def lower_bound_report(u: PeriodicField, params: ModelParams,
         axis_nl = _slice_nonlocal_sums(u.values, khat, ax, u.h_grid, d)
         gbar = mbar * ctau - axis_nl
         cross = (cross_term(u, ax + 1, params, tol=tol,
-                            trunc_radius=trunc_radius, autocorr=corr)
-                 if d > 1 else 0.0)
+                            trunc_radius=trunc_radius) if d > 1 else 0.0)
         mbars.append(mbar)
         gbars.append(gbar)
         crosses.append(cross)

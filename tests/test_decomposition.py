@@ -136,3 +136,10 @@ def test_slice_tables_shape_and_csv(tmp_path, ps2):
     assert all(r[2] > 0 for r in normal_rows)
     parallel_rows = [r for r in rows if r[0] == 2]
     assert all(r[2] == 0 for r in parallel_rows)
+
+
+def test_lower_bound_report_rejects_single_cell_grid(ps2):
+    # forward differences need a neighbour distinct from the cell itself
+    u = PeriodicField(2, 1, 2.0, np.full((1, 1), 0.4))
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        lower_bound_report(u, ps2)
