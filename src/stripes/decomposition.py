@@ -217,7 +217,7 @@ def cross_term_tail_bound(trunc_radius: float, u: PeriodicField,
     kernel mass outside the box (with a margin for the lattice sum)."""
     d = params.d
     R = max(trunc_radius - u.h_grid, 0.0)
-    box = _kernel._box_int([-R] * d, [R] * d, params.kernel_scale, params.p)
+    box = _kernel._box_int([(R, R)] * d, params.kernel_scale, params.p)
     tail = _kernel.mass(params) - box
     return 4.0 / d * u.L ** d * tail * 1.5
 

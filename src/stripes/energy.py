@@ -113,7 +113,7 @@ def nonlocal_energy(u: PeriodicField, params: ModelParams,
     if method == "fft":
         return _nonlocal_from_grid(u.values, kgrid, u.h_grid)
     if method == "direct":
-        if u.n ** u.dims > 16 ** 2 + 1 and u.dims > 1 or u.n > 4096:
+        if (u.n ** u.dims > 16 ** 2 + 1 and u.dims > 1) or u.n > 4096:
             raise ValueError("direct path is for small grids only")
         return _nonlocal_direct(u.values, kgrid, u.h_grid)
     raise ValueError(f"unknown method {method!r}")

@@ -7,15 +7,19 @@ constant c_{d,p} = 2^(d-1) Gamma(q) / Gamma(p).
 
 Closed forms are the production path; adaptive quadrature lives in the test
 suite as an independent oracle.  Periodized grids (wrap onto the torus) carry
-a certified truncation: a direct lattice sum over shells plus a cell-integral
-correction for the far field, with an analytic error bound kept below the
-requested tolerance.
+a certified truncation: a direct sum over the images with |k_i| <= m plus a
+cell-integral correction for the far field, with an analytic error bound
+kept below the requested tolerance.  The direct sum is folded into 1D
+tables, because on each axis an image lies j + kn or -j + kn cells away;
+the far-field box around every lag reaches (m + 1/2) L > L on each side, so
+it contains 0 and one array-valued box integral covers the whole grid.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gamma as _gamma
 
 import numpy as np
@@ -145,29 +149,23 @@ def moments(params: ModelParams) -> KernelMoments:
 
 
 # ---------------------------------------------------------------------------
-# box integrals of the kernel family (exact, recursive antiderivatives)
+# periodization: folded lattice sums plus a far-field box integral
 # ---------------------------------------------------------------------------
 
-def _box_int(lo, hi, a: float, pe: float) -> float:
-    """integral over the box prod [lo_i, hi_i] of (sum |x_i| + a)^(-pe) dx.
+def _box_int(ends, a, pe: float):
+    """integral of (sum |x_i| + a)^(-pe) over the box prod [-lo_i, hi_i].
 
-    Integrating one variable produces members of the same family with
-    exponent pe-1 and offset a + |boundary|, so the recursion bottoms out in
-    pure powers.  Sign changes split the range at 0.
+    ``ends`` holds one pair (lo_i, hi_i) of nonnegative extents per axis, so
+    the box contains 0; extents and ``a`` may be broadcasting arrays.
+    Integrating x_1 over [-lo_1, 0] and [0, hi_1] leaves members of the same
+    family with exponent pe-1 and offsets a, a + lo_1, a + hi_1, so the
+    recursion over axes bottoms out in 3^d pure powers.
     """
-    if len(lo) == 0:
+    if not ends:
         return a ** (-pe)
-    l, h = lo[0], hi[0]
-    total = 0.0
-    segs = []
-    if l < 0.0:
-        segs.append((abs(min(h, 0.0)), abs(l)))
-    if h > 0.0:
-        segs.append((max(l, 0.0), h))
-    for (u0, u1) in segs:  # integrate du over [u0, u1] with u = |x_1|
-        total += (_box_int(lo[1:], hi[1:], a + u0, pe - 1.0)
-                  - _box_int(lo[1:], hi[1:], a + u1, pe - 1.0)) / (pe - 1.0)
-    return total
+    (lo, hi), rest = ends[0], ends[1:]
+    return (2.0 * _box_int(rest, a, pe - 1.0) - _box_int(rest, a + lo, pe - 1.0)
+            - _box_int(rest, a + hi, pe - 1.0)) / (pe - 1.0)
 
 
 def _family_mass(dim: int, pe: float, a: float) -> float:
@@ -200,59 +198,67 @@ def _truncation_bound(m: int, dim: int, pe: float, a: float, L: float) -> float:
     return s
 
 
-def _periodized_values(points: np.ndarray, dim: int, pe: float, a: float,
-                       L: float, tol: float, shells: int | None = None
-                       ) -> tuple[np.ndarray, int, float]:
-    """Sum f over the k-lattice at the given points (shape (..., dim)), with
-    f = (||.||_1 + a)^(-pe), plus a far-field cell-integral correction.
+def _shells_needed(dim: int, pe: float, a: float, L: float, tol: float) -> int:
+    """Smallest power of two m >= 2 whose truncation bound is <= tol."""
+    m = 2
+    while _truncation_bound(m, dim, pe, a, L) > tol:
+        m *= 2
+        if m > 4096:
+            raise TruncationError(
+                f"periodization tolerance {tol} unreachable (shells > 4096)")
+    return m
 
-    Returns (values, shells_used, certified_error).
+
+def _periodized_lattice(n: int, dim: int, pe: float, a: float, L: float,
+                        tol: float, shells: int | None = None
+                        ) -> tuple[np.ndarray, int, float]:
+    """Periodized f = (||.||_1 + a)^(-pe) at the lags x = j L / n,
+    0 <= j_i < n: the direct sum over the images x + kL with |k_i| <= m,
+    plus a cell-integral correction for the far field.
+
+    Returns (values of shape (n,) * dim, shells_used m, certified_error).
+
+    The direct sum is folded into 1D tables.  In units of the cell h = L/n,
+    the image distances on axis i are j_i + kn (k = 0..m) and -j_i + kn
+    (k = 1..m).  For a sign pattern sigma in {+1, -1}^dim the terms with sign
+    sigma_i on every axis i depend on j only through t = sigma . j and on
+    k only through K = sum k_i, so they sum to
+    T_s(t) = sum_K c_s(K) ((t + K n) h + a)^(-pe), read at t = sigma . j,
+    where c_s (the np.convolve of the per-axis 0/1 ranges of k) depends only
+    on the number s of minus signs.  That is O(n^dim + 2^dim dim m n) work
+    in place of O(n^dim (2m+1)^dim).
+
+    The far field is (mass of f - integral of f over the box
+    x +- (m + 1/2) L) / L^dim.  Since 0 <= x_i < L < (m + 1/2) L, every box
+    contains 0 on every axis, so one array-valued ``_box_int`` serves all
+    lags.
     """
-    if shells is None:
-        m = 2
-        while _truncation_bound(m, dim, pe, a, L) > tol:
-            m *= 2
-            if m > 4096:
-                raise TruncationError(
-                    f"periodization tolerance {tol} unreachable (shells > 4096)")
-    else:
-        m = int(shells)
+    if dim not in (1, 2, 3):
+        raise ValueError("only dim <= 3 supported")
+    m = _shells_needed(dim, pe, a, L, tol) if shells is None else int(shells)
+    if m < 1:
+        raise ValueError(f"shells must be >= 1, got {shells}")
     cert = _truncation_bound(m, dim, pe, a, L)
 
-    ks = np.arange(-m, m + 1, dtype=float) * L
-    if dim == 1:
-        x = points[..., 0]
-        direct = np.sum((np.abs(x[..., None] + ks) + a) ** (-pe), axis=-1)
-    elif dim == 2:
-        x1 = points[..., 0]
-        x2 = points[..., 1]
-        a2 = np.abs(x2[..., None] + ks)          # (..., nk)
-        direct = np.zeros(x1.shape, dtype=float)
-        for k1 in ks:
-            r1 = np.abs(x1 + k1)
-            direct += np.sum((r1[..., None] + a2 + a) ** (-pe), axis=-1)
-    elif dim == 3:
-        x1, x2, x3 = points[..., 0], points[..., 1], points[..., 2]
-        a3 = np.abs(x3[..., None] + ks)
-        direct = np.zeros(x1.shape, dtype=float)
-        for k1 in ks:
-            r1 = np.abs(x1 + k1)
-            for k2 in ks:
-                r12 = r1 + np.abs(x2 + k2)
-                direct += np.sum((r12[..., None] + a3 + a) ** (-pe), axis=-1)
-    else:
-        raise ValueError("only dim <= 3 supported")
+    h = L / n
+    j = [np.arange(n).reshape([n if ax == i else 1 for ax in range(dim)])
+         for i in range(dim)]
+    plus, minus = np.ones(m + 1), np.r_[0.0, np.ones(m)]   # indexed by k
+    tables = []
+    for s in range(dim + 1):
+        counts = reduce(np.convolve, [minus] * s + [plus] * (dim - s))
+        K = np.flatnonzero(counts)
+        t = np.arange(-s * (n - 1), (dim - s) * (n - 1) + 1)
+        terms = ((t[:, None] + K * n) * h + a) ** (-pe)
+        tables.append((np.sum(terms * counts[K], axis=1), s * (n - 1)))
+    direct = np.zeros((n,) * dim)
+    for signs in itertools.product((1, -1), repeat=dim):
+        table, offset = tables[signs.count(-1)]
+        direct += table[offset + sum(sg * ji for sg, ji in zip(signs, j))]
 
-    # far field: (1/L^dim) * integral of f over the complement of the summed box
     M = (m + 0.5) * L
-    total = _family_mass(dim, pe, a)
-    flat = points.reshape(-1, dim)
-    corr = np.empty(flat.shape[0])
-    for i, x in enumerate(flat):
-        lo = [float(xi) - M for xi in x]
-        hi = [float(xi) + M for xi in x]
-        corr[i] = (total - _box_int(lo, hi, a, pe)) / L ** dim
-    return direct + corr.reshape(direct.shape), m, cert
+    box = _box_int([(M - ji * h, M + ji * h) for ji in j], a, pe)
+    return direct + (_family_mass(dim, pe, a) - box) / L ** dim, m, cert
 
 
 def periodized_marginal(L: float, n: int, params: ModelParams,
@@ -266,9 +272,8 @@ def periodized_marginal(L: float, n: int, params: ModelParams,
     if tol <= 0:
         raise ValueError("tol must be positive")
     c = marginal_constant(params.d, params.p)
-    z = (np.arange(n, dtype=float) * (L / n))[:, None]
-    vals, _, _ = _periodized_values(z, 1, params.q, params.kernel_scale, L,
-                                    tol / c, shells=shells)
+    vals, _, _ = _periodized_lattice(n, 1, params.q, params.kernel_scale, L,
+                                     tol / c, shells=shells)
     vals = c * vals
     # exact reflection symmetry K(z) = K(L - z)
     sym = vals.copy()
@@ -276,32 +281,15 @@ def periodized_marginal(L: float, n: int, params: ModelParams,
     return sym
 
 
-def marginal_shells_needed(L: float, params: ModelParams, tol: float) -> int:
-    c = marginal_constant(params.d, params.p)
-    m = 2
-    while _truncation_bound(m, 1, params.q, params.kernel_scale, L) > tol / c:
-        m *= 2
-        if m > 4096:
-            raise TruncationError("tolerance unreachable")
-    return m
-
-
 def kernel_shells_needed(L: float, params: ModelParams, tol: float) -> int:
-    m = 2
-    while _truncation_bound(m, params.d, params.p, params.kernel_scale, L) > tol:
-        m *= 2
-        if m > 4096:
-            raise TruncationError("tolerance unreachable")
-    return m
+    return _shells_needed(params.d, params.p, params.kernel_scale, L, tol)
 
 
 @lru_cache(maxsize=32)
 def _cached_kernel_grid(L: float, n: int, d: int, p: float, tau: float,
                         tol: float, shells: int | None) -> np.ndarray:
     a = tau ** (1.0 / (p - d - 1))
-    axes = [np.arange(n, dtype=float) * (L / n) for _ in range(d)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    vals, _, _ = _periodized_values(mesh, d, p, a, L, tol, shells=shells)
+    vals, _, _ = _periodized_lattice(n, d, p, a, L, tol, shells=shells)
     # enforce exact reflection and permutation symmetries
     for ax in range(d):
         flipped = np.flip(vals, axis=ax)
@@ -311,7 +299,6 @@ def _cached_kernel_grid(L: float, n: int, d: int, p: float, tau: float,
         vals = 0.5 * (vals + vals.T)
     elif d == 3:
         acc = np.zeros_like(vals)
-        import itertools
         perms = list(itertools.permutations(range(3)))
         for perm in perms:
             acc += np.transpose(vals, perm)

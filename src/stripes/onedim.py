@@ -523,7 +523,7 @@ def minimize_profile(params: ModelParams, h: float, n: int = 512,
     if not converged:
         raise ConvergenceError(
             f"no convergence in {it} iterations (grad {gnorm:.2e})", trace)
-    trace.append((len(trace) * opts.trace_every, e, step))
+    trace.append((it, e, step))
     prof = ReflectedProfile(h, gb)
     value = f1d(gamma, prof.full(), params)
     return MinimizeProfileResult(prof, value, it, tuple(trace))

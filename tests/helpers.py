@@ -82,3 +82,80 @@ def cross_term_direct(u: PeriodicField, i: int, params: ModelParams,
             total += ((norm1 + params.kernel_scale) ** (-params.p)
                       * float(np.sum(bracket ** 2)))
     return total * vol2 / d
+
+
+def _box_int_direct(lo, hi, a: float, pe: float) -> float:
+    """integral over the box prod [lo_i, hi_i] of (sum |x_i| + a)^(-pe) dx,
+    one point at a time, splitting each range at 0."""
+    if len(lo) == 0:
+        return a ** (-pe)
+    l, h = lo[0], hi[0]
+    total = 0.0
+    segs = []
+    if l < 0.0:
+        segs.append((abs(min(h, 0.0)), abs(l)))
+    if h > 0.0:
+        segs.append((max(l, 0.0), h))
+    for (u0, u1) in segs:  # integrate du over [u0, u1] with u = |x_1|
+        total += (_box_int_direct(lo[1:], hi[1:], a + u0, pe - 1.0)
+                  - _box_int_direct(lo[1:], hi[1:], a + u1, pe - 1.0)
+                  ) / (pe - 1.0)
+    return total
+
+
+def periodized_values_direct(points: np.ndarray, dim: int, pe: float,
+                             a: float, L: float, tol: float,
+                             shells: int | None = None
+                             ) -> tuple[np.ndarray, int, float]:
+    """Reference periodization by the per-point shell loop: sum
+    f = (||.||_1 + a)^(-pe) over the (2m+1)^dim images of each point
+    (shape (..., dim)), plus the far-field cell-integral correction from
+    one recursive box integral per point (O(points (2m+1)^dim); small
+    grids or few points only).  Same shell choice, certificate and return
+    value (values, shells_used, certified_error) as
+    ``kernel._periodized_lattice``."""
+    if shells is None:
+        m = 2
+        while kernel._truncation_bound(m, dim, pe, a, L) > tol:
+            m *= 2
+            if m > 4096:
+                raise kernel.TruncationError(
+                    f"periodization tolerance {tol} unreachable (shells > 4096)")
+    else:
+        m = int(shells)
+    cert = kernel._truncation_bound(m, dim, pe, a, L)
+
+    ks = np.arange(-m, m + 1, dtype=float) * L
+    if dim == 1:
+        x = points[..., 0]
+        direct = np.sum((np.abs(x[..., None] + ks) + a) ** (-pe), axis=-1)
+    elif dim == 2:
+        x1 = points[..., 0]
+        x2 = points[..., 1]
+        a2 = np.abs(x2[..., None] + ks)          # (..., nk)
+        direct = np.zeros(x1.shape, dtype=float)
+        for k1 in ks:
+            r1 = np.abs(x1 + k1)
+            direct += np.sum((r1[..., None] + a2 + a) ** (-pe), axis=-1)
+    elif dim == 3:
+        x1, x2, x3 = points[..., 0], points[..., 1], points[..., 2]
+        a3 = np.abs(x3[..., None] + ks)
+        direct = np.zeros(x1.shape, dtype=float)
+        for k1 in ks:
+            r1 = np.abs(x1 + k1)
+            for k2 in ks:
+                r12 = r1 + np.abs(x2 + k2)
+                direct += np.sum((r12[..., None] + a3 + a) ** (-pe), axis=-1)
+    else:
+        raise ValueError("only dim <= 3 supported")
+
+    # far field: (1/L^dim) * integral of f over the complement of the summed box
+    M = (m + 0.5) * L
+    total = kernel._family_mass(dim, pe, a)
+    flat = points.reshape(-1, dim)
+    corr = np.empty(flat.shape[0])
+    for i, x in enumerate(flat):
+        lo = [float(xi) - M for xi in x]
+        hi = [float(xi) + M for xi in x]
+        corr[i] = (total - _box_int_direct(lo, hi, a, pe)) / L ** dim
+    return direct + corr.reshape(direct.shape), m, cert

@@ -42,6 +42,16 @@ def test_nonlocal_fft_matches_direct(ps2, ps1):
         nonlocal_energy(g, ps1, method="direct"), rel=1e-12)
 
 
+def test_nonlocal_direct_path_small_grids_only(ps2, ps1):
+    rng = np.random.default_rng(5)
+    assert nonlocal_energy(rough_field(2, 16, 2.0, rng), ps2,
+                           method="direct") > 0.0
+    for u, params in ((rough_field(2, 17, 2.0, rng), ps2),
+                      (rough_field(1, 4097, 2.0, rng), ps1)):
+        with pytest.raises(ValueError, match="small grids"):
+            nonlocal_energy(u, params, method="direct")
+
+
 def test_nonlocal_translation_invariance(ps2):
     rng = np.random.default_rng(4)
     u = rough_field(2, 16, 2.0, rng)

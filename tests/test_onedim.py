@@ -6,7 +6,7 @@ from stripes import onedim
 from stripes.energy import total_energy
 from stripes.field import Profile1D, make_one_dimensional
 from stripes.model import ModelParams
-from stripes.onedim import (ConvergenceError, CrossingError,
+from stripes.onedim import (ConvergenceError, CrossingError, MinimizeOptions,
                             chessboard_check, confined_split, el_residual,
                             f1d, free_boundary_points, gamma_limit_study,
                             gamma_pointwise_optimum, i_g_profile,
@@ -136,6 +136,12 @@ def test_minimize_profile_structure(ps1):
     assert np.all(prof.base_g >= 0.5)
     # energy of the reported profile matches the reported value
     assert f1d(None, G, ps1) == pytest.approx(res.value, rel=1e-10)
+
+
+def test_minimize_profile_last_trace_row_is_final_iteration(ps1):
+    res = minimize_profile(ps1, 1.58, n=64,
+                           opts=MinimizeOptions(trace_every=7))
+    assert res.trace[-1][0] == res.iterations
 
 
 def test_minimize_profile_monotone_plateau(ps1):
