@@ -29,10 +29,7 @@ import numpy as np
 from . import kernel as _kernel
 from .field import PeriodicField, gradient
 from .model import ModelParams, double_well
-
-
-class NoBracketError(RuntimeError):
-    """A line search could not bracket an interior minimum."""
+from .solvers import NoBracketError, golden_section, scan_golden  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -231,28 +228,6 @@ def sharp_stripe_energy(h: float, params: ModelParams) -> float:
     return (c - 1.0) / h - _square_wave_correlation_integral(h, params)
 
 
-def golden_section(f, lo: float, hi: float, rel_tol: float = 1e-3
-                   ) -> tuple[float, float]:
-    """Golden-section minimum of f on [lo, hi]; ties resolve to smaller
-    argument.  Returns (argmin, value)."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while (b - a) > rel_tol * max(abs(a), abs(b), 1e-300):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-    x = a if f(a) <= f(b) else b
-    return x, f(x)
-
-
 def optimal_sharp_period(params: ModelParams,
                          h_range: tuple[float, float] = (1e-2, 1e2),
                          grid: int = 12, tol: float = 1e-3
@@ -262,14 +237,5 @@ def optimal_sharp_period(params: ModelParams,
     A logarithmic scan over ``grid`` points brackets the minimum; golden
     section refines it to relative tolerance ``tol``.
     """
-    lo, hi = h_range
-    if not (0 < lo < hi):
-        raise ValueError("need 0 < lo < hi")
-    hs = np.geomspace(lo, hi, grid)
-    vals = np.array([sharp_stripe_energy(h, params) for h in hs])
-    i = int(np.argmin(vals))
-    if i == 0 or i == grid - 1:
-        raise NoBracketError(
-            "no interior minimum of the sharp stripe energy in the range")
-    return golden_section(lambda h: sharp_stripe_energy(h, params),
-                          hs[i - 1], hs[i + 1], rel_tol=tol)
+    return scan_golden(lambda h: sharp_stripe_energy(h, params),
+                       *h_range, grid, tol)

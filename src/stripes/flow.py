@@ -21,10 +21,7 @@ from . import onedim as _onedim
 from .field import (PeriodicField, Profile1D, StripeSpec, l1_distance,
                     make_one_dimensional, make_stripes)
 from .model import ModelParams, double_well_prime
-
-
-class FlowError(RuntimeError):
-    pass
+from .solvers import projected_bb
 
 
 @dataclass(frozen=True)
@@ -32,12 +29,9 @@ class FlowOptions:
     kappa: float = 1e-3
     kappa_stages: int = 3        # continuation: kappa -> kappa/10 per stage
     step0: float = 1.0
-    backtrack: float = 0.5
-    step_growth: float = 1.5
     max_iter: int = 5000
     tol_energy: float = 1e-12
     tol_grad: float = 1e-6
-    stall_limit: int = 25
     trace_every: int = 10
     seed: int = 0
 
@@ -46,8 +40,6 @@ class FlowOptions:
             raise ValueError("kappa must be positive")
         if self.tol_energy <= 0 or self.tol_grad <= 0:
             raise ValueError("tolerances must be positive")
-        if not (0 < self.backtrack < 1):
-            raise ValueError("backtrack factor must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -142,68 +134,32 @@ def gradient_flow(u0: PeriodicField, params: ModelParams,
     convergence, ``opts.kappa_stages`` times in total.
     """
     opts = opts or FlowOptions()
-    v = np.array(u0.values, dtype=float)
-    d, n, L = u0.dims, u0.n, u0.L
 
     def en(vals: np.ndarray) -> float:
         return _exact_energy(u0.with_values(vals), params, tol_kernel,
                              shells)
 
+    v = np.array(u0.values, dtype=float)
     e = en(v)
     trace = [(0, e, opts.step0)]
-    total_it = 0
+    it = 0
     converged = False
     kappa = opts.kappa
-    for stage in range(opts.kappa_stages):
-        step = opts.step0
-        stall = 0
-        converged = False
-        v_prev = None
-        g_prev = None
-        while total_it < opts.max_iter:
-            total_it += 1
-            g = energy_gradient(u0.with_values(v), params, kappa,
-                                tol=tol_kernel, shells=shells)
-            if v_prev is not None:
-                # spectral (Barzilai-Borwein) trial step, safeguarded by
-                # the monotone backtracking below
-                s = (v - v_prev).ravel()
-                y = (g - g_prev).ravel()
-                sy = float(s @ y)
-                if sy > 0:
-                    step = min(max(float(s @ s) / sy, 1e-10), 1e6)
-            v_prev, g_prev = v.copy(), g.copy()
-            pg = g.copy()
-            pg[(v <= 1e-12) & (pg > 0)] = 0.0
-            pg[(v >= 1.0 - 1e-12) & (pg < 0)] = 0.0
-            gnorm = float(np.max(np.abs(pg)))
-            if gnorm < opts.tol_grad:
-                converged = True
-                break
-            accepted = False
-            cand, ec = v, e
-            for _ in range(60):
-                cand = np.clip(v - step * g, 0.0, 1.0)
-                ec = en(cand)
-                if ec < e:
-                    accepted = True
-                    break
-                step *= opts.backtrack
-            if not accepted:
-                converged = gnorm < 1e4 * opts.tol_grad
-                break
-            stall = stall + 1 if e - ec < opts.tol_energy else 0
-            v, e = cand, ec
-            step = min(step * opts.step_growth, 1e6)
-            if total_it % opts.trace_every == 0:
-                trace.append((total_it, e, step))
-            if stall >= opts.stall_limit:
-                converged = True
-                break
+    for _ in range(opts.kappa_stages):
+        def grad(vals: np.ndarray, kappa=kappa) -> np.ndarray:
+            return energy_gradient(u0.with_values(vals), params, kappa,
+                                   tol=tol_kernel, shells=shells)
+
+        res = projected_bb(v, e, en, grad, 0.0, 1.0, step0=opts.step0,
+                           max_iter=opts.max_iter, tol_grad=opts.tol_grad,
+                           tol_energy=opts.tol_energy,
+                           trace_every=opts.trace_every, start=it)
+        v, e, it, converged = res.x, res.energy, res.iterations, res.converged
+        trace.extend(res.trace)
         kappa /= 10.0
-    trace.append((total_it, e, 0.0))
+    trace.append((it, e, 0.0))
     return (u0.with_values(v),
-            FlowTrace(tuple(trace), converged, total_it, kappa * 10.0))
+            FlowTrace(tuple(trace), converged, it, kappa * 10.0))
 
 
 # ---------------------------------------------------------------------------

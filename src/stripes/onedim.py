@@ -34,6 +34,7 @@ from scipy.optimize import brentq
 from . import kernel as _kernel
 from .field import Profile1D
 from .model import ModelParams, double_well, double_well_prime
+from .solvers import ACTIVE_TOL, NoBracketError, projected_bb, scan_golden
 
 
 class ConvergenceError(RuntimeError):
@@ -365,9 +366,6 @@ class MinimizeProfileResult:
     trace: tuple  # (iteration, energy, step) triples
 
 
-_ACTIVE_TOL = 1e-12
-
-
 def _full_from_base(gb: np.ndarray, m: int) -> np.ndarray:
     G = np.empty(2 * m)
     G[: m + 1] = gb
@@ -456,77 +454,45 @@ def minimize_profile(params: ModelParams, h: float, n: int = 512,
 
     Box constraints [1/2, 1] on the interior base samples, endpoints pinned
     at 1/2, backtracking line search on the exact energy, step growth on
-    success.  Raises ConvergenceError (with trace) if the tolerances are not
-    met within max_iter.
+    success (``solvers.projected_bb``).  Raises ConvergenceError (with
+    trace) if the tolerances are not met within max_iter.
     """
     if n < 32:
         raise ValueError("n must be >= 32")
     opts = opts or MinimizeOptions()
     obj = objective or _ProfileObjective(params, h, n)
     m = obj.m
+
+    def energy(gb: np.ndarray) -> float:
+        return obj.energy(_full_from_base(gb, m), gamma)
+
+    def grad(gb: np.ndarray) -> np.ndarray:
+        return _fold_grad(obj.grad(_full_from_base(gb, m), gamma), m)
+
+    def project(y: np.ndarray) -> np.ndarray:
+        # snap samples within rounding of a bound onto it; pin the ends
+        gb = np.clip(y, 0.5, 1.0)
+        gb[gb >= 1.0 - ACTIVE_TOL] = 1.0
+        gb[gb <= 0.5 + ACTIVE_TOL] = 0.5
+        gb[0] = gb[-1] = 0.5
+        return gb
+
     gb = (np.asarray(g0_base, dtype=float).copy() if g0_base is not None
           else _initial_base(h, m, params.alpha))
-    G = _full_from_base(gb, m)
-    e = obj.energy(G, gamma)
-    step = opts.step0
-    trace = [(0, e, step)]
-    gnorm = np.inf
-    stall = 0
-    converged = False
-    gb_prev = None
-    grad_prev = None
-    for it in range(1, opts.max_iter + 1):
-        grad_b = _fold_grad(obj.grad(G, gamma), m)
-        if gb_prev is not None:
-            # spectral (Barzilai-Borwein) trial step, safeguarded by the
-            # monotone backtracking below
-            s = gb - gb_prev
-            y = grad_b - grad_prev
-            sy = float(s @ y)
-            if sy > 0:
-                step = min(max(float(s @ s) / sy, 1e-10), 1e6)
-        gb_prev, grad_prev = gb.copy(), grad_b.copy()
-        # projected gradient (zero where the box constraint is active);
-        # the active test carries a small tolerance so samples parked at a
-        # bound up to rounding count as constrained
-        pg = grad_b.copy()
-        pg[(gb <= 0.5 + _ACTIVE_TOL) & (pg > 0)] = 0.0
-        pg[(gb >= 1.0 - _ACTIVE_TOL) & (pg < 0)] = 0.0
-        gnorm = float(np.max(np.abs(pg)))
-        if gnorm < opts.tol_grad:
-            converged = True
-            break
-        accepted = False
-        for _ in range(60):
-            cand = np.clip(gb - step * grad_b, 0.5, 1.0)
-            cand[cand >= 1.0 - _ACTIVE_TOL] = 1.0
-            cand[cand <= 0.5 + _ACTIVE_TOL] = 0.5
-            cand[0] = cand[-1] = 0.5
-            Gc = _full_from_base(cand, m)
-            ec = obj.energy(Gc, gamma)
-            if ec < e:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            # exact stall of the line search: accept only a small gradient
-            converged = gnorm < 1e4 * opts.tol_grad
-            break
-        stall = stall + 1 if e - ec < opts.tol_energy else 0
-        gb, G, e = cand, Gc, ec
-        step = min(step * 1.5, 1e6)
-        if it % opts.trace_every == 0:
-            trace.append((it, e, step))
-        if stall >= 25:
-            converged = True
-            break
-    if not converged:
+    e = energy(gb)
+    res = projected_bb(gb, e, energy, grad, 0.5, 1.0, project,
+                       step0=opts.step0, max_iter=opts.max_iter,
+                       tol_grad=opts.tol_grad, tol_energy=opts.tol_energy,
+                       trace_every=opts.trace_every)
+    trace = [(0, e, opts.step0), *res.trace]
+    if not res.converged:
         raise ConvergenceError(
-            f"no convergence in {it} iterations (grad {gnorm:.2e})", trace)
-    trace.append((it, e, step))
-    prof = ReflectedProfile(h, gb)
+            f"no convergence in {res.iterations} iterations "
+            f"(grad {res.grad_norm:.2e})", trace)
+    trace.append((res.iterations, res.energy, res.step))
+    prof = ReflectedProfile(h, res.x)
     value = f1d(gamma, prof.full(), params)
-    return MinimizeProfileResult(prof, value, it, tuple(trace))
+    return MinimizeProfileResult(prof, value, res.iterations, tuple(trace))
 
 
 @dataclass(frozen=True)
@@ -548,8 +514,6 @@ def optimal_period(params: ModelParams,
     """Minimize h -> min_{g in C_h} F1d(1, g) by a logarithmic scan followed
     by golden section; ties break toward smaller h."""
     lo, hi = h_range
-    if not (0 < lo < hi):
-        raise ValueError("need 0 < lo < hi")
     trace = []
     cache: dict[float, MinimizeProfileResult] = {}
 
@@ -559,27 +523,11 @@ def optimal_period(params: ModelParams,
             trace.append((h, cache[h].value))
         return cache[h].value
 
-    hs = np.geomspace(lo, hi, grid)
-    vals = [val(h) for h in hs]
-    i = int(np.argmin(vals))
-    if i == 0 or i == grid - 1:
-        raise ConvergenceError("no interior minimum over the h range", trace)
-
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = hs[i - 1], hs[i + 1]
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = val(x1), val(x2)
-    while (b - a) > tol * b:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = val(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = val(x2)
-    h_star = a if val(a) <= val(b) else b
+    try:
+        h_star, _ = scan_golden(val, lo, hi, grid, tol)
+    except NoBracketError:
+        raise ConvergenceError("no interior minimum over the h range",
+                               trace) from None
     res = cache[h_star]
     return PeriodSearchResult(h_star, res.value, res.profile, tuple(trace))
 

@@ -157,8 +157,6 @@ def test_experiment_report_structure():
 def test_flow_options_validation():
     with pytest.raises(ValueError):
         FlowOptions(kappa=-1.0)
-    with pytest.raises(ValueError):
-        FlowOptions(backtrack=1.5)
 
 
 def test_trace_csv(tmp_path, ps2):
