@@ -8,7 +8,6 @@ output so a run can be reproduced bit for bit from its artifacts alone.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -71,12 +70,6 @@ def _emit(outdir: str, name: str, config: dict, report: dict,
         sys.exit(1)
 
 
-def _threads(value: int | None) -> int | None:
-    if value is not None:
-        os.environ["STRIPES_THREADS"] = str(value)
-    return value
-
-
 common = [
     click.option("--config", "config_path", type=click.Path(exists=True),
                  default=None, help="JSON config file; flags override it."),
@@ -84,7 +77,7 @@ common = [
     click.option("--seed", type=int, default=None,
                  help="single 64-bit seed driving all randomness"),
     click.option("--threads", type=int, default=None,
-                 help="worker cap (mirrors STRIPES_THREADS)"),
+                 help="worker cap of minimize-2d"),
     click.option("-d", type=int, default=None), click.option(
         "-p", type=float, default=None),
     click.option("--tau", type=float, default=None),
@@ -113,7 +106,7 @@ def kernel_moments(config_path, output_dir, seed, threads, d, p, tau, eps,
     """Closed-form kernel moments against adaptive quadrature."""
     cfg = _resolve(_load_config(config_path),
                    dict(d=d, p=p, tau=tau, eps=eps, seed=seed,
-                        threads=_threads(threads), tol=tol))
+                        threads=threads, tol=tol))
     cfg.setdefault("seed", 0)
     params = _params(cfg)
     try:
@@ -152,7 +145,7 @@ def optimal_period(config_path, output_dir, seed, threads, d, p, tau, eps,
     """Golden-section search for the optimal stripe half-period."""
     cfg = _resolve(_load_config(config_path),
                    dict(d=d, p=p, tau=tau, eps=eps, seed=seed,
-                        threads=_threads(threads), h_lo=h_lo, h_hi=h_hi,
+                        threads=threads, h_lo=h_lo, h_hi=h_hi,
                         grid=grid, n=n, tol=tol))
     cfg.setdefault("seed", 0)
     params = _params(cfg)
@@ -177,7 +170,7 @@ def minimize_1d(config_path, output_dir, seed, threads, d, p, tau, eps, h,
     """Minimize the 1D energy over the confined class at fixed half-period."""
     cfg = _resolve(_load_config(config_path),
                    dict(d=d, p=p, tau=tau, eps=eps, seed=seed,
-                        threads=_threads(threads), h=h, n=n))
+                        threads=threads, h=h, n=n))
     cfg.setdefault("seed", 0)
     if cfg.get("h") is None:
         raise click.ClickException("--half-period is required")
@@ -213,7 +206,7 @@ def minimize_2d(config_path, output_dir, seed, threads, d, p, tau, eps, k,
     """Symmetry-breaking experiment: gradient flow from noise seeds."""
     cfg = _resolve(_load_config(config_path),
                    dict(d=d if d is not None else 2, p=p, tau=tau, eps=eps,
-                        seed=seed, threads=_threads(threads), k=k, n=n,
+                        seed=seed, threads=threads, k=k, n=n,
                         n_seeds=n_seeds,
                         anisotropy_threshold=anisotropy_threshold,
                         gap_threshold=gap_threshold, resume=resume,
@@ -284,7 +277,7 @@ def verify_decomposition(config_path, output_dir, seed, threads, d, p, tau,
     """Lower-bound decomposition report; fails on negative slack."""
     cfg = _resolve(_load_config(config_path),
                    dict(d=d if d is not None else 2, p=p, tau=tau, eps=eps,
-                        seed=seed, threads=_threads(threads),
+                        seed=seed, threads=threads,
                         field=field_path, kind=kind, n=n, L=L_override,
                         tol_slack=tol_slack))
     cfg.setdefault("seed", 0)
@@ -311,7 +304,7 @@ def verify_el(config_path, output_dir, seed, threads, d, p, tau, eps, h, n,
     """Euler-Lagrange diagnostics on the converged 1D minimizer at (n, 2n)."""
     cfg = _resolve(_load_config(config_path),
                    dict(d=d, p=p, tau=tau, eps=eps, seed=seed,
-                        threads=_threads(threads), h=h, n=n,
+                        threads=threads, h=h, n=n,
                         tol_ineq=tol_ineq))
     cfg.setdefault("seed", 0)
     params = _params(cfg)
@@ -347,7 +340,7 @@ def gamma_study(config_path, output_dir, seed, threads, d, p, tau, eps, h,
     """Penalized coefficient family: optimal gamma collapses to 1."""
     cfg = _resolve(_load_config(config_path),
                    dict(d=d, p=p, tau=tau, eps=eps, seed=seed,
-                        threads=_threads(threads), h=h, n=n,
+                        threads=threads, h=h, n=n,
                         m_schedule=m_schedule))
     cfg.setdefault("seed", 0)
     params = _params(cfg)
@@ -380,7 +373,7 @@ def rp_check(config_path, output_dir, seed, threads, d, p, tau, eps,
     """Reflection positivity and chessboard estimates on random profiles."""
     cfg = _resolve(_load_config(config_path),
                    dict(d=d, p=p, tau=tau, eps=eps, seed=seed,
-                        threads=_threads(threads), profiles=profiles, n=n,
+                        threads=threads, profiles=profiles, n=n,
                         tol_gap=tol_gap))
     cfg.setdefault("seed", 0)
     params = _params(cfg)

@@ -42,31 +42,18 @@ def _grad_l1(diffs: list[np.ndarray]) -> np.ndarray:
     return sum(np.abs(g) for g in diffs)
 
 
-def _axis_marginal(u: PeriodicField, params: ModelParams, tol: float
-                   ) -> np.ndarray:
-    """Lattice marginal of the periodized kernel grid along one axis.
+def _axis_operator(u: PeriodicField, params: ModelParams, tol: float
+                   ) -> _kernel.PeriodicKernelOperator:
+    """Operator of the lattice marginal of the periodized kernel grid along
+    one axis (the same on every axis, by symmetry).
 
     This is the rectangle-rule counterpart of the continuum marginal; using
     it (rather than the closed-form marginal) makes the cross-term identity
     exact on the lattice.
     """
     kgrid = _kernel.periodized_kernel_grid(u.L, u.n, params, tol=tol)
-    return _kernel.lattice_marginal(kgrid, 0, u.h_grid)
-
-
-def _slice_nonlocal_sums(values: np.ndarray, khat: np.ndarray, axis: int,
-                         spacing: float, dims: int) -> float:
-    """sum_x sum_zeta |u(x + zeta e_i) - u(x)|^2 khat(zeta) vol^2 with the
-    1D circular convolution taken along ``axis``."""
-    n = values.shape[axis]
-    fu = np.fft.rfft(values, axis=axis)
-    shape = [1] * values.ndim
-    shape[axis] = -1
-    fk = np.fft.rfft(khat).reshape(shape)
-    conv = np.fft.irfft(fu * fk, n=n, axis=axis)
-    ksum = float(np.sum(khat))
-    return float(2.0 * (ksum * np.sum(values ** 2) - np.sum(values * conv))
-                 * spacing ** (dims + 1))
+    return _kernel.PeriodicKernelOperator(
+        _kernel.lattice_marginal(kgrid, 0, u.h_grid))
 
 
 @dataclass(frozen=True)
@@ -138,10 +125,7 @@ def directional_g(u: PeriodicField, i: int, x_perp, params: ModelParams,
     from .field import slice as _field_slice
     mbar = directional_mm(u, i, x_perp, params, delta_grad=delta_grad)
     prof = _field_slice(u, i, x_perp)
-    khat = (_axis_marginal(u, params, tol) if u.dims > 1
-            else _kernel.periodized_kernel_grid(u.L, u.n, params, tol=tol))
-    g = prof.g
-    nl = _slice_nonlocal_sums(g, khat, 0, u.h_grid, 1)
+    nl = _axis_operator(u, params, tol).pair_sum(prof.g) * u.h_grid ** 2
     return mbar * _kernel.c_tau(params) - nl
 
 
@@ -253,8 +237,7 @@ def lower_bound_report(u: PeriodicField, params: ModelParams,
     w = double_well(u.values)
     ctau = _kernel.c_tau(params)
 
-    khat = (_axis_marginal(u, params, tol) if d > 1
-            else _kernel.periodized_kernel_grid(u.L, u.n, params, tol=tol))
+    axis_op = _axis_operator(u, params, tol)
 
     mbars, gbars, crosses = [], [], []
     for ax in range(d):
@@ -263,7 +246,7 @@ def lower_bound_report(u: PeriodicField, params: ModelParams,
         ratio[active] = di[active] / gl1[active]
         mbar = float(np.sum((3.0 * alpha * di * gl1
                              + (3.0 / alpha) * w * ratio)[active]) * vol)
-        axis_nl = _slice_nonlocal_sums(u.values, khat, ax, u.h_grid, d)
+        axis_nl = axis_op.pair_sum(u.values, axis=ax) * u.h_grid ** (d + 1)
         gbar = mbar * ctau - axis_nl
         cross = (cross_term(u, ax + 1, params, tol=tol,
                             trunc_radius=trunc_radius) if d > 1 else 0.0)

@@ -69,22 +69,6 @@ def modica_mortola(u: PeriodicField, alpha: float) -> float:
                  + (3.0 / alpha) * np.sum(double_well(u.values)) * vol)
 
 
-def _nonlocal_from_grid(values: np.ndarray, kgrid: np.ndarray, spacing: float
-                        ) -> float:
-    """NL = 2 vol^2 [ (sum K) sum u^2 - sum u (K conv u) ] via circular FFT."""
-    d = values.ndim
-    vol2 = spacing ** (2 * d)
-    ksum = float(np.sum(kgrid))
-    # the pair-difference form is invariant under constant shifts; centering
-    # makes constant fields evaluate to exactly zero despite FFT rounding
-    v = values - float(np.mean(values))
-    axes = tuple(range(d))
-    conv = np.fft.irfftn(np.fft.rfftn(v, axes=axes) *
-                         np.fft.rfftn(kgrid, axes=axes),
-                         s=v.shape, axes=axes)
-    return float(2.0 * vol2 * (ksum * np.sum(v ** 2) - np.sum(v * conv)))
-
-
 def _nonlocal_direct(values: np.ndarray, kgrid: np.ndarray, spacing: float
                      ) -> float:
     """Reference double sum over all lattice lags (small grids only)."""
@@ -105,14 +89,13 @@ def nonlocal_energy(u: PeriodicField, params: ModelParams,
     """int int |u(x+zeta) - u(x)|^2 K_tau(zeta) dx dzeta on the lattice."""
     if u.dims != params.d:
         raise ValueError("field dimension does not match params.d")
-    kgrid = _kernel.periodized_kernel_grid(u.L, u.n, params, tol=tol,
-                                           shells=shells)
+    op = _kernel.kernel_operator(u.L, u.n, params, tol=tol, shells=shells)
     if method == "fft":
-        return _nonlocal_from_grid(u.values, kgrid, u.h_grid)
+        return op.pair_sum(u.values) * u.h_grid ** (2 * u.dims)
     if method == "direct":
         if (u.n ** u.dims > 16 ** 2 + 1 and u.dims > 1) or u.n > 4096:
             raise ValueError("direct path is for small grids only")
-        return _nonlocal_direct(u.values, kgrid, u.h_grid)
+        return _nonlocal_direct(u.values, op.table, u.h_grid)
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -205,7 +205,10 @@ def read_pfd(path) -> tuple[PeriodicField, Optional[ModelParams]]:
         header = json.loads(fh.readline().decode("utf-8"))
         raw = fh.read()
     dims, n, L = int(header["dims"]), int(header["n"]), float(header["L"])
-    vals = np.frombuffer(raw, dtype="<f8", count=n ** dims).reshape((n,) * dims)
+    if len(raw) != 8 * n ** dims:
+        raise ValueError(f"{path}: expected {8 * n ** dims} bytes of values "
+                         f"after the header, found {len(raw)}")
+    vals = np.frombuffer(raw, dtype="<f8").reshape((n,) * dims)
     params = None
     if header.get("params") is not None:
         params = ModelParams.from_dict(header["params"])

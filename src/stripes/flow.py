@@ -107,21 +107,14 @@ def energy_gradient(u: PeriodicField, params: ModelParams,
         grad += pref * 6.0 * alpha * vol / dx * (np.roll(flux, 1, axis=ax)
                                                  - flux)
 
-    kgrid = _kernel.periodized_kernel_grid(L, n, params, tol=tol,
-                                           shells=shells)
-    conv = np.real(np.fft.ifftn(np.fft.fftn(v) * np.fft.fftn(kgrid)))
-    grad -= (4.0 * vol * vol / L ** d) * (np.sum(kgrid) * v - conv)
+    op = _kernel.kernel_operator(L, n, params, tol=tol, shells=shells)
+    grad -= (4.0 * vol * vol / L ** d) * (op.ksum * v - op.conv(v))
     return grad
 
 
 # ---------------------------------------------------------------------------
 # projected gradient flow
 # ---------------------------------------------------------------------------
-
-def _exact_energy(u: PeriodicField, params: ModelParams, tol: float,
-                  shells: int | None) -> float:
-    return _energy.total_energy(u, params, tol=tol, shells=shells).total
-
 
 def gradient_flow(u0: PeriodicField, params: ModelParams,
                   opts: FlowOptions | None = None, tol_kernel: float = 1e-7,
@@ -136,8 +129,8 @@ def gradient_flow(u0: PeriodicField, params: ModelParams,
     opts = opts or FlowOptions()
 
     def en(vals: np.ndarray) -> float:
-        return _exact_energy(u0.with_values(vals), params, tol_kernel,
-                             shells)
+        return _energy.total_energy(u0.with_values(vals), params,
+                                    tol=tol_kernel, shells=shells).total
 
     v = np.array(u0.values, dtype=float)
     e = en(v)

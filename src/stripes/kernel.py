@@ -56,14 +56,10 @@ def kernel_value(zeta, params: ModelParams):
     return float(out) if out.ndim == 0 else out
 
 
-def marginal_kernel(t, params: ModelParams, unit_constant: bool = False):
-    """Khat(t) = c_{d,p} (|t| + a)^(-q).
-
-    ``unit_constant=True`` drops c_{d,p} (a normalization some d=1-style
-    arguments use); production code keeps the exact constant.
-    """
+def marginal_kernel(t, params: ModelParams):
+    """Khat(t) = c_{d,p} (|t| + a)^(-q)."""
     a = params.kernel_scale
-    c = 1.0 if unit_constant else marginal_constant(params.d, params.p)
+    c = marginal_constant(params.d, params.p)
     out = c * (np.abs(np.asarray(t, dtype=float)) + a) ** (-params.q)
     return float(out) if out.ndim == 0 else out
 
@@ -261,24 +257,111 @@ def _periodized_lattice(n: int, dim: int, pe: float, a: float, L: float,
     return direct + (_family_mass(dim, pe, a) - box) / L ** dim, m, cert
 
 
-def periodized_marginal(L: float, n: int, params: ModelParams,
-                        tol: float = 1e-9, shells: int | None = None
-                        ) -> np.ndarray:
-    """Grid samples of the L-periodized marginal kernel sum_k Khat(z + kL)
-    at z_j = j L / n, certified to absolute truncation error < tol.
+def _symmetrized(vals: np.ndarray) -> np.ndarray:
+    """Average a periodized table over the reflections j -> n - j of each
+    axis and over all permutations of the axes, then read every entry at
+    the canonical lag of its orbit (each index folded to min(j, n - j), the
+    indices sorted), so that the table is exactly invariant under both
+    symmetries and not only up to the rounding of the averages."""
+    n = vals.shape[0]
+    for ax in range(vals.ndim):
+        flipped = np.roll(np.flip(vals, axis=ax), 1, axis=ax)  # i <-> n - i
+        vals = 0.5 * (vals + flipped)
+    perms = list(itertools.permutations(range(vals.ndim)))
+    vals = sum(np.transpose(vals, perm) for perm in perms) / len(perms)
+    idx = np.indices(vals.shape)
+    np.minimum(idx, (n - idx) % n, out=idx)
+    idx.sort(axis=0)
+    return vals[tuple(idx)]
+
+
+class PeriodicKernelOperator:
+    """Circular convolution with a periodized kernel table, and the pair
+    form sum_x sum_z |v(x + z) - v(x)|^2 K(z) it defines.
+
+    Holds the read-only ``table`` of kernel values at the lattice lags, and
+    the sum ``ksum`` and rFFT ``spectrum`` of the table without its zero
+    lag.  The zero lag adds nothing to the pair form nor to its gradient
+    4 (ksum v - K * v); leaving it out spares the cancellation of two
+    K(0) sum v^2 terms, which costs up to four digits on coarse grids.  A
+    d-dimensional table acts on arrays of its own shape over all axes; a 1D
+    table also acts along one ``axis`` of an array of any dimension.
     """
+
+    def __init__(self, table: np.ndarray):
+        self.table = np.array(table, dtype=float)
+        self.table.setflags(write=False)
+        off = self.table.copy()
+        off.flat[0] = 0.0
+        self.ksum = float(np.sum(off))
+        self.spectrum = np.fft.rfftn(off)
+        self.spectrum.setflags(write=False)
+
+    def conv(self, v: np.ndarray, axis: int | None = None) -> np.ndarray:
+        """(K * v)(x) = sum_z K(z) v(x - z) over the lattice lags z != 0
+        (along ``axis`` only, when given)."""
+        if axis is None:
+            if v.ndim != self.table.ndim:     # would broadcast silently
+                raise ValueError(f"a {self.table.ndim}D kernel table needs "
+                                 f"axis= on a {v.ndim}D array")
+            axes = tuple(range(v.ndim))
+            return np.fft.irfftn(np.fft.rfftn(v, axes=axes) * self.spectrum,
+                                 s=v.shape, axes=axes)
+        shape = [1] * v.ndim
+        shape[axis] = -1
+        return np.fft.irfft(np.fft.rfft(v, axis=axis)
+                            * self.spectrum.reshape(shape),
+                            n=v.shape[axis], axis=axis)
+
+    def pair_sum(self, v: np.ndarray, axis: int | None = None) -> float:
+        """sum_x sum_z |v(x + z) - v(x)|^2 K(z) over the lattice points x
+        and lags z (along ``axis`` only, when given), as
+        2 [ ksum sum v^2 - sum v (K * v) ].
+
+        The form is invariant under constant shifts of v; it is evaluated
+        on v minus its mean, so constant arrays give exactly zero despite
+        FFT rounding.
+        """
+        v = v - float(np.mean(v))
+        return float(2.0 * (self.ksum * np.sum(v ** 2)
+                            - np.sum(v * self.conv(v, axis))))
+
+
+def _check_grid(n: int, tol: float) -> None:
     if n < 2:
         raise ValueError("n must be >= 2")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    c = marginal_constant(params.d, params.p)
-    vals, _, _ = _periodized_lattice(n, 1, params.q, params.kernel_scale, L,
-                                     tol / c, shells=shells)
-    vals = c * vals
-    # exact reflection symmetry K(z) = K(L - z)
-    sym = vals.copy()
-    sym[1:] = 0.5 * (vals[1:] + vals[1:][::-1])
-    return sym
+
+
+@lru_cache(maxsize=128)    # 1D tables are small
+def _cached_marginal_operator(L: float, n: int, d: int, p: float,
+                              tau: float, tol: float, shells: int | None
+                              ) -> PeriodicKernelOperator:
+    c = marginal_constant(d, p)
+    a = tau ** (1.0 / (p - d - 1))
+    vals, _, _ = _periodized_lattice(n, 1, p - d + 1, a, L, tol / c,
+                                     shells=shells)
+    return PeriodicKernelOperator(_symmetrized(c * vals))
+
+
+def marginal_operator(L: float, n: int, params: ModelParams,
+                      tol: float = 1e-9, shells: int | None = None
+                      ) -> PeriodicKernelOperator:
+    """Operator of the L-periodized marginal kernel sum_k Khat(z + kL) at
+    z_j = j L / n, certified to absolute truncation error < tol; cached
+    per (L, n, d, p, tau, tol, shells)."""
+    _check_grid(n, tol)
+    return _cached_marginal_operator(float(L), int(n), int(params.d),
+                                     float(params.p), float(params.tau),
+                                     float(tol), shells)
+
+
+def periodized_marginal(L: float, n: int, params: ModelParams,
+                        tol: float = 1e-9, shells: int | None = None
+                        ) -> np.ndarray:
+    """The read-only table of ``marginal_operator``."""
+    return marginal_operator(L, n, params, tol=tol, shells=shells).table
 
 
 def kernel_shells_needed(L: float, params: ModelParams, tol: float) -> int:
@@ -286,39 +369,31 @@ def kernel_shells_needed(L: float, params: ModelParams, tol: float) -> int:
 
 
 @lru_cache(maxsize=32)
-def _cached_kernel_grid(L: float, n: int, d: int, p: float, tau: float,
-                        tol: float, shells: int | None) -> np.ndarray:
+def _cached_kernel_operator(L: float, n: int, d: int, p: float, tau: float,
+                            tol: float, shells: int | None
+                            ) -> PeriodicKernelOperator:
     a = tau ** (1.0 / (p - d - 1))
     vals, _, _ = _periodized_lattice(n, d, p, a, L, tol, shells=shells)
-    # enforce exact reflection and permutation symmetries
-    for ax in range(d):
-        flipped = np.flip(vals, axis=ax)
-        flipped = np.roll(flipped, 1, axis=ax)   # index i <-> n - i, fixing 0
-        vals = 0.5 * (vals + flipped)
-    if d == 2:
-        vals = 0.5 * (vals + vals.T)
-    elif d == 3:
-        acc = np.zeros_like(vals)
-        perms = list(itertools.permutations(range(3)))
-        for perm in perms:
-            acc += np.transpose(vals, perm)
-        vals = acc / len(perms)
-    vals.setflags(write=False)
-    return vals
+    return PeriodicKernelOperator(_symmetrized(vals))
+
+
+def kernel_operator(L: float, n: int, params: ModelParams,
+                    tol: float = 1e-7, shells: int | None = None
+                    ) -> PeriodicKernelOperator:
+    """Operator of the d-dimensional L-periodized kernel sum_k K(zeta + kL)
+    at the lattice lags zeta = (j_1, ..., j_d) L / n, certified truncation
+    < tol; cached per (L, n, d, p, tau, tol, shells)."""
+    _check_grid(n, tol)
+    return _cached_kernel_operator(float(L), int(n), int(params.d),
+                                   float(params.p), float(params.tau),
+                                   float(tol), shells)
 
 
 def periodized_kernel_grid(L: float, n: int, params: ModelParams,
                            tol: float = 1e-7, shells: int | None = None
                            ) -> np.ndarray:
-    """d-dimensional grid of the L-periodized kernel sum_k K(zeta + kL) at
-    lattice lags zeta = (j_1, ..., j_d) L / n, certified truncation < tol.
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return _cached_kernel_grid(float(L), int(n), int(params.d), float(params.p),
-                               float(params.tau), float(tol), shells)
+    """The read-only table of ``kernel_operator``."""
+    return kernel_operator(L, n, params, tol=tol, shells=shells).table
 
 
 def lattice_marginal(kernel_grid: np.ndarray, axis: int, spacing: float
@@ -327,7 +402,5 @@ def lattice_marginal(kernel_grid: np.ndarray, axis: int, spacing: float
     lattice rectangle rule (exact counterpart of the continuum marginal for
     lattice identities)."""
     d = kernel_grid.ndim
-    if d == 1:
-        return kernel_grid.copy()
     other = tuple(ax for ax in range(d) if ax != axis)
     return kernel_grid.sum(axis=other) * spacing ** (d - 1)

@@ -103,14 +103,6 @@ class ReflectedProfile:
         return Profile1D(n, 2.0 * self.h, G, gam)
 
 
-def reflect_periodic(g_base, h: float, gamma_base=None) -> ReflectedProfile:
-    """Wrap base samples on [0, h] (endpoints included) into a
-    ReflectedProfile."""
-    return ReflectedProfile(h, np.asarray(g_base, dtype=float),
-                            None if gamma_base is None
-                            else np.asarray(gamma_base, dtype=float))
-
-
 def reflect_left(g: np.ndarray, i0: int, tol: float = 1e-9) -> np.ndarray:
     """Left reflection about grid point i0: keep samples with index <= i0,
     replace the rest of a window of equal width by 1 - g mirrored."""
@@ -137,21 +129,6 @@ def reflect_right(g: np.ndarray, i0: int, tol: float = 1e-9) -> np.ndarray:
     return out
 
 
-def reflect_coeff_left(gamma: np.ndarray, i0: int) -> np.ndarray:
-    out = np.empty(2 * i0 + 1)
-    out[: i0 + 1] = gamma[: i0 + 1]
-    out[i0 + 1:] = gamma[:i0][::-1]
-    return out
-
-
-def reflect_coeff_right(gamma: np.ndarray, i0: int) -> np.ndarray:
-    tail = gamma[i0:]
-    out = np.empty(2 * (gamma.size - 1 - i0) + 1)
-    out[gamma.size - 1 - i0:] = tail
-    out[: gamma.size - 1 - i0] = tail[1:][::-1]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the 1D functional
 # ---------------------------------------------------------------------------
@@ -165,18 +142,6 @@ def _gamma_array(gamma, n: int) -> np.ndarray:
     if arr.shape != (n,):
         raise ValueError("gamma must be scalar or match the profile length")
     return arr
-
-
-def _marginal_per(L: float, n: int, params: ModelParams, tol: float
-                  ) -> np.ndarray:
-    return _kernel.periodized_marginal(L, n, params, tol=tol)
-
-
-def _nl_1d(G: np.ndarray, khat: np.ndarray, dx: float) -> float:
-    """sum_{x,z} |G(x) - G(x+z)|^2 Khat_per(z) dx^2 by circular FFT."""
-    conv = np.fft.irfft(np.fft.rfft(G) * np.fft.rfft(khat), n=G.size)
-    return float(2.0 * dx * dx * (np.sum(khat) * np.sum(G ** 2)
-                                  - np.sum(G * conv)))
 
 
 def f1d(gamma, g: Profile1D, params: ModelParams, L: float | None = None,
@@ -204,8 +169,8 @@ def f1d(gamma, g: Profile1D, params: ModelParams, L: float | None = None,
     well_term = np.where(inf_mask, 0.0, double_well(G) / gam_safe)
     local = 3.0 * (c - 1.0) / L * float(
         np.sum(alpha * grad_term + well_term / alpha) * dx)
-    khat = _marginal_per(L, n, params, tol)
-    return local - _nl_1d(G, khat, dx) / L
+    nl = dx * dx * _kernel.marginal_operator(L, n, params, tol).pair_sum(G)
+    return local - nl / L
 
 
 def confined_split(gamma, g: Profile1D, params: ModelParams,
@@ -227,8 +192,7 @@ def confined_split(gamma, g: Profile1D, params: ModelParams,
     c = _kernel.c_tau(params)
     local_int = float(np.sum(alpha * gam * D ** 2
                              + double_well(G) / (alpha * gam)) * dx)
-    khat = _marginal_per(L, n, params, tol)
-    nl = _nl_1d(G, khat, dx)
+    nl = dx * dx * _kernel.marginal_operator(L, n, params, tol).pair_sum(G)
     term1 = 3.0 / L * (0.5 * c - 1.0) * local_int
     term2 = 1.5 * c / L * local_int - nl / L
     return term1, term2
@@ -398,14 +362,9 @@ class _ProfileObjective:
         self.dx = 2.0 * h / n
         self.alpha = params.alpha
         self.c = _kernel.c_tau(params)
-        self.khat = _marginal_per(2.0 * h, n, params, tol)
-        self.ksum = float(np.sum(self.khat))
-        self.fk = np.fft.rfft(self.khat)
+        self.op = _kernel.marginal_operator(2.0 * h, n, params, tol)
         self.A = 3.0 * (self.c - 1.0) * self.alpha / (2.0 * h)
         self.B = 3.0 * (self.c - 1.0) / ((2.0 * h) * self.alpha)
-
-    def conv(self, G: np.ndarray) -> np.ndarray:
-        return np.fft.irfft(np.fft.rfft(G) * self.fk, n=self.n)
 
     def energy(self, G: np.ndarray, gamma: np.ndarray | None = None
                ) -> float:
@@ -413,10 +372,7 @@ class _ProfileObjective:
         gam = np.ones(self.n) if gamma is None else gamma
         loc = (self.A * float(np.sum(gam * D ** 2) * self.dx)
                + self.B * float(np.sum(double_well(G) / gam) * self.dx))
-        conv = self.conv(G)
-        nl = 2.0 * self.dx * self.dx * (self.ksum * np.sum(G ** 2)
-                                        - np.sum(G * conv)) / (2.0 * self.h)
-        return loc - float(nl)
+        return loc - self.dx * self.dx * self.op.pair_sum(G) / (2.0 * self.h)
 
     def grad(self, G: np.ndarray, gamma: np.ndarray | None = None
              ) -> np.ndarray:
@@ -425,14 +381,9 @@ class _ProfileObjective:
         gD = gam * D
         grad = (self.A * 2.0 * (np.roll(gD, 1) - gD)
                 + self.B * double_well_prime(G) / gam * self.dx)
-        conv = self.conv(G)
         grad -= (4.0 * self.dx * self.dx / (2.0 * self.h)) \
-            * (self.ksum * G - conv)
+            * (self.op.ksum * G - self.op.conv(G))
         return grad
-
-    def i_g(self, G: np.ndarray) -> np.ndarray:
-        """Lattice I_g(x) = sum_z (G(x+z) - G(x)) Khat_per(z) dx."""
-        return self.dx * (self.conv(G) - self.ksum * G)
 
 
 def _initial_base(h: float, m: int, alpha: float) -> np.ndarray:
@@ -543,30 +494,13 @@ def write_trace_csv(path, trace, header: str = "h,value") -> None:
 # Euler-Lagrange diagnostics
 # ---------------------------------------------------------------------------
 
-def i_g(g, x, params: ModelParams, tol: float = 1e-8) -> float:
-    """I_g(x) = int (phi[g](y) - phi[g](x)) Khat_tau(y - x) dy at a grid
-    point, via the periodized marginal (the far field enters through the
-    periodization)."""
-    prof = g.full() if isinstance(g, ReflectedProfile) else g
-    L, n = prof.L, prof.n
-    dx = L / n
-    j = int(round(x / dx)) % n
-    if abs((x / dx) - round(x / dx)) > 1e-9 * n:
-        raise ValueError("x must lie on the sample grid")
-    khat = _marginal_per(L, n, params, tol)
-    G = prof.g
-    conv = np.fft.irfft(np.fft.rfft(G) * np.fft.rfft(khat), n=n)
-    return float(dx * (conv[j] - np.sum(khat) * G[j]))
-
-
 def i_g_profile(g, params: ModelParams, tol: float = 1e-8) -> np.ndarray:
+    """Lattice I_g(x) = sum_z (G(x + z) - G(x)) Khat_per(z) dx at every
+    sample, against the periodized marginal (the far field enters through
+    the periodization)."""
     prof = g.full() if isinstance(g, ReflectedProfile) else g
-    L, n = prof.L, prof.n
-    dx = L / n
-    khat = _marginal_per(L, n, params, tol)
-    G = prof.g
-    conv = np.fft.irfft(np.fft.rfft(G) * np.fft.rfft(khat), n=n)
-    return dx * (conv - np.sum(khat) * G)
+    op = _kernel.marginal_operator(prof.L, prof.n, params, tol)
+    return prof.L / prof.n * (op.conv(prof.g) - op.ksum * prof.g)
 
 
 OBSTACLE_TOL = 10 * np.finfo(float).eps * 1e3

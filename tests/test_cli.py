@@ -150,11 +150,14 @@ def test_minimize_2d_incommensurate_box_needs_flag(runner, tmp_path):
     assert "allow-incommensurate" in res.output
 
 
-def test_threads_flag_mirrors_environment(runner, tmp_path):
-    os.environ.pop("STRIPES_THREADS", None)
+def test_threads_flag_is_recorded_not_exported(runner, tmp_path,
+                                               monkeypatch):
+    monkeypatch.delenv("STRIPES_THREADS", raising=False)
     res = runner.invoke(main, ["kernel-moments", "-d", "1", "-p", "3",
                                "--tau", "0.05", "--eps", "0.05",
                                "--threads", "3",
                                "--output-dir", str(tmp_path / "t")])
     assert res.exit_code == 0
-    assert os.environ.get("STRIPES_THREADS") == "3"
+    assert "STRIPES_THREADS" not in os.environ
+    config = _payload(tmp_path / "t" / "kernel_moments_config.json")
+    assert config["threads"] == 3

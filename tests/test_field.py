@@ -90,6 +90,18 @@ def test_pfd_roundtrip_without_params(tmp_path):
     assert np.array_equal(u.values, v.values)
 
 
+@pytest.mark.parametrize("payload", ["truncated", "trailing"])
+def test_read_pfd_rejects_wrong_payload_size(tmp_path, payload):
+    path = tmp_path / "f.pfd"
+    write_pfd(path, PeriodicField(2, 4, 1.0, np.full((4, 4), 0.5)))
+    data = path.read_bytes()
+    path.write_bytes(data[:-8] if payload == "truncated" else data + b"xyz")
+    found = 120 if payload == "truncated" else 131
+    with pytest.raises(ValueError,
+                       match=rf"f\.pfd: expected 128 bytes .* found {found}"):
+        read_pfd(path)
+
+
 def test_profile_csv(tmp_path):
     g = Profile1D(4, 1.0, np.array([0.5, 0.75, 1.0, 0.75]))
     path = tmp_path / "p.csv"

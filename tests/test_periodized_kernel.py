@@ -1,5 +1,8 @@
 """Property tests of the folded periodized-kernel builder against the
-per-point shell loop in ``helpers.periodized_values_direct``."""
+per-point shell loop in ``helpers.periodized_values_direct``, and of the
+kernel operator's pair sums against direct lag sums."""
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import periodized_values_direct
 from stripes import kernel
+from stripes.energy import _nonlocal_direct
 from stripes.model import ModelParams
 
 RTOL = 1e-12
@@ -93,3 +97,35 @@ def test_zero_shells_rejected(ps2):
     # with m = 0 the far-field box no longer contains every lag's origin
     with pytest.raises(ValueError, match="shells"):
         kernel.periodized_kernel_grid(ps2.L, 8, ps2, shells=0)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_grid_exactly_permutation_symmetric_d3(n):
+    params = ModelParams(d=3, p=5.0, tau=0.05, eps=0.05, L=1.5)
+    grid = kernel.periodized_kernel_grid(1.5, n, params, tol=TOL[3])
+    for perm in itertools.permutations(range(3)):
+        assert np.array_equal(grid, grid.transpose(perm))
+
+
+@SETTINGS
+@given(d=st.sampled_from([1, 2]), data=st.data(), seed=st.integers(0, 99))
+def test_pair_sum_matches_direct_double_sum(d, data, seed):
+    n = data.draw(st.integers(2, 64 if d == 1 else 12))
+    params = ModelParams(d=d, p=d + 2.0, tau=0.05, eps=0.05, L=2.0)
+    op = kernel.kernel_operator(2.0, n, params)
+    v = np.random.default_rng(seed).uniform(0.0, 1.0, (n,) * d)
+    ref = _nonlocal_direct(v, op.table, 1.0)
+    assert op.pair_sum(v) == pytest.approx(ref, rel=1e-12)
+
+
+@SETTINGS
+@given(d=st.sampled_from([1, 2, 3]), n=st.integers(2, 10),
+       seed=st.integers(0, 99))
+def test_axis_pair_sum_matches_lag_sum(d, n, seed):
+    op = kernel.marginal_operator(1.5, n, ModelParams(d=1, p=3.0, tau=0.05,
+                                                      eps=0.05, L=1.5))
+    v = np.random.default_rng(seed).uniform(0.0, 1.0, (n,) * d)
+    for ax in range(d):
+        ref = sum(op.table[j] * np.sum((np.roll(v, -j, axis=ax) - v) ** 2)
+                  for j in range(n))
+        assert op.pair_sum(v, axis=ax) == pytest.approx(ref, rel=1e-12)
