@@ -4,7 +4,9 @@ symmetry-breaking experiment.
 The descent direction smooths the 1-norm in the interfacial term with
 ``sqrt(D_i^2 + kappa^2)``; line-search acceptance and all reported numbers
 use the exact (unsmoothed) energy, so the monotone-decrease invariant refers
-to the true functional.
+to the true functional.  Each kappa stage runs ``solvers.projected_bb``; the
+nonlocal part of the gradient comes from the cached
+``kernel.kernel_operator``.
 """
 from __future__ import annotations
 

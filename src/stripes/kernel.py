@@ -13,6 +13,11 @@ kept below the requested tolerance.  The direct sum is folded into 1D
 tables, because on each axis an image lies j + kn or -j + kn cells away;
 the far-field box around every lag reaches (m + 1/2) L > L on each side, so
 it contains 0 and one array-valued box integral covers the whole grid.
+
+Every nonlocal term is the pair form sum_x sum_z |v(x + z) - v(x)|^2 K(z)
+against a periodized table; ``PeriodicKernelOperator`` evaluates it by FFT
+convolution, and ``kernel_operator``/``marginal_operator`` cache the
+operators of the periodized kernel and marginal.
 """
 
 from __future__ import annotations

@@ -17,10 +17,12 @@ half-period h*, the penalized coefficient family F_m with its exact
 pointwise gamma update, and Euler-Lagrange diagnostics.
 
 Discretization: n even samples on [0, 2h), forward differences, rectangle
-sums, nonlocal term against the certified periodized marginal kernel.  The
-free variables are g[1..n/2-1] in [1/2, 1] with both endpoints pinned at
-1/2; gradients on the full period are folded back onto the base through the
-reflection.
+sums, nonlocal term through the cached operator of the certified
+periodized marginal kernel (``kernel.marginal_operator``).  The free
+variables are g[1..n/2-1] in [1/2, 1] with both endpoints pinned at 1/2;
+gradients on the full period are folded back onto the base through the
+reflection.  The profile descent is ``solvers.projected_bb`` and the
+period search ``solvers.scan_golden``.
 """
 
 from __future__ import annotations

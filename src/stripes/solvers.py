@@ -1,12 +1,7 @@
-"""The two iterative solvers every search in the package runs.
-
-``projected_bb`` minimizes an energy over a box [lo, hi] by projected
-gradient steps of Barzilai-Borwein length, safeguarded by a monotone
-backtracking line search on the exact energy; ``flow.gradient_flow`` and
-``onedim.minimize_profile`` both run it.  ``golden_section`` refines a
-bracketed one-dimensional minimum, and ``scan_golden`` first brackets it by
-a logarithmic scan; the optimal-period searches of ``energy`` and
-``onedim`` run them.
+"""The shared solvers: projected Barzilai-Borwein descent (run by
+``flow.gradient_flow`` and ``onedim.minimize_profile``) and golden-section
+search with a logarithmic bracketing scan (run by both optimal-period
+searches).
 """
 from __future__ import annotations
 
