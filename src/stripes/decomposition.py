@@ -122,10 +122,15 @@ def directional_g(u: PeriodicField, i: int, x_perp, params: ModelParams,
 
     Nonnegative, zero exactly on constant slices.
     """
-    from .field import slice as _field_slice
     mbar = directional_mm(u, i, x_perp, params, delta_grad=delta_grad)
-    prof = _field_slice(u, i, x_perp)
-    nl = _axis_operator(u, params, tol).pair_sum(prof.g) * u.h_grid ** 2
+    return _slice_g(u, i, x_perp, params, mbar, _axis_operator(u, params, tol))
+
+
+def _slice_g(u: PeriodicField, i: int, x_perp, params: ModelParams,
+             mbar: float, axis_op: _kernel.PeriodicKernelOperator) -> float:
+    """``directional_g`` from the slice's ``mbar`` and the axis operator."""
+    from .field import slice as _field_slice
+    nl = axis_op.pair_sum(_field_slice(u, i, x_perp).g) * u.h_grid ** 2
     return mbar * _kernel.c_tau(params) - nl
 
 
@@ -269,6 +274,7 @@ def slice_tables(u: PeriodicField, params: ModelParams,
     """Rows (i, slice_index, mbar, gbar) for every direction and slice line
     (slice lines enumerated in row-major order over the perpendicular grid).
     """
+    axis_op = _axis_operator(u, params, tol)
     rows = []
     for i in range(1, u.dims + 1):
         n_perp = u.n ** (u.dims - 1)
@@ -276,8 +282,7 @@ def slice_tables(u: PeriodicField, params: ModelParams,
             idx = np.unravel_index(flat_idx, (u.n,) * (u.dims - 1)) \
                 if u.dims > 1 else ()
             mbar = directional_mm(u, i, idx, params, delta_grad=delta_grad)
-            gbar = directional_g(u, i, idx, params, delta_grad=delta_grad,
-                                 tol=tol)
+            gbar = _slice_g(u, i, idx, params, mbar, axis_op)
             rows.append((i, flat_idx, mbar, gbar))
     return rows
 

@@ -281,31 +281,30 @@ def _symmetrized(vals: np.ndarray) -> np.ndarray:
 
 
 class PeriodicKernelOperator:
-    """Circular convolution with a periodized kernel table, and the pair
-    form sum_x sum_z |v(x + z) - v(x)|^2 K(z) it defines.
+    """Circular convolution with a periodized kernel table over its nonzero
+    lags, and the pair form sum_x sum_z |v(x + z) - v(x)|^2 K(z) it defines.
 
-    Holds the read-only ``table`` of kernel values at the lattice lags, its
-    sum ``ksum`` and its rFFT ``spectrum``.  A d-dimensional table acts on
-    arrays of its own shape over all axes; a 1D table also acts along one
-    ``axis`` of an array of any dimension.
+    Holds the read-only ``table`` of kernel values at the lattice lags, and
+    the sum ``ksum`` and rFFT ``spectrum`` of the table with its zero lag
+    set to 0.  The zero lag adds nothing to the pair form, nor to
+    ``ksum * v - conv(v)``, the only combination in which callers use the
+    convolution; leaving it out keeps it from cancelling against itself,
+    which on coarse grids, where K(0) dominates the table, costs digits.
+    A d-dimensional table acts on arrays of its own shape over all axes; a
+    1D table also acts along one ``axis`` of an array of any dimension.
     """
 
     def __init__(self, table: np.ndarray):
         self.table = np.array(table, dtype=float)
         self.table.setflags(write=False)
-        self.ksum = float(np.sum(self.table))
-        self.spectrum = np.fft.rfftn(self.table)
+        off = self.table.copy()
+        off[(0,) * off.ndim] = 0.0
+        self.ksum = float(np.sum(off))
+        self.spectrum = np.fft.rfftn(off)
         self.spectrum.setflags(write=False)
-        # sum and spectrum of a 1D table without its zero lag, for the pair
-        # form along an axis (only 1D tables act along an axis)
-        self._off_zero = None
-        if self.table.ndim == 1:
-            off = self.table.copy()
-            off[0] = 0.0
-            self._off_zero = (float(np.sum(off)), np.fft.rfft(off))
 
     def conv(self, v: np.ndarray, axis: int | None = None) -> np.ndarray:
-        """(K * v)(x) = sum_z K(z) v(x - z) over the lattice lags z (along
+        """sum_{z != 0} K(z) v(x - z) over the nonzero lattice lags z (along
         ``axis`` only, when given)."""
         if axis is None:
             if v.ndim != self.table.ndim:     # would broadcast silently
@@ -314,43 +313,27 @@ class PeriodicKernelOperator:
             axes = tuple(range(v.ndim))
             return np.fft.irfftn(np.fft.rfftn(v, axes=axes) * self.spectrum,
                                  s=v.shape, axes=axes)
-        return _conv_along(v, axis, self.spectrum)
+        if self.table.ndim != 1:
+            raise ValueError(f"a {self.table.ndim}D kernel table acts on "
+                             "all axes, not along one")
+        shape = [1] * v.ndim
+        shape[axis] = -1
+        return np.fft.irfft(np.fft.rfft(v, axis=axis)
+                            * self.spectrum.reshape(shape),
+                            n=v.shape[axis], axis=axis)
 
     def pair_sum(self, v: np.ndarray, axis: int | None = None) -> float:
         """sum_x sum_z |v(x + z) - v(x)|^2 K(z) over the lattice points x
         and lags z (along ``axis`` only, when given), as
-        2 [ ksum sum v^2 - sum v (K * v) ].
+        2 [ ksum sum v^2 - sum v conv(v) ].
 
         The form is invariant under constant shifts of v; it is evaluated
         on v minus its mean, so constant arrays give exactly zero despite
-        FFT rounding.  The two terms cancel: over all axes the result
-        carries an absolute error of a few ulps of 2 ksum sum (v - mean)^2,
-        which on coarse grids, where K(0) dominates the table, exceeds the
-        form by up to ~1e4.  Along an axis the zero lag, which adds nothing
-        to the form, is left out of both terms, so the result is accurate
-        to a few ulps of itself.  The form over all axes keeps it: the 1D
-        profile descents compare these energies to 1e-13, and their
-        iteration counts follow the rounding.
+        FFT rounding.
         """
         v = v - float(np.mean(v))
-        if axis is None:
-            ksum, kv = self.ksum, self.conv(v)
-        elif self._off_zero is None:
-            raise ValueError(f"a {self.table.ndim}D kernel table acts on "
-                             "all axes, not along one")
-        else:
-            ksum, spectrum = self._off_zero
-            kv = _conv_along(v, axis, spectrum)
-        return float(2.0 * (ksum * np.sum(v ** 2) - np.sum(v * kv)))
-
-
-def _conv_along(v: np.ndarray, axis: int, spectrum: np.ndarray) -> np.ndarray:
-    """Circular convolution along ``axis`` of v with the 1D table whose
-    rFFT is ``spectrum``."""
-    shape = [1] * v.ndim
-    shape[axis] = -1
-    return np.fft.irfft(np.fft.rfft(v, axis=axis) * spectrum.reshape(shape),
-                        n=v.shape[axis], axis=axis)
+        kv = self.conv(v, axis=axis)
+        return float(2.0 * (self.ksum * np.sum(v ** 2) - np.sum(v * kv)))
 
 
 def _check_grid(n: int, tol: float) -> None:

@@ -115,10 +115,18 @@ def test_pair_sum_matches_direct_double_sum(d, data, seed):
     op = kernel.kernel_operator(2.0, n, params)
     v = np.random.default_rng(seed).uniform(0.0, 1.0, (n,) * d)
     ref = _nonlocal_direct(v, op.table, 1.0)
-    # the FFT form subtracts two terms of size ksum sum (v - mean)^2, which
-    # on coarse grids exceeds the pair sum by up to ~1e4 (K(0) dominates)
-    scale = max(ref, 2.0 * op.ksum * np.sum((v - v.mean()) ** 2))
-    assert abs(op.pair_sum(v) - ref) <= 1e-12 * scale
+    assert op.pair_sum(v) == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pair_sum_coarse_d2_grids(n):
+    # K(0) dominates these tables; a form that cancels it loses ~4 digits
+    params = ModelParams(d=2, p=4.0, tau=0.05, eps=0.05, L=2.0)
+    op = kernel.kernel_operator(2.0, n, params)
+    for seed in range(100):
+        v = np.random.default_rng(seed).uniform(0.0, 1.0, (n, n))
+        ref = _nonlocal_direct(v, op.table, 1.0)
+        assert op.pair_sum(v) == pytest.approx(ref, rel=1e-12)
 
 
 @SETTINGS
