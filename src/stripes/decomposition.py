@@ -92,10 +92,15 @@ def directional_mm(u: PeriodicField, i: int, x_perp, params: ModelParams,
         raise ValueError("need 0 <= s <= t <= L")
     if delta_grad is None:
         delta_grad = default_delta_grad(u)
-    ax = i - 1
     diffs = gradient(u)
-    gl1 = _grad_l1(diffs)
+    return _slice_mm(u, i - 1, x_perp, params, diffs, _grad_l1(diffs), s, t,
+                     delta_grad)
 
+
+def _slice_mm(u: PeriodicField, ax: int, x_perp, params: ModelParams,
+              diffs: list[np.ndarray], gl1: np.ndarray, s: float, t: float,
+              delta_grad: float) -> float:
+    """``directional_mm`` from the field's gradient and its l1 norm."""
     idx = tuple(np.atleast_1d(x_perp).astype(int)) if u.dims > 1 else ()
     indexer = list(idx)
     indexer.insert(ax, np.s_[:])
@@ -274,6 +279,10 @@ def slice_tables(u: PeriodicField, params: ModelParams,
     """Rows (i, slice_index, mbar, gbar) for every direction and slice line
     (slice lines enumerated in row-major order over the perpendicular grid).
     """
+    if delta_grad is None:
+        delta_grad = default_delta_grad(u)
+    diffs = gradient(u)
+    gl1 = _grad_l1(diffs)
     axis_op = _axis_operator(u, params, tol)
     rows = []
     for i in range(1, u.dims + 1):
@@ -281,7 +290,8 @@ def slice_tables(u: PeriodicField, params: ModelParams,
         for flat_idx in range(n_perp):
             idx = np.unravel_index(flat_idx, (u.n,) * (u.dims - 1)) \
                 if u.dims > 1 else ()
-            mbar = directional_mm(u, i, idx, params, delta_grad=delta_grad)
+            mbar = _slice_mm(u, i - 1, idx, params, diffs, gl1, 0.0, u.L,
+                             delta_grad)
             gbar = _slice_g(u, i, idx, params, mbar, axis_op)
             rows.append((i, flat_idx, mbar, gbar))
     return rows
