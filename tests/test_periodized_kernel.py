@@ -108,25 +108,21 @@ def test_grid_exactly_permutation_symmetric_d3(n):
 
 
 @SETTINGS
-@given(d=st.sampled_from([1, 2]), data=st.data(), seed=st.integers(0, 99))
-def test_pair_sum_matches_direct_double_sum(d, data, seed):
-    n = data.draw(st.integers(2, 64 if d == 1 else 12))
+@given(dn=st.one_of(st.tuples(st.just(1), st.integers(2, 64)),
+                    st.tuples(st.just(2), st.integers(2, 12))),
+       seed=st.integers(0, 99))
+# coarse d=2 grids: K(0) dominates the table, and a form that cancels it
+# loses ~4 digits (the worst seed of 100 at each n)
+@example(dn=(2, 2), seed=78)
+@example(dn=(2, 3), seed=88)
+@example(dn=(2, 4), seed=5)
+def test_pair_sum_matches_direct_double_sum(dn, seed):
+    d, n = dn
     params = ModelParams(d=d, p=d + 2.0, tau=0.05, eps=0.05, L=2.0)
     op = kernel.kernel_operator(2.0, n, params)
     v = np.random.default_rng(seed).uniform(0.0, 1.0, (n,) * d)
     ref = _nonlocal_direct(v, op.table, 1.0)
     assert op.pair_sum(v) == pytest.approx(ref, rel=1e-12)
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_pair_sum_coarse_d2_grids(n):
-    # K(0) dominates these tables; a form that cancels it loses ~4 digits
-    params = ModelParams(d=2, p=4.0, tau=0.05, eps=0.05, L=2.0)
-    op = kernel.kernel_operator(2.0, n, params)
-    for seed in range(100):
-        v = np.random.default_rng(seed).uniform(0.0, 1.0, (n, n))
-        ref = _nonlocal_direct(v, op.table, 1.0)
-        assert op.pair_sum(v) == pytest.approx(ref, rel=1e-12)
 
 
 @SETTINGS
