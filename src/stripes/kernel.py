@@ -15,9 +15,10 @@ the far-field box around every lag reaches (m + 1/2) L > L on each side, so
 it contains 0 and one array-valued box integral covers the whole grid.
 
 Every nonlocal term is the pair form sum_x sum_z |v(x + z) - v(x)|^2 K(z)
-against a periodized table; ``PeriodicKernelOperator`` evaluates it by FFT
-convolution, and ``kernel_operator``/``marginal_operator`` cache the
-operators of the periodized kernel and marginal.
+against a periodized table; ``PeriodicKernelOperator`` evaluates it from
+one rFFT (by Parseval) and convolves with the table by FFT, and
+``kernel_operator``/``marginal_operator`` cache the operators of the
+periodized kernel and marginal.
 """
 
 from __future__ import annotations
@@ -302,38 +303,52 @@ class PeriodicKernelOperator:
         self.ksum = float(np.sum(off))
         self.spectrum = np.fft.rfftn(off)
         self.spectrum.setflags(write=False)
+        # by Parseval the pair form is sum_k w_k |V_k|^2 (ksum - spectrum_k)
+        # * 2 / N over the rFFT V of v, where w_k = 2 counts the conjugate
+        # frequency an rFFT leaves out of its last axis; the mean (k = 0)
+        # adds nothing, so its weight is exactly 0
+        w = np.full(self.spectrum.shape[-1], 2.0)
+        w[0] = 1.0
+        if self.table.shape[-1] % 2 == 0:
+            w[-1] = 1.0                       # the Nyquist frequency
+        self._pair_weights = (w / self.table.size
+                              * (self.ksum - self.spectrum.real))
+        self._pair_weights[(0,) * off.ndim] = 0.0
 
-    def conv(self, v: np.ndarray, axis: int | None = None) -> np.ndarray:
-        """sum_{z != 0} K(z) v(x - z) over the nonzero lattice lags z (along
-        ``axis`` only, when given)."""
+    def _along(self, v: np.ndarray, axis: int | None) -> list[int]:
+        """Shape that broadcasts the table's spectrum against the rFFT of v
+        (along ``axis`` only, when given)."""
         if axis is None:
             if v.ndim != self.table.ndim:     # would broadcast silently
                 raise ValueError(f"a {self.table.ndim}D kernel table needs "
                                  f"axis= on a {v.ndim}D array")
-            axes = tuple(range(v.ndim))
-            return np.fft.irfftn(np.fft.rfftn(v, axes=axes) * self.spectrum,
-                                 s=v.shape, axes=axes)
+            return list(self.spectrum.shape)
         if self.table.ndim != 1:
             raise ValueError(f"a {self.table.ndim}D kernel table acts on "
                              "all axes, not along one")
         shape = [1] * v.ndim
         shape[axis] = -1
-        return np.fft.irfft(np.fft.rfft(v, axis=axis)
-                            * self.spectrum.reshape(shape),
+        return shape
+
+    def conv(self, v: np.ndarray, axis: int | None = None) -> np.ndarray:
+        """sum_{z != 0} K(z) v(x - z) over the nonzero lattice lags z (along
+        ``axis`` only, when given)."""
+        spectrum = self.spectrum.reshape(self._along(v, axis))
+        if axis is None:
+            axes = tuple(range(v.ndim))
+            return np.fft.irfftn(np.fft.rfftn(v, axes=axes) * spectrum,
+                                 s=v.shape, axes=axes)
+        return np.fft.irfft(np.fft.rfft(v, axis=axis) * spectrum,
                             n=v.shape[axis], axis=axis)
 
     def pair_sum(self, v: np.ndarray, axis: int | None = None) -> float:
         """sum_x sum_z |v(x + z) - v(x)|^2 K(z) over the lattice points x
-        and lags z (along ``axis`` only, when given), as
-        2 [ ksum sum v^2 - sum v conv(v) ].
-
-        The form is invariant under constant shifts of v; it is evaluated
-        on v minus its mean, so constant arrays give exactly zero despite
-        FFT rounding.
-        """
-        v = v - float(np.mean(v))
-        kv = self.conv(v, axis=axis)
-        return float(2.0 * (self.ksum * np.sum(v ** 2) - np.sum(v * kv)))
+        and lags z (along ``axis`` only, when given), from one rFFT of v by
+        Parseval.  Invariant under constant shifts of v."""
+        weights = self._pair_weights.reshape(self._along(v, axis))
+        f = (np.fft.rfftn(v) if axis is None
+             else np.fft.rfft(v, axis=axis))
+        return float(2.0 * np.sum((f.real ** 2 + f.imag ** 2) * weights))
 
 
 def _check_grid(n: int, tol: float) -> None:
