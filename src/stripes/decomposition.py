@@ -78,6 +78,32 @@ class DecompositionReport:
         })
 
 
+def _mm_densities(u: PeriodicField, alpha: float, delta_grad: float | None
+                  ) -> tuple[list[np.ndarray], np.ndarray]:
+    """Density of Mbar^i on the grid for every axis i,
+        3 alpha |d_i u| ||grad u||_1 + (3/alpha) W(u) |d_i u| / ||grad u||_1,
+    and the active set {||grad u||_1 > delta_grad} it is integrated over."""
+    if delta_grad is None:
+        delta_grad = default_delta_grad(u)
+    diffs = gradient(u)
+    gl1 = _grad_l1(diffs)
+    active = gl1 > delta_grad
+    w = double_well(u.values)
+    dens = []
+    for g in diffs:
+        di = np.abs(g)
+        ratio = np.zeros_like(gl1)
+        ratio[active] = di[active] / gl1[active]
+        dens.append(3.0 * alpha * di * gl1 + (3.0 / alpha) * w * ratio)
+    return dens, active
+
+
+def _line(u: PeriodicField, ax: int, x_perp) -> tuple:
+    """Index of the grid line along ``ax`` through ``x_perp``."""
+    idx = tuple(np.atleast_1d(x_perp).astype(int)) if u.dims > 1 else ()
+    return idx[:ax] + (slice(None),) + idx[ax:]
+
+
 def directional_mm(u: PeriodicField, i: int, x_perp, params: ModelParams,
                    s: float = 0.0, t: float | None = None,
                    delta_grad: float | None = None) -> float:
@@ -90,33 +116,11 @@ def directional_mm(u: PeriodicField, i: int, x_perp, params: ModelParams,
         t = u.L
     if not (0.0 <= s <= t <= u.L + 1e-12 * u.L):
         raise ValueError("need 0 <= s <= t <= L")
-    if delta_grad is None:
-        delta_grad = default_delta_grad(u)
-    diffs = gradient(u)
-    return _slice_mm(u, i - 1, x_perp, params, diffs, _grad_l1(diffs), s, t,
-                     delta_grad)
-
-
-def _slice_mm(u: PeriodicField, ax: int, x_perp, params: ModelParams,
-              diffs: list[np.ndarray], gl1: np.ndarray, s: float, t: float,
-              delta_grad: float) -> float:
-    """``directional_mm`` from the field's gradient and its l1 norm."""
-    idx = tuple(np.atleast_1d(x_perp).astype(int)) if u.dims > 1 else ()
-    indexer = list(idx)
-    indexer.insert(ax, np.s_[:])
-    indexer = tuple(indexer)
-    di = np.abs(diffs[ax][indexer])
-    gl = gl1[indexer]
-    w = double_well(u.values[indexer])
-
+    dens, active = _mm_densities(u, params.alpha, delta_grad)
+    line = _line(u, i - 1, x_perp)
     x = np.arange(u.n) * u.h_grid
     window = (x >= s - 1e-12 * u.L) & (x <= t + 1e-12 * u.L)
-    active = (gl > delta_grad) & window
-    alpha = params.alpha
-    ratio = np.zeros_like(gl)
-    ratio[active] = di[active] / gl[active]
-    dens = 3.0 * alpha * di * gl + (3.0 / alpha) * w * ratio
-    return float(np.sum(dens[active]) * u.h_grid)
+    return float(np.sum(dens[i - 1][line][active[line] & window]) * u.h_grid)
 
 
 def directional_g(u: PeriodicField, i: int, x_perp, params: ModelParams,
@@ -128,14 +132,8 @@ def directional_g(u: PeriodicField, i: int, x_perp, params: ModelParams,
     Nonnegative, zero exactly on constant slices.
     """
     mbar = directional_mm(u, i, x_perp, params, delta_grad=delta_grad)
-    return _slice_g(u, i, x_perp, params, mbar, _axis_operator(u, params, tol))
-
-
-def _slice_g(u: PeriodicField, i: int, x_perp, params: ModelParams,
-             mbar: float, axis_op: _kernel.PeriodicKernelOperator) -> float:
-    """``directional_g`` from the slice's ``mbar`` and the axis operator."""
-    from .field import slice as _field_slice
-    nl = axis_op.pair_sum(_field_slice(u, i, x_perp).g) * u.h_grid ** 2
+    line = u.values[_line(u, i - 1, x_perp)]
+    nl = _axis_operator(u, params, tol).pair_sum(line) * u.h_grid ** 2
     return mbar * _kernel.c_tau(params) - nl
 
 
@@ -236,35 +234,22 @@ def lower_bound_report(u: PeriodicField, params: ModelParams,
     energy, with a single shared kernel grid and gradient threshold."""
     if u.dims != params.d:
         raise ValueError("field dimension does not match params.d")
-    if delta_grad is None:
-        delta_grad = default_delta_grad(u)
-    d, n = u.dims, u.n
-    alpha = params.alpha
+    d = u.dims
     vol = u.h_grid ** d
-    diffs = gradient(u)
-    gl1 = _grad_l1(diffs)
-    active = gl1 > delta_grad
-    w = double_well(u.values)
+    dens, active = _mm_densities(u, params.alpha, delta_grad)
     ctau = _kernel.c_tau(params)
 
     axis_op = _axis_operator(u, params, tol)
 
-    mbars, gbars, crosses = [], [], []
-    for ax in range(d):
-        di = np.abs(diffs[ax])
-        ratio = np.zeros_like(gl1)
-        ratio[active] = di[active] / gl1[active]
-        mbar = float(np.sum((3.0 * alpha * di * gl1
-                             + (3.0 / alpha) * w * ratio)[active]) * vol)
-        axis_nl = axis_op.pair_sum(u.values, axis=ax) * u.h_grid ** (d + 1)
-        gbar = mbar * ctau - axis_nl
-        cross = (cross_term(u, ax + 1, params, tol=tol,
-                            trunc_radius=trunc_radius) if d > 1 else 0.0)
-        mbars.append(mbar)
-        gbars.append(gbar)
-        crosses.append(cross)
+    mbars = [float(np.sum(dens[ax][active]) * vol) for ax in range(d)]
+    gbars = [mbar * ctau
+             - axis_op.pair_sum(u.values, axis=ax) * u.h_grid ** (d + 1)
+             for ax, mbar in enumerate(mbars)]
+    crosses = [cross_term(u, ax + 1, params, tol=tol,
+                          trunc_radius=trunc_radius) if d > 1 else 0.0
+               for ax in range(d)]
 
-    wcal = float((3.0 / alpha) * np.sum(w[~active]) * vol)
+    wcal = flat_penalty(u, params, delta_grad)
     lower = (sum(-m + g for m, g in zip(mbars, gbars)) + sum(crosses)
              + wcal) / u.L ** d
     full = total_energy(u, params, tol=tol).total
@@ -279,21 +264,16 @@ def slice_tables(u: PeriodicField, params: ModelParams,
     """Rows (i, slice_index, mbar, gbar) for every direction and slice line
     (slice lines enumerated in row-major order over the perpendicular grid).
     """
-    if delta_grad is None:
-        delta_grad = default_delta_grad(u)
-    diffs = gradient(u)
-    gl1 = _grad_l1(diffs)
+    dens, active = _mm_densities(u, params.alpha, delta_grad)
     axis_op = _axis_operator(u, params, tol)
+    ctau = _kernel.c_tau(params)
     rows = []
-    for i in range(1, u.dims + 1):
-        n_perp = u.n ** (u.dims - 1)
-        for flat_idx in range(n_perp):
-            idx = np.unravel_index(flat_idx, (u.n,) * (u.dims - 1)) \
-                if u.dims > 1 else ()
-            mbar = _slice_mm(u, i - 1, idx, params, diffs, gl1, 0.0, u.L,
-                             delta_grad)
-            gbar = _slice_g(u, i, idx, params, mbar, axis_op)
-            rows.append((i, flat_idx, mbar, gbar))
+    for ax in range(u.dims):
+        for flat_idx, idx in enumerate(np.ndindex((u.n,) * (u.dims - 1))):
+            line = _line(u, ax, idx)
+            mbar = float(np.sum(dens[ax][line][active[line]]) * u.h_grid)
+            nl = axis_op.pair_sum(u.values[line]) * u.h_grid ** 2
+            rows.append((ax + 1, flat_idx, mbar, mbar * ctau - nl))
     return rows
 
 

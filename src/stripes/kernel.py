@@ -286,12 +286,11 @@ class PeriodicKernelOperator:
     lags, and the pair form sum_x sum_z |v(x + z) - v(x)|^2 K(z) it defines.
 
     Holds the read-only ``table`` of kernel values at the lattice lags, and
-    the sum ``ksum`` and rFFT ``spectrum`` of the table with its zero lag
-    set to 0.  The zero lag adds nothing to the pair form, nor to
-    ``ksum * v - conv(v)``, the only combination in which callers use the
-    convolution; leaving it out keeps it from cancelling against itself,
-    which on coarse grids, where K(0) dominates the table, costs digits.
-    A d-dimensional table acts on arrays of its own shape over all axes; a
+    the sum ``ksum`` and rFFT ``spectrum`` of the table without its zero
+    lag, which adds nothing to the pair form nor to ``ksum * v - conv(v)``
+    (the only way callers use ``conv``) and would cancel against itself,
+    costing digits on coarse grids where K(0) dominates the table.  A
+    d-dimensional table acts on arrays of its own shape over all axes; a
     1D table also acts along one ``axis`` of an array of any dimension.
     """
 
@@ -303,52 +302,49 @@ class PeriodicKernelOperator:
         self.ksum = float(np.sum(off))
         self.spectrum = np.fft.rfftn(off)
         self.spectrum.setflags(write=False)
-        # by Parseval the pair form is sum_k w_k |V_k|^2 (ksum - spectrum_k)
-        # * 2 / N over the rFFT V of v, where w_k = 2 counts the conjugate
-        # frequency an rFFT leaves out of its last axis; the mean (k = 0)
-        # adds nothing, so its weight is exactly 0
-        w = np.full(self.spectrum.shape[-1], 2.0)
-        w[0] = 1.0
-        if self.table.shape[-1] % 2 == 0:
-            w[-1] = 1.0                       # the Nyquist frequency
+        # Parseval: the pair form is 2/N sum_k w_k |V_k|^2 (ksum - spectrum_k)
+        # over the rFFT V of v, w_k = 2 where an rFFT drops the conjugate
+        # frequency; the mean (k = 0) adds nothing, so its weight is 0
+        n = self.table.shape[-1]
+        w = np.ones(self.spectrum.shape[-1])
+        w[1:(n + 1) // 2] = 2.0
         self._pair_weights = (w / self.table.size
                               * (self.ksum - self.spectrum.real))
         self._pair_weights[(0,) * off.ndim] = 0.0
+        self._pair_weights.setflags(write=False)
 
-    def _along(self, v: np.ndarray, axis: int | None) -> list[int]:
-        """Shape that broadcasts the table's spectrum against the rFFT of v
-        (along ``axis`` only, when given)."""
+    def _rfft(self, v: np.ndarray, axis: int | None
+              ) -> tuple[np.ndarray, list[int]]:
+        """rFFT of v over all axes (along ``axis`` only, when given), and
+        the shape that broadcasts the table's spectrum against it."""
         if axis is None:
             if v.ndim != self.table.ndim:     # would broadcast silently
                 raise ValueError(f"a {self.table.ndim}D kernel table needs "
                                  f"axis= on a {v.ndim}D array")
-            return list(self.spectrum.shape)
+            return np.fft.rfftn(v), list(self.spectrum.shape)
         if self.table.ndim != 1:
             raise ValueError(f"a {self.table.ndim}D kernel table acts on "
                              "all axes, not along one")
         shape = [1] * v.ndim
         shape[axis] = -1
-        return shape
+        return np.fft.rfft(v, axis=axis), shape
 
     def conv(self, v: np.ndarray, axis: int | None = None) -> np.ndarray:
         """sum_{z != 0} K(z) v(x - z) over the nonzero lattice lags z (along
         ``axis`` only, when given)."""
-        spectrum = self.spectrum.reshape(self._along(v, axis))
+        f, shape = self._rfft(v, axis)
+        f *= self.spectrum.reshape(shape)
         if axis is None:
-            axes = tuple(range(v.ndim))
-            return np.fft.irfftn(np.fft.rfftn(v, axes=axes) * spectrum,
-                                 s=v.shape, axes=axes)
-        return np.fft.irfft(np.fft.rfft(v, axis=axis) * spectrum,
-                            n=v.shape[axis], axis=axis)
+            return np.fft.irfftn(f, s=v.shape, axes=tuple(range(v.ndim)))
+        return np.fft.irfft(f, n=v.shape[axis], axis=axis)
 
     def pair_sum(self, v: np.ndarray, axis: int | None = None) -> float:
         """sum_x sum_z |v(x + z) - v(x)|^2 K(z) over the lattice points x
         and lags z (along ``axis`` only, when given), from one rFFT of v by
         Parseval.  Invariant under constant shifts of v."""
-        weights = self._pair_weights.reshape(self._along(v, axis))
-        f = (np.fft.rfftn(v) if axis is None
-             else np.fft.rfft(v, axis=axis))
-        return float(2.0 * np.sum((f.real ** 2 + f.imag ** 2) * weights))
+        f, shape = self._rfft(v, axis)
+        return float(2.0 * np.sum((f.real ** 2 + f.imag ** 2)
+                                  * self._pair_weights.reshape(shape)))
 
 
 def _check_grid(n: int, tol: float) -> None:
