@@ -12,10 +12,10 @@ unscaled energy uses the tau = 1 kernel with coupling J on the gradient
 part; the two are related by an exact change of variables implemented in
 ``rescaling_identity_check``.
 
-The nonlocal term expands into mass and correlation pieces and is computed
-with a circular fast Fourier transform convolution against the certified
-periodized kernel; a direct double sum serves as a reference path on small
-grids.
+The nonlocal term is the pair form of the certified periodized kernel,
+evaluated from one fast Fourier transform of the field by
+``kernel.PeriodicKernelOperator``; a direct double sum serves as a
+reference path on small grids.
 """
 
 from __future__ import annotations
