@@ -333,7 +333,7 @@ class PeriodicKernelOperator:
         """sum_{z != 0} K(z) v(x - z) over the nonzero lattice lags z (along
         ``axis`` only, when given)."""
         f, shape = self._rfft(v, axis)
-        f *= self.spectrum.reshape(shape)
+        f = f * self.spectrum.reshape(shape)
         if axis is None:
             return np.fft.irfftn(f, s=v.shape, axes=tuple(range(v.ndim)))
         return np.fft.irfft(f, n=v.shape[axis], axis=axis)
