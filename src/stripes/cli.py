@@ -2,8 +2,9 @@
 configuration and machine-readable outputs.
 
 Configuration comes from an optional JSON file (``--config``) overridden by
-command-line flags; the fully resolved configuration is written beside every
-output so a run can be reproduced bit for bit from its artifacts alone.
+command-line flags; the fully resolved configuration, including every
+default a command used, is written beside every output so a run can be
+reproduced bit for bit from its artifacts alone.
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ import click
 import numpy as np
 
 from . import decomposition as _dec
-from . import energy as _energy
 from . import flow as _flow
 from . import kernel as _kernel
 from . import onedim as _onedim
@@ -44,11 +44,14 @@ def _resolve(cfg_file: dict, cli_values: dict) -> dict:
 
 
 def _params(cfg: dict) -> ModelParams:
+    """Model parameters from ``cfg``; every default used is written into
+    ``cfg`` so the sidecar records it."""
     try:
-        return ModelParams(d=int(cfg.get("d", 1)), p=float(cfg.get("p", 3)),
-                           tau=float(cfg.get("tau", 0.05)),
-                           eps=float(cfg.get("eps", 0.05)),
-                           L=float(cfg.get("L", 1.0)))
+        return ModelParams(d=int(cfg.setdefault("d", 1)),
+                           p=float(cfg.setdefault("p", 3.0)),
+                           tau=float(cfg.setdefault("tau", 0.05)),
+                           eps=float(cfg.setdefault("eps", 0.05)),
+                           L=float(cfg.setdefault("L", 1.0)))
     except (DomainError, ValueError) as exc:
         raise click.ClickException(str(exc))
 
@@ -129,7 +132,7 @@ def kernel_moments(config_path, output_dir, seed, threads, d, p, tau, eps,
                 abs(moment_quad - mom.c_tau) / moment_quad)
     rep["quadrature_rel_delta"] = delta
     _emit(output_dir or "runs/kernel-moments", "kernel_moments", cfg, rep,
-          ok=delta < cfg.get("tol", tol))
+          ok=delta < cfg.setdefault("tol", tol))
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +153,9 @@ def optimal_period(config_path, output_dir, seed, threads, d, p, tau, eps,
     cfg.setdefault("seed", 0)
     params = _params(cfg)
     res = _onedim.optimal_period(
-        params, (cfg.get("h_lo", 0.3), cfg.get("h_hi", 40.0)),
-        grid=int(cfg.get("grid", 12)), tol=cfg.get("tol", 1e-3),
-        n=int(cfg.get("n", 512)))
+        params, (cfg.setdefault("h_lo", 0.3), cfg.setdefault("h_hi", 40.0)),
+        grid=int(cfg.setdefault("grid", 12)),
+        tol=cfg.setdefault("tol", 1e-3), n=int(cfg.setdefault("n", 512)))
     out = Path(output_dir or "runs/optimal-period")
     out.mkdir(parents=True, exist_ok=True)
     write_profile_csv(out / "profile.csv", res.profile.full())
@@ -176,14 +179,14 @@ def minimize_1d(config_path, output_dir, seed, threads, d, p, tau, eps, h,
         raise click.ClickException("--half-period is required")
     params = _params(cfg)
     res = _onedim.minimize_profile(params, float(cfg["h"]),
-                                   n=int(cfg.get("n", 512)))
+                                   n=int(cfg.setdefault("n", 512)))
     out = Path(output_dir or "runs/minimize-1d")
     out.mkdir(parents=True, exist_ok=True)
     write_profile_csv(out / "profile.csv", res.profile.full())
     _onedim.write_trace_csv(out / "trace.csv", res.trace,
                             header="iteration,energy,step")
     rep = {"value": res.value, "iterations": res.iterations,
-           "h": cfg["h"], "n": cfg.get("n", 512)}
+           "h": cfg["h"], "n": cfg["n"]}
     _emit(str(out), "minimize_1d", cfg, rep, ok=True)
 
 
@@ -215,7 +218,11 @@ def minimize_2d(config_path, output_dir, seed, threads, d, p, tau, eps, k,
     cfg.setdefault("seed", 0)
     cfg.setdefault("d", 2)
     cfg.setdefault("p", 4.0)
+    box_side = cfg.get("L")
     params = _params(cfg)
+    if box_side is None:
+        # L comes from h*; a recorded default would read as --box-side
+        del cfg["L"]
     out = Path(output_dir or "runs/minimize-2d")
     out.mkdir(parents=True, exist_ok=True)
     opts = _flow.FlowOptions(seed=int(cfg["seed"]))
@@ -227,7 +234,7 @@ def minimize_2d(config_path, output_dir, seed, threads, d, p, tau, eps, k,
         write_pfd(out / "resumed_final.pfd", uf, run_params)
         tr.write_csv(out / "resumed_trace.csv")
         rep = {"resumed_from": cfg["resume"],
-               "energy": _energy.total_energy(uf, run_params).total,
+               "energy": tr.entries[-1][1],
                "converged": tr.converged, "iterations": tr.iterations}
         _emit(str(out), "minimize_2d", cfg, rep, ok=True)
         return
@@ -236,10 +243,11 @@ def minimize_2d(config_path, output_dir, seed, threads, d, p, tau, eps, k,
             "--box-side requires --allow-incommensurate (periodicity is "
             "only guaranteed when L is a multiple of the optimal period)")
     rep = _flow.symmetry_breaking_experiment(
-        params, k=int(cfg.get("k", 1)), n=int(cfg.get("n", 64)),
-        n_seeds=int(cfg.get("n_seeds", 10)), opts=opts,
-        anisotropy_threshold=cfg.get("anisotropy_threshold", 0.95),
-        gap_threshold=cfg.get("gap_threshold", 0.02),
+        params, k=int(cfg.setdefault("k", 1)),
+        n=int(cfg.setdefault("n", 64)),
+        n_seeds=int(cfg.setdefault("n_seeds", 10)), opts=opts,
+        anisotropy_threshold=cfg.setdefault("anisotropy_threshold", 0.95),
+        gap_threshold=cfg.setdefault("gap_threshold", 0.02),
         threads=cfg.get("threads"))
     rep["exploratory"] = bool(cfg.get("allow_incommensurate"))
     _emit(str(out), "minimize_2d", cfg, rep, ok=True)
@@ -250,15 +258,15 @@ def _field_from_cfg(cfg: dict, params: ModelParams) -> PeriodicField:
     if cfg.get("field"):
         u, _ = read_pfd(cfg["field"])
         return u
-    n = int(cfg.get("n", 32))
+    n = int(cfg.setdefault("n", 32))
     L = params.L
-    kind = cfg.get("kind", "random")
+    kind = cfg.setdefault("kind", "random")
     if kind == "random":
-        rng = np.random.default_rng(int(cfg.get("seed", 0)))
+        rng = np.random.default_rng(int(cfg.setdefault("seed", 0)))
         return PeriodicField(params.d, n, L,
                              rng.uniform(0, 1, (n,) * params.d))
     if kind == "stripe":
-        h = cfg.get("h", L / 4.0)
+        h = cfg.setdefault("h", L / 4.0)
         return make_stripes(StripeSpec(1, float(h), 0.0), L, n, params.d)
     raise click.ClickException(f"unknown field kind {kind!r}")
 
@@ -289,8 +297,9 @@ def verify_decomposition(config_path, output_dir, seed, threads, d, p, tau,
     rep_obj = _dec.lower_bound_report(u, params)
     rep = json.loads(rep_obj.to_json())
     rep["delta_grad"] = _dec.default_delta_grad(u)
+    ok = rep_obj.slack >= -cfg.setdefault("tol_slack", tol_slack)
     _emit(output_dir or "runs/verify-decomposition", "verify_decomposition",
-          cfg, rep, ok=rep_obj.slack >= -cfg.get("tol_slack", tol_slack))
+          cfg, rep, ok=ok)
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +317,8 @@ def verify_el(config_path, output_dir, seed, threads, d, p, tau, eps, h, n,
                         tol_ineq=tol_ineq))
     cfg.setdefault("seed", 0)
     params = _params(cfg)
-    n0 = int(cfg.get("n", 512))
-    h0 = float(cfg.get("h") or 1.58)
+    n0 = int(cfg.setdefault("n", 512))
+    h0 = float(cfg.setdefault("h", 1.58))
     rep = {"n": [], "l2_residual": [], "first_integral_gap4": [],
            "first_integral_gap2": [], "gamma3_ok": []}
     for nn in (n0, 2 * n0):
@@ -344,10 +353,10 @@ def gamma_study(config_path, output_dir, seed, threads, d, p, tau, eps, h,
                         m_schedule=m_schedule))
     cfg.setdefault("seed", 0)
     params = _params(cfg)
-    sched = tuple(float(t) for t in
-                  str(cfg.get("m_schedule") or "1,10,100,1000").split(","))
-    h0 = float(cfg.get("h") or 1.58)
-    n0 = int(cfg.get("n", 8192))
+    sched = tuple(float(t) for t in str(
+        cfg.setdefault("m_schedule", "1,10,100,1000")).split(","))
+    h0 = float(cfg.setdefault("h", 1.58))
+    n0 = int(cfg.setdefault("n", 8192))
     rep = _onedim.gamma_limit_study(params, h0, m_schedule=sched, n=n0)
     out = Path(output_dir or "runs/gamma-study")
     out.mkdir(parents=True, exist_ok=True)
@@ -378,8 +387,8 @@ def rp_check(config_path, output_dir, seed, threads, d, p, tau, eps,
     cfg.setdefault("seed", 0)
     params = _params(cfg)
     rng = np.random.default_rng(int(cfg["seed"]))
-    n0 = int(cfg.get("n", 64))
-    count = int(cfg.get("profiles", 25))
+    n0 = int(cfg.setdefault("n", 64))
+    count = int(cfg.setdefault("profiles", 25))
     worst_rp = np.inf
     for _ in range(count):
         g = np.clip(0.5 + 0.4 * np.sin(2 * np.pi * np.arange(n0) / n0
@@ -404,7 +413,7 @@ def rp_check(config_path, output_dir, seed, threads, d, p, tau, eps,
         worst_cb = min(worst_cb, gap)
     rep = {"profiles": count, "worst_rp_gap": float(worst_rp),
            "worst_chessboard_gap": float(worst_cb)}
-    tol = cfg.get("tol_gap", tol_gap)
+    tol = cfg.setdefault("tol_gap", tol_gap)
     _emit(output_dir or "runs/rp-check", "rp_check", cfg, rep,
           ok=worst_rp >= -tol and worst_cb >= -tol)
 

@@ -14,13 +14,11 @@ part; the two are related by an exact change of variables implemented in
 
 The nonlocal term is the pair form of the certified periodized kernel,
 evaluated from one fast Fourier transform of the field by
-``kernel.PeriodicKernelOperator``; a direct double sum serves as a
-reference path on small grids.
+``kernel.PeriodicKernelOperator``.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -69,34 +67,13 @@ def modica_mortola(u: PeriodicField, alpha: float) -> float:
                  + (3.0 / alpha) * np.sum(double_well(u.values)) * vol)
 
 
-def _nonlocal_direct(values: np.ndarray, kgrid: np.ndarray, spacing: float
-                     ) -> float:
-    """Reference double sum over all lattice lags (small grids only)."""
-    d = values.ndim
-    n = values.shape[0]
-    total = 0.0
-    for lag in itertools.product(range(n), repeat=d):
-        shifted = values
-        for ax, s in enumerate(lag):
-            shifted = np.roll(shifted, -s, axis=ax)
-        total += kgrid[lag] * np.sum((shifted - values) ** 2)
-    return float(total * spacing ** (2 * d))
-
-
 def nonlocal_energy(u: PeriodicField, params: ModelParams,
-                    tol: float = 1e-7, shells: int | None = None,
-                    method: str = "fft") -> float:
+                    tol: float = 1e-7, shells: int | None = None) -> float:
     """int int |u(x+zeta) - u(x)|^2 K_tau(zeta) dx dzeta on the lattice."""
     if u.dims != params.d:
         raise ValueError("field dimension does not match params.d")
     op = _kernel.kernel_operator(u.L, u.n, params, tol=tol, shells=shells)
-    if method == "fft":
-        return op.pair_sum(u.values) * u.h_grid ** (2 * u.dims)
-    if method == "direct":
-        if (u.n ** u.dims > 16 ** 2 + 1 and u.dims > 1) or u.n > 4096:
-            raise ValueError("direct path is for small grids only")
-        return _nonlocal_direct(u.values, op.table, u.h_grid)
-    raise ValueError(f"unknown method {method!r}")
+    return op.pair_sum(u.values) * u.h_grid ** (2 * u.dims)
 
 
 def total_energy(u: PeriodicField, params: ModelParams,

@@ -16,19 +16,22 @@ profile minimization at fixed h, the outer search for the optimal
 half-period h*, the penalized coefficient family F_m with its exact
 pointwise gamma update, and Euler-Lagrange diagnostics.
 
-Discretization: n even samples on [0, 2h), forward differences, rectangle
-sums, nonlocal term through the cached operator of the certified
-periodized marginal kernel (``kernel.marginal_operator``).  The free
-variables are g[1..n/2-1] in [1/2, 1] with both endpoints pinned at 1/2;
-gradients on the full period are folded back onto the base through the
-reflection.  The profile descent is ``solvers.projected_bb`` and the
-period search ``solvers.scan_golden``.
+Discretization: n samples on [0, L), forward differences, rectangle sums,
+nonlocal term through the cached operator of the certified periodized
+marginal kernel (``kernel.marginal_operator``).  ``_ProfileObjective`` is
+the one evaluation of the discrete F1d (split, gradient, interaction
+field) and ``_reflect`` the one reflection.  In the profile descent
+(``solvers.projected_bb`` with the fixed MAX_ITER, TOL_ENERGY, TOL_GRAD,
+STEP0 and TRACE_EVERY) n is even, the free variables are g[1..n/2-1] in
+[1/2, 1] with both endpoints pinned at 1/2, and gradients on the full
+period are folded back onto the base through the reflection.  The period
+search is ``solvers.scan_golden``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as _dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -92,17 +95,21 @@ class ReflectedProfile:
 
     def full(self) -> Profile1D:
         """The 2h-periodic profile on [0, 2h): G(x) = g(x) on [0, h],
-        G(x) = 1 - g(2h - x) on (h, 2h)."""
-        m, n = self.m, self.n
-        G = np.empty(n)
-        G[: m + 1] = self.base_g
-        G[m + 1:] = 1.0 - self.base_g[1:m][::-1]
-        gam = None
-        if self.base_gamma is not None:
-            gam = np.empty(n)
-            gam[: m + 1] = self.base_gamma
-            gam[m + 1:] = self.base_gamma[1:m][::-1]
-        return Profile1D(n, 2.0 * self.h, G, gam)
+        G(x) = 1 - g(2h - x) on (h, 2h); the coefficient is reflected
+        evenly."""
+        gam = (None if self.base_gamma is None
+               else _reflect(self.base_gamma, odd=False)[:-1])
+        return Profile1D(self.n, 2.0 * self.h, _reflect(self.base_g)[:-1],
+                         gam)
+
+
+def _reflect(v: np.ndarray, odd: bool = True) -> np.ndarray:
+    """Samples of v on [0, h] (both ends) followed by their mirror image
+    on (h, 2h]: v(2h - x) := 1 - v(x), the odd reflection about the level
+    1/2, or v(x) when ``odd`` is False.  Dropping the last sample gives
+    the 2h-periodic extension."""
+    back = v[-2::-1]
+    return np.concatenate([v, 1.0 - back if odd else back])
 
 
 def reflect_left(g: np.ndarray, i0: int, tol: float = 1e-9) -> np.ndarray:
@@ -112,23 +119,12 @@ def reflect_left(g: np.ndarray, i0: int, tol: float = 1e-9) -> np.ndarray:
         raise IndexError("i0 out of range")
     if abs(g[i0] - 0.5) > tol:
         raise CrossingError(f"g[i0] = {g[i0]} is not a 1/2-crossing")
-    out = np.empty(2 * i0 + 1)
-    out[: i0 + 1] = g[: i0 + 1]
-    out[i0 + 1:] = 1.0 - g[:i0][::-1]
-    return out
+    return _reflect(g[: i0 + 1])
 
 
 def reflect_right(g: np.ndarray, i0: int, tol: float = 1e-9) -> np.ndarray:
     """Right reflection about grid point i0 (mirror image of reflect_left)."""
-    if not (0 <= i0 < g.size):
-        raise IndexError("i0 out of range")
-    if abs(g[i0] - 0.5) > tol:
-        raise CrossingError(f"g[i0] = {g[i0]} is not a 1/2-crossing")
-    tail = g[i0:]
-    out = np.empty(2 * (g.size - 1 - i0) + 1)
-    out[g.size - 1 - i0:] = tail
-    out[: g.size - 1 - i0] = 1.0 - tail[1:][::-1]
-    return out
+    return reflect_left(g[::-1], g.size - 1 - i0, tol)[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -146,33 +142,77 @@ def _gamma_array(gamma, n: int) -> np.ndarray:
     return arr
 
 
+class _ProfileObjective:
+    """The discrete F1d(gamma, G) of n samples G of an L-periodic profile:
+    forward differences, rectangle sums, and the pair form of the marginal
+    kernel periodized with truncation tol.  Every evaluation of F1d in
+    this module goes through it."""
+
+    def __init__(self, params: ModelParams, L: float, n: int,
+                 tol: float = 1e-8):
+        self.L = L
+        self.n = n
+        self.dx = L / n
+        self.alpha = params.alpha
+        self.c = _kernel.c_tau(params)
+        self.op = _kernel.marginal_operator(L, n, params, tol)
+        self.A = 3.0 * (self.c - 1.0) * self.alpha / L
+        self.B = 3.0 * (self.c - 1.0) / (L * self.alpha)
+
+    def slope(self, G: np.ndarray) -> np.ndarray:
+        return (np.roll(G, -1) - G) / self.dx
+
+    def local_integrals(self, G: np.ndarray, gamma: np.ndarray | None = None
+                        ) -> tuple[float, float]:
+        """(int gamma |G'|^2, int W(G) / gamma); gamma = None means 1, and
+        an infinite gamma costs nothing where G' = 0."""
+        D = self.slope(G)
+        grad2, well = D ** 2, double_well(G)
+        if gamma is not None:
+            grad2 = np.multiply(gamma, grad2, out=np.zeros(self.n),
+                                where=D != 0)
+            well = well / gamma
+        return float(np.sum(grad2) * self.dx), float(np.sum(well) * self.dx)
+
+    def split(self, G: np.ndarray, gamma: np.ndarray | None = None
+              ) -> tuple[float, float]:
+        """(local, nonlocal) with F1d = local - nonlocal."""
+        grad_int, well_int = self.local_integrals(G, gamma)
+        return (self.A * grad_int + self.B * well_int,
+                self.dx * self.dx * self.op.pair_sum(G) / self.L)
+
+    def energy(self, G: np.ndarray, gamma: np.ndarray | None = None
+               ) -> float:
+        local, nonlocal_ = self.split(G, gamma)
+        return local - nonlocal_
+
+    def interaction(self, G: np.ndarray) -> np.ndarray:
+        """sum_{z != 0} (G(x + z) - G(x)) Khat_per(z) at every sample."""
+        return self.op.conv(G) - self.op.ksum * G
+
+    def grad(self, G: np.ndarray, gamma: np.ndarray | None = None
+             ) -> np.ndarray:
+        gam = 1.0 if gamma is None else gamma
+        gD = gam * self.slope(G)
+        grad = (self.A * 2.0 * (np.roll(gD, 1) - gD)
+                + self.B * double_well_prime(G) / gam * self.dx)
+        grad += (4.0 * self.dx * self.dx / self.L) * self.interaction(G)
+        return grad
+
+
 def f1d(gamma, g: Profile1D, params: ModelParams, L: float | None = None,
         tol: float = 1e-7) -> float:
-    """The 1D energy per unit length; gamma may be None (== 1), a scalar, or
-    an array with +inf entries (infinite entries meeting g' != 0 give +inf).
+    """The 1D energy per unit length; gamma may be None (g's own
+    coefficient, or 1), a scalar, or an array with +inf entries (infinite
+    entries meeting g' != 0 give +inf).
     """
     if L is None:
         L = g.L
     elif abs(L - g.L) > 1e-12 * max(L, g.L):
         raise ValueError("L does not match the profile period")
-    n = g.n
-    dx = L / n
-    G = g.g
-    gam = _gamma_array(gamma if gamma is not None else g.gamma, n)
-    D = (np.roll(G, -1) - G) / dx
-    alpha = params.alpha
-    c = _kernel.c_tau(params)
-
-    inf_mask = np.isinf(gam)
-    if np.any(inf_mask & (np.abs(D) > 0.0)):
-        return float("inf")
-    gam_safe = np.where(inf_mask, 1.0, gam)
-    grad_term = np.where(inf_mask, 0.0, gam_safe * D ** 2)
-    well_term = np.where(inf_mask, 0.0, double_well(G) / gam_safe)
-    local = 3.0 * (c - 1.0) / L * float(
-        np.sum(alpha * grad_term + well_term / alpha) * dx)
-    nl = dx * dx * _kernel.marginal_operator(L, n, params, tol).pair_sum(G)
-    return local - nl / L
+    gam = gamma if gamma is not None else g.gamma
+    return _ProfileObjective(params, L, g.n, tol).energy(
+        g.g, None if gam is None else _gamma_array(gam, g.n))
 
 
 def confined_split(gamma, g: Profile1D, params: ModelParams,
@@ -185,19 +225,13 @@ def confined_split(gamma, g: Profile1D, params: ModelParams,
     For profiles confined to one side of 1/2 both parts are nonnegative once
     tau is small; returned for direct inspection.
     """
-    L, n = g.L, g.n
-    dx = L / n
-    G = g.g
-    gam = _gamma_array(gamma, n)
-    D = (np.roll(G, -1) - G) / dx
-    alpha = params.alpha
-    c = _kernel.c_tau(params)
-    local_int = float(np.sum(alpha * gam * D ** 2
-                             + double_well(G) / (alpha * gam)) * dx)
-    nl = dx * dx * _kernel.marginal_operator(L, n, params, tol).pair_sum(G)
-    term1 = 3.0 / L * (0.5 * c - 1.0) * local_int
-    term2 = 1.5 * c / L * local_int - nl / L
-    return term1, term2
+    obj = _ProfileObjective(params, g.L, g.n, tol)
+    gam = _gamma_array(gamma, g.n)
+    grad_int, well_int = obj.local_integrals(g.g, gam)
+    mm = obj.alpha * grad_int + well_int / obj.alpha
+    _, nonlocal_ = obj.split(g.g, gam)
+    return (3.0 / g.L * (0.5 * obj.c - 1.0) * mm,
+            1.5 * obj.c / g.L * mm - nonlocal_)
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +325,10 @@ def chessboard_check(gamma, g: np.ndarray, crossings, params: ModelParams,
         return f1d(prof.gamma, prof, params, tol=tol)
 
     # left side: odd reflection of the whole window to period 2|I|
-    G_full = np.concatenate([g[:-1], 1.0 - g[1:][::-1]])
-    gam_full = np.concatenate([gam[:-1], gam[1:][::-1]])
-    prof_full = Profile1D(2 * M, 2.0 * width, np.clip(G_full, 0.0, 1.0),
-                          None)
-    lhs = width * f1d(gam_full, prof_full, params, tol=tol)
+    prof_full = Profile1D(2 * M, 2.0 * width,
+                          np.clip(_reflect(g)[:-1], 0.0, 1.0), None)
+    lhs = width * f1d(_reflect(gam, odd=False)[:-1], prof_full, params,
+                      tol=tol)
 
     rhs = 0.0
     for k in range(len(idx) - 1):
@@ -315,13 +348,13 @@ def chessboard_check(gamma, g: np.ndarray, crossings, params: ModelParams,
 # inner minimization over C_h at fixed half-period
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MinimizeOptions:
-    max_iter: int = 20000
-    tol_energy: float = 1e-13
-    tol_grad: float = 1e-7
-    step0: float = 1.0
-    trace_every: int = 50
+# the profile descent: iteration cap, stall and gradient tolerances, first
+# trial step, and spacing of the trace rows
+MAX_ITER = 20000
+TOL_ENERGY = 1e-13
+TOL_GRAD = 1e-7
+STEP0 = 1.0
+TRACE_EVERY = 50
 
 
 @dataclass(frozen=True)
@@ -330,13 +363,6 @@ class MinimizeProfileResult:
     value: float
     iterations: int
     trace: tuple  # (iteration, energy, step) triples
-
-
-def _full_from_base(gb: np.ndarray, m: int) -> np.ndarray:
-    G = np.empty(2 * m)
-    G[: m + 1] = gb
-    G[m + 1:] = 1.0 - gb[1:m][::-1]
-    return G
 
 
 def _fold_grad(grad_G: np.ndarray, m: int) -> np.ndarray:
@@ -350,44 +376,6 @@ def _fold_grad(grad_G: np.ndarray, m: int) -> np.ndarray:
     return gb
 
 
-class _ProfileObjective:
-    """Energy and gradient of G -> f1d(gamma, G) * 2h, reduced to the base."""
-
-    def __init__(self, params: ModelParams, h: float, n: int,
-                 tol: float = 1e-8):
-        if n % 2:
-            raise ValueError("n must be even")
-        self.params = params
-        self.h = h
-        self.n = n
-        self.m = n // 2
-        self.dx = 2.0 * h / n
-        self.alpha = params.alpha
-        self.c = _kernel.c_tau(params)
-        self.op = _kernel.marginal_operator(2.0 * h, n, params, tol)
-        self.A = 3.0 * (self.c - 1.0) * self.alpha / (2.0 * h)
-        self.B = 3.0 * (self.c - 1.0) / ((2.0 * h) * self.alpha)
-
-    def energy(self, G: np.ndarray, gamma: np.ndarray | None = None
-               ) -> float:
-        D = (np.roll(G, -1) - G) / self.dx
-        gam = np.ones(self.n) if gamma is None else gamma
-        loc = (self.A * float(np.sum(gam * D ** 2) * self.dx)
-               + self.B * float(np.sum(double_well(G) / gam) * self.dx))
-        return loc - self.dx * self.dx * self.op.pair_sum(G) / (2.0 * self.h)
-
-    def grad(self, G: np.ndarray, gamma: np.ndarray | None = None
-             ) -> np.ndarray:
-        D = (np.roll(G, -1) - G) / self.dx
-        gam = np.ones(self.n) if gamma is None else gamma
-        gD = gam * D
-        grad = (self.A * 2.0 * (np.roll(gD, 1) - gD)
-                + self.B * double_well_prime(G) / gam * self.dx)
-        grad -= (4.0 * self.dx * self.dx / (2.0 * self.h)) \
-            * (self.op.ksum * G - self.op.conv(G))
-        return grad
-
-
 def _initial_base(h: float, m: int, alpha: float) -> np.ndarray:
     x = np.linspace(0.0, h, m + 1)
     w = max(3.0 * alpha, 2.0 * h / (2 * m))
@@ -398,29 +386,28 @@ def _initial_base(h: float, m: int, alpha: float) -> np.ndarray:
 
 
 def minimize_profile(params: ModelParams, h: float, n: int = 512,
-                     opts: MinimizeOptions | None = None,
                      g0_base: np.ndarray | None = None,
-                     gamma: np.ndarray | None = None,
-                     objective: _ProfileObjective | None = None
+                     gamma: np.ndarray | None = None
                      ) -> MinimizeProfileResult:
     """Projected-gradient minimization of the gamma = 1 energy over C_h.
 
     Box constraints [1/2, 1] on the interior base samples, endpoints pinned
     at 1/2, backtracking line search on the exact energy, step growth on
     success (``solvers.projected_bb``).  Raises ConvergenceError (with
-    trace) if the tolerances are not met within max_iter.
+    trace) if the tolerances are not met within MAX_ITER.
     """
     if n < 32:
         raise ValueError("n must be >= 32")
-    opts = opts or MinimizeOptions()
-    obj = objective or _ProfileObjective(params, h, n)
-    m = obj.m
+    if n % 2:
+        raise ValueError("n must be even")
+    obj = _ProfileObjective(params, 2.0 * h, n)
+    m = n // 2
 
     def energy(gb: np.ndarray) -> float:
-        return obj.energy(_full_from_base(gb, m), gamma)
+        return obj.energy(_reflect(gb)[:-1], gamma)
 
     def grad(gb: np.ndarray) -> np.ndarray:
-        return _fold_grad(obj.grad(_full_from_base(gb, m), gamma), m)
+        return _fold_grad(obj.grad(_reflect(gb)[:-1], gamma), m)
 
     def project(y: np.ndarray) -> np.ndarray:
         # snap samples within rounding of a bound onto it; pin the ends
@@ -434,10 +421,9 @@ def minimize_profile(params: ModelParams, h: float, n: int = 512,
           else _initial_base(h, m, params.alpha))
     e = energy(gb)
     res = projected_bb(gb, e, energy, grad, 0.5, 1.0, project,
-                       step0=opts.step0, max_iter=opts.max_iter,
-                       tol_grad=opts.tol_grad, tol_energy=opts.tol_energy,
-                       trace_every=opts.trace_every)
-    trace = [(0, e, opts.step0), *res.trace]
+                       step0=STEP0, max_iter=MAX_ITER, tol_grad=TOL_GRAD,
+                       tol_energy=TOL_ENERGY, trace_every=TRACE_EVERY)
+    trace = [(0, e, STEP0), *res.trace]
     if not res.converged:
         raise ConvergenceError(
             f"no convergence in {res.iterations} iterations "
@@ -462,8 +448,8 @@ class PeriodSearchResult:
 
 def optimal_period(params: ModelParams,
                    h_range: tuple[float, float] = (0.2, 50.0),
-                   grid: int = 12, tol: float = 1e-3, n: int = 512,
-                   opts: MinimizeOptions | None = None) -> PeriodSearchResult:
+                   grid: int = 12, tol: float = 1e-3, n: int = 512
+                   ) -> PeriodSearchResult:
     """Minimize h -> min_{g in C_h} F1d(1, g) by a logarithmic scan followed
     by golden section; ties break toward smaller h."""
     lo, hi = h_range
@@ -472,7 +458,7 @@ def optimal_period(params: ModelParams,
 
     def val(h: float) -> float:
         if h not in cache:
-            cache[h] = minimize_profile(params, h, n=n, opts=opts)
+            cache[h] = minimize_profile(params, h, n=n)
             trace.append((h, cache[h].value))
         return cache[h].value
 
@@ -501,8 +487,8 @@ def i_g_profile(g, params: ModelParams, tol: float = 1e-8) -> np.ndarray:
     sample, against the periodized marginal (the far field enters through
     the periodization)."""
     prof = g.full() if isinstance(g, ReflectedProfile) else g
-    op = _kernel.marginal_operator(prof.L, prof.n, params, tol)
-    return prof.L / prof.n * (op.conv(prof.g) - op.ksum * prof.g)
+    obj = _ProfileObjective(params, prof.L, prof.n, tol)
+    return obj.dx * obj.interaction(prof.g)
 
 
 OBSTACLE_TOL = 10 * np.finfo(float).eps * 1e3
@@ -671,8 +657,8 @@ def gamma_pointwise_optimum(a: float, b: float, m: float, w: float) -> float:
 
 
 def minimize_aux_penalized(m: float, params: ModelParams, h: float,
-                           n: int = 512, opts: MinimizeOptions | None = None,
-                           outer_iter: int = 60, tol_outer: float = 1e-11
+                           n: int = 512, outer_iter: int = 60,
+                           tol_outer: float = 1e-11
                            ) -> tuple[Profile1D, Profile1D, float]:
     """Alternating minimization of the penalized energy
     F_m(gamma, g) = F(gamma, g) + (1/(4h)) int (gamma - m)_+^2:
@@ -682,9 +668,8 @@ def minimize_aux_penalized(m: float, params: ModelParams, h: float,
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    opts = opts or MinimizeOptions()
-    obj = _ProfileObjective(params, h, n)
-    mm = obj.m
+    obj = _ProfileObjective(params, 2.0 * h, n)
+    mm = n // 2
     dx = obj.dx
     gb = _initial_base(h, mm, params.alpha)
     gamma_full = np.ones(n)
@@ -696,19 +681,18 @@ def minimize_aux_penalized(m: float, params: ModelParams, h: float,
     prev = np.inf
     value = np.inf
     for _ in range(outer_iter):
-        res = minimize_profile(params, h, n=n, opts=opts, g0_base=gb,
-                               gamma=gamma_full, objective=obj)
+        res = minimize_profile(params, h, n=n, g0_base=gb,
+                               gamma=gamma_full)
         gb = res.profile.base_g.copy()
-        G = _full_from_base(gb, mm)
-        D = (np.roll(G, -1) - G) / dx
+        G = _reflect(gb)[:-1]
+        D = obj.slope(G)
         a_w = obj.A * D ** 2 * dx
         b_w = obj.B * double_well(G) * dx
         w = dx / (4.0 * h)
         gamma_full = np.array([gamma_pointwise_optimum(a_w[j], b_w[j], m, w)
                                for j in range(n)])
         # keep the coefficient in the reflection class
-        half = gamma_full[: mm + 1]
-        mirror = np.concatenate([half, half[1:mm][::-1]])
+        mirror = _reflect(gamma_full[: mm + 1], odd=False)[:-1]
         gamma_full = 0.5 * (gamma_full + mirror)
         value = obj.energy(G, gamma_full) + penalty(gamma_full)
         if prev - value < tol_outer:

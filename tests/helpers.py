@@ -48,6 +48,23 @@ def smooth_profile(n: int, L: float, rng: np.random.Generator,
     return np.clip(g, 0.0, 1.0)
 
 
+def nonlocal_direct(values: np.ndarray, kgrid: np.ndarray, spacing: float
+                    ) -> float:
+    """Reference nonlocal pair sum by the all-lags loop: one roll and one
+    sum of squared differences per lag (O(n^(2d)); small grids only).
+    Same definition and normalisation as ``energy.nonlocal_energy`` with
+    the kernel table ``kgrid`` and grid spacing ``spacing``."""
+    d = values.ndim
+    n = values.shape[0]
+    total = 0.0
+    for lag in itertools.product(range(n), repeat=d):
+        shifted = values
+        for ax, s in enumerate(lag):
+            shifted = np.roll(shifted, -s, axis=ax)
+        total += kgrid[lag] * np.sum((shifted - values) ** 2)
+    return float(total * spacing ** (2 * d))
+
+
 def cross_term_direct(u: PeriodicField, i: int, params: ModelParams,
                       trunc_radius: float | None = None, tol: float = 1e-7
                       ) -> float:

@@ -161,3 +161,18 @@ def test_threads_flag_is_recorded_not_exported(runner, tmp_path,
     assert "STRIPES_THREADS" not in os.environ
     config = _payload(tmp_path / "t" / "kernel_moments_config.json")
     assert config["threads"] == 3
+
+
+def test_sidecar_records_defaults_and_reruns(runner, tmp_path):
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    res = runner.invoke(main, ["kernel-moments", "-d", "1", "-p", "3",
+                               "--output-dir", str(out_a)])
+    assert res.exit_code == 0, res.output
+    sidecar = out_a / "kernel_moments_config.json"
+    config = _payload(sidecar)
+    assert {"tau", "eps", "L"} <= set(config)
+    res = runner.invoke(main, ["kernel-moments", "--config", str(sidecar),
+                               "--output-dir", str(out_b)])
+    assert res.exit_code == 0, res.output
+    assert (_payload(out_b / "kernel_moments.json")["report"]
+            == _payload(out_a / "kernel_moments.json")["report"])

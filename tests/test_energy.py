@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helpers import rough_field, smooth_field
+from helpers import nonlocal_direct, rough_field, smooth_field
 from stripes import kernel
 from stripes.energy import (golden_section, modica_mortola, nonlocal_energy,
                             optimal_sharp_period, rescaling_identity_check,
@@ -33,23 +33,11 @@ def test_constant_field_well_energy(ps2):
 
 def test_nonlocal_fft_matches_direct(ps2, ps1):
     rng = np.random.default_rng(3)
-    u = rough_field(2, 12, 2.0, rng)
-    fft_val = nonlocal_energy(u, ps2, method="fft")
-    direct = nonlocal_energy(u, ps2, method="direct")
-    assert fft_val == pytest.approx(direct, rel=1e-12)
-    g = rough_field(1, 64, 2.0, rng)
-    assert nonlocal_energy(g, ps1, method="fft") == pytest.approx(
-        nonlocal_energy(g, ps1, method="direct"), rel=1e-12)
-
-
-def test_nonlocal_direct_path_small_grids_only(ps2, ps1):
-    rng = np.random.default_rng(5)
-    assert nonlocal_energy(rough_field(2, 16, 2.0, rng), ps2,
-                           method="direct") > 0.0
-    for u, params in ((rough_field(2, 17, 2.0, rng), ps2),
-                      (rough_field(1, 4097, 2.0, rng), ps1)):
-        with pytest.raises(ValueError, match="small grids"):
-            nonlocal_energy(u, params, method="direct")
+    for u, params in ((rough_field(2, 12, 2.0, rng), ps2),
+                      (rough_field(1, 64, 2.0, rng), ps1)):
+        kgrid = kernel.periodized_kernel_grid(u.L, u.n, params)
+        assert nonlocal_energy(u, params) == pytest.approx(
+            nonlocal_direct(u.values, kgrid, u.h_grid), rel=1e-12)
 
 
 def test_nonlocal_translation_invariance(ps2):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import rough_field, smooth_field
-from stripes import kernel
+from stripes import energy, flow, kernel
 from stripes.energy import total_energy
 from stripes.field import (PeriodicField, Profile1D, StripeSpec, l1_distance,
                            make_one_dimensional, make_stripes)
@@ -152,6 +152,36 @@ def test_experiment_report_structure():
                                         threads=1)
     for r1, r2 in zip(rep["runs"], rep2["runs"]):
         assert r1["energy"] == pytest.approx(r2["energy"], rel=1e-12)
+
+
+def test_experiment_evaluates_each_final_energy_once(monkeypatch):
+    # the benchmark and every run report the last trace energy of their
+    # flow, which is the exact energy of the final field
+    calls, finals = {}, []
+    total, flow_fn = energy.total_energy, flow.gradient_flow
+
+    def counting_total(u, *args, **kwargs):
+        key = u.values.tobytes()
+        calls[key] = calls.get(key, 0) + 1
+        return total(u, *args, **kwargs)
+
+    def recording_flow(*args, **kwargs):
+        uf, tr = flow_fn(*args, **kwargs)
+        finals.append((uf.values.tobytes(), tr.entries[-1][1]))
+        return uf, tr
+
+    monkeypatch.setattr(energy, "total_energy", counting_total)
+    monkeypatch.setattr(flow, "gradient_flow", recording_flow)
+    ps = ModelParams(d=2, p=4.0, tau=0.05, eps=0.05, L=2.0)
+    rep = symmetry_breaking_experiment(
+        ps, k=1, n=16, n_seeds=2, opts=FlowOptions(seed=1, max_iter=300),
+        h_star=1.5117819735288371, threads=1)
+    assert len(finals) == 3          # the benchmark, then one flow per seed
+    assert [calls[key] for key, _ in finals] == [1, 1, 1]
+    assert rep["benchmark_energy"] == finals[0][1]
+    for run, (_, e) in zip(rep["runs"], finals[1:]):
+        assert run["energy"] == e
+        assert run["energy_gap_to_1d"] == e - rep["benchmark_energy"]
 
 
 def test_flow_options_validation():

@@ -6,7 +6,7 @@ from stripes import onedim
 from stripes.energy import total_energy
 from stripes.field import Profile1D, make_one_dimensional
 from stripes.model import ModelParams
-from stripes.onedim import (ConvergenceError, CrossingError, MinimizeOptions,
+from stripes.onedim import (ConvergenceError, CrossingError,
                             chessboard_check, confined_split, el_residual,
                             f1d, free_boundary_points, gamma_limit_study,
                             gamma_pointwise_optimum, i_g_profile,
@@ -139,8 +139,7 @@ def test_minimize_profile_structure(ps1):
 
 
 def test_minimize_profile_last_trace_row_is_final_iteration(ps1):
-    res = minimize_profile(ps1, 1.58, n=64,
-                           opts=MinimizeOptions(trace_every=7))
+    res = minimize_profile(ps1, 1.58, n=64)
     assert res.trace[-1][0] == res.iterations
 
 

@@ -8,9 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import periodized_values_direct
+from helpers import nonlocal_direct, periodized_values_direct
 from stripes import kernel
-from stripes.energy import _nonlocal_direct
 from stripes.model import ModelParams
 
 RTOL = 1e-12
@@ -121,7 +120,7 @@ def test_pair_sum_matches_direct_double_sum(dn, seed):
     params = ModelParams(d=d, p=d + 2.0, tau=0.05, eps=0.05, L=2.0)
     op = kernel.kernel_operator(2.0, n, params)
     v = np.random.default_rng(seed).uniform(0.0, 1.0, (n,) * d)
-    ref = _nonlocal_direct(v, op.table, 1.0)
+    ref = nonlocal_direct(v, op.table, 1.0)
     assert op.pair_sum(v) == pytest.approx(ref, rel=1e-12)
 
 
