@@ -1,10 +1,11 @@
 """Batch driver: every experiment as a subcommand with reproducible
 configuration and machine-readable outputs.
 
-Configuration comes from an optional JSON file (``--config``) overridden by
-command-line flags; the fully resolved configuration, including every
-default a command used, is written beside every output so a run can be
-reproduced bit for bit from its artifacts alone.
+Each command has one table of defaults.  Its configuration resolves in one
+place, defaults < ``--config`` file < flags given, and a config key that
+is not in the command's table is an error.  The fully resolved
+configuration is written beside every output, so ``--config <sidecar>``
+reruns a command bit for bit from its artifacts alone.
 """
 from __future__ import annotations
 
@@ -26,42 +27,91 @@ from .model import DomainError, ModelParams
 
 FORMAT_VERSION = "1"
 
+# model defaults of the 1D commands; minimize-2d and verify-decomposition
+# default to d=2, p=4
+_MODEL = {"d": 1, "p": 3.0, "tau": 0.05, "eps": 0.05, "L": 1.0}
 
-def _load_config(path: str | None) -> dict:
-    if not path:
+_MODEL_FLAGS = (click.option("-d", type=int), click.option("-p", type=float),
+                click.option("--tau", type=float),
+                click.option("--eps", type=float))
+_SEED = click.option("--seed", type=int,
+                     help="single 64-bit seed driving all randomness")
+_N = click.option("-n", type=int)
+_HALF_PERIOD = click.option("--half-period", "h", type=float)
+
+
+@click.group()
+def main() -> None:
+    """Numerical laboratory for the stripe-forming nonlocal energy."""
+
+
+def _read_config(path: str | None, name: str, defaults: dict) -> dict:
+    """The ``--config`` file's values; keys outside ``defaults`` fail."""
+    if path is None:
         return {}
     with open(path) as fh:
-        return json.load(fh)
+        values = json.load(fh)
+    if not isinstance(values, dict):
+        raise click.ClickException(f"{path}: expected a JSON object")
+    version = values.pop("format_version", FORMAT_VERSION)
+    if version != FORMAT_VERSION:
+        raise click.ClickException(
+            f"{path}: format_version {version!r}, expected {FORMAT_VERSION!r}")
+    unknown = sorted(set(values) - set(defaults))
+    if unknown:
+        raise click.ClickException(
+            f"{name} takes no config key {', '.join(map(repr, unknown))} "
+            f"(in {path})")
+    return values
 
 
-def _resolve(cfg_file: dict, cli_values: dict) -> dict:
-    """File values fill in CLI values the user left at None; flags win."""
-    merged = dict(cfg_file)
-    for key, val in cli_values.items():
-        if val is not None:
-            merged[key] = val
-    return merged
+def _command(name: str, defaults: dict, *flags):
+    """Register ``body(cfg, out) -> (report, passed)`` as command ``name``.
+
+    The command takes ``--config``, ``--output-dir``, the model flags and
+    ``flags``; each flag is stored under its parameter name, which must be
+    a key of ``defaults``.  ``cfg`` is ``defaults`` updated by the config
+    file and then by the flags given, and ``out`` the output directory
+    (``runs/<name>`` unless given).
+    """
+    def register(body):
+        def command(config_path, output_dir, **given):
+            cfg = {**defaults, **_read_config(config_path, name, defaults),
+                   **{k: v for k, v in given.items() if v is not None}}
+            out = Path(output_dir or f"runs/{name}")
+            out.mkdir(parents=True, exist_ok=True)
+            report, ok = body(cfg, out)
+            _emit(out, name.replace("-", "_"), cfg, report, ok)
+
+        options = (click.option("--config", "config_path",
+                                type=click.Path(exists=True),
+                                help="JSON config file; flags override it."),
+                   click.option("--output-dir", help="artifact directory"),
+                   *_MODEL_FLAGS, *flags)
+        for opt in reversed(options):
+            command = opt(command)
+        cmd = main.command(name, help=body.__doc__)(command)
+        assert {p.name for p in cmd.params} <= {"config_path", "output_dir",
+                                                *defaults}, name
+        return cmd
+    return register
 
 
 def _params(cfg: dict) -> ModelParams:
-    """Model parameters from ``cfg``; every default used is written into
-    ``cfg`` so the sidecar records it."""
+    # minimize-2d takes L from the run (2k h* or the resumed field), so its
+    # table has no L and ModelParams gets a placeholder it never uses
     try:
-        return ModelParams(d=int(cfg.setdefault("d", 1)),
-                           p=float(cfg.setdefault("p", 3.0)),
-                           tau=float(cfg.setdefault("tau", 0.05)),
-                           eps=float(cfg.setdefault("eps", 0.05)),
-                           L=float(cfg.setdefault("L", 1.0)))
+        return ModelParams(d=int(cfg["d"]), p=float(cfg["p"]),
+                           tau=float(cfg["tau"]), eps=float(cfg["eps"]),
+                           L=float(cfg.get("L", 1.0)))
     except (DomainError, ValueError) as exc:
         raise click.ClickException(str(exc))
 
 
-def _emit(outdir: str, name: str, config: dict, report: dict,
+def _emit(out: Path, name: str, config: dict, report: dict,
           ok: bool) -> None:
-    out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
     payload = {"format_version": FORMAT_VERSION, "config": config,
-               "report": report, "passed": ok}
+               "report": report, "passed": bool(ok)}
     path = out / f"{name}.json"
     path.write_text(json.dumps(payload, indent=2, default=float) + "\n")
     (out / f"{name}_config.json").write_text(
@@ -73,44 +123,19 @@ def _emit(outdir: str, name: str, config: dict, report: dict,
         sys.exit(1)
 
 
-common = [
-    click.option("--config", "config_path", type=click.Path(exists=True),
-                 default=None, help="JSON config file; flags override it."),
-    click.option("--output-dir", default=None, help="artifact directory"),
-    click.option("--seed", type=int, default=None,
-                 help="single 64-bit seed driving all randomness"),
-    click.option("--threads", type=int, default=None,
-                 help="worker cap of minimize-2d"),
-    click.option("-d", type=int, default=None), click.option(
-        "-p", type=float, default=None),
-    click.option("--tau", type=float, default=None),
-    click.option("--eps", type=float, default=None),
-]
-
-
-def with_common(fn):
-    for opt in reversed(common):
-        fn = opt(fn)
-    return fn
-
-
-@click.group()
-def main() -> None:
-    """Numerical laboratory for the stripe-forming nonlocal energy."""
+def _write_csv(path: Path, header: str, rows) -> None:
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 # ---------------------------------------------------------------------------
-@main.command("kernel-moments")
-@with_common
-@click.option("--tol", type=float, default=1e-8,
-              help="relative tolerance against adaptive quadrature")
-def kernel_moments(config_path, output_dir, seed, threads, d, p, tau, eps,
-                   tol):
+@_command("kernel-moments", {**_MODEL, "tol": 1e-8},
+          click.option("--tol", type=float,
+                       help="relative tolerance against adaptive quadrature"))
+def kernel_moments(cfg, out):
     """Closed-form kernel moments against adaptive quadrature."""
-    cfg = _resolve(_load_config(config_path),
-                   dict(d=d, p=p, tau=tau, eps=eps, seed=seed,
-                        threads=threads, tol=tol))
-    cfg.setdefault("seed", 0)
     params = _params(cfg)
     try:
         mom = _kernel.moments(params)
@@ -131,194 +156,123 @@ def kernel_moments(config_path, output_dir, seed, threads, d, p, tau, eps,
     delta = max(abs(half_quad - mom.half_mass_marginal) / half_quad,
                 abs(moment_quad - mom.c_tau) / moment_quad)
     rep["quadrature_rel_delta"] = delta
-    _emit(output_dir or "runs/kernel-moments", "kernel_moments", cfg, rep,
-          ok=delta < cfg.setdefault("tol", tol))
+    return rep, delta < cfg["tol"]
 
 
 # ---------------------------------------------------------------------------
-@main.command("optimal-period")
-@with_common
-@click.option("--h-lo", type=float, default=None)
-@click.option("--h-hi", type=float, default=None)
-@click.option("--grid", type=int, default=None)
-@click.option("-n", type=int, default=None)
-@click.option("--tol", type=float, default=None)
-def optimal_period(config_path, output_dir, seed, threads, d, p, tau, eps,
-                   h_lo, h_hi, grid, n, tol):
+@_command("optimal-period",
+          {**_MODEL, "h_lo": 0.3, "h_hi": 40.0, "grid": 12, "n": 512,
+           "tol": 1e-3},
+          click.option("--h-lo", type=float),
+          click.option("--h-hi", type=float),
+          click.option("--grid", type=int), _N,
+          click.option("--tol", type=float))
+def optimal_period(cfg, out):
     """Golden-section search for the optimal stripe half-period."""
-    cfg = _resolve(_load_config(config_path),
-                   dict(d=d, p=p, tau=tau, eps=eps, seed=seed,
-                        threads=threads, h_lo=h_lo, h_hi=h_hi,
-                        grid=grid, n=n, tol=tol))
-    cfg.setdefault("seed", 0)
-    params = _params(cfg)
-    res = _onedim.optimal_period(
-        params, (cfg.setdefault("h_lo", 0.3), cfg.setdefault("h_hi", 40.0)),
-        grid=int(cfg.setdefault("grid", 12)),
-        tol=cfg.setdefault("tol", 1e-3), n=int(cfg.setdefault("n", 512)))
-    out = Path(output_dir or "runs/optimal-period")
-    out.mkdir(parents=True, exist_ok=True)
+    res = _onedim.optimal_period(_params(cfg), (cfg["h_lo"], cfg["h_hi"]),
+                                 grid=int(cfg["grid"]), tol=cfg["tol"],
+                                 n=int(cfg["n"]))
     write_profile_csv(out / "profile.csv", res.profile.full())
-    rep = json.loads(res.to_json())
-    _emit(str(out), "optimal_period", cfg, rep, ok=True)
+    return json.loads(res.to_json()), True
 
 
 # ---------------------------------------------------------------------------
-@main.command("minimize-1d")
-@with_common
-@click.option("--half-period", "h", type=float, default=None, required=False)
-@click.option("-n", type=int, default=None)
-def minimize_1d(config_path, output_dir, seed, threads, d, p, tau, eps, h,
-                n):
+@_command("minimize-1d", {**_MODEL, "h": None, "n": 512}, _HALF_PERIOD, _N)
+def minimize_1d(cfg, out):
     """Minimize the 1D energy over the confined class at fixed half-period."""
-    cfg = _resolve(_load_config(config_path),
-                   dict(d=d, p=p, tau=tau, eps=eps, seed=seed,
-                        threads=threads, h=h, n=n))
-    cfg.setdefault("seed", 0)
-    if cfg.get("h") is None:
+    if cfg["h"] is None:
         raise click.ClickException("--half-period is required")
-    params = _params(cfg)
-    res = _onedim.minimize_profile(params, float(cfg["h"]),
-                                   n=int(cfg.setdefault("n", 512)))
-    out = Path(output_dir or "runs/minimize-1d")
-    out.mkdir(parents=True, exist_ok=True)
+    res = _onedim.minimize_profile(_params(cfg), float(cfg["h"]),
+                                   n=int(cfg["n"]))
     write_profile_csv(out / "profile.csv", res.profile.full())
-    _onedim.write_trace_csv(out / "trace.csv", res.trace,
-                            header="iteration,energy,step")
-    rep = {"value": res.value, "iterations": res.iterations,
-           "h": cfg["h"], "n": cfg["n"]}
-    _emit(str(out), "minimize_1d", cfg, rep, ok=True)
+    _write_csv(out / "trace.csv", "iteration,energy,step", res.trace)
+    return {"value": res.value, "iterations": res.iterations,
+            "h": cfg["h"], "n": cfg["n"]}, True
 
 
 # ---------------------------------------------------------------------------
-@main.command("minimize-2d")
-@with_common
-@click.option("-k", type=int, default=None, help="stripe periods per side")
-@click.option("-n", type=int, default=None)
-@click.option("--seeds", "n_seeds", type=int, default=None)
-@click.option("--anisotropy-threshold", type=float, default=None)
-@click.option("--gap-threshold", type=float, default=None)
-@click.option("--resume", type=click.Path(exists=True), default=None,
-              help="continue the flow from a dumped .pfd field")
-@click.option("--allow-incommensurate", is_flag=True, default=False,
-              help="label runs at L not a multiple of 2h* as exploratory")
-@click.option("--box-side", "L_override", type=float, default=None)
-def minimize_2d(config_path, output_dir, seed, threads, d, p, tau, eps, k,
-                n, n_seeds, anisotropy_threshold, gap_threshold, resume,
-                allow_incommensurate, L_override):
+@_command("minimize-2d",
+          {"d": 2, "p": 4.0, "tau": 0.05, "eps": 0.05, "seed": 0,
+           "threads": None, "k": 1, "n": 64, "n_seeds": 10,
+           "anisotropy_threshold": 0.95, "gap_threshold": 0.02,
+           "resume": None},
+          _SEED,
+          click.option("--threads", type=int,
+                       help="worker threads (default: the STRIPES_THREADS "
+                            "environment variable, else 1)"),
+          click.option("-k", type=int,
+                       help="stripe periods per side of the box L = 2k h*"),
+          _N, click.option("--seeds", "n_seeds", type=int),
+          click.option("--anisotropy-threshold", type=float),
+          click.option("--gap-threshold", type=float),
+          click.option("--resume", type=click.Path(exists=True),
+                       help="continue the flow from a dumped .pfd field"))
+def minimize_2d(cfg, out):
     """Symmetry-breaking experiment: gradient flow from noise seeds."""
-    cfg = _resolve(_load_config(config_path),
-                   dict(d=d if d is not None else 2, p=p, tau=tau, eps=eps,
-                        seed=seed, threads=threads, k=k, n=n,
-                        n_seeds=n_seeds,
-                        anisotropy_threshold=anisotropy_threshold,
-                        gap_threshold=gap_threshold, resume=resume,
-                        allow_incommensurate=allow_incommensurate,
-                        L=L_override))
-    cfg.setdefault("seed", 0)
-    cfg.setdefault("d", 2)
-    cfg.setdefault("p", 4.0)
-    box_side = cfg.get("L")
     params = _params(cfg)
-    if box_side is None:
-        # L comes from h*; a recorded default would read as --box-side
-        del cfg["L"]
-    out = Path(output_dir or "runs/minimize-2d")
-    out.mkdir(parents=True, exist_ok=True)
     opts = _flow.FlowOptions(seed=int(cfg["seed"]))
-    if cfg.get("resume"):
+    if cfg["resume"]:
         u0, stored = read_pfd(cfg["resume"])
         run_params = stored if stored is not None else replace(params,
                                                                L=u0.L)
         uf, tr = _flow.gradient_flow(u0, run_params, opts)
         write_pfd(out / "resumed_final.pfd", uf, run_params)
         tr.write_csv(out / "resumed_trace.csv")
-        rep = {"resumed_from": cfg["resume"],
-               "energy": tr.entries[-1][1],
-               "converged": tr.converged, "iterations": tr.iterations}
-        _emit(str(out), "minimize_2d", cfg, rep, ok=True)
-        return
-    if cfg.get("L") is not None and not cfg.get("allow_incommensurate"):
-        raise click.ClickException(
-            "--box-side requires --allow-incommensurate (periodicity is "
-            "only guaranteed when L is a multiple of the optimal period)")
-    rep = _flow.symmetry_breaking_experiment(
-        params, k=int(cfg.setdefault("k", 1)),
-        n=int(cfg.setdefault("n", 64)),
-        n_seeds=int(cfg.setdefault("n_seeds", 10)), opts=opts,
-        anisotropy_threshold=cfg.setdefault("anisotropy_threshold", 0.95),
-        gap_threshold=cfg.setdefault("gap_threshold", 0.02),
-        threads=cfg.get("threads"))
-    rep["exploratory"] = bool(cfg.get("allow_incommensurate"))
-    _emit(str(out), "minimize_2d", cfg, rep, ok=True)
+        return {"resumed_from": cfg["resume"],
+                "energy": tr.entries[-1][1],
+                "converged": tr.converged, "iterations": tr.iterations}, True
+    return _flow.symmetry_breaking_experiment(
+        params, k=int(cfg["k"]), n=int(cfg["n"]),
+        n_seeds=int(cfg["n_seeds"]), opts=opts,
+        anisotropy_threshold=cfg["anisotropy_threshold"],
+        gap_threshold=cfg["gap_threshold"], threads=cfg["threads"]), True
 
 
 # ---------------------------------------------------------------------------
 def _field_from_cfg(cfg: dict, params: ModelParams) -> PeriodicField:
-    if cfg.get("field"):
+    if cfg["field"]:
         u, _ = read_pfd(cfg["field"])
         return u
-    n = int(cfg.setdefault("n", 32))
-    L = params.L
-    kind = cfg.setdefault("kind", "random")
-    if kind == "random":
-        rng = np.random.default_rng(int(cfg.setdefault("seed", 0)))
+    n, L = int(cfg["n"]), params.L
+    if cfg["kind"] == "random":
+        rng = np.random.default_rng(int(cfg["seed"]))
         return PeriodicField(params.d, n, L,
                              rng.uniform(0, 1, (n,) * params.d))
-    if kind == "stripe":
-        h = cfg.setdefault("h", L / 4.0)
-        return make_stripes(StripeSpec(1, float(h), 0.0), L, n, params.d)
-    raise click.ClickException(f"unknown field kind {kind!r}")
+    if cfg["kind"] == "stripe":
+        if cfg["h"] is None:
+            cfg["h"] = L / 4.0
+        return make_stripes(StripeSpec(1, float(cfg["h"]), 0.0), L, n,
+                            params.d)
+    raise click.ClickException(f"unknown field kind {cfg['kind']!r}")
 
 
-@main.command("verify-decomposition")
-@with_common
-@click.option("--field", "field_path", type=click.Path(exists=True),
-              default=None, help=".pfd input field")
-@click.option("--kind", type=click.Choice(["random", "stripe"]),
-              default=None)
-@click.option("-n", type=int, default=None)
-@click.option("--box-side", "L_override", type=float, default=None)
-@click.option("--tol-slack", type=float, default=1e-8)
-def verify_decomposition(config_path, output_dir, seed, threads, d, p, tau,
-                         eps, field_path, kind, n, L_override, tol_slack):
+@_command("verify-decomposition",
+          {"d": 2, "p": 4.0, "tau": 0.05, "eps": 0.05, "L": 1.0, "seed": 0,
+           "field": None, "kind": "random", "n": 32, "h": None,
+           "tol_slack": 1e-8},
+          _SEED,
+          click.option("--field", type=click.Path(exists=True),
+                       help=".pfd input field"),
+          click.option("--kind", type=click.Choice(["random", "stripe"])),
+          _N, click.option("--box-side", "L", type=float),
+          click.option("--tol-slack", type=float))
+def verify_decomposition(cfg, out):
     """Lower-bound decomposition report; fails on negative slack."""
-    cfg = _resolve(_load_config(config_path),
-                   dict(d=d if d is not None else 2, p=p, tau=tau, eps=eps,
-                        seed=seed, threads=threads,
-                        field=field_path, kind=kind, n=n, L=L_override,
-                        tol_slack=tol_slack))
-    cfg.setdefault("seed", 0)
-    cfg.setdefault("d", 2)
-    cfg.setdefault("p", 4.0)
     params = _params(cfg)
     u = _field_from_cfg(cfg, params)
     params = replace(params, d=u.dims, L=u.L)
     rep_obj = _dec.lower_bound_report(u, params)
     rep = json.loads(rep_obj.to_json())
     rep["delta_grad"] = _dec.default_delta_grad(u)
-    ok = rep_obj.slack >= -cfg.setdefault("tol_slack", tol_slack)
-    _emit(output_dir or "runs/verify-decomposition", "verify_decomposition",
-          cfg, rep, ok=ok)
+    return rep, rep_obj.slack >= -cfg["tol_slack"]
 
 
 # ---------------------------------------------------------------------------
-@main.command("verify-el")
-@with_common
-@click.option("--half-period", "h", type=float, default=None)
-@click.option("-n", type=int, default=None)
-@click.option("--tol-ineq", type=float, default=1e-6)
-def verify_el(config_path, output_dir, seed, threads, d, p, tau, eps, h, n,
-              tol_ineq):
+@_command("verify-el", {**_MODEL, "h": 1.58, "n": 512}, _HALF_PERIOD, _N)
+def verify_el(cfg, out):
     """Euler-Lagrange diagnostics on the converged 1D minimizer at (n, 2n)."""
-    cfg = _resolve(_load_config(config_path),
-                   dict(d=d, p=p, tau=tau, eps=eps, seed=seed,
-                        threads=threads, h=h, n=n,
-                        tol_ineq=tol_ineq))
-    cfg.setdefault("seed", 0)
     params = _params(cfg)
-    n0 = int(cfg.setdefault("n", 512))
-    h0 = float(cfg.setdefault("h", 1.58))
+    n0, h0 = int(cfg["n"]), float(cfg["h"])
     rep = {"n": [], "l2_residual": [], "first_integral_gap4": [],
            "first_integral_gap2": [], "gamma3_ok": []}
     for nn in (n0, 2 * n0):
@@ -333,62 +287,41 @@ def verify_el(config_path, output_dir, seed, threads, d, p, tau, eps, h, n,
         rep["gamma3_ok"].append(diag.gamma3_ok)
     fi = rep["first_integral_gap4"]
     rep["first_integral_ratio"] = fi[0] / fi[1] if fi[1] else np.inf
-    ok = rep["first_integral_ratio"] >= 1.8 and all(rep["gamma3_ok"])
-    _emit(output_dir or "runs/verify-el", "verify_el", cfg, rep, ok=ok)
+    return rep, rep["first_integral_ratio"] >= 1.8 and all(rep["gamma3_ok"])
 
 
 # ---------------------------------------------------------------------------
-@main.command("gamma-study")
-@with_common
-@click.option("--half-period", "h", type=float, default=None)
-@click.option("-n", type=int, default=None)
-@click.option("--m-schedule", default=None,
-              help="comma-separated coefficient caps, e.g. 1,10,100,1000")
-def gamma_study(config_path, output_dir, seed, threads, d, p, tau, eps, h,
-                n, m_schedule):
+@_command("gamma-study",
+          {**_MODEL, "h": 1.58, "n": 8192, "m_schedule": "1,10,100,1000"},
+          _HALF_PERIOD, _N,
+          click.option("--m-schedule",
+                       help="comma-separated coefficient caps, "
+                            "e.g. 1,10,100,1000"))
+def gamma_study(cfg, out):
     """Penalized coefficient family: optimal gamma collapses to 1."""
-    cfg = _resolve(_load_config(config_path),
-                   dict(d=d, p=p, tau=tau, eps=eps, seed=seed,
-                        threads=threads, h=h, n=n,
-                        m_schedule=m_schedule))
-    cfg.setdefault("seed", 0)
-    params = _params(cfg)
-    sched = tuple(float(t) for t in str(
-        cfg.setdefault("m_schedule", "1,10,100,1000")).split(","))
-    h0 = float(cfg.setdefault("h", 1.58))
-    n0 = int(cfg.setdefault("n", 8192))
-    rep = _onedim.gamma_limit_study(params, h0, m_schedule=sched, n=n0)
-    out = Path(output_dir or "runs/gamma-study")
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "margins.csv", "w") as fh:
-        fh.write("m,value,sup_gamma_minus_1,measure_gamma_above\n")
-        for row in zip(rep["m"], rep["value"], rep["sup_gamma_minus_1"],
-                       rep["measure_gamma_above"]):
-            fh.write(",".join(repr(float(t)) for t in row) + "\n")
-    ok = (rep["measure_gamma_above"][-1] <= rep["grid_cell"]
-          and rep["strict_margin"] > 0)
-    _emit(str(out), "gamma_study", cfg, rep, ok=ok)
+    sched = tuple(float(t) for t in str(cfg["m_schedule"]).split(","))
+    rep = _onedim.gamma_limit_study(_params(cfg), float(cfg["h"]),
+                                    m_schedule=sched, n=int(cfg["n"]))
+    _write_csv(out / "margins.csv",
+               "m,value,sup_gamma_minus_1,measure_gamma_above",
+               zip(rep["m"], rep["value"], rep["sup_gamma_minus_1"],
+                   rep["measure_gamma_above"]))
+    return rep, (rep["measure_gamma_above"][-1] <= rep["grid_cell"]
+                 and rep["strict_margin"] > 0)
 
 
 # ---------------------------------------------------------------------------
-@main.command("rp-check")
-@with_common
-@click.option("--profiles", type=int, default=None,
-              help="number of random crossing profiles")
-@click.option("-n", type=int, default=None)
-@click.option("--tol-gap", type=float, default=1e-8)
-def rp_check(config_path, output_dir, seed, threads, d, p, tau, eps,
-             profiles, n, tol_gap):
+@_command("rp-check",
+          {**_MODEL, "seed": 0, "profiles": 25, "n": 64, "tol_gap": 1e-8},
+          _SEED,
+          click.option("--profiles", type=int,
+                       help="number of random crossing profiles"),
+          _N, click.option("--tol-gap", type=float))
+def rp_check(cfg, out):
     """Reflection positivity and chessboard estimates on random profiles."""
-    cfg = _resolve(_load_config(config_path),
-                   dict(d=d, p=p, tau=tau, eps=eps, seed=seed,
-                        threads=threads, profiles=profiles, n=n,
-                        tol_gap=tol_gap))
-    cfg.setdefault("seed", 0)
     params = _params(cfg)
     rng = np.random.default_rng(int(cfg["seed"]))
-    n0 = int(cfg.setdefault("n", 64))
-    count = int(cfg.setdefault("profiles", 25))
+    n0, count = int(cfg["n"]), int(cfg["profiles"])
     worst_rp = np.inf
     for _ in range(count):
         g = np.clip(0.5 + 0.4 * np.sin(2 * np.pi * np.arange(n0) / n0
@@ -413,9 +346,8 @@ def rp_check(config_path, output_dir, seed, threads, d, p, tau, eps,
         worst_cb = min(worst_cb, gap)
     rep = {"profiles": count, "worst_rp_gap": float(worst_rp),
            "worst_chessboard_gap": float(worst_cb)}
-    tol = cfg.setdefault("tol_gap", tol_gap)
-    _emit(output_dir or "runs/rp-check", "rp_check", cfg, rep,
-          ok=worst_rp >= -tol and worst_cb >= -tol)
+    tol = cfg["tol_gap"]
+    return rep, worst_rp >= -tol and worst_cb >= -tol
 
 
 if __name__ == "__main__":

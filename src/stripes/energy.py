@@ -27,7 +27,7 @@ import numpy as np
 from . import kernel as _kernel
 from .field import PeriodicField, gradient
 from .model import ModelParams, double_well
-from .solvers import NoBracketError, golden_section, scan_golden  # noqa: F401
+from .solvers import scan_golden
 
 
 @dataclass(frozen=True)

@@ -471,13 +471,6 @@ def optimal_period(params: ModelParams,
     return PeriodSearchResult(h_star, res.value, res.profile, tuple(trace))
 
 
-def write_trace_csv(path, trace, header: str = "h,value") -> None:
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in trace:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # Euler-Lagrange diagnostics
 # ---------------------------------------------------------------------------

@@ -20,6 +20,16 @@ def _payload(path):
     return json.loads(Path(path).read_text())
 
 
+def _start_field(tmp_path):
+    """A 16² noise field at the d=2 parameter point, dumped to .pfd."""
+    ps = ModelParams(d=2, p=4.0, tau=0.05, eps=0.05, L=2.0)
+    rng = np.random.default_rng(9)
+    u = PeriodicField(2, 16, 2.0, rng.uniform(0, 1, (16, 16)))
+    fpath = tmp_path / "start.pfd"
+    write_pfd(fpath, u, ps)
+    return fpath
+
+
 def test_kernel_moments_passes_and_embeds_config(runner, tmp_path):
     out = tmp_path / "km"
     res = runner.invoke(main, ["kernel-moments", "-d", "1", "-p", "3",
@@ -142,24 +152,24 @@ def test_minimize_2d_resume_from_field(runner, tmp_path):
     assert (out / "resumed_final.pfd").exists()
 
 
-def test_minimize_2d_incommensurate_box_needs_flag(runner, tmp_path):
-    res = runner.invoke(main, ["minimize-2d", "--tau", "0.05",
-                               "--eps", "0.05", "--box-side", "3.7",
+def test_minimize_2d_box_side_is_a_usage_error(runner, tmp_path):
+    # the experiment's box is always L = 2k h*; -k sets its size
+    res = runner.invoke(main, ["minimize-2d", "--box-side", "5",
+                               "--allow-incommensurate",
                                "--output-dir", str(tmp_path)])
-    assert res.exit_code != 0
-    assert "allow-incommensurate" in res.output
+    assert res.exit_code == 2
 
 
 def test_threads_flag_is_recorded_not_exported(runner, tmp_path,
                                                monkeypatch):
     monkeypatch.delenv("STRIPES_THREADS", raising=False)
-    res = runner.invoke(main, ["kernel-moments", "-d", "1", "-p", "3",
-                               "--tau", "0.05", "--eps", "0.05",
+    fpath = _start_field(tmp_path)
+    res = runner.invoke(main, ["minimize-2d", "--resume", str(fpath),
                                "--threads", "3",
                                "--output-dir", str(tmp_path / "t")])
-    assert res.exit_code == 0
+    assert res.exit_code == 0, res.output
     assert "STRIPES_THREADS" not in os.environ
-    config = _payload(tmp_path / "t" / "kernel_moments_config.json")
+    config = _payload(tmp_path / "t" / "minimize_2d_config.json")
     assert config["threads"] == 3
 
 
@@ -176,3 +186,76 @@ def test_sidecar_records_defaults_and_reruns(runner, tmp_path):
     assert res.exit_code == 0, res.output
     assert (_payload(out_b / "kernel_moments.json")["report"]
             == _payload(out_a / "kernel_moments.json")["report"])
+
+
+def test_rp_check_passed_is_a_json_boolean(runner, tmp_path):
+    out = tmp_path / "rp"
+    res = runner.invoke(main, ["rp-check", "--profiles", "4", "-n", "48",
+                               "--seed", "11", "--output-dir", str(out)])
+    assert res.exit_code == 0, res.output
+    assert _payload(out / "rp_check.json")["passed"] is True
+
+
+def test_config_file_unknown_key_is_rejected(runner, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tua": 0.1}))
+    res = runner.invoke(main, ["kernel-moments", "--config", str(cfg),
+                               "--output-dir", str(tmp_path / "km")])
+    assert res.exit_code == 1
+    assert "'tua'" in res.output and "kernel-moments" in res.output
+
+
+def test_config_file_value_beats_table_default(runner, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol": 1e-300}))
+    out = tmp_path / "km"
+    res = runner.invoke(main, ["kernel-moments", "--config", str(cfg),
+                               "--output-dir", str(out)])
+    assert res.exit_code == 1
+    assert _payload(out / "kernel_moments_config.json")["tol"] == 1e-300
+
+
+def test_verify_decomposition_honours_config_dimension(runner, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"d": 3, "p": 5, "n": 6}))
+    out = tmp_path / "vd"
+    res = runner.invoke(main, ["verify-decomposition", "--config", str(cfg),
+                               "--output-dir", str(out)])
+    assert res.exit_code == 0, res.output
+    payload = _payload(out / "verify_decomposition.json")
+    assert payload["config"]["d"] == 3
+    assert len(payload["report"]["mbar"]) == 3
+
+
+ROUND_TRIPS = {
+    "kernel-moments": ["kernel-moments", "-d", "1", "-p", "3"],
+    "optimal-period": ["optimal-period", "-n", "128"],
+    "minimize-1d": ["minimize-1d", "--half-period", "1.0", "-n", "128"],
+    "minimize-2d": ["minimize-2d", "-n", "16", "--seeds", "1"],
+    "minimize-2d-resume": ["minimize-2d", "--resume", "{field}"],
+    "verify-decomposition-random": ["verify-decomposition", "--kind",
+                                    "random", "-n", "16"],
+    "verify-decomposition-stripe": ["verify-decomposition", "--kind",
+                                    "stripe", "-n", "16"],
+    "verify-el": ["verify-el", "-n", "128"],
+    "gamma-study": ["gamma-study", "-n", "512", "--m-schedule", "1,10"],
+    "rp-check": ["rp-check", "--profiles", "4", "-n", "48", "--seed", "11"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROUND_TRIPS))
+def test_sidecar_reruns_every_command(runner, tmp_path, case):
+    field = str(_start_field(tmp_path))
+    args = [a.format(field=field) for a in ROUND_TRIPS[case]]
+    name = args[0].replace("-", "_")
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    res_a = runner.invoke(main, args + ["--output-dir", str(out_a)])
+    assert res_a.exit_code in (0, 1), res_a.output
+    sidecar = out_a / f"{name}_config.json"
+    res_b = runner.invoke(main, [args[0], "--config", str(sidecar),
+                                 "--output-dir", str(out_b)])
+    assert res_b.exit_code == res_a.exit_code, res_b.output
+    a, b = (_payload(o / f"{name}.json") for o in (out_a, out_b))
+    assert b["report"] == a["report"]
+    assert b["passed"] is a["passed"]
+    assert _payload(out_b / f"{name}_config.json") == _payload(sidecar)

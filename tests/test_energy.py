@@ -4,12 +4,13 @@ from scipy.integrate import quad
 
 from helpers import nonlocal_direct, rough_field, smooth_field
 from stripes import kernel
-from stripes.energy import (golden_section, modica_mortola, nonlocal_energy,
+from stripes.energy import (modica_mortola, nonlocal_energy,
                             optimal_sharp_period, rescaling_identity_check,
                             sharp_stripe_energy, total_energy,
                             unscaled_energy)
 from stripes.field import PeriodicField, StripeSpec, make_stripes
 from stripes.model import ModelParams, double_well
+from stripes.solvers import golden_section
 
 
 def test_constant_fields_have_zero_energy(ps2):

@@ -4,9 +4,9 @@ interior minimum."""
 import numpy as np
 import pytest
 
-from stripes.energy import NoBracketError, optimal_sharp_period
+from stripes.energy import optimal_sharp_period
 from stripes.onedim import ConvergenceError, optimal_period
-from stripes.solvers import golden_section, projected_bb
+from stripes.solvers import NoBracketError, golden_section, projected_bb
 
 
 def test_projected_bb_separable_quadratic_hits_clipped_minimizer():
