@@ -273,8 +273,9 @@ def verify_el(cfg, out):
     """Euler-Lagrange diagnostics on the converged 1D minimizer at (n, 2n)."""
     params = _params(cfg)
     n0, h0 = int(cfg["n"]), float(cfg["h"])
-    rep = {"n": [], "l2_residual": [], "first_integral_gap4": [],
-           "first_integral_gap2": [], "gamma3_ok": []}
+    rep = {"n": [], "l2_residual": [], "residual_samples": [],
+           "first_integral_gap4": [], "first_integral_gap2": [],
+           "gamma3_ok": []}
     for nn in (n0, 2 * n0):
         res = _onedim.minimize_profile(params, h0, n=nn)
         diag = _onedim.el_residual(None, res.profile.full(), params)
@@ -282,6 +283,10 @@ def verify_el(cfg, out):
         rep["n"].append(nn)
         rep["l2_residual"].append(
             float(np.sqrt(np.nansum(diag.residual ** 2) * dx)))
+        # the residual is NaN off {delta < g < 1 - delta}; say how many
+        # samples the l2 norm covers
+        rep["residual_samples"].append(
+            int(np.count_nonzero(np.isfinite(diag.residual))))
         rep["first_integral_gap4"].append(diag.first_integral_gap4)
         rep["first_integral_gap2"].append(diag.first_integral_gap2)
         rep["gamma3_ok"].append(diag.gamma3_ok)

@@ -5,9 +5,10 @@ All integrals are rectangle-rule sums; the discrete gradient is the forward
 difference with periodic wrap (used consistently across the package so the
 lattice identities in the lower-bound decomposition hold exactly).
 
-Binary file format (`.pfd`): one-line JSON header {dims, n, L, params?}
-terminated by a newline, followed by little-endian float64 values in
-row-major order.
+Binary file format (`.pfd`): one-line JSON header {format_version, dims, n,
+L, params?} terminated by a newline, followed by little-endian float64
+values in row-major order.  A header without ``format_version`` reads as
+version "1".
 """
 
 from __future__ import annotations
@@ -190,9 +191,13 @@ def l1_distance(u: PeriodicField, v: PeriodicField) -> float:
 # I/O
 # ---------------------------------------------------------------------------
 
+PFD_FORMAT_VERSION = "1"
+
+
 def write_pfd(path, u: PeriodicField, params: ModelParams | None = None
               ) -> None:
-    header = {"dims": u.dims, "n": u.n, "L": u.L}
+    header = {"format_version": PFD_FORMAT_VERSION, "dims": u.dims,
+              "n": u.n, "L": u.L}
     if params is not None:
         header["params"] = params.to_dict()
     with open(path, "wb") as fh:
@@ -204,6 +209,10 @@ def read_pfd(path) -> tuple[PeriodicField, Optional[ModelParams]]:
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode("utf-8"))
         raw = fh.read()
+    version = header.get("format_version", PFD_FORMAT_VERSION)
+    if version != PFD_FORMAT_VERSION:
+        raise ValueError(f"{path}: .pfd format version {version!r} is not "
+                         f"supported (expected {PFD_FORMAT_VERSION!r})")
     dims, n, L = int(header["dims"]), int(header["n"]), float(header["L"])
     if len(raw) != 8 * n ** dims:
         raise ValueError(f"{path}: expected {8 * n ** dims} bytes of values "

@@ -34,12 +34,12 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import kernel as _kernel
 from .field import Profile1D
 from .model import ModelParams, double_well, double_well_prime
-from .solvers import ACTIVE_TOL, NoBracketError, projected_bb, scan_golden
+from .solvers import (ACTIVE_TOL, NoBracketError, brentq, projected_bb,
+                      scan_golden)
 
 
 class ConvergenceError(RuntimeError):
@@ -614,7 +614,10 @@ def el_residual(gamma, g, params: ModelParams, delta_el: float = 0.05,
 
 def gamma_pointwise_optimum(a: float, b: float, m: float, w: float) -> float:
     """argmin over gamma in [1, inf) of a gamma + b / gamma
-    + w (gamma - m)_+^2 (a, b >= 0; m >= 1; w > 0 unless a > 0)."""
+    + w (gamma - m)_+^2 (a, b >= 0; m >= 1; w > 0 unless a > 0).
+
+    On [1, m] the minimum is sqrt(b/a) clamped; on [m, inf) it is the root
+    of the increasing derivative, found by ``solvers.brentq``."""
     if a < 0 or b < 0 or m < 1:
         raise ValueError("need a, b >= 0 and m >= 1")
     if w <= 0 and a <= 0 and b > 0:

@@ -1,7 +1,7 @@
 """The shared solvers: projected Barzilai-Borwein descent (run by
-``flow.gradient_flow`` and ``onedim.minimize_profile``) and golden-section
+``flow.gradient_flow`` and ``onedim.minimize_profile``), golden-section
 search with a logarithmic bracketing scan (run by both optimal-period
-searches).
+searches) and Brent's root finder (run by the pointwise gamma update).
 """
 from __future__ import annotations
 
@@ -143,3 +143,57 @@ def scan_golden(f, lo: float, hi: float, grid: int, rel_tol: float
     if i == 0 or i == grid - 1:
         raise NoBracketError("no interior minimum in the scanned range")
     return golden_section(f, hs[i - 1], hs[i + 1], rel_tol=rel_tol)
+
+
+def brentq(f, xa: float, xb: float, xtol: float, rtol: float,
+           maxiter: int = 100) -> float:
+    """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
+
+    A step-for-step port of SciPy's ``brentq`` (its C routine), so it
+    returns the same float: interpolation (secant, or inverse quadratic
+    once three points are known) where that step is short enough, bisection
+    otherwise, until half the bracket is below (xtol + rtol |x|) / 2.
+    Raises ValueError unless f(xa) and f(xb) differ in sign, and
+    RuntimeError after ``maxiter`` iterations without convergence."""
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if np.signbit(fpre) == np.signbit(fcur):
+        raise ValueError(f"f({xa}) and f({xb}) have the same sign")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and np.signbit(fpre) != np.signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:        # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                   # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError(f"brentq did not converge in {maxiter} iterations "
+                       f"(last x = {xcur})")

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +30,20 @@ def _start_field(tmp_path):
     fpath = tmp_path / "start.pfd"
     write_pfd(fpath, u, ps)
     return fpath
+
+
+def test_import_loads_no_scipy():
+    # importing scipy.optimize would triple the import time of stripes;
+    # only kernel-moments needs scipy, and imports it inside the command
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys, stripes, stripes.cli; print(sorted(m for m in "
+            "sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_kernel_moments_passes_and_embeds_config(runner, tmp_path):
@@ -84,6 +100,20 @@ def test_optimal_period_rerun_is_bit_identical(runner, tmp_path):
                          ).exit_code == 0
     for name in ("optimal_period.json", "profile.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_verify_el_reports_residual_samples(runner, tmp_path):
+    # the l2 residual covers only the samples with delta < g < 1 - delta
+    out = tmp_path / "el"
+    res = runner.invoke(main, ["verify-el", "-n", "128",
+                               "--output-dir", str(out)])
+    assert res.exit_code in (0, 1), res.output
+    rep = _payload(out / "verify_el.json")["report"]
+    assert rep["n"] == [128, 256]
+    counts = rep["residual_samples"]
+    assert len(counts) == 2
+    assert all(isinstance(c, int) and 0 <= c < n
+               for c, n in zip(counts, rep["n"]))
 
 
 def test_verify_decomposition_stripe_passes(runner, tmp_path):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,37 @@ def test_pfd_roundtrip_without_params(tmp_path):
     v, ps_back = read_pfd(path)
     assert ps_back is None
     assert np.array_equal(u.values, v.values)
+
+
+def test_pfd_header_carries_format_version(tmp_path):
+    path = tmp_path / "f.pfd"
+    write_pfd(path, PeriodicField(1, 4, 1.0, np.full(4, 0.5)))
+    with open(path, "rb") as fh:
+        header = json.loads(fh.readline())
+    assert header["format_version"] == "1"
+
+
+def _write_raw_pfd(path, header, values):
+    path.write_bytes((json.dumps(header) + "\n").encode()
+                     + np.asarray(values, dtype="<f8").tobytes())
+
+
+def test_read_pfd_rejects_foreign_format_version(tmp_path):
+    path = tmp_path / "f.pfd"
+    _write_raw_pfd(path, {"format_version": "2", "dims": 1, "n": 4,
+                          "L": 1.0}, np.full(4, 0.5))
+    with pytest.raises(ValueError, match=r"f\.pfd: .*version '2'"):
+        read_pfd(path)
+
+
+def test_read_pfd_accepts_header_without_format_version(tmp_path, ps2):
+    # the header as written before it carried a version
+    path = tmp_path / "old.pfd"
+    values = np.full((4, 4), 0.25)
+    _write_raw_pfd(path, {"dims": 2, "n": 4, "L": 2.0,
+                          "params": ps2.to_dict()}, values)
+    v, ps_back = read_pfd(path)
+    assert np.array_equal(v.values, values) and ps_back == ps2
 
 
 @pytest.mark.parametrize("payload", ["truncated", "trailing"])

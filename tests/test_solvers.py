@@ -1,12 +1,20 @@
-"""The shared projected Barzilai-Borwein descent and golden-section search,
-and the errors their callers raise when the search range holds no
-interior minimum."""
+"""The shared projected Barzilai-Borwein descent, golden-section search and
+Brent root finder, and the errors their callers raise when the search range
+holds no interior minimum."""
+import math
+
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from stripes.energy import optimal_sharp_period
 from stripes.onedim import ConvergenceError, optimal_period
-from stripes.solvers import NoBracketError, golden_section, projected_bb
+from stripes.solvers import (NoBracketError, brentq, golden_section,
+                             projected_bb)
+
+SETTINGS = settings(max_examples=200, deadline=None)
 
 
 def test_projected_bb_separable_quadratic_hits_clipped_minimizer():
@@ -61,3 +69,63 @@ def test_optimal_period_without_interior_minimum(ps1):
     with pytest.raises(ConvergenceError, match="no interior minimum") as exc:
         optimal_period(ps1, (4.0, 16.0), grid=4, n=64)
     assert len(exc.value.trace) == 4
+
+
+# SciPy's brentq is the oracle: the port must return the same float
+def _both(f, xa, xb, tol=1e-14):
+    return (brentq(f, xa, xb, xtol=tol, rtol=tol),
+            scipy.optimize.brentq(f, xa, xb, xtol=tol, rtol=tol))
+
+
+@SETTINGS
+@given(st.floats(-8, 6), st.floats(0, 6), st.floats(-8, 6),
+       st.floats(1e-3, 14))
+def test_brentq_matches_scipy_on_gamma_updates(lb, lm, lw, gap):
+    # the derivative of the gamma update on [m, inf), bracketed as
+    # onedim.gamma_pointwise_optimum brackets it; a < b / m^2 puts the
+    # root above m
+    b, m, w = 10.0 ** lb, 10.0 ** lm, 10.0 ** lw
+    a = b / m ** 2 * 10.0 ** -gap
+
+    def dq(x):
+        return a - b / x ** 2 + 2.0 * w * (x - m)
+
+    assume(dq(m) < 0)
+    hi = m + 1.0
+    while dq(hi) < 0:
+        hi *= 2.0
+    ours, theirs = _both(dq, m, hi)
+    assert ours == theirs
+
+
+@SETTINGS
+@given(c=st.floats(-5, 5))
+@pytest.mark.parametrize("f", [lambda x, c: x ** 3 + x - c,
+                               lambda x, c: math.tanh(3.0 * (x - c))],
+                         ids=["cubic", "tanh"])
+def test_brentq_matches_scipy_on_monotone_functions(f, c):
+    ours, theirs = _both(lambda x: f(x, c), -6.0, 6.0)
+    assert ours == theirs
+
+
+def test_brentq_rejects_bracket_without_sign_change():
+    with pytest.raises(ValueError, match="same sign"):
+        brentq(lambda x: x ** 2 + 1.0, -1.0, 2.0, xtol=1e-14, rtol=1e-14)
+
+
+@pytest.mark.parametrize("xa, xb", [(1.0, 3.0), (-2.0, 1.0)])
+def test_brentq_returns_root_at_an_end_exactly(xa, xb):
+    assert _both(lambda x: x - 1.0, xa, xb) == (1.0, 1.0)
+
+
+def test_brentq_raises_when_iterations_run_out():
+    def f(x):
+        return x ** 3 - 2.0
+
+    with pytest.raises(RuntimeError):
+        scipy.optimize.brentq(f, 0.0, 100.0, xtol=1e-14, rtol=1e-14,
+                              maxiter=2)
+    with pytest.raises(RuntimeError, match="2 iterations"):
+        brentq(f, 0.0, 100.0, xtol=1e-14, rtol=1e-14, maxiter=2)
+    ours, theirs = _both(f, 0.0, 100.0)
+    assert ours == theirs
