@@ -220,7 +220,12 @@ def minimize_2d(cfg, out):
         tr.write_csv(out / "resumed_trace.csv")
         return {"resumed_from": cfg["resume"],
                 "energy": tr.entries[-1][1],
-                "converged": tr.converged, "iterations": tr.iterations}, True
+                "converged": tr.converged, "stop": list(tr.stop),
+                "iterations": tr.iterations}, True
+    try:
+        _flow._thread_count(cfg["threads"])
+    except ValueError as exc:
+        raise click.ClickException(str(exc))
     return _flow.symmetry_breaking_experiment(
         params, k=int(cfg["k"]), n=int(cfg["n"]),
         n_seeds=int(cfg["n_seeds"]), opts=opts,

@@ -14,7 +14,13 @@ part; the two are related by an exact change of variables implemented in
 
 The nonlocal term is the pair form of the certified periodized kernel,
 evaluated from one fast Fourier transform of the field by
-``kernel.PeriodicKernelOperator``.
+``kernel.PeriodicKernelOperator``.  ``_FieldObjective`` is the one
+evaluation of the discrete energy and of its gradient (with the smoothed
+1-norm) on raw arrays: it resolves C_tau, alpha, the cell volume and the
+kernel operator once per (params, L, n), so a descent that evaluates many
+trial fields builds no field object and looks up no cache per trial.
+``total_energy``, ``nonlocal_energy`` and ``flow.energy_gradient`` are
+its wrappers for ``PeriodicField`` input.
 """
 
 from __future__ import annotations
@@ -25,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel as _kernel
-from .field import PeriodicField, gradient
-from .model import ModelParams, double_well
+from .field import PeriodicField
+from .model import ModelParams
 from .solvers import scan_golden
 
 
@@ -56,34 +62,98 @@ class EnergyBreakdown:
         })
 
 
+def _modica_mortola(v: np.ndarray, dx: float, alpha: float) -> float:
+    """M_alpha of samples v in [0, 1] with spacing dx (no checks)."""
+    vol = dx ** v.ndim
+    grad_l1_sq = sum(np.abs((np.roll(v, -1, axis=ax) - v) / dx)
+                     for ax in range(v.ndim)) ** 2
+    well = v * v * (1.0 - v) * (1.0 - v)    # double_well on [0, 1]
+    return float(3.0 * alpha * np.sum(grad_l1_sq) * vol
+                 + (3.0 / alpha) * np.sum(well) * vol)
+
+
+class _FieldObjective:
+    """The discrete energy F of n^d samples of an L-periodic field with
+    values in [0, 1], and its gradient with the smoothed 1-norm.  Every
+    evaluation of F or of its gradient in this package goes through it;
+    the arrays it takes are not checked."""
+
+    def __init__(self, params: ModelParams, L: float, n: int,
+                 tol: float = 1e-7, shells: int | None = None):
+        d = self.d = int(params.d)
+        self.op = _kernel.kernel_operator(L, n, params, tol=tol,
+                                          shells=shells)
+        self.alpha = alpha = params.alpha
+        self.c1 = _kernel.c_tau(params) - 1.0
+        self.dx = dx = L / n
+        self.vol = vol = dx ** d
+        self.vol2 = dx ** (2 * d)
+        self.vol_inv = 1.0 / L ** d
+        # prefactors of the three gradient terms
+        pref = self.c1 / L ** d
+        self.well_pref = pref * (3.0 / alpha)
+        self.flux_pref = pref * 6.0 * alpha * vol / dx
+        self.pair_pref = 4.0 * vol * vol / L ** d
+
+    @classmethod
+    def of(cls, u: PeriodicField, params: ModelParams, tol: float = 1e-7,
+           shells: int | None = None) -> "_FieldObjective":
+        """The objective on the grid of ``u``."""
+        if u.dims != params.d:
+            raise ValueError("field dimension does not match params.d")
+        return cls(params, u.L, u.n, tol=tol, shells=shells)
+
+    def nonlocal_sum(self, v: np.ndarray) -> float:
+        """NL(v), the lattice pair form of the periodized kernel."""
+        return self.op.pair_sum(v) * self.vol2
+
+    def split(self, v: np.ndarray) -> tuple[float, float]:
+        """(mm_term, nonlocal_term) of ``EnergyBreakdown``."""
+        mm = _modica_mortola(v, self.dx, self.alpha) * self.c1 * self.vol_inv
+        return mm, self.nonlocal_sum(v) * self.vol_inv
+
+    def energy(self, v: np.ndarray) -> float:
+        mm, nl = self.split(v)
+        return mm - nl
+
+    def grad(self, v: np.ndarray, kappa: float) -> np.ndarray:
+        """dF/dv_j with the 1-norm of the forward differences D_i smoothed
+        to sum_i sqrt(D_i^2 + kappa^2).  The adjoint of D_i is the backward
+        difference, so this is the exact gradient of the smoothed discrete
+        energy (the nonlocal part is exact, no smoothing)."""
+        dx = self.dx
+        diffs = [(np.roll(v, -1, axis=ax) - v) / dx for ax in range(self.d)]
+        roots = [np.sqrt(t * t + kappa * kappa) for t in diffs]
+        s = sum(roots)
+        well_prime = 2.0 * v * (1.0 - v) * (1.0 - 2.0 * v)   # W' on [0, 1]
+        grad = self.well_pref * well_prime * self.vol
+        for ax in range(self.d):
+            flux = s * diffs[ax] / roots[ax]
+            grad += self.flux_pref * (np.roll(flux, 1, axis=ax) - flux)
+        grad -= self.pair_pref * (self.op.ksum * v - self.op.conv(v))
+        return grad
+
+
 def modica_mortola(u: PeriodicField, alpha: float) -> float:
     """3 alpha sum ||grad u||_1^2 vol + (3/alpha) sum W(u) vol over one cell."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    vol = u.h_grid ** u.dims
-    grads = gradient(u)
-    grad_l1_sq = sum(np.abs(g) for g in grads) ** 2
-    return float(3.0 * alpha * np.sum(grad_l1_sq) * vol
-                 + (3.0 / alpha) * np.sum(double_well(u.values)) * vol)
+    if u.n < 2:
+        raise ValueError("n must be >= 2")
+    return _modica_mortola(u.values, u.h_grid, alpha)
 
 
 def nonlocal_energy(u: PeriodicField, params: ModelParams,
                     tol: float = 1e-7, shells: int | None = None) -> float:
     """int int |u(x+zeta) - u(x)|^2 K_tau(zeta) dx dzeta on the lattice."""
-    if u.dims != params.d:
-        raise ValueError("field dimension does not match params.d")
-    op = _kernel.kernel_operator(u.L, u.n, params, tol=tol, shells=shells)
-    return op.pair_sum(u.values) * u.h_grid ** (2 * u.dims)
+    return _FieldObjective.of(u, params, tol, shells).nonlocal_sum(u.values)
 
 
 def total_energy(u: PeriodicField, params: ModelParams,
                  tol: float = 1e-7, shells: int | None = None
                  ) -> EnergyBreakdown:
     """Rescaled energy per unit volume with its two-term breakdown."""
-    c = _kernel.c_tau(params)
-    vol_inv = 1.0 / u.L ** u.dims
-    mm = modica_mortola(u, params.alpha) * (c - 1.0) * vol_inv
-    nl = nonlocal_energy(u, params, tol=tol, shells=shells) * vol_inv
+    mm, nl = _FieldObjective.of(u, params, tol, shells).split(u.values)
     return EnergyBreakdown(mm_term=mm, nonlocal_term=nl, total=mm - nl,
                            n=u.n, L=u.L, params=params)
 

@@ -158,6 +158,29 @@ def make_one_dimensional(g: Profile1D, i: int, d: int, n: int) -> PeriodicField:
     return PeriodicField(d, n, g.L, np.array(vals))
 
 
+def check_stripe_period(h: float, L: float, n: int) -> None:
+    """Raise ValueError unless stripes of half-period h tile the n-cell
+    grid of [0, L): the full period 2h must divide L and span an integer
+    number of cells, to grid tolerance."""
+    if h <= 0:
+        raise ValueError("h must be positive")
+    ratio = L / (2.0 * h)
+    if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+        raise ValueError(f"full period 2h={2 * h} must divide L={L}")
+    width = n * (2.0 * h) / L
+    if abs(width - round(width)) > 1e-9:
+        raise ValueError("2h must span an integer number of grid cells")
+
+
+def stripe_line(h: float, nu: float, L: float, n: int) -> np.ndarray:
+    """The binary stripe profile of half-period h and offset nu at the n
+    samples x_k = k L / n (each cell takes the value at its corner); the
+    period is not checked (see ``check_stripe_period``)."""
+    x = np.arange(n) * (L / n)
+    phase = np.mod(x - nu, 2.0 * h)
+    return (phase < h - 1e-12 * L).astype(float)
+
+
 def make_stripes(spec: StripeSpec, L: float, n: int, d: int = 2
                  ) -> PeriodicField:
     """Rasterize the stripe set's characteristic function onto an n^d grid.
@@ -165,18 +188,11 @@ def make_stripes(spec: StripeSpec, L: float, n: int, d: int = 2
     Each cell takes the value at its corner sample (binary output). The full
     period 2h must divide L to grid tolerance.
     """
-    ratio = L / (2.0 * spec.h)
-    if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-        raise ValueError(f"full period 2h={2 * spec.h} must divide L={L}")
-    width = n * (2.0 * spec.h) / L
-    if abs(width - round(width)) > 1e-9:
-        raise ValueError("2h must span an integer number of grid cells")
+    check_stripe_period(spec.h, L, n)
     ax = spec.direction - 1
     if not (0 <= ax < d):
         raise IndexError(f"axis {spec.direction} out of range for d={d}")
-    x = np.arange(n) * (L / n)
-    phase = np.mod(x - spec.nu, 2.0 * spec.h)
-    line = (phase < spec.h - 1e-12 * L).astype(float)
+    line = stripe_line(spec.h, spec.nu, L, n)
     return make_one_dimensional(Profile1D(n, L, line), spec.direction, d, n)
 
 

@@ -4,12 +4,15 @@ symmetry-breaking experiment.
 The descent direction smooths the 1-norm in the interfacial term with
 ``sqrt(D_i^2 + kappa^2)``; line-search acceptance and all reported numbers
 use the exact (unsmoothed) energy, so the monotone-decrease invariant refers
-to the true functional.  Each of the KAPPA_STAGES kappa stages runs
-``solvers.projected_bb`` with the fixed STEP0, TOL_ENERGY and TOL_GRAD; the
-nonlocal part of the gradient comes from the cached
-``kernel.kernel_operator``.  The last trace entry of a flow is the exact
-energy of the field it returns, so the benchmark and the experiment's runs
-report it without evaluating it again.
+to the true functional.  A flow builds one ``energy._FieldObjective``,
+which resolves the kernel operator and the prefactors once, and hands its
+``energy`` and ``grad`` on raw arrays to ``solvers.projected_bb``: each of
+the KAPPA_STAGES kappa stages runs it with the fixed STEP0, TOL_ENERGY and
+TOL_GRAD, and the trace keeps why each stage stopped.  The last trace
+entry of a flow is the exact energy of the field it returns, so the
+benchmark and the experiment's runs report it without evaluating it again.
+The stripe search rasterizes each candidate stripe profile once and
+compares it with the field by broadcasting.
 """
 from __future__ import annotations
 
@@ -17,14 +20,15 @@ import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from . import energy as _energy
-from . import kernel as _kernel
 from . import onedim as _onedim
-from .field import PeriodicField, StripeSpec, l1_distance, make_stripes
-from .model import ModelParams, double_well_prime
+from .field import (PeriodicField, StripeSpec, check_stripe_period,
+                    make_stripes, stripe_line)
+from .model import ModelParams
 from .solvers import projected_bb
 
 
@@ -52,6 +56,7 @@ class FlowTrace:
     converged: bool
     iterations: int
     kappa_final: float
+    stop: tuple             # solvers.STOP_REASONS entry of each kappa stage
 
     def write_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -94,26 +99,8 @@ def energy_gradient(u: PeriodicField, params: ModelParams,
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
-    v = u.values
-    d, n, L = u.dims, u.n, u.L
-    dx = u.h_grid
-    vol = dx ** d
-    alpha = params.alpha
-    c = _kernel.c_tau(params)
-    pref = (c - 1.0) / L ** d
-
-    diffs = [(np.roll(v, -1, axis=ax) - v) / dx for ax in range(d)]
-    roots = [np.sqrt(t * t + kappa * kappa) for t in diffs]
-    s = sum(roots)
-    grad = pref * (3.0 / alpha) * double_well_prime(v) * vol
-    for ax in range(d):
-        flux = s * diffs[ax] / roots[ax]
-        grad += pref * 6.0 * alpha * vol / dx * (np.roll(flux, 1, axis=ax)
-                                                 - flux)
-
-    op = _kernel.kernel_operator(L, n, params, tol=tol, shells=shells)
-    grad -= (4.0 * vol * vol / L ** d) * (op.ksum * v - op.conv(v))
-    return grad
+    return _energy._FieldObjective.of(u, params, tol, shells).grad(u.values,
+                                                                   kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -128,35 +115,30 @@ def gradient_flow(u0: PeriodicField, params: ModelParams,
 
     Backtracking guarantees a strictly monotone energy trace; the smoothing
     scale follows the continuation schedule kappa -> kappa / 10 after each
-    convergence, KAPPA_STAGES times in total.
+    stage, KAPPA_STAGES times in total.
     """
     opts = opts or FlowOptions()
-
-    def en(vals: np.ndarray) -> float:
-        return _energy.total_energy(u0.with_values(vals), params,
-                                    tol=tol_kernel, shells=shells).total
-
+    obj = _energy._FieldObjective.of(u0, params, tol_kernel, shells)
     v = np.array(u0.values, dtype=float)
-    e = en(v)
+    e = obj.energy(v)
     trace = [(0, e, STEP0)]
+    stops = []
     it = 0
     converged = False
     kappa = opts.kappa
     for _ in range(KAPPA_STAGES):
-        def grad(vals: np.ndarray, kappa=kappa) -> np.ndarray:
-            return energy_gradient(u0.with_values(vals), params, kappa,
-                                   tol=tol_kernel, shells=shells)
-
-        res = projected_bb(v, e, en, grad, 0.0, 1.0, step0=STEP0,
-                           max_iter=opts.max_iter, tol_grad=TOL_GRAD,
-                           tol_energy=TOL_ENERGY,
+        res = projected_bb(v, e, obj.energy, partial(obj.grad, kappa=kappa),
+                           0.0, 1.0, step0=STEP0, max_iter=opts.max_iter,
+                           tol_grad=TOL_GRAD, tol_energy=TOL_ENERGY,
                            trace_every=opts.trace_every, start=it)
         v, e, it, converged = res.x, res.energy, res.iterations, res.converged
         trace.extend(res.trace)
+        stops.append(res.stop)
         kappa /= 10.0
     trace.append((it, e, 0.0))
     return (u0.with_values(v),
-            FlowTrace(tuple(trace), converged, it, kappa * 10.0))
+            FlowTrace(tuple(trace), converged, it, kappa * 10.0,
+                      tuple(stops)))
 
 
 # ---------------------------------------------------------------------------
@@ -190,17 +172,23 @@ def stripe_metrics(u: PeriodicField, params: ModelParams,
     benchmark is supplied).
     """
     d, n, L = u.dims, u.n, u.L
+    vol = u.h_grid ** d
+    lines = []
+    for h in h_grid:
+        h = float(h)
+        check_stripe_period(h, L, n)
+        for nu in nu_grid:
+            if 0 <= nu < 2 * h:    # offsets repeat modulo the full period
+                lines.append((h, float(nu), stripe_line(h, float(nu), L, n)))
     best = (np.inf, 1, np.nan, np.nan)
-    for ax in range(1, d + 1):
-        for h in h_grid:
-            for nu in nu_grid:
-                if not 0 <= nu < 2 * h:
-                    continue   # offsets repeat modulo the full period
-                s = make_stripes(StripeSpec(ax, float(h), float(nu)), L, n,
-                                 d)
-                dist = l1_distance(u, s) / L ** d
-                if dist < best[0]:
-                    best = (dist, ax, float(h), float(nu))
+    for ax in range(d):
+        shape = [1] * d
+        shape[ax] = n
+        for h, nu, line in lines:
+            dist = float(np.sum(np.abs(u.values - line.reshape(shape)))
+                         * vol) / L ** d
+            if dist < best[0]:
+                best = (dist, ax + 1, h, nu)
     dist, ax, h, nu = best
     gap = np.nan if benchmark_energy is None else (
         _energy.total_energy(u, params, tol=tol, shells=shells).total
@@ -216,10 +204,23 @@ def stripe_metrics(u: PeriodicField, params: ModelParams,
 # ---------------------------------------------------------------------------
 
 def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get("STRIPES_THREADS")
-    return max(1, int(env)) if env else 1
+    """Worker threads: ``threads`` when given, else the STRIPES_THREADS
+    environment variable, else 1.  A value that is not a positive integer
+    raises ValueError naming it and where it came from."""
+    if threads is None:
+        env = os.environ.get("STRIPES_THREADS")
+        if not env:
+            return 1
+        source = f"STRIPES_THREADS={env!r}"
+        try:
+            threads = int(env)
+        except ValueError:
+            raise ValueError(f"{source} is not an integer") from None
+    else:
+        source = f"threads={threads!r}"
+    if threads < 1:
+        raise ValueError(f"{source}: the thread count must be >= 1")
+    return threads
 
 
 def tiled_stripe_benchmark(params: ModelParams, h_star: float, k: int,
@@ -257,6 +258,7 @@ def symmetry_breaking_experiment(params: ModelParams, k: int = 1,
     every input needed to reproduce the run bit for bit.
     """
     opts = opts or FlowOptions()
+    workers = _thread_count(threads)
     if h_star is None:
         search = _onedim.optimal_period(params, h_range, n=search_n)
         h_star = search.h_star
@@ -283,7 +285,7 @@ def symmetry_breaking_experiment(params: ModelParams, k: int = 1,
         ef = tr.entries[-1][1]     # the exact energy of uf
         rel_gap = (ef - bench_e) / (abs(bench_e) + 1e-30)
         return {"seed": seed, "energy": ef, "converged": tr.converged,
-                "iterations": tr.iterations,
+                "stop": list(tr.stop), "iterations": tr.iterations,
                 "best_axis": m.best_axis,
                 "l1_to_best_stripes": m.l1_to_best_stripes,
                 "fourier_anisotropy": m.fourier_anisotropy,
@@ -292,7 +294,6 @@ def symmetry_breaking_experiment(params: ModelParams, k: int = 1,
                 "success": bool(m.fourier_anisotropy > anisotropy_threshold
                                 and abs(rel_gap) < gap_threshold)}
 
-    workers = _thread_count(threads)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             per_seed = list(pool.map(run, seeds))

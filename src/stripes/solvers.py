@@ -17,6 +17,10 @@ STEP_MIN, STEP_MAX = 1e-10, 1e6
 # a sample within this distance of a bound counts as sitting on it, so
 # samples parked at a bound up to rounding count as constrained
 ACTIVE_TOL = 1e-12
+# why a descent stopped: the projected-gradient test held, STALL_LIMIT
+# accepted steps gained too little, no backtracking trial decreased the
+# energy, or the iteration budget ran out
+STOP_REASONS = ("grad", "stall", "line_search", "max_iter")
 
 
 class NoBracketError(RuntimeError):
@@ -32,6 +36,7 @@ class DescentResult:
     grad_norm: float        # max-norm of the last projected gradient
     step: float             # trial step length when the descent stopped
     trace: tuple            # (iteration, energy, step) every trace_every
+    stop: str               # why it stopped: one of STOP_REASONS
 
 
 def projected_bb(x: np.ndarray, e: float, energy, grad, lo: float,
@@ -51,7 +56,8 @@ def projected_bb(x: np.ndarray, e: float, energy, grad, lo: float,
     1e4 tol_grad.  It also stops converged after STALL_LIMIT accepted
     steps in a row that each gain less than ``tol_energy``.  Iterations are
     numbered from ``start`` + 1 to ``max_iter``, so stages of one run can
-    share the count.
+    share the count.  The result's ``stop`` names which of these four
+    tests ended the descent.
     """
     if project is None:
         def project(y):
@@ -60,6 +66,7 @@ def projected_bb(x: np.ndarray, e: float, energy, grad, lo: float,
     stall = 0
     gnorm = np.inf
     converged = False
+    stop = "max_iter"
     trace = []
     x_prev = g_prev = None
     it = start
@@ -78,7 +85,7 @@ def projected_bb(x: np.ndarray, e: float, energy, grad, lo: float,
         pg[(x >= hi - ACTIVE_TOL) & (pg < 0)] = 0.0
         gnorm = float(np.max(np.abs(pg)))
         if gnorm < tol_grad:
-            converged = True
+            converged, stop = True, "grad"
             break
         for _ in range(MAX_HALVINGS):
             cand = project(x - step * g)
@@ -88,7 +95,7 @@ def projected_bb(x: np.ndarray, e: float, energy, grad, lo: float,
             step *= BACKTRACK
         else:
             # exact stall of the line search: accept only a small gradient
-            converged = gnorm < 1e4 * tol_grad
+            converged, stop = gnorm < 1e4 * tol_grad, "line_search"
             break
         stall = stall + 1 if e - ec < tol_energy else 0
         x, e = cand, ec
@@ -96,9 +103,10 @@ def projected_bb(x: np.ndarray, e: float, energy, grad, lo: float,
         if it % trace_every == 0:
             trace.append((it, e, step))
         if stall >= STALL_LIMIT:
-            converged = True
+            converged, stop = True, "stall"
             break
-    return DescentResult(x, e, it, converged, gnorm, step, tuple(trace))
+    return DescentResult(x, e, it, converged, gnorm, step, tuple(trace),
+                         stop)
 
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0

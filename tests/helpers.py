@@ -7,8 +7,9 @@ import itertools
 import numpy as np
 
 from stripes import kernel
-from stripes.field import PeriodicField
-from stripes.model import ModelParams
+from stripes.field import (PeriodicField, StripeSpec, gradient, l1_distance,
+                           make_stripes)
+from stripes.model import ModelParams, double_well, double_well_prime
 
 
 def smooth_field(d: int, n: int, L: float, rng: np.random.Generator,
@@ -176,3 +177,64 @@ def periodized_values_direct(points: np.ndarray, dim: int, pe: float,
         hi = [float(xi) + M for xi in x]
         corr[i] = (total - _box_int_direct(lo, hi, a, pe)) / L ** dim
     return direct + corr.reshape(direct.shape), m, cert
+
+
+def total_energy_direct(u: PeriodicField, params: ModelParams,
+                        tol: float = 1e-7) -> tuple[float, float, float]:
+    """Reference (mm_term, nonlocal_term, total) by the field-object
+    arithmetic ``energy.total_energy`` had before it moved onto raw arrays,
+    in the same operation order, so the two agree bit for bit."""
+    vol = u.h_grid ** u.dims
+    grad_l1_sq = sum(np.abs(g) for g in gradient(u)) ** 2
+    mm_sum = float(3.0 * params.alpha * np.sum(grad_l1_sq) * vol
+                   + (3.0 / params.alpha) * np.sum(double_well(u.values))
+                   * vol)
+    op = kernel.kernel_operator(u.L, u.n, params, tol=tol)
+    nl_sum = op.pair_sum(u.values) * u.h_grid ** (2 * u.dims)
+    vol_inv = 1.0 / u.L ** u.dims
+    mm = mm_sum * (kernel.c_tau(params) - 1.0) * vol_inv
+    nl = nl_sum * vol_inv
+    return mm, nl, mm - nl
+
+
+def energy_gradient_direct(u: PeriodicField, params: ModelParams,
+                           kappa: float, tol: float = 1e-7) -> np.ndarray:
+    """Reference gradient with the smoothed 1-norm by the arithmetic
+    ``flow.energy_gradient`` had before it moved onto raw arrays, in the
+    same operation order."""
+    v = u.values
+    d, L = u.dims, u.L
+    dx = u.h_grid
+    vol = dx ** d
+    alpha = params.alpha
+    pref = (kernel.c_tau(params) - 1.0) / L ** d
+    diffs = [(np.roll(v, -1, axis=ax) - v) / dx for ax in range(d)]
+    roots = [np.sqrt(t * t + kappa * kappa) for t in diffs]
+    s = sum(roots)
+    grad = pref * (3.0 / alpha) * double_well_prime(v) * vol
+    for ax in range(d):
+        flux = s * diffs[ax] / roots[ax]
+        grad += pref * 6.0 * alpha * vol / dx * (np.roll(flux, 1, axis=ax)
+                                                 - flux)
+    op = kernel.kernel_operator(L, u.n, params, tol=tol)
+    grad -= (4.0 * vol * vol / L ** d) * (op.ksum * v - op.conv(v))
+    return grad
+
+
+def stripe_search_direct(u: PeriodicField, h_grid, nu_grid
+                         ) -> tuple[float, int, float, float]:
+    """Reference stripe search by one ``make_stripes`` field and one
+    ``l1_distance`` per (axis, h, nu): the best (distance / L^d, axis, h,
+    nu), first of equals in axis-h-nu order, as in ``flow.stripe_metrics``."""
+    best = (np.inf, 1, np.nan, np.nan)
+    for ax in range(1, u.dims + 1):
+        for h in h_grid:
+            for nu in nu_grid:
+                if not 0 <= nu < 2 * h:
+                    continue
+                s = make_stripes(StripeSpec(ax, float(h), float(nu)), u.L,
+                                 u.n, u.dims)
+                dist = l1_distance(u, s) / u.L ** u.dims
+                if dist < best[0]:
+                    best = (dist, ax, float(h), float(nu))
+    return best

@@ -182,6 +182,26 @@ def test_minimize_2d_resume_from_field(runner, tmp_path):
     assert (out / "resumed_final.pfd").exists()
 
 
+def test_minimize_2d_resume_reports_stop_reasons(runner, tmp_path):
+    out = tmp_path / "m2"
+    res = runner.invoke(main, ["minimize-2d", "--resume",
+                               str(_start_field(tmp_path)),
+                               "--output-dir", str(out)])
+    assert res.exit_code == 0, res.output
+    report = _payload(out / "minimize_2d.json")["report"]
+    assert len(report["stop"]) == 3
+    assert set(report["stop"]) <= {"grad", "stall", "line_search",
+                                   "max_iter"}
+
+
+def test_minimize_2d_rejects_zero_threads(runner, tmp_path):
+    res = runner.invoke(main, ["minimize-2d", "--threads", "0",
+                               "--output-dir", str(tmp_path)])
+    assert res.exit_code == 1
+    assert "threads=0" in res.output
+    assert not (tmp_path / "minimize_2d.json").exists()
+
+
 def test_minimize_2d_box_side_is_a_usage_error(runner, tmp_path):
     # the experiment's box is always L = 2k h*; -k sets its size
     res = runner.invoke(main, ["minimize-2d", "--box-side", "5",

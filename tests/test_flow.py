@@ -11,6 +11,7 @@ from stripes.flow import (FlowOptions, energy_gradient, fourier_anisotropy,
                           symmetry_breaking_experiment,
                           tiled_stripe_benchmark)
 from stripes.model import ModelParams, double_well
+from stripes.solvers import STOP_REASONS
 
 
 def _smoothed_energy(vals, params, L, kappa, kgrid):
@@ -158,19 +159,19 @@ def test_experiment_evaluates_each_final_energy_once(monkeypatch):
     # the benchmark and every run report the last trace energy of their
     # flow, which is the exact energy of the final field
     calls, finals = {}, []
-    total, flow_fn = energy.total_energy, flow.gradient_flow
+    evaluate, flow_fn = energy._FieldObjective.energy, flow.gradient_flow
 
-    def counting_total(u, *args, **kwargs):
-        key = u.values.tobytes()
+    def counting_energy(self, v):
+        key = v.tobytes()
         calls[key] = calls.get(key, 0) + 1
-        return total(u, *args, **kwargs)
+        return evaluate(self, v)
 
     def recording_flow(*args, **kwargs):
         uf, tr = flow_fn(*args, **kwargs)
         finals.append((uf.values.tobytes(), tr.entries[-1][1]))
         return uf, tr
 
-    monkeypatch.setattr(energy, "total_energy", counting_total)
+    monkeypatch.setattr(energy._FieldObjective, "energy", counting_energy)
     monkeypatch.setattr(flow, "gradient_flow", recording_flow)
     ps = ModelParams(d=2, p=4.0, tau=0.05, eps=0.05, L=2.0)
     rep = symmetry_breaking_experiment(
@@ -182,6 +183,46 @@ def test_experiment_evaluates_each_final_energy_once(monkeypatch):
     for run, (_, e) in zip(rep["runs"], finals[1:]):
         assert run["energy"] == e
         assert run["energy_gap_to_1d"] == e - rep["benchmark_energy"]
+
+
+def test_flow_records_max_iter_stops(ps2):
+    rng = np.random.default_rng(35)
+    _, trace = gradient_flow(rough_field(2, 16, 2.0, rng), ps2,
+                             FlowOptions(max_iter=3))
+    # the budget runs out in the first stage; the later two start at it
+    assert trace.stop == ("max_iter",) * flow.KAPPA_STAGES
+    assert (trace.iterations, trace.converged) == (3, False)
+
+
+def test_flow_from_a_well_constant_stops_on_the_gradient(ps2):
+    u0 = PeriodicField(2, 16, 2.0, np.ones((16, 16)))
+    uf, trace = gradient_flow(u0, ps2, FlowOptions())
+    assert trace.stop == ("grad",) * flow.KAPPA_STAGES
+    assert trace.converged and trace.iterations == flow.KAPPA_STAGES
+    assert np.array_equal(uf.values, u0.values)
+
+
+def test_experiment_runs_carry_stop_reasons():
+    ps = ModelParams(d=2, p=4.0, tau=0.05, eps=0.05, L=2.0)
+    rep = symmetry_breaking_experiment(
+        ps, k=1, n=16, n_seeds=2, opts=FlowOptions(seed=1, max_iter=300),
+        h_star=1.5117819735288371, threads=1)
+    for run in rep["runs"]:
+        assert len(run["stop"]) == flow.KAPPA_STAGES
+        assert set(run["stop"]) <= set(STOP_REASONS)
+
+
+@pytest.mark.parametrize("threads", [0, -2])
+def test_experiment_rejects_a_nonpositive_thread_count(ps2, threads):
+    with pytest.raises(ValueError, match=f"threads={threads}"):
+        symmetry_breaking_experiment(ps2, threads=threads)
+
+
+@pytest.mark.parametrize("env", ["0", "-2", "two", "1.5"])
+def test_experiment_rejects_a_bad_stripes_threads(ps2, monkeypatch, env):
+    monkeypatch.setenv("STRIPES_THREADS", env)
+    with pytest.raises(ValueError, match=f"STRIPES_THREADS='{env}'"):
+        symmetry_breaking_experiment(ps2)
 
 
 def test_flow_options_validation():

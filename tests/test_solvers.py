@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from stripes.energy import optimal_sharp_period
 from stripes.onedim import ConvergenceError, optimal_period
-from stripes.solvers import (NoBracketError, brentq, golden_section,
-                             projected_bb)
+from stripes.solvers import (STALL_LIMIT, NoBracketError, brentq,
+                             golden_section, projected_bb)
 
 SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -43,6 +43,37 @@ def test_projected_bb_separable_quadratic_hits_clipped_minimizer():
     assert all(b < a for a, b in zip(energies, energies[1:]))
     # the last iteration finds the projected gradient small and takes no step
     assert [it for it, _, _ in res.trace] == list(range(1, res.iterations))
+
+
+@pytest.mark.parametrize("case, stop, converged", [
+    ("quadratic", "grad", True),
+    ("one_iteration", "max_iter", False),
+    ("flat", "line_search", False),
+    ("coarse_tol_energy", "stall", True),
+])
+def test_projected_bb_reports_why_it_stopped(case, stop, converged):
+    # an ill-conditioned quadratic, except that "flat" keeps its gradient
+    # but gives every trial the start's energy, and "coarse_tol_energy"
+    # counts every accepted step that gains less than 1 as a stall
+    w = np.geomspace(1.0, 1e3, 6)
+
+    def energy(x):
+        if case == "flat":
+            return 0.0
+        return 0.5 * float(np.sum(w * (x - 0.3) ** 2))
+
+    def grad(x):
+        return w * (x - 0.3)
+
+    x0 = np.full(6, 0.9)
+    res = projected_bb(
+        x0, energy(x0), energy, grad, 0.0, 1.0, step0=0.1,
+        max_iter=1 if case == "one_iteration" else 500, tol_grad=1e-9,
+        tol_energy=1.0 if case == "coarse_tol_energy" else 1e-300,
+        trace_every=1)
+    assert (res.stop, res.converged) == (stop, converged)
+    if stop == "stall":
+        assert res.iterations >= STALL_LIMIT
 
 
 def test_golden_section_evaluates_each_point_once():
