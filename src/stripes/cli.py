@@ -187,7 +187,7 @@ def minimize_1d(cfg, out):
     write_profile_csv(out / "profile.csv", res.profile.full())
     _write_csv(out / "trace.csv", "iteration,energy,step", res.trace)
     return {"value": res.value, "iterations": res.iterations,
-            "h": cfg["h"], "n": cfg["n"]}, True
+            "stop": res.stop, "h": cfg["h"], "n": cfg["n"]}, True
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,18 @@ Discretization: n samples on [0, L), forward differences, rectangle sums,
 nonlocal term through the cached operator of the certified periodized
 marginal kernel (``kernel.marginal_operator``).  ``_ProfileObjective`` is
 the one evaluation of the discrete F1d (split, gradient, interaction
-field) and ``_reflect`` the one reflection.  In the profile descent
+field) and ``_reflect`` the one reflection.  The objective works on raw
+arrays and checks none of them: profiles are checked where they enter
+(``Profile1D``, ``ReflectedProfile``, the descent's projection onto
+[1/2, 1]) and coefficients by ``_gamma_array`` in the public functions
+that take them.  In the profile descent
 (``solvers.projected_bb`` with the fixed MAX_ITER, TOL_ENERGY, TOL_GRAD,
 STEP0 and TRACE_EVERY) n is even, the free variables are g[1..n/2-1] in
 [1/2, 1] with both endpoints pinned at 1/2, and gradients on the full
 period are folded back onto the base through the reflection.  The period
-search is ``solvers.scan_golden``.
+search is ``solvers.scan_golden``.  The penalized family updates gamma at
+all samples at once in closed form (``_gamma_update``) and runs the scalar
+``gamma_pointwise_optimum`` only where its penalized piece can win.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ import numpy as np
 
 from . import kernel as _kernel
 from .field import Profile1D
-from .model import ModelParams, double_well, double_well_prime
+from .model import CLAMP_TOL, ModelParams, double_well, double_well_prime
 from .solvers import (ACTIVE_TOL, NoBracketError, brentq, projected_bb,
                       scan_golden)
 
@@ -132,13 +138,20 @@ def reflect_right(g: np.ndarray, i0: int, tol: float = 1e-9) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _gamma_array(gamma, n: int) -> np.ndarray:
+    """gamma (None for 1, a scalar, or n samples) as n samples; NaN and
+    entries below 1 - CLAMP_TOL are rejected, +inf is allowed."""
     if gamma is None:
         return np.ones(n)
     if np.isscalar(gamma):
-        return np.full(n, float(gamma))
-    arr = np.asarray(gamma, dtype=float)
-    if arr.shape != (n,):
-        raise ValueError("gamma must be scalar or match the profile length")
+        arr = np.full(n, float(gamma))
+    else:
+        arr = np.asarray(gamma, dtype=float)
+        if arr.shape != (n,):
+            raise ValueError(
+                "gamma must be scalar or match the profile length")
+    worst = np.min(arr)  # NaN if any entry is NaN
+    if not worst >= 1.0 - CLAMP_TOL:
+        raise ValueError(f"gamma entries must be >= 1, got {worst}")
     return arr
 
 
@@ -146,7 +159,12 @@ class _ProfileObjective:
     """The discrete F1d(gamma, G) of n samples G of an L-periodic profile:
     forward differences, rectangle sums, and the pair form of the marginal
     kernel periodized with truncation tol.  Every evaluation of F1d in
-    this module goes through it."""
+    this module goes through it.
+
+    Nothing is checked here: G must already lie in [0, 1] and gamma be
+    None, a scalar or n samples in [1, inf] (``_gamma_array``); W and W'
+    are evaluated inline in the operation order of ``model.double_well``
+    and ``model.double_well_prime``."""
 
     def __init__(self, params: ModelParams, L: float, n: int,
                  tol: float = 1e-8):
@@ -160,14 +178,19 @@ class _ProfileObjective:
         self.B = 3.0 * (self.c - 1.0) / (L * self.alpha)
 
     def slope(self, G: np.ndarray) -> np.ndarray:
-        return (np.roll(G, -1) - G) / self.dx
+        """(G[j+1] - G[j]) / dx, periodically."""
+        D = np.empty(self.n)
+        np.subtract(G[1:], G[:-1], out=D[:-1])
+        D[-1] = G[0] - G[-1]
+        D /= self.dx
+        return D
 
     def local_integrals(self, G: np.ndarray, gamma: np.ndarray | None = None
                         ) -> tuple[float, float]:
         """(int gamma |G'|^2, int W(G) / gamma); gamma = None means 1, and
         an infinite gamma costs nothing where G' = 0."""
         D = self.slope(G)
-        grad2, well = D ** 2, double_well(G)
+        grad2, well = D ** 2, G * G * (1.0 - G) * (1.0 - G)
         if gamma is not None:
             grad2 = np.multiply(gamma, grad2, out=np.zeros(self.n),
                                 where=D != 0)
@@ -194,8 +217,12 @@ class _ProfileObjective:
              ) -> np.ndarray:
         gam = 1.0 if gamma is None else gamma
         gD = gam * self.slope(G)
-        grad = (self.A * 2.0 * (np.roll(gD, 1) - gD)
-                + self.B * double_well_prime(G) / gam * self.dx)
+        back = np.empty(self.n)  # gD[j-1] - gD[j], periodically
+        np.subtract(gD[:-1], gD[1:], out=back[1:])
+        back[0] = gD[-1] - gD[0]
+        well_prime = 2.0 * G * (1.0 - G) * (1.0 - 2.0 * G)
+        grad = (self.A * 2.0 * back
+                + self.B * well_prime / gam * self.dx)
         grad += (4.0 * self.dx * self.dx / self.L) * self.interaction(G)
         return grad
 
@@ -363,6 +390,7 @@ class MinimizeProfileResult:
     value: float
     iterations: int
     trace: tuple  # (iteration, energy, step) triples
+    stop: str     # why the descent stopped: one of solvers.STOP_REASONS
 
 
 def _fold_grad(grad_G: np.ndarray, m: int) -> np.ndarray:
@@ -394,12 +422,15 @@ def minimize_profile(params: ModelParams, h: float, n: int = 512,
     Box constraints [1/2, 1] on the interior base samples, endpoints pinned
     at 1/2, backtracking line search on the exact energy, step growth on
     success (``solvers.projected_bb``).  Raises ConvergenceError (with
-    trace) if the tolerances are not met within MAX_ITER.
+    trace) if the tolerances are not met within MAX_ITER.  ``gamma`` is
+    None (for 1), a scalar or n coefficient samples in [1, inf].
     """
     if n < 32:
         raise ValueError("n must be >= 32")
     if n % 2:
         raise ValueError("n must be even")
+    if gamma is not None:
+        gamma = _gamma_array(gamma, n)
     obj = _ProfileObjective(params, 2.0 * h, n)
     m = n // 2
 
@@ -431,7 +462,8 @@ def minimize_profile(params: ModelParams, h: float, n: int = 512,
     trace.append((res.iterations, res.energy, res.step))
     prof = ReflectedProfile(h, res.x)
     value = f1d(gamma, prof.full(), params)
-    return MinimizeProfileResult(prof, value, res.iterations, tuple(trace))
+    return MinimizeProfileResult(prof, value, res.iterations, tuple(trace),
+                                 res.stop)
 
 
 @dataclass(frozen=True)
@@ -652,6 +684,24 @@ def gamma_pointwise_optimum(a: float, b: float, m: float, w: float) -> float:
     return float(best_x)
 
 
+def _gamma_update(a: np.ndarray, b: np.ndarray, m: float, w: float
+                  ) -> np.ndarray:
+    """``gamma_pointwise_optimum(a[j], b[j], m, w)`` at every sample j, for
+    w > 0.  Where dq(m) = a - b / m^2 >= 0 the penalized piece [m, inf)
+    cannot win and the optimum is the closed form of the piece [1, m]
+    (sqrt(b/a) clamped, m where a = 0 < b, 1 where a = b = 0); the scalar
+    routine runs only at the other samples."""
+    if np.any(a < 0) or np.any(b < 0):
+        raise ValueError("need a, b >= 0")
+    pos = a > 0
+    ratio = np.divide(b, a, out=np.zeros(a.shape), where=pos)
+    gam = np.where(pos, np.minimum(np.maximum(np.sqrt(ratio), 1.0), m),
+                   np.where(b > 0, m, 1.0))
+    for j in np.flatnonzero(a - b / m ** 2 < 0):
+        gam[j] = gamma_pointwise_optimum(a[j], b[j], m, w)
+    return gam
+
+
 def minimize_aux_penalized(m: float, params: ModelParams, h: float,
                            n: int = 512, outer_iter: int = 60,
                            tol_outer: float = 1e-11
@@ -660,7 +710,9 @@ def minimize_aux_penalized(m: float, params: ModelParams, h: float,
     F_m(gamma, g) = F(gamma, g) + (1/(4h)) int (gamma - m)_+^2:
     exact pointwise gamma update, projected descent in g at frozen gamma.
 
-    Returns (gamma_m, g_m, value) as full-period profiles.
+    Returns (gamma_m, g_m, value) as full-period profiles.  Raises
+    ConvergenceError when ``outer_iter`` rounds end without a decrease
+    below ``tol_outer``.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -675,7 +727,6 @@ def minimize_aux_penalized(m: float, params: ModelParams, h: float,
                      / (4.0 * h))
 
     prev = np.inf
-    value = np.inf
     for _ in range(outer_iter):
         res = minimize_profile(params, h, n=n, g0_base=gb,
                                gamma=gamma_full)
@@ -684,9 +735,7 @@ def minimize_aux_penalized(m: float, params: ModelParams, h: float,
         D = obj.slope(G)
         a_w = obj.A * D ** 2 * dx
         b_w = obj.B * double_well(G) * dx
-        w = dx / (4.0 * h)
-        gamma_full = np.array([gamma_pointwise_optimum(a_w[j], b_w[j], m, w)
-                               for j in range(n)])
+        gamma_full = _gamma_update(a_w, b_w, m, dx / (4.0 * h))
         # keep the coefficient in the reflection class
         mirror = _reflect(gamma_full[: mm + 1], odd=False)[:-1]
         gamma_full = 0.5 * (gamma_full + mirror)
@@ -694,6 +743,10 @@ def minimize_aux_penalized(m: float, params: ModelParams, h: float,
         if prev - value < tol_outer:
             break
         prev = value
+    else:
+        raise ConvergenceError(
+            f"no decrease below {tol_outer:.1e} in {outer_iter} outer "
+            "iterations")
     gam_prof = Profile1D(n, 2.0 * h, np.clip(G, 0.0, 1.0), gamma_full)
     e_final = f1d(gamma_full, gam_prof, params) + penalty(gamma_full)
     return (gam_prof, Profile1D(n, 2.0 * h, np.clip(G, 0.0, 1.0)),

@@ -238,3 +238,49 @@ def stripe_search_direct(u: PeriodicField, h_grid, nu_grid
                 if dist < best[0]:
                     best = (dist, ax, float(h), float(nu))
     return best
+
+
+def profile_energy_direct(G: np.ndarray, gamma, params: ModelParams,
+                          L: float, tol: float = 1e-8
+                          ) -> tuple[float, float, float]:
+    """Reference (local, nonlocal, F1d) of n samples G of an L-periodic
+    profile by the ``np.roll`` and ``double_well`` arithmetic
+    ``onedim._ProfileObjective`` had before it evaluated W inline and took
+    differences by slicing, in the same operation order, so the two agree
+    bit for bit.  gamma is None, a scalar or n samples."""
+    n = G.size
+    dx = L / n
+    c = kernel.c_tau(params)
+    A = 3.0 * (c - 1.0) * params.alpha / L
+    B = 3.0 * (c - 1.0) / (L * params.alpha)
+    D = (np.roll(G, -1) - G) / dx
+    grad2, well = D ** 2, double_well(G)
+    if gamma is not None:
+        grad2 = np.multiply(gamma, grad2, out=np.zeros(n), where=D != 0)
+        well = well / gamma
+    grad_int, well_int = float(np.sum(grad2) * dx), float(np.sum(well) * dx)
+    op = kernel.marginal_operator(L, n, params, tol)
+    local = A * grad_int + B * well_int
+    nonlocal_ = dx * dx * op.pair_sum(G) / L
+    return local, nonlocal_, local - nonlocal_
+
+
+def profile_grad_direct(G: np.ndarray, gamma, params: ModelParams,
+                        L: float, tol: float = 1e-8
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Reference (gradient of F1d, interaction field) by the arithmetic of
+    ``profile_energy_direct``, in the same operation order as
+    ``onedim._ProfileObjective.grad`` and ``interaction``."""
+    n = G.size
+    dx = L / n
+    c = kernel.c_tau(params)
+    A = 3.0 * (c - 1.0) * params.alpha / L
+    B = 3.0 * (c - 1.0) / (L * params.alpha)
+    gam = 1.0 if gamma is None else gamma
+    gD = gam * ((np.roll(G, -1) - G) / dx)
+    op = kernel.marginal_operator(L, n, params, tol)
+    interaction = op.conv(G) - op.ksum * G
+    grad = (A * 2.0 * (np.roll(gD, 1) - gD)
+            + B * double_well_prime(G) / gam * dx)
+    grad += (4.0 * dx * dx / L) * interaction
+    return grad, interaction

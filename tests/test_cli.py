@@ -11,6 +11,7 @@ from click.testing import CliRunner
 from stripes.cli import FORMAT_VERSION, main
 from stripes.field import PeriodicField, write_pfd
 from stripes.model import ModelParams
+from stripes.solvers import STOP_REASONS
 
 
 @pytest.fixture
@@ -309,3 +310,5 @@ def test_sidecar_reruns_every_command(runner, tmp_path, case):
     assert b["report"] == a["report"]
     assert b["passed"] is a["passed"]
     assert _payload(out_b / f"{name}_config.json") == _payload(sidecar)
+    if case == "minimize-1d":
+        assert a["report"]["stop"] in STOP_REASONS

@@ -49,6 +49,31 @@ def test_f1d_gamma_one_dominates_where_gradient_dominates(ps1):
         assert f1d(None, g, ps1) < f1d(gam, g, ps1)
 
 
+@pytest.mark.parametrize("bad, worst", [
+    (-1.0, "-1.0"), (0.0, "0.0"), (np.nan, "nan"), (1.0 - 1e-9, "0.999"),
+    ([1.0] * 31 + [np.nan], "nan"), ([2.0] * 31 + [0.5], "0.5")])
+def test_gamma_below_one_or_nan_is_rejected(ps1, bad, worst):
+    g = Profile1D(32, 2.0, smooth_profile(32, 2.0,
+                                          np.random.default_rng(5)))
+    gam = bad if np.isscalar(bad) else np.array(bad)
+    calls = [lambda: f1d(gam, g, ps1),
+             lambda: confined_split(gam, g, ps1),
+             lambda: minimize_profile(ps1, 1.0, n=32, gamma=gam)]
+    if np.isscalar(bad):
+        x = np.linspace(0.0, 1.0, 33)
+        calls.append(lambda: chessboard_check(
+            gam, 0.5 + 0.4 * np.sin(np.pi * x), [0.0, 1.0], ps1, x_grid=x))
+    for call in calls:
+        with pytest.raises(ValueError, match=f"got {worst}"):
+            call()
+
+
+def test_gamma_within_clamp_tolerance_of_one_is_accepted(ps1):
+    g = Profile1D(32, 2.0, smooth_profile(32, 2.0,
+                                          np.random.default_rng(5)))
+    assert np.isfinite(f1d(1.0 - 1e-13, g, ps1))
+
+
 def test_confined_split_sums_to_f1d(ps1):
     rng = np.random.default_rng(22)
     g = Profile1D(128, 2.0, smooth_profile(128, 2.0, rng))
@@ -141,6 +166,7 @@ def test_minimize_profile_structure(ps1):
 def test_minimize_profile_last_trace_row_is_final_iteration(ps1):
     res = minimize_profile(ps1, 1.58, n=64)
     assert res.trace[-1][0] == res.iterations
+    assert res.stop in ("grad", "stall", "line_search")
 
 
 def test_minimize_profile_monotone_plateau(ps1):
@@ -218,6 +244,15 @@ def test_gamma_pointwise_optimum_brute_force():
                 + w * np.maximum(grid - m, 0.0) ** 2)
         f_star = a * star + b / star + w * max(star - m, 0.0) ** 2
         assert f_star <= vals.min() + 1e-8
+
+
+def test_penalized_family_raises_when_outer_loop_runs_out(ps1):
+    # the first round always counts as a decrease (from +inf), so one
+    # round can never pass the stopping test
+    with pytest.raises(ConvergenceError, match="1 outer iterations"):
+        minimize_aux_penalized(10, ps1, 1.58, n=64, outer_iter=1)
+    _, _, value = minimize_aux_penalized(10, ps1, 1.58, n=64)
+    assert np.isfinite(value)
 
 
 def test_gamma_limit_study_collapses(ps1):
