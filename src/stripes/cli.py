@@ -280,7 +280,7 @@ def verify_el(cfg, out):
     n0, h0 = int(cfg["n"]), float(cfg["h"])
     rep = {"n": [], "l2_residual": [], "residual_samples": [],
            "first_integral_gap4": [], "first_integral_gap2": [],
-           "gamma3_ok": []}
+           "gamma3_ok": [], "stop": []}
     for nn in (n0, 2 * n0):
         res = _onedim.minimize_profile(params, h0, n=nn)
         diag = _onedim.el_residual(None, res.profile.full(), params)
@@ -295,6 +295,7 @@ def verify_el(cfg, out):
         rep["first_integral_gap4"].append(diag.first_integral_gap4)
         rep["first_integral_gap2"].append(diag.first_integral_gap2)
         rep["gamma3_ok"].append(diag.gamma3_ok)
+        rep["stop"].append(res.stop)
     fi = rep["first_integral_gap4"]
     rep["first_integral_ratio"] = fi[0] / fi[1] if fi[1] else np.inf
     return rep, rep["first_integral_ratio"] >= 1.8 and all(rep["gamma3_ok"])

@@ -15,8 +15,9 @@ bound reduces to Wcal (C_tau - 2) >= 0 up to rounding.
 
 All discrete gradients are forward differences; the partition between the
 active set {||grad u||_1 > delta_grad} (feeding Mbar) and the flat set
-(feeding Wcal) uses one shared threshold so no double-well mass is dropped
-or double counted.
+(feeding Wcal) uses one shared threshold, ``default_delta_grad(u)``, so no
+double-well mass is dropped or double counted.  The periodized kernels are
+truncated at KERNEL_TOL (``cross_term`` also takes another tolerance).
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from .energy import total_energy
 from .field import PeriodicField, gradient
 from .model import ModelParams, double_well
 
+KERNEL_TOL = 1e-7   # truncation tolerance of the periodized kernel grids
+
 
 def default_delta_grad(u: PeriodicField) -> float:
     """Active-gradient threshold: effectively exact zero detection."""
@@ -42,7 +45,7 @@ def _grad_l1(diffs: list[np.ndarray]) -> np.ndarray:
     return sum(np.abs(g) for g in diffs)
 
 
-def _axis_operator(u: PeriodicField, params: ModelParams, tol: float
+def _axis_operator(u: PeriodicField, params: ModelParams
                    ) -> _kernel.PeriodicKernelOperator:
     """Operator of the lattice marginal of the periodized kernel grid along
     one axis (the same on every axis, by symmetry).
@@ -51,7 +54,7 @@ def _axis_operator(u: PeriodicField, params: ModelParams, tol: float
     it (rather than the closed-form marginal) makes the cross-term identity
     exact on the lattice.
     """
-    kgrid = _kernel.periodized_kernel_grid(u.L, u.n, params, tol=tol)
+    kgrid = _kernel.periodized_kernel_grid(u.L, u.n, params, tol=KERNEL_TOL)
     return _kernel.PeriodicKernelOperator(
         _kernel.lattice_marginal(kgrid, 0, u.h_grid))
 
@@ -78,16 +81,14 @@ class DecompositionReport:
         })
 
 
-def _mm_densities(u: PeriodicField, alpha: float, delta_grad: float | None
+def _mm_densities(u: PeriodicField, alpha: float
                   ) -> tuple[list[np.ndarray], np.ndarray]:
     """Density of Mbar^i on the grid for every axis i,
         3 alpha |d_i u| ||grad u||_1 + (3/alpha) W(u) |d_i u| / ||grad u||_1,
     and the active set {||grad u||_1 > delta_grad} it is integrated over."""
-    if delta_grad is None:
-        delta_grad = default_delta_grad(u)
     diffs = gradient(u)
     gl1 = _grad_l1(diffs)
-    active = gl1 > delta_grad
+    active = gl1 > default_delta_grad(u)
     w = double_well(u.values)
     dens = []
     for g in diffs:
@@ -104,36 +105,28 @@ def _line(u: PeriodicField, ax: int, x_perp) -> tuple:
     return idx[:ax] + (slice(None),) + idx[ax:]
 
 
-def directional_mm(u: PeriodicField, i: int, x_perp, params: ModelParams,
-                   s: float = 0.0, t: float | None = None,
-                   delta_grad: float | None = None) -> float:
+def directional_mm(u: PeriodicField, i: int, x_perp, params: ModelParams
+                   ) -> float:
     """Directional interfacial density along the slice through ``x_perp``:
 
-    integral over [s, t] on the active set of
+    integral over the slice [0, L) on the active set of
         3 alpha |d_i u| ||grad u||_1 + (3/alpha) W(u) |d_i u| / ||grad u||_1.
     """
-    if t is None:
-        t = u.L
-    if not (0.0 <= s <= t <= u.L + 1e-12 * u.L):
-        raise ValueError("need 0 <= s <= t <= L")
-    dens, active = _mm_densities(u, params.alpha, delta_grad)
+    dens, active = _mm_densities(u, params.alpha)
     line = _line(u, i - 1, x_perp)
-    x = np.arange(u.n) * u.h_grid
-    window = (x >= s - 1e-12 * u.L) & (x <= t + 1e-12 * u.L)
-    return float(np.sum(dens[i - 1][line][active[line] & window]) * u.h_grid)
+    return float(np.sum(dens[i - 1][line][active[line]]) * u.h_grid)
 
 
-def directional_g(u: PeriodicField, i: int, x_perp, params: ModelParams,
-                  delta_grad: float | None = None, tol: float = 1e-7
+def directional_g(u: PeriodicField, i: int, x_perp, params: ModelParams
                   ) -> float:
     """Slice coercivity term:
     Mbar^i(0, L) * C_tau  minus the slice 1D nonlocal term.
 
     Nonnegative, zero exactly on constant slices.
     """
-    mbar = directional_mm(u, i, x_perp, params, delta_grad=delta_grad)
+    mbar = directional_mm(u, i, x_perp, params)
     line = u.values[_line(u, i - 1, x_perp)]
-    nl = _axis_operator(u, params, tol).pair_sum(line) * u.h_grid ** 2
+    nl = _axis_operator(u, params).pair_sum(line) * u.h_grid ** 2
     return mbar * _kernel.c_tau(params) - nl
 
 
@@ -153,7 +146,7 @@ def _cross_table(values: np.ndarray, ax: int) -> np.ndarray:
 
 
 def cross_term(u: PeriodicField, i: int, params: ModelParams,
-               trunc_radius: float | None = None, tol: float = 1e-7
+               trunc_radius: float | None = None, tol: float = KERNEL_TOL
                ) -> float:
     """Nonnegative cross term
 
@@ -214,58 +207,52 @@ def cross_term_tail_bound(trunc_radius: float, u: PeriodicField,
     return 4.0 / d * u.L ** d * tail * 1.5
 
 
-def flat_penalty(u: PeriodicField, params: ModelParams,
-                 delta_grad: float | None = None) -> float:
-    """(3/alpha) sum W(u) vol over the flat set {||grad u||_1 <= delta_grad}."""
-    if delta_grad is None:
-        delta_grad = default_delta_grad(u)
+def flat_penalty(u: PeriodicField, params: ModelParams) -> float:
+    """(3/alpha) sum W(u) vol over the flat set {||grad u||_1 <= delta_grad},
+    with delta_grad = ``default_delta_grad(u)``."""
     gl1 = _grad_l1(gradient(u))
-    flat = gl1 <= delta_grad
+    flat = gl1 <= default_delta_grad(u)
     vol = u.h_grid ** u.dims
     return float((3.0 / params.alpha)
                  * np.sum(double_well(u.values[flat])) * vol)
 
 
-def lower_bound_report(u: PeriodicField, params: ModelParams,
-                       delta_grad: float | None = None,
-                       trunc_radius: float | None = None,
-                       tol: float = 1e-7) -> DecompositionReport:
+def lower_bound_report(u: PeriodicField, params: ModelParams
+                       ) -> DecompositionReport:
     """Assemble the directional lower bound and its slack against the full
     energy, with a single shared kernel grid and gradient threshold."""
     if u.dims != params.d:
         raise ValueError("field dimension does not match params.d")
     d = u.dims
     vol = u.h_grid ** d
-    dens, active = _mm_densities(u, params.alpha, delta_grad)
+    dens, active = _mm_densities(u, params.alpha)
     ctau = _kernel.c_tau(params)
 
-    axis_op = _axis_operator(u, params, tol)
+    axis_op = _axis_operator(u, params)
 
     mbars = [float(np.sum(dens[ax][active]) * vol) for ax in range(d)]
     gbars = [mbar * ctau
              - axis_op.pair_sum(u.values, axis=ax) * u.h_grid ** (d + 1)
              for ax, mbar in enumerate(mbars)]
-    crosses = [cross_term(u, ax + 1, params, tol=tol,
-                          trunc_radius=trunc_radius) if d > 1 else 0.0
+    crosses = [cross_term(u, ax + 1, params) if d > 1 else 0.0
                for ax in range(d)]
 
-    wcal = flat_penalty(u, params, delta_grad)
+    wcal = flat_penalty(u, params)
     lower = (sum(-m + g for m, g in zip(mbars, gbars)) + sum(crosses)
              + wcal) / u.L ** d
-    full = total_energy(u, params, tol=tol).total
+    full = total_energy(u, params, tol=KERNEL_TOL).total
     return DecompositionReport(
         mbar=tuple(mbars), gbar=tuple(gbars), cross=tuple(crosses),
         wcal=wcal, lower_bound=lower, full_energy=full, slack=full - lower)
 
 
-def slice_tables(u: PeriodicField, params: ModelParams,
-                 delta_grad: float | None = None, tol: float = 1e-7
+def slice_tables(u: PeriodicField, params: ModelParams
                  ) -> list[tuple[int, int, float, float]]:
     """Rows (i, slice_index, mbar, gbar) for every direction and slice line
     (slice lines enumerated in row-major order over the perpendicular grid).
     """
-    dens, active = _mm_densities(u, params.alpha, delta_grad)
-    axis_op = _axis_operator(u, params, tol)
+    dens, active = _mm_densities(u, params.alpha)
+    axis_op = _axis_operator(u, params)
     ctau = _kernel.c_tau(params)
     rows = []
     for ax in range(u.dims):
@@ -285,9 +272,7 @@ def write_slice_csv(path, rows) -> None:
 
 
 def positivity_identity_check(u: PeriodicField, j: int, axis_subset,
-                              trunc_radius: float | None = None,
-                              params: ModelParams | None = None,
-                              tol: float = 1e-7
+                              params: ModelParams
                               ) -> tuple[float, float, float]:
     """Check the signed cross-correlation identity
 
@@ -301,15 +286,13 @@ def positivity_identity_check(u: PeriodicField, j: int, axis_subset,
     side as a quarter of the full-lag sum, which equals the half-lag form by
     symmetry).  Returns (lhs, rhs, gap).
     """
-    if params is None:
-        raise ValueError("params required")
     ax = j - 1
     subset = [a - 1 for a in np.atleast_1d(axis_subset).astype(int)]
     if ax in subset:
         raise ValueError("j must not belong to axis_subset")
     if any(not (0 <= a < u.dims) for a in subset + [ax]):
         raise IndexError("axis out of range")
-    kgrid = _kernel.periodized_kernel_grid(u.L, u.n, params, tol=tol)
+    kgrid = _kernel.periodized_kernel_grid(u.L, u.n, params, tol=KERNEL_TOL)
     n, d = u.n, u.dims
     vals = u.values
     vol2 = u.h_grid ** (2 * d)

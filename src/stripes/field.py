@@ -26,6 +26,14 @@ class GridMismatchError(ValueError):
     """Operands live on incompatible grids."""
 
 
+def check_gamma(gam: np.ndarray) -> None:
+    """Reject coefficient samples that are NaN or below 1 - CLAMP_TOL with
+    a ValueError naming the smallest; +inf is allowed."""
+    worst = np.min(gam)  # NaN if any entry is NaN
+    if not worst >= 1.0 - CLAMP_TOL:
+        raise ValueError(f"gamma entries must be >= 1, got {worst}")
+
+
 @dataclass(frozen=True)
 class PeriodicField:
     """A [0, L)^d-periodic scalar field with values in [0, 1].
@@ -85,8 +93,7 @@ class Profile1D:
             gam = np.asarray(self.gamma, dtype=float)
             if gam.shape != (self.n,):
                 raise ValueError("gamma must match g in length")
-            if np.any(gam < 1.0 - CLAMP_TOL):
-                raise ValueError("gamma entries must be >= 1")
+            check_gamma(gam)
             gam = np.maximum(gam, 1.0)
             gam.setflags(write=False)
             object.__setattr__(self, "gamma", gam)

@@ -4,15 +4,17 @@ symmetry-breaking experiment.
 The descent direction smooths the 1-norm in the interfacial term with
 ``sqrt(D_i^2 + kappa^2)``; line-search acceptance and all reported numbers
 use the exact (unsmoothed) energy, so the monotone-decrease invariant refers
-to the true functional.  A flow builds one ``energy._FieldObjective``,
-which resolves the kernel operator and the prefactors once, and hands its
-``energy`` and ``grad`` on raw arrays to ``solvers.projected_bb``: each of
-the KAPPA_STAGES kappa stages runs it with the fixed STEP0, TOL_ENERGY and
-TOL_GRAD, and the trace keeps why each stage stopped.  The last trace
-entry of a flow is the exact energy of the field it returns, so the
-benchmark and the experiment's runs report it without evaluating it again.
-The stripe search rasterizes each candidate stripe profile once and
-compares it with the field by broadcasting.
+to the true functional.  A flow builds one ``energy._FieldObjective`` at
+its default kernel truncation, which resolves the kernel operator and the
+prefactors once, and hands its ``energy`` and ``grad`` on raw arrays to
+``solvers.projected_bb``: each of the KAPPA_STAGES kappa stages, starting
+at KAPPA, runs it with the fixed STEP0, TOL_ENERGY and TOL_GRAD, and the
+trace keeps why each stage stopped.  The last trace entry of a flow is the
+exact energy of the field it returns, so the benchmark and the
+experiment's runs report it without evaluating it again.  The stripe search rasterizes each candidate stripe profile once and
+compares it with the field by broadcasting.  Without a given h*, the
+experiment takes it from ``onedim.optimal_period`` over H_RANGE at SEARCH_N
+samples.
 """
 from __future__ import annotations
 
@@ -32,22 +34,21 @@ from .model import ModelParams
 from .solvers import projected_bb
 
 
+KAPPA = 1e-3        # smoothing scale of the first stage
 KAPPA_STAGES = 3    # continuation: kappa -> kappa/10 per stage
 STEP0 = 1.0
 TOL_ENERGY = 1e-12
 TOL_GRAD = 1e-6
+# the period search that fixes h* when the experiment is not given one
+SEARCH_N = 512
+H_RANGE = (0.3, 40.0)
 
 
 @dataclass(frozen=True)
 class FlowOptions:
-    kappa: float = 1e-3
     max_iter: int = 5000
     trace_every: int = 10
     seed: int = 0
-
-    def __post_init__(self):
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
 
 
 @dataclass(frozen=True)
@@ -72,15 +73,13 @@ class StripeMetrics:
     best_nu: float
     l1_to_best_stripes: float
     fourier_anisotropy: float
-    energy_gap_to_1d: float
 
     def to_json(self) -> str:
         return json.dumps({
             "best_axis": self.best_axis, "best_h": self.best_h,
             "best_nu": self.best_nu,
             "l1_to_best_stripes": self.l1_to_best_stripes,
-            "fourier_anisotropy": self.fourier_anisotropy,
-            "energy_gap_to_1d": self.energy_gap_to_1d})
+            "fourier_anisotropy": self.fourier_anisotropy})
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +87,7 @@ class StripeMetrics:
 # ---------------------------------------------------------------------------
 
 def energy_gradient(u: PeriodicField, params: ModelParams,
-                    kappa: float = 1e-3, tol: float = 1e-7,
+                    kappa: float = KAPPA, tol: float = 1e-7,
                     shells: int | None = None) -> np.ndarray:
     """Partial derivatives dE/du_j of the discrete energy whose interfacial
     term uses the smoothed anisotropic norm sum_i sqrt(D_i^2 + kappa^2).
@@ -108,24 +107,23 @@ def energy_gradient(u: PeriodicField, params: ModelParams,
 # ---------------------------------------------------------------------------
 
 def gradient_flow(u0: PeriodicField, params: ModelParams,
-                  opts: FlowOptions | None = None, tol_kernel: float = 1e-7,
-                  shells: int | None = None
+                  opts: FlowOptions | None = None
                   ) -> tuple[PeriodicField, FlowTrace]:
     """Projected descent of the exact energy with box projection onto [0, 1].
 
     Backtracking guarantees a strictly monotone energy trace; the smoothing
-    scale follows the continuation schedule kappa -> kappa / 10 after each
-    stage, KAPPA_STAGES times in total.
+    scale starts at KAPPA and follows the continuation schedule
+    kappa -> kappa / 10 after each stage, KAPPA_STAGES times in total.
     """
     opts = opts or FlowOptions()
-    obj = _energy._FieldObjective.of(u0, params, tol_kernel, shells)
+    obj = _energy._FieldObjective.of(u0, params)
     v = np.array(u0.values, dtype=float)
     e = obj.energy(v)
     trace = [(0, e, STEP0)]
     stops = []
     it = 0
     converged = False
-    kappa = opts.kappa
+    kappa = KAPPA
     for _ in range(KAPPA_STAGES):
         res = projected_bb(v, e, obj.energy, partial(obj.grad, kappa=kappa),
                            0.0, 1.0, step0=STEP0, max_iter=opts.max_iter,
@@ -160,16 +158,11 @@ def fourier_anisotropy(u: PeriodicField, axis: int) -> float:
     return line / nondc
 
 
-def stripe_metrics(u: PeriodicField, params: ModelParams,
-                   h_grid, nu_grid, benchmark_energy: float | None = None,
-                   tol: float = 1e-7, shells: int | None = None
-                   ) -> StripeMetrics:
+def stripe_metrics(u: PeriodicField, h_grid, nu_grid) -> StripeMetrics:
     """Exhaustive projection of ``u`` onto rasterized stripe patterns.
 
     Minimizes the volume-normalized L1 distance over axis x h_grid x
     nu_grid; the spectral anisotropy is reported for the minimizing axis.
-    ``energy_gap_to_1d`` is total_energy(u) - benchmark_energy (NaN when no
-    benchmark is supplied).
     """
     d, n, L = u.dims, u.n, u.L
     vol = u.h_grid ** d
@@ -190,13 +183,9 @@ def stripe_metrics(u: PeriodicField, params: ModelParams,
             if dist < best[0]:
                 best = (dist, ax + 1, h, nu)
     dist, ax, h, nu = best
-    gap = np.nan if benchmark_energy is None else (
-        _energy.total_energy(u, params, tol=tol, shells=shells).total
-        - benchmark_energy)
     return StripeMetrics(best_axis=ax, best_h=h, best_nu=nu,
                          l1_to_best_stripes=dist,
-                         fourier_anisotropy=fourier_anisotropy(u, ax),
-                         energy_gap_to_1d=float(gap))
+                         fourier_anisotropy=fourier_anisotropy(u, ax))
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +213,7 @@ def _thread_count(threads: int | None) -> int:
 
 
 def tiled_stripe_benchmark(params: ModelParams, h_star: float, k: int,
-                           n: int, opts: FlowOptions | None = None,
-                           tol: float = 1e-7, shells: int | None = None
+                           n: int, opts: FlowOptions | None = None
                            ) -> tuple[PeriodicField, float]:
     """Best one-dimensional competitor on the n^d flow grid: the binary
     k-fold stripe tiling of half-period h*, polished by the same gradient
@@ -235,8 +223,7 @@ def tiled_stripe_benchmark(params: ModelParams, h_star: float, k: int,
         raise ValueError("2k must divide n so periods align with the grid")
     L = 2.0 * k * h_star
     u0 = make_stripes(StripeSpec(1, h_star, 0.0), L, n, params.d)
-    u, tr = gradient_flow(u0, params, opts or FlowOptions(),
-                          tol_kernel=tol, shells=shells)
+    u, tr = gradient_flow(u0, params, opts)
     return u, tr.entries[-1][1]
 
 
@@ -244,12 +231,9 @@ def symmetry_breaking_experiment(params: ModelParams, k: int = 1,
                                  n: int = 64, n_seeds: int = 10,
                                  opts: FlowOptions | None = None,
                                  h_star: float | None = None,
-                                 search_n: int = 512,
-                                 h_range: tuple[float, float] = (0.3, 40.0),
                                  anisotropy_threshold: float = 0.95,
                                  gap_threshold: float = 0.02,
-                                 threads: int | None = None,
-                                 tol_kernel: float = 1e-7) -> dict:
+                                 threads: int | None = None) -> dict:
     """Gradient-flow runs from uniform-noise seeds on the torus of side
     L = 2 k h*, scored against the k-fold tiling of the 1D optimum.
 
@@ -260,13 +244,13 @@ def symmetry_breaking_experiment(params: ModelParams, k: int = 1,
     opts = opts or FlowOptions()
     workers = _thread_count(threads)
     if h_star is None:
-        search = _onedim.optimal_period(params, h_range, n=search_n)
+        search = _onedim.optimal_period(params, H_RANGE, n=SEARCH_N)
         h_star = search.h_star
     L = 2.0 * k * h_star
     run_params = replace(params, L=L)
 
     bench_u, bench_e = tiled_stripe_benchmark(run_params, h_star, k, n,
-                                              opts=opts, tol=tol_kernel)
+                                              opts=opts)
     h_grid = [L / (2 * j) for j in range(1, max(2 * k + 2, 4))
               if (n * (2 * (L / (2 * j))) / L) % 1 == 0
               and n % (2 * j) == 0]
@@ -280,8 +264,8 @@ def symmetry_breaking_experiment(params: ModelParams, k: int = 1,
         rng = np.random.default_rng(seed)
         u0 = PeriodicField(run_params.d, n, L,
                            rng.uniform(0.0, 1.0, (n,) * run_params.d))
-        uf, tr = gradient_flow(u0, run_params, opts, tol_kernel=tol_kernel)
-        m = stripe_metrics(uf, run_params, h_grid, nu_grid)
+        uf, tr = gradient_flow(u0, run_params, opts)
+        m = stripe_metrics(uf, h_grid, nu_grid)
         ef = tr.entries[-1][1]     # the exact energy of uf
         rel_gap = (ef - bench_e) / (abs(bench_e) + 1e-30)
         return {"seed": seed, "energy": ef, "converged": tr.converged,

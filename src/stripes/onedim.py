@@ -18,20 +18,27 @@ pointwise gamma update, and Euler-Lagrange diagnostics.
 
 Discretization: n samples on [0, L), forward differences, rectangle sums,
 nonlocal term through the cached operator of the certified periodized
-marginal kernel (``kernel.marginal_operator``).  ``_ProfileObjective`` is
-the one evaluation of the discrete F1d (split, gradient, interaction
-field) and ``_reflect`` the one reflection.  The objective works on raw
-arrays and checks none of them: profiles are checked where they enter
-(``Profile1D``, ``ReflectedProfile``, the descent's projection onto
-[1/2, 1]) and coefficients by ``_gamma_array`` in the public functions
-that take them.  In the profile descent
+marginal kernel (``kernel.marginal_operator``), truncated at F1D_TOL in
+``f1d`` and ``confined_split`` and at PROFILE_TOL in the descent and the
+Euler-Lagrange diagnostics.  ``_ProfileObjective`` is the one evaluation
+of the discrete F1d (split, gradient, interaction field) and ``_reflect``
+the one reflection.  The objective works on raw arrays and checks none
+of them: profiles are checked where they enter (``Profile1D``,
+``ReflectedProfile``, the descent's projection onto [1/2, 1]) and
+coefficients by ``_gamma_array`` in the public functions that take them.
+In the profile descent
 (``solvers.projected_bb`` with the fixed MAX_ITER, TOL_ENERGY, TOL_GRAD,
 STEP0 and TRACE_EVERY) n is even, the free variables are g[1..n/2-1] in
 [1/2, 1] with both endpoints pinned at 1/2, and gradients on the full
 period are folded back onto the base through the reflection.  The period
 search is ``solvers.scan_golden``.  The penalized family updates gamma at
 all samples at once in closed form (``_gamma_update``) and runs the scalar
-``gamma_pointwise_optimum`` only where its penalized piece can win.
+``gamma_pointwise_optimum`` only where its penalized piece can win; its
+alternating loop stops on TOL_OUTER.  The fixed thresholds of the checks
+are module constants too: CROSSING_TOL for the 1/2-crossings of the
+reflections, EL_DELTA for the bands next to the obstacles that the
+Euler-Lagrange diagnostics leave out, and GAMMA_TOL for the measure of
+{gamma > 1 + GAMMA_TOL} in the gamma-limit study.
 """
 
 from __future__ import annotations
@@ -42,10 +49,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel as _kernel
-from .field import Profile1D
-from .model import CLAMP_TOL, ModelParams, double_well, double_well_prime
+from .field import Profile1D, check_gamma
+from .model import ModelParams, double_well, double_well_prime
 from .solvers import (ACTIVE_TOL, NoBracketError, brentq, projected_bb,
                       scan_golden)
+
+
+# kernel truncation of ``f1d`` and ``confined_split``, and of the descent
+# and the EL diagnostics
+F1D_TOL = 1e-7
+PROFILE_TOL = 1e-8
+# distance from a 1/2-crossing that the reflection checks tolerate
+CROSSING_TOL = 1e-9
+# the EL diagnostics leave out the bands {g < EL_DELTA} and
+# {g > 1 - EL_DELTA} next to the obstacles
+EL_DELTA = 0.05
 
 
 class ConvergenceError(RuntimeError):
@@ -118,7 +136,8 @@ def _reflect(v: np.ndarray, odd: bool = True) -> np.ndarray:
     return np.concatenate([v, 1.0 - back if odd else back])
 
 
-def reflect_left(g: np.ndarray, i0: int, tol: float = 1e-9) -> np.ndarray:
+def reflect_left(g: np.ndarray, i0: int, tol: float = CROSSING_TOL
+                 ) -> np.ndarray:
     """Left reflection about grid point i0: keep samples with index <= i0,
     replace the rest of a window of equal width by 1 - g mirrored."""
     if not (0 <= i0 < g.size):
@@ -128,7 +147,8 @@ def reflect_left(g: np.ndarray, i0: int, tol: float = 1e-9) -> np.ndarray:
     return _reflect(g[: i0 + 1])
 
 
-def reflect_right(g: np.ndarray, i0: int, tol: float = 1e-9) -> np.ndarray:
+def reflect_right(g: np.ndarray, i0: int, tol: float = CROSSING_TOL
+                  ) -> np.ndarray:
     """Right reflection about grid point i0 (mirror image of reflect_left)."""
     return reflect_left(g[::-1], g.size - 1 - i0, tol)[::-1]
 
@@ -138,8 +158,9 @@ def reflect_right(g: np.ndarray, i0: int, tol: float = 1e-9) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _gamma_array(gamma, n: int) -> np.ndarray:
-    """gamma (None for 1, a scalar, or n samples) as n samples; NaN and
-    entries below 1 - CLAMP_TOL are rejected, +inf is allowed."""
+    """gamma (None for 1, a scalar, or n samples) as n samples, checked by
+    ``field.check_gamma``: NaN and entries below 1 are rejected, +inf is
+    allowed."""
     if gamma is None:
         return np.ones(n)
     if np.isscalar(gamma):
@@ -149,9 +170,7 @@ def _gamma_array(gamma, n: int) -> np.ndarray:
         if arr.shape != (n,):
             raise ValueError(
                 "gamma must be scalar or match the profile length")
-    worst = np.min(arr)  # NaN if any entry is NaN
-    if not worst >= 1.0 - CLAMP_TOL:
-        raise ValueError(f"gamma entries must be >= 1, got {worst}")
+    check_gamma(arr)
     return arr
 
 
@@ -167,7 +186,7 @@ class _ProfileObjective:
     and ``model.double_well_prime``."""
 
     def __init__(self, params: ModelParams, L: float, n: int,
-                 tol: float = 1e-8):
+                 tol: float = PROFILE_TOL):
         self.L = L
         self.n = n
         self.dx = L / n
@@ -227,23 +246,27 @@ class _ProfileObjective:
         return grad
 
 
-def f1d(gamma, g: Profile1D, params: ModelParams, L: float | None = None,
-        tol: float = 1e-7) -> float:
-    """The 1D energy per unit length; gamma may be None (g's own
-    coefficient, or 1), a scalar, or an array with +inf entries (infinite
-    entries meeting g' != 0 give +inf).
+def f1d(gamma, g: Profile1D, params: ModelParams, tol: float = F1D_TOL
+        ) -> float:
+    """The 1D energy per unit length on g's period; gamma may be None (g's
+    own coefficient, or 1), a scalar, or an array with +inf entries
+    (infinite entries meeting g' != 0 give +inf).
     """
-    if L is None:
-        L = g.L
-    elif abs(L - g.L) > 1e-12 * max(L, g.L):
-        raise ValueError("L does not match the profile period")
     gam = gamma if gamma is not None else g.gamma
-    return _ProfileObjective(params, L, g.n, tol).energy(
-        g.g, None if gam is None else _gamma_array(gam, g.n))
+    obj = _ProfileObjective(params, g.L, g.n, tol)
+    if gam is None:
+        return obj.energy(g.g)
+    gam = _gamma_array(gam, g.n)
+    inf = np.isinf(gam)
+    if inf.any() and np.any(obj.slope(g.g)[inf] != 0.0):
+        # decided here: A gamma |G'|^2 would read NaN where |G'|^2
+        # underflows to 0 or where A = 0 (C_tau = 1)
+        return np.inf
+    return obj.energy(g.g, gam)
 
 
-def confined_split(gamma, g: Profile1D, params: ModelParams,
-                   tol: float = 1e-7) -> tuple[float, float]:
+def confined_split(gamma, g: Profile1D, params: ModelParams
+                   ) -> tuple[float, float]:
     """Split the 1D energy as term1 + term2 with
 
         term1 = (3/L) (C_tau/2 - 1) int [ alpha gamma |g'|^2 + W/(alpha gamma) ]
@@ -252,7 +275,7 @@ def confined_split(gamma, g: Profile1D, params: ModelParams,
     For profiles confined to one side of 1/2 both parts are nonnegative once
     tau is small; returned for direct inspection.
     """
-    obj = _ProfileObjective(params, g.L, g.n, tol)
+    obj = _ProfileObjective(params, g.L, g.n, F1D_TOL)
     gam = _gamma_array(gamma, g.n)
     grad_int, well_int = obj.local_integrals(g.g, gam)
     mm = obj.alpha * grad_int + well_int / obj.alpha
@@ -273,23 +296,23 @@ def _quad_form(f: np.ndarray, x: np.ndarray, params: ModelParams) -> float:
 
 
 def reflection_positivity_check(g: Profile1D, x0: float, params: ModelParams,
-                                N: int = 2, tol: float = 1e-9
-                                ) -> tuple[float, float, float]:
+                                N: int = 2) -> tuple[float, float, float]:
     """Check that reflecting at a 1/2-crossing does not increase the
     nonlocal quadratic form on the window [-N L, N L]:
 
         Q(g - 1/2)  >=  1/2 [ Q(theta_l g - 1/2) + Q(theta_r g - 1/2) ],
 
     each side evaluated on its own (reflected) window against the open-line
-    marginal kernel.  Returns (lhs, rhs, gap = lhs - rhs), gap >= -tol
-    expected for every crossing.
+    marginal kernel; g(x0) must be 1/2 within CROSSING_TOL.  Returns
+    (lhs, rhs, gap = lhs - rhs), gap >= 0 up to rounding expected for every
+    crossing.
     """
     L, n = g.L, g.n
     dx = L / n
     i0_local = int(round(x0 / dx))
     if abs(i0_local * dx - x0) > 1e-9 * L:
         raise ValueError("x0 must lie on the sample grid")
-    if abs(g.g[i0_local % n] - 0.5) > tol:
+    if abs(g.g[i0_local % n] - 0.5) > CROSSING_TOL:
         raise CrossingError(f"g(x0) = {g.g[i0_local % n]} != 1/2")
 
     # window [-N L, N L) by periodic extension, crossing at index i0
@@ -301,9 +324,9 @@ def reflection_positivity_check(g: Profile1D, x0: float, params: ModelParams,
     f = G - 0.5
     lhs = _quad_form(f, x, params)
 
-    gl = reflect_left(G, i0, tol=tol)
+    gl = reflect_left(G, i0)
     xl = x[0] + np.arange(gl.size) * dx
-    gr = reflect_right(G, i0, tol=tol)
+    gr = reflect_right(G, i0)
     xr = x[i0] - (G.size - 1 - i0) * dx + np.arange(gr.size) * dx
     rhs = 0.5 * (_quad_form(gl - 0.5, xl, params)
                  + _quad_form(gr - 0.5, xr, params))
@@ -311,7 +334,7 @@ def reflection_positivity_check(g: Profile1D, x0: float, params: ModelParams,
 
 
 def chessboard_check(gamma, g: np.ndarray, crossings, params: ModelParams,
-                     x_grid: np.ndarray | None = None, tol: float = 1e-7
+                     x_grid: np.ndarray | None = None, tol: float = F1D_TOL
                      ) -> tuple[float, float, float]:
     """Chessboard estimate on a window [x_1, x_{m+1}] split at interior
     1/2-crossings x_1 < ... < x_{m+1} into one-signed arcs g_k:
@@ -472,10 +495,12 @@ class PeriodSearchResult:
     c_star: float
     profile: ReflectedProfile
     trace: tuple  # (h, value) pairs
+    stop: str     # why the descent at h* stopped: one of solvers.STOP_REASONS
 
     def to_json(self) -> str:
         return json.dumps({"h_star": self.h_star, "c_star": self.c_star,
-                           "trace": [list(t) for t in self.trace]})
+                           "trace": [list(t) for t in self.trace],
+                           "stop": self.stop})
 
 
 def optimal_period(params: ModelParams,
@@ -500,19 +525,20 @@ def optimal_period(params: ModelParams,
         raise ConvergenceError("no interior minimum over the h range",
                                trace) from None
     res = cache[h_star]
-    return PeriodSearchResult(h_star, res.value, res.profile, tuple(trace))
+    return PeriodSearchResult(h_star, res.value, res.profile, tuple(trace),
+                              res.stop)
 
 
 # ---------------------------------------------------------------------------
 # Euler-Lagrange diagnostics
 # ---------------------------------------------------------------------------
 
-def i_g_profile(g, params: ModelParams, tol: float = 1e-8) -> np.ndarray:
+def i_g_profile(g, params: ModelParams) -> np.ndarray:
     """Lattice I_g(x) = sum_z (G(x + z) - G(x)) Khat_per(z) dx at every
     sample, against the periodized marginal (the far field enters through
     the periodization)."""
     prof = g.full() if isinstance(g, ReflectedProfile) else g
-    obj = _ProfileObjective(params, prof.L, prof.n, tol)
+    obj = _ProfileObjective(params, prof.L, prof.n)
     return obj.dx * obj.interaction(prof.g)
 
 
@@ -562,13 +588,12 @@ class ELDiagnostics:
         })
 
 
-def el_residual(gamma, g, params: ModelParams, delta_el: float = 0.05,
-                tol: float = 1e-8) -> ELDiagnostics:
+def el_residual(gamma, g, params: ModelParams) -> ELDiagnostics:
     """Stationarity diagnostics for a candidate minimizer (gamma, g):
 
     - residual of 3 (C-1) alpha (gamma g')' = 3 (C-1) W'(g)/(2 gamma alpha)
-      + 2 I_g on {g < 1 - delta_el} (centered divided differences of the
-      half-point products gamma g');
+      + 2 I_g on {EL_DELTA < g < 1 - EL_DELTA} (centered divided
+      differences of the half-point products gamma g');
     - the same relation as a global inequality (>=, one-sided on the
       obstacle);
     - constancy of the first integral
@@ -592,20 +617,20 @@ def el_residual(gamma, g, params: ModelParams, delta_el: float = 0.05,
     Dc = (np.roll(G, -1) - np.roll(G, 1)) / (2.0 * dx)
     prod = gam * Dc
     div = (np.roll(prod, -1) - np.roll(prod, 1)) / (2.0 * dx)
-    ig = i_g_profile(prof, params, tol)
+    ig = i_g_profile(prof, params)
     lhs = pref * alpha * div
     rhs = pref * double_well_prime(G) / (2.0 * gam * alpha) + 2.0 * ig
     res = lhs - rhs
 
     # the equation holds strictly between the two obstacles; on the full
     # period the contact sets are {g = 1} and its mirror image {g = 0}
-    interior = (G < 1.0 - delta_el) & (G > delta_el)
+    interior = (G < 1.0 - EL_DELTA) & (G > EL_DELTA)
     res_interior = np.where(interior, res, np.nan)
     max_res = float(np.nanmax(np.abs(res_interior))) if interior.any() \
         else 0.0
     # one-sided multiplier signs on the contact sets: res >= 0 on {g = 1},
     # res <= 0 on the mirrored set {g = 0}
-    hi, lo = G >= 1.0 - delta_el, G <= delta_el
+    hi, lo = G >= 1.0 - EL_DELTA, G <= EL_DELTA
     sides = np.concatenate([res[hi], -res[lo]])
     ineq_min = float(np.min(sides)) if sides.size else 0.0
 
@@ -643,6 +668,13 @@ def el_residual(gamma, g, params: ModelParams, delta_el: float = 0.05,
 # ---------------------------------------------------------------------------
 # penalized coefficient family
 # ---------------------------------------------------------------------------
+
+# the alternating loop of ``minimize_aux_penalized`` stops once a round
+# lowers the penalized energy by less than TOL_OUTER; ``gamma_limit_study``
+# measures where gamma exceeds 1 + GAMMA_TOL
+TOL_OUTER = 1e-11
+GAMMA_TOL = 0.01
+
 
 def gamma_pointwise_optimum(a: float, b: float, m: float, w: float) -> float:
     """argmin over gamma in [1, inf) of a gamma + b / gamma
@@ -703,8 +735,7 @@ def _gamma_update(a: np.ndarray, b: np.ndarray, m: float, w: float
 
 
 def minimize_aux_penalized(m: float, params: ModelParams, h: float,
-                           n: int = 512, outer_iter: int = 60,
-                           tol_outer: float = 1e-11
+                           n: int = 512, outer_iter: int = 60
                            ) -> tuple[Profile1D, Profile1D, float]:
     """Alternating minimization of the penalized energy
     F_m(gamma, g) = F(gamma, g) + (1/(4h)) int (gamma - m)_+^2:
@@ -712,7 +743,7 @@ def minimize_aux_penalized(m: float, params: ModelParams, h: float,
 
     Returns (gamma_m, g_m, value) as full-period profiles.  Raises
     ConvergenceError when ``outer_iter`` rounds end without a decrease
-    below ``tol_outer``.
+    below TOL_OUTER.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -740,12 +771,12 @@ def minimize_aux_penalized(m: float, params: ModelParams, h: float,
         mirror = _reflect(gamma_full[: mm + 1], odd=False)[:-1]
         gamma_full = 0.5 * (gamma_full + mirror)
         value = obj.energy(G, gamma_full) + penalty(gamma_full)
-        if prev - value < tol_outer:
+        if prev - value < TOL_OUTER:
             break
         prev = value
     else:
         raise ConvergenceError(
-            f"no decrease below {tol_outer:.1e} in {outer_iter} outer "
+            f"no decrease below {TOL_OUTER:.1e} in {outer_iter} outer "
             "iterations")
     gam_prof = Profile1D(n, 2.0 * h, np.clip(G, 0.0, 1.0), gamma_full)
     e_final = f1d(gamma_full, gam_prof, params) + penalty(gamma_full)
@@ -754,10 +785,11 @@ def minimize_aux_penalized(m: float, params: ModelParams, h: float,
 
 
 def gamma_limit_study(params: ModelParams, h: float, m_schedule=(1, 10, 100),
-                      n: int = 512, gamma_tol: float = 0.01,
-                      delta: float = 0.05) -> dict:
+                      n: int = 512) -> dict:
     """Run the penalized family along ``m_schedule`` and report how far the
-    optimal coefficients sit from 1 and the strict-inequality margin."""
+    optimal coefficients sit from 1 (sup gamma - 1 and the measure of
+    {gamma > 1 + GAMMA_TOL}) and the strict-inequality margin on
+    {g < 1 - EL_DELTA}."""
     report = {"m": [], "value": [], "sup_gamma_minus_1": [],
               "measure_gamma_above": []}
     last = None
@@ -769,7 +801,7 @@ def gamma_limit_study(params: ModelParams, h: float, m_schedule=(1, 10, 100),
         report["value"].append(value)
         report["sup_gamma_minus_1"].append(float(np.max(gam) - 1.0))
         report["measure_gamma_above"].append(
-            float(np.sum(gam > 1.0 + gamma_tol) * dx))
+            float(np.sum(gam > 1.0 + GAMMA_TOL) * dx))
         last = (gam_prof, g_prof)
     gam_prof, g_prof = last
     G = g_prof.g
@@ -781,7 +813,7 @@ def gamma_limit_study(params: ModelParams, h: float, m_schedule=(1, 10, 100),
     # values in [1/2, 1]; the mirrored half repeats it through g -> 1 - g
     base = np.zeros(n, dtype=bool)
     base[: n // 2 + 1] = True
-    sel = base & (G < 1.0 - delta)
+    sel = base & (G < 1.0 - EL_DELTA)
     margin = float(np.min((alpha * gam_prof.gamma[sel] ** 2
                            * D_node[sel] ** 2
                            - double_well(G[sel]) / alpha))) if sel.any() \

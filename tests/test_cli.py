@@ -310,5 +310,9 @@ def test_sidecar_reruns_every_command(runner, tmp_path, case):
     assert b["report"] == a["report"]
     assert b["passed"] is a["passed"]
     assert _payload(out_b / f"{name}_config.json") == _payload(sidecar)
-    if case == "minimize-1d":
+    if case in ("minimize-1d", "optimal-period"):
         assert a["report"]["stop"] in STOP_REASONS
+    if case == "verify-el":
+        # one descent per grid, n and 2n
+        assert len(a["report"]["stop"]) == 2
+        assert set(a["report"]["stop"]) <= set(STOP_REASONS)

@@ -156,3 +156,8 @@ def test_profile_gamma_validation():
         Profile1D(4, 1.0, np.full(4, 0.5), gamma=np.full(4, 0.5))
     p = Profile1D(4, 1.0, np.full(4, 0.5), gamma=np.full(4, np.inf))
     assert np.all(np.isinf(p.gamma))
+
+
+def test_profile_rejects_a_nan_gamma():
+    with pytest.raises(ValueError, match="got nan"):
+        Profile1D(4, 1.0, np.full(4, 0.5), gamma=[1.0, np.nan, 2.0, 1.0])

@@ -92,29 +92,25 @@ def stripe_cases(draw):
 @given(case=stripe_cases())
 def test_stripe_metrics_matches_make_stripes_loop(case):
     u, h_grid, nu_grid = case
-    params = ModelParams(d=u.dims, p=u.dims + 2.0, tau=0.05, eps=0.05,
-                         L=u.L)
     dist, ax, h, nu = stripe_search_direct(u, h_grid, nu_grid)
     expected = StripeMetrics(
         best_axis=ax, best_h=h, best_nu=nu, l1_to_best_stripes=dist,
-        fourier_anisotropy=fourier_anisotropy(u, ax),
-        energy_gap_to_1d=total_energy_direct(u, params)[2] - 1.0)
-    assert stripe_metrics(u, params, h_grid, nu_grid,
-                          benchmark_energy=1.0) == expected
+        fourier_anisotropy=fourier_anisotropy(u, ax))
+    assert stripe_metrics(u, h_grid, nu_grid) == expected
 
 
 @pytest.mark.parametrize("h, n", [(0.3, 8), (0.5, 5)])
-def test_stripe_metrics_rejects_an_h_that_does_not_tile(ps2, h, n):
+def test_stripe_metrics_rejects_an_h_that_does_not_tile(h, n):
     # 2h = 0.6 does not divide L = 2; 2h = 1 spans 2.5 of 5 cells
     u = PeriodicField(2, n, 2.0, np.full((n, n), 0.5))
     with pytest.raises(ValueError) as expected:
         make_stripes(StripeSpec(1, h, 0.0), 2.0, n, 2)
     with pytest.raises(ValueError) as got:
-        stripe_metrics(u, ps2, [1.0, h], np.arange(n) * (2.0 / n))
+        stripe_metrics(u, [1.0, h], np.arange(n) * (2.0 / n))
     assert str(got.value) == str(expected.value)
 
 
-def test_stripe_metrics_rejects_a_nonpositive_h(ps2):
+def test_stripe_metrics_rejects_a_nonpositive_h():
     u = PeriodicField(2, 8, 2.0, np.full((8, 8), 0.5))
     with pytest.raises(ValueError, match="h must be positive"):
-        stripe_metrics(u, ps2, [1.0, 0.0], np.arange(8) * 0.25)
+        stripe_metrics(u, [1.0, 0.0], np.arange(8) * 0.25)

@@ -98,16 +98,14 @@ def test_fourier_anisotropy_extremes():
     assert fourier_anisotropy(const, 1) == 0.0
 
 
-def test_stripe_metrics_identifies_exact_stripes(ps2):
+def test_stripe_metrics_identifies_exact_stripes():
     u = make_stripes(StripeSpec(2, 0.5, 0.25), L=2.0, n=16, d=2)
-    met = stripe_metrics(u, ps2, h_grid=[0.5, 1.0],
-                         nu_grid=list(np.arange(16) * 2.0 / 16),
-                         benchmark_energy=total_energy(u, ps2).total)
+    met = stripe_metrics(u, h_grid=[0.5, 1.0],
+                         nu_grid=list(np.arange(16) * 2.0 / 16))
     assert met.best_axis == 2
     assert met.best_h == pytest.approx(0.5)
     assert met.best_nu == pytest.approx(0.25)
     assert met.l1_to_best_stripes == pytest.approx(0.0, abs=1e-12)
-    assert met.energy_gap_to_1d == pytest.approx(0.0, abs=1e-12)
 
 
 def test_stripes_are_local_minimum(ps2):
@@ -223,11 +221,6 @@ def test_experiment_rejects_a_bad_stripes_threads(ps2, monkeypatch, env):
     monkeypatch.setenv("STRIPES_THREADS", env)
     with pytest.raises(ValueError, match=f"STRIPES_THREADS='{env}'"):
         symmetry_breaking_experiment(ps2)
-
-
-def test_flow_options_validation():
-    with pytest.raises(ValueError):
-        FlowOptions(kappa=-1.0)
 
 
 def test_trace_csv(tmp_path, ps2):

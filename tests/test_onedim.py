@@ -5,6 +5,7 @@ from helpers import smooth_profile
 from stripes import onedim
 from stripes.energy import total_energy
 from stripes.field import Profile1D, make_one_dimensional
+from stripes.kernel import c_tau
 from stripes.model import ModelParams
 from stripes.onedim import (ConvergenceError, CrossingError,
                             chessboard_check, confined_split, el_residual,
@@ -35,6 +36,20 @@ def test_f1d_gamma_infinity_on_plateaus(ps1):
     varying = Profile1D(n, L, smooth_profile(n, L,
                                              np.random.default_rng(0)))
     assert f1d(np.full(n, np.inf), varying, ps1) == np.inf
+
+
+def test_f1d_infinite_gamma_on_an_underflowing_slope_is_inf(ps1):
+    # the slope 4.4e-308 is nonzero, but its square underflows to 0
+    g = Profile1D(2, 1.0, [2.2e-308, 0.0])
+    assert f1d([np.inf, np.inf], g, ps1) == np.inf
+
+
+def test_f1d_infinite_gamma_is_inf_at_c_tau_one():
+    # d=1, p=3, tau=1 gives C_tau = 1, so the gradient prefactor is 0
+    ps = ModelParams(d=1, p=3.0, tau=1.0, eps=0.05, L=1.0)
+    assert c_tau(ps) == 1.0
+    g = Profile1D(2, 1.0, [0.0, 0.5])
+    assert f1d([np.inf, np.inf], g, ps) == np.inf
 
 
 def test_f1d_gamma_one_dominates_where_gradient_dominates(ps1):
