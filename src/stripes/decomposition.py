@@ -122,7 +122,11 @@ def directional_g(u: PeriodicField, i: int, x_perp, params: ModelParams
     """Slice coercivity term:
     Mbar^i(0, L) * C_tau  minus the slice 1D nonlocal term.
 
-    Nonnegative, zero exactly on constant slices.
+    Zero exactly on constant slices.  The continuum term is nonnegative,
+    but the lattice one is not once the grid does not resolve the
+    transition layer: a one-cell jump costs Mbar = 3 alpha / dx against 1
+    for a continuum transition, and on binary slices Gbar < 0 once
+    dx >~ 3 alpha.
     """
     mbar = directional_mm(u, i, x_perp, params)
     line = u.values[_line(u, i - 1, x_perp)]

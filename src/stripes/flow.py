@@ -3,15 +3,19 @@ symmetry-breaking experiment.
 
 The descent direction smooths the 1-norm in the interfacial term with
 ``sqrt(D_i^2 + kappa^2)``; line-search acceptance and all reported numbers
-use the exact (unsmoothed) energy, so the monotone-decrease invariant refers
-to the true functional.  A flow builds one ``energy._FieldObjective`` at
-its default kernel truncation, which resolves the kernel operator and the
-prefactors once, and hands its ``energy`` and ``grad`` on raw arrays to
-``solvers.projected_bb``: each of the KAPPA_STAGES kappa stages, starting
-at KAPPA, runs it with the fixed STEP0, TOL_ENERGY and TOL_GRAD, and the
-trace keeps why each stage stopped.  The last trace entry of a flow is the
-exact energy of the field it returns, so the benchmark and the
-experiment's runs report it without evaluating it again.  The stripe search rasterizes each candidate stripe profile once and
+use the exact (unsmoothed) energy, so the monotone-decrease invariant
+refers to the true functional.  The line search halves a rejected step, and
+a stage ends on ``line_search`` after solvers.MAX_HALVINGS rejected trials
+or as soon as solvers.FLAT_TRIALS trials in a row return the current energy
+exactly, since then the energy no longer resolves the step.  A flow builds
+one ``energy._FieldObjective`` at its default kernel truncation, which
+resolves the kernel operator and the prefactors once, and hands its
+``energy`` and ``grad`` on raw arrays to ``solvers.projected_bb``: each of
+the KAPPA_STAGES kappa stages, starting at KAPPA, runs it with the fixed
+STEP0, TOL_ENERGY and TOL_GRAD, and the trace keeps why each stage stopped.
+The last trace entry of a flow is the exact energy of the field it returns,
+so the benchmark and the experiment's runs report it without evaluating it
+again.  The stripe search rasterizes each candidate stripe profile once and
 compares it with the field by broadcasting.  Without a given h*, the
 experiment takes it from ``onedim.optimal_period`` over H_RANGE at SEARCH_N
 samples.

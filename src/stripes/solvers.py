@@ -12,6 +12,10 @@ import numpy as np
 BACKTRACK = 0.5             # step factor after a rejected trial step
 STEP_GROWTH = 1.5           # step factor after an accepted one
 MAX_HALVINGS = 60
+# backtracking trials in a row that return exactly the current energy end
+# the line search: the energy did not move over a factor-2 range of steps,
+# so every shorter step only samples rounding noise
+FLAT_TRIALS = 2
 STALL_LIMIT = 25            # accepted steps in a row that gain < tol_energy
 STEP_MIN, STEP_MAX = 1e-10, 1e6
 # a sample within this distance of a bound counts as sitting on it, so
@@ -19,7 +23,8 @@ STEP_MIN, STEP_MAX = 1e-10, 1e6
 ACTIVE_TOL = 1e-12
 # why a descent stopped: the projected-gradient test held, STALL_LIMIT
 # accepted steps gained too little, no backtracking trial decreased the
-# energy, or the iteration budget ran out
+# energy (or FLAT_TRIALS in a row returned it unchanged), or the iteration
+# budget ran out
 STOP_REASONS = ("grad", "stall", "line_search", "max_iter")
 
 
@@ -52,12 +57,13 @@ def projected_bb(x: np.ndarray, e: float, energy, grad, lo: float,
     ``project(x - step * grad)`` (default: clip to the box), with the
     Barzilai-Borwein step clamped to [STEP_MIN, STEP_MAX], and backtracks
     until the energy decreases strictly.  When no trial of MAX_HALVINGS
-    does, it stops, converged only if the projected gradient is within
-    1e4 tol_grad.  It also stops converged after STALL_LIMIT accepted
-    steps in a row that each gain less than ``tol_energy``.  Iterations are
-    numbered from ``start`` + 1 to ``max_iter``, so stages of one run can
-    share the count.  The result's ``stop`` names which of these four
-    tests ended the descent.
+    does, or FLAT_TRIALS trials in a row return exactly the current energy
+    (the energy no longer resolves the step), it stops, converged only if
+    the projected gradient is within 1e4 tol_grad.  It also stops converged
+    after STALL_LIMIT accepted steps in a row that each gain less than
+    ``tol_energy``.  Iterations are numbered from ``start`` + 1 to
+    ``max_iter``, so stages of one run can share the count.  The result's
+    ``stop`` names which of these four tests ended the descent.
     """
     if project is None:
         def project(y):
@@ -87,13 +93,17 @@ def projected_bb(x: np.ndarray, e: float, energy, grad, lo: float,
         if gnorm < tol_grad:
             converged, stop = True, "grad"
             break
+        flat = 0
         for _ in range(MAX_HALVINGS):
             cand = project(x - step * g)
             ec = energy(cand)
             if ec < e:
                 break
             step *= BACKTRACK
-        else:
+            flat = flat + 1 if ec == e else 0
+            if flat == FLAT_TRIALS:
+                break
+        if not ec < e:
             # exact stall of the line search: accept only a small gradient
             converged, stop = gnorm < 1e4 * tol_grad, "line_search"
             break

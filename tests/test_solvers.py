@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from stripes.energy import optimal_sharp_period
 from stripes.onedim import ConvergenceError, optimal_period
-from stripes.solvers import (STALL_LIMIT, NoBracketError, brentq,
-                             golden_section, projected_bb)
+from stripes.solvers import (BACKTRACK, FLAT_TRIALS, STALL_LIMIT,
+                             NoBracketError, brentq, golden_section,
+                             projected_bb)
 
 SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -74,6 +75,67 @@ def test_projected_bb_reports_why_it_stopped(case, stop, converged):
     assert (res.stop, res.converged) == (stop, converged)
     if stop == "stall":
         assert res.iterations >= STALL_LIMIT
+
+
+def _line_search(values, max_iter=1):
+    """One projected_bb run from x0 = 0 along the constant gradient 1, with
+    trial step t = 2^-k returning values[k] relative to the start energy 0
+    (0 below the listed steps); returns the result and the trial steps."""
+    steps = []
+
+    def energy(x):
+        t = -float(x[0])
+        steps.append(t)
+        k = round(-math.log2(t))
+        return values[k] if k < len(values) else 0.0
+
+    res = projected_bb(np.zeros(3), 0.0, energy, np.ones_like, -10.0, 10.0,
+                       step0=1.0, max_iter=max_iter, tol_grad=1e-9,
+                       tol_energy=1e-300, trace_every=1)
+    return res, steps
+
+
+def test_flat_energy_ends_line_search_after_the_second_equal_trial():
+    # trials rise above the start energy down to step 2^-4, and return it
+    # exactly for every shorter step
+    res, steps = _line_search([1.0] * 5, max_iter=50)
+    assert steps == [2.0 ** -k for k in range(5 + FLAT_TRIALS)]
+    assert (res.stop, res.converged, res.iterations) == ("line_search",
+                                                         False, 1)
+    assert np.array_equal(res.x, np.zeros(3)) and res.energy == 0.0
+    # the step reported is the last trial's, halved once more
+    assert res.step == steps[-1] * BACKTRACK
+
+
+def test_one_equal_trial_does_not_stop_the_line_search():
+    # the unit step returns the start energy, the half step decreases it
+    res, steps = _line_search([0.0, -1.0])
+    assert steps == [1.0, 0.5]
+    assert (res.stop, res.energy) == ("max_iter", -1.0)
+    assert np.array_equal(res.x, np.full(3, -0.5))
+
+
+def test_equal_trials_apart_do_not_stop_the_line_search():
+    # equal, higher, equal, then a decrease: no two equal trials in a row
+    res, steps = _line_search([0.0, 1.0, 0.0, -1.0])
+    assert steps == [1.0, 0.5, 0.25, 0.125]
+    assert (res.stop, res.energy) == ("max_iter", -1.0)
+
+
+def test_flat_case_costs_two_energy_calls():
+    # the "flat" case of test_projected_bb_reports_why_it_stopped
+    calls = []
+
+    def energy(x):
+        calls.append(x)
+        return 0.0
+
+    w = np.geomspace(1.0, 1e3, 6)
+    res = projected_bb(np.full(6, 0.9), 0.0, energy, lambda x: w * (x - 0.3),
+                       0.0, 1.0, step0=0.1, max_iter=500, tol_grad=1e-9,
+                       tol_energy=1e-300, trace_every=1)
+    assert (res.stop, res.converged) == ("line_search", False)
+    assert len(calls) == FLAT_TRIALS == 2
 
 
 def test_golden_section_evaluates_each_point_once():
