@@ -223,7 +223,7 @@ def minimize_2d(cfg, out):
                 "converged": tr.converged, "stop": list(tr.stop),
                 "iterations": tr.iterations}, True
     try:
-        _flow._thread_count(cfg["threads"])
+        _flow._workers(int(cfg["n_seeds"]), cfg["threads"])
     except ValueError as exc:
         raise click.ClickException(str(exc))
     return _flow.symmetry_breaking_experiment(
@@ -269,6 +269,7 @@ def verify_decomposition(cfg, out):
     rep_obj = _dec.lower_bound_report(u, params)
     rep = json.loads(rep_obj.to_json())
     rep["delta_grad"] = _dec.default_delta_grad(u)
+    rep["dx_over_alpha"] = u.h_grid / params.alpha
     return rep, rep_obj.slack >= -cfg["tol_slack"]
 
 

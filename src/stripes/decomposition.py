@@ -11,12 +11,15 @@ with equality for one-dimensional fields.  On the lattice the identity
 behind the cross term is exact: summing the axis-slice nonlocal terms
 (against the lattice marginal of the periodized kernel) overshoots the full
 nonlocal term by exactly the sum of the cross terms, so the slack of the
-bound reduces to Wcal (C_tau - 2) >= 0 up to rounding.
+bound reduces to Wcal (C_tau - 2) >= 0 up to rounding.  The cross term is
+the torus term, a sum over every lag against the periodized kernel.
 
 All discrete gradients are forward differences; the partition between the
 active set {||grad u||_1 > delta_grad} (feeding Mbar) and the flat set
 (feeding Wcal) uses one shared threshold, ``default_delta_grad(u)``, so no
-double-well mass is dropped or double counted.  The periodized kernels are
+double-well mass is dropped or double counted.  One pass over the field
+gives Mbar^i and Gbar^i of every grid line and Wcal; the report, the slice
+tables and the single-slice terms all read it.  The periodized kernels are
 truncated at KERNEL_TOL (``cross_term`` also takes another tolerance).
 """
 
@@ -24,14 +27,14 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import kernel as _kernel
 from .energy import total_energy
-from .field import PeriodicField, gradient
-from .model import ModelParams, double_well
+from .field import PeriodicField, gradient, line_index, roll
+from .model import ModelParams
 
 KERNEL_TOL = 1e-7   # truncation tolerance of the periodized kernel grids
 
@@ -39,10 +42,6 @@ KERNEL_TOL = 1e-7   # truncation tolerance of the periodized kernel grids
 def default_delta_grad(u: PeriodicField) -> float:
     """Active-gradient threshold: effectively exact zero detection."""
     return 1e-12 / u.h_grid
-
-
-def _grad_l1(diffs: list[np.ndarray]) -> np.ndarray:
-    return sum(np.abs(g) for g in diffs)
 
 
 def _axis_operator(u: PeriodicField, params: ModelParams
@@ -68,41 +67,51 @@ class DecompositionReport:
     lower_bound: float
     full_energy: float
     slack: float
+    gbar_min: tuple[float, ...]                 # per axis, over its slices
+    gbar_negative_fraction: tuple[float, ...]   # per axis, slices Gbar < 0
 
     def to_json(self) -> str:
-        return json.dumps({
-            "mbar": list(self.mbar),
-            "gbar": list(self.gbar),
-            "cross": list(self.cross),
-            "wcal": self.wcal,
-            "lower_bound": self.lower_bound,
-            "full_energy": self.full_energy,
-            "slack": self.slack,
-        })
+        return json.dumps(asdict(self))
 
 
-def _mm_densities(u: PeriodicField, alpha: float
-                  ) -> tuple[list[np.ndarray], np.ndarray]:
-    """Density of Mbar^i on the grid for every axis i,
+@dataclass(frozen=True)
+class _SliceTerms:
+    """Mbar^i and Gbar^i of every grid line along each axis i, one array
+    of shape (n,) * (d - 1) per axis indexed by the perpendicular grid,
+    and Wcal."""
+    mbar: list[np.ndarray]
+    gbar: list[np.ndarray]
+    wcal: float
+
+
+def _slice_terms(u: PeriodicField, params: ModelParams) -> _SliceTerms:
+    """One pass over u.  The forward differences, the active set
+    {||grad u||_1 > delta_grad} and W(u) are computed once.  Per axis i,
+    Mbar^i of a line is the sum along it over the active set of
+
         3 alpha |d_i u| ||grad u||_1 + (3/alpha) W(u) |d_i u| / ||grad u||_1,
-    and the active set {||grad u||_1 > delta_grad} it is integrated over."""
-    diffs = gradient(u)
-    gl1 = _grad_l1(diffs)
+
+    and Gbar^i = Mbar^i C_tau minus the line's 1D nonlocal term, which one
+    rFFT along axis i gives for every line at once.  Wcal is
+    (3/alpha) sum W(u) vol over the flat set."""
+    if u.dims != params.d:
+        raise ValueError("field dimension does not match params.d")
+    h, alpha, v = u.h_grid, params.alpha, u.values
+    diffs = [np.abs(g) for g in gradient(u)]
+    gl1 = sum(diffs)
     active = gl1 > default_delta_grad(u)
-    w = double_well(u.values)
-    dens = []
-    for g in diffs:
-        di = np.abs(g)
-        ratio = np.zeros_like(gl1)
-        ratio[active] = di[active] / gl1[active]
-        dens.append(3.0 * alpha * di * gl1 + (3.0 / alpha) * w * ratio)
-    return dens, active
-
-
-def _line(u: PeriodicField, ax: int, x_perp) -> tuple:
-    """Index of the grid line along ``ax`` through ``x_perp``."""
-    idx = tuple(np.atleast_1d(x_perp).astype(int)) if u.dims > 1 else ()
-    return idx[:ax] + (slice(None),) + idx[ax:]
+    w = v * v * (1.0 - v) * (1.0 - v)      # double_well on [0, 1]
+    # the Mbar density per unit |d_i u| on the active set
+    dens = 3.0 * alpha * gl1 + (3.0 / alpha) * np.divide(
+        w, gl1, out=np.zeros_like(gl1), where=active)
+    op = _axis_operator(u, params)
+    ctau = _kernel.c_tau(params)
+    mbar = [np.sum(dens * di, axis=ax, where=active) * h
+            for ax, di in enumerate(diffs)]
+    gbar = [m * ctau - op.pair_sum(v, axis=ax) * h * h
+            for ax, m in enumerate(mbar)]
+    wcal = float((3.0 / alpha) * np.sum(w[~active]) * h ** u.dims)
+    return _SliceTerms(mbar, gbar, wcal)
 
 
 def directional_mm(u: PeriodicField, i: int, x_perp, params: ModelParams
@@ -112,9 +121,8 @@ def directional_mm(u: PeriodicField, i: int, x_perp, params: ModelParams
     integral over the slice [0, L) on the active set of
         3 alpha |d_i u| ||grad u||_1 + (3/alpha) W(u) |d_i u| / ||grad u||_1.
     """
-    dens, active = _mm_densities(u, params.alpha)
-    line = _line(u, i - 1, x_perp)
-    return float(np.sum(dens[i - 1][line][active[line]]) * u.h_grid)
+    ax, perp = line_index(u, i, x_perp)
+    return float(_slice_terms(u, params).mbar[ax][perp])
 
 
 def directional_g(u: PeriodicField, i: int, x_perp, params: ModelParams
@@ -128,10 +136,8 @@ def directional_g(u: PeriodicField, i: int, x_perp, params: ModelParams
     for a continuum transition, and on binary slices Gbar < 0 once
     dx >~ 3 alpha.
     """
-    mbar = directional_mm(u, i, x_perp, params)
-    line = u.values[_line(u, i - 1, x_perp)]
-    nl = _axis_operator(u, params).pair_sum(line) * u.h_grid ** 2
-    return mbar * _kernel.c_tau(params) - nl
+    ax, perp = line_index(u, i, x_perp)
+    return float(_slice_terms(u, params).gbar[ax][perp])
 
 
 def _cross_table(values: np.ndarray, ax: int) -> np.ndarray:
@@ -144,14 +150,13 @@ def _cross_table(values: np.ndarray, ax: int) -> np.ndarray:
     c_axis = corr[tuple(slice(None) if a == ax else slice(0, 1)
                         for a in range(corr.ndim))]
     c_perp = corr.take([0], axis=ax)
-    c_refl = np.roll(np.flip(corr, axis=ax), 1, axis=ax)
+    c_refl = roll(np.flip(corr, axis=ax), 1, ax)
     table = 4.0 * (corr.flat[0] - c_axis - c_perp) + 2.0 * (corr + c_refl)
     return np.maximum(table, 0.0)
 
 
 def cross_term(u: PeriodicField, i: int, params: ModelParams,
-               trunc_radius: float | None = None, tol: float = KERNEL_TOL
-               ) -> float:
+               tol: float = KERNEL_TOL) -> float:
     """Nonnegative cross term
 
         I^i = (1/d) int_{zeta_i > 0} int [ (u(x + zeta_i e_i) - u(x))
@@ -163,91 +168,49 @@ def cross_term(u: PeriodicField, i: int, params: ModelParams,
     stays relative to the variation of u) and R_i the flip of component i,
 
         B_i(lam) = 4 C(0) - 4 C(lam_i e_i) - 4 C(lam_perp) + 2 C(lam)
-                   + 2 C(R_i lam) >= 0.
+                   + 2 C(R_i lam) >= 0,
 
-    By default I^i = sum_lam K(lam) B_i(lam) vol^2 / (2d) against the
-    periodized kernel (the form entering the exact lattice identity).  With
-    ``trunc_radius`` set, the sum runs over open-lattice lags 0 < m_i <= M,
-    |m_perp|_inf <= M, M = floor(trunc_radius / h), with weights
-    (||m||_1 h + a)^(-p) on B_i at the wrapped lag, normalisation vol^2 / d
-    and tail controlled by ``cross_term_tail_bound``.
+    and I^i = sum_lam K(lam) B_i(lam) vol^2 / (2d) against the periodized
+    kernel truncated at ``tol``: the form entering the exact lattice
+    identity.
     """
     ax = i - 1
     if not (0 <= ax < u.dims):
         raise IndexError(f"axis {i} out of range for dims={u.dims}")
-    if trunc_radius is not None and not (
-            np.isfinite(trunc_radius) and trunc_radius >= u.h_grid):
-        raise ValueError(f"trunc_radius must be finite and >= the grid "
-                         f"spacing {u.h_grid}, got {trunc_radius}")
-    n, d = u.n, u.dims
     table = _cross_table(u.values, ax)
-    vol2 = u.h_grid ** (2 * d)
-    if trunc_radius is None:
-        kgrid = _kernel.periodized_kernel_grid(u.L, u.n, params, tol=tol)
-        return float(np.sum(kgrid * table)) * vol2 / (2.0 * d)
-
-    m_max = int(np.floor(trunc_radius / u.h_grid))
-    # one slab of perpendicular lags per m_i: memory stays O((2M+1)^(d-1))
-    perp = np.ix_(*[np.arange(-m_max, m_max + 1)] * (d - 1))
-    perp_norm = sum(np.abs(m) for m in perp)
-    wrapped = tuple(m % n for m in perp)
-    total = 0.0
-    for mi in range(1, m_max + 1):
-        weight = ((mi + perp_norm) * u.h_grid
-                  + params.kernel_scale) ** (-params.p)
-        total += float(np.sum(weight * table.take(mi % n, axis=ax)[wrapped]))
-    return total * vol2 / d
-
-
-def cross_term_tail_bound(trunc_radius: float, u: PeriodicField,
-                          params: ModelParams) -> float:
-    """Upper bound on the cross-term change from enlarging the truncation:
-    the bracket is at most 2 in modulus, so the tail is controlled by the
-    kernel mass outside the box (with a margin for the lattice sum)."""
-    d = params.d
-    R = max(trunc_radius - u.h_grid, 0.0)
-    box = _kernel._box_int([(R, R)] * d, params.kernel_scale, params.p)
-    tail = _kernel.mass(params) - box
-    return 4.0 / d * u.L ** d * tail * 1.5
+    kgrid = _kernel.periodized_kernel_grid(u.L, u.n, params, tol=tol)
+    return float(np.sum(kgrid * table)) * u.h_grid ** (2 * u.dims) \
+        / (2.0 * u.dims)
 
 
 def flat_penalty(u: PeriodicField, params: ModelParams) -> float:
     """(3/alpha) sum W(u) vol over the flat set {||grad u||_1 <= delta_grad},
     with delta_grad = ``default_delta_grad(u)``."""
-    gl1 = _grad_l1(gradient(u))
-    flat = gl1 <= default_delta_grad(u)
-    vol = u.h_grid ** u.dims
-    return float((3.0 / params.alpha)
-                 * np.sum(double_well(u.values[flat])) * vol)
+    return _slice_terms(u, params).wcal
 
 
 def lower_bound_report(u: PeriodicField, params: ModelParams
                        ) -> DecompositionReport:
     """Assemble the directional lower bound and its slack against the full
-    energy, with a single shared kernel grid and gradient threshold."""
-    if u.dims != params.d:
-        raise ValueError("field dimension does not match params.d")
+    energy from one slice pass, with a single shared kernel grid and
+    gradient threshold."""
+    terms = _slice_terms(u, params)
     d = u.dims
-    vol = u.h_grid ** d
-    dens, active = _mm_densities(u, params.alpha)
-    ctau = _kernel.c_tau(params)
-
-    axis_op = _axis_operator(u, params)
-
-    mbars = [float(np.sum(dens[ax][active]) * vol) for ax in range(d)]
-    gbars = [mbar * ctau
-             - axis_op.pair_sum(u.values, axis=ax) * u.h_grid ** (d + 1)
-             for ax, mbar in enumerate(mbars)]
+    perp_vol = u.h_grid ** (d - 1)
+    mbars = [float(np.sum(m)) * perp_vol for m in terms.mbar]
+    gbars = [float(np.sum(g)) * perp_vol for g in terms.gbar]
     crosses = [cross_term(u, ax + 1, params) if d > 1 else 0.0
                for ax in range(d)]
-
-    wcal = flat_penalty(u, params)
     lower = (sum(-m + g for m, g in zip(mbars, gbars)) + sum(crosses)
-             + wcal) / u.L ** d
+             + terms.wcal) / u.L ** d
     full = total_energy(u, params, tol=KERNEL_TOL).total
     return DecompositionReport(
         mbar=tuple(mbars), gbar=tuple(gbars), cross=tuple(crosses),
-        wcal=wcal, lower_bound=lower, full_energy=full, slack=full - lower)
+        wcal=terms.wcal, lower_bound=lower, full_energy=full,
+        slack=full - lower,
+        gbar_min=tuple(float(np.min(g)) for g in terms.gbar),
+        gbar_negative_fraction=tuple(float(np.mean(g < 0.0))
+                                     for g in terms.gbar))
 
 
 def slice_tables(u: PeriodicField, params: ModelParams
@@ -255,17 +218,11 @@ def slice_tables(u: PeriodicField, params: ModelParams
     """Rows (i, slice_index, mbar, gbar) for every direction and slice line
     (slice lines enumerated in row-major order over the perpendicular grid).
     """
-    dens, active = _mm_densities(u, params.alpha)
-    axis_op = _axis_operator(u, params)
-    ctau = _kernel.c_tau(params)
-    rows = []
-    for ax in range(u.dims):
-        for flat_idx, idx in enumerate(np.ndindex((u.n,) * (u.dims - 1))):
-            line = _line(u, ax, idx)
-            mbar = float(np.sum(dens[ax][line][active[line]]) * u.h_grid)
-            nl = axis_op.pair_sum(u.values[line]) * u.h_grid ** 2
-            rows.append((ax + 1, flat_idx, mbar, mbar * ctau - nl))
-    return rows
+    terms = _slice_terms(u, params)
+    return [(ax + 1, k, float(m), float(g))
+            for ax in range(u.dims)
+            for k, (m, g) in enumerate(zip(terms.mbar[ax].ravel(),
+                                           terms.gbar[ax].ravel()))]
 
 
 def write_slice_csv(path, rows) -> None:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel as _kernel
-from .field import PeriodicField
+from .field import PeriodicField, roll
 from .model import ModelParams
 from .solvers import scan_golden
 
@@ -62,19 +62,10 @@ class EnergyBreakdown:
         })
 
 
-def _roll(v: np.ndarray, shift: int, axis: int) -> np.ndarray:
-    """``np.roll(v, shift, axis=axis)`` as one concatenate of two basic
-    slices: the same array, without np.roll's per-call overhead."""
-    cut = v.shape[axis] - shift % v.shape[axis]
-    lead = (slice(None),) * axis
-    return np.concatenate((v[lead + (slice(cut, None),)],
-                           v[lead + (slice(None, cut),)]), axis=axis)
-
-
 def _modica_mortola(v: np.ndarray, dx: float, alpha: float) -> float:
     """M_alpha of samples v in [0, 1] with spacing dx (no checks)."""
     vol = dx ** v.ndim
-    grad_l1_sq = sum(np.abs((_roll(v, -1, ax) - v) / dx)
+    grad_l1_sq = sum(np.abs((roll(v, -1, ax) - v) / dx)
                      for ax in range(v.ndim)) ** 2
     well = v * v * (1.0 - v) * (1.0 - v)    # double_well on [0, 1]
     return float(3.0 * alpha * np.sum(grad_l1_sq) * vol
@@ -131,14 +122,14 @@ class _FieldObjective:
         difference, so this is the exact gradient of the smoothed discrete
         energy (the nonlocal part is exact, no smoothing)."""
         dx = self.dx
-        diffs = [(_roll(v, -1, ax) - v) / dx for ax in range(self.d)]
+        diffs = [(roll(v, -1, ax) - v) / dx for ax in range(self.d)]
         roots = [np.sqrt(t * t + kappa * kappa) for t in diffs]
         s = sum(roots)
         well_prime = 2.0 * v * (1.0 - v) * (1.0 - 2.0 * v)   # W' on [0, 1]
         grad = self.well_pref * well_prime * self.vol
         for ax in range(self.d):
             flux = s * diffs[ax] / roots[ax]
-            grad += self.flux_pref * (_roll(flux, 1, ax) - flux)
+            grad += self.flux_pref * (roll(flux, 1, ax) - flux)
         grad -= self.pair_pref * (self.op.ksum * v - self.op.conv(v))
         return grad
 

@@ -125,21 +125,39 @@ class StripeSpec:
             raise ValueError("nu must lie in [0, 2h)")
 
 
-def slice(u: PeriodicField, i: int, idx_perp) -> Profile1D:  # noqa: A001
-    """Restrict u to the grid line through the perpendicular indices
-    ``idx_perp`` along (1-based) axis i."""
+def line_index(u: PeriodicField, i: int, idx_perp
+               ) -> tuple[int, tuple[int, ...]]:
+    """The 0-based axis and the perpendicular indices of the grid line
+    along (1-based) axis i through ``idx_perp`` (ignored when dims = 1).
+    Raises IndexError unless 1 <= i <= dims and ``idx_perp`` holds
+    dims - 1 indices in [0, n)."""
     ax = i - 1
     if not (0 <= ax < u.dims):
         raise IndexError(f"axis {i} out of range for dims={u.dims}")
-    idx_perp = tuple(np.atleast_1d(idx_perp).astype(int)) if u.dims > 1 else ()
-    if len(idx_perp) != u.dims - 1:
+    perp = tuple(np.atleast_1d(idx_perp).astype(int)) if u.dims > 1 else ()
+    if len(perp) != u.dims - 1:
         raise IndexError(
-            f"need {u.dims - 1} perpendicular indices, got {len(idx_perp)}")
-    if any(not (0 <= j < u.n) for j in idx_perp):
-        raise IndexError("perpendicular index out of range")
-    indexer = list(idx_perp)
-    indexer.insert(ax, np.s_[:])
-    return Profile1D(u.n, u.L, u.values[tuple(indexer)])
+            f"need {u.dims - 1} perpendicular indices, got {len(perp)}")
+    if any(not (0 <= j < u.n) for j in perp):
+        raise IndexError(f"perpendicular index {perp} out of range "
+                         f"for n={u.n}")
+    return ax, perp
+
+
+def slice(u: PeriodicField, i: int, idx_perp) -> Profile1D:  # noqa: A001
+    """Restrict u to the grid line through the perpendicular indices
+    ``idx_perp`` along (1-based) axis i."""
+    ax, perp = line_index(u, i, idx_perp)
+    return Profile1D(u.n, u.L, u.values[perp[:ax] + (np.s_[:],) + perp[ax:]])
+
+
+def roll(v: np.ndarray, shift: int, axis: int) -> np.ndarray:
+    """``np.roll(v, shift, axis=axis)`` as one concatenate of two basic
+    slices: the same array, without np.roll's per-call overhead."""
+    cut = v.shape[axis] - shift % v.shape[axis]
+    lead = (np.s_[:],) * axis
+    return np.concatenate((v[lead + (np.s_[cut:],)],
+                           v[lead + (np.s_[:cut],)]), axis=axis)
 
 
 def gradient(u: PeriodicField) -> list[np.ndarray]:
@@ -148,8 +166,7 @@ def gradient(u: PeriodicField) -> list[np.ndarray]:
     if u.n < 2:
         raise ValueError("n must be >= 2")
     h = u.h_grid
-    return [(np.roll(u.values, -1, axis=ax) - u.values) / h
-            for ax in range(u.dims)]
+    return [(roll(u.values, -1, ax) - u.values) / h for ax in range(u.dims)]
 
 
 def make_one_dimensional(g: Profile1D, i: int, d: int, n: int) -> PeriodicField:

@@ -196,10 +196,13 @@ def stripe_metrics(u: PeriodicField, h_grid, nu_grid) -> StripeMetrics:
 # symmetry-breaking experiment
 # ---------------------------------------------------------------------------
 
-def _thread_count(threads: int | None) -> int:
-    """Worker threads: ``threads`` when given, else the STRIPES_THREADS
-    environment variable, else 1.  A value that is not a positive integer
-    raises ValueError naming it and where it came from."""
+def _workers(n_seeds: int, threads: int | None) -> int:
+    """Worker threads for ``n_seeds`` runs: ``threads`` when given, else
+    the STRIPES_THREADS environment variable, else 1.  Raises ValueError
+    naming the value, and where it came from, when n_seeds < 1 or the
+    thread count is not a positive integer."""
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     if threads is None:
         env = os.environ.get("STRIPES_THREADS")
         if not env:
@@ -245,8 +248,8 @@ def symmetry_breaking_experiment(params: ModelParams, k: int = 1,
     fraction (anisotropy and relative energy gap inside the thresholds), and
     every input needed to reproduce the run bit for bit.
     """
+    workers = _workers(n_seeds, threads)
     opts = opts or FlowOptions()
-    workers = _thread_count(threads)
     if h_star is None:
         search = _onedim.optimal_period(params, H_RANGE, n=SEARCH_N)
         h_star = search.h_star

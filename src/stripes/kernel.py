@@ -291,7 +291,8 @@ class PeriodicKernelOperator:
     (the only way callers use ``conv``) and would cancel against itself,
     costing digits on coarse grids where K(0) dominates the table.  A
     d-dimensional table acts on arrays of its own shape over all axes; a
-    1D table also acts along one ``axis`` of an array of any dimension.
+    1D table's pair form also runs along the lines of one ``axis`` of an
+    array of any dimension.
     """
 
     def __init__(self, table: np.ndarray):
@@ -313,38 +314,37 @@ class PeriodicKernelOperator:
         self._pair_weights[(0,) * off.ndim] = 0.0
         self._pair_weights.setflags(write=False)
 
-    def _rfft(self, v: np.ndarray, axis: int | None
-              ) -> tuple[np.ndarray, list[int]]:
-        """rFFT of v over all axes (along ``axis`` only, when given), and
-        the shape that broadcasts the table's spectrum against it."""
+    def _rfftn(self, v: np.ndarray) -> np.ndarray:
+        if v.ndim != self.table.ndim:     # would broadcast silently
+            raise ValueError(f"a {self.table.ndim}D kernel table acts on "
+                             f"{self.table.ndim}D arrays, got {v.ndim}D")
+        return np.fft.rfftn(v)
+
+    def conv(self, v: np.ndarray) -> np.ndarray:
+        """sum_{z != 0} K(z) v(x - z) over the nonzero lattice lags z."""
+        f = self._rfftn(v) * self.spectrum
+        return np.fft.irfftn(f, s=v.shape, axes=tuple(range(v.ndim)))
+
+    def pair_sum(self, v: np.ndarray, axis: int | None = None):
+        """sum_x sum_z |v(x + z) - v(x)|^2 K(z) over the lattice points x
+        and lags z, from one rFFT of v by Parseval.  Invariant under
+        constant shifts of v.
+
+        With ``axis`` given, a 1D table's pair form along every grid line
+        of v parallel to ``axis``, from one rFFT along it: an array of the
+        line sums, of v's shape without ``axis``."""
         if axis is None:
-            if v.ndim != self.table.ndim:     # would broadcast silently
-                raise ValueError(f"a {self.table.ndim}D kernel table needs "
-                                 f"axis= on a {v.ndim}D array")
-            return np.fft.rfftn(v), list(self.spectrum.shape)
+            f = self._rfftn(v)
+            return float(2.0 * np.sum((f.real ** 2 + f.imag ** 2)
+                                      * self._pair_weights))
         if self.table.ndim != 1:
             raise ValueError(f"a {self.table.ndim}D kernel table acts on "
                              "all axes, not along one")
+        f = np.fft.rfft(v, axis=axis)
         shape = [1] * v.ndim
         shape[axis] = -1
-        return np.fft.rfft(v, axis=axis), shape
-
-    def conv(self, v: np.ndarray, axis: int | None = None) -> np.ndarray:
-        """sum_{z != 0} K(z) v(x - z) over the nonzero lattice lags z (along
-        ``axis`` only, when given)."""
-        f, shape = self._rfft(v, axis)
-        f = f * self.spectrum.reshape(shape)
-        if axis is None:
-            return np.fft.irfftn(f, s=v.shape, axes=tuple(range(v.ndim)))
-        return np.fft.irfft(f, n=v.shape[axis], axis=axis)
-
-    def pair_sum(self, v: np.ndarray, axis: int | None = None) -> float:
-        """sum_x sum_z |v(x + z) - v(x)|^2 K(z) over the lattice points x
-        and lags z (along ``axis`` only, when given), from one rFFT of v by
-        Parseval.  Invariant under constant shifts of v."""
-        f, shape = self._rfft(v, axis)
-        return float(2.0 * np.sum((f.real ** 2 + f.imag ** 2)
-                                  * self._pair_weights.reshape(shape)))
+        return 2.0 * np.sum((f.real ** 2 + f.imag ** 2)
+                            * self._pair_weights.reshape(shape), axis=axis)
 
 
 def _check_grid(n: int, tol: float) -> None:

@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 
 from stripes import kernel
+from stripes.decomposition import default_delta_grad
 from stripes.field import (PeriodicField, StripeSpec, gradient, l1_distance,
                            make_stripes)
 from stripes.model import ModelParams, double_well, double_well_prime
@@ -67,39 +68,59 @@ def nonlocal_direct(values: np.ndarray, kgrid: np.ndarray, spacing: float
 
 
 def cross_term_direct(u: PeriodicField, i: int, params: ModelParams,
-                      trunc_radius: float | None = None, tol: float = 1e-7
-                      ) -> float:
+                      tol: float = 1e-7) -> float:
     """Reference cross term by the all-lags loop: one roll and one sum of
     squared brackets per lag (O(n^(2d)); small grids only).  Same
     definition and normalisation as ``decomposition.cross_term``."""
     ax = i - 1
     n, d = u.n, u.dims
     vals = u.values
-    vol2 = u.h_grid ** (2 * d)
     axes = tuple(range(d))
-    if trunc_radius is None:
-        kgrid = kernel.periodized_kernel_grid(u.L, u.n, params, tol=tol)
-        total = 0.0
-        for lag in itertools.product(range(n), repeat=d):
-            t1 = np.roll(vals, -lag[ax], axis=ax) - vals
-            perp = [0 if a == ax else -z for a, z in enumerate(lag)]
-            bracket = t1 - np.roll(t1, perp, axis=axes)
-            total += kgrid[lag] * float(np.sum(bracket ** 2))
-        return total * vol2 / (2.0 * d)
-
-    m_max = int(np.floor(trunc_radius / u.h_grid))
+    kgrid = kernel.periodized_kernel_grid(u.L, u.n, params, tol=tol)
     total = 0.0
-    for mi in range(1, m_max + 1):
-        t1 = np.roll(vals, -(mi % n), axis=ax) - vals
-        for mperp in itertools.product(range(-m_max, m_max + 1),
-                                       repeat=d - 1):
-            lag_perp = [-(m % n) for m in mperp]
-            lag_perp.insert(ax, 0)
-            norm1 = (mi + sum(abs(m) for m in mperp)) * u.h_grid
-            bracket = t1 - np.roll(t1, lag_perp, axis=axes)
-            total += ((norm1 + params.kernel_scale) ** (-params.p)
-                      * float(np.sum(bracket ** 2)))
-    return total * vol2 / d
+    for lag in itertools.product(range(n), repeat=d):
+        t1 = np.roll(vals, -lag[ax], axis=ax) - vals
+        perp = [0 if a == ax else -z for a, z in enumerate(lag)]
+        bracket = t1 - np.roll(t1, perp, axis=axes)
+        total += kgrid[lag] * float(np.sum(bracket ** 2))
+    return total * u.h_grid ** (2 * d) / (2.0 * d)
+
+
+def slice_terms_direct(u: PeriodicField, params: ModelParams, tol: float = 1e-7
+                       ) -> tuple[list, list[float], list[float], float]:
+    """Reference slice terms by the per-line loop: the np.roll gradient,
+    line sums of the Mbar density over a boolean mask of the active set,
+    and one ``pair_sum`` per 1D line against the lattice marginal of the
+    periodized kernel grid.  Returns (rows, mbar, gbar, wcal): the rows of
+    ``decomposition.slice_tables`` and the whole-field Mbar^i, Gbar^i and
+    Wcal of ``decomposition.lower_bound_report``."""
+    d, n, h = u.dims, u.n, u.h_grid
+    alpha = params.alpha
+    diffs = [(np.roll(u.values, -1, axis=ax) - u.values) / h
+             for ax in range(d)]
+    gl1 = sum(np.abs(g) for g in diffs)
+    active = gl1 > default_delta_grad(u)
+    w = double_well(u.values)
+    kgrid = kernel.periodized_kernel_grid(u.L, n, params, tol=tol)
+    op = kernel.PeriodicKernelOperator(kernel.lattice_marginal(kgrid, 0, h))
+    ctau = kernel.c_tau(params)
+    rows, mbar, gbar = [], [], []
+    for ax, g in enumerate(diffs):
+        di = np.abs(g)
+        ratio = np.zeros_like(gl1)
+        ratio[active] = di[active] / gl1[active]
+        dens = 3.0 * alpha * di * gl1 + (3.0 / alpha) * w * ratio
+        nl_total = 0.0
+        for k, idx in enumerate(np.ndindex((n,) * (d - 1))):
+            line = idx[:ax] + (slice(None),) + idx[ax:]
+            m = float(np.sum(dens[line][active[line]]) * h)
+            nl = op.pair_sum(u.values[line]) * h ** 2
+            nl_total += nl
+            rows.append((ax + 1, k, m, m * ctau - nl))
+        mbar.append(float(np.sum(dens[active]) * h ** d))
+        gbar.append(mbar[-1] * ctau - nl_total * h ** (d - 1))
+    wcal = float((3.0 / alpha) * np.sum(w[~active]) * h ** d)
+    return rows, mbar, gbar, wcal
 
 
 def _box_int_direct(lo, hi, a: float, pe: float) -> float:

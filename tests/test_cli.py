@@ -9,7 +9,8 @@ import pytest
 from click.testing import CliRunner
 
 from stripes.cli import FORMAT_VERSION, main
-from stripes.field import PeriodicField, write_pfd
+from stripes.decomposition import slice_tables
+from stripes.field import PeriodicField, read_pfd, write_pfd
 from stripes.model import ModelParams
 from stripes.solvers import STOP_REASONS
 
@@ -140,6 +141,25 @@ def test_verify_decomposition_reads_field_file(runner, tmp_path):
     assert res.exit_code == 0, res.output
 
 
+def test_verify_decomposition_reports_slice_gbar(runner, tmp_path):
+    fpath = _start_field(tmp_path)
+    out = tmp_path / "vd"
+    res = runner.invoke(main, ["verify-decomposition", "--field", str(fpath),
+                               "--output-dir", str(out)])
+    assert res.exit_code == 0, res.output
+    rep = _payload(out / "verify_decomposition.json")["report"]
+    u, ps = read_pfd(fpath)
+    assert rep["dx_over_alpha"] == pytest.approx(u.h_grid / ps.alpha,
+                                                  rel=1e-15)
+    rows = slice_tables(u, ps)
+    for i in (1, 2):
+        gbar = [g for axis, _, _, g in rows if axis == i]
+        assert rep["gbar_min"][i - 1] == min(gbar)
+        frac = rep["gbar_negative_fraction"][i - 1]
+        assert 0.0 <= frac <= 1.0
+        assert frac == sum(g < 0 for g in gbar) / len(gbar)
+
+
 def test_rp_check_passes(runner, tmp_path):
     out = tmp_path / "rp"
     res = runner.invoke(main, ["rp-check", "-d", "1", "-p", "3",
@@ -200,6 +220,14 @@ def test_minimize_2d_rejects_zero_threads(runner, tmp_path):
                                "--output-dir", str(tmp_path)])
     assert res.exit_code == 1
     assert "threads=0" in res.output
+    assert not (tmp_path / "minimize_2d.json").exists()
+
+
+def test_minimize_2d_rejects_zero_seeds(runner, tmp_path):
+    res = runner.invoke(main, ["minimize-2d", "--seeds", "0",
+                               "--output-dir", str(tmp_path)])
+    assert res.exit_code == 1
+    assert "Error: n_seeds must be >= 1, got 0" in res.output
     assert not (tmp_path / "minimize_2d.json").exists()
 
 

@@ -45,21 +45,13 @@ def lifted(draw, d: int) -> PeriodicField:
     return make_one_dimensional(g, draw(st.integers(1, d)), d, n)
 
 
-def trunc_radii(u: PeriodicField):
-    """None (periodized path) or a radius of 1 to 1.5 n cells, mid-cell so
-    that both implementations take the same number of shells."""
-    return st.one_of(st.none(), st.integers(1, 3 * u.n // 2).map(
-        lambda m: (m + 0.5) * u.h_grid))
-
-
 @SETTINGS
-@given(data=st.data(), u=generic_fields())
-def test_cross_term_matches_all_lags_loop(data, u):
+@given(u=generic_fields())
+def test_cross_term_matches_all_lags_loop(u):
     params, tol = PARAMS[u.dims], TOL[u.dims]
-    trunc = data.draw(trunc_radii(u))
     for i in range(1, u.dims + 1):
-        ref = cross_term_direct(u, i, params, trunc_radius=trunc, tol=tol)
-        assert cross_term(u, i, params, trunc_radius=trunc, tol=tol) \
+        ref = cross_term_direct(u, i, params, tol=tol)
+        assert cross_term(u, i, params, tol=tol) \
             == pytest.approx(ref, rel=1e-12)
 
 
@@ -67,16 +59,15 @@ def test_cross_term_matches_all_lags_loop(data, u):
 @given(data=st.data(), u=generic_fields())
 def test_cross_term_translation_and_reflection_invariant(data, u):
     params, tol = PARAMS[u.dims], TOL[u.dims]
-    trunc = data.draw(trunc_radii(u))
     shift = data.draw(st.tuples(*[st.integers(0, u.n - 1)] * u.dims))
     moved = [PeriodicField(u.dims, u.n, u.L, np.roll(
         u.values, shift, axis=tuple(range(u.dims))))]
     moved += [PeriodicField(u.dims, u.n, u.L, np.flip(u.values, axis=ax))
               for ax in range(u.dims)]
     for i in range(1, u.dims + 1):
-        base = cross_term(u, i, params, trunc_radius=trunc, tol=tol)
+        base = cross_term(u, i, params, tol=tol)
         for v in moved:
-            assert cross_term(v, i, params, trunc_radius=trunc, tol=tol) \
+            assert cross_term(v, i, params, tol=tol) \
                 == pytest.approx(base, rel=1e-12)
 
 
@@ -92,10 +83,8 @@ def test_cross_term_nonnegative(data, d, exponent, binary):
     vals = (u.values + noise > 0.5).astype(float) if binary \
         else np.clip(u.values + noise, 0.0, 1.0)
     v = PeriodicField(d, u.n, u.L, vals)
-    trunc = data.draw(trunc_radii(v))
     for i in range(1, d + 1):
-        assert cross_term(v, i, PARAMS[d], trunc_radius=trunc,
-                          tol=TOL[d]) >= 0.0
+        assert cross_term(v, i, PARAMS[d], tol=TOL[d]) >= 0.0
 
 
 @SETTINGS
@@ -103,24 +92,11 @@ def test_cross_term_nonnegative(data, d, exponent, binary):
 def test_cross_term_vanishes_on_lifted_fields(data, d):
     u = lifted(data.draw, d)
     params, tol = PARAMS[d], TOL[d]
-    trunc = data.draw(trunc_radii(u))
     # the bracket cancels exactly; the FFT table leaves rounding of order
     # eps * sum (u - mean)^2 per lag, summed against the kernel
     kgrid = kernel.periodized_kernel_grid(u.L, u.n, params, tol=tol)
     scale = (float(np.sum((u.values - u.values.mean()) ** 2))
              * float(np.sum(kgrid)) * u.h_grid ** (2 * d))
     for i in range(1, d + 1):
-        assert cross_term_direct(u, i, params, trunc_radius=trunc,
-                                 tol=tol) == 0.0
-        assert 0.0 <= cross_term(u, i, params, trunc_radius=trunc,
-                                 tol=tol) <= 1e-13 * scale
-
-
-@pytest.mark.parametrize("factor", [float("nan"), float("inf"), -1.0, 0.0,
-                                    0.5])
-def test_cross_term_rejects_bad_trunc_radius(factor):
-    u = PeriodicField(2, 8, 2.0, np.random.default_rng(0).uniform(
-        0.0, 1.0, (8, 8)))
-    with pytest.raises(ValueError, match="trunc_radius"):
-        cross_term(u, 1, PARAMS[2], trunc_radius=factor * u.h_grid)
-    assert cross_term(u, 1, PARAMS[2], trunc_radius=u.h_grid) > 0.0
+        assert cross_term_direct(u, i, params, tol=tol) == 0.0
+        assert 0.0 <= cross_term(u, i, params, tol=tol) <= 1e-13 * scale

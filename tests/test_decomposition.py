@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import rough_field, smooth_field, smooth_profile
+from helpers import (rough_field, slice_terms_direct, smooth_field,
+                     smooth_profile)
 from stripes import kernel
-from stripes.decomposition import (cross_term, cross_term_tail_bound,
-                                   directional_g, directional_mm,
-                                   flat_penalty, lower_bound_report,
+from stripes.decomposition import (cross_term, directional_g,
+                                   directional_mm, flat_penalty,
+                                   lower_bound_report,
                                    positivity_identity_check, slice_tables,
                                    write_slice_csv)
 from stripes.energy import total_energy
@@ -37,15 +40,6 @@ def test_cross_term_nonnegative_and_zero_on_1d(ps2):
     u1 = make_one_dimensional(g, 1, 2, 10)
     assert cross_term(u1, 1, ps2) == pytest.approx(0.0, abs=1e-12)
     assert cross_term(u1, 2, ps2) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_cross_term_truncated_approaches_periodized(ps2):
-    rng = np.random.default_rng(12)
-    u = smooth_field(2, 10, 2.0, rng)
-    full = cross_term(u, 1, ps2)
-    # wide truncation covers the dominant lags; the tail bound covers the rest
-    trunc = cross_term(u, 1, ps2, trunc_radius=6.0)
-    assert abs(full - trunc) <= cross_term_tail_bound(6.0, u, ps2) + 1e-6
 
 
 def test_directional_g_nonnegative_zero_on_constant_slices(ps2):
@@ -143,3 +137,69 @@ def test_lower_bound_report_rejects_single_cell_grid(ps2):
     u = PeriodicField(2, 1, 2.0, np.full((1, 1), 0.4))
     with pytest.raises(ValueError, match="n must be >= 2"):
         lower_bound_report(u, ps2)
+
+
+@pytest.mark.parametrize("term", [directional_mm, directional_g])
+@pytest.mark.parametrize("i, x_perp", [
+    (0, (3,)), (3, (3,)), (-1, (3,)),          # axis outside 1..d
+    (1, (-1,)), (2, (8,)),                      # index outside [0, n)
+    (1, ()), (2, (1, 2)),                       # wrong count
+])
+def test_directional_terms_reject_a_bad_line(ps2, term, i, x_perp):
+    u = rough_field(2, 8, 2.0, np.random.default_rng(0))
+    with pytest.raises(IndexError):
+        term(u, i, x_perp, ps2)
+
+
+SLICE_PARAMS = {1: ModelParams(d=1, p=3.0, tau=0.05, eps=0.05, L=1.0),
+                2: ModelParams(d=2, p=4.0, tau=0.05, eps=0.05, L=2.0),
+                3: ModelParams(d=3, p=5.0, tau=0.05, eps=0.05, L=1.0)}
+SLICE_MAX_N = {1: 40, 2: 13, 3: 7}
+
+
+@st.composite
+def slice_fields(draw):
+    """An iid, lifted or stripe field in d = 1, 2 or 3 on an odd or even
+    grid."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.integers(2, SLICE_MAX_N[d]))
+    L = SLICE_PARAMS[d].L
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    axis = draw(st.integers(1, d))
+    kind = draw(st.sampled_from(["iid", "lifted", "stripe"]))
+    if kind == "iid":
+        return PeriodicField(d, n, L, rng.uniform(0.0, 1.0, (n,) * d))
+    if kind == "lifted":
+        g = Profile1D(n, L, rng.uniform(0.0, 1.0, n))
+        return make_one_dimensional(g, axis, d, n)
+    # j stripe periods of n / j >= 2 cells each, offset by whole cells
+    j = draw(st.sampled_from([j for j in range(1, n // 2 + 1)
+                              if n % j == 0]))
+    nu = draw(st.integers(0, n // j - 1)) * L / n
+    return make_stripes(StripeSpec(axis, L / (2 * j), nu), L, n, d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), u=slice_fields())
+def test_slice_terms_match_per_line_loop(data, u):
+    params = SLICE_PARAMS[u.dims]
+    rows, mbar, gbar, wcal = slice_terms_direct(u, params)
+
+    def close(ref):
+        return pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+    got = slice_tables(u, params)
+    assert [r[:2] for r in got] == [r[:2] for r in rows]
+    assert np.array([r[2:] for r in got]) == close(
+        np.array([r[2:] for r in rows]))
+    rep = lower_bound_report(u, params)
+    assert rep.mbar == close(mbar)
+    assert rep.gbar == close(gbar)
+    assert rep.wcal == close(wcal)
+    for i in range(1, u.dims + 1):
+        perp = data.draw(st.tuples(*[st.integers(0, u.n - 1)]
+                                   * (u.dims - 1)))
+        k = int(np.ravel_multi_index(perp, (u.n,) * (u.dims - 1)))
+        _, _, m_ref, g_ref = rows[(i - 1) * u.n ** (u.dims - 1) + k]
+        assert directional_mm(u, i, perp, params) == close(m_ref)
+        assert directional_g(u, i, perp, params) == close(g_ref)

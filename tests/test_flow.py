@@ -216,6 +216,20 @@ def test_experiment_rejects_a_nonpositive_thread_count(ps2, threads):
         symmetry_breaking_experiment(ps2, threads=threads)
 
 
+@pytest.mark.parametrize("n_seeds", [0, -1])
+def test_experiment_rejects_a_nonpositive_seed_count(ps2, monkeypatch,
+                                                     n_seeds):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before checking n_seeds")
+
+    # the check comes before the period search and the benchmark flow
+    monkeypatch.setattr(flow._onedim, "optimal_period", no_work)
+    monkeypatch.setattr(flow, "tiled_stripe_benchmark", no_work)
+    with pytest.raises(ValueError, match=f"n_seeds must be >= 1, got "
+                                         f"{n_seeds}"):
+        symmetry_breaking_experiment(ps2, n_seeds=n_seeds)
+
+
 @pytest.mark.parametrize("env", ["0", "-2", "two", "1.5"])
 def test_experiment_rejects_a_bad_stripes_threads(ps2, monkeypatch, env):
     monkeypatch.setenv("STRIPES_THREADS", env)

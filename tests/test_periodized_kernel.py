@@ -134,7 +134,9 @@ def test_axis_pair_sum_matches_lag_sum(d, n, seed):
                                                       eps=0.05, L=1.5))
     v = np.random.default_rng(seed).uniform(0.0, 1.0, (n,) * d)
     for ax in range(d):
-        ref = sum(op.table[j] * np.sum((np.roll(v, -j, axis=ax) - v) ** 2)
+        # one lag sum per line along ax
+        ref = sum(op.table[j] * np.sum((np.roll(v, -j, axis=ax) - v) ** 2,
+                                       axis=ax)
                   for j in range(n))
         assert op.pair_sum(v, axis=ax) == pytest.approx(ref, rel=1e-12)
 
