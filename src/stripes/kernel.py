@@ -325,7 +325,8 @@ class PeriodicKernelOperator:
         f = self._rfftn(v) * self.spectrum
         return np.fft.irfftn(f, s=v.shape, axes=tuple(range(v.ndim)))
 
-    def pair_sum(self, v: np.ndarray, axis: int | None = None):
+    def pair_sum(self, v: np.ndarray, axis: int | None = None
+                 ) -> float | np.ndarray:
         """sum_x sum_z |v(x + z) - v(x)|^2 K(z) over the lattice points x
         and lags z, from one rFFT of v by Parseval.  Invariant under
         constant shifts of v.

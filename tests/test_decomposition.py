@@ -159,16 +159,21 @@ SLICE_MAX_N = {1: 40, 2: 13, 3: 7}
 
 @st.composite
 def slice_fields(draw):
-    """An iid, lifted or stripe field in d = 1, 2 or 3 on an odd or even
-    grid."""
+    """An iid, near-flat, lifted or stripe field in d = 1, 2 or 3 on an odd
+    or even grid.  Near-flat fields put gradients on both sides of the
+    active-set threshold."""
     d = draw(st.sampled_from([1, 2, 3]))
     n = draw(st.integers(2, SLICE_MAX_N[d]))
     L = SLICE_PARAMS[d].L
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     axis = draw(st.integers(1, d))
-    kind = draw(st.sampled_from(["iid", "lifted", "stripe"]))
+    kind = draw(st.sampled_from(["iid", "near-flat", "lifted", "stripe"]))
     if kind == "iid":
         return PeriodicField(d, n, L, rng.uniform(0.0, 1.0, (n,) * d))
+    if kind == "near-flat":
+        scale = 10.0 ** -draw(st.integers(1, 15))
+        return PeriodicField(d, n, L, 0.5 + scale * rng.uniform(
+            -1.0, 1.0, (n,) * d))
     if kind == "lifted":
         g = Profile1D(n, L, rng.uniform(0.0, 1.0, n))
         return make_one_dimensional(g, axis, d, n)
