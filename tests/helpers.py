@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 
 from stripes import kernel
-from stripes.decomposition import default_delta_grad
+from stripes.decomposition import KERNEL_TOL, default_delta_grad
 from stripes.field import (PeriodicField, StripeSpec, gradient, l1_distance,
                            make_stripes)
 from stripes.model import ModelParams, double_well, double_well_prime
@@ -86,7 +86,7 @@ def cross_term_direct(u: PeriodicField, i: int, params: ModelParams,
     return total * u.h_grid ** (2 * d) / (2.0 * d)
 
 
-def slice_terms_direct(u: PeriodicField, params: ModelParams, tol: float = 1e-7
+def slice_terms_direct(u: PeriodicField, params: ModelParams
                        ) -> tuple[list, list[float], list[float], float]:
     """Reference slice terms by the per-line loop: the np.roll gradient,
     line sums of the Mbar density over a boolean mask of the active set,
@@ -101,7 +101,7 @@ def slice_terms_direct(u: PeriodicField, params: ModelParams, tol: float = 1e-7
     gl1 = sum(np.abs(g) for g in diffs)
     active = gl1 > default_delta_grad(u)
     w = double_well(u.values)
-    kgrid = kernel.periodized_kernel_grid(u.L, n, params, tol=tol)
+    kgrid = kernel.periodized_kernel_grid(u.L, n, params, tol=KERNEL_TOL)
     op = kernel.PeriodicKernelOperator(kernel.lattice_marginal(kgrid, 0, h))
     ctau = kernel.c_tau(params)
     rows, mbar, gbar = [], [], []
