@@ -221,6 +221,7 @@ def minimize_2d(cfg, out):
         return {"resumed_from": cfg["resume"],
                 "energy": tr.entries[-1][1],
                 "converged": tr.converged, "stop": list(tr.stop),
+                "evals": list(tr.evals), "grad_norm": list(tr.grad_norm),
                 "iterations": tr.iterations}, True
     try:
         _flow._workers(int(cfg["n_seeds"]), cfg["threads"])

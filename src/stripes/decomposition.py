@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,15 +48,22 @@ def default_delta_grad(u: PeriodicField) -> float:
 def _axis_operator(u: PeriodicField, params: ModelParams
                    ) -> _kernel.PeriodicKernelOperator:
     """Operator of the lattice marginal of the periodized kernel grid along
-    one axis (the same on every axis, by symmetry).
+    one axis (the same on every axis, by symmetry); cached per
+    (L, n, params).
 
     This is the rectangle-rule counterpart of the continuum marginal; using
     it (rather than the closed-form marginal) makes the cross-term identity
     exact on the lattice.
     """
-    kgrid = _kernel.periodized_kernel_grid(u.L, u.n, params, tol=KERNEL_TOL)
+    return _cached_axis_operator(float(u.L), int(u.n), params)
+
+
+@lru_cache(maxsize=32)
+def _cached_axis_operator(L: float, n: int, params: ModelParams
+                          ) -> _kernel.PeriodicKernelOperator:
+    kgrid = _kernel.periodized_kernel_grid(L, n, params, tol=KERNEL_TOL)
     return _kernel.PeriodicKernelOperator(
-        _kernel.lattice_marginal(kgrid, 0, u.h_grid))
+        _kernel.lattice_marginal(kgrid, 0, L / n))
 
 
 @dataclass(frozen=True)

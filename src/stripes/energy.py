@@ -20,7 +20,9 @@ evaluation of the discrete energy and of its gradient (with the smoothed
 kernel operator once per (params, L, n), so a descent that evaluates many
 trial fields builds no field object and looks up no cache per trial.
 ``total_energy``, ``nonlocal_energy`` and ``flow.energy_gradient`` are
-its wrappers for ``PeriodicField`` input.
+its wrappers for ``PeriodicField`` input.  Its ``slope_bound`` is the
+flow's line-search certificate: a lower bound on the exact energy along a
+clipped descent path.
 """
 
 from __future__ import annotations
@@ -94,6 +96,8 @@ class _FieldObjective:
         self.well_pref = pref * (3.0 / alpha)
         self.flux_pref = pref * 6.0 * alpha * vol / dx
         self.pair_pref = 4.0 * vol * vol / L ** d
+        # the last grad call's field and nonlocal gradient, for slope_bound
+        self._nl_grad = (None, None)
 
     @classmethod
     def of(cls, u: PeriodicField, params: ModelParams, tol: float = 1e-7,
@@ -130,8 +134,60 @@ class _FieldObjective:
         for ax in range(self.d):
             flux = s * diffs[ax] / roots[ax]
             grad += self.flux_pref * (roll(flux, 1, ax) - flux)
-        grad -= self.pair_pref * (self.op.ksum * v - self.op.conv(v))
+        nl_grad = self.pair_pref * (self.op.ksum * v - self.op.conv(v))
+        grad -= nl_grad
+        self._nl_grad = (v, nl_grad)
         return grad
+
+    def certificate(self):
+        """``slope_bound``, the line-search certificate of
+        ``solvers.projected_bb`` on [0, 1], when C_tau > 1; None otherwise,
+        since then the interfacial term is concave and the bound fails."""
+        return self.slope_bound if self.c1 > 0 else None
+
+    def slope_bound(self, v: np.ndarray, g: np.ndarray
+                    ) -> tuple[float, float, float]:
+        """(slope, curv, s_max) with F(clip(v - s g)) - F(v) >=
+        s slope - s^2 curv for 0 <= s <= s_max, exact in exact arithmetic.
+
+        On [0, s_max] the clipped path is v + s d, with d = -g except on
+        samples that sit on a bound and that g pushes out (d = 0 there), and
+        s_max the first step at which a moving sample reaches a bound.
+        Along it (sum_i |D_i v|)^2 is convex, so its one-sided slope (a kink
+        D_i v = 0 contributes |D_i d|) bounds it from below; W'' >= -1; and
+        NL is quadratic, NL(v + s d) = NL(v) + s <grad NL, d> + s^2 NL(d).
+        So slope is F'(v; d) and curv = (3/alpha) sum d^2 / 2 + NL(d), each
+        with its prefactor.  The nonlocal gradient of v comes from the last
+        ``grad(v)`` call when it was made on this array, so only NL(d)
+        takes an rFFT."""
+        d = -g
+        d[((v <= 0.0) & (g > 0)) | ((v >= 1.0) & (g < 0))] = 0.0
+        # a sample moving down sits above 0 and one moving up below 1, so
+        # every denominator is positive; rate is 1/(steps to the bound)
+        with np.errstate(over="ignore"):
+            rate = np.abs(d) / np.where(d < 0, v, np.where(d > 0, 1.0 - v,
+                                                           1.0))
+        top = float(np.max(rate))
+        s_max = 1.0 / top if top > 0 else np.inf
+        # differences without the 1/dx: flux_pref holds one, the sum the other
+        norm = slope_norm = 0.0
+        for ax in range(self.d):
+            dv = roll(v, -1, ax) - v
+            dd = roll(d, -1, ax) - d
+            norm = norm + np.abs(dv)
+            slope_norm = slope_norm + np.where(dv == 0, np.abs(dd),
+                                               np.sign(dv) * dd)
+        well_prime = 2.0 * v * (1.0 - v) * (1.0 - 2.0 * v)
+        nl_v, nl_grad = self._nl_grad
+        if nl_v is not v:
+            nl_grad = self.pair_pref * (self.op.ksum * v - self.op.conv(v))
+        well = self.well_pref * self.vol
+        slope = (self.flux_pref * float(np.sum(norm * slope_norm)) / self.dx
+                 + well * float(np.sum(well_prime * d))
+                 - float(np.sum(nl_grad * d)))
+        curv = (0.5 * well * float(np.sum(d * d))
+                + self.nonlocal_sum(d) * self.vol_inv)
+        return slope, curv, s_max
 
 
 def modica_mortola(u: PeriodicField, alpha: float) -> float:

@@ -5,14 +5,23 @@ The descent direction smooths the 1-norm in the interfacial term with
 ``sqrt(D_i^2 + kappa^2)``; line-search acceptance and all reported numbers
 use the exact (unsmoothed) energy, so the monotone-decrease invariant
 refers to the true functional.  The line search halves a rejected step, and
-a stage ends on ``line_search`` after solvers.MAX_HALVINGS rejected trials
-or as soon as solvers.FLAT_TRIALS trials in a row return the current energy
-exactly, since then the energy no longer resolves the step.  A flow builds
+a stage ends on ``line_search`` after solvers.MAX_HALVINGS rejected trials,
+as soon as solvers.FLAT_TRIALS trials in a row return the current energy
+exactly, since then the energy no longer resolves the step, or as soon as a
+slope bound certifies that no shorter step can lower the exact energy.  The
+smoothed direction crosses kinks of the exact 1-norm, so the exact energy
+can rise along it however short the step; at the first rejected trial
+``energy._FieldObjective.slope_bound`` gives the one-sided slope F' of the
+exact energy along the clipped path and a curvature bound Q, and the search
+stops once the next step s has F' > 0 and s Q <= F'/2.  The bound needs
+C_tau > 1 (a convex interfacial term); otherwise the flow passes no
+certificate and the search runs as before.  A flow builds
 one ``energy._FieldObjective`` at its default kernel truncation, which
 resolves the kernel operator and the prefactors once, and hands its
 ``energy`` and ``grad`` on raw arrays to ``solvers.projected_bb``: each of
 the KAPPA_STAGES kappa stages, starting at KAPPA, runs it with the fixed
-STEP0, TOL_ENERGY and TOL_GRAD, and the trace keeps why each stage stopped.
+STEP0, TOL_ENERGY and TOL_GRAD, and the trace keeps why each stage stopped,
+its energy calls and its final projected-gradient norm.
 The last trace entry of a flow is the exact energy of the field it returns,
 so the benchmark and the experiment's runs report it without evaluating it
 again.  The stripe search rasterizes each candidate stripe profile once and
@@ -62,6 +71,8 @@ class FlowTrace:
     iterations: int
     kappa_final: float
     stop: tuple             # solvers.STOP_REASONS entry of each kappa stage
+    evals: tuple            # energy calls of each kappa stage
+    grad_norm: tuple        # final projected-gradient max-norm of each stage
 
     def write_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -124,7 +135,7 @@ def gradient_flow(u0: PeriodicField, params: ModelParams,
     v = np.array(u0.values, dtype=float)
     e = obj.energy(v)
     trace = [(0, e, STEP0)]
-    stops = []
+    stages = []
     it = 0
     converged = False
     kappa = KAPPA
@@ -132,15 +143,17 @@ def gradient_flow(u0: PeriodicField, params: ModelParams,
         res = projected_bb(v, e, obj.energy, partial(obj.grad, kappa=kappa),
                            0.0, 1.0, step0=STEP0, max_iter=opts.max_iter,
                            tol_grad=TOL_GRAD, tol_energy=TOL_ENERGY,
-                           trace_every=opts.trace_every, start=it)
+                           trace_every=opts.trace_every, start=it,
+                           certify=obj.certificate())
         v, e, it, converged = res.x, res.energy, res.iterations, res.converged
         trace.extend(res.trace)
-        stops.append(res.stop)
+        stages.append((res.stop, res.evals, res.grad_norm))
         kappa /= 10.0
     trace.append((it, e, 0.0))
+    stops, evals, gnorms = zip(*stages)
     return (u0.with_values(v),
-            FlowTrace(tuple(trace), converged, it, kappa * 10.0,
-                      tuple(stops)))
+            FlowTrace(tuple(trace), converged, it, kappa * 10.0, stops,
+                      evals, gnorms))
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +290,7 @@ def symmetry_breaking_experiment(params: ModelParams, k: int = 1,
         rel_gap = (ef - bench_e) / (abs(bench_e) + 1e-30)
         return {"seed": seed, "energy": ef, "converged": tr.converged,
                 "stop": list(tr.stop), "iterations": tr.iterations,
+                "evals": list(tr.evals), "grad_norm": list(tr.grad_norm),
                 "best_axis": m.best_axis,
                 "l1_to_best_stripes": m.l1_to_best_stripes,
                 "fourier_anisotropy": m.fourier_anisotropy,

@@ -23,8 +23,8 @@ STEP_MIN, STEP_MAX = 1e-10, 1e6
 ACTIVE_TOL = 1e-12
 # why a descent stopped: the projected-gradient test held, STALL_LIMIT
 # accepted steps gained too little, no backtracking trial decreased the
-# energy (or FLAT_TRIALS in a row returned it unchanged), or the iteration
-# budget ran out
+# energy (or FLAT_TRIALS in a row returned it unchanged, or a slope bound
+# proved that no shorter trial can), or the iteration budget ran out
 STOP_REASONS = ("grad", "stall", "line_search", "max_iter")
 
 
@@ -42,12 +42,13 @@ class DescentResult:
     step: float             # trial step length when the descent stopped
     trace: tuple            # (iteration, energy, step) every trace_every
     stop: str               # why it stopped: one of STOP_REASONS
+    evals: int              # calls of ``energy`` made by the descent
 
 
 def projected_bb(x: np.ndarray, e: float, energy, grad, lo: float,
                  hi: float, project=None, *, step0: float, max_iter: int,
                  tol_grad: float, tol_energy: float, trace_every: int,
-                 start: int = 0) -> DescentResult:
+                 start: int = 0, certify=None) -> DescentResult:
     """Projected descent of ``energy`` from ``x`` (of energy ``e``) on the
     box [lo, hi].
 
@@ -57,13 +58,22 @@ def projected_bb(x: np.ndarray, e: float, energy, grad, lo: float,
     ``project(x - step * grad)`` (default: clip to the box), with the
     Barzilai-Borwein step clamped to [STEP_MIN, STEP_MAX], and backtracks
     until the energy decreases strictly.  When no trial of MAX_HALVINGS
-    does, or FLAT_TRIALS trials in a row return exactly the current energy
-    (the energy no longer resolves the step), it stops, converged only if
-    the projected gradient is within 1e4 tol_grad.  It also stops converged
+    does, FLAT_TRIALS trials in a row return exactly the current energy
+    (the energy no longer resolves the step), or ``certify`` proves that no
+    shorter trial can (below), it stops, converged only if the projected
+    gradient is within 1e4 tol_grad.  It also stops converged
     after STALL_LIMIT accepted steps in a row that each gain less than
     ``tol_energy``.  Iterations are numbered from ``start`` + 1 to
     ``max_iter``, so stages of one run can share the count.  The result's
     ``stop`` names which of these four tests ended the descent.
+
+    ``certify(x, g)``, when given, returns (slope, curv, s_max) such that
+    energy(project(x - s g)) - energy(x) >= s slope - s^2 curv for every
+    0 < s <= s_max.  It is called once per iteration, at the first rejected
+    trial, and the line search stops as ``line_search`` without a further
+    energy call once the next trial step s has slope > 0, s <= s_max and
+    s curv <= slope / 2: then every step in (0, s] raises the energy by at
+    least s slope / 2, so no shorter trial can lower it.
     """
     if project is None:
         def project(y):
@@ -75,6 +85,7 @@ def projected_bb(x: np.ndarray, e: float, energy, grad, lo: float,
     stop = "max_iter"
     trace = []
     x_prev = g_prev = None
+    evals = 0
     it = start
     while it < max_iter:
         it += 1
@@ -94,15 +105,23 @@ def projected_bb(x: np.ndarray, e: float, energy, grad, lo: float,
             converged, stop = True, "grad"
             break
         flat = 0
+        bound = None
         for _ in range(MAX_HALVINGS):
             cand = project(x - step * g)
             ec = energy(cand)
+            evals += 1
             if ec < e:
                 break
             step *= BACKTRACK
             flat = flat + 1 if ec == e else 0
             if flat == FLAT_TRIALS:
                 break
+            if certify is not None:
+                if bound is None:
+                    bound = certify(x, g)
+                slope, curv, s_max = bound
+                if slope > 0 and step <= s_max and step * curv <= slope / 2:
+                    break
         if not ec < e:
             # exact stall of the line search: accept only a small gradient
             converged, stop = gnorm < 1e4 * tol_grad, "line_search"
@@ -116,7 +135,7 @@ def projected_bb(x: np.ndarray, e: float, energy, grad, lo: float,
             converged, stop = True, "stall"
             break
     return DescentResult(x, e, it, converged, gnorm, step, tuple(trace),
-                         stop)
+                         stop, evals)
 
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0

@@ -344,3 +344,12 @@ def test_sidecar_reruns_every_command(runner, tmp_path, case):
         # one descent per grid, n and 2n
         assert len(a["report"]["stop"]) == 2
         assert set(a["report"]["stop"]) <= set(STOP_REASONS)
+    if case.startswith("minimize-2d"):
+        # per flow, each kappa stage's stop, energy calls and final
+        # projected-gradient norm
+        flows = (a["report"]["runs"] if case == "minimize-2d"
+                 else [a["report"]])
+        for r in flows:
+            assert len(r["stop"]) == len(r["evals"]) == len(r["grad_norm"])
+            assert all(isinstance(k, int) and k >= 0 for k in r["evals"])
+            assert all(g >= 0.0 for g in r["grad_norm"])

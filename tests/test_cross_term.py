@@ -7,15 +7,12 @@ from hypothesis import strategies as st
 
 from helpers import cross_term_direct, smooth_field
 from stripes import kernel
-from stripes.decomposition import cross_term
+from stripes.decomposition import KERNEL_TOL, cross_term
 from stripes.field import PeriodicField, Profile1D, make_one_dimensional
 from stripes.model import ModelParams
 
 PARAMS = {2: ModelParams(d=2, p=4.0, tau=0.05, eps=0.05, L=2.0),
           3: ModelParams(d=3, p=6.0, tau=0.05, eps=0.05, L=1.0)}
-# a d=3 kernel grid at tol 1e-7 takes tens of seconds to build; every
-# property here holds for any nonnegative kernel grid, so d=3 uses 1e-4
-TOL = {2: 1e-7, 3: 1e-4}
 MAX_N = {2: 12, 3: 6}
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -48,7 +45,7 @@ def lifted(draw, d: int) -> PeriodicField:
 @SETTINGS
 @given(u=generic_fields())
 def test_cross_term_matches_all_lags_loop(u):
-    params, tol = PARAMS[u.dims], TOL[u.dims]
+    params, tol = PARAMS[u.dims], KERNEL_TOL
     for i in range(1, u.dims + 1):
         ref = cross_term_direct(u, i, params, tol=tol)
         assert cross_term(u, i, params, tol=tol) \
@@ -58,7 +55,7 @@ def test_cross_term_matches_all_lags_loop(u):
 @SETTINGS
 @given(data=st.data(), u=generic_fields())
 def test_cross_term_translation_and_reflection_invariant(data, u):
-    params, tol = PARAMS[u.dims], TOL[u.dims]
+    params, tol = PARAMS[u.dims], KERNEL_TOL
     shift = data.draw(st.tuples(*[st.integers(0, u.n - 1)] * u.dims))
     moved = [PeriodicField(u.dims, u.n, u.L, np.roll(
         u.values, shift, axis=tuple(range(u.dims))))]
@@ -84,14 +81,14 @@ def test_cross_term_nonnegative(data, d, exponent, binary):
         else np.clip(u.values + noise, 0.0, 1.0)
     v = PeriodicField(d, u.n, u.L, vals)
     for i in range(1, d + 1):
-        assert cross_term(v, i, PARAMS[d], tol=TOL[d]) >= 0.0
+        assert cross_term(v, i, PARAMS[d], tol=KERNEL_TOL) >= 0.0
 
 
 @SETTINGS
 @given(data=st.data(), d=dims)
 def test_cross_term_vanishes_on_lifted_fields(data, d):
     u = lifted(data.draw, d)
-    params, tol = PARAMS[d], TOL[d]
+    params, tol = PARAMS[d], KERNEL_TOL
     # the bracket cancels exactly; the FFT table leaves rounding of order
     # eps * sum (u - mean)^2 per lag, summed against the kernel
     kgrid = kernel.periodized_kernel_grid(u.L, u.n, params, tol=tol)

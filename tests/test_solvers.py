@@ -77,7 +77,7 @@ def test_projected_bb_reports_why_it_stopped(case, stop, converged):
         assert res.iterations >= STALL_LIMIT
 
 
-def _line_search(values, max_iter=1):
+def _line_search(values, max_iter=1, certify=None):
     """One projected_bb run from x0 = 0 along the constant gradient 1, with
     trial step t = 2^-k returning values[k] relative to the start energy 0
     (0 below the listed steps); returns the result and the trial steps."""
@@ -91,8 +91,61 @@ def _line_search(values, max_iter=1):
 
     res = projected_bb(np.zeros(3), 0.0, energy, np.ones_like, -10.0, 10.0,
                        step0=1.0, max_iter=max_iter, tol_grad=1e-9,
-                       tol_energy=1e-300, trace_every=1)
+                       tol_energy=1e-300, trace_every=1, certify=certify)
     return res, steps
+
+
+def _bound(slope, curv, s_max, calls):
+    """A certificate that returns (slope, curv, s_max) and logs its calls."""
+    def certify(x, g):
+        calls.append((x.copy(), g.copy()))
+        return slope, curv, s_max
+    return certify
+
+
+def test_certified_stop_makes_no_further_energy_call():
+    # the unit step rises; the certificate proves every step <= 1/2 rises
+    # too, so the search stops before trying 1/2
+    calls = []
+    res, steps = _line_search([1.0, -1.0], max_iter=50,
+                              certify=_bound(1.0, 0.0, np.inf, calls))
+    assert steps == [1.0]
+    assert (res.stop, res.converged, res.iterations) == ("line_search",
+                                                         False, 1)
+    assert np.array_equal(res.x, np.zeros(3)) and res.energy == 0.0
+    assert res.evals == 1 and res.step == 0.5
+    assert len(calls) == 1
+    assert np.array_equal(calls[0][0], np.zeros(3))
+    assert np.array_equal(calls[0][1], np.ones(3))
+
+
+@pytest.mark.parametrize("slope, curv, s_max, trials", [
+    (1.0, 0.0, 0.1, 4),      # stops at the first trial step <= s_max
+    (1.0, 8.0, np.inf, 4),   # ... and with step * curv <= slope / 2
+    (1.0, 1.0, 0.0, 6),      # never certified: the flat exit ends it
+    (0.0, 0.0, np.inf, 6),   # a zero slope proves nothing
+])
+def test_certified_stop_needs_every_condition(slope, curv, s_max, trials):
+    # every trial rises down to step 2^-3, then the energy is flat
+    calls = []
+    res, steps = _line_search([1.0] * 4, max_iter=50,
+                              certify=_bound(slope, curv, s_max, calls))
+    assert res.stop == "line_search" and len(steps) == res.evals == trials
+    assert len(calls) == 1      # once per line search, however long
+
+
+def test_certificate_is_not_built_when_the_first_trial_is_accepted():
+    calls = []
+    res, steps = _line_search([-1.0], certify=_bound(1.0, 0.0, 1.0, calls))
+    assert (res.stop, res.energy, steps, calls) == ("max_iter", -1.0,
+                                                    [1.0], [])
+
+
+def test_without_a_certificate_a_rising_line_search_halves_on():
+    # the same rise as the certified case: the search goes on to step 1/2
+    res, steps = _line_search([1.0, -1.0])
+    assert steps == [1.0, 0.5]
+    assert (res.stop, res.energy, res.evals) == ("max_iter", -1.0, 2)
 
 
 def test_flat_energy_ends_line_search_after_the_second_equal_trial():
