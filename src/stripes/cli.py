@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import click
@@ -218,11 +218,13 @@ def minimize_2d(cfg, out):
         uf, tr = _flow.gradient_flow(u0, run_params, opts)
         write_pfd(out / "resumed_final.pfd", uf, run_params)
         tr.write_csv(out / "resumed_trace.csv")
+        op = _kernel.kernel_operator(u0.L, u0.n, run_params)
         return {"resumed_from": cfg["resume"],
                 "energy": tr.entries[-1][1],
                 "converged": tr.converged, "stop": list(tr.stop),
                 "evals": list(tr.evals), "grad_norm": list(tr.grad_norm),
-                "iterations": tr.iterations}, True
+                "iterations": tr.iterations,
+                "kernel": asdict(op.certificate)}, True
     try:
         _flow._workers(int(cfg["n_seeds"]), cfg["threads"])
     except ValueError as exc:
@@ -271,6 +273,8 @@ def verify_decomposition(cfg, out):
     rep = json.loads(rep_obj.to_json())
     rep["delta_grad"] = _dec.default_delta_grad(u)
     rep["dx_over_alpha"] = u.h_grid / params.alpha
+    rep["kernel"] = asdict(_kernel.kernel_operator(
+        u.L, u.n, params, tol=_dec.KERNEL_TOL).certificate)
     return rep, rep_obj.slack >= -cfg["tol_slack"]
 
 

@@ -81,10 +81,9 @@ class _FieldObjective:
     the arrays it takes are not checked."""
 
     def __init__(self, params: ModelParams, L: float, n: int,
-                 tol: float = 1e-7, shells: int | None = None):
+                 tol: float = 1e-7):
         d = self.d = int(params.d)
-        self.op = _kernel.kernel_operator(L, n, params, tol=tol,
-                                          shells=shells)
+        self.op = _kernel.kernel_operator(L, n, params, tol=tol)
         self.alpha = alpha = params.alpha
         self.c1 = _kernel.c_tau(params) - 1.0
         self.dx = dx = L / n
@@ -100,12 +99,12 @@ class _FieldObjective:
         self._nl_grad = (None, None)
 
     @classmethod
-    def of(cls, u: PeriodicField, params: ModelParams, tol: float = 1e-7,
-           shells: int | None = None) -> "_FieldObjective":
+    def of(cls, u: PeriodicField, params: ModelParams, tol: float = 1e-7
+           ) -> "_FieldObjective":
         """The objective on the grid of ``u``."""
         if u.dims != params.d:
             raise ValueError("field dimension does not match params.d")
-        return cls(params, u.L, u.n, tol=tol, shells=shells)
+        return cls(params, u.L, u.n, tol=tol)
 
     def nonlocal_sum(self, v: np.ndarray) -> float:
         """NL(v), the lattice pair form of the periodized kernel."""
@@ -200,23 +199,21 @@ def modica_mortola(u: PeriodicField, alpha: float) -> float:
 
 
 def nonlocal_energy(u: PeriodicField, params: ModelParams,
-                    tol: float = 1e-7, shells: int | None = None) -> float:
+                    tol: float = 1e-7) -> float:
     """int int |u(x+zeta) - u(x)|^2 K_tau(zeta) dx dzeta on the lattice."""
-    return _FieldObjective.of(u, params, tol, shells).nonlocal_sum(u.values)
+    return _FieldObjective.of(u, params, tol).nonlocal_sum(u.values)
 
 
 def total_energy(u: PeriodicField, params: ModelParams,
-                 tol: float = 1e-7, shells: int | None = None
-                 ) -> EnergyBreakdown:
+                 tol: float = 1e-7) -> EnergyBreakdown:
     """Rescaled energy per unit volume with its two-term breakdown."""
-    mm, nl = _FieldObjective.of(u, params, tol, shells).split(u.values)
+    mm, nl = _FieldObjective.of(u, params, tol).split(u.values)
     return EnergyBreakdown(mm_term=mm, nonlocal_term=nl, total=mm - nl,
                            n=u.n, L=u.L, params=params)
 
 
 def unscaled_energy(u: PeriodicField, J: float, eps: float, L: float | None = None,
-                    *, p: float, tol: float = 1e-7, shells: int | None = None
-                    ) -> float:
+                    *, p: float, tol: float = 1e-7) -> float:
     """Energy with the tau = 1 kernel and coupling J on the gradient part:
     (1/L^d) [ J M_eps(u) - NL_1(u) ]."""
     if J <= 0:
@@ -226,33 +223,31 @@ def unscaled_energy(u: PeriodicField, J: float, eps: float, L: float | None = No
     params1 = ModelParams(d=u.dims, p=p, tau=1.0, eps=eps, L=u.L)
     vol_inv = 1.0 / u.L ** u.dims
     mm = modica_mortola(u, eps)
-    nl = nonlocal_energy(u, params1, tol=tol, shells=shells)
+    nl = nonlocal_energy(u, params1, tol=tol)
     return float(vol_inv * (J * mm - nl))
 
 
-def rescaling_identity_check(u: PeriodicField, params: ModelParams,
-                             tol: float = 1e-7
+def rescaling_identity_check(u: PeriodicField, params: ModelParams
                              ) -> tuple[float, float, float]:
     """Evaluate the unscaled energy and the rescaled energy on corresponding
     grids and return (lhs, rhs, gap).
 
     The field ``u`` is read on the rescaled torus [0, params.L)^d; the same
     sample values on the stretched torus of period L = tau^(-1/beta) params.L
-    define the unscaled configuration.  With coupling J = J_c - tau and both
-    periodized kernels built from the same number of lattice shells the two
-    sides agree to rounding error.
+    define the unscaled configuration.  With coupling J = J_c - tau the
+    two sides agree to rounding error: the tau = 1 kernel table on the
+    stretched torus at tolerance tol a^p is a^p times the tau kernel table
+    at tol, since both sum the same exponential-sum nodes in log(t a).
     """
     a = params.kernel_scale
     L_big = u.L / a
     tau_pow = params.tau ** (1.0 + 1.0 / params.beta)
-    params1 = ModelParams(d=u.dims, p=params.p, tau=1.0, eps=params.eps,
-                          L=L_big)
-    m = max(_kernel.kernel_shells_needed(u.L, params, tol),
-            _kernel.kernel_shells_needed(L_big, params1, tol))
     J = _kernel.j_c(params) - params.tau
     u_big = PeriodicField(u.dims, u.n, L_big, u.values)
-    lhs = unscaled_energy(u_big, J, params.eps, p=params.p, shells=m)
-    rhs = tau_pow * total_energy(u, params, shells=m).total
+    tol = 1e-7
+    lhs = unscaled_energy(u_big, J, params.eps, p=params.p,
+                          tol=tol * a ** params.p)
+    rhs = tau_pow * total_energy(u, params, tol=tol).total
     return lhs, rhs, lhs - rhs
 
 

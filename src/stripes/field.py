@@ -51,8 +51,8 @@ class PeriodicField:
         if vals.shape != (self.n,) * self.dims:
             raise ValueError(
                 f"values shape {vals.shape} != {(self.n,) * self.dims}")
-        if self.L <= 0:
-            raise ValueError("L must be positive")
+        if not (np.isfinite(self.L) and self.L > 0):
+            raise ValueError(f"L must be finite and positive, got {self.L}")
         vals = clamp01(vals)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -85,8 +85,8 @@ class Profile1D:
         g = clamp01(np.asarray(self.g, dtype=float))
         if g.shape != (self.n,):
             raise ValueError(f"g shape {g.shape} != ({self.n},)")
-        if self.L <= 0:
-            raise ValueError("L must be positive")
+        if not (np.isfinite(self.L) and self.L > 0):
+            raise ValueError(f"L must be finite and positive, got {self.L}")
         g.setflags(write=False)
         object.__setattr__(self, "g", g)
         if self.gamma is not None:

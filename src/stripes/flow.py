@@ -34,12 +34,13 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 
 import numpy as np
 
 from . import energy as _energy
+from . import kernel as _kernel
 from . import onedim as _onedim
 from .field import (PeriodicField, StripeSpec, check_stripe_period,
                     make_stripes, stripe_line)
@@ -102,8 +103,7 @@ class StripeMetrics:
 # ---------------------------------------------------------------------------
 
 def energy_gradient(u: PeriodicField, params: ModelParams,
-                    kappa: float = KAPPA, tol: float = 1e-7,
-                    shells: int | None = None) -> np.ndarray:
+                    kappa: float = KAPPA, tol: float = 1e-7) -> np.ndarray:
     """Partial derivatives dE/du_j of the discrete energy whose interfacial
     term uses the smoothed anisotropic norm sum_i sqrt(D_i^2 + kappa^2).
 
@@ -113,8 +113,7 @@ def energy_gradient(u: PeriodicField, params: ModelParams,
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
-    return _energy._FieldObjective.of(u, params, tol, shells).grad(u.values,
-                                                                   kappa)
+    return _energy._FieldObjective.of(u, params, tol).grad(u.values, kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +257,9 @@ def symmetry_breaking_experiment(params: ModelParams, k: int = 1,
     L = 2 k h*, scored against the k-fold tiling of the 1D optimum.
 
     Returns a JSON-serializable report with per-seed metrics, the success
-    fraction (anisotropy and relative energy gap inside the thresholds), and
-    every input needed to reproduce the run bit for bit.
+    fraction (anisotropy and relative energy gap inside the thresholds),
+    every input needed to reproduce the run bit for bit, and under
+    ``kernel`` the certificate of the flows' periodized kernel table.
     """
     workers = _workers(n_seeds, threads)
     opts = opts or FlowOptions()
@@ -317,5 +317,7 @@ def symmetry_breaking_experiment(params: ModelParams, k: int = 1,
         "runs": per_seed,
         "success_fraction": sum(r["success"] for r in per_seed) / n_seeds,
         "min_energy_minus_benchmark": undercut,
+        "kernel": asdict(_kernel.kernel_operator(L, n, run_params)
+                          .certificate),
     }
     return report

@@ -6,13 +6,17 @@ Khat(t) = c_{d,p} (|t| + a)^(-q), q = p - d + 1, with the closed-form
 constant c_{d,p} = 2^(d-1) Gamma(q) / Gamma(p).
 
 Closed forms are the production path; adaptive quadrature lives in the test
-suite as an independent oracle.  Periodized grids (wrap onto the torus) carry
-a certified truncation: a direct sum over the images with |k_i| <= m plus a
-cell-integral correction for the far field, with an analytic error bound
-kept below the requested tolerance.  The direct sum is folded into 1D
-tables, because on each axis an image lies j + kn or -j + kn cells away;
-the far-field box around every lag reaches (m + 1/2) L > L on each side, so
-it contains 0 and one array-valued box integral covers the whole grid.
+suite as an independent oracle.  Periodized grids (wrap onto the torus), in
+any dimension, are exponential sums (Beylkin-Monzon, ACHA 2005): writing
+(||x||_1 + a)^(-p) as a Laplace integral in t makes it a product of
+e^(-t |x_i|), each of which periodizes in closed form, and the trapezoid
+rule in log t turns the integral into a sum over nodes, so a table is
+sum_r w_r (x)_i E_r.  Its error has a closed-form certificate, the
+trapezoid bound of Trefethen-Weideman (SIAM Rev. 2014) plus the two cut
+tails, and the step and node range follow from the requested tolerance
+through it; ``KernelCertificate`` records them with the bound.  The bound
+covers the truncation; the rounding of the positive sum adds up to about
+(nodes * machine epsilon) relative.
 
 Every nonlocal term is the pair form sum_x sum_z |v(x + z) - v(x)|^2 K(z)
 against a periodized table; ``PeriodicKernelOperator`` evaluates it from
@@ -24,9 +28,12 @@ periodized kernel and marginal.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
+from math import comb
 from math import gamma as _gamma
+from math import lgamma as _lgamma
+from math import log as _log
 
 import numpy as np
 
@@ -35,10 +42,6 @@ from .model import ModelParams
 
 class DivergentMomentError(ValueError):
     """The requested kernel moment does not exist for these exponents."""
-
-
-class TruncationError(RuntimeError):
-    """The certified truncation tolerance could not be reached."""
 
 
 # ---------------------------------------------------------------------------
@@ -151,116 +154,138 @@ def moments(params: ModelParams) -> KernelMoments:
 
 
 # ---------------------------------------------------------------------------
-# periodization: folded lattice sums plus a far-field box integral
+# periodization: a certified exponential sum
 # ---------------------------------------------------------------------------
 
-def _box_int(ends, a, pe: float):
-    """integral of (sum |x_i| + a)^(-pe) over the box prod [-lo_i, hi_i].
-
-    ``ends`` holds one pair (lo_i, hi_i) of nonnegative extents per axis, so
-    the box contains 0; extents and ``a`` may be broadcasting arrays.
-    Integrating x_1 over [-lo_1, 0] and [0, hi_1] leaves members of the same
-    family with exponent pe-1 and offsets a, a + lo_1, a + hi_1, so the
-    recursion over axes bottoms out in 3^d pure powers.
-    """
-    if not ends:
-        return a ** (-pe)
-    (lo, hi), rest = ends[0], ends[1:]
-    return (2.0 * _box_int(rest, a, pe - 1.0) - _box_int(rest, a + lo, pe - 1.0)
-            - _box_int(rest, a + hi, pe - 1.0)) / (pe - 1.0)
+# half-widths theta of the strips |Im u| < theta over which the trapezoid
+# error bound is minimized
+_THETAS = 0.5 * np.pi * np.arange(1, 64) / 64.0
+# shares of tol spent on the trapezoid error and on each cut tail
+_DISC_SHARE, _TAIL_SHARE = 0.5, 0.2
 
 
-def _family_mass(dim: int, pe: float, a: float) -> float:
-    return 2.0 ** dim * _gamma(pe - dim) / _gamma(pe) * a ** (dim - pe)
+@dataclass(frozen=True)
+class KernelCertificate:
+    """How a periodized table was built: the trapezoid ``step`` in
+    log t, the number of ``nodes``, the range ``log_t`` of their log t
+    and the certified ``bound`` on the absolute error of every entry."""
+
+    step: float
+    nodes: int
+    log_t: tuple[float, float]
+    bound: float
 
 
-def _truncation_bound(m: int, dim: int, pe: float, a: float, L: float) -> float:
-    """Certified bound on the far-field (shells > m) periodization error
-    after the cell-integral correction.
-
-    Smooth cells obey a midpoint (second-order) bound; the O(1)-per-shell
-    cells straddling coordinate hyperplanes, where ||.||_1 has a kink, get a
-    first-order oscillation bound.
-    """
-    j = np.arange(m + 1, m + 20001, dtype=float)
-    dist = (j - 1.0) * L
-    n_shell = (2 * j + 1) ** dim - (2 * j - 1) ** dim
-    smooth = n_shell * pe * (pe + 1.0) * (dist + a) ** (-pe - 2.0) * dim * L * L / 8.0
-    if dim == 1:
-        kink = np.zeros_like(j)
-    elif dim == 2:
-        kink = 12.0 * pe * (dist + a) ** (-pe - 1.0) * L
-    else:
-        kink = 36.0 * (2 * j + 1) * pe * (dist + a) ** (-pe - 1.0) * (3.0 * L / 2.0)
-    terms = smooth + kink
-    s = float(np.sum(terms))
-    # integral-comparison remainder beyond the summed range
-    decay = pe + 1.0 - (dim - 1.0)
-    s += float(terms[-1]) * (float(j[-1]) + 1.0) / max(decay - 1.0, 1.0)
-    return s
+def _majorant(dim: int, pe: float, a: float, L: float):
+    """(log c_k - log Gamma(pe), s_k, f_max) with sum_k c_k t^(s_k) e^(-t a)
+    >= t^pe e^(-t a) prod_i E_t(x_i), c_k = C(dim, k) (2/L)^k and
+    s_k = pe - k, since E_t <= coth(t L / 2) <= 1 + 2/(t L); its integral
+    f_max = sum_k c_k Gamma(s_k) a^(-s_k) / Gamma(pe) bounds every entry."""
+    k = np.arange(dim + 1)
+    c = np.array([comb(dim, int(i)) for i in k]) * (2.0 / L) ** k
+    log_c, s = np.log(c) - _lgamma(pe), pe - k
+    f_max = float(np.sum(np.exp(log_c + [_lgamma(si) for si in s]
+                                - s * np.log(a))))
+    return log_c, s, f_max
 
 
-def _shells_needed(dim: int, pe: float, a: float, L: float, tol: float) -> int:
-    """Smallest power of two m >= 2 whose truncation bound is <= tol."""
-    m = 2
-    while _truncation_bound(m, dim, pe, a, L) > tol:
-        m *= 2
-        if m > 4096:
-            raise TruncationError(
-                f"periodization tolerance {tol} unreachable (shells > 4096)")
-    return m
+def _upper_tail(X, log_c, s, a: float):
+    """Bound on the nodes above X = t a >= pe dropped from the sum:
+    sum_k c_k a^(-s_k) Gamma(s_k, X) / Gamma(pe), with
+    Gamma(s, X) <= X^(s-1) e^(-X) / (1 - (s-1)/X) for s >= 1, X > s - 1."""
+    return float(np.sum(np.exp(log_c - s * np.log(a) + (s - 1.0) * np.log(X)
+                               - X) / (1.0 - (s - 1.0) / X)))
 
 
-def _periodized_lattice(n: int, dim: int, pe: float, a: float, L: float,
-                        tol: float, shells: int | None = None
-                        ) -> tuple[np.ndarray, int, float]:
+def _bound(dim: int, pe: float, a: float, L: float, h: float, r_lo: int,
+           r_hi: int) -> float:
+    """Certified bound on the absolute error of every entry of
+    ``_exp_sum(n, dim, pe, a, L, h, r_lo, r_hi)``: the trapezoid error plus
+    the nodes dropped below r_lo and above r_hi."""
+    log_c, s, f_max = _majorant(dim, pe, a, L)
+    with np.errstate(over="ignore"):       # e^(2 pi theta / h) = inf: 0
+        disc = float(np.min(2.0 * np.exp(-pe * np.log(np.cos(_THETAS)))
+                            / np.expm1(2.0 * np.pi * _THETAS / h)))
+    lower = np.sum(np.exp(log_c + s * (r_lo * h - np.log(a))) / s)
+    X = np.exp(r_hi * h)
+    upper = _upper_tail(X, log_c, s, a) if X >= pe else np.inf
+    return float(disc * f_max + lower + upper)
+
+
+def _nodes(dim: int, pe: float, a: float, L: float, tol: float
+           ) -> tuple[float, int, int]:
+    """(h, r_lo, r_hi) whose ``_bound`` is below tol: the largest step
+    whose trapezoid bound at some theta meets _DISC_SHARE tol, the last
+    node r_lo below which every lower-tail term meets its part of
+    _TAIL_SHARE tol, and the first r_hi >= r_lo with X = e^(r_hi h) >= pe
+    whose upper tail meets _TAIL_SHARE tol (that bound decreases in
+    X >= pe and reaches 0 in floating point, so the scan ends).  A tol
+    above f_max asks for no more than f_max, the error of an empty sum."""
+    log_c, s, f_max = _majorant(dim, pe, a, L)
+    tol = min(tol, f_max)
+    eps = _DISC_SHARE * tol / f_max
+    with np.errstate(over="ignore"):       # log1p(inf): no step at theta
+        h = float(np.max(2.0 * np.pi * _THETAS / np.log1p(
+            2.0 * np.exp(-pe * np.log(np.cos(_THETAS))) / eps)))
+    budget = _TAIL_SHARE * tol
+    log_t = np.min((np.log(budget / (dim + 1) * s) - log_c) / s)
+    r_lo = int(np.floor((log_t + np.log(a)) / h))
+    r_hi = max(r_lo, int(np.ceil(np.log(pe) / h)))
+    while _upper_tail(np.exp(r_hi * h), log_c, s, a) > budget:
+        r_hi += 1
+    return h, r_lo, r_hi
+
+
+def _exp_sum(n: int, dim: int, pe: float, a: float, L: float, h: float,
+             r_lo: int, r_hi: int) -> np.ndarray:
+    """sum_r w_r (x)_i E_{t_r} over the nodes u_r = r h, r_lo <= r <= r_hi,
+    at the lags j L / n: the 2D table as E^T diag(w) E, the others
+    accumulated node by node."""
+    u = np.arange(r_lo, r_hi + 1) * h
+    t = np.exp(u) / a
+    w = h * np.exp(pe * u - np.exp(u) - pe * np.log(a) - _lgamma(pe))
+    x = np.arange(n + 1) * (L / n)          # x_{n - j} = L - x_j
+    if dim == 2:
+        y = np.exp(-t[:, None] * x)
+        E = (y[:, :n] + y[:, n:0:-1]) / -np.expm1(-t * L)[:, None]
+        return (E.T * w) @ E
+    table = np.zeros((n,) * dim)
+    for tr, wr in zip(t, w):
+        y = np.exp(-tr * x)
+        E = (y[:n] + y[n:0:-1]) / -np.expm1(-tr * L)
+        table += wr * reduce(np.multiply.outer, [E] * dim)
+    return table
+
+
+def _exp_sum_table(n: int, dim: int, pe: float, a: float, L: float,
+                   tol: float) -> tuple[np.ndarray, KernelCertificate]:
     """Periodized f = (||.||_1 + a)^(-pe) at the lags x = j L / n,
-    0 <= j_i < n: the direct sum over the images x + kL with |k_i| <= m,
-    plus a cell-integral correction for the far field.
+    0 <= j_i < n, as an exponential sum with error below ``tol``; needs
+    pe > dim + 1 (every family member of this module has it).
 
-    Returns (values of shape (n,) * dim, shells_used m, certified_error).
+    f(x) = Gamma(pe)^-1 int t^(pe-1) e^(-t a) prod_i e^(-t |x_i|) dt, and
+    each factor periodizes in closed form,
+    sum_k e^(-t |x + k L|) = (e^(-t x) + e^(-t (L - x))) / (1 - e^(-t L))
+    =: E_t(x) on [0, L].  The trapezoid rule in u = log(t a) with step h
+    at the nodes u_r = r h (so anchored at log t = -log a) gives
+    table = sum_r w_r (x)_i E_{t_r}, w_r = h t_r^pe e^(-t_r a) / Gamma(pe).
 
-    The direct sum is folded into 1D tables.  In units of the cell h = L/n,
-    the image distances on axis i are j_i + kn (k = 0..m) and -j_i + kn
-    (k = 1..m).  For a sign pattern sigma in {+1, -1}^dim the terms with sign
-    sigma_i on every axis i depend on j only through t = sigma . j and on
-    k only through K = sum k_i, so they sum to
-    T_s(t) = sum_K c_s(K) ((t + K n) h + a)^(-pe), read at t = sigma . j,
-    where c_s (the np.convolve of the per-axis 0/1 ranges of k) depends only
-    on the number s of minus signs.  That is O(n^dim + 2^dim dim m n) work
-    in place of O(n^dim (2m+1)^dim).
-
-    The far field is (mass of f - integral of f over the box
-    x +- (m + 1/2) L) / L^dim.  Since 0 <= x_i < L < (m + 1/2) L, every box
-    contains 0 on every axis, so one array-valued ``_box_int`` serves all
-    lags.
+    Certificate: the integrand in u extends to the strip |Im u| < theta
+    < pi/2, where |sum_k e^(-t |x + kL|)| <= sum_k e^(-Re t |x + kL|), so
+    its integral along each line is at most sec(theta)^pe f_per(x) and
+    the infinite trapezoid sum lies within f_per(x) min_theta
+    2 sec(theta)^pe / (e^(2 pi theta / h) - 1) (Trefethen-Weideman, SIAM
+    Rev. 2014, Thm 5.1).  The majorant sum_k c_k t^(pe-k) e^(-t a) /
+    Gamma(pe) of the integrand (``_majorant``) integrates to a bound on
+    f_per everywhere, and its integrals below the first and above the
+    last node, where it increases and (from t a >= pe on) decreases in u,
+    bound the dropped nodes.
     """
-    if dim not in (1, 2, 3):
-        raise ValueError("only dim <= 3 supported")
-    m = _shells_needed(dim, pe, a, L, tol) if shells is None else int(shells)
-    if m < 1:
-        raise ValueError(f"shells must be >= 1, got {shells}")
-    cert = _truncation_bound(m, dim, pe, a, L)
-
-    h = L / n
-    j = [np.arange(n).reshape([n if ax == i else 1 for ax in range(dim)])
-         for i in range(dim)]
-    plus, minus = np.ones(m + 1), np.r_[0.0, np.ones(m)]   # indexed by k
-    tables = []
-    for s in range(dim + 1):
-        counts = reduce(np.convolve, [minus] * s + [plus] * (dim - s))
-        K = np.flatnonzero(counts)
-        t = np.arange(-s * (n - 1), (dim - s) * (n - 1) + 1)
-        terms = ((t[:, None] + K * n) * h + a) ** (-pe)
-        tables.append((np.sum(terms * counts[K], axis=1), s * (n - 1)))
-    direct = np.zeros((n,) * dim)
-    for signs in itertools.product((1, -1), repeat=dim):
-        table, offset = tables[signs.count(-1)]
-        direct += table[offset + sum(sg * ji for sg, ji in zip(signs, j))]
-
-    M = (m + 0.5) * L
-    box = _box_int([(M - ji * h, M + ji * h) for ji in j], a, pe)
-    return direct + (_family_mass(dim, pe, a) - box) / L ** dim, m, cert
+    h, r_lo, r_hi = _nodes(dim, pe, a, L, tol)
+    cert = KernelCertificate(step=h, nodes=r_hi - r_lo + 1,
+                             log_t=(r_lo * h - _log(a), r_hi * h - _log(a)),
+                             bound=_bound(dim, pe, a, L, h, r_lo, r_hi))
+    return _exp_sum(n, dim, pe, a, L, h, r_lo, r_hi), cert
 
 
 def _symmetrized(vals: np.ndarray) -> np.ndarray:
@@ -292,8 +317,11 @@ class PeriodicKernelOperator:
     costing digits on coarse grids where K(0) dominates the table.  A
     d-dimensional table acts on arrays of its own shape over all axes; a
     1D table's pair form also runs along the lines of one ``axis`` of an
-    array of any dimension.
+    array of any dimension.  ``kernel_operator`` and ``marginal_operator``
+    also keep the ``certificate`` of their table's build.
     """
+
+    certificate: KernelCertificate | None = None
 
     def __init__(self, table: np.ndarray):
         self.table = np.array(table, dtype=float)
@@ -348,73 +376,72 @@ class PeriodicKernelOperator:
                             * self._pair_weights.reshape(shape), axis=axis)
 
 
-def _check_grid(n: int, tol: float) -> None:
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+def _check_grid(L: float, n: int, tol: float) -> None:
+    """Reject a grid no table can be certified on, naming the value."""
+    if not (np.isfinite(L) and L > 0):
+        raise ValueError(f"L must be finite and positive, got {L!r}")
+    if not (np.isfinite(n) and n == int(n) and n >= 2):
+        raise ValueError(f"n must be an integer >= 2, got {n!r}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+
+
+def _certified_operator(vals: np.ndarray, cert: KernelCertificate
+                        ) -> PeriodicKernelOperator:
+    op = PeriodicKernelOperator(_symmetrized(vals))
+    op.certificate = cert
+    return op
 
 
 @lru_cache(maxsize=128)    # 1D tables are small
 def _cached_marginal_operator(L: float, n: int, d: int, p: float,
-                              tau: float, tol: float, shells: int | None
+                              tau: float, tol: float
                               ) -> PeriodicKernelOperator:
     c = marginal_constant(d, p)
     a = tau ** (1.0 / (p - d - 1))
-    vals, _, _ = _periodized_lattice(n, 1, p - d + 1, a, L, tol / c,
-                                     shells=shells)
-    return PeriodicKernelOperator(_symmetrized(c * vals))
+    vals, cert = _exp_sum_table(n, 1, p - d + 1, a, L, tol / c)
+    return _certified_operator(c * vals, replace(cert, bound=c * cert.bound))
 
 
 def marginal_operator(L: float, n: int, params: ModelParams,
-                      tol: float = 1e-9, shells: int | None = None
-                      ) -> PeriodicKernelOperator:
+                      tol: float = 1e-9) -> PeriodicKernelOperator:
     """Operator of the L-periodized marginal kernel sum_k Khat(z + kL) at
-    z_j = j L / n, certified to absolute truncation error < tol; cached
-    per (L, n, d, p, tau, tol, shells)."""
-    _check_grid(n, tol)
+    z_j = j L / n, certified to absolute error < tol; cached per
+    (L, n, d, p, tau, tol)."""
+    _check_grid(L, n, tol)
     return _cached_marginal_operator(float(L), int(n), int(params.d),
                                      float(params.p), float(params.tau),
-                                     float(tol), shells)
+                                     float(tol))
 
 
 def periodized_marginal(L: float, n: int, params: ModelParams,
-                        tol: float = 1e-9, shells: int | None = None
-                        ) -> np.ndarray:
+                        tol: float = 1e-9) -> np.ndarray:
     """The read-only table of ``marginal_operator``."""
-    return marginal_operator(L, n, params, tol=tol, shells=shells).table
-
-
-def kernel_shells_needed(L: float, params: ModelParams, tol: float) -> int:
-    return _shells_needed(params.d, params.p, params.kernel_scale, L, tol)
+    return marginal_operator(L, n, params, tol=tol).table
 
 
 @lru_cache(maxsize=32)
 def _cached_kernel_operator(L: float, n: int, d: int, p: float, tau: float,
-                            tol: float, shells: int | None
-                            ) -> PeriodicKernelOperator:
+                            tol: float) -> PeriodicKernelOperator:
     a = tau ** (1.0 / (p - d - 1))
-    vals, _, _ = _periodized_lattice(n, d, p, a, L, tol, shells=shells)
-    return PeriodicKernelOperator(_symmetrized(vals))
+    return _certified_operator(*_exp_sum_table(n, d, p, a, L, tol))
 
 
 def kernel_operator(L: float, n: int, params: ModelParams,
-                    tol: float = 1e-7, shells: int | None = None
-                    ) -> PeriodicKernelOperator:
+                    tol: float = 1e-7) -> PeriodicKernelOperator:
     """Operator of the d-dimensional L-periodized kernel sum_k K(zeta + kL)
-    at the lattice lags zeta = (j_1, ..., j_d) L / n, certified truncation
-    < tol; cached per (L, n, d, p, tau, tol, shells)."""
-    _check_grid(n, tol)
+    at the lattice lags zeta = (j_1, ..., j_d) L / n, certified to
+    absolute error < tol; cached per (L, n, d, p, tau, tol)."""
+    _check_grid(L, n, tol)
     return _cached_kernel_operator(float(L), int(n), int(params.d),
                                    float(params.p), float(params.tau),
-                                   float(tol), shells)
+                                   float(tol))
 
 
 def periodized_kernel_grid(L: float, n: int, params: ModelParams,
-                           tol: float = 1e-7, shells: int | None = None
-                           ) -> np.ndarray:
+                           tol: float = 1e-7) -> np.ndarray:
     """The read-only table of ``kernel_operator``."""
-    return kernel_operator(L, n, params, tol=tol, shells=shells).table
+    return kernel_operator(L, n, params, tol=tol).table
 
 
 def lattice_marginal(kernel_grid: np.ndarray, axis: int, spacing: float

@@ -39,9 +39,14 @@ class ModelParams:
     allow_large_tau: bool = False
 
     def __post_init__(self) -> None:
+        # every check is written so that NaN fails it
         if not isinstance(self.d, (int, np.integer)) or self.d < 1:
             raise ValueError(f"dimension d must be an integer >= 1, got {self.d!r}")
-        if self.p <= self.d + 1:
+        for name in ("p", "tau", "eps", "L"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be finite, got {getattr(self, name)}")
+        if not self.p > self.d + 1:
             raise ValueError(
                 f"p must exceed d+1 = {self.d + 1} for the first kernel moment "
                 f"to exist, got p={self.p}"
@@ -51,15 +56,15 @@ class ModelParams:
                 f"p={self.p} is below d+2={self.d + 2}; pass allow_small_p=True "
                 "to leave the default regime"
             )
-        if self.tau <= 0:
+        if not self.tau > 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.tau > 1 and not self.allow_large_tau:
             raise ValueError(
                 f"tau={self.tau} > 1; pass allow_large_tau=True to override"
             )
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ValueError(f"eps must be positive, got {self.eps}")
-        if self.L <= 0:
+        if not self.L > 0:
             raise ValueError(f"L must be positive, got {self.L}")
 
     @property
@@ -101,10 +106,12 @@ class ModelParams:
 
 
 def clamp01(t, tol: float = CLAMP_TOL):
-    """Clamp values to [0,1]; violations beyond ``tol`` are hard errors."""
+    """Clamp values to [0,1]; violations beyond ``tol``, and NaN, are hard
+    errors."""
     arr = np.asarray(t, dtype=float)
-    if np.any(arr < -tol) or np.any(arr > 1.0 + tol):
-        bad = float(arr.min()) if np.any(arr < -tol) else float(arr.max())
+    outside = ~((arr >= -tol) & (arr <= 1.0 + tol))    # NaN is outside
+    if np.any(outside):
+        bad = float(arr[outside].flat[0])
         raise DomainError(f"value {bad} outside [0,1] beyond tolerance {tol}")
     out = np.clip(arr, 0.0, 1.0)
     return out if out.ndim else float(out)

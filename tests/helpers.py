@@ -3,6 +3,7 @@ that tests compare the library against."""
 from __future__ import annotations
 
 import itertools
+from math import gamma as _gamma
 
 import numpy as np
 
@@ -142,27 +143,55 @@ def _box_int_direct(lo, hi, a: float, pe: float) -> float:
     return total
 
 
+def _family_mass(dim: int, pe: float, a: float) -> float:
+    return 2.0 ** dim * _gamma(pe - dim) / _gamma(pe) * a ** (dim - pe)
+
+
+def _truncation_bound(m: int, dim: int, pe: float, a: float, L: float) -> float:
+    """Certified bound on the far-field (shells > m) periodization error
+    after the cell-integral correction.
+
+    Smooth cells obey a midpoint (second-order) bound; the O(1)-per-shell
+    cells straddling coordinate hyperplanes, where ||.||_1 has a kink, get a
+    first-order oscillation bound.
+    """
+    j = np.arange(m + 1, m + 20001, dtype=float)
+    dist = (j - 1.0) * L
+    n_shell = (2 * j + 1) ** dim - (2 * j - 1) ** dim
+    smooth = n_shell * pe * (pe + 1.0) * (dist + a) ** (-pe - 2.0) * dim * L * L / 8.0
+    if dim == 1:
+        kink = np.zeros_like(j)
+    elif dim == 2:
+        kink = 12.0 * pe * (dist + a) ** (-pe - 1.0) * L
+    else:
+        kink = 36.0 * (2 * j + 1) * pe * (dist + a) ** (-pe - 1.0) * (3.0 * L / 2.0)
+    terms = smooth + kink
+    s = float(np.sum(terms))
+    # integral-comparison remainder beyond the summed range
+    decay = pe + 1.0 - (dim - 1.0)
+    s += float(terms[-1]) * (float(j[-1]) + 1.0) / max(decay - 1.0, 1.0)
+    return s
+
+
 def periodized_values_direct(points: np.ndarray, dim: int, pe: float,
-                             a: float, L: float, tol: float,
-                             shells: int | None = None
+                             a: float, L: float, tol: float
                              ) -> tuple[np.ndarray, int, float]:
     """Reference periodization by the per-point shell loop: sum
     f = (||.||_1 + a)^(-pe) over the (2m+1)^dim images of each point
     (shape (..., dim)), plus the far-field cell-integral correction from
     one recursive box integral per point (O(points (2m+1)^dim); small
-    grids or few points only).  Same shell choice, certificate and return
-    value (values, shells_used, certified_error) as
-    ``kernel._periodized_lattice``."""
-    if shells is None:
-        m = 2
-        while kernel._truncation_bound(m, dim, pe, a, L) > tol:
-            m *= 2
-            if m > 4096:
-                raise kernel.TruncationError(
-                    f"periodization tolerance {tol} unreachable (shells > 4096)")
-    else:
-        m = int(shells)
-    cert = kernel._truncation_bound(m, dim, pe, a, L)
+    grids or few points only), with the smallest power of two m >= 2
+    whose certified far-field bound is <= tol.  Returns (values,
+    shells_used, certified_error).  The correction subtracts the box
+    integral from the full mass of f, which loses about
+    log10(mass / value) digits."""
+    m = 2
+    while _truncation_bound(m, dim, pe, a, L) > tol:
+        m *= 2
+        if m > 4096:
+            raise RuntimeError(
+                f"periodization tolerance {tol} unreachable (shells > 4096)")
+    cert = _truncation_bound(m, dim, pe, a, L)
 
     ks = np.arange(-m, m + 1, dtype=float) * L
     if dim == 1:
@@ -190,7 +219,7 @@ def periodized_values_direct(points: np.ndarray, dim: int, pe: float,
 
     # far field: (1/L^dim) * integral of f over the complement of the summed box
     M = (m + 0.5) * L
-    total = kernel._family_mass(dim, pe, a)
+    total = _family_mass(dim, pe, a)
     flat = points.reshape(-1, dim)
     corr = np.empty(flat.shape[0])
     for i, x in enumerate(flat):

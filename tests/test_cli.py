@@ -160,6 +160,29 @@ def test_verify_decomposition_reports_slice_gbar(runner, tmp_path):
         assert frac == sum(g < 0 for g in gbar) / len(gbar)
 
 
+def test_reports_carry_the_kernel_certificate(runner, tmp_path):
+    keys = {"step", "nodes", "log_t", "bound"}
+    res = runner.invoke(main, ["verify-decomposition", "-d", "4", "-p", "6",
+                               "-n", "4", "--output-dir",
+                               str(tmp_path / "vd")])
+    assert res.exit_code == 0, res.output
+    rep = _payload(tmp_path / "vd" / "verify_decomposition.json")["report"]
+    assert set(rep["kernel"]) == keys
+    assert 0.0 < rep["kernel"]["bound"] <= 1e-7
+    res = runner.invoke(main, ["minimize-2d", "-n", "16", "--seeds", "1",
+                               "--output-dir", str(tmp_path / "m2")])
+    assert res.exit_code == 0, res.output
+    rep = _payload(tmp_path / "m2" / "minimize_2d.json")["report"]
+    assert set(rep["kernel"]) == keys
+    assert 0.0 < rep["kernel"]["bound"] <= 1e-7
+    res = runner.invoke(main, ["minimize-2d", "--resume",
+                               str(_start_field(tmp_path)),
+                               "--output-dir", str(tmp_path / "m2r")])
+    assert res.exit_code == 0, res.output
+    rep = _payload(tmp_path / "m2r" / "minimize_2d.json")["report"]
+    assert set(rep["kernel"]) == keys
+
+
 def test_rp_check_passes(runner, tmp_path):
     out = tmp_path / "rp"
     res = runner.invoke(main, ["rp-check", "-d", "1", "-p", "3",
@@ -229,6 +252,14 @@ def test_minimize_2d_rejects_zero_seeds(runner, tmp_path):
     assert res.exit_code == 1
     assert "Error: n_seeds must be >= 1, got 0" in res.output
     assert not (tmp_path / "minimize_2d.json").exists()
+
+
+def test_nan_tau_is_a_one_line_error(runner, tmp_path):
+    res = runner.invoke(main, ["optimal-period", "--tau", "nan",
+                               "--output-dir", str(tmp_path)])
+    assert res.exit_code == 1
+    assert res.output == "Error: tau must be finite, got nan\n"
+    assert not (tmp_path / "optimal_period.json").exists()
 
 
 def test_minimize_2d_box_side_is_a_usage_error(runner, tmp_path):

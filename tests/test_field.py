@@ -18,6 +18,18 @@ def test_field_shape_validation():
         PeriodicField(1, 4, -1.0, np.zeros(4))
 
 
+def test_field_and_profile_reject_nan_samples_and_box():
+    with pytest.raises(ValueError, match="value nan outside"):
+        PeriodicField(1, 4, 1.0, np.array([0.0, np.nan, 0.5, 0.25]))
+    with pytest.raises(ValueError, match="value nan outside"):
+        Profile1D(4, 1.0, np.array([0.0, 0.5, np.nan, 1.0]))
+    for L in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="L must be finite"):
+            PeriodicField(1, 4, L, np.zeros(4))
+        with pytest.raises(ValueError, match="L must be finite"):
+            Profile1D(4, L, np.zeros(4))
+
+
 def test_field_values_clamped_and_frozen():
     u = PeriodicField(1, 4, 1.0, np.array([0.0, 1.0 + 1e-13, 0.5, 0.25]))
     assert u.values.max() == 1.0

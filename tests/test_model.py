@@ -50,6 +50,27 @@ def test_rejects_nonpositive_parameters():
             ModelParams(**base)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("p", float("nan")), ("tau", float("nan")), ("eps", float("nan")),
+    ("L", float("nan")), ("p", float("inf")), ("eps", float("inf")),
+    ("L", float("inf")), ("tau", float("inf")), ("L", float("-inf")),
+])
+def test_rejects_non_finite_parameters(name, value):
+    # NaN fails every comparison, so each check must be one NaN fails
+    base = dict(d=1, p=3.0, tau=0.05, eps=0.05, L=1.0, allow_large_tau=True)
+    base[name] = value
+    with pytest.raises(ValueError, match=f"{name} must be finite, got"):
+        ModelParams(**base)
+
+
+def test_clamp01_rejects_nan():
+    with pytest.raises(DomainError, match="value nan outside"):
+        clamp01(float("nan"))
+    with pytest.raises(DomainError, match="value nan outside"):
+        clamp01(np.array([0.2, np.nan, 0.7]))
+    assert clamp01(np.array([0.0, 1.0 + 1e-13]))[1] == 1.0
+
+
 def test_double_well_values():
     assert double_well(0.0) == 0.0
     assert double_well(1.0) == 0.0

@@ -1,6 +1,8 @@
-"""Property tests of the folded periodized-kernel builder against the
-per-point shell loop in ``helpers.periodized_values_direct``, and of the
-kernel operator's pair sums against direct lag sums."""
+"""Property tests of the exponential-sum periodized-kernel builder: its
+tables stay within their certificates of the per-point shell loop in
+``helpers.periodized_values_direct`` and of finer exponential sums, every
+grid is exactly symmetric, invalid grids are rejected, and the kernel
+operator's pair sums match direct lag sums."""
 import itertools
 
 import numpy as np
@@ -12,10 +14,9 @@ from helpers import nonlocal_direct, periodized_values_direct
 from stripes import kernel
 from stripes.model import ModelParams
 
-RTOL = 1e-12
 SETTINGS = settings(max_examples=20, deadline=None)
-# the d=3 reference loop at tol 1e-7 takes seconds per grid; the shell
-# count only changes how many terms both sides sum, so d=3 uses 1e-4
+# the d=3 reference loop at tol 1e-7 takes seconds per grid, so d=3 runs
+# the oracle and the builder at 1e-4
 TOL = {1: 1e-7, 2: 1e-7, 3: 1e-4}
 MAX_N = {1: 17, 2: 17, 3: 5}
 
@@ -24,9 +25,9 @@ MAX_N = {1: 17, 2: 17, 3: 5}
 def families(draw):
     """(dim, n, pe, a, L, tol) for a kernel of the default regime
     (beta = p - d - 1 in [1, 3], tau in [0.05, 1], a = tau^(1/beta)).
-    Both sides subtract the box integral from the full mass of f, which
+    The oracle subtracts the box integral from the full mass of f, which
     loses about log10(mass / value) digits; these ranges keep that loss
-    well below RTOL."""
+    well below the certificates."""
     dim = draw(st.sampled_from([1, 2, 3]))
     n = draw(st.integers(2, MAX_N[dim]))
     beta = draw(st.floats(1.0, 3.0))
@@ -40,30 +41,41 @@ def lags(n: int, dim: int, L: float) -> np.ndarray:
     return np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1)
 
 
-def assert_matches(family, shells):
-    dim, n, pe, a, L, tol = family
-    vals, m, cert = kernel._periodized_lattice(n, dim, pe, a, L, tol,
-                                               shells=shells)
-    ref, m_ref, cert_ref = periodized_values_direct(lags(n, dim, L), dim, pe,
-                                                    a, L, tol, shells=shells)
-    assert vals.shape == ref.shape == (n,) * dim
-    assert np.max(np.abs(vals - ref) / ref) <= RTOL
-    assert (m, cert) == (m_ref, cert_ref)
-
-
 @SETTINGS
 @given(family=families())
 @example(family=(1, 16, 3.0, 0.05, 1.0, 1e-7))
 @example(family=(2, 16, 4.0, 0.05, 2.0, 1e-7))
 @example(family=(2, 17, 4.0, 0.05, 2.0, 1e-7))
-def test_builder_matches_shell_loop(family):
-    assert_matches(family, shells=None)
+def test_builder_within_certificates_of_shell_loop(family):
+    dim, n, pe, a, L, tol = family
+    vals, cert = kernel._exp_sum_table(n, dim, pe, a, L, tol)
+    ref, _, cert_ref = periodized_values_direct(lags(n, dim, L), dim, pe, a,
+                                                L, tol)
+    assert vals.shape == ref.shape == (n,) * dim
+    assert cert.bound <= tol
+    assert np.max(np.abs(vals - ref)) <= cert.bound + cert_ref
 
 
 @SETTINGS
-@given(family=families(), shells=st.integers(1, 12))
-def test_builder_matches_shell_loop_with_explicit_shells(family, shells):
-    assert_matches(family, shells=shells)
+@given(dim=st.sampled_from([1, 2, 3]), n=st.integers(2, 9),
+       beta=st.floats(1.0, 3.0), tau=st.floats(0.01, 1.0),
+       L=st.floats(0.5, 4.0), log_tol=st.floats(-10.0, -4.0))
+def test_finer_build_stays_within_certificate(dim, n, beta, tau, L,
+                                              log_tol):
+    # half the step over a wider node range: both tables lie within their
+    # certificates of the exact periodization, so within the sum of both,
+    # up to the rounding of two sums of positive terms (nodes * eps
+    # relative), which a tol near the values' last bit leaves visible
+    pe, a, tol = dim + 1.0 + beta, tau ** (1.0 / beta), 10.0 ** log_tol
+    vals, cert = kernel._exp_sum_table(n, dim, pe, a, L, tol)
+    h, r_lo, r_hi = kernel._nodes(dim, pe, a, L, tol)
+    assert (cert.step, cert.nodes) == (h, r_hi - r_lo + 1)
+    fine = (h / 2.0, 2 * r_lo - 20, 2 * r_hi + 10)
+    finer = kernel._exp_sum(n, dim, pe, a, L, *fine)
+    rounding = (3 * cert.nodes + 30) * np.finfo(float).eps * finer
+    assert cert.bound <= tol
+    assert np.all(np.abs(vals - finer) <= cert.bound + rounding
+                  + kernel._bound(dim, pe, a, L, *fine))
 
 
 @SETTINGS
@@ -81,21 +93,53 @@ def test_grid_exactly_symmetric(d, n, L):
     assert np.array_equal(marginal, np.roll(marginal[::-1], 1))
 
 
-def test_large_grid_matches_shell_loop_at_sampled_lags(ps2):
+def test_large_grid_within_certificates_at_sampled_lags(ps2):
     L, n = ps2.L, 256
-    grid = kernel.periodized_kernel_grid(L, n, ps2)
+    op = kernel.kernel_operator(L, n, ps2)
     idx = np.array([[0, 0], [0, 1], [1, 0], [3, 250], [17, 90],
                     [128, 128], [200, 5], [255, 127]])
     points = idx * (L / n)
-    ref, _, _ = periodized_values_direct(points, 2, ps2.p, ps2.kernel_scale,
-                                         L, 1e-7)
-    assert np.max(np.abs(grid[idx[:, 0], idx[:, 1]] - ref) / ref) <= RTOL
+    ref, _, cert_ref = periodized_values_direct(points, 2, ps2.p,
+                                                ps2.kernel_scale, L, 1e-7)
+    assert op.certificate.bound <= 1e-7
+    assert np.max(np.abs(op.table[idx[:, 0], idx[:, 1]] - ref)) <= (
+        op.certificate.bound + cert_ref)
 
 
-def test_zero_shells_rejected(ps2):
-    # with m = 0 the far-field box no longer contains every lag's origin
-    with pytest.raises(ValueError, match="shells"):
-        kernel.periodized_kernel_grid(ps2.L, 8, ps2, shells=0)
+def test_operators_keep_their_certificate(ps1, ps2):
+    grid_op = kernel.kernel_operator(ps2.L, 16, ps2, tol=1e-6)
+    marg_op = kernel.marginal_operator(ps1.L, 16, ps1, tol=1e-9)
+    for op, tol in ((grid_op, 1e-6), (marg_op, 1e-9)):
+        cert = op.certificate
+        assert 0.0 < cert.bound <= tol
+        assert cert.nodes >= 2 and cert.step > 0.0
+        assert cert.log_t[1] - cert.log_t[0] == pytest.approx(
+            (cert.nodes - 1) * cert.step)
+    # a table built outside the caches has none
+    assert kernel.PeriodicKernelOperator(grid_op.table).certificate is None
+
+
+@pytest.mark.parametrize("tol", [1e300, 1e3, 1e-300])
+def test_extreme_tolerances_stay_certified(ps1, tol):
+    # above the largest entry a tol asks for nothing more; far below the
+    # rounding of the entries it only costs nodes
+    op = kernel.marginal_operator(ps1.L, 8, ps1, tol=tol)
+    assert op.certificate.bound <= tol
+    assert np.all(np.isfinite(op.table))
+
+
+@pytest.mark.parametrize("L, n, tol, bad", [
+    (2.0, 8, float("nan"), "tol"), (2.0, 8, float("inf"), "tol"),
+    (2.0, 8, 0.0, "tol"), (2.0, 8, -1e-7, "tol"),
+    (-2.0, 8, 1e-7, "L"), (float("nan"), 8, 1e-7, "L"),
+    (float("inf"), 8, 1e-7, "L"), (0.0, 8, 1e-7, "L"),
+    (2.0, 8.5, 1e-7, "n"), (2.0, 1, 1e-7, "n"), (2.0, float("nan"), 1e-7, "n"),
+])
+def test_invalid_grid_rejected(ps2, L, n, tol, bad):
+    value = {"L": L, "n": n, "tol": tol}[bad]
+    for build in (kernel.periodized_kernel_grid, kernel.periodized_marginal):
+        with pytest.raises(ValueError, match=f"{bad} must .*{value!r}"):
+            build(L, n, ps2, tol=tol)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -103,6 +147,19 @@ def test_grid_exactly_permutation_symmetric_d3(n):
     params = ModelParams(d=3, p=5.0, tau=0.05, eps=0.05, L=1.5)
     grid = kernel.periodized_kernel_grid(1.5, n, params, tol=TOL[3])
     for perm in itertools.permutations(range(3)):
+        assert np.array_equal(grid, grid.transpose(perm))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_grid_builds_exactly_symmetric_d4(n):
+    params = ModelParams(d=4, p=6.0, tau=0.05, eps=0.05, L=1.5)
+    op = kernel.kernel_operator(1.5, n, params)
+    grid = op.table
+    assert grid.shape == (n,) * 4 and np.all(grid > 0.0)
+    assert op.certificate.bound <= 1e-7
+    for ax in range(4):
+        assert np.array_equal(grid, np.roll(np.flip(grid, ax), 1, ax))
+    for perm in itertools.permutations(range(4)):
         assert np.array_equal(grid, grid.transpose(perm))
 
 
