@@ -123,6 +123,11 @@ def _emit(out: Path, name: str, config: dict, report: dict,
         sys.exit(1)
 
 
+def _marginal_certificate(params: ModelParams, h: float, n: int) -> dict:
+    """The certificate of the 1D marginal table on the period 2h."""
+    return asdict(_kernel.marginal_operator(2.0 * h, n, params).certificate)
+
+
 def _write_csv(path: Path, header: str, rows) -> None:
     with open(path, "w") as fh:
         fh.write(header + "\n")
@@ -169,11 +174,12 @@ def kernel_moments(cfg, out):
           click.option("--tol", type=float))
 def optimal_period(cfg, out):
     """Golden-section search for the optimal stripe half-period."""
-    res = _onedim.optimal_period(_params(cfg), (cfg["h_lo"], cfg["h_hi"]),
-                                 grid=int(cfg["grid"]), tol=cfg["tol"],
-                                 n=int(cfg["n"]))
+    params, n = _params(cfg), int(cfg["n"])
+    res = _onedim.optimal_period(params, (cfg["h_lo"], cfg["h_hi"]),
+                                 grid=int(cfg["grid"]), tol=cfg["tol"], n=n)
     write_profile_csv(out / "profile.csv", res.profile.full())
-    return json.loads(res.to_json()), True
+    return {**json.loads(res.to_json()),
+            "kernel": _marginal_certificate(params, res.h_star, n)}, True
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +188,13 @@ def minimize_1d(cfg, out):
     """Minimize the 1D energy over the confined class at fixed half-period."""
     if cfg["h"] is None:
         raise click.ClickException("--half-period is required")
-    res = _onedim.minimize_profile(_params(cfg), float(cfg["h"]),
-                                   n=int(cfg["n"]))
+    params, h, n = _params(cfg), float(cfg["h"]), int(cfg["n"])
+    res = _onedim.minimize_profile(params, h, n=n)
     write_profile_csv(out / "profile.csv", res.profile.full())
     _write_csv(out / "trace.csv", "iteration,energy,step", res.trace)
     return {"value": res.value, "iterations": res.iterations,
-            "stop": res.stop, "h": cfg["h"], "n": cfg["n"]}, True
+            "stop": res.stop, "h": cfg["h"], "n": cfg["n"],
+            "kernel": _marginal_certificate(params, h, n)}, True
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +280,8 @@ def verify_decomposition(cfg, out):
     rep = json.loads(rep_obj.to_json())
     rep["delta_grad"] = _dec.default_delta_grad(u)
     rep["dx_over_alpha"] = u.h_grid / params.alpha
-    rep["kernel"] = asdict(_kernel.kernel_operator(
-        u.L, u.n, params, tol=_dec.KERNEL_TOL).certificate)
+    rep["kernel"] = asdict(_kernel.kernel_operator(u.L, u.n,
+                                                   params).certificate)
     return rep, rep_obj.slack >= -cfg["tol_slack"]
 
 
@@ -286,7 +293,7 @@ def verify_el(cfg, out):
     n0, h0 = int(cfg["n"]), float(cfg["h"])
     rep = {"n": [], "l2_residual": [], "residual_samples": [],
            "first_integral_gap4": [], "first_integral_gap2": [],
-           "gamma3_ok": [], "stop": []}
+           "gamma3_ok": [], "stop": [], "kernel": []}
     for nn in (n0, 2 * n0):
         res = _onedim.minimize_profile(params, h0, n=nn)
         diag = _onedim.el_residual(None, res.profile.full(), params)
@@ -302,6 +309,7 @@ def verify_el(cfg, out):
         rep["first_integral_gap2"].append(diag.first_integral_gap2)
         rep["gamma3_ok"].append(diag.gamma3_ok)
         rep["stop"].append(res.stop)
+        rep["kernel"].append(_marginal_certificate(params, h0, nn))
     fi = rep["first_integral_gap4"]
     rep["first_integral_ratio"] = fi[0] / fi[1] if fi[1] else np.inf
     return rep, rep["first_integral_ratio"] >= 1.8 and all(rep["gamma3_ok"])
@@ -317,8 +325,9 @@ def verify_el(cfg, out):
 def gamma_study(cfg, out):
     """Penalized coefficient family: optimal gamma collapses to 1."""
     sched = tuple(float(t) for t in str(cfg["m_schedule"]).split(","))
-    rep = _onedim.gamma_limit_study(_params(cfg), float(cfg["h"]),
-                                    m_schedule=sched, n=int(cfg["n"]))
+    params, h, n = _params(cfg), float(cfg["h"]), int(cfg["n"])
+    rep = _onedim.gamma_limit_study(params, h, m_schedule=sched, n=n)
+    rep["kernel"] = _marginal_certificate(params, h, n)
     _write_csv(out / "margins.csv",
                "m,value,sup_gamma_minus_1,measure_gamma_above",
                zip(rep["m"], rep["value"], rep["sup_gamma_minus_1"],
@@ -358,8 +367,7 @@ def rp_check(cfg, out):
         amp = rng.uniform(0.2, 0.45)
         g = 0.5 + amp * np.sin(np.pi * x)
         _, _, gap = _onedim.chessboard_check(
-            None, g, [float(t) for t in range(arcs + 1)], params,
-            x_grid=x, tol=1e-12)
+            None, g, [float(t) for t in range(arcs + 1)], params, x_grid=x)
         worst_cb = min(worst_cb, gap)
     rep = {"profiles": count, "worst_rp_gap": float(worst_rp),
            "worst_chessboard_gap": float(worst_cb)}

@@ -19,8 +19,10 @@ active set {||grad u||_1 > delta_grad} (feeding Mbar) and the flat set
 (feeding Wcal) uses one shared threshold, ``default_delta_grad(u)``, so no
 double-well mass is dropped or double counted.  One pass over the field
 gives Mbar^i and Gbar^i of every grid line and Wcal; the report, the slice
-tables and the single-slice terms all read it.  The periodized kernels are
-truncated at KERNEL_TOL (``cross_term`` also takes another tolerance).
+tables and the single-slice terms all read it.  Every term reads the one
+cached periodized kernel grid of (L, n, params), truncated by the kernel
+module's rule, so the cross term, the slice terms and the full energy
+share a table.
 """
 
 from __future__ import annotations
@@ -36,8 +38,6 @@ from . import kernel as _kernel
 from .energy import total_energy
 from .field import PeriodicField, gradient, line_index, roll
 from .model import ModelParams
-
-KERNEL_TOL = 1e-7   # truncation tolerance of the periodized kernel grids
 
 
 def default_delta_grad(u: PeriodicField) -> float:
@@ -61,7 +61,7 @@ def _axis_operator(u: PeriodicField, params: ModelParams
 @lru_cache(maxsize=32)
 def _cached_axis_operator(L: float, n: int, params: ModelParams
                           ) -> _kernel.PeriodicKernelOperator:
-    kgrid = _kernel.periodized_kernel_grid(L, n, params, tol=KERNEL_TOL)
+    kgrid = _kernel.periodized_kernel_grid(L, n, params)
     return _kernel.PeriodicKernelOperator(
         _kernel.lattice_marginal(kgrid, 0, L / n))
 
@@ -163,8 +163,7 @@ def _cross_table(values: np.ndarray, ax: int) -> np.ndarray:
     return np.maximum(table, 0.0)
 
 
-def cross_term(u: PeriodicField, i: int, params: ModelParams,
-               tol: float = KERNEL_TOL) -> float:
+def cross_term(u: PeriodicField, i: int, params: ModelParams) -> float:
     """Nonnegative cross term
 
         I^i = (1/d) int_{zeta_i > 0} int [ (u(x + zeta_i e_i) - u(x))
@@ -179,14 +178,13 @@ def cross_term(u: PeriodicField, i: int, params: ModelParams,
                    + 2 C(R_i lam) >= 0,
 
     and I^i = sum_lam K(lam) B_i(lam) vol^2 / (2d) against the periodized
-    kernel truncated at ``tol``: the form entering the exact lattice
-    identity.
+    kernel: the form entering the exact lattice identity.
     """
     ax = i - 1
     if not (0 <= ax < u.dims):
         raise IndexError(f"axis {i} out of range for dims={u.dims}")
     table = _cross_table(u.values, ax)
-    kgrid = _kernel.periodized_kernel_grid(u.L, u.n, params, tol=tol)
+    kgrid = _kernel.periodized_kernel_grid(u.L, u.n, params)
     return float(np.sum(kgrid * table)) * u.h_grid ** (2 * u.dims) \
         / (2.0 * u.dims)
 
@@ -211,7 +209,7 @@ def lower_bound_report(u: PeriodicField, params: ModelParams
                for ax in range(d)]
     lower = (sum(-m + g for m, g in zip(mbars, gbars)) + sum(crosses)
              + terms.wcal) / u.L ** d
-    full = total_energy(u, params, tol=KERNEL_TOL).total
+    full = total_energy(u, params).total
     return DecompositionReport(
         mbar=tuple(mbars), gbar=tuple(gbars), cross=tuple(crosses),
         wcal=terms.wcal, lower_bound=lower, full_energy=full,
@@ -261,7 +259,7 @@ def positivity_identity_check(u: PeriodicField, j: int, axis_subset,
         raise ValueError("j must not belong to axis_subset")
     if any(not (0 <= a < u.dims) for a in subset + [ax]):
         raise IndexError("axis out of range")
-    kgrid = _kernel.periodized_kernel_grid(u.L, u.n, params, tol=KERNEL_TOL)
+    kgrid = _kernel.periodized_kernel_grid(u.L, u.n, params)
     n, d = u.n, u.dims
     vals = u.values
     vol2 = u.h_grid ** (2 * d)

@@ -14,7 +14,8 @@ part; the two are related by an exact change of variables implemented in
 
 The nonlocal term is the pair form of the certified periodized kernel,
 evaluated from one fast Fourier transform of the field by
-``kernel.PeriodicKernelOperator``.  ``_FieldObjective`` is the one
+``kernel.PeriodicKernelOperator``; the kernel module fixes its truncation,
+so no energy here takes a tolerance.  ``_FieldObjective`` is the one
 evaluation of the discrete energy and of its gradient (with the smoothed
 1-norm) on raw arrays: it resolves C_tau, alpha, the cell volume and the
 kernel operator once per (params, L, n), so a descent that evaluates many
@@ -80,10 +81,9 @@ class _FieldObjective:
     evaluation of F or of its gradient in this package goes through it;
     the arrays it takes are not checked."""
 
-    def __init__(self, params: ModelParams, L: float, n: int,
-                 tol: float = 1e-7):
+    def __init__(self, params: ModelParams, L: float, n: int):
         d = self.d = int(params.d)
-        self.op = _kernel.kernel_operator(L, n, params, tol=tol)
+        self.op = _kernel.kernel_operator(L, n, params)
         self.alpha = alpha = params.alpha
         self.c1 = _kernel.c_tau(params) - 1.0
         self.dx = dx = L / n
@@ -99,12 +99,11 @@ class _FieldObjective:
         self._nl_grad = (None, None)
 
     @classmethod
-    def of(cls, u: PeriodicField, params: ModelParams, tol: float = 1e-7
-           ) -> "_FieldObjective":
+    def of(cls, u: PeriodicField, params: ModelParams) -> "_FieldObjective":
         """The objective on the grid of ``u``."""
         if u.dims != params.d:
             raise ValueError("field dimension does not match params.d")
-        return cls(params, u.L, u.n, tol=tol)
+        return cls(params, u.L, u.n)
 
     def nonlocal_sum(self, v: np.ndarray) -> float:
         """NL(v), the lattice pair form of the periodized kernel."""
@@ -198,22 +197,20 @@ def modica_mortola(u: PeriodicField, alpha: float) -> float:
     return _modica_mortola(u.values, u.h_grid, alpha)
 
 
-def nonlocal_energy(u: PeriodicField, params: ModelParams,
-                    tol: float = 1e-7) -> float:
+def nonlocal_energy(u: PeriodicField, params: ModelParams) -> float:
     """int int |u(x+zeta) - u(x)|^2 K_tau(zeta) dx dzeta on the lattice."""
-    return _FieldObjective.of(u, params, tol).nonlocal_sum(u.values)
+    return _FieldObjective.of(u, params).nonlocal_sum(u.values)
 
 
-def total_energy(u: PeriodicField, params: ModelParams,
-                 tol: float = 1e-7) -> EnergyBreakdown:
+def total_energy(u: PeriodicField, params: ModelParams) -> EnergyBreakdown:
     """Rescaled energy per unit volume with its two-term breakdown."""
-    mm, nl = _FieldObjective.of(u, params, tol).split(u.values)
+    mm, nl = _FieldObjective.of(u, params).split(u.values)
     return EnergyBreakdown(mm_term=mm, nonlocal_term=nl, total=mm - nl,
                            n=u.n, L=u.L, params=params)
 
 
 def unscaled_energy(u: PeriodicField, J: float, eps: float, L: float | None = None,
-                    *, p: float, tol: float = 1e-7) -> float:
+                    *, p: float) -> float:
     """Energy with the tau = 1 kernel and coupling J on the gradient part:
     (1/L^d) [ J M_eps(u) - NL_1(u) ]."""
     if J <= 0:
@@ -223,7 +220,7 @@ def unscaled_energy(u: PeriodicField, J: float, eps: float, L: float | None = No
     params1 = ModelParams(d=u.dims, p=p, tau=1.0, eps=eps, L=u.L)
     vol_inv = 1.0 / u.L ** u.dims
     mm = modica_mortola(u, eps)
-    nl = nonlocal_energy(u, params1, tol=tol)
+    nl = nonlocal_energy(u, params1)
     return float(vol_inv * (J * mm - nl))
 
 
@@ -236,18 +233,17 @@ def rescaling_identity_check(u: PeriodicField, params: ModelParams
     sample values on the stretched torus of period L = tau^(-1/beta) params.L
     define the unscaled configuration.  With coupling J = J_c - tau the
     two sides agree to rounding error: the tau = 1 kernel table on the
-    stretched torus at tolerance tol a^p is a^p times the tau kernel table
-    at tol, since both sum the same exponential-sum nodes in log(t a).
+    stretched torus is a^p times the tau kernel table, since both sum the
+    same exponential-sum nodes in log(t a) (their entry bounds f_max, and
+    with them the truncations, differ by the same factor a^p).
     """
     a = params.kernel_scale
     L_big = u.L / a
     tau_pow = params.tau ** (1.0 + 1.0 / params.beta)
     J = _kernel.j_c(params) - params.tau
     u_big = PeriodicField(u.dims, u.n, L_big, u.values)
-    tol = 1e-7
-    lhs = unscaled_energy(u_big, J, params.eps, p=params.p,
-                          tol=tol * a ** params.p)
-    rhs = tau_pow * total_energy(u, params, tol=tol).total
+    lhs = unscaled_energy(u_big, J, params.eps, p=params.p)
+    rhs = tau_pow * total_energy(u, params).total
     return lhs, rhs, lhs - rhs
 
 

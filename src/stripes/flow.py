@@ -103,7 +103,7 @@ class StripeMetrics:
 # ---------------------------------------------------------------------------
 
 def energy_gradient(u: PeriodicField, params: ModelParams,
-                    kappa: float = KAPPA, tol: float = 1e-7) -> np.ndarray:
+                    kappa: float = KAPPA) -> np.ndarray:
     """Partial derivatives dE/du_j of the discrete energy whose interfacial
     term uses the smoothed anisotropic norm sum_i sqrt(D_i^2 + kappa^2).
 
@@ -113,7 +113,7 @@ def energy_gradient(u: PeriodicField, params: ModelParams,
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
-    return _energy._FieldObjective.of(u, params, tol).grad(u.values, kappa)
+    return _energy._FieldObjective.of(u, params).grad(u.values, kappa)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,12 @@ e^(-t |x_i|), each of which periodizes in closed form, and the trapezoid
 rule in log t turns the integral into a sum over nodes, so a table is
 sum_r w_r (x)_i E_r.  Its error has a closed-form certificate, the
 trapezoid bound of Trefethen-Weideman (SIAM Rev. 2014) plus the two cut
-tails, and the step and node range follow from the requested tolerance
-through it; ``KernelCertificate`` records them with the bound.  The bound
-covers the truncation; the rounding of the positive sum adds up to about
-(nodes * machine epsilon) relative.
+tails, and one rule sets the step and node range through it, with no
+tolerance to choose: the bound stays below machine epsilon times f_max, a
+bound on every entry, so each table is certified to the rounding level of
+its largest possible entry; ``KernelCertificate`` records them with the
+bound.  The bound covers the truncation; the rounding of the positive sum
+adds up to about (nodes * machine epsilon) relative.
 
 Every nonlocal term is the pair form sum_x sum_z |v(x + z) - v(x)|^2 K(z)
 against a periodized table; ``PeriodicKernelOperator`` evaluates it from
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import comb
 from math import gamma as _gamma
 from math import lgamma as _lgamma
@@ -160,7 +162,8 @@ def moments(params: ModelParams) -> KernelMoments:
 # half-widths theta of the strips |Im u| < theta over which the trapezoid
 # error bound is minimized
 _THETAS = 0.5 * np.pi * np.arange(1, 64) / 64.0
-# shares of tol spent on the trapezoid error and on each cut tail
+# shares of the truncation budget eps * f_max spent on the trapezoid error
+# and on each cut tail
 _DISC_SHARE, _TAIL_SHARE = 0.5, 0.2
 
 
@@ -212,22 +215,21 @@ def _bound(dim: int, pe: float, a: float, L: float, h: float, r_lo: int,
     return float(disc * f_max + lower + upper)
 
 
-def _nodes(dim: int, pe: float, a: float, L: float, tol: float
+def _nodes(dim: int, pe: float, a: float, L: float
            ) -> tuple[float, int, int]:
-    """(h, r_lo, r_hi) whose ``_bound`` is below tol: the largest step
-    whose trapezoid bound at some theta meets _DISC_SHARE tol, the last
-    node r_lo below which every lower-tail term meets its part of
-    _TAIL_SHARE tol, and the first r_hi >= r_lo with X = e^(r_hi h) >= pe
-    whose upper tail meets _TAIL_SHARE tol (that bound decreases in
-    X >= pe and reaches 0 in floating point, so the scan ends).  A tol
-    above f_max asks for no more than f_max, the error of an empty sum."""
+    """(h, r_lo, r_hi) whose ``_bound`` is below 0.9 eps f_max (eps the
+    machine epsilon, f_max ``_majorant``'s bound on every entry): the
+    largest step whose trapezoid bound at some theta meets _DISC_SHARE,
+    the last node r_lo below which every lower-tail term meets its part
+    of _TAIL_SHARE, and the first r_hi >= r_lo with X = e^(r_hi h) >= pe
+    whose upper tail meets _TAIL_SHARE of eps f_max (that bound decreases
+    in X >= pe and reaches 0 in floating point, so the scan ends)."""
     log_c, s, f_max = _majorant(dim, pe, a, L)
-    tol = min(tol, f_max)
-    eps = _DISC_SHARE * tol / f_max
+    eps = np.finfo(float).eps
     with np.errstate(over="ignore"):       # log1p(inf): no step at theta
         h = float(np.max(2.0 * np.pi * _THETAS / np.log1p(
-            2.0 * np.exp(-pe * np.log(np.cos(_THETAS))) / eps)))
-    budget = _TAIL_SHARE * tol
+            2.0 * np.exp(-pe * np.log(np.cos(_THETAS))) / _DISC_SHARE / eps)))
+    budget = _TAIL_SHARE * eps * f_max
     log_t = np.min((np.log(budget / (dim + 1) * s) - log_c) / s)
     r_lo = int(np.floor((log_t + np.log(a)) / h))
     r_hi = max(r_lo, int(np.ceil(np.log(pe) / h)))
@@ -239,28 +241,31 @@ def _nodes(dim: int, pe: float, a: float, L: float, tol: float
 def _exp_sum(n: int, dim: int, pe: float, a: float, L: float, h: float,
              r_lo: int, r_hi: int) -> np.ndarray:
     """sum_r w_r (x)_i E_{t_r} over the nodes u_r = r h, r_lo <= r <= r_hi,
-    at the lags j L / n: the 2D table as E^T diag(w) E, the others
-    accumulated node by node."""
+    at the lags j L / n, from one node-by-lag matrix y = e^(-t_r x_j),
+    0 <= j <= n: in 1D f = (w / (1 - e^(-t L))) y folded as f_j + f_{n-j}
+    (one matrix in memory, exactly reflection-symmetric), else
+    E^T diag(w) times the row-wise Kronecker powers of the E_{t_r}."""
     u = np.arange(r_lo, r_hi + 1) * h
     t = np.exp(u) / a
     w = h * np.exp(pe * u - np.exp(u) - pe * np.log(a) - _lgamma(pe))
     x = np.arange(n + 1) * (L / n)          # x_{n - j} = L - x_j
-    if dim == 2:
-        y = np.exp(-t[:, None] * x)
-        E = (y[:, :n] + y[:, n:0:-1]) / -np.expm1(-t * L)[:, None]
-        return (E.T * w) @ E
-    table = np.zeros((n,) * dim)
-    for tr, wr in zip(t, w):
-        y = np.exp(-tr * x)
-        E = (y[:n] + y[n:0:-1]) / -np.expm1(-tr * L)
-        table += wr * reduce(np.multiply.outer, [E] * dim)
-    return table
+    y = np.multiply.outer(-t, x)
+    np.exp(y, out=y)
+    damp = -np.expm1(-t * L)                # 1 - e^(-t L)
+    if dim == 1:
+        f = (w / damp) @ y
+        return f[:n] + f[n:0:-1]
+    E = (y[:, :n] + y[:, n:0:-1]) / damp[:, None]
+    rows = E
+    for _ in range(dim - 2):
+        rows = (rows[:, :, None] * E[:, None, :]).reshape(t.size, -1)
+    return ((E.T * w) @ rows).reshape((n,) * dim)
 
 
-def _exp_sum_table(n: int, dim: int, pe: float, a: float, L: float,
-                   tol: float) -> tuple[np.ndarray, KernelCertificate]:
+def _exp_sum_table(n: int, dim: int, pe: float, a: float, L: float
+                   ) -> tuple[np.ndarray, KernelCertificate]:
     """Periodized f = (||.||_1 + a)^(-pe) at the lags x = j L / n,
-    0 <= j_i < n, as an exponential sum with error below ``tol``; needs
+    0 <= j_i < n, as an exponential sum truncated by ``_nodes``; needs
     pe > dim + 1 (every family member of this module has it).
 
     f(x) = Gamma(pe)^-1 int t^(pe-1) e^(-t a) prod_i e^(-t |x_i|) dt, and
@@ -281,7 +286,7 @@ def _exp_sum_table(n: int, dim: int, pe: float, a: float, L: float,
     last node, where it increases and (from t a >= pe on) decreases in u,
     bound the dropped nodes.
     """
-    h, r_lo, r_hi = _nodes(dim, pe, a, L, tol)
+    h, r_lo, r_hi = _nodes(dim, pe, a, L)
     cert = KernelCertificate(step=h, nodes=r_hi - r_lo + 1,
                              log_t=(r_lo * h - _log(a), r_hi * h - _log(a)),
                              bound=_bound(dim, pe, a, L, h, r_lo, r_hi))
@@ -376,14 +381,12 @@ class PeriodicKernelOperator:
                             * self._pair_weights.reshape(shape), axis=axis)
 
 
-def _check_grid(L: float, n: int, tol: float) -> None:
-    """Reject a grid no table can be certified on, naming the value."""
+def _check_grid(L: float, n: int) -> None:
+    """Reject a grid no table can be built on, naming the value."""
     if not (np.isfinite(L) and L > 0):
         raise ValueError(f"L must be finite and positive, got {L!r}")
     if not (np.isfinite(n) and n == int(n) and n >= 2):
         raise ValueError(f"n must be an integer >= 2, got {n!r}")
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
 
 def _certified_operator(vals: np.ndarray, cert: KernelCertificate
@@ -395,53 +398,51 @@ def _certified_operator(vals: np.ndarray, cert: KernelCertificate
 
 @lru_cache(maxsize=128)    # 1D tables are small
 def _cached_marginal_operator(L: float, n: int, d: int, p: float,
-                              tau: float, tol: float
-                              ) -> PeriodicKernelOperator:
+                              tau: float) -> PeriodicKernelOperator:
     c = marginal_constant(d, p)
     a = tau ** (1.0 / (p - d - 1))
-    vals, cert = _exp_sum_table(n, 1, p - d + 1, a, L, tol / c)
+    vals, cert = _exp_sum_table(n, 1, p - d + 1, a, L)
     return _certified_operator(c * vals, replace(cert, bound=c * cert.bound))
 
 
-def marginal_operator(L: float, n: int, params: ModelParams,
-                      tol: float = 1e-9) -> PeriodicKernelOperator:
+def marginal_operator(L: float, n: int, params: ModelParams
+                      ) -> PeriodicKernelOperator:
     """Operator of the L-periodized marginal kernel sum_k Khat(z + kL) at
-    z_j = j L / n, certified to absolute error < tol; cached per
-    (L, n, d, p, tau, tol)."""
-    _check_grid(L, n, tol)
+    z_j = j L / n, certified to the rounding level of its largest possible
+    entry; cached per (L, n, d, p, tau)."""
+    _check_grid(L, n)
     return _cached_marginal_operator(float(L), int(n), int(params.d),
-                                     float(params.p), float(params.tau),
-                                     float(tol))
+                                     float(params.p), float(params.tau))
 
 
-def periodized_marginal(L: float, n: int, params: ModelParams,
-                        tol: float = 1e-9) -> np.ndarray:
+def periodized_marginal(L: float, n: int, params: ModelParams
+                        ) -> np.ndarray:
     """The read-only table of ``marginal_operator``."""
-    return marginal_operator(L, n, params, tol=tol).table
+    return marginal_operator(L, n, params).table
 
 
 @lru_cache(maxsize=32)
-def _cached_kernel_operator(L: float, n: int, d: int, p: float, tau: float,
-                            tol: float) -> PeriodicKernelOperator:
+def _cached_kernel_operator(L: float, n: int, d: int, p: float, tau: float
+                            ) -> PeriodicKernelOperator:
     a = tau ** (1.0 / (p - d - 1))
-    return _certified_operator(*_exp_sum_table(n, d, p, a, L, tol))
+    return _certified_operator(*_exp_sum_table(n, d, p, a, L))
 
 
-def kernel_operator(L: float, n: int, params: ModelParams,
-                    tol: float = 1e-7) -> PeriodicKernelOperator:
+def kernel_operator(L: float, n: int, params: ModelParams
+                    ) -> PeriodicKernelOperator:
     """Operator of the d-dimensional L-periodized kernel sum_k K(zeta + kL)
-    at the lattice lags zeta = (j_1, ..., j_d) L / n, certified to
-    absolute error < tol; cached per (L, n, d, p, tau, tol)."""
-    _check_grid(L, n, tol)
+    at the lattice lags zeta = (j_1, ..., j_d) L / n, certified to the
+    rounding level of its largest possible entry; cached per
+    (L, n, d, p, tau)."""
+    _check_grid(L, n)
     return _cached_kernel_operator(float(L), int(n), int(params.d),
-                                   float(params.p), float(params.tau),
-                                   float(tol))
+                                   float(params.p), float(params.tau))
 
 
-def periodized_kernel_grid(L: float, n: int, params: ModelParams,
-                           tol: float = 1e-7) -> np.ndarray:
+def periodized_kernel_grid(L: float, n: int, params: ModelParams
+                           ) -> np.ndarray:
     """The read-only table of ``kernel_operator``."""
-    return kernel_operator(L, n, params, tol=tol).table
+    return kernel_operator(L, n, params).table
 
 
 def lattice_marginal(kernel_grid: np.ndarray, axis: int, spacing: float

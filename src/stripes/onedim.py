@@ -18,8 +18,8 @@ pointwise gamma update, and Euler-Lagrange diagnostics.
 
 Discretization: n samples on [0, L), forward differences, rectangle sums,
 nonlocal term through the cached operator of the certified periodized
-marginal kernel (``kernel.marginal_operator``), truncated at F1D_TOL in
-``f1d`` and ``confined_split`` and at PROFILE_TOL in the descent and the
+marginal kernel (``kernel.marginal_operator``), one table per (L, n) and
+model shared by ``f1d``, ``confined_split``, the descent and the
 Euler-Lagrange diagnostics.  ``_ProfileObjective`` is the one evaluation
 of the discrete F1d (split, gradient, interaction field) and ``_reflect``
 the one reflection.  The objective works on raw arrays and checks none
@@ -55,10 +55,6 @@ from .solvers import (ACTIVE_TOL, NoBracketError, brentq, projected_bb,
                       scan_golden)
 
 
-# kernel truncation of ``f1d`` and ``confined_split``, and of the descent
-# and the EL diagnostics
-F1D_TOL = 1e-7
-PROFILE_TOL = 1e-8
 # distance from a 1/2-crossing that the reflection checks tolerate
 CROSSING_TOL = 1e-9
 # the EL diagnostics leave out the bands {g < EL_DELTA} and
@@ -176,23 +172,22 @@ def _gamma_array(gamma, n: int) -> np.ndarray:
 
 class _ProfileObjective:
     """The discrete F1d(gamma, G) of n samples G of an L-periodic profile:
-    forward differences, rectangle sums, and the pair form of the marginal
-    kernel periodized with truncation tol.  Every evaluation of F1d in
-    this module goes through it.
+    forward differences, rectangle sums, and the pair form of the
+    periodized marginal kernel.  Every evaluation of F1d in this module
+    goes through it.
 
     Nothing is checked here: G must already lie in [0, 1] and gamma be
     None, a scalar or n samples in [1, inf] (``_gamma_array``); W and W'
     are evaluated inline in the operation order of ``model.double_well``
     and ``model.double_well_prime``."""
 
-    def __init__(self, params: ModelParams, L: float, n: int,
-                 tol: float = PROFILE_TOL):
+    def __init__(self, params: ModelParams, L: float, n: int):
         self.L = L
         self.n = n
         self.dx = L / n
         self.alpha = params.alpha
         self.c = _kernel.c_tau(params)
-        self.op = _kernel.marginal_operator(L, n, params, tol)
+        self.op = _kernel.marginal_operator(L, n, params)
         self.A = 3.0 * (self.c - 1.0) * self.alpha / L
         self.B = 3.0 * (self.c - 1.0) / (L * self.alpha)
 
@@ -246,14 +241,13 @@ class _ProfileObjective:
         return grad
 
 
-def f1d(gamma, g: Profile1D, params: ModelParams, tol: float = F1D_TOL
-        ) -> float:
+def f1d(gamma, g: Profile1D, params: ModelParams) -> float:
     """The 1D energy per unit length on g's period; gamma may be None (g's
     own coefficient, or 1), a scalar, or an array with +inf entries
     (infinite entries meeting g' != 0 give +inf).
     """
     gam = gamma if gamma is not None else g.gamma
-    obj = _ProfileObjective(params, g.L, g.n, tol)
+    obj = _ProfileObjective(params, g.L, g.n)
     if gam is None:
         return obj.energy(g.g)
     gam = _gamma_array(gam, g.n)
@@ -275,7 +269,7 @@ def confined_split(gamma, g: Profile1D, params: ModelParams
     For profiles confined to one side of 1/2 both parts are nonnegative once
     tau is small; returned for direct inspection.
     """
-    obj = _ProfileObjective(params, g.L, g.n, F1D_TOL)
+    obj = _ProfileObjective(params, g.L, g.n)
     gam = _gamma_array(gamma, g.n)
     grad_int, well_int = obj.local_integrals(g.g, gam)
     mm = obj.alpha * grad_int + well_int / obj.alpha
@@ -334,7 +328,7 @@ def reflection_positivity_check(g: Profile1D, x0: float, params: ModelParams,
 
 
 def chessboard_check(gamma, g: np.ndarray, crossings, params: ModelParams,
-                     x_grid: np.ndarray | None = None, tol: float = F1D_TOL
+                     x_grid: np.ndarray | None = None
                      ) -> tuple[float, float, float]:
     """Chessboard estimate on a window [x_1, x_{m+1}] split at interior
     1/2-crossings x_1 < ... < x_{m+1} into one-signed arcs g_k:
@@ -372,13 +366,12 @@ def chessboard_check(gamma, g: np.ndarray, crossings, params: ModelParams,
         arc = arc.copy()
         arc[0] = arc[-1] = 0.5
         prof = ReflectedProfile(h_k, arc, arc_gam).full()
-        return f1d(prof.gamma, prof, params, tol=tol)
+        return f1d(prof.gamma, prof, params)
 
     # left side: odd reflection of the whole window to period 2|I|
     prof_full = Profile1D(2 * M, 2.0 * width,
                           np.clip(_reflect(g)[:-1], 0.0, 1.0), None)
-    lhs = width * f1d(_reflect(gam, odd=False)[:-1], prof_full, params,
-                      tol=tol)
+    lhs = width * f1d(_reflect(gam, odd=False)[:-1], prof_full, params)
 
     rhs = 0.0
     for k in range(len(idx) - 1):

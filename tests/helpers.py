@@ -8,7 +8,7 @@ from math import gamma as _gamma
 import numpy as np
 
 from stripes import kernel
-from stripes.decomposition import KERNEL_TOL, default_delta_grad
+from stripes.decomposition import default_delta_grad
 from stripes.field import (PeriodicField, StripeSpec, gradient, l1_distance,
                            make_stripes)
 from stripes.model import ModelParams, double_well, double_well_prime
@@ -68,8 +68,8 @@ def nonlocal_direct(values: np.ndarray, kgrid: np.ndarray, spacing: float
     return float(total * spacing ** (2 * d))
 
 
-def cross_term_direct(u: PeriodicField, i: int, params: ModelParams,
-                      tol: float = 1e-7) -> float:
+def cross_term_direct(u: PeriodicField, i: int, params: ModelParams
+                      ) -> float:
     """Reference cross term by the all-lags loop: one roll and one sum of
     squared brackets per lag (O(n^(2d)); small grids only).  Same
     definition and normalisation as ``decomposition.cross_term``."""
@@ -77,7 +77,7 @@ def cross_term_direct(u: PeriodicField, i: int, params: ModelParams,
     n, d = u.n, u.dims
     vals = u.values
     axes = tuple(range(d))
-    kgrid = kernel.periodized_kernel_grid(u.L, u.n, params, tol=tol)
+    kgrid = kernel.periodized_kernel_grid(u.L, u.n, params)
     total = 0.0
     for lag in itertools.product(range(n), repeat=d):
         t1 = np.roll(vals, -lag[ax], axis=ax) - vals
@@ -102,7 +102,7 @@ def slice_terms_direct(u: PeriodicField, params: ModelParams
     gl1 = sum(np.abs(g) for g in diffs)
     active = gl1 > default_delta_grad(u)
     w = double_well(u.values)
-    kgrid = kernel.periodized_kernel_grid(u.L, n, params, tol=KERNEL_TOL)
+    kgrid = kernel.periodized_kernel_grid(u.L, n, params)
     op = kernel.PeriodicKernelOperator(kernel.lattice_marginal(kgrid, 0, h))
     ctau = kernel.c_tau(params)
     rows, mbar, gbar = [], [], []
@@ -141,6 +141,21 @@ def _box_int_direct(lo, hi, a: float, pe: float) -> float:
                   - _box_int_direct(lo[1:], hi[1:], a + u1, pe - 1.0)
                   ) / (pe - 1.0)
     return total
+
+
+def table_bound(params: ModelParams, L: float, marginal: bool = False
+                ) -> float:
+    """0.9 eps f_max: the truncation bound the certificate of every
+    periodized kernel table of ``params`` on the period L meets (of its
+    1D marginal with ``marginal``), from ``kernel._majorant``'s bound
+    f_max on every entry."""
+    d, p, a = params.d, params.p, params.kernel_scale
+    if marginal:
+        f_max = kernel.marginal_constant(d, p) \
+            * kernel._majorant(1, p - d + 1.0, a, L)[2]
+    else:
+        f_max = kernel._majorant(d, p, a, L)[2]
+    return 0.9 * np.finfo(float).eps * f_max
 
 
 def _family_mass(dim: int, pe: float, a: float) -> float:
@@ -229,8 +244,8 @@ def periodized_values_direct(points: np.ndarray, dim: int, pe: float,
     return direct + corr.reshape(direct.shape), m, cert
 
 
-def total_energy_direct(u: PeriodicField, params: ModelParams,
-                        tol: float = 1e-7) -> tuple[float, float, float]:
+def total_energy_direct(u: PeriodicField, params: ModelParams
+                        ) -> tuple[float, float, float]:
     """Reference (mm_term, nonlocal_term, total) by the field-object
     arithmetic ``energy.total_energy`` had before it moved onto raw arrays,
     in the same operation order, so the two agree bit for bit."""
@@ -239,7 +254,7 @@ def total_energy_direct(u: PeriodicField, params: ModelParams,
     mm_sum = float(3.0 * params.alpha * np.sum(grad_l1_sq) * vol
                    + (3.0 / params.alpha) * np.sum(double_well(u.values))
                    * vol)
-    op = kernel.kernel_operator(u.L, u.n, params, tol=tol)
+    op = kernel.kernel_operator(u.L, u.n, params)
     nl_sum = op.pair_sum(u.values) * u.h_grid ** (2 * u.dims)
     vol_inv = 1.0 / u.L ** u.dims
     mm = mm_sum * (kernel.c_tau(params) - 1.0) * vol_inv
@@ -248,7 +263,7 @@ def total_energy_direct(u: PeriodicField, params: ModelParams,
 
 
 def energy_gradient_direct(u: PeriodicField, params: ModelParams,
-                           kappa: float, tol: float = 1e-7) -> np.ndarray:
+                           kappa: float) -> np.ndarray:
     """Reference gradient with the smoothed 1-norm by the arithmetic
     ``flow.energy_gradient`` had before it moved onto raw arrays, in the
     same operation order."""
@@ -266,7 +281,7 @@ def energy_gradient_direct(u: PeriodicField, params: ModelParams,
         flux = s * diffs[ax] / roots[ax]
         grad += pref * 6.0 * alpha * vol / dx * (np.roll(flux, 1, axis=ax)
                                                  - flux)
-    op = kernel.kernel_operator(L, u.n, params, tol=tol)
+    op = kernel.kernel_operator(L, u.n, params)
     grad -= (4.0 * vol * vol / L ** d) * (op.ksum * v - op.conv(v))
     return grad
 
@@ -291,8 +306,7 @@ def stripe_search_direct(u: PeriodicField, h_grid, nu_grid
 
 
 def profile_energy_direct(G: np.ndarray, gamma, params: ModelParams,
-                          L: float, tol: float = 1e-8
-                          ) -> tuple[float, float, float]:
+                          L: float) -> tuple[float, float, float]:
     """Reference (local, nonlocal, F1d) of n samples G of an L-periodic
     profile by the ``np.roll`` and ``double_well`` arithmetic
     ``onedim._ProfileObjective`` had before it evaluated W inline and took
@@ -309,15 +323,14 @@ def profile_energy_direct(G: np.ndarray, gamma, params: ModelParams,
         grad2 = np.multiply(gamma, grad2, out=np.zeros(n), where=D != 0)
         well = well / gamma
     grad_int, well_int = float(np.sum(grad2) * dx), float(np.sum(well) * dx)
-    op = kernel.marginal_operator(L, n, params, tol)
+    op = kernel.marginal_operator(L, n, params)
     local = A * grad_int + B * well_int
     nonlocal_ = dx * dx * op.pair_sum(G) / L
     return local, nonlocal_, local - nonlocal_
 
 
 def profile_grad_direct(G: np.ndarray, gamma, params: ModelParams,
-                        L: float, tol: float = 1e-8
-                        ) -> tuple[np.ndarray, np.ndarray]:
+                        L: float) -> tuple[np.ndarray, np.ndarray]:
     """Reference (gradient of F1d, interaction field) by the arithmetic of
     ``profile_energy_direct``, in the same operation order as
     ``onedim._ProfileObjective.grad`` and ``interaction``."""
@@ -328,7 +341,7 @@ def profile_grad_direct(G: np.ndarray, gamma, params: ModelParams,
     B = 3.0 * (c - 1.0) / (L * params.alpha)
     gam = 1.0 if gamma is None else gamma
     gD = gam * ((np.roll(G, -1) - G) / dx)
-    op = kernel.marginal_operator(L, n, params, tol)
+    op = kernel.marginal_operator(L, n, params)
     interaction = op.conv(G) - op.ksum * G
     grad = (A * 2.0 * (np.roll(gD, 1) - gD)
             + B * double_well_prime(G) / gam * dx)

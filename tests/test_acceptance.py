@@ -222,8 +222,7 @@ def test_criterion_07_reflection_positivity_and_chessboard():
             cell = np.minimum(np.floor(x).astype(int), arcs - 1)
             g = 0.5 + amps[cell] * np.sin(np.pi * x)
             crossings = [float(k) for k in range(arcs + 1)]
-        _, _, gap = chessboard_check(None, g, crossings, PS1, x_grid=x,
-                                     tol=1e-12)
+        _, _, gap = chessboard_check(None, g, crossings, PS1, x_grid=x)
         worst_cb = min(worst_cb, gap)
     dt = time.monotonic() - t0
     ok = worst_rp >= -1e-8 and worst_cb >= -1e-8 and dt < 60.0
@@ -356,7 +355,7 @@ def test_criterion_12_gradient_correctness():
     t0 = time.monotonic()
     rng = np.random.default_rng(105)
     kappa = 1e-3
-    kgrid = kernel.periodized_kernel_grid(2.0, 16, PS2, tol=1e-7)
+    kgrid = kernel.periodized_kernel_grid(2.0, 16, PS2)
     from test_flow import _smoothed_energy
     worst = 0.0
     for trial in range(20):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from helpers import table_bound
 from stripes.cli import FORMAT_VERSION, main
 from stripes.decomposition import slice_tables
 from stripes.field import PeriodicField, read_pfd, write_pfd
@@ -161,26 +162,44 @@ def test_verify_decomposition_reports_slice_gbar(runner, tmp_path):
 
 
 def test_reports_carry_the_kernel_certificate(runner, tmp_path):
+    # with no tolerance input, the certificate is the record of each
+    # table's truncation: 0.9 eps times the bound on its largest entry
     keys = {"step", "nodes", "log_t", "bound"}
-    res = runner.invoke(main, ["verify-decomposition", "-d", "4", "-p", "6",
-                               "-n", "4", "--output-dir",
-                               str(tmp_path / "vd")])
-    assert res.exit_code == 0, res.output
-    rep = _payload(tmp_path / "vd" / "verify_decomposition.json")["report"]
-    assert set(rep["kernel"]) == keys
-    assert 0.0 < rep["kernel"]["bound"] <= 1e-7
-    res = runner.invoke(main, ["minimize-2d", "-n", "16", "--seeds", "1",
-                               "--output-dir", str(tmp_path / "m2")])
-    assert res.exit_code == 0, res.output
-    rep = _payload(tmp_path / "m2" / "minimize_2d.json")["report"]
-    assert set(rep["kernel"]) == keys
-    assert 0.0 < rep["kernel"]["bound"] <= 1e-7
-    res = runner.invoke(main, ["minimize-2d", "--resume",
-                               str(_start_field(tmp_path)),
-                               "--output-dir", str(tmp_path / "m2r")])
-    assert res.exit_code == 0, res.output
-    rep = _payload(tmp_path / "m2r" / "minimize_2d.json")["report"]
-    assert set(rep["kernel"]) == keys
+    ps1 = ModelParams(d=1, p=3.0, tau=0.05, eps=0.05, L=1.0)
+
+    def report(args, out, codes=(0,)):
+        res = runner.invoke(main, [*args, "--output-dir", str(tmp_path / out)])
+        assert res.exit_code in codes, res.output
+        name = args[0].replace("-", "_")
+        return _payload(tmp_path / out / f"{name}.json")["report"]
+
+    def check(cert, bound):
+        assert set(cert) == keys
+        assert 0.0 < cert["bound"] <= bound
+
+    rep = report(["verify-decomposition", "-d", "4", "-p", "6", "-n", "4"],
+                 "vd")
+    check(rep["kernel"], table_bound(
+        ModelParams(d=4, p=6.0, tau=0.05, eps=0.05, L=1.0), 1.0))
+    ps2 = ModelParams(d=2, p=4.0, tau=0.05, eps=0.05, L=2.0)
+    rep = report(["minimize-2d", "-n", "16", "--seeds", "1"], "m2")
+    check(rep["kernel"], table_bound(ps2, rep["L"]))
+    rep = report(["minimize-2d", "--resume", str(_start_field(tmp_path))],
+                 "m2r")
+    check(rep["kernel"], table_bound(ps2, 2.0))
+    # the 1D commands: the marginal table on the period 2h
+    rep = report(["minimize-1d", "--half-period", "1.0", "-n", "128"], "m1")
+    check(rep["kernel"], table_bound(ps1, 2.0, marginal=True))
+    rep = report(["optimal-period", "-n", "128"], "op")
+    check(rep["kernel"], table_bound(ps1, 2.0 * rep["h_star"],
+                                     marginal=True))
+    rep = report(["gamma-study", "-n", "512", "--m-schedule", "1,10"],
+                 "gs", codes=(0, 1))
+    check(rep["kernel"], table_bound(ps1, 2.0 * 1.58, marginal=True))
+    rep = report(["verify-el", "-n", "128"], "el", codes=(0, 1))
+    assert len(rep["kernel"]) == len(rep["n"]) == 2
+    for cert in rep["kernel"]:
+        check(cert, table_bound(ps1, 2.0 * 1.58, marginal=True))
 
 
 def test_rp_check_passes(runner, tmp_path):

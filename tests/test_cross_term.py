@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import cross_term_direct, smooth_field
 from stripes import kernel
-from stripes.decomposition import KERNEL_TOL, cross_term
+from stripes.decomposition import cross_term
 from stripes.field import PeriodicField, Profile1D, make_one_dimensional
 from stripes.model import ModelParams
 
@@ -45,27 +45,25 @@ def lifted(draw, d: int) -> PeriodicField:
 @SETTINGS
 @given(u=generic_fields())
 def test_cross_term_matches_all_lags_loop(u):
-    params, tol = PARAMS[u.dims], KERNEL_TOL
+    params = PARAMS[u.dims]
     for i in range(1, u.dims + 1):
-        ref = cross_term_direct(u, i, params, tol=tol)
-        assert cross_term(u, i, params, tol=tol) \
-            == pytest.approx(ref, rel=1e-12)
+        ref = cross_term_direct(u, i, params)
+        assert cross_term(u, i, params) == pytest.approx(ref, rel=1e-12)
 
 
 @SETTINGS
 @given(data=st.data(), u=generic_fields())
 def test_cross_term_translation_and_reflection_invariant(data, u):
-    params, tol = PARAMS[u.dims], KERNEL_TOL
+    params = PARAMS[u.dims]
     shift = data.draw(st.tuples(*[st.integers(0, u.n - 1)] * u.dims))
     moved = [PeriodicField(u.dims, u.n, u.L, np.roll(
         u.values, shift, axis=tuple(range(u.dims))))]
     moved += [PeriodicField(u.dims, u.n, u.L, np.flip(u.values, axis=ax))
               for ax in range(u.dims)]
     for i in range(1, u.dims + 1):
-        base = cross_term(u, i, params, tol=tol)
+        base = cross_term(u, i, params)
         for v in moved:
-            assert cross_term(v, i, params, tol=tol) \
-                == pytest.approx(base, rel=1e-12)
+            assert cross_term(v, i, params) == pytest.approx(base, rel=1e-12)
 
 
 @SETTINGS
@@ -81,19 +79,19 @@ def test_cross_term_nonnegative(data, d, exponent, binary):
         else np.clip(u.values + noise, 0.0, 1.0)
     v = PeriodicField(d, u.n, u.L, vals)
     for i in range(1, d + 1):
-        assert cross_term(v, i, PARAMS[d], tol=KERNEL_TOL) >= 0.0
+        assert cross_term(v, i, PARAMS[d]) >= 0.0
 
 
 @SETTINGS
 @given(data=st.data(), d=dims)
 def test_cross_term_vanishes_on_lifted_fields(data, d):
     u = lifted(data.draw, d)
-    params, tol = PARAMS[d], KERNEL_TOL
+    params = PARAMS[d]
     # the bracket cancels exactly; the FFT table leaves rounding of order
     # eps * sum (u - mean)^2 per lag, summed against the kernel
-    kgrid = kernel.periodized_kernel_grid(u.L, u.n, params, tol=tol)
+    kgrid = kernel.periodized_kernel_grid(u.L, u.n, params)
     scale = (float(np.sum((u.values - u.values.mean()) ** 2))
              * float(np.sum(kgrid)) * u.h_grid ** (2 * d))
     for i in range(1, d + 1):
-        assert cross_term_direct(u, i, params, tol=tol) == 0.0
-        assert 0.0 <= cross_term(u, i, params, tol=tol) <= 1e-13 * scale
+        assert cross_term_direct(u, i, params) == 0.0
+        assert 0.0 <= cross_term(u, i, params) <= 1e-13 * scale

@@ -18,9 +18,6 @@ from stripes.model import ModelParams
 
 SETTINGS = settings(max_examples=25, deadline=None)
 MAX_N = {2: 8, 3: 5}
-# kernel truncation; only the shell count depends on it, the same on both
-# sides
-TOL = {2: 1e-7, 3: 1e-4}
 # samples sitting exactly on a well are where the clamped reference and
 # the unchecked arrays could part
 SAMPLE = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
@@ -28,7 +25,7 @@ SAMPLE = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 @st.composite
 def fields(draw):
-    """(field, params, kernel tol) with exact 0/1 samples among the rest,
+    """(field, params) with exact 0/1 samples among the rest,
     in the default regime p >= d + 2."""
     d = draw(st.sampled_from([2, 3]))
     n = draw(st.integers(2, MAX_N[d]))
@@ -37,28 +34,28 @@ def fields(draw):
                          tau=draw(st.floats(0.05, 1.0)),
                          eps=draw(st.floats(0.01, 0.2)), L=L)
     vals = draw(arrays(float, (n,) * d, elements=SAMPLE))
-    return PeriodicField(d, n, L, vals), params, TOL[d]
+    return PeriodicField(d, n, L, vals), params
 
 
 @SETTINGS
 @given(case=fields())
 def test_objective_energy_is_bit_identical_to_reference(case):
-    u, params, tol = case
-    mm, nl, total = total_energy_direct(u, params, tol=tol)
-    obj = energy._FieldObjective(params, u.L, u.n, tol=tol)
+    u, params = case
+    mm, nl, total = total_energy_direct(u, params)
+    obj = energy._FieldObjective(params, u.L, u.n)
     assert obj.energy(u.values) == total
-    b = energy.total_energy(u, params, tol=tol)
+    b = energy.total_energy(u, params)
     assert (b.mm_term, b.nonlocal_term, b.total) == (mm, nl, total)
 
 
 @SETTINGS
 @given(case=fields(), kappa=st.floats(1e-5, 1e-1))
 def test_objective_gradient_is_bit_identical_to_reference(case, kappa):
-    u, params, tol = case
-    ref = energy_gradient_direct(u, params, kappa, tol=tol)
-    obj = energy._FieldObjective(params, u.L, u.n, tol=tol)
+    u, params = case
+    ref = energy_gradient_direct(u, params, kappa)
+    obj = energy._FieldObjective(params, u.L, u.n)
     assert np.array_equal(obj.grad(u.values, kappa), ref)
-    assert np.array_equal(energy_gradient(u, params, kappa, tol=tol), ref)
+    assert np.array_equal(energy_gradient(u, params, kappa), ref)
 
 
 def test_wrappers_reject_a_field_of_another_dimension(ps2):

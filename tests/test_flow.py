@@ -41,7 +41,7 @@ def test_gradient_matches_directional_fd(ps2):
         vals = rng.uniform(0.2, 0.8, (16, 16))
         u = PeriodicField(2, 16, 2.0, vals)
         g = energy_gradient(u, ps2, kappa=kappa)
-        kgrid = kernel.periodized_kernel_grid(2.0, 16, ps2, tol=1e-7)
+        kgrid = kernel.periodized_kernel_grid(2.0, 16, ps2)
         for _ in range(3):
             v = rng.standard_normal((16, 16))
             h = 1e-6

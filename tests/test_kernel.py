@@ -70,7 +70,7 @@ def test_tail_moments_match_quadrature(ps1):
 
 def test_periodized_marginal_against_brute_force(ps1):
     L, n = 2.0, 32
-    khat = kernel.periodized_marginal(L, n, ps1, tol=1e-10)
+    khat = kernel.periodized_marginal(L, n, ps1)
     x = np.arange(n) * L / n
     brute = np.zeros(n)
     for m in range(-4000, 4001):
@@ -82,7 +82,7 @@ def test_periodized_marginal_against_brute_force(ps1):
 
 def test_periodized_kernel_grid_against_brute_force(ps2):
     L, n = 2.0, 8
-    kgrid = kernel.periodized_kernel_grid(L, n, ps2, tol=1e-9)
+    kgrid = kernel.periodized_kernel_grid(L, n, ps2)
     a = ps2.kernel_scale
     x = np.arange(n) * L / n
     brute = np.zeros((n, n))
@@ -99,7 +99,7 @@ def test_periodized_marginal_dominates_nearest_image(ps1):
     # the wrapped sum exceeds the nearest-image value by at most the mass
     # of the remaining images, all at distance >= L/2
     L, n = 8.0, 128
-    khat = kernel.periodized_marginal(L, n, ps1, tol=1e-10)
+    khat = kernel.periodized_marginal(L, n, ps1)
     x = np.arange(n) * L / n
     xw = np.minimum(x, L - x)
     nearest = kernel.marginal_kernel(xw, ps1)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import smooth_profile
-from stripes import onedim
+from stripes import kernel, onedim
 from stripes.energy import total_energy
 from stripes.field import Profile1D, make_one_dimensional
 from stripes.kernel import c_tau
@@ -131,7 +131,7 @@ def test_chessboard_equal_arcs_is_identity(ps1):
     x = np.linspace(0.0, 2.0, M + 1)
     g = 0.5 + 0.4 * np.sin(np.pi * x)
     lhs, rhs, gap = chessboard_check(None, g, [0.0, 1.0, 2.0], ps1,
-                                     x_grid=x, tol=1e-12)
+                                     x_grid=x)
     assert abs(gap) < 1e-8 * max(abs(lhs), 1.0)
 
 
@@ -139,8 +139,7 @@ def test_chessboard_single_arc_identity(ps1):
     M = 80
     x = np.linspace(0.0, 1.0, M + 1)
     g = 0.5 + 0.45 * np.sin(np.pi * x)
-    lhs, rhs, gap = chessboard_check(None, g, [0.0, 1.0], ps1,
-                                     x_grid=x, tol=1e-12)
+    lhs, rhs, gap = chessboard_check(None, g, [0.0, 1.0], ps1, x_grid=x)
     assert abs(gap) < 1e-8 * max(abs(lhs), 1.0)
 
 
@@ -150,8 +149,7 @@ def test_chessboard_uneven_arcs_nonnegative_gap(ps1):
     x = np.linspace(0.0, 2.5, M + 1)
     g = np.where(x <= 1.0, 0.5 + 0.4 * np.sin(np.pi * x),
                  0.5 - 0.4 * np.sin(np.pi * (x - 1.0) / 1.5))
-    lhs, rhs, gap = chessboard_check(None, g, arcs, ps1, x_grid=x,
-                                     tol=1e-12)
+    lhs, rhs, gap = chessboard_check(None, g, arcs, ps1, x_grid=x)
     assert gap >= -1e-8
 
 
@@ -182,6 +180,17 @@ def test_minimize_profile_last_trace_row_is_final_iteration(ps1):
     res = minimize_profile(ps1, 1.58, n=64)
     assert res.trace[-1][0] == res.iterations
     assert res.stop in ("grad", "stall", "line_search")
+
+
+def test_descent_and_f1d_share_one_marginal_table(ps1):
+    # one truncation rule: the operator cache is keyed by the grid and the
+    # model alone, so the descent and the energy of its result build one
+    # table per (L, n)
+    kernel._cached_marginal_operator.cache_clear()
+    res = minimize_profile(ps1, 1.58, n=64)
+    assert f1d(None, res.profile.full(), ps1) == res.value
+    info = kernel._cached_marginal_operator.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
 
 
 def test_minimize_profile_monotone_plateau(ps1):
