@@ -1,17 +1,21 @@
 """Directional lower-bound decomposition of the energy.
 
 The energy splits, direction by direction, into a directional interfacial
-term Mbar^i, a slice coercivity term Gbar^i >= 0, a nonnegative cross term
-I^i penalizing genuinely multi-directional behaviour, and a flat-set
+term Mbar^i, a slice coercivity term Gbar^i, a nonnegative cross term I^i
+penalizing genuinely multi-directional behaviour, and a flat-set
 double-well penalty Wcal:
 
     F(u) >= (1/L^d) [ sum_i ( -Mbar^i + Gbar^i + I^i ) + Wcal ],
 
-with equality for one-dimensional fields.  On the lattice the identity
-behind the cross term is exact: summing the axis-slice nonlocal terms
-(against the lattice marginal of the periodized kernel) overshoots the full
-nonlocal term by exactly the sum of the cross terms, so the slack of the
-bound reduces to Wcal (C_tau - 2) >= 0 up to rounding.  The cross term is
+with equality for one-dimensional fields.  Gbar^i >= 0 holds in the
+continuum, but on a lattice that does not resolve the transition layer it
+can fail: on binary slices Gbar^i < 0 once dx >~ 3 alpha (see
+``directional_g``), and ``lower_bound_report`` records the fraction of
+such slices per axis.  On the lattice the identity behind the cross term
+is exact: summing the axis-slice nonlocal terms (against the lattice
+marginal of the periodized kernel) overshoots the full nonlocal term by
+exactly the sum of the cross terms, so the slack of the bound reduces to
+Wcal (C_tau - 2) >= 0 up to rounding.  The cross term is
 the torus term, a sum over every lag against the periodized kernel.
 
 All discrete gradients are forward differences; the partition between the

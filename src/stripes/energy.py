@@ -19,7 +19,14 @@ so no energy here takes a tolerance.  ``_FieldObjective`` is the one
 evaluation of the discrete energy and of its gradient (with the smoothed
 1-norm) on raw arrays: it resolves C_tau, alpha, the cell volume and the
 kernel operator once per (params, L, n), so a descent that evaluates many
-trial fields builds no field object and looks up no cache per trial.
+trial fields builds no field object and looks up no cache per trial.  It
+also transforms each field once: the energy of an array keeps its
+forward differences and rFFT, which the gradient of that same array (the
+accepted trial) reads, and the gradient keeps the iterate's differences,
+W' and nonlocal gradient for ``slope_bound``, with every result equal bit
+for bit to evaluating afresh.  This state lives on the objective, which
+each flow builds for itself, not on the shared cached kernel operator,
+and an evaluated array must not be mutated in place.
 ``total_energy``, ``nonlocal_energy`` and ``flow.energy_gradient`` are
 its wrappers for ``PeriodicField`` input.  Its ``slope_bound`` is the
 flow's line-search certificate: a lower bound on the exact energy along a
@@ -65,11 +72,21 @@ class EnergyBreakdown:
         })
 
 
-def _modica_mortola(v: np.ndarray, dx: float, alpha: float) -> float:
-    """M_alpha of samples v in [0, 1] with spacing dx (no checks)."""
-    vol = dx ** v.ndim
-    grad_l1_sq = sum(np.abs((roll(v, -1, ax) - v) / dx)
-                     for ax in range(v.ndim)) ** 2
+def _differences(v: np.ndarray) -> list[np.ndarray]:
+    """The raw periodic forward differences v(x + e_i) - v(x), one per axis."""
+    return [roll(v, -1, ax) - v for ax in range(v.ndim)]
+
+
+def _well_prime(v: np.ndarray) -> np.ndarray:
+    """W'(v) on [0, 1], in the operation order of ``model.double_well_prime``."""
+    return 2.0 * v * (1.0 - v) * (1.0 - 2.0 * v)
+
+
+def _modica_mortola(v: np.ndarray, D: list[np.ndarray], vol: float,
+                    alpha: float) -> float:
+    """M_alpha of samples v in [0, 1] with forward differences D = dv/dx
+    and cell volume vol (no checks)."""
+    grad_l1_sq = sum(np.abs(t) for t in D) ** 2
     well = v * v * (1.0 - v) * (1.0 - v)    # double_well on [0, 1]
     return float(3.0 * alpha * np.sum(grad_l1_sq) * vol
                  + (3.0 / alpha) * np.sum(well) * vol)
@@ -79,7 +96,18 @@ class _FieldObjective:
     """The discrete energy F of n^d samples of an L-periodic field with
     values in [0, 1], and its gradient with the smoothed 1-norm.  Every
     evaluation of F or of its gradient in this package goes through it;
-    the arrays it takes are not checked."""
+    the arrays it takes are not checked.
+
+    Each array is transformed once.  ``energy`` (and ``split``) keep the
+    last array they evaluate with its raw forward differences dv, D =
+    dv/dx and rFFT, and ``grad`` of that same array reads them, so an
+    accepted trial field is not transformed again.  ``grad`` keeps its own
+    array's dv, W' and nonlocal gradient in a second slot, which
+    ``slope_bound`` reads after a rejected trial has replaced the first.
+    Both slots hold the array itself and match it by identity, so an
+    array that was evaluated must not be mutated in place.  The slots live
+    on the objective, which each flow builds for itself, never on the
+    shared cached kernel operator."""
 
     def __init__(self, params: ModelParams, L: float, n: int):
         d = self.d = int(params.d)
@@ -95,8 +123,9 @@ class _FieldObjective:
         self.well_pref = pref * (3.0 / alpha)
         self.flux_pref = pref * 6.0 * alpha * vol / dx
         self.pair_pref = 4.0 * vol * vol / L ** d
-        # the last grad call's field and nonlocal gradient, for slope_bound
-        self._nl_grad = (None, None)
+        # (v, dv, D, rFFT) of the last array evaluated, and (v, dv, W'(v),
+        # nonlocal gradient) of the last grad call's array, for slope_bound
+        self._trial = self._iterate = None
 
     @classmethod
     def of(cls, u: PeriodicField, params: ModelParams) -> "_FieldObjective":
@@ -105,14 +134,24 @@ class _FieldObjective:
             raise ValueError("field dimension does not match params.d")
         return cls(params, u.L, u.n)
 
+    def _evaluated(self, v: np.ndarray) -> tuple:
+        """(dv, D, rFFT) of v, kept while v is the last array evaluated."""
+        if self._trial is None or self._trial[0] is not v:
+            dv = _differences(v)
+            self._trial = (v, dv, [t / self.dx for t in dv],
+                           self.op.rfft(v))
+        return self._trial[1:]
+
     def nonlocal_sum(self, v: np.ndarray) -> float:
         """NL(v), the lattice pair form of the periodized kernel."""
         return self.op.pair_sum(v) * self.vol2
 
     def split(self, v: np.ndarray) -> tuple[float, float]:
         """(mm_term, nonlocal_term) of ``EnergyBreakdown``."""
-        mm = _modica_mortola(v, self.dx, self.alpha) * self.c1 * self.vol_inv
-        return mm, self.nonlocal_sum(v) * self.vol_inv
+        _, D, f = self._evaluated(v)
+        mm = (_modica_mortola(v, D, self.vol, self.alpha) * self.c1
+              * self.vol_inv)
+        return mm, self.op.pair_sum_rfft(f) * self.vol2 * self.vol_inv
 
     def energy(self, v: np.ndarray) -> float:
         mm, nl = self.split(v)
@@ -123,18 +162,18 @@ class _FieldObjective:
         to sum_i sqrt(D_i^2 + kappa^2).  The adjoint of D_i is the backward
         difference, so this is the exact gradient of the smoothed discrete
         energy (the nonlocal part is exact, no smoothing)."""
-        dx = self.dx
-        diffs = [(roll(v, -1, ax) - v) / dx for ax in range(self.d)]
+        dv, diffs, f = self._evaluated(v)
         roots = [np.sqrt(t * t + kappa * kappa) for t in diffs]
         s = sum(roots)
-        well_prime = 2.0 * v * (1.0 - v) * (1.0 - 2.0 * v)   # W' on [0, 1]
+        well_prime = _well_prime(v)
         grad = self.well_pref * well_prime * self.vol
         for ax in range(self.d):
             flux = s * diffs[ax] / roots[ax]
             grad += self.flux_pref * (roll(flux, 1, ax) - flux)
-        nl_grad = self.pair_pref * (self.op.ksum * v - self.op.conv(v))
+        nl_grad = self.pair_pref * (self.op.ksum * v
+                                    - self.op.conv_rfft(f, v.shape))
         grad -= nl_grad
-        self._nl_grad = (v, nl_grad)
+        self._iterate = (v, dv, well_prime, nl_grad)
         return grad
 
     def certificate(self):
@@ -155,9 +194,9 @@ class _FieldObjective:
         D_i v = 0 contributes |D_i d|) bounds it from below; W'' >= -1; and
         NL is quadratic, NL(v + s d) = NL(v) + s <grad NL, d> + s^2 NL(d).
         So slope is F'(v; d) and curv = (3/alpha) sum d^2 / 2 + NL(d), each
-        with its prefactor.  The nonlocal gradient of v comes from the last
-        ``grad(v)`` call when it was made on this array, so only NL(d)
-        takes an rFFT."""
+        with its prefactor.  The differences, W' and nonlocal gradient of v
+        come from the last ``grad(v)`` call when it was made on this array,
+        so only NL(d) takes an rFFT."""
         d = -g
         d[((v <= 0.0) & (g > 0)) | ((v >= 1.0) & (g < 0))] = 0.0
         # a sample moving down sits above 0 and one moving up below 1, so
@@ -167,18 +206,18 @@ class _FieldObjective:
                                                            1.0))
         top = float(np.max(rate))
         s_max = 1.0 / top if top > 0 else np.inf
+        if self._iterate is not None and self._iterate[0] is v:
+            _, dv, well_prime, nl_grad = self._iterate
+        else:
+            dv, well_prime = _differences(v), _well_prime(v)
+            nl_grad = self.pair_pref * (self.op.ksum * v - self.op.conv(v))
         # differences without the 1/dx: flux_pref holds one, the sum the other
         norm = slope_norm = 0.0
         for ax in range(self.d):
-            dv = roll(v, -1, ax) - v
             dd = roll(d, -1, ax) - d
-            norm = norm + np.abs(dv)
-            slope_norm = slope_norm + np.where(dv == 0, np.abs(dd),
-                                               np.sign(dv) * dd)
-        well_prime = 2.0 * v * (1.0 - v) * (1.0 - 2.0 * v)
-        nl_v, nl_grad = self._nl_grad
-        if nl_v is not v:
-            nl_grad = self.pair_pref * (self.op.ksum * v - self.op.conv(v))
+            norm = norm + np.abs(dv[ax])
+            slope_norm = slope_norm + np.where(dv[ax] == 0, np.abs(dd),
+                                               np.sign(dv[ax]) * dd)
         well = self.well_pref * self.vol
         slope = (self.flux_pref * float(np.sum(norm * slope_norm)) / self.dx
                  + well * float(np.sum(well_prime * d))
@@ -194,7 +233,9 @@ def modica_mortola(u: PeriodicField, alpha: float) -> float:
         raise ValueError("alpha must be positive")
     if u.n < 2:
         raise ValueError("n must be >= 2")
-    return _modica_mortola(u.values, u.h_grid, alpha)
+    dx = u.h_grid
+    D = [t / dx for t in _differences(u.values)]
+    return _modica_mortola(u.values, D, dx ** u.dims, alpha)
 
 
 def nonlocal_energy(u: PeriodicField, params: ModelParams) -> float:

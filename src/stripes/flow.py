@@ -15,17 +15,23 @@ can rise along it however short the step; at the first rejected trial
 exact energy along the clipped path and a curvature bound Q, and the search
 stops once the next step s has F' > 0 and s Q <= F'/2.  The bound needs
 C_tau > 1 (a convex interfacial term); otherwise the flow passes no
-certificate and the search runs as before.  A flow builds
-one ``energy._FieldObjective`` at its default kernel truncation, which
-resolves the kernel operator and the prefactors once, and hands its
+certificate and the search runs as before.  A flow builds one
+``energy._FieldObjective``, which resolves the kernel operator and the
+prefactors once, and hands its
 ``energy`` and ``grad`` on raw arrays to ``solvers.projected_bb``: each of
 the KAPPA_STAGES kappa stages, starting at KAPPA, runs it with the fixed
 STEP0, TOL_ENERGY and TOL_GRAD, and the trace keeps why each stage stopped,
 its energy calls and its final projected-gradient norm.
-The last trace entry of a flow is the exact energy of the field it returns,
-so the benchmark and the experiment's runs report it without evaluating it
-again.  The stripe search rasterizes each candidate stripe profile once and
-compares it with the field by broadcasting.  Without a given h*, the
+The objective transforms each field once (its energy state serves the
+gradient of an accepted trial, and the gradient's serves the slope bound),
+and it belongs to its flow alone, so runs on several threads share only the
+read-only kernel operator.  The last trace entry of a flow is the exact
+energy of the field it returns, so the benchmark and the experiment's runs
+report it without evaluating it again.  The stripe search rasterizes every
+candidate stripe profile in one broadcast and screens the candidates by
+per-axis slab sums of |u| and |u - 1| with a certified rounding margin; only
+those within the margin of the best are summed over the whole grid, which
+gives the exhaustive search's choice bit for bit.  Without a given h*, the
 experiment takes it from ``onedim.optimal_period`` over H_RANGE at SEARCH_N
 samples.
 """
@@ -178,26 +184,55 @@ def stripe_metrics(u: PeriodicField, h_grid, nu_grid) -> StripeMetrics:
     """Exhaustive projection of ``u`` onto rasterized stripe patterns.
 
     Minimizes the volume-normalized L1 distance over axis x h_grid x
-    nu_grid; the spectral anisotropy is reported for the minimizing axis.
+    nu_grid, first of equals in that order; the spectral anisotropy is
+    reported for the minimizing axis.
+
+    The search is screened, with the same result bit for bit as summing
+    |u - line| over the grid for every candidate.  A line is binary, so
+    |u - line| is |u| or |u - 1| sample by sample, and per-axis slab sums
+    of those two arrays add up each candidate's terms in another order.
+    Any summation order of N nonnegative terms lies within gamma_{N-1} =
+    (N - 1) u / (1 - (N - 1) u), u = eps/2, of their exact sum, relatively
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, sec.
+    4.2), so the full sum lies within 2 N eps of the screened one, and so
+    does the distance after the monotone scaling by vol / L^d.  Only the
+    candidates whose lower end reaches the smallest upper end can be the
+    first smallest; they alone are summed over the whole grid, in the
+    search order.
     """
     d, n, L = u.dims, u.n, u.L
     vol = u.h_grid ** d
-    lines = []
+    hs, nus = [], []
     for h in h_grid:
         h = float(h)
         check_stripe_period(h, L, n)
         for nu in nu_grid:
             if 0 <= nu < 2 * h:    # offsets repeat modulo the full period
-                lines.append((h, float(nu), stripe_line(h, float(nu), L, n)))
+                hs.append(h)
+                nus.append(float(nu))
     best = (np.inf, 1, np.nan, np.nan)
-    for ax in range(d):
-        shape = [1] * d
-        shape[ax] = n
-        for h, nu, line in lines:
-            dist = float(np.sum(np.abs(u.values - line.reshape(shape)))
-                         * vol) / L ** d
+    if hs:
+        lines = stripe_line(np.array(hs)[:, None], np.array(nus)[:, None],
+                            L, n)
+        ones = lines.astype(bool)
+        v = u.values
+        terms = (np.abs(v), np.abs(v - 1.0))   # |v - line| at line = 0, 1
+        screened = []
+        for ax in range(d):
+            other = tuple(a for a in range(d) if a != ax)
+            slab0, slab1 = (t.sum(axis=other) for t in terms)
+            screened.append(np.where(ones, slab1, slab0).sum(axis=1))
+        rel = 2.0 * v.size * np.finfo(float).eps
+        screened = np.array(screened)
+        lo = screened * (1.0 - rel) * vol / L ** d
+        hi = screened * (1.0 + rel) * vol / L ** d
+        for ax, i in zip(*np.nonzero(lo <= np.min(hi))):
+            shape = [1] * d
+            shape[ax] = n
+            dist = float(np.sum(np.abs(v - lines[i].reshape(shape))) * vol
+                         ) / L ** d
             if dist < best[0]:
-                best = (dist, ax + 1, h, nu)
+                best = (dist, int(ax) + 1, hs[i], nus[i])
     dist, ax, h, nu = best
     return StripeMetrics(best_axis=ax, best_h=h, best_nu=nu,
                          l1_to_best_stripes=dist,

@@ -22,7 +22,9 @@ adds up to about (nodes * machine epsilon) relative.
 
 Every nonlocal term is the pair form sum_x sum_z |v(x + z) - v(x)|^2 K(z)
 against a periodized table; ``PeriodicKernelOperator`` evaluates it from
-one rFFT (by Parseval) and convolves with the table by FFT, and
+one rFFT (by Parseval) and convolves with the table by FFT, both also from
+an rFFT the caller already holds, so that an objective needing the pair
+form and the convolution of one array transforms it once, and
 ``kernel_operator``/``marginal_operator`` cache the operators of the
 periodized kernel and marginal.
 """
@@ -322,8 +324,12 @@ class PeriodicKernelOperator:
     costing digits on coarse grids where K(0) dominates the table.  A
     d-dimensional table acts on arrays of its own shape over all axes; a
     1D table's pair form also runs along the lines of one ``axis`` of an
-    array of any dimension.  ``kernel_operator`` and ``marginal_operator``
-    also keep the ``certificate`` of their table's build.
+    array of any dimension.  ``conv_rfft`` and ``pair_sum_rfft`` are
+    ``conv`` and the all-axes ``pair_sum`` of an array whose ``rfft`` the
+    caller holds.  The operator is cached and shared, also across threads,
+    so it keeps no state of the arrays it acts on.  ``kernel_operator``
+    and ``marginal_operator`` also keep the ``certificate`` of their
+    table's build.
     """
 
     certificate: KernelCertificate | None = None
@@ -347,7 +353,9 @@ class PeriodicKernelOperator:
         self._pair_weights[(0,) * off.ndim] = 0.0
         self._pair_weights.setflags(write=False)
 
-    def _rfftn(self, v: np.ndarray) -> np.ndarray:
+    def rfft(self, v: np.ndarray) -> np.ndarray:
+        """The rFFT of v over all axes, for ``conv_rfft`` and
+        ``pair_sum_rfft``; v must have the table's dimension."""
         if v.ndim != self.table.ndim:     # would broadcast silently
             raise ValueError(f"a {self.table.ndim}D kernel table acts on "
                              f"{self.table.ndim}D arrays, got {v.ndim}D")
@@ -355,8 +363,17 @@ class PeriodicKernelOperator:
 
     def conv(self, v: np.ndarray) -> np.ndarray:
         """sum_{z != 0} K(z) v(x - z) over the nonzero lattice lags z."""
-        f = self._rfftn(v) * self.spectrum
-        return np.fft.irfftn(f, s=v.shape, axes=tuple(range(v.ndim)))
+        return self.conv_rfft(self.rfft(v), v.shape)
+
+    def conv_rfft(self, f: np.ndarray, shape: tuple) -> np.ndarray:
+        """``conv`` of the array of ``shape`` whose ``rfft`` is f."""
+        return np.fft.irfftn(f * self.spectrum, s=shape,
+                             axes=tuple(range(len(shape))))
+
+    def pair_sum_rfft(self, f: np.ndarray) -> float:
+        """``pair_sum`` over all axes of the array whose ``rfft`` is f."""
+        return float(2.0 * np.sum((f.real ** 2 + f.imag ** 2)
+                                  * self._pair_weights))
 
     def pair_sum(self, v: np.ndarray, axis: int | None = None
                  ) -> float | np.ndarray:
@@ -368,9 +385,7 @@ class PeriodicKernelOperator:
         of v parallel to ``axis``, from one rFFT along it: an array of the
         line sums, of v's shape without ``axis``."""
         if axis is None:
-            f = self._rfftn(v)
-            return float(2.0 * np.sum((f.real ** 2 + f.imag ** 2)
-                                      * self._pair_weights))
+            return self.pair_sum_rfft(self.rfft(v))
         if self.table.ndim != 1:
             raise ValueError(f"a {self.table.ndim}D kernel table acts on "
                              "all axes, not along one")
@@ -391,7 +406,9 @@ def _check_grid(L: float, n: int) -> None:
 
 def _certified_operator(vals: np.ndarray, cert: KernelCertificate
                         ) -> PeriodicKernelOperator:
-    op = PeriodicKernelOperator(_symmetrized(vals))
+    # a 1D table is symmetric as built: entry j is f_j + f_{n-j}
+    op = PeriodicKernelOperator(_symmetrized(vals) if vals.ndim > 1
+                                else vals)
     op.certificate = cert
     return op
 

@@ -16,14 +16,18 @@ profile minimization at fixed h, the outer search for the optimal
 half-period h*, the penalized coefficient family F_m with its exact
 pointwise gamma update, and Euler-Lagrange diagnostics.
 
-Discretization: n samples on [0, L), forward differences, rectangle sums,
-nonlocal term through the cached operator of the certified periodized
-marginal kernel (``kernel.marginal_operator``), one table per (L, n) and
-model shared by ``f1d``, ``confined_split``, the descent and the
-Euler-Lagrange diagnostics.  ``_ProfileObjective`` is the one evaluation
-of the discrete F1d (split, gradient, interaction field) and ``_reflect``
-the one reflection.  The objective works on raw arrays and checks none
-of them: profiles are checked where they enter (``Profile1D``,
+Discretization: n samples on [0, L), forward differences, rectangle
+sums, nonlocal term through the cached operator of the certified
+periodized marginal kernel (``kernel.marginal_operator``), one table per
+(L, n) and model shared by ``f1d``, ``confined_split``, the descent and
+the Euler-Lagrange diagnostics.  ``_ProfileObjective`` is the one
+evaluation of the discrete F1d (split, gradient, interaction field) and
+``_reflect`` the one reflection.  A trial profile is reflected,
+differenced and transformed once: the descent's energy and gradient
+share the reflection of a base profile, and the objective keeps the
+slope and rFFT of the last profile it evaluates for every later use of
+that same array.  The objective works on raw arrays and checks none of
+them: profiles are checked where they enter (``Profile1D``,
 ``ReflectedProfile``, the descent's projection onto [1/2, 1]) and
 coefficients by ``_gamma_array`` in the public functions that take them.
 In the profile descent
@@ -179,7 +183,13 @@ class _ProfileObjective:
     Nothing is checked here: G must already lie in [0, 1] and gamma be
     None, a scalar or n samples in [1, inf] (``_gamma_array``); W and W'
     are evaluated inline in the operation order of ``model.double_well``
-    and ``model.double_well_prime``."""
+    and ``model.double_well_prime``.
+
+    Each profile is transformed once: the energy, its split and local
+    integrals, the gradient and the interaction field keep the last G
+    they evaluate with its slope and rFFT and read them again for that
+    same array.  The slot holds G itself and matches it by identity, so a
+    profile that was evaluated must not be mutated in place."""
 
     def __init__(self, params: ModelParams, L: float, n: int):
         self.L = L
@@ -190,6 +200,7 @@ class _ProfileObjective:
         self.op = _kernel.marginal_operator(L, n, params)
         self.A = 3.0 * (self.c - 1.0) * self.alpha / L
         self.B = 3.0 * (self.c - 1.0) / (L * self.alpha)
+        self._trial = None      # (G, slope, rFFT) of the last G evaluated
 
     def slope(self, G: np.ndarray) -> np.ndarray:
         """(G[j+1] - G[j]) / dx, periodically."""
@@ -199,11 +210,17 @@ class _ProfileObjective:
         D /= self.dx
         return D
 
+    def _evaluated(self, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(slope, rFFT) of G, kept while G is the last profile evaluated."""
+        if self._trial is None or self._trial[0] is not G:
+            self._trial = (G, self.slope(G), self.op.rfft(G))
+        return self._trial[1:]
+
     def local_integrals(self, G: np.ndarray, gamma: np.ndarray | None = None
                         ) -> tuple[float, float]:
         """(int gamma |G'|^2, int W(G) / gamma); gamma = None means 1, and
         an infinite gamma costs nothing where G' = 0."""
-        D = self.slope(G)
+        D = self._evaluated(G)[0]
         grad2, well = D ** 2, G * G * (1.0 - G) * (1.0 - G)
         if gamma is not None:
             grad2 = np.multiply(gamma, grad2, out=np.zeros(self.n),
@@ -215,8 +232,9 @@ class _ProfileObjective:
               ) -> tuple[float, float]:
         """(local, nonlocal) with F1d = local - nonlocal."""
         grad_int, well_int = self.local_integrals(G, gamma)
+        f = self._evaluated(G)[1]
         return (self.A * grad_int + self.B * well_int,
-                self.dx * self.dx * self.op.pair_sum(G) / self.L)
+                self.dx * self.dx * self.op.pair_sum_rfft(f) / self.L)
 
     def energy(self, G: np.ndarray, gamma: np.ndarray | None = None
                ) -> float:
@@ -225,12 +243,13 @@ class _ProfileObjective:
 
     def interaction(self, G: np.ndarray) -> np.ndarray:
         """sum_{z != 0} (G(x + z) - G(x)) Khat_per(z) at every sample."""
-        return self.op.conv(G) - self.op.ksum * G
+        f = self._evaluated(G)[1]
+        return self.op.conv_rfft(f, G.shape) - self.op.ksum * G
 
     def grad(self, G: np.ndarray, gamma: np.ndarray | None = None
              ) -> np.ndarray:
         gam = 1.0 if gamma is None else gamma
-        gD = gam * self.slope(G)
+        gD = gam * self._evaluated(G)[0]
         back = np.empty(self.n)  # gD[j-1] - gD[j], periodically
         np.subtract(gD[:-1], gD[1:], out=back[1:])
         back[0] = gD[-1] - gD[0]
@@ -449,12 +468,20 @@ def minimize_profile(params: ModelParams, h: float, n: int = 512,
         gamma = _gamma_array(gamma, n)
     obj = _ProfileObjective(params, 2.0 * h, n)
     m = n // 2
+    last = [None, None]     # the last base profile evaluated, reflected
+
+    def full(gb: np.ndarray) -> np.ndarray:
+        # one reflection per base profile, so that the objective's slot
+        # sees the same array for its energy and its gradient
+        if last[0] is not gb:
+            last[:] = gb, _reflect(gb)[:-1]
+        return last[1]
 
     def energy(gb: np.ndarray) -> float:
-        return obj.energy(_reflect(gb)[:-1], gamma)
+        return obj.energy(full(gb), gamma)
 
     def grad(gb: np.ndarray) -> np.ndarray:
-        return _fold_grad(obj.grad(_reflect(gb)[:-1], gamma), m)
+        return _fold_grad(obj.grad(full(gb), gamma), m)
 
     def project(y: np.ndarray) -> np.ndarray:
         # snap samples within rounding of a bound onto it; pin the ends

@@ -97,10 +97,13 @@ def projected_bb(x: np.ndarray, e: float, energy, grad, lo: float,
             if sy > 0:
                 step = min(max(float(s @ s) / sy, STEP_MIN), STEP_MAX)
         x_prev, g_prev = x, g
-        pg = g.copy()
-        pg[(x <= lo + ACTIVE_TOL) & (pg > 0)] = 0.0
-        pg[(x >= hi - ACTIVE_TOL) & (pg < 0)] = 0.0
-        gnorm = float(np.max(np.abs(pg)))
+        # max |g| over the components that do not push out of the box: the
+        # largest g off the lower bound and the largest -g off the upper
+        # one; on a box wider than 2 ACTIVE_TOL a NaN in g or x enters one
+        # of the two and so the norm
+        up = np.max(g, where=~(x <= lo + ACTIVE_TOL), initial=0.0)
+        down = np.min(g, where=~(x >= hi - ACTIVE_TOL), initial=0.0)
+        gnorm = abs(float(np.maximum(up, -down)))
         if gnorm < tol_grad:
             converged, stop = True, "grad"
             break

@@ -347,3 +347,19 @@ def profile_grad_direct(G: np.ndarray, gamma, params: ModelParams,
             + B * double_well_prime(G) / gam * dx)
     grad += (4.0 * dx * dx / L) * interaction
     return grad, interaction
+
+
+FFT_NAMES = ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn",
+             "irfftn", "fft2", "ifft2", "rfft2", "irfft2")
+
+
+def count_ffts(monkeypatch) -> dict:
+    """Count every ``numpy.fft`` transform from now on, by name, until the
+    monkeypatch is undone; the returned dict fills as calls happen."""
+    calls: dict = {}
+    for name in FFT_NAMES:
+        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls

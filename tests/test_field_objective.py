@@ -8,16 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import (energy_gradient_direct, stripe_search_direct,
-                     total_energy_direct)
+from helpers import (count_ffts, energy_gradient_direct,
+                     stripe_search_direct, total_energy_direct)
 from stripes import energy
 from stripes.field import PeriodicField, StripeSpec, make_stripes
-from stripes.flow import (StripeMetrics, energy_gradient, fourier_anisotropy,
-                          stripe_metrics)
+from stripes.flow import (KAPPA, StripeMetrics, energy_gradient,
+                          fourier_anisotropy, stripe_metrics)
 from stripes.model import ModelParams
 
 SETTINGS = settings(max_examples=25, deadline=None)
 MAX_N = {2: 8, 3: 5}
+EPS = np.finfo(float).eps
 # samples sitting exactly on a well are where the clamped reference and
 # the unchecked arrays could part
 SAMPLE = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
@@ -58,6 +59,22 @@ def test_objective_gradient_is_bit_identical_to_reference(case, kappa):
     assert np.array_equal(energy_gradient(u, params, kappa), ref)
 
 
+def test_energy_then_grad_transforms_the_field_once(ps2, monkeypatch):
+    obj = energy._FieldObjective(ps2, 2.0, 16)
+    v = np.random.default_rng(3).uniform(0.0, 1.0, (16, 16))
+    calls = count_ffts(monkeypatch)
+    e = obj.energy(v)
+    g = obj.grad(v, KAPPA)
+    # one rFFT of v for the pair form and the convolution, one inverse
+    assert calls == {"rfftn": 1, "irfftn": 1}
+    monkeypatch.undo()
+    # an equal-valued copy is another array: evaluated afresh, same bits
+    assert np.array_equal(obj.grad(v.copy(), KAPPA), g)
+    fresh = energy._FieldObjective(ps2, 2.0, 16)
+    assert np.array_equal(fresh.grad(v, KAPPA), g)
+    assert fresh.energy(v.copy()) == e
+
+
 def test_wrappers_reject_a_field_of_another_dimension(ps2):
     u = PeriodicField(3, 4, 2.0, np.full((4, 4, 4), 0.5))
     for fn in (energy.total_energy, energy.nonlocal_energy, energy_gradient):
@@ -67,21 +84,35 @@ def test_wrappers_reject_a_field_of_another_dimension(ps2):
 
 @st.composite
 def stripe_cases(draw):
-    """(field, h_grid, nu_grid) on a grid the half-periods tile; the field
-    is noise with exact 0/1 samples among the rest, or an exact stripe
-    pattern, against which several candidates tie."""
+    """(field, h_grid, nu_grid) on a grid the half-periods tile, up to the
+    flow's n = 64 in 2D; the field is noise with exact 0/1 samples among
+    the rest, an exact stripe pattern, against which several candidates
+    tie, or such a pattern with a few samples moved by at most 1e-14, so
+    that candidates differ in the last bits of their distances only."""
     d = draw(st.sampled_from([2, 3]))
-    n = draw(st.sampled_from([4, 8, 12] if d == 2 else [4, 6]))
+    n = draw(st.sampled_from([4, 8, 12, 64] if d == 2 else [4, 6]))
     L = draw(st.floats(0.5, 3.0))
     hs = [L / (2 * j) for j in range(1, n // 2 + 1) if n % (2 * j) == 0]
     h_grid = draw(st.lists(st.sampled_from(hs), min_size=1, max_size=3))
     nu_grid = list(np.arange(n) * (L / n))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["noise", "stripes", "near tie"]))
+    if kind == "noise" and n > 12:
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        vals = rng.uniform(0.0, 1.0, (n,) * d)
+        vals[rng.uniform(size=vals.shape) < 0.1] = 0.0
+        vals[rng.uniform(size=vals.shape) < 0.1] = 1.0
+    elif kind == "noise":
+        vals = draw(arrays(float, (n,) * d, elements=SAMPLE))
+    else:
         vals = make_stripes(StripeSpec(draw(st.integers(1, d)),
                                        draw(st.sampled_from(hs)), 0.0),
                             L, n, d).values.copy()
-    else:
-        vals = draw(arrays(float, (n,) * d, elements=SAMPLE))
+    if kind == "near tie":
+        index = st.tuples(*[st.integers(0, n - 1)] * d)
+        moves = st.tuples(index, st.one_of(st.floats(0.0, 1e-14),
+                                           st.sampled_from([EPS, EPS / 2])))
+        for idx, delta in draw(st.lists(moves, min_size=1, max_size=4)):
+            vals[idx] = abs(vals[idx] - delta)    # 0 -> delta, 1 -> 1 - delta
     return PeriodicField(d, n, L, vals), h_grid, nu_grid
 
 

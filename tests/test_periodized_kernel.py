@@ -134,6 +134,21 @@ def test_invalid_grid_rejected(ps2, L, n, bad):
             build(L, n, ps2)
 
 
+@pytest.mark.parametrize("n, L", [(2, 1.0), (3, 0.7), (16, 2.0), (17, 3.16),
+                                  (64, 1.58), (512, 3.1612), (513, 40.0)])
+def test_raw_1d_tables_are_their_own_symmetrization(n, L):
+    # entry j of a 1D build is f_j + f_{n-j}, so the marginal operator
+    # takes it without averaging; the averaging would return it bit for bit
+    for pe, a in [(3.0, 0.05), (2.5, 0.3), (4.0, 1.0)]:
+        vals, _ = kernel._exp_sum_table(n, 1, pe, a, L)
+        for table in (vals, kernel.marginal_constant(2, pe + 1.0) * vals):
+            assert np.array_equal(kernel._symmetrized(table), table)
+    params = ModelParams(d=2, p=4.0, tau=0.05, eps=0.05, L=L)
+    raw, _ = kernel._exp_sum_table(n, 1, 3.0, params.kernel_scale, L)
+    assert np.array_equal(kernel.periodized_marginal(L, n, params),
+                          kernel.marginal_constant(2, 4.0) * raw)
+
+
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_grid_exactly_permutation_symmetric_d3(n):
     params = ModelParams(d=3, p=5.0, tau=0.05, eps=0.05, L=1.5)

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import profile_energy_direct, profile_grad_direct
-from stripes import onedim
+from helpers import count_ffts, profile_energy_direct, profile_grad_direct
+from stripes import kernel, onedim
 from stripes.model import ModelParams
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -65,6 +65,51 @@ def test_profile_gradient_is_bit_identical_to_reference(case):
         grad = obj.grad(G, gamma)
     np.testing.assert_array_equal(grad, ref)
     assert np.array_equal(obj.interaction(G), interaction)
+
+
+def test_energy_then_grad_transforms_the_profile_once(ps1, monkeypatch):
+    obj = onedim._ProfileObjective(ps1, 2.0, 64)
+    G = np.random.default_rng(4).uniform(0.0, 1.0, 64)
+    gamma = np.random.default_rng(5).uniform(1.0, 3.0, 64)
+    calls = count_ffts(monkeypatch)
+    e = obj.energy(G, gamma)
+    g = obj.grad(G, gamma)
+    assert calls == {"rfftn": 1, "irfftn": 1}
+    monkeypatch.undo()
+    # an equal-valued copy is another array: evaluated afresh, same bits
+    assert np.array_equal(obj.grad(G.copy(), gamma), g)
+    fresh = onedim._ProfileObjective(ps1, 2.0, 64)
+    assert np.array_equal(fresh.grad(G, gamma), g)
+    assert fresh.energy(G.copy(), gamma) == e
+
+
+def test_profile_descent_transforms_each_trial_once(monkeypatch):
+    # wide enough transition layers that the descent takes a dozen steps
+    params = ModelParams(d=1, p=3.0, tau=0.05, eps=0.2, L=1.0)
+    h, n = 0.5, 64
+    kernel.marginal_operator(2.0 * h, n, params)  # build the table first
+    results, reflections = [], []
+    descend, reflect = onedim.projected_bb, onedim._reflect
+
+    def spy(*args, **kwargs):
+        results.append(descend(*args, **kwargs))
+        return results[-1]
+
+    def counted(*args, **kwargs):
+        reflections.append(1)
+        return reflect(*args, **kwargs)
+
+    monkeypatch.setattr(onedim, "projected_bb", spy)
+    monkeypatch.setattr(onedim, "_reflect", counted)
+    calls = count_ffts(monkeypatch)
+    res = onedim.minimize_profile(params, h, n=n)
+    (bb,) = results
+    assert bb.evals > bb.iterations == res.iterations > 0
+    # the start and every trial are reflected and transformed once, and so
+    # is the final profile that f1d values; each iteration's gradient adds
+    # only its inverse rFFT
+    assert len(reflections) == bb.evals + 2
+    assert calls == {"rfftn": bb.evals + 2, "irfftn": bb.iterations}
 
 
 # zero, and magnitudes spread over 1e-10 ... 1e4

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from helpers import count_ffts
 from stripes import energy, flow
 from stripes.field import PeriodicField
 from stripes.flow import FlowOptions, gradient_flow
@@ -94,6 +95,21 @@ def test_slope_bound_reuses_the_nonlocal_gradient_of_the_last_grad(ps2):
     reused = obj.slope_bound(v, g)
     fresh = energy._FieldObjective(ps2, 2.0, 12).slope_bound(v.copy(), g)
     assert reused == fresh
+
+
+def test_slope_bound_reads_the_iterate_after_a_rejected_trial(ps2,
+                                                             monkeypatch):
+    rng = np.random.default_rng(10)
+    obj = energy._FieldObjective(ps2, 2.0, 12)
+    v = rng.uniform(0.0, 1.0, (12, 12))
+    g = obj.grad(v, flow.KAPPA)
+    obj.energy(np.clip(v - 1e3 * g, 0.0, 1.0))     # a trial evaluated after
+    calls = count_ffts(monkeypatch)
+    got = obj.slope_bound(v, g)
+    assert calls == {"rfftn": 1}        # NL(d) only; v's terms are kept
+    monkeypatch.undo()
+    assert got == energy._FieldObjective(ps2, 2.0, 12).slope_bound(v.copy(),
+                                                                   g)
 
 
 def test_slope_bound_pins_samples_pushed_out_of_the_box(ps2):

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from stripes.energy import optimal_sharp_period
 from stripes.onedim import ConvergenceError, optimal_period
-from stripes.solvers import (BACKTRACK, FLAT_TRIALS, STALL_LIMIT,
-                             NoBracketError, brentq, golden_section,
-                             projected_bb)
+from stripes.solvers import (ACTIVE_TOL, BACKTRACK, FLAT_TRIALS,
+                             STALL_LIMIT, NoBracketError, brentq,
+                             golden_section, projected_bb)
 
 SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -189,6 +189,30 @@ def test_flat_case_costs_two_energy_calls():
                        tol_energy=1e-300, trace_every=1)
     assert (res.stop, res.converged) == ("line_search", False)
     assert len(calls) == FLAT_TRIALS == 2
+
+
+# samples on both bounds, within ACTIVE_TOL of them, inside, and NaN
+POINT = st.one_of(st.sampled_from([0.0, 1.0, 1e-13, 1.0 - 1e-13, np.nan]),
+                  st.floats(0.0, 1.0))
+GRAD = st.one_of(st.sampled_from([0.0, -0.0, np.nan]),
+                 st.floats(-1e3, 1e3))
+
+
+@SETTINGS
+@given(xg=st.integers(1, 12).flatmap(
+    lambda k: st.tuples(st.lists(POINT, min_size=k, max_size=k),
+                        st.lists(GRAD, min_size=k, max_size=k))))
+def test_grad_norm_zeroes_only_components_pushing_out(xg):
+    x, g = (np.array(a) for a in xg)
+    # the reference: zero every component at a bound that g pushes out
+    pg = g.copy()
+    pg[(x <= 0.0 + ACTIVE_TOL) & (pg > 0)] = 0.0
+    pg[(x >= 1.0 - ACTIVE_TOL) & (pg < 0)] = 0.0
+    ref = float(np.max(np.abs(pg)))
+    res = projected_bb(x, 0.0, lambda y: 0.0, lambda y: g, 0.0, 1.0,
+                       step0=1.0, max_iter=1, tol_grad=1e-6,
+                       tol_energy=0.0, trace_every=1)
+    assert repr(res.grad_norm) == repr(ref)     # NaN and the sign of 0
 
 
 def test_golden_section_evaluates_each_point_once():
