@@ -38,11 +38,14 @@ period are folded back onto the base through the reflection.  The period
 search is ``solvers.scan_golden``.  The penalized family updates gamma at
 all samples at once in closed form (``_gamma_update``) and runs the scalar
 ``gamma_pointwise_optimum`` only where its penalized piece can win; its
-alternating loop stops on TOL_OUTER.  The fixed thresholds of the checks
-are module constants too: CROSSING_TOL for the 1/2-crossings of the
-reflections, EL_DELTA for the bands next to the obstacles that the
-Euler-Lagrange diagnostics leave out, and GAMMA_TOL for the measure of
-{gamma > 1 + GAMMA_TOL} in the gamma-limit study.
+alternating loop stops on TOL_OUTER.  The gamma-limit study solves one
+descent per distinct (start, gamma) pair, keyed by their exact bytes:
+every m starts from the same gamma = 1 descent, and later rounds repeat
+across m once the gamma update no longer reaches m.  The fixed
+thresholds of the checks are module constants too: CROSSING_TOL for the
+1/2-crossings of the reflections, EL_DELTA for the bands next to the
+obstacles that the Euler-Lagrange diagnostics leave out, and GAMMA_TOL
+for the measure of {gamma > 1 + GAMMA_TOL} in the gamma-limit study.
 """
 
 from __future__ import annotations
@@ -504,7 +507,13 @@ def minimize_profile(params: ModelParams, h: float, n: int = 512,
             f"(grad {res.grad_norm:.2e})", trace)
     trace.append((res.iterations, res.energy, res.step))
     prof = ReflectedProfile(h, res.x)
-    value = f1d(gamma, prof.full(), params)
+    if ((gamma is None or not np.isinf(gamma).any())
+            and np.array_equal(prof.base_g, res.x)):
+        # res.energy is F1d of this very profile; f1d decides +inf entries
+        # of gamma, where the objective could read NaN
+        value = res.energy
+    else:
+        value = f1d(gamma, prof.full(), params)
     return MinimizeProfileResult(prof, value, res.iterations, tuple(trace),
                                  res.stop)
 
@@ -754,8 +763,36 @@ def _gamma_update(a: np.ndarray, b: np.ndarray, m: float, w: float
     return gam
 
 
+class _Descents(dict):
+    """The profile descents of one ``gamma_limit_study`` call, that is of
+    one model, h and n: the ``MinimizeProfileResult`` of each descent keyed
+    by the exact bytes of its (start base, gamma).  The descent is
+    deterministic, so a reused result is bit for bit the one a new descent
+    would return.  ``reused`` counts the lookups that found one."""
+
+    reused = 0
+
+
+def _descend(params: ModelParams, h: float, n: int, gb: np.ndarray,
+             gamma: np.ndarray, descents: _Descents | None
+             ) -> MinimizeProfileResult:
+    """``minimize_profile`` from base gb at coefficient gamma, solved once
+    per distinct (gb, gamma) of ``descents`` when one is given."""
+    if descents is None:
+        return minimize_profile(params, h, n=n, g0_base=gb, gamma=gamma)
+    key = (gb.tobytes(), gamma.tobytes())
+    res = descents.get(key)
+    if res is None:
+        res = descents[key] = minimize_profile(params, h, n=n, g0_base=gb,
+                                               gamma=gamma)
+    else:
+        descents.reused += 1
+    return res
+
+
 def minimize_aux_penalized(m: float, params: ModelParams, h: float,
-                           n: int = 512, outer_iter: int = 60
+                           n: int = 512, outer_iter: int = 60,
+                           descents: _Descents | None = None
                            ) -> tuple[Profile1D, Profile1D, float]:
     """Alternating minimization of the penalized energy
     F_m(gamma, g) = F(gamma, g) + (1/(4h)) int (gamma - m)_+^2:
@@ -763,7 +800,8 @@ def minimize_aux_penalized(m: float, params: ModelParams, h: float,
 
     Returns (gamma_m, g_m, value) as full-period profiles.  Raises
     ConvergenceError when ``outer_iter`` rounds end without a decrease
-    below TOL_OUTER.
+    below TOL_OUTER.  ``descents`` (``gamma_limit_study``'s, for the same
+    model, h and n) reuses the descents of earlier calls.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -779,8 +817,7 @@ def minimize_aux_penalized(m: float, params: ModelParams, h: float,
 
     prev = np.inf
     for _ in range(outer_iter):
-        res = minimize_profile(params, h, n=n, g0_base=gb,
-                               gamma=gamma_full)
+        res = _descend(params, h, n, gb, gamma_full, descents)
         gb = res.profile.base_g.copy()
         G = _reflect(gb)[:-1]
         D = obj.slope(G)
@@ -798,10 +835,10 @@ def minimize_aux_penalized(m: float, params: ModelParams, h: float,
         raise ConvergenceError(
             f"no decrease below {TOL_OUTER:.1e} in {outer_iter} outer "
             "iterations")
-    gam_prof = Profile1D(n, 2.0 * h, np.clip(G, 0.0, 1.0), gamma_full)
-    e_final = f1d(gamma_full, gam_prof, params) + penalty(gamma_full)
-    return (gam_prof, Profile1D(n, 2.0 * h, np.clip(G, 0.0, 1.0)),
-            float(e_final))
+    # value is F_m of the returned pair: gamma_m is finite (w > 0)
+    G = np.clip(G, 0.0, 1.0)
+    return (Profile1D(n, 2.0 * h, G, gamma_full), Profile1D(n, 2.0 * h, G),
+            float(value))
 
 
 def gamma_limit_study(params: ModelParams, h: float, m_schedule=(1, 10, 100),
@@ -809,12 +846,20 @@ def gamma_limit_study(params: ModelParams, h: float, m_schedule=(1, 10, 100),
     """Run the penalized family along ``m_schedule`` and report how far the
     optimal coefficients sit from 1 (sup gamma - 1 and the measure of
     {gamma > 1 + GAMMA_TOL}) and the strict-inequality margin on
-    {g < 1 - EL_DELTA}."""
+    {g < 1 - EL_DELTA}.
+
+    Every m starts from the same gamma = 1 descent, and once no sample
+    reaches the penalized piece the gamma update no longer depends on m:
+    the study solves one descent per distinct (start, gamma) and reuses it
+    for every m that repeats it.  The report counts the descents solved
+    and reused and records the ``stop`` of each solved one."""
     report = {"m": [], "value": [], "sup_gamma_minus_1": [],
               "measure_gamma_above": []}
+    descents = _Descents()
     last = None
     for m in m_schedule:
-        gam_prof, g_prof, value = minimize_aux_penalized(m, params, h, n=n)
+        gam_prof, g_prof, value = minimize_aux_penalized(
+            m, params, h, n=n, descents=descents)
         gam = gam_prof.gamma
         dx = 2.0 * h / n
         report["m"].append(m)
@@ -841,4 +886,7 @@ def gamma_limit_study(params: ModelParams, h: float, m_schedule=(1, 10, 100),
     report["strict_margin"] = margin
     report["xbar"] = free_boundary_points(g_prof)
     report["grid_cell"] = dx
+    report["descents_solved"] = len(descents)
+    report["descents_reused"] = descents.reused
+    report["descent_stops"] = [res.stop for res in descents.values()]
     return report

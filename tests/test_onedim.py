@@ -15,6 +15,7 @@ from stripes.onedim import (ConvergenceError, CrossingError,
                             obstacle_set, optimal_period,
                             reflect_left, reflect_right,
                             reflection_positivity_check)
+from stripes.solvers import DescentResult
 
 
 def test_f1d_matches_total_energy(ps1):
@@ -288,6 +289,75 @@ def test_gamma_limit_study_collapses(ps1):
     # unit-coefficient minimum
     base = minimize_profile(ps1, 1.58, n=8192).value
     assert rep["value"][-1] == pytest.approx(base, abs=1e-6)
+
+
+def test_gamma_limit_study_solves_each_distinct_descent_once(ps1,
+                                                            monkeypatch):
+    schedule = (1, 10, 100, 1000)
+    calls, solve = [], onedim.minimize_profile
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(onedim, "minimize_profile", counted)
+    rep = gamma_limit_study(ps1, 1.58, m_schedule=schedule, n=256)
+    assert len(calls) == rep["descents_solved"] == 4
+    assert rep["descents_reused"] == 7
+    assert len(rep["descent_stops"]) == 4
+    assert set(rep["descent_stops"]) <= {"grad", "stall", "line_search"}
+
+    # the oracle: every m on its own, no descent shared between them
+    calls.clear()
+    alone = onedim.minimize_aux_penalized
+
+    def unshared(*args, descents=None, **kwargs):
+        return alone(*args, **kwargs)
+
+    monkeypatch.setattr(onedim, "minimize_aux_penalized", unshared)
+    oracle = gamma_limit_study(ps1, 1.58, m_schedule=schedule, n=256)
+    assert len(calls) == 11
+    assert oracle["descents_solved"] == oracle["descents_reused"] == 0
+    for key in ("descents_solved", "descents_reused", "descent_stops"):
+        del rep[key], oracle[key]
+    assert rep.keys() == oracle.keys()
+    for key in rep:
+        assert repr(rep[key]) == repr(oracle[key]), key
+
+
+def test_minimize_profile_value_is_f1d_of_its_profile(ps1):
+    n = 256
+    finite = 1.0 + np.random.default_rng(31).uniform(0.0, 2.0, n)
+    for gamma in (None, finite):
+        res = minimize_profile(ps1, 1.58, n=n, gamma=gamma)
+        assert res.value == f1d(gamma, res.profile.full(), ps1)
+    # a start 1e-13 above the box that already meets the gradient test is
+    # returned clipped: the value is the clipped profile's, not the start's
+    g0 = res.profile.base_g.copy()
+    g0[np.flatnonzero(g0 == 1.0)[5]] += 1e-13
+    res = minimize_profile(ps1, 1.58, n=n, g0_base=g0, gamma=finite)
+    assert res.iterations == 1 and res.trace[-1][1] != res.value
+    assert res.value == f1d(finite, res.profile.full(), ps1)
+
+
+def test_minimize_profile_values_infinite_gamma_by_f1d(monkeypatch):
+    # the gradient is NaN wherever gamma is infinite, so no descent with
+    # such a gamma converges; a stand-in that stops at its start returns
+    # the objective's energy there, NaN at C_tau = 1 (0 * inf), where f1d
+    # decides +inf
+    ps = ModelParams(d=1, p=3.0, tau=1.0, eps=0.05, L=1.0)
+    assert c_tau(ps) == 1.0
+
+    def stand_in(x, e, *args, step0, **kwargs):
+        return DescentResult(x, e, 1, True, 0.0, step0, (), "grad", 0)
+
+    monkeypatch.setattr(onedim, "projected_bb", stand_in)
+    gamma = np.ones(64)
+    gamma[1] = np.inf
+    with np.errstate(invalid="ignore"):
+        res = minimize_profile(ps, 1.0, n=64, gamma=gamma)
+    assert res.value == f1d(gamma, res.profile.full(), ps) == np.inf
+    assert np.isnan(res.trace[-1][1])
 
 
 def test_minimize_profile_rejects_tiny_grids(ps1):
