@@ -193,7 +193,8 @@ def minimize_1d(cfg, out):
     write_profile_csv(out / "profile.csv", res.profile.full())
     _write_csv(out / "trace.csv", "iteration,energy,step", res.trace)
     return {"value": res.value, "iterations": res.iterations,
-            "stop": res.stop, "h": cfg["h"], "n": cfg["n"],
+            "stop": res.stop, "evals": res.evals, "h": cfg["h"],
+            "n": cfg["n"],
             "kernel": _marginal_certificate(params, h, n)}, True
 
 
@@ -293,7 +294,7 @@ def verify_el(cfg, out):
     n0, h0 = int(cfg["n"]), float(cfg["h"])
     rep = {"n": [], "l2_residual": [], "residual_samples": [],
            "first_integral_gap4": [], "first_integral_gap2": [],
-           "gamma3_ok": [], "stop": [], "kernel": []}
+           "gamma3_ok": [], "stop": [], "evals": [], "kernel": []}
     for nn in (n0, 2 * n0):
         res = _onedim.minimize_profile(params, h0, n=nn)
         diag = _onedim.el_residual(None, res.profile.full(), params)
@@ -309,6 +310,7 @@ def verify_el(cfg, out):
         rep["first_integral_gap2"].append(diag.first_integral_gap2)
         rep["gamma3_ok"].append(diag.gamma3_ok)
         rep["stop"].append(res.stop)
+        rep["evals"].append(res.evals)
         rep["kernel"].append(_marginal_certificate(params, h0, nn))
     fi = rep["first_integral_gap4"]
     rep["first_integral_ratio"] = fi[0] / fi[1] if fi[1] else np.inf

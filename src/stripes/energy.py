@@ -23,10 +23,11 @@ trial fields builds no field object and looks up no cache per trial.  It
 also transforms each field once: the energy of an array keeps its
 forward differences and rFFT, which the gradient of that same array (the
 accepted trial) reads, and the gradient keeps the iterate's differences,
-W' and nonlocal gradient for ``slope_bound``, with every result equal bit
-for bit to evaluating afresh.  This state lives on the objective, which
-each flow builds for itself, not on the shared cached kernel operator,
-and an evaluated array must not be mutated in place.
+W' and nonlocal gradient for ``slope_bound`` and for the gradient at the
+next kappa, with every result equal bit for bit to evaluating afresh.
+This state lives on the objective, which each flow builds for itself,
+not on the shared cached kernel operator, and an evaluated array must
+not be mutated in place.
 ``total_energy``, ``nonlocal_energy`` and ``flow.energy_gradient`` are
 its wrappers for ``PeriodicField`` input.  Its ``slope_bound`` is the
 flow's line-search certificate: a lower bound on the exact energy along a
@@ -103,7 +104,9 @@ class _FieldObjective:
     dv/dx and rFFT, and ``grad`` of that same array reads them, so an
     accepted trial field is not transformed again.  ``grad`` keeps its own
     array's dv, W' and nonlocal gradient in a second slot, which
-    ``slope_bound`` reads after a rejected trial has replaced the first.
+    ``slope_bound`` reads after a rejected trial has replaced the first,
+    and which ``grad`` itself reads when a new kappa stage starts from the
+    array the last one stopped at.
     Both slots hold the array itself and match it by identity, so an
     array that was evaluated must not be mutated in place.  The slots live
     on the objective, which each flow builds for itself, never on the
@@ -162,16 +165,21 @@ class _FieldObjective:
         to sum_i sqrt(D_i^2 + kappa^2).  The adjoint of D_i is the backward
         difference, so this is the exact gradient of the smoothed discrete
         energy (the nonlocal part is exact, no smoothing)."""
-        dv, diffs, f = self._evaluated(v)
+        if self._iterate is not None and self._iterate[0] is v:
+            # a kappa stage starts where the last one stopped
+            _, dv, well_prime, nl_grad = self._iterate
+            diffs = [t / self.dx for t in dv]
+        else:
+            dv, diffs, f = self._evaluated(v)
+            well_prime = _well_prime(v)
+            nl_grad = self.pair_pref * (self.op.ksum * v
+                                        - self.op.conv_rfft(f, v.shape))
         roots = [np.sqrt(t * t + kappa * kappa) for t in diffs]
         s = sum(roots)
-        well_prime = _well_prime(v)
         grad = self.well_pref * well_prime * self.vol
         for ax in range(self.d):
             flux = s * diffs[ax] / roots[ax]
             grad += self.flux_pref * (roll(flux, 1, ax) - flux)
-        nl_grad = self.pair_pref * (self.op.ksum * v
-                                    - self.op.conv_rfft(f, v.shape))
         grad -= nl_grad
         self._iterate = (v, dv, well_prime, nl_grad)
         return grad
@@ -196,7 +204,9 @@ class _FieldObjective:
         So slope is F'(v; d) and curv = (3/alpha) sum d^2 / 2 + NL(d), each
         with its prefactor.  The differences, W' and nonlocal gradient of v
         come from the last ``grad(v)`` call when it was made on this array,
-        so only NL(d) takes an rFFT."""
+        so only NL(d) takes an rFFT, and only when slope > 0: otherwise the
+        bound cannot stop a line search, and curv = +inf (a valid bound)
+        is returned without it."""
         d = -g
         d[((v <= 0.0) & (g > 0)) | ((v >= 1.0) & (g < 0))] = 0.0
         # a sample moving down sits above 0 and one moving up below 1, so
@@ -222,6 +232,9 @@ class _FieldObjective:
         slope = (self.flux_pref * float(np.sum(norm * slope_norm)) / self.dx
                  + well * float(np.sum(well_prime * d))
                  - float(np.sum(nl_grad * d)))
+        if not slope > 0:
+            # the bound certifies nothing then; +inf keeps it valid
+            return slope, np.inf, s_max
         curv = (0.5 * well * float(np.sum(d * d))
                 + self.nonlocal_sum(d) * self.vol_inv)
         return slope, curv, s_max

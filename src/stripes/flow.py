@@ -23,7 +23,8 @@ the KAPPA_STAGES kappa stages, starting at KAPPA, runs it with the fixed
 STEP0, TOL_ENERGY and TOL_GRAD, and the trace keeps why each stage stopped,
 its energy calls and its final projected-gradient norm.
 The objective transforms each field once (its energy state serves the
-gradient of an accepted trial, and the gradient's serves the slope bound),
+gradient of an accepted trial, and the gradient's serves the slope bound
+and the gradient that starts the next kappa stage),
 and it belongs to its flow alone, so runs on several threads share only the
 read-only kernel operator.  The last trace entry of a flow is the exact
 energy of the field it returns, so the benchmark and the experiment's runs

@@ -355,25 +355,32 @@ class PeriodicKernelOperator:
 
     def rfft(self, v: np.ndarray) -> np.ndarray:
         """The rFFT of v over all axes, for ``conv_rfft`` and
-        ``pair_sum_rfft``; v must have the table's dimension."""
+        ``pair_sum_rfft``; v must have the table's dimension.  A 1D array
+        takes ``numpy.fft.rfft``: the same transform, bit for bit, without
+        the per-call handling of axes that adds 2-4 us to each ``rfftn``
+        call (n = 512...2048, one thread), a sizable share of a transform
+        at the sizes of the profile descent."""
         if v.ndim != self.table.ndim:     # would broadcast silently
             raise ValueError(f"a {self.table.ndim}D kernel table acts on "
                              f"{self.table.ndim}D arrays, got {v.ndim}D")
-        return np.fft.rfftn(v)
+        return np.fft.rfft(v) if v.ndim == 1 else np.fft.rfftn(v)
 
     def conv(self, v: np.ndarray) -> np.ndarray:
         """sum_{z != 0} K(z) v(x - z) over the nonzero lattice lags z."""
         return self.conv_rfft(self.rfft(v), v.shape)
 
     def conv_rfft(self, f: np.ndarray, shape: tuple) -> np.ndarray:
-        """``conv`` of the array of ``shape`` whose ``rfft`` is f."""
+        """``conv`` of the array of ``shape`` whose ``rfft`` is f (in 1D by
+        ``numpy.fft.irfft``, as in ``rfft``)."""
+        if len(shape) == 1:
+            return np.fft.irfft(f * self.spectrum, n=shape[0])
         return np.fft.irfftn(f * self.spectrum, s=shape,
                              axes=tuple(range(len(shape))))
 
     def pair_sum_rfft(self, f: np.ndarray) -> float:
         """``pair_sum`` over all axes of the array whose ``rfft`` is f."""
-        return float(2.0 * np.sum((f.real ** 2 + f.imag ** 2)
-                                  * self._pair_weights))
+        return float(2.0 * ((f.real ** 2 + f.imag ** 2)
+                            * self._pair_weights).sum())
 
     def pair_sum(self, v: np.ndarray, axis: int | None = None
                  ) -> float | np.ndarray:

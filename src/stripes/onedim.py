@@ -31,11 +31,17 @@ them: profiles are checked where they enter (``Profile1D``,
 ``ReflectedProfile``, the descent's projection onto [1/2, 1]) and
 coefficients by ``_gamma_array`` in the public functions that take them.
 In the profile descent
-(``solvers.projected_bb`` with the fixed MAX_ITER, TOL_ENERGY, TOL_GRAD,
-STEP0 and TRACE_EVERY) n is even, the free variables are g[1..n/2-1] in
-[1/2, 1] with both endpoints pinned at 1/2, and gradients on the full
-period are folded back onto the base through the reflection.  The period
-search is ``solvers.scan_golden``.  The penalized family updates gamma at
+(``solvers.projected_bb`` with the fixed MAX_ITER, TOL_GRAD and
+TRACE_EVERY) n is even, the free variables are g[1..n/2-1] in [1/2, 1]
+with both endpoints pinned at 1/2, and gradients on the full period are
+folded back onto the base through the reflection.  Its first trial step
+is 1/lam for a bound lam on the Hessian of the energy on the box, so the
+first trial is accepted, and its line search decides each trial on the
+energy change: the difference of the two energies where it exceeds their
+rounding (ENERGY_ROUNDING), the closed form ``_ProfileObjective.delta``
+(one rFFT, of the difference) inside it.  So the descent stops on its
+gradient test, not on rounding noise, and it needs no energy tolerance.
+The period search is ``solvers.scan_golden``.  The penalized family updates gamma at
 all samples at once in closed form (``_gamma_update``) and runs the scalar
 ``gamma_pointwise_optimum`` only where its penalized piece can win; its
 alternating loop stops on TOL_OUTER.  The gamma-limit study solves one
@@ -58,8 +64,8 @@ import numpy as np
 from . import kernel as _kernel
 from .field import Profile1D, check_gamma
 from .model import ModelParams, double_well, double_well_prime
-from .solvers import (ACTIVE_TOL, NoBracketError, brentq, projected_bb,
-                      scan_golden)
+from .solvers import (ACTIVE_TOL, STEP_MAX, NoBracketError, brentq,
+                      projected_bb, scan_golden)
 
 
 # distance from a 1/2-crossing that the reflection checks tolerate
@@ -191,7 +197,9 @@ class _ProfileObjective:
     Each profile is transformed once: the energy, its split and local
     integrals, the gradient and the interaction field keep the last G
     they evaluate with its slope and rFFT and read them again for that
-    same array.  The slot holds G itself and matches it by identity, so a
+    same array.  ``grad`` keeps its own G's slope and interaction field in
+    a second slot, which ``delta`` reads after a trial has replaced the
+    first.  Both slots hold G itself and match it by identity, so a
     profile that was evaluated must not be mutated in place."""
 
     def __init__(self, params: ModelParams, L: float, n: int):
@@ -204,6 +212,7 @@ class _ProfileObjective:
         self.A = 3.0 * (self.c - 1.0) * self.alpha / L
         self.B = 3.0 * (self.c - 1.0) / (L * self.alpha)
         self._trial = None      # (G, slope, rFFT) of the last G evaluated
+        self._iterate = None    # (G, slope, interaction) of the last grad
 
     def slope(self, G: np.ndarray) -> np.ndarray:
         """(G[j+1] - G[j]) / dx, periodically."""
@@ -229,7 +238,7 @@ class _ProfileObjective:
             grad2 = np.multiply(gamma, grad2, out=np.zeros(self.n),
                                 where=D != 0)
             well = well / gamma
-        return float(np.sum(grad2) * self.dx), float(np.sum(well) * self.dx)
+        return float(grad2.sum() * self.dx), float(well.sum() * self.dx)
 
     def split(self, G: np.ndarray, gamma: np.ndarray | None = None
               ) -> tuple[float, float]:
@@ -251,16 +260,61 @@ class _ProfileObjective:
 
     def grad(self, G: np.ndarray, gamma: np.ndarray | None = None
              ) -> np.ndarray:
-        gam = 1.0 if gamma is None else gamma
-        gD = gam * self._evaluated(G)[0]
+        """dF1d/dG_j; an infinite gamma costs nothing where G' = 0, as in
+        ``local_integrals``."""
+        D = self._evaluated(G)[0]
+        if gamma is None:
+            gam, gD = 1.0, D
+        else:
+            gam = gamma
+            gD = np.multiply(gamma, D, out=np.zeros(self.n), where=D != 0)
         back = np.empty(self.n)  # gD[j-1] - gD[j], periodically
         np.subtract(gD[:-1], gD[1:], out=back[1:])
         back[0] = gD[-1] - gD[0]
         well_prime = 2.0 * G * (1.0 - G) * (1.0 - 2.0 * G)
         grad = (self.A * 2.0 * back
                 + self.B * well_prime / gam * self.dx)
-        grad += (4.0 * self.dx * self.dx / self.L) * self.interaction(G)
+        interaction = self.interaction(G)
+        grad += (4.0 * self.dx * self.dx / self.L) * interaction
+        self._iterate = (G, D, interaction)
         return grad
+
+    def delta(self, G: np.ndarray, Gc: np.ndarray,
+              gamma: np.ndarray | None = None) -> float:
+        """F1d(gamma, Gc) - F1d(gamma, G) in closed form, from the
+        difference P = Gc - G and its slope P':
+
+            A dx sum gamma P' (2 G' + P')
+            + B dx sum P (W' + P (W''/2 + P (W'''/6 + P))) / gamma
+            - (dx^2 / L) (pair(P) - 4 <P, I(G)>),
+
+        exact in exact arithmetic (W is a quartic with W''''/24 = 1, and
+        the pair form is a quadratic form whose gradient is -4 I), with
+        every term of the size of the change, so that its rounding is
+        relative to the change and not to the energy.  G' and the
+        interaction field I(G) come from the last ``grad`` call when it
+        was made on this G, so only P takes an rFFT.  An infinite gamma
+        costs nothing where P' (2 G' + P') = 0."""
+        if self._iterate is not None and self._iterate[0] is G:
+            _, D, interaction = self._iterate
+        else:
+            D = self.slope(G)
+            interaction = self.op.conv(G) - self.op.ksum * G
+        P = Gc - G
+        dP = self.slope(P)
+        flux = dP * (2.0 * D + dP)
+        well = P * (2.0 * G * (1.0 - G) * (1.0 - 2.0 * G)
+                    + P * (1.0 + 6.0 * G * (G - 1.0)
+                           + P * (4.0 * G - 2.0 + P)))
+        if gamma is not None:
+            flux = np.multiply(gamma, flux, out=np.zeros(self.n),
+                               where=flux != 0)
+            well = well / gamma
+        pair = (self.op.pair_sum_rfft(self.op.rfft(P))
+                - 4.0 * float(P @ interaction))
+        return (self.A * float(flux.sum()) * self.dx
+                + self.B * float(well.sum()) * self.dx
+                - self.dx * self.dx * pair / self.L)
 
 
 def f1d(gamma, g: Profile1D, params: ModelParams) -> float:
@@ -413,13 +467,17 @@ def chessboard_check(gamma, g: np.ndarray, crossings, params: ModelParams,
 # inner minimization over C_h at fixed half-period
 # ---------------------------------------------------------------------------
 
-# the profile descent: iteration cap, stall and gradient tolerances, first
-# trial step, and spacing of the trace rows
+# the profile descent: iteration cap, gradient tolerance and spacing of the
+# trace rows.  A trial whose energy differs from the iterate's by at most
+# ENERGY_ROUNDING (|local| + |nonlocal|) of the trial is decided by the
+# closed-form change (``_ProfileObjective.delta``) instead: each energy is
+# a difference of two sums of n nonnegative terms taken by pairwise
+# summation and an FFT, whose rounding grows like log2(n) eps, and this
+# band holds that of two such energies with room to spare.
 MAX_ITER = 20000
-TOL_ENERGY = 1e-13
 TOL_GRAD = 1e-7
-STEP0 = 1.0
 TRACE_EVERY = 50
+ENERGY_ROUNDING = 64 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -429,16 +487,15 @@ class MinimizeProfileResult:
     iterations: int
     trace: tuple  # (iteration, energy, step) triples
     stop: str     # why the descent stopped: one of solvers.STOP_REASONS
+    evals: int    # trials the descent evaluated
 
 
 def _fold_grad(grad_G: np.ndarray, m: int) -> np.ndarray:
     """Chain rule through the reflection: d/d g_j acts on G_j with weight 1
     and on G_{n-j} with weight -1 (interior base points only)."""
-    n = grad_G.size
     gb = np.empty(m + 1)
     gb[0] = gb[m] = 0.0
-    j = np.arange(1, m)
-    gb[1:m] = grad_G[j] - grad_G[n - j]
+    np.subtract(grad_G[1:m], grad_G[:m:-1], out=gb[1:m])
     return gb
 
 
@@ -451,6 +508,24 @@ def _initial_base(h: float, m: int, alpha: float) -> np.ndarray:
     return g0
 
 
+def _first_step(obj: _ProfileObjective, gamma: np.ndarray | None) -> float:
+    """1/lam, with lam a bound on the Hessian of the base-profile energy on
+    [1/2, 1]: the gradient term adds at most 8 A gamma_max / dx (the
+    periodic difference Laplacian has norm 4), the double well at most
+    2 B dx (W'' <= 2 on [0, 1]; -1 <= W'' gives -B dx when B < 0), the pair
+    form is positive semidefinite so -NL adds nothing, and the reflection,
+    which moves two samples per base sample, doubles the bound.  By the
+    descent lemma the first projected trial then lowers the energy.
+    gamma_max is the largest finite coefficient: where gamma is infinite
+    the energy is flat or +inf.  With lam = 0 the energy is concave and
+    every step descends, so the step is solvers.STEP_MAX."""
+    finite = 1.0 if gamma is None else np.max(gamma, initial=1.0,
+                                               where=np.isfinite(gamma))
+    lam = 2.0 * (8.0 * max(obj.A, 0.0) * finite / obj.dx
+                 + max(2.0 * obj.B, -obj.B) * obj.dx)
+    return 1.0 / lam if lam > 0 else STEP_MAX
+
+
 def minimize_profile(params: ModelParams, h: float, n: int = 512,
                      g0_base: np.ndarray | None = None,
                      gamma: np.ndarray | None = None
@@ -458,10 +533,14 @@ def minimize_profile(params: ModelParams, h: float, n: int = 512,
     """Projected-gradient minimization of the gamma = 1 energy over C_h.
 
     Box constraints [1/2, 1] on the interior base samples, endpoints pinned
-    at 1/2, backtracking line search on the exact energy, step growth on
-    success (``solvers.projected_bb``).  Raises ConvergenceError (with
-    trace) if the tolerances are not met within MAX_ITER.  ``gamma`` is
-    None (for 1), a scalar or n coefficient samples in [1, inf].
+    at 1/2, backtracking line search from the certified first step
+    ``_first_step``, step growth on success (``solvers.projected_bb``).
+    Each trial is decided on its energy, or on the closed-form energy
+    change where the two energies differ by less than their rounding
+    (ENERGY_ROUNDING), so the descent stops only on its gradient test:
+    it raises ConvergenceError (with trace) if that test is not met
+    within MAX_ITER iterations.  ``gamma`` is None (for 1), a scalar or n
+    coefficient samples in [1, inf].
     """
     if n < 32:
         raise ValueError("n must be >= 32")
@@ -471,24 +550,10 @@ def minimize_profile(params: ModelParams, h: float, n: int = 512,
         gamma = _gamma_array(gamma, n)
     obj = _ProfileObjective(params, 2.0 * h, n)
     m = n // 2
-    last = [None, None]     # the last base profile evaluated, reflected
-
-    def full(gb: np.ndarray) -> np.ndarray:
-        # one reflection per base profile, so that the objective's slot
-        # sees the same array for its energy and its gradient
-        if last[0] is not gb:
-            last[:] = gb, _reflect(gb)[:-1]
-        return last[1]
-
-    def energy(gb: np.ndarray) -> float:
-        return obj.energy(full(gb), gamma)
-
-    def grad(gb: np.ndarray) -> np.ndarray:
-        return _fold_grad(obj.grad(full(gb), gamma), m)
 
     def project(y: np.ndarray) -> np.ndarray:
         # snap samples within rounding of a bound onto it; pin the ends
-        gb = np.clip(y, 0.5, 1.0)
+        gb = y.clip(0.5, 1.0)
         gb[gb >= 1.0 - ACTIVE_TOL] = 1.0
         gb[gb <= 0.5 + ACTIVE_TOL] = 0.5
         gb[0] = gb[-1] = 0.5
@@ -496,26 +561,56 @@ def minimize_profile(params: ModelParams, h: float, n: int = 512,
 
     gb = (np.asarray(g0_base, dtype=float).copy() if g0_base is not None
           else _initial_base(h, m, params.alpha))
-    e = energy(gb)
-    res = projected_bb(gb, e, energy, grad, 0.5, 1.0, project,
-                       step0=STEP0, max_iter=MAX_ITER, tol_grad=TOL_GRAD,
-                       tol_energy=TOL_ENERGY, trace_every=TRACE_EVERY)
-    trace = [(0, e, STEP0), *res.trace]
+    G = _reflect(gb)[:-1]
+    # (base profile, its reflection, its energy) of the iterate and of the
+    # last trial: each base profile is reflected once, so the objective's
+    # slots see the same array for its energy, gradient and change
+    at = [gb, G, obj.energy(G, gamma)]
+    trial = [None, None, None]
+
+    def iterate(x: np.ndarray) -> list:
+        # the descent moves only onto the trial it evaluated last
+        if x is trial[0]:
+            at[:] = trial
+        return at
+
+    def grad(x: np.ndarray) -> np.ndarray:
+        return _fold_grad(obj.grad(iterate(x)[1], gamma), m)
+
+    def delta(x: np.ndarray, cand: np.ndarray) -> float:
+        _, G, e = iterate(x)
+        Gc = _reflect(cand)[:-1]
+        local, nonlocal_ = obj.split(Gc, gamma)
+        trial[:] = cand, Gc, local - nonlocal_
+        change = trial[2] - e
+        if not abs(change) <= ENERGY_ROUNDING * (abs(local)
+                                                 + abs(nonlocal_)):
+            return change       # decided by the energies (NaN rejects)
+        return obj.delta(G, Gc, gamma)
+
+    step0 = _first_step(obj, gamma)
+    e0 = at[2]
+    res = projected_bb(gb, e0, None, grad, 0.5, 1.0, project, step0=step0,
+                       max_iter=MAX_ITER, tol_grad=TOL_GRAD, tol_energy=0.0,
+                       trace_every=TRACE_EVERY, delta=delta)
+    trace = [(0, e0, step0), *res.trace]
     if not res.converged:
         raise ConvergenceError(
             f"no convergence in {res.iterations} iterations "
-            f"(grad {res.grad_norm:.2e})", trace)
+            f"(grad {res.grad_norm:.2e}, stop {res.stop})", trace)
     trace.append((res.iterations, res.energy, res.step))
     prof = ReflectedProfile(h, res.x)
     if ((gamma is None or not np.isinf(gamma).any())
             and np.array_equal(prof.base_g, res.x)):
-        # res.energy is F1d of this very profile; f1d decides +inf entries
-        # of gamma, where the objective could read NaN
-        value = res.energy
+        # the energy evaluated for this very profile, which the descent's
+        # running energy (the start's plus the accepted changes) matches
+        # only to rounding; f1d decides +inf entries of gamma, where the
+        # objective could read NaN
+        value = iterate(res.x)[2]
     else:
         value = f1d(gamma, prof.full(), params)
     return MinimizeProfileResult(prof, value, res.iterations, tuple(trace),
-                                 res.stop)
+                                 res.stop, res.evals)
 
 
 @dataclass(frozen=True)
@@ -525,11 +620,12 @@ class PeriodSearchResult:
     profile: ReflectedProfile
     trace: tuple  # (h, value) pairs
     stop: str     # why the descent at h* stopped: one of solvers.STOP_REASONS
+    evals: int    # trials the descent at h* evaluated
 
     def to_json(self) -> str:
         return json.dumps({"h_star": self.h_star, "c_star": self.c_star,
                            "trace": [list(t) for t in self.trace],
-                           "stop": self.stop})
+                           "stop": self.stop, "evals": self.evals})
 
 
 def optimal_period(params: ModelParams,
@@ -555,7 +651,7 @@ def optimal_period(params: ModelParams,
                                trace) from None
     res = cache[h_star]
     return PeriodSearchResult(h_star, res.value, res.profile, tuple(trace),
-                              res.stop)
+                              res.stop, res.evals)
 
 
 # ---------------------------------------------------------------------------
@@ -852,7 +948,8 @@ def gamma_limit_study(params: ModelParams, h: float, m_schedule=(1, 10, 100),
     reaches the penalized piece the gamma update no longer depends on m:
     the study solves one descent per distinct (start, gamma) and reuses it
     for every m that repeats it.  The report counts the descents solved
-    and reused and records the ``stop`` of each solved one."""
+    and reused and records the ``stop`` and the trials evaluated
+    (``evals``) of each solved one."""
     report = {"m": [], "value": [], "sup_gamma_minus_1": [],
               "measure_gamma_above": []}
     descents = _Descents()
@@ -889,4 +986,5 @@ def gamma_limit_study(params: ModelParams, h: float, m_schedule=(1, 10, 100),
     report["descents_solved"] = len(descents)
     report["descents_reused"] = descents.reused
     report["descent_stops"] = [res.stop for res in descents.values()]
+    report["descent_evals"] = [res.evals for res in descents.values()]
     return report

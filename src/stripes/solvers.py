@@ -2,6 +2,12 @@
 ``flow.gradient_flow`` and ``onedim.minimize_profile``), golden-section
 search with a logarithmic bracketing scan (run by both optimal-period
 searches) and Brent's root finder (run by the pointwise gamma update).
+
+The descent's line search compares energies, or, when the caller can
+compute it, the energy change of a trial directly (``delta``): the 1D
+profile descent does, so its trials are decided below the rounding of
+the energy and it stops only on its gradient test; the 2D flow compares
+energies and keeps its certified exit (``certify``).
 """
 from __future__ import annotations
 
@@ -42,13 +48,13 @@ class DescentResult:
     step: float             # trial step length when the descent stopped
     trace: tuple            # (iteration, energy, step) every trace_every
     stop: str               # why it stopped: one of STOP_REASONS
-    evals: int              # calls of ``energy`` made by the descent
+    evals: int              # calls of ``energy`` (or ``delta``) it made
 
 
 def projected_bb(x: np.ndarray, e: float, energy, grad, lo: float,
                  hi: float, project=None, *, step0: float, max_iter: int,
                  tol_grad: float, tol_energy: float, trace_every: int,
-                 start: int = 0, certify=None) -> DescentResult:
+                 start: int = 0, certify=None, delta=None) -> DescentResult:
     """Projected descent of ``energy`` from ``x`` (of energy ``e``) on the
     box [lo, hi].
 
@@ -66,6 +72,15 @@ def projected_bb(x: np.ndarray, e: float, energy, grad, lo: float,
     ``tol_energy``.  Iterations are numbered from ``start`` + 1 to
     ``max_iter``, so stages of one run can share the count.  The result's
     ``stop`` names which of these four tests ended the descent.
+
+    ``delta(x, cand)``, when given, replaces ``energy``: it returns the
+    energy change from the iterate x to the trial cand, so that a decrease
+    below the rounding of the energy itself still decides the trial.  A
+    trial is then accepted when the change is negative and flat when it is
+    exactly 0; the running energy is ``e`` plus the accepted changes, and
+    only the gradient test counts as converged (a ``line_search`` stop
+    does not).  ``evals`` counts the calls of ``energy``, or of ``delta``
+    when it is given.
 
     ``certify(x, g)``, when given, returns (slope, curv, s_max) such that
     energy(project(x - s g)) - energy(x) >= s slope - s^2 curv for every
@@ -101,8 +116,8 @@ def projected_bb(x: np.ndarray, e: float, energy, grad, lo: float,
         # largest g off the lower bound and the largest -g off the upper
         # one; on a box wider than 2 ACTIVE_TOL a NaN in g or x enters one
         # of the two and so the norm
-        up = np.max(g, where=~(x <= lo + ACTIVE_TOL), initial=0.0)
-        down = np.min(g, where=~(x >= hi - ACTIVE_TOL), initial=0.0)
+        up = g.max(where=~(x <= lo + ACTIVE_TOL), initial=0.0)
+        down = g.min(where=~(x >= hi - ACTIVE_TOL), initial=0.0)
         gnorm = abs(float(np.maximum(up, -down)))
         if gnorm < tol_grad:
             converged, stop = True, "grad"
@@ -111,12 +126,18 @@ def projected_bb(x: np.ndarray, e: float, energy, grad, lo: float,
         bound = None
         for _ in range(MAX_HALVINGS):
             cand = project(x - step * g)
-            ec = energy(cand)
+            if delta is None:
+                ec = energy(cand)
+                down, same = ec < e, ec == e
+            else:
+                change = delta(x, cand)
+                ec = e + change
+                down, same = change < 0, change == 0
             evals += 1
-            if ec < e:
+            if down:
                 break
             step *= BACKTRACK
-            flat = flat + 1 if ec == e else 0
+            flat = flat + 1 if same else 0
             if flat == FLAT_TRIALS:
                 break
             if certify is not None:
@@ -125,9 +146,11 @@ def projected_bb(x: np.ndarray, e: float, energy, grad, lo: float,
                 slope, curv, s_max = bound
                 if slope > 0 and step <= s_max and step * curv <= slope / 2:
                     break
-        if not ec < e:
-            # exact stall of the line search: accept only a small gradient
-            converged, stop = gnorm < 1e4 * tol_grad, "line_search"
+        if not down:
+            # exact stall of the line search: accept only a small gradient,
+            # and only where the energy decides the trials
+            converged = delta is None and gnorm < 1e4 * tol_grad
+            stop = "line_search"
             break
         stall = stall + 1 if e - ec < tol_energy else 0
         x, e = cand, ec

@@ -333,14 +333,18 @@ def profile_grad_direct(G: np.ndarray, gamma, params: ModelParams,
                         L: float) -> tuple[np.ndarray, np.ndarray]:
     """Reference (gradient of F1d, interaction field) by the arithmetic of
     ``profile_energy_direct``, in the same operation order as
-    ``onedim._ProfileObjective.grad`` and ``interaction``."""
+    ``onedim._ProfileObjective.grad`` and ``interaction``; like the energy,
+    it zeroes gamma G' where G' = 0, also for gamma = +inf."""
     n = G.size
     dx = L / n
     c = kernel.c_tau(params)
     A = 3.0 * (c - 1.0) * params.alpha / L
     B = 3.0 * (c - 1.0) / (L * params.alpha)
     gam = 1.0 if gamma is None else gamma
-    gD = gam * ((np.roll(G, -1) - G) / dx)
+    D = (np.roll(G, -1) - G) / dx
+    # an infinite coefficient costs nothing where the slope is 0
+    gD = gam * D if gamma is None else np.multiply(
+        gamma, D, out=np.zeros(n), where=D != 0)
     op = kernel.marginal_operator(L, n, params)
     interaction = op.conv(G) - op.ksum * G
     grad = (A * 2.0 * (np.roll(gD, 1) - gD)

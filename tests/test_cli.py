@@ -390,10 +390,15 @@ def test_sidecar_reruns_every_command(runner, tmp_path, case):
     assert _payload(out_b / f"{name}_config.json") == _payload(sidecar)
     if case in ("minimize-1d", "optimal-period"):
         assert a["report"]["stop"] in STOP_REASONS
+        assert isinstance(a["report"]["evals"], int)
     if case == "verify-el":
-        # one descent per grid, n and 2n
-        assert len(a["report"]["stop"]) == 2
+        # one descent per grid, n and 2n, each with its trials evaluated
+        assert len(a["report"]["stop"]) == len(a["report"]["evals"]) == 2
         assert set(a["report"]["stop"]) <= set(STOP_REASONS)
+    if case == "gamma-study":
+        rep = a["report"]
+        assert (len(rep["descent_stops"]) == len(rep["descent_evals"])
+                == rep["descents_solved"])
     if case.startswith("minimize-2d"):
         # per flow, each kappa stage's stop, energy calls and final
         # projected-gradient norm

@@ -75,6 +75,21 @@ def test_energy_then_grad_transforms_the_field_once(ps2, monkeypatch):
     assert fresh.energy(v.copy()) == e
 
 
+def test_grad_at_the_next_kappa_reads_the_iterate(ps2, monkeypatch):
+    # a kappa stage ends on a rejected trial; the next stage starts from
+    # the same array, whose differences, W' and nonlocal gradient are kept
+    obj = energy._FieldObjective(ps2, 2.0, 16)
+    v = np.random.default_rng(6).uniform(0.0, 1.0, (16, 16))
+    g = obj.grad(v, KAPPA)
+    obj.energy(np.clip(v - 1e3 * g, 0.0, 1.0))
+    calls = count_ffts(monkeypatch)
+    g_next = obj.grad(v, KAPPA / 10.0)
+    assert calls == {}
+    monkeypatch.undo()
+    fresh = energy._FieldObjective(ps2, 2.0, 16)
+    assert np.array_equal(fresh.grad(v.copy(), KAPPA / 10.0), g_next)
+
+
 def test_wrappers_reject_a_field_of_another_dimension(ps2):
     u = PeriodicField(3, 4, 2.0, np.full((4, 4, 4), 0.5))
     for fn in (energy.total_energy, energy.nonlocal_energy, energy_gradient):

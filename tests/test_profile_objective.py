@@ -2,7 +2,9 @@
 of the vectorized gamma update (``onedim._gamma_update``) against their
 references: the ``np.roll``/``double_well`` arithmetic in ``helpers`` and
 the scalar ``gamma_pointwise_optimum`` at every sample.  Both must agree
-bit for bit, not just to rounding."""
+bit for bit, not just to rounding.  The closed-form energy change of the
+objective (``delta``) must match the difference of its energies to their
+rounding, and its own rounding must be relative to the change."""
 import warnings
 
 import numpy as np
@@ -59,12 +61,65 @@ def test_profile_energy_is_bit_identical_to_reference(case):
 def test_profile_gradient_is_bit_identical_to_reference(case):
     G, gamma, params, L = case
     obj = onedim._ProfileObjective(params, L, G.size)
-    # an infinite coefficient meeting a flat step gives NaN on both sides
+    # an infinite coefficient costs nothing on a flat step; where it meets
+    # a sloped one the gradient reads +-inf or NaN on both sides
     with np.errstate(invalid="ignore"):
         ref, interaction = profile_grad_direct(G, gamma, params, L)
         grad = obj.grad(G, gamma)
     np.testing.assert_array_equal(grad, ref)
     assert np.array_equal(obj.interaction(G), interaction)
+
+
+@st.composite
+def changes(draw):
+    """(objective, G, Gc, gamma) for n = 64...2048: uniform samples G, a
+    trial Gc = G + P with P of size 1e-14...1, and gamma None, n samples
+    in [1, 3] or those with +inf entries where neither G nor Gc has a
+    slope (elsewhere an infinite gamma makes both energies +inf)."""
+    n = draw(st.integers(64, 2048))
+    L = draw(st.floats(0.5, 5.0))
+    params = ModelParams(d=1, p=draw(st.floats(3.0, 5.0)),
+                         tau=draw(st.floats(0.05, 1.0)),
+                         eps=draw(st.floats(0.01, 0.2)), L=1.0)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    G = rng.uniform(0.0, 1.0, n)
+    P = 10.0 ** draw(st.floats(-14.0, 0.0)) * rng.uniform(-1.0, 1.0, n)
+    kind = draw(st.sampled_from(["one", "finite", "inf"]))
+    gamma = None if kind == "one" else rng.uniform(1.0, 3.0, n)
+    if kind == "inf":
+        # in increasing order, so that a later flat step keeps earlier ones
+        for j in sorted(draw(st.lists(st.integers(0, n - 2), min_size=1,
+                                      max_size=8))):
+            G[j + 1], P[j + 1] = G[j], P[j]
+            gamma[j] = np.inf
+    obj = onedim._ProfileObjective(params, L, n)
+    return obj, G, G + P, gamma
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=changes())
+def test_profile_change_matches_the_energy_difference(case):
+    obj, G, Gc, gamma = case
+    local, nonlocal_ = obj.split(G, gamma)
+    local_c, nonlocal_c = obj.split(Gc, gamma)
+    diff = (local_c - nonlocal_c) - (local - nonlocal_)
+    size = abs(local) + abs(nonlocal_) + abs(local_c) + abs(nonlocal_c)
+    assert abs(obj.delta(G, Gc, gamma) - diff) <= (onedim.ENERGY_ROUNDING
+                                                  * size)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=changes(), frac=st.floats(0.0, 1.0))
+def test_profile_change_is_additive_below_the_energy_rounding(case, frac):
+    # the change to Gc equals the sum of the changes over a midpoint to
+    # rounding of the changes, however far below the rounding of the
+    # energies they sit
+    obj, G, Gc, gamma = case
+    mid = G + frac * (Gc - G)
+    parts = (obj.delta(G, Gc, gamma), obj.delta(G, mid, gamma),
+             obj.delta(mid, Gc, gamma))
+    assert abs(parts[0] - parts[1] - parts[2]) <= 1e-12 * sum(
+        abs(t) for t in parts)
 
 
 def test_energy_then_grad_transforms_the_profile_once(ps1, monkeypatch):
@@ -74,11 +129,18 @@ def test_energy_then_grad_transforms_the_profile_once(ps1, monkeypatch):
     calls = count_ffts(monkeypatch)
     e = obj.energy(G, gamma)
     g = obj.grad(G, gamma)
-    assert calls == {"rfftn": 1, "irfftn": 1}
+    assert calls == {"rfft": 1, "irfft": 1}
+    # a trial, then its change from G: the trial's energy and the rFFT of
+    # the difference; G's slope and interaction field are kept from grad
+    Gc = np.clip(G - 1e-3 * g, 0.0, 1.0)
+    obj.energy(Gc, gamma)
+    change = obj.delta(G, Gc, gamma)
+    assert calls == {"rfft": 3, "irfft": 1}
     monkeypatch.undo()
     # an equal-valued copy is another array: evaluated afresh, same bits
     assert np.array_equal(obj.grad(G.copy(), gamma), g)
     fresh = onedim._ProfileObjective(ps1, 2.0, 64)
+    assert fresh.delta(G.copy(), Gc, gamma) == change
     assert np.array_equal(fresh.grad(G, gamma), g)
     assert fresh.energy(G.copy(), gamma) == e
 
@@ -88,8 +150,9 @@ def test_profile_descent_transforms_each_trial_once(monkeypatch):
     params = ModelParams(d=1, p=3.0, tau=0.05, eps=0.2, L=1.0)
     h, n = 0.5, 64
     kernel.marginal_operator(2.0 * h, n, params)  # build the table first
-    results, reflections = [], []
+    results, reflections, changes = [], [], []
     descend, reflect = onedim.projected_bb, onedim._reflect
+    delta = onedim._ProfileObjective.delta
 
     def spy(*args, **kwargs):
         results.append(descend(*args, **kwargs))
@@ -99,17 +162,26 @@ def test_profile_descent_transforms_each_trial_once(monkeypatch):
         reflections.append(1)
         return reflect(*args, **kwargs)
 
+    def closed_form(*args, **kwargs):
+        changes.append(1)
+        return delta(*args, **kwargs)
+
     monkeypatch.setattr(onedim, "projected_bb", spy)
     monkeypatch.setattr(onedim, "_reflect", counted)
+    monkeypatch.setattr(onedim._ProfileObjective, "delta", closed_form)
     calls = count_ffts(monkeypatch)
     res = onedim.minimize_profile(params, h, n=n)
     (bb,) = results
-    assert bb.evals > bb.iterations == res.iterations > 0
+    # the last iteration stops on the gradient test without a trial
+    assert bb.evals >= bb.iterations == res.iterations > 0
+    assert res.evals == bb.evals and len(changes) > 0
     # the start and every trial are reflected and transformed once, and the
-    # value of the final profile is the descent's own energy of it; each
-    # iteration's gradient adds only its inverse rFFT
+    # value of the final profile is the energy evaluated for it; each
+    # closed-form change adds the rFFT of the difference, and each
+    # iteration's gradient only its inverse rFFT
     assert len(reflections) == bb.evals + 1
-    assert calls == {"rfftn": bb.evals + 1, "irfftn": bb.iterations}
+    assert calls == {"rfft": bb.evals + 1 + len(changes),
+                     "irfft": bb.iterations}
 
 
 # zero, and magnitudes spread over 1e-10 ... 1e4

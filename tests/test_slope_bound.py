@@ -49,13 +49,20 @@ def cases(draw):
 def test_slope_bound_is_a_lower_bound_along_the_clipped_path(case, frac):
     obj, v, g = case
     assert obj.certificate() == obj.slope_bound
-    slope, curv, s_max = obj.slope_bound(v, g)
-    assert curv >= 0.0
-    assume(np.isfinite(s_max))
-    s = s_max * 10.0 ** frac
-    mm, nl = obj.split(v)
-    change = obj.energy(np.clip(v - s * g, 0.0, 1.0)) - obj.energy(v)
-    assert change >= s * slope - s * s * curv - 1e-12 * (abs(mm) + abs(nl))
+    # the drawn direction and its opposite: where one descends, the other
+    # has an ascent slope, the only case in which the bound is finite
+    for g in (g, -g):
+        slope, curv, s_max = obj.slope_bound(v, g)
+        assert curv >= 0.0
+        # without an ascent slope the bound certifies nothing and says so
+        assert (curv == np.inf) == (not slope > 0)
+        if not (np.isfinite(s_max) and slope > 0):
+            continue
+        s = s_max * 10.0 ** frac
+        mm, nl = obj.split(v)
+        change = obj.energy(np.clip(v - s * g, 0.0, 1.0)) - obj.energy(v)
+        assert change >= (s * slope - s * s * curv
+                          - 1e-12 * (abs(mm) + abs(nl)))
 
 
 def test_slope_bound_is_the_derivative_off_kinks_and_bounds(ps2):
@@ -105,11 +112,16 @@ def test_slope_bound_reads_the_iterate_after_a_rejected_trial(ps2,
     g = obj.grad(v, flow.KAPPA)
     obj.energy(np.clip(v - 1e3 * g, 0.0, 1.0))     # a trial evaluated after
     calls = count_ffts(monkeypatch)
-    got = obj.slope_bound(v, g)
+    down = obj.slope_bound(v, g)
+    # the flow's direction descends: nothing to certify, no transform
+    assert calls == {} and down[0] <= 0 and down[1] == np.inf
+    up = obj.slope_bound(v, -g)
     assert calls == {"rfftn": 1}        # NL(d) only; v's terms are kept
+    assert up[0] > 0 and np.isfinite(up[1])
     monkeypatch.undo()
-    assert got == energy._FieldObjective(ps2, 2.0, 12).slope_bound(v.copy(),
-                                                                   g)
+    fresh = energy._FieldObjective(ps2, 2.0, 12)
+    assert down == fresh.slope_bound(v.copy(), g)
+    assert up == fresh.slope_bound(v.copy(), -g)
 
 
 def test_slope_bound_pins_samples_pushed_out_of_the_box(ps2):
@@ -118,7 +130,7 @@ def test_slope_bound_pins_samples_pushed_out_of_the_box(ps2):
     v[0, 0], v[1, 1] = 0.0, 1.0
     g = np.zeros((8, 8))
     g[0, 0], g[1, 1] = 1.0, -1.0    # both pushed out: nothing moves
-    assert obj.slope_bound(v, g) == (0.0, 0.0, np.inf)
+    assert obj.slope_bound(v, g) == (0.0, np.inf, np.inf)
     g[2, 2] = 0.25                  # moves down, reaches 0 at s = 2
     assert obj.slope_bound(v, g)[2] == 2.0
 

@@ -77,6 +77,48 @@ def test_projected_bb_reports_why_it_stopped(case, stop, converged):
         assert res.iterations >= STALL_LIMIT
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_projected_bb_decides_on_delta_below_the_energy_rounding(exact):
+    # the quadratic of test_projected_bb_reports_why_it_stopped on top of
+    # a constant 1e8: its energies round to 1.5e-8, so comparing them ends
+    # the descent on rounding noise (above tol_grad, but within the 1e4
+    # tol_grad that a line-search stop on energies counts as converged),
+    # while the change itself, given as delta, decides every trial down
+    # to the gradient test
+    w = np.geomspace(1.0, 1e3, 6)
+
+    def energy(x):
+        return 1e8 + 0.5 * float(np.sum(w * (x - 0.3) ** 2))
+
+    def delta(x, cand):
+        return 0.5 * float(np.sum(w * (cand - x) * (cand + x - 0.6)))
+
+    x0 = np.full(6, 0.9)
+    res = projected_bb(x0, energy(x0), None if exact else energy,
+                       lambda x: w * (x - 0.3), 0.0, 1.0, step0=0.1,
+                       max_iter=500, tol_grad=1e-9, tol_energy=0.0,
+                       trace_every=1, delta=delta if exact else None)
+    assert (res.stop, res.converged) == ("grad" if exact else "line_search",
+                                         True)
+    assert (res.grad_norm < 1e-9) == exact
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_projected_bb_counts_a_line_search_stop_converged_only_on_energy(
+        exact):
+    # every trial is flat; the projected gradient (600 at the start) is
+    # within 1e4 tol_grad, which counts as converged only where energies
+    # decide the trials
+    w = np.geomspace(1.0, 1e3, 6)
+    res = projected_bb(np.full(6, 0.9), 0.0, lambda x: 0.0,
+                       lambda x: w * (x - 0.3), 0.0, 1.0, step0=0.1,
+                       max_iter=500, tol_grad=100.0, tol_energy=0.0,
+                       trace_every=1,
+                       delta=(lambda x, cand: 0.0) if exact else None)
+    assert (res.stop, res.converged, res.evals) == ("line_search",
+                                                    not exact, FLAT_TRIALS)
+
+
 def _line_search(values, max_iter=1, certify=None):
     """One projected_bb run from x0 = 0 along the constant gradient 1, with
     trial step t = 2^-k returning values[k] relative to the start energy 0
