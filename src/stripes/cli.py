@@ -5,13 +5,19 @@ Each command has one table of defaults.  Its configuration resolves in one
 place, defaults < ``--config`` file < flags given, and a config key that
 is not in the command's table is an error.  The fully resolved
 configuration is written beside every output, so ``--config <sidecar>``
-reruns a command bit for bit from its artifacts alone.
+reruns a command bit for bit from its artifacts alone.  Next to the
+report, each output carries an ``environment`` block: the python, numpy
+and scipy versions and the command's wall time, which differ between
+reruns while the report does not.
 """
 from __future__ import annotations
 
 import json
+import platform
 import sys
+import time
 from dataclasses import asdict, replace
+from importlib.metadata import version
 from pathlib import Path
 
 import click
@@ -76,12 +82,14 @@ def _command(name: str, defaults: dict, *flags):
     """
     def register(body):
         def command(config_path, output_dir, **given):
+            start = time.perf_counter()
             cfg = {**defaults, **_read_config(config_path, name, defaults),
                    **{k: v for k, v in given.items() if v is not None}}
             out = Path(output_dir or f"runs/{name}")
             out.mkdir(parents=True, exist_ok=True)
             report, ok = body(cfg, out)
-            _emit(out, name.replace("-", "_"), cfg, report, ok)
+            _emit(out, name.replace("-", "_"), cfg, report, ok,
+                  time.perf_counter() - start)
 
         options = (click.option("--config", "config_path",
                                 type=click.Path(exists=True),
@@ -108,10 +116,15 @@ def _params(cfg: dict) -> ModelParams:
         raise click.ClickException(str(exc))
 
 
-def _emit(out: Path, name: str, config: dict, report: dict,
-          ok: bool) -> None:
+def _emit(out: Path, name: str, config: dict, report: dict, ok: bool,
+          elapsed: float) -> None:
+    # scipy's version comes from its installed metadata: no scipy import
+    environment = {"python": platform.python_version(),
+                   "numpy": np.__version__, "scipy": version("scipy"),
+                   "elapsed_s": elapsed}
     payload = {"format_version": FORMAT_VERSION, "config": config,
-               "report": report, "passed": bool(ok)}
+               "report": report, "environment": environment,
+               "passed": bool(ok)}
     path = out / f"{name}.json"
     path.write_text(json.dumps(payload, indent=2, default=float) + "\n")
     (out / f"{name}_config.json").write_text(

@@ -27,7 +27,13 @@ W' and nonlocal gradient for ``slope_bound`` and for the gradient at the
 next kappa, with every result equal bit for bit to evaluating afresh.
 This state lives on the objective, which each flow builds for itself,
 not on the shared cached kernel operator, and an evaluated array must
-not be mutated in place.
+not be mutated in place.  The energy builds its terms (the squared
+1-norm of the differences, the double well, and the operator's
+Parseval sum) in place, in the operation order of the plain
+expressions, so its value is theirs bit for bit; in-place work touches
+only temporaries that the evaluation allocated itself, never the field,
+the slots with their differences, rFFT and nonlocal gradient, or an
+array that ``grad`` returned.
 ``total_energy``, ``nonlocal_energy`` and ``flow.energy_gradient`` are
 its wrappers for ``PeriodicField`` input.  Its ``slope_bound`` is the
 flow's line-search certificate: a lower bound on the exact energy along a
@@ -86,11 +92,20 @@ def _well_prime(v: np.ndarray) -> np.ndarray:
 def _modica_mortola(v: np.ndarray, D: list[np.ndarray], vol: float,
                     alpha: float) -> float:
     """M_alpha of samples v in [0, 1] with forward differences D = dv/dx
-    and cell volume vol (no checks)."""
-    grad_l1_sq = sum(np.abs(t) for t in D) ** 2
-    well = v * v * (1.0 - v) * (1.0 - v)    # double_well on [0, 1]
-    return float(3.0 * alpha * np.sum(grad_l1_sq) * vol
-                 + (3.0 / alpha) * np.sum(well) * vol)
+    and cell volume vol (no checks).  Each term is built in place in an
+    array allocated here, in the operation order of the plain expressions
+    (sum |D_i|)^2 and v v (1 - v) (1 - v), so the value is theirs bit for
+    bit; v and D are only read."""
+    norm = np.abs(D[0])
+    for t in D[1:]:
+        norm += np.abs(t)
+    norm *= norm
+    w = 1.0 - v
+    well = v * v                            # double_well on [0, 1]
+    well *= w
+    well *= w
+    return float(3.0 * alpha * norm.sum() * vol
+                 + (3.0 / alpha) * well.sum() * vol)
 
 
 class _FieldObjective:

@@ -378,9 +378,12 @@ class PeriodicKernelOperator:
                              axes=tuple(range(len(shape))))
 
     def pair_sum_rfft(self, f: np.ndarray) -> float:
-        """``pair_sum`` over all axes of the array whose ``rfft`` is f."""
-        return float(2.0 * ((f.real ** 2 + f.imag ** 2)
-                            * self._pair_weights).sum())
+        """``pair_sum`` over all axes of the array whose ``rfft`` is f;
+        |f|^2 w is built in place in its own temporary, f is only read."""
+        power = f.real ** 2
+        power += f.imag ** 2
+        power *= self._pair_weights
+        return float(2.0 * power.sum())
 
     def pair_sum(self, v: np.ndarray, axis: int | None = None
                  ) -> float | np.ndarray:

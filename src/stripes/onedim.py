@@ -41,6 +41,10 @@ energy change: the difference of the two energies where it exceeds their
 rounding (ENERGY_ROUNDING), the closed form ``_ProfileObjective.delta``
 (one rFFT, of the difference) inside it.  So the descent stops on its
 gradient test, not on rounding noise, and it needs no energy tolerance.
+Where gamma is +inf, the energy is finite only while G' = 0 there, so
+the descent projects its gradient onto such profiles (``_tie``): the
+samples joined by +inf steps move as one, or not at all next to a
+pinned end.
 The period search is ``solvers.scan_golden``.  The penalized family updates gamma at
 all samples at once in closed form (``_gamma_update``) and runs the scalar
 ``gamma_pointwise_optimum`` only where its penalized piece can win; its
@@ -499,6 +503,33 @@ def _fold_grad(grad_G: np.ndarray, m: int) -> np.ndarray:
     return gb
 
 
+def _tie(gamma: np.ndarray | None, m: int):
+    """The projection of folded base gradients onto the base profiles with
+    G' = 0 wherever gamma = +inf (None when gamma is finite): the mean over
+    each run of base samples joined by +inf steps, a second-half step j
+    joining base samples n-1-j and n-j as ``_reflect`` mirrors them, and 0
+    on a run that holds a pinned end.  A +inf step costs +inf unless its
+    two samples are equal, so a trial that moves one of them alone is
+    rejected; projected, tied samples move together and stay equal bit
+    for bit."""
+    if gamma is None:
+        return None
+    inf = np.isinf(gamma)
+    if not inf.any():
+        return None
+    tied = inf[:m] | inf[::-1][:m]      # base step k: G step k and n-1-k
+    run = np.concatenate([[0], np.cumsum(~tied)])
+    size = np.bincount(run)
+    pinned = np.zeros(size.size, dtype=bool)
+    pinned[[run[0], run[-1]]] = True
+
+    def tie(g: np.ndarray) -> np.ndarray:
+        mean = np.bincount(run, weights=g) / size
+        mean[pinned] = 0.0
+        return mean[run]
+    return tie
+
+
 def _initial_base(h: float, m: int, alpha: float) -> np.ndarray:
     x = np.linspace(0.0, h, m + 1)
     w = max(3.0 * alpha, 2.0 * h / (2 * m))
@@ -540,7 +571,8 @@ def minimize_profile(params: ModelParams, h: float, n: int = 512,
     (ENERGY_ROUNDING), so the descent stops only on its gradient test:
     it raises ConvergenceError (with trace) if that test is not met
     within MAX_ITER iterations.  ``gamma`` is None (for 1), a scalar or n
-    coefficient samples in [1, inf].
+    coefficient samples in [1, inf]; samples joined by +inf entries move
+    together (``_tie``), so a start with G' = 0 there keeps it.
     """
     if n < 32:
         raise ValueError("n must be >= 32")
@@ -574,8 +606,11 @@ def minimize_profile(params: ModelParams, h: float, n: int = 512,
             at[:] = trial
         return at
 
+    tie = _tie(gamma, m)
+
     def grad(x: np.ndarray) -> np.ndarray:
-        return _fold_grad(obj.grad(iterate(x)[1], gamma), m)
+        g = _fold_grad(obj.grad(iterate(x)[1], gamma), m)
+        return g if tie is None else tie(g)
 
     def delta(x: np.ndarray, cand: np.ndarray) -> float:
         _, G, e = iterate(x)

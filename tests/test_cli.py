@@ -1,7 +1,10 @@
 import json
 import os
+import platform
+import re
 import subprocess
 import sys
+from importlib import metadata
 from pathlib import Path
 
 import numpy as np
@@ -35,18 +38,43 @@ def _start_field(tmp_path):
     return fpath
 
 
-def test_import_loads_no_scipy():
-    # importing scipy.optimize would triple the import time of stripes;
-    # only kernel-moments needs scipy, and imports it inside the command
+def _scipy_modules_after(code: str) -> str:
+    """The scipy modules loaded after running ``code`` in a fresh
+    interpreter that imports stripes from this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    code = ("import sys, stripes, stripes.cli; print(sorted(m for m in "
-            "sys.modules if m.split('.')[0] == 'scipy'))")
+    code += ("; import sys; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_import_loads_no_scipy():
+    # importing scipy.optimize would triple the import time of stripes;
+    # only kernel-moments needs scipy, and imports it inside the command
+    assert _scipy_modules_after("import stripes, stripes.cli") == "[]"
+
+
+def test_output_carries_environment_without_importing_scipy(tmp_path):
+    # the environment block sits next to the report, and the scipy version
+    # it names comes from the installed metadata, not from importing scipy
+    out = tmp_path / "m1"
+    args = ["minimize-1d", "--half-period", "1.0", "-n", "128",
+            "--output-dir", str(out)]
+    assert _scipy_modules_after(
+        f"import stripes.cli; stripes.cli.main({args!r}, "
+        "standalone_mode=False)") == "[]"
+    payload = _payload(out / "minimize_1d.json")
+    environment = payload["environment"]
+    assert set(environment) == {"python", "numpy", "scipy", "elapsed_s"}
+    assert environment["python"] == platform.python_version()
+    assert environment["numpy"] == np.__version__
+    assert environment["scipy"] == metadata.version("scipy")
+    assert environment["elapsed_s"] > 0
+    assert "environment" not in payload["report"]
 
 
 def test_kernel_moments_passes_and_embeds_config(runner, tmp_path):
@@ -102,7 +130,10 @@ def test_optimal_period_rerun_is_bit_identical(runner, tmp_path):
     assert runner.invoke(main, args + ["--output-dir", str(out_b)]
                          ).exit_code == 0
     for name in ("optimal_period.json", "profile.csv"):
-        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        # every byte but the wall time the output records of its run
+        a, b = (re.sub(rb'"elapsed_s": [^\n]*', b'"elapsed_s": -',
+                       (out / name).read_bytes()) for out in (out_a, out_b))
+        assert a == b
 
 
 def test_verify_el_reports_residual_samples(runner, tmp_path):

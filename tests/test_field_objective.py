@@ -59,6 +59,43 @@ def test_objective_gradient_is_bit_identical_to_reference(case, kappa):
     assert np.array_equal(energy_gradient(u, params, kappa), ref)
 
 
+@pytest.mark.parametrize("kind", ["noise", "plateaus"])
+def test_objective_is_bit_identical_to_reference_at_the_flow_grid(ps2,
+                                                                   kind):
+    # the flow's grid, n = 64 in 2D, where the energy terms and the pair
+    # form are built in place in their own temporaries: the results match
+    # the plain expressions bit for bit, and no input, kept state or
+    # returned gradient is written
+    n, L = 64, 3.0
+    vals = np.random.default_rng(19).uniform(0.0, 1.0, (n, n))
+    if kind == "plateaus":
+        # two bands and a block on the wells: whole lines of differences
+        # vanish and samples sit exactly on 0 and 1
+        vals[:, : n // 4] = 0.0
+        vals[:, n // 2: 3 * n // 4] = 1.0
+        vals[n // 8: n // 4, n // 4: n // 2] = 1.0
+    u = PeriodicField(2, n, L, vals)
+    v = u.values
+    before = v.copy()
+    mm, nl, total = total_energy_direct(u, ps2)
+    obj = energy._FieldObjective(ps2, L, n)
+    assert obj.split(v) == (mm, nl)
+    assert obj.energy(v) == total
+    f = obj._trial[3]
+    weights = obj.op._pair_weights
+    assert obj.op.pair_sum_rfft(f) == float(
+        2.0 * ((f.real ** 2 + f.imag ** 2) * weights).sum())
+    assert np.array_equal(f, np.fft.rfftn(v))
+    for kappa in (KAPPA, KAPPA / 10.0, KAPPA / 100.0):
+        g = obj.grad(v, kappa)
+        g_copy = g.copy()
+        assert np.array_equal(g, energy_gradient_direct(u, ps2, kappa))
+        assert obj.energy(v) == total
+        assert np.array_equal(g, g_copy)
+    assert np.array_equal(v, before)
+    assert np.array_equal(obj._trial[3], np.fft.rfftn(v))
+
+
 def test_energy_then_grad_transforms_the_field_once(ps2, monkeypatch):
     obj = energy._FieldObjective(ps2, 2.0, 16)
     v = np.random.default_rng(3).uniform(0.0, 1.0, (16, 16))

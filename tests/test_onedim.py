@@ -426,6 +426,34 @@ def test_descent_with_infinite_gamma_on_the_plateau_converges():
     assert res.value == ref.value == f1d(gamma, res.profile.full(), WIDE)
 
 
+@pytest.mark.parametrize("steps, start, moved", [
+    ((2, 7), None, None),       # the plateau edge; the gradient moves 2
+    ((1, 3), (1, 4, 0.75), True),       # a run inside the transition layer
+    ((125, 127), (1, 4, 0.75), True),   # the same run, by mirrored steps
+    ((0, 2), (0, 3, 0.5), False),       # a run that holds the pinned end
+    ((66, 68), (60, 63, 0.5), True)])   # by mirrored steps, next to h
+def test_descent_with_infinite_gamma_moves_tied_samples_together(
+        steps, start, moved):
+    # gamma = +inf on a step costs +inf unless its two samples are equal,
+    # so the descent moves each run of samples joined by such steps as one
+    # (or not at all, when it holds a pinned end) and stops on its
+    # gradient test within a few dozen iterations
+    h, n = 1.0, 128
+    gamma = np.ones(n)
+    gamma[slice(*steps)] = np.inf
+    g0 = onedim._initial_base(h, n // 2, WIDE.alpha)
+    if start is not None:
+        lo, hi, value = start
+        g0[lo:hi] = value
+    res = minimize_profile(WIDE, h, n=n, g0_base=g0, gamma=gamma)
+    assert res.stop == "grad" and res.iterations < 50
+    G = res.profile.full().g
+    assert np.all(G[slice(*steps)] == np.roll(G, -1)[slice(*steps)])
+    assert res.value == f1d(gamma, res.profile.full(), WIDE) < np.inf
+    if start is not None:
+        assert np.all((res.profile.base_g[lo:hi] != value) == moved)
+
+
 def test_minimize_profile_rejects_tiny_grids(ps1):
     with pytest.raises(ValueError):
         minimize_profile(ps1, 1.0, n=16)

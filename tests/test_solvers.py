@@ -8,6 +8,7 @@ import pytest
 import scipy.optimize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from stripes.energy import optimal_sharp_period
 from stripes.onedim import ConvergenceError, optimal_period
@@ -241,11 +242,12 @@ GRAD = st.one_of(st.sampled_from([0.0, -0.0, np.nan]),
 
 
 @SETTINGS
-@given(xg=st.integers(1, 12).flatmap(
-    lambda k: st.tuples(st.lists(POINT, min_size=k, max_size=k),
-                        st.lists(GRAD, min_size=k, max_size=k))))
+@given(xg=array_shapes(min_dims=1, max_dims=2, max_side=12).flatmap(
+    lambda shape: st.tuples(arrays(float, shape, elements=POINT),
+                            arrays(float, shape, elements=GRAD))))
 def test_grad_norm_zeroes_only_components_pushing_out(xg):
-    x, g = (np.array(a) for a in xg)
+    # 1D profiles and the 2D fields that the flow descends
+    x, g = xg
     # the reference: zero every component at a bound that g pushes out
     pg = g.copy()
     pg[(x <= 0.0 + ACTIVE_TOL) & (pg > 0)] = 0.0
