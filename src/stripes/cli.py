@@ -141,6 +141,11 @@ def _marginal_certificate(params: ModelParams, h: float, n: int) -> dict:
     return asdict(_kernel.marginal_operator(2.0 * h, n, params).certificate)
 
 
+def _dx_over_alpha(params: ModelParams, h: float, n: int) -> float:
+    """The spacing of n samples on the period 2h, over alpha."""
+    return 2.0 * h / n / params.alpha
+
+
 def _write_csv(path: Path, header: str, rows) -> None:
     with open(path, "w") as fh:
         fh.write(header + "\n")
@@ -192,6 +197,7 @@ def optimal_period(cfg, out):
                                  grid=int(cfg["grid"]), tol=cfg["tol"], n=n)
     write_profile_csv(out / "profile.csv", res.profile.full())
     return {**json.loads(res.to_json()),
+            "dx_over_alpha": _dx_over_alpha(params, res.h_star, n),
             "kernel": _marginal_certificate(params, res.h_star, n)}, True
 
 
@@ -207,7 +213,7 @@ def minimize_1d(cfg, out):
     _write_csv(out / "trace.csv", "iteration,energy,step", res.trace)
     return {"value": res.value, "iterations": res.iterations,
             "stop": res.stop, "evals": res.evals, "h": cfg["h"],
-            "n": cfg["n"],
+            "n": cfg["n"], "dx_over_alpha": _dx_over_alpha(params, h, n),
             "kernel": _marginal_certificate(params, h, n)}, True
 
 
@@ -307,7 +313,8 @@ def verify_el(cfg, out):
     n0, h0 = int(cfg["n"]), float(cfg["h"])
     rep = {"n": [], "l2_residual": [], "residual_samples": [],
            "first_integral_gap4": [], "first_integral_gap2": [],
-           "gamma3_ok": [], "stop": [], "evals": [], "kernel": []}
+           "gamma3_ok": [], "stop": [], "evals": [], "dx_over_alpha": [],
+           "kernel": []}
     for nn in (n0, 2 * n0):
         res = _onedim.minimize_profile(params, h0, n=nn)
         diag = _onedim.el_residual(None, res.profile.full(), params)
@@ -324,6 +331,7 @@ def verify_el(cfg, out):
         rep["gamma3_ok"].append(diag.gamma3_ok)
         rep["stop"].append(res.stop)
         rep["evals"].append(res.evals)
+        rep["dx_over_alpha"].append(_dx_over_alpha(params, h0, nn))
         rep["kernel"].append(_marginal_certificate(params, h0, nn))
     fi = rep["first_integral_gap4"]
     rep["first_integral_ratio"] = fi[0] / fi[1] if fi[1] else np.inf
@@ -342,6 +350,7 @@ def gamma_study(cfg, out):
     sched = tuple(float(t) for t in str(cfg["m_schedule"]).split(","))
     params, h, n = _params(cfg), float(cfg["h"]), int(cfg["n"])
     rep = _onedim.gamma_limit_study(params, h, m_schedule=sched, n=n)
+    rep["dx_over_alpha"] = _dx_over_alpha(params, h, n)
     rep["kernel"] = _marginal_certificate(params, h, n)
     _write_csv(out / "margins.csv",
                "m,value,sup_gamma_minus_1,measure_gamma_above",

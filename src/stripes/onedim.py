@@ -41,10 +41,13 @@ energy change: the difference of the two energies where it exceeds their
 rounding (ENERGY_ROUNDING), the closed form ``_ProfileObjective.delta``
 (one rFFT, of the difference) inside it.  So the descent stops on its
 gradient test, not on rounding noise, and it needs no energy tolerance.
+The search is nonmonotone: a trial passes against the largest of the
+last ``solvers.GLL_MEMORY`` energies, so the energy trace may rise for a
+few steps, and most Barzilai-Borwein steps pass at the first trial.
 Where gamma is +inf, the energy is finite only while G' = 0 there, so
-the descent projects its gradient onto such profiles (``_tie``): the
-samples joined by +inf steps move as one, or not at all next to a
-pinned end.
+a start without it is rejected and the descent projects its gradient
+onto such profiles (``_tie``): the samples joined by +inf steps move as
+one, or not at all next to a pinned end.
 The period search is ``solvers.scan_golden``.  The penalized family updates gamma at
 all samples at once in closed form (``_gamma_update``) and runs the scalar
 ``gamma_pointwise_optimum`` only where its penalized piece can win; its
@@ -566,13 +569,16 @@ def minimize_profile(params: ModelParams, h: float, n: int = 512,
     Box constraints [1/2, 1] on the interior base samples, endpoints pinned
     at 1/2, backtracking line search from the certified first step
     ``_first_step``, step growth on success (``solvers.projected_bb``).
-    Each trial is decided on its energy, or on the closed-form energy
-    change where the two energies differ by less than their rounding
-    (ENERGY_ROUNDING), so the descent stops only on its gradient test:
-    it raises ConvergenceError (with trace) if that test is not met
-    within MAX_ITER iterations.  ``gamma`` is None (for 1), a scalar or n
-    coefficient samples in [1, inf]; samples joined by +inf entries move
-    together (``_tie``), so a start with G' = 0 there keeps it.
+    Each trial is decided on its energy change, nonmonotonically against
+    the last ``solvers.GLL_MEMORY`` energies: the difference of the two
+    energies, or the closed-form change where they differ by less than
+    their rounding (ENERGY_ROUNDING), so the descent stops only on its
+    gradient test: it raises ConvergenceError (with trace) if that test
+    is not met within MAX_ITER iterations.  ``gamma`` is None (for 1), a
+    scalar or n coefficient samples in [1, inf]; samples joined by +inf
+    entries move together (``_tie``), so a start with G' = 0 there keeps
+    it, and a start with G' != 0 on such a step (energy +inf) raises
+    ValueError naming the first one.
     """
     if n < 32:
         raise ValueError("n must be >= 32")
@@ -594,6 +600,14 @@ def minimize_profile(params: ModelParams, h: float, n: int = 512,
     gb = (np.asarray(g0_base, dtype=float).copy() if g0_base is not None
           else _initial_base(h, m, params.alpha))
     G = _reflect(gb)[:-1]
+    if gamma is not None:
+        # such a start has energy +inf, and tied samples never part
+        bad = np.flatnonzero(np.isinf(gamma) & (obj.slope(G) != 0.0))
+        if bad.size:
+            j = int(bad[0])
+            raise ValueError(
+                f"start has G' != 0 where gamma = +inf, first at step {j} "
+                f"(samples {j} and {(j + 1) % n})")
     # (base profile, its reflection, its energy) of the iterate and of the
     # last trial: each base profile is reflected once, so the objective's
     # slots see the same array for its energy, gradient and change
@@ -635,15 +649,11 @@ def minimize_profile(params: ModelParams, h: float, n: int = 512,
             f"(grad {res.grad_norm:.2e}, stop {res.stop})", trace)
     trace.append((res.iterations, res.energy, res.step))
     prof = ReflectedProfile(h, res.x)
-    if ((gamma is None or not np.isinf(gamma).any())
-            and np.array_equal(prof.base_g, res.x)):
-        # the energy evaluated for this very profile, which the descent's
-        # running energy (the start's plus the accepted changes) matches
-        # only to rounding; f1d decides +inf entries of gamma, where the
-        # objective could read NaN
-        value = iterate(res.x)[2]
-    else:
-        value = f1d(gamma, prof.full(), params)
+    # the energy evaluated for this very profile, which the descent's
+    # running energy (the start's plus the accepted changes) matches only
+    # to rounding; finite, since the profile keeps G' = 0 where gamma = +inf
+    value = (iterate(res.x)[2] if np.array_equal(prof.base_g, res.x)
+             else f1d(gamma, prof.full(), params))
     return MinimizeProfileResult(prof, value, res.iterations, tuple(trace),
                                  res.stop, res.evals)
 

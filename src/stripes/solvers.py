@@ -6,8 +6,13 @@ searches) and Brent's root finder (run by the pointwise gamma update).
 The descent's line search compares energies, or, when the caller can
 compute it, the energy change of a trial directly (``delta``): the 1D
 profile descent does, so its trials are decided below the rounding of
-the energy and it stops only on its gradient test; the 2D flow compares
-energies and keeps its certified exit (``certify``).  Each iteration's
+the energy and it stops only on its gradient test.  A ``delta`` descent
+is nonmonotone: a trial passes against the largest of the last
+GLL_MEMORY running energies (Grippo-Lampariello-Lucidi), the safeguard
+that Barzilai-Borwein steps are known to need, so most of its BB steps
+pass at the first trial.  The 2D flow compares energies, stays
+monotone and keeps its certified exit (``certify``), which proves only
+that no shorter step goes below the current energy.  Each iteration's
 projected-gradient norm is the maximum of two unmasked arrays, g with 0
 on the samples at the lower bound and at the upper one, rather than a
 masked reduction: the same value, NaN included, at a fraction of the
@@ -15,6 +20,7 @@ cost.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +34,11 @@ MAX_HALVINGS = 60
 FLAT_TRIALS = 2
 STALL_LIMIT = 25            # accepted steps in a row that gain < tol_energy
 STEP_MIN, STEP_MAX = 1e-10, 1e6
+# a ``delta`` descent accepts a trial against the largest of the last
+# GLL_MEMORY running energies (the current one included), less ARMIJO
+# times the predicted decrease (Grippo-Lampariello-Lucidi 1986)
+GLL_MEMORY = 10
+ARMIJO = 1e-4
 # a sample within this distance of a bound counts as sitting on it, so
 # samples parked at a bound up to rounding count as constrained
 ACTIVE_TOL = 1e-12
@@ -67,24 +78,33 @@ def projected_bb(x: np.ndarray, e: float, energy, grad, lo: float,
     max-norm of what is left is below ``tol_grad``.  Otherwise it tries
     ``project(x - step * grad)`` (default: clip to the box), with the
     Barzilai-Borwein step clamped to [STEP_MIN, STEP_MAX], and backtracks
-    until the energy decreases strictly.  When no trial of MAX_HALVINGS
-    does, FLAT_TRIALS trials in a row return exactly the current energy
-    (the energy no longer resolves the step), or ``certify`` proves that no
+    until the energy decreases strictly (or, given ``delta``, until the
+    nonmonotone test below holds).  When no trial of MAX_HALVINGS does,
+    FLAT_TRIALS trials in a row return exactly the current energy (the
+    energy no longer resolves the step), or ``certify`` proves that no
     shorter trial can (below), it stops, converged only if the projected
-    gradient is within 1e4 tol_grad.  It also stops converged
-    after STALL_LIMIT accepted steps in a row that each gain less than
+    gradient is within 1e4 tol_grad.  It also stops converged after
+    STALL_LIMIT accepted steps in a row that each gain less than
     ``tol_energy``.  Iterations are numbered from ``start`` + 1 to
     ``max_iter``, so stages of one run can share the count.  The result's
     ``stop`` names which of these four tests ended the descent.
 
     ``delta(x, cand)``, when given, replaces ``energy``: it returns the
     energy change from the iterate x to the trial cand, so that a decrease
-    below the rounding of the energy itself still decides the trial.  A
-    trial is then accepted when the change is negative and flat when it is
-    exactly 0; the running energy is ``e`` plus the accepted changes, and
-    only the gradient test counts as converged (a ``line_search`` stop
-    does not).  ``evals`` counts the calls of ``energy``, or of ``delta``
-    when it is given.
+    below the rounding of the energy itself still decides the trial.  The
+    running energy is then ``e`` plus the accepted changes, and a trial is
+    accepted by the nonmonotone rule of Grippo, Lampariello and Lucidi
+    (SIAM J. Numer. Anal. 1986), as in spectral projected gradient methods:
+
+        change <= max(last GLL_MEMORY running energies) - e
+                  + ARMIJO <g, cand - x>,
+
+    the current running energy e among the remembered ones, so a trial may
+    rise above e but never above the largest of them; a trial is flat when
+    the change is exactly 0.  There is no stall test, and only the
+    gradient test counts as converged (a ``line_search`` stop does not).
+    ``evals`` counts the calls of ``energy``, or of ``delta`` when it is
+    given.
 
     ``certify(x, g)``, when given, returns (slope, curv, s_max) such that
     energy(project(x - s g)) - energy(x) >= s slope - s^2 curv for every
@@ -104,6 +124,7 @@ def projected_bb(x: np.ndarray, e: float, energy, grad, lo: float,
     stop = "max_iter"
     trace = []
     x_prev = g_prev = None
+    recent = deque([e], maxlen=GLL_MEMORY)  # the last running energies
     evals = 0
     it = start
     while it < max_iter:
@@ -130,6 +151,7 @@ def projected_bb(x: np.ndarray, e: float, energy, grad, lo: float,
             break
         flat = 0
         bound = None
+        allowance = max(recent) - e
         for _ in range(MAX_HALVINGS):
             cand = project(x - step * g)
             if delta is None:
@@ -138,7 +160,9 @@ def projected_bb(x: np.ndarray, e: float, energy, grad, lo: float,
             else:
                 change = delta(x, cand)
                 ec = e + change
-                down, same = change < 0, change == 0
+                predicted = float(np.vdot(g, cand - x))
+                down = change <= allowance + ARMIJO * predicted
+                same = change == 0
             evals += 1
             if down:
                 break
@@ -158,8 +182,10 @@ def projected_bb(x: np.ndarray, e: float, energy, grad, lo: float,
             converged = delta is None and gnorm < 1e4 * tol_grad
             stop = "line_search"
             break
-        stall = stall + 1 if e - ec < tol_energy else 0
+        if delta is None:
+            stall = stall + 1 if e - ec < tol_energy else 0
         x, e = cand, ec
+        recent.append(e)
         step = min(step * STEP_GROWTH, STEP_MAX)
         if it % trace_every == 0:
             trace.append((it, e, step))

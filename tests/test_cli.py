@@ -233,6 +233,32 @@ def test_reports_carry_the_kernel_certificate(runner, tmp_path):
         check(cert, table_bound(ps1, 2.0 * 1.58, marginal=True))
 
 
+def test_1d_reports_record_dx_over_alpha(runner, tmp_path):
+    # the spacing 2h / n of the profile's samples over alpha, under the key
+    # verify-decomposition uses: at h* for the search, one per n for
+    # verify-el
+    ps1 = ModelParams(d=1, p=3.0, tau=0.05, eps=0.05, L=1.0)
+
+    def report(args, out, codes=(0,)):
+        res = runner.invoke(main, [*args, "--output-dir", str(tmp_path / out)])
+        assert res.exit_code in codes, res.output
+        name = args[0].replace("-", "_")
+        return _payload(tmp_path / out / f"{name}.json")["report"]
+
+    def spacing(h, n):
+        return pytest.approx(2.0 * h / n / ps1.alpha, rel=1e-15)
+
+    rep = report(["minimize-1d", "--half-period", "1.0", "-n", "128"], "m1")
+    assert rep["dx_over_alpha"] == spacing(1.0, 128)
+    rep = report(["optimal-period", "-n", "128"], "op")
+    assert rep["dx_over_alpha"] == spacing(rep["h_star"], 128)
+    rep = report(["gamma-study", "-n", "512", "--m-schedule", "1,10"],
+                 "gs", codes=(0, 1))
+    assert rep["dx_over_alpha"] == spacing(1.58, 512)
+    rep = report(["verify-el", "-n", "128"], "el", codes=(0, 1))
+    assert rep["dx_over_alpha"] == [spacing(1.58, 128), spacing(1.58, 256)]
+
+
 def test_rp_check_passes(runner, tmp_path):
     out = tmp_path / "rp"
     res = runner.invoke(main, ["rp-check", "-d", "1", "-p", "3",

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from stripes.onedim import (ConvergenceError, CrossingError,
                             obstacle_set, optimal_period,
                             reflect_left, reflect_right,
                             reflection_positivity_check)
-from stripes.solvers import DescentResult
 
 
 def test_f1d_matches_total_energy(ps1):
@@ -341,26 +342,6 @@ def test_minimize_profile_value_is_f1d_of_its_profile(ps1):
     assert res.value == f1d(finite, res.profile.full(), ps1)
 
 
-def test_minimize_profile_values_infinite_gamma_by_f1d(monkeypatch):
-    # an infinite gamma on a sloped sample makes the energy +inf, so no
-    # descent from such a start converges; a stand-in that stops at its
-    # start returns the objective's energy there, NaN at C_tau = 1
-    # (0 * inf), where f1d decides +inf
-    ps = ModelParams(d=1, p=3.0, tau=1.0, eps=0.05, L=1.0)
-    assert c_tau(ps) == 1.0
-
-    def stand_in(x, e, *args, step0, **kwargs):
-        return DescentResult(x, e, 1, True, 0.0, step0, (), "grad", 0)
-
-    monkeypatch.setattr(onedim, "projected_bb", stand_in)
-    gamma = np.ones(64)
-    gamma[1] = np.inf
-    with np.errstate(invalid="ignore"):
-        res = minimize_profile(ps, 1.0, n=64, gamma=gamma)
-    assert res.value == f1d(gamma, res.profile.full(), ps) == np.inf
-    assert np.isnan(res.trace[-1][1])
-
-
 # wide transition layers, so that descents take a dozen steps at n = 64
 WIDE = ModelParams(d=1, p=3.0, tau=0.05, eps=0.2, L=1.0)
 
@@ -452,6 +433,35 @@ def test_descent_with_infinite_gamma_moves_tied_samples_together(
     assert res.value == f1d(gamma, res.profile.full(), WIDE) < np.inf
     if start is not None:
         assert np.all((res.profile.base_g[lo:hi] != value) == moved)
+
+
+@pytest.mark.parametrize("tau, n, steps, first", [
+    (0.05, 128, [1], 1),        # inside the start's transition layer
+    (0.05, 128, [0, 1], 0),     # next to the pinned end
+    (0.05, 128, [127], 127),    # a second-half step, back to sample 0
+    (1.0, 64, [1], 1)],         # C_tau = 1, where A gamma |G'|^2 is 0 inf
+    ids=["layer", "pinned_end", "mirrored", "c_tau_1"])
+def test_minimize_profile_rejects_a_start_infeasible_for_gamma(
+        monkeypatch, tau, n, steps, first):
+    # gamma = +inf on a step with G' != 0 gives the start the energy +inf,
+    # which no descent can leave (tied samples move together): rejected
+    # before any descent, naming the first such step, without a warning
+    params = WIDE.with_(tau=tau)
+    assert (c_tau(params) == 1.0) == (tau == 1.0)
+    gamma = np.ones(n)
+    gamma[steps] = np.inf
+
+    def no_descent(*args, **kwargs):
+        raise AssertionError("descended from an infeasible start")
+
+    monkeypatch.setattr(onedim, "projected_bb", no_descent)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"first at step {first} "):
+            minimize_profile(params, 1.0, n=n, gamma=gamma)
+    assert f1d(gamma, onedim.ReflectedProfile(
+        1.0, onedim._initial_base(1.0, n // 2, params.alpha)).full(),
+        params) == np.inf
 
 
 def test_minimize_profile_rejects_tiny_grids(ps1):
