@@ -20,8 +20,9 @@ certificate and the search runs as before.  A flow builds one
 prefactors once, and hands its
 ``energy`` and ``grad`` on raw arrays to ``solvers.projected_bb``: each of
 the KAPPA_STAGES kappa stages, starting at KAPPA, runs it with the fixed
-STEP0, TOL_ENERGY and TOL_GRAD, and the trace keeps why each stage stopped,
-its energy calls and its final projected-gradient norm.
+STEP0 and TOL_GRAD, and the trace keeps why each stage stopped (``grad``,
+``line_search`` or ``max_iter``), its energy calls and its final
+projected-gradient norm.
 The objective transforms each field once (its energy state serves the
 gradient of an accepted trial, and the gradient's serves the slope bound
 and the gradient that starts the next kappa stage),
@@ -58,7 +59,6 @@ from .solvers import projected_bb
 KAPPA = 1e-3        # smoothing scale of the first stage
 KAPPA_STAGES = 3    # continuation: kappa -> kappa/10 per stage
 STEP0 = 1.0
-TOL_ENERGY = 1e-12
 TOL_GRAD = 1e-6
 # the period search that fixes h* when the experiment is not given one
 SEARCH_N = 512
@@ -148,9 +148,8 @@ def gradient_flow(u0: PeriodicField, params: ModelParams,
     for _ in range(KAPPA_STAGES):
         res = projected_bb(v, e, obj.energy, partial(obj.grad, kappa=kappa),
                            0.0, 1.0, step0=STEP0, max_iter=opts.max_iter,
-                           tol_grad=TOL_GRAD, tol_energy=TOL_ENERGY,
-                           trace_every=opts.trace_every, start=it,
-                           certify=obj.certificate())
+                           tol_grad=TOL_GRAD, trace_every=opts.trace_every,
+                           start=it, certify=obj.certificate())
         v, e, it, converged = res.x, res.energy, res.iterations, res.converged
         trace.extend(res.trace)
         stages.append((res.stop, res.evals, res.grad_norm))

@@ -48,13 +48,15 @@ Where gamma is +inf, the energy is finite only while G' = 0 there, so
 a start without it is rejected and the descent projects its gradient
 onto such profiles (``_tie``): the samples joined by +inf steps move as
 one, or not at all next to a pinned end.
-The period search is ``solvers.scan_golden``.  The penalized family updates gamma at
-all samples at once in closed form (``_gamma_update``) and runs the scalar
-``gamma_pointwise_optimum`` only where its penalized piece can win; its
-alternating loop stops on TOL_OUTER.  The gamma-limit study solves one
-descent per distinct (start, gamma) pair, keyed by their exact bytes:
-every m starts from the same gamma = 1 descent, and later rounds repeat
-across m once the gamma update no longer reaches m.  The fixed
+The period search is ``solvers.scan_golden``.  The penalized family updates
+gamma at all samples at once (``_gamma_update``): in closed form where the
+penalized piece gamma > m cannot win, and by vectorized Newton steps that
+rise monotonically to the root of the convex objective's derivative where
+it can (at most NEWTON_ITER of them); its alternating loop stops on
+TOL_OUTER within OUTER_ITER rounds.  The gamma-limit study
+solves one descent per distinct (start, gamma) pair, keyed by their exact
+bytes: every m starts from the same gamma = 1 descent, and later rounds
+repeat across m once the gamma update no longer reaches m.  The fixed
 thresholds of the checks are module constants too: CROSSING_TOL for the
 1/2-crossings of the reflections, EL_DELTA for the bands next to the
 obstacles that the Euler-Lagrange diagnostics leave out, and GAMMA_TOL
@@ -71,8 +73,8 @@ import numpy as np
 from . import kernel as _kernel
 from .field import Profile1D, check_gamma
 from .model import ModelParams, double_well, double_well_prime
-from .solvers import (ACTIVE_TOL, STEP_MAX, NoBracketError, brentq,
-                      projected_bb, scan_golden)
+from .solvers import (ACTIVE_TOL, STEP_MAX, NoBracketError, projected_bb,
+                      scan_golden)
 
 
 # distance from a 1/2-crossing that the reflection checks tolerate
@@ -640,7 +642,7 @@ def minimize_profile(params: ModelParams, h: float, n: int = 512,
     step0 = _first_step(obj, gamma)
     e0 = at[2]
     res = projected_bb(gb, e0, None, grad, 0.5, 1.0, project, step0=step0,
-                       max_iter=MAX_ITER, tol_grad=TOL_GRAD, tol_energy=0.0,
+                       max_iter=MAX_ITER, tol_grad=TOL_GRAD,
                        trace_every=TRACE_EVERY, delta=delta)
     trace = [(0, e0, step0), *res.trace]
     if not res.converged:
@@ -840,67 +842,45 @@ def el_residual(gamma, g, params: ModelParams) -> ELDiagnostics:
 # ---------------------------------------------------------------------------
 
 # the alternating loop of ``minimize_aux_penalized`` stops once a round
-# lowers the penalized energy by less than TOL_OUTER; ``gamma_limit_study``
-# measures where gamma exceeds 1 + GAMMA_TOL
+# lowers the penalized energy by less than TOL_OUTER, and fails after
+# OUTER_ITER rounds; the gamma update takes at most NEWTON_ITER Newton
+# steps; ``gamma_limit_study`` measures where gamma exceeds 1 + GAMMA_TOL
 TOL_OUTER = 1e-11
+OUTER_ITER = 60
+NEWTON_ITER = 100
 GAMMA_TOL = 0.01
-
-
-def gamma_pointwise_optimum(a: float, b: float, m: float, w: float) -> float:
-    """argmin over gamma in [1, inf) of a gamma + b / gamma
-    + w (gamma - m)_+^2 (a, b >= 0; m >= 1; w > 0 unless a > 0).
-
-    On [1, m] the minimum is sqrt(b/a) clamped; on [m, inf) it is the root
-    of the increasing derivative, found by ``solvers.brentq``."""
-    if a < 0 or b < 0 or m < 1:
-        raise ValueError("need a, b >= 0 and m >= 1")
-    if w <= 0 and a <= 0 and b > 0:
-        raise ValueError("objective unbounded below in gamma")
-
-    def q(x):
-        return a * x + b / x + w * max(x - m, 0.0) ** 2
-
-    # piece [1, m]: stationary point sqrt(b/a)
-    if a > 0:
-        c1 = min(max(np.sqrt(b / a), 1.0), m)
-    else:
-        c1 = m if b > 0 else 1.0
-    best_x, best_v = c1, q(c1)
-
-    # piece [m, inf): root of 2 w x^3 + (a - 2 w m) x^2 - b = 0
-    if w > 0:
-        def dq(x):
-            return a - b / x ** 2 + 2.0 * w * (x - m)
-        if dq(m) < 0:
-            hi = m + 1.0
-            while dq(hi) < 0:
-                hi *= 2.0
-            c2 = brentq(dq, m, hi, xtol=1e-14, rtol=1e-14)
-            v2 = q(c2)
-            if v2 < best_v - 0.0 or (v2 == best_v and c2 < best_x):
-                best_x, best_v = c2, v2
-    elif a > 0:
-        c2 = np.sqrt(b / a)
-        if c2 > m and q(c2) < best_v:
-            best_x = c2
-    return float(best_x)
 
 
 def _gamma_update(a: np.ndarray, b: np.ndarray, m: float, w: float
                   ) -> np.ndarray:
-    """``gamma_pointwise_optimum(a[j], b[j], m, w)`` at every sample j, for
-    w > 0.  Where dq(m) = a - b / m^2 >= 0 the penalized piece [m, inf)
-    cannot win and the optimum is the closed form of the piece [1, m]
-    (sqrt(b/a) clamped, m where a = 0 < b, 1 where a = b = 0); the scalar
-    routine runs only at the other samples."""
+    """argmin over gamma in [1, inf) of q(gamma) = a gamma + b / gamma
+    + w (gamma - m)_+^2 at every sample (a, b >= 0; m >= 1; w > 0).
+
+    q is convex, so its minimizer is where q' = a - b / gamma^2
+    + 2 w (gamma - m)_+ changes sign.  Where q'(m) = a - b / m^2 >= 0 it
+    lies in [1, m]: sqrt(b/a) clamped (1 where a = b = 0).  Elsewhere it is
+    the root of q' on (m, inf), where q' is increasing and concave, so
+    Newton steps from gamma = m rise monotonically to it; they stop once
+    no sample grows, and ConvergenceError is raised if some sample still
+    grows after NEWTON_ITER steps."""
     if np.any(a < 0) or np.any(b < 0):
         raise ValueError("need a, b >= 0")
     pos = a > 0
     ratio = np.divide(b, a, out=np.zeros(a.shape), where=pos)
     gam = np.where(pos, np.minimum(np.maximum(np.sqrt(ratio), 1.0), m),
                    np.where(b > 0, m, 1.0))
-    for j in np.flatnonzero(a - b / m ** 2 < 0):
-        gam[j] = gamma_pointwise_optimum(a[j], b[j], m, w)
+    up = np.flatnonzero(a - b / m ** 2 < 0)
+    a, b, x = a[up], b[up], np.full(up.size, float(m))
+    for _ in range(NEWTON_ITER):
+        dq = a - b / x ** 2 + 2.0 * w * (x - m)
+        step = x - dq / (2.0 * b / x ** 3 + 2.0 * w)
+        if not np.any(step > x):
+            break
+        x = np.maximum(x, step)
+    else:
+        raise ConvergenceError(
+            f"gamma update still moving after {NEWTON_ITER} Newton steps")
+    gam[up] = x
     return gam
 
 
@@ -932,16 +912,15 @@ def _descend(params: ModelParams, h: float, n: int, gb: np.ndarray,
 
 
 def minimize_aux_penalized(m: float, params: ModelParams, h: float,
-                           n: int = 512, outer_iter: int = 60,
-                           descents: _Descents | None = None
+                           n: int = 512, descents: _Descents | None = None
                            ) -> tuple[Profile1D, Profile1D, float]:
     """Alternating minimization of the penalized energy
     F_m(gamma, g) = F(gamma, g) + (1/(4h)) int (gamma - m)_+^2:
     exact pointwise gamma update, projected descent in g at frozen gamma.
 
     Returns (gamma_m, g_m, value) as full-period profiles.  Raises
-    ConvergenceError when ``outer_iter`` rounds end without a decrease
-    below TOL_OUTER.  ``descents`` (``gamma_limit_study``'s, for the same
+    ConvergenceError when OUTER_ITER rounds end without a decrease below
+    TOL_OUTER.  ``descents`` (``gamma_limit_study``'s, for the same
     model, h and n) reuses the descents of earlier calls.
     """
     if m < 1:
@@ -957,7 +936,7 @@ def minimize_aux_penalized(m: float, params: ModelParams, h: float,
                      / (4.0 * h))
 
     prev = np.inf
-    for _ in range(outer_iter):
+    for _ in range(OUTER_ITER):
         res = _descend(params, h, n, gb, gamma_full, descents)
         gb = res.profile.base_g.copy()
         G = _reflect(gb)[:-1]
@@ -974,7 +953,7 @@ def minimize_aux_penalized(m: float, params: ModelParams, h: float,
         prev = value
     else:
         raise ConvergenceError(
-            f"no decrease below {TOL_OUTER:.1e} in {outer_iter} outer "
+            f"no decrease below {TOL_OUTER:.1e} in {OUTER_ITER} outer "
             "iterations")
     # value is F_m of the returned pair: gamma_m is finite (w > 0)
     G = np.clip(G, 0.0, 1.0)

@@ -1,7 +1,7 @@
 """The shared solvers: projected Barzilai-Borwein descent (run by
-``flow.gradient_flow`` and ``onedim.minimize_profile``), golden-section
+``flow.gradient_flow`` and ``onedim.minimize_profile``) and golden-section
 search with a logarithmic bracketing scan (run by both optimal-period
-searches) and Brent's root finder (run by the pointwise gamma update).
+searches).
 
 The descent's line search compares energies, or, when the caller can
 compute it, the energy change of a trial directly (``delta``): the 1D
@@ -32,7 +32,6 @@ MAX_HALVINGS = 60
 # the line search: the energy did not move over a factor-2 range of steps,
 # so every shorter step only samples rounding noise
 FLAT_TRIALS = 2
-STALL_LIMIT = 25            # accepted steps in a row that gain < tol_energy
 STEP_MIN, STEP_MAX = 1e-10, 1e6
 # a ``delta`` descent accepts a trial against the largest of the last
 # GLL_MEMORY running energies (the current one included), less ARMIJO
@@ -42,11 +41,11 @@ ARMIJO = 1e-4
 # a sample within this distance of a bound counts as sitting on it, so
 # samples parked at a bound up to rounding count as constrained
 ACTIVE_TOL = 1e-12
-# why a descent stopped: the projected-gradient test held, STALL_LIMIT
-# accepted steps gained too little, no backtracking trial decreased the
-# energy (or FLAT_TRIALS in a row returned it unchanged, or a slope bound
-# proved that no shorter trial can), or the iteration budget ran out
-STOP_REASONS = ("grad", "stall", "line_search", "max_iter")
+# why a descent stopped: the projected-gradient test held, no backtracking
+# trial decreased the energy (or FLAT_TRIALS in a row returned it
+# unchanged, or a slope bound proved that no shorter trial can), or the
+# iteration budget ran out
+STOP_REASONS = ("grad", "line_search", "max_iter")
 
 
 class NoBracketError(RuntimeError):
@@ -68,8 +67,8 @@ class DescentResult:
 
 def projected_bb(x: np.ndarray, e: float, energy, grad, lo: float,
                  hi: float, project=None, *, step0: float, max_iter: int,
-                 tol_grad: float, tol_energy: float, trace_every: int,
-                 start: int = 0, certify=None, delta=None) -> DescentResult:
+                 tol_grad: float, trace_every: int, start: int = 0,
+                 certify=None, delta=None) -> DescentResult:
     """Projected descent of ``energy`` from ``x`` (of energy ``e``) on the
     box [lo, hi].
 
@@ -83,11 +82,10 @@ def projected_bb(x: np.ndarray, e: float, energy, grad, lo: float,
     FLAT_TRIALS trials in a row return exactly the current energy (the
     energy no longer resolves the step), or ``certify`` proves that no
     shorter trial can (below), it stops, converged only if the projected
-    gradient is within 1e4 tol_grad.  It also stops converged after
-    STALL_LIMIT accepted steps in a row that each gain less than
-    ``tol_energy``.  Iterations are numbered from ``start`` + 1 to
-    ``max_iter``, so stages of one run can share the count.  The result's
-    ``stop`` names which of these four tests ended the descent.
+    gradient is within 1e4 tol_grad.  Iterations are numbered from
+    ``start`` + 1 to ``max_iter``, so stages of one run can share the
+    count.  The result's ``stop`` names which of these three tests ended
+    the descent.
 
     ``delta(x, cand)``, when given, replaces ``energy``: it returns the
     energy change from the iterate x to the trial cand, so that a decrease
@@ -101,10 +99,9 @@ def projected_bb(x: np.ndarray, e: float, energy, grad, lo: float,
 
     the current running energy e among the remembered ones, so a trial may
     rise above e but never above the largest of them; a trial is flat when
-    the change is exactly 0.  There is no stall test, and only the
-    gradient test counts as converged (a ``line_search`` stop does not).
-    ``evals`` counts the calls of ``energy``, or of ``delta`` when it is
-    given.
+    the change is exactly 0.  Only the gradient test then counts as
+    converged (a ``line_search`` stop does not).  ``evals`` counts the
+    calls of ``energy``, or of ``delta`` when it is given.
 
     ``certify(x, g)``, when given, returns (slope, curv, s_max) such that
     energy(project(x - s g)) - energy(x) >= s slope - s^2 curv for every
@@ -118,7 +115,6 @@ def projected_bb(x: np.ndarray, e: float, energy, grad, lo: float,
         def project(y):
             return y.clip(lo, hi)
     step = step0
-    stall = 0
     gnorm = np.inf
     converged = False
     stop = "max_iter"
@@ -182,16 +178,11 @@ def projected_bb(x: np.ndarray, e: float, energy, grad, lo: float,
             converged = delta is None and gnorm < 1e4 * tol_grad
             stop = "line_search"
             break
-        if delta is None:
-            stall = stall + 1 if e - ec < tol_energy else 0
         x, e = cand, ec
         recent.append(e)
         step = min(step * STEP_GROWTH, STEP_MAX)
         if it % trace_every == 0:
             trace.append((it, e, step))
-        if stall >= STALL_LIMIT:
-            converged, stop = True, "stall"
-            break
     return DescentResult(x, e, it, converged, gnorm, step, tuple(trace),
                          stop, evals)
 
@@ -238,57 +229,3 @@ def scan_golden(f, lo: float, hi: float, grid: int, rel_tol: float
     if i == 0 or i == grid - 1:
         raise NoBracketError("no interior minimum in the scanned range")
     return golden_section(f, hs[i - 1], hs[i + 1], rel_tol=rel_tol)
-
-
-def brentq(f, xa: float, xb: float, xtol: float, rtol: float,
-           maxiter: int = 100) -> float:
-    """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
-
-    A step-for-step port of SciPy's ``brentq`` (its C routine), so it
-    returns the same float: interpolation (secant, or inverse quadratic
-    once three points are known) where that step is short enough, bisection
-    otherwise, until half the bracket is below (xtol + rtol |x|) / 2.
-    Raises ValueError unless f(xa) and f(xb) differ in sign, and
-    RuntimeError after ``maxiter`` iterations without convergence."""
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if np.signbit(fpre) == np.signbit(fcur):
-        raise ValueError(f"f({xa}) and f({xb}) have the same sign")
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and np.signbit(fpre) != np.signbit(fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:        # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:                   # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-    raise RuntimeError(f"brentq did not converge in {maxiter} iterations "
-                       f"(last x = {xcur})")

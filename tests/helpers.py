@@ -6,6 +6,7 @@ import itertools
 from math import gamma as _gamma
 
 import numpy as np
+import scipy.optimize
 
 from stripes import kernel
 from stripes.decomposition import default_delta_grad
@@ -351,6 +352,26 @@ def profile_grad_direct(G: np.ndarray, gamma, params: ModelParams,
             + B * double_well_prime(G) / gam * dx)
     grad += (4.0 * dx * dx / L) * interaction
     return grad, interaction
+
+
+def gamma_optimum_direct(a: float, b: float, m: float, w: float) -> float:
+    """Reference argmin over gamma in [1, inf) of q(gamma) = a gamma
+    + b / gamma + w (gamma - m)_+^2 (a, b >= 0; m >= 1; w > 0), one sample
+    at a time.  q is convex, so its minimizer is where
+    dq = a - b / gamma^2 + 2 w (gamma - m)_+ changes sign: sqrt(b/a)
+    clamped to [1, m] where dq(m) >= 0, otherwise the root of dq on
+    [m, inf) by ``scipy.optimize.brentq``, to 4 ulps of the root."""
+    if a - b / m ** 2 >= 0:
+        return min(max(np.sqrt(b / a), 1.0), m) if a > 0 else 1.0
+
+    def dq(x):
+        return a - b / x ** 2 + 2.0 * w * (x - m)
+
+    hi = m + 1.0
+    while dq(hi) < 0:
+        hi *= 2.0
+    return scipy.optimize.brentq(dq, m, hi, xtol=1e-300,
+                                 rtol=4 * np.finfo(float).eps)
 
 
 FFT_NAMES = ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn",

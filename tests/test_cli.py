@@ -310,8 +310,7 @@ def test_minimize_2d_resume_reports_stop_reasons(runner, tmp_path):
     assert res.exit_code == 0, res.output
     report = _payload(out / "minimize_2d.json")["report"]
     assert len(report["stop"]) == 3
-    assert set(report["stop"]) <= {"grad", "stall", "line_search",
-                                   "max_iter"}
+    assert set(report["stop"]) <= {"grad", "line_search", "max_iter"}
 
 
 def test_minimize_2d_rejects_zero_threads(runner, tmp_path):

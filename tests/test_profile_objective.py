@@ -1,18 +1,24 @@
 """Property tests of the 1D objective (``onedim._ProfileObjective``) and
 of the vectorized gamma update (``onedim._gamma_update``) against their
-references: the ``np.roll``/``double_well`` arithmetic in ``helpers`` and
-the scalar ``gamma_pointwise_optimum`` at every sample.  Both must agree
-bit for bit, not just to rounding.  The closed-form energy change of the
-objective (``delta``) must match the difference of its energies to their
-rounding, and its own rounding must be relative to the change."""
+references in ``helpers``: the objective must agree with the
+``np.roll``/``double_well`` arithmetic bit for bit, not just to rounding,
+and the gamma update with the scalar SciPy-root oracle
+``gamma_optimum_direct`` to 1e-14 relative (Newton steps and Brent's
+method land within an ulp or so of the same root), and it must meet the
+first-order condition of its convex objective.  The closed-form energy
+change of the objective (``delta``) must match the difference of its
+energies to their rounding, and its own rounding must be relative to the
+change."""
 import warnings
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import count_ffts, profile_energy_direct, profile_grad_direct
+from helpers import (count_ffts, gamma_optimum_direct, profile_energy_direct,
+                     profile_grad_direct)
 from stripes import kernel, onedim
 from stripes.model import ModelParams
 
@@ -202,6 +208,67 @@ def test_gamma_update_equals_pointwise_loop(data, size, m, w):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = onedim._gamma_update(a, b, m, w)
-        ref = [onedim.gamma_pointwise_optimum(a[j], b[j], m, w)
-               for j in range(size)]
-    assert got.tolist() == ref
+        ref = np.array([gamma_optimum_direct(a[j], b[j], m, w)
+                        for j in range(size)])
+    assert np.all(np.abs(got - ref) <= 1e-14 * ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-8, 6), st.floats(0, 6), st.floats(-8, 6),
+       st.floats(1e-3, 14))
+def test_gamma_update_matches_scipy_brentq_above_m(lb, lm, lw, gap):
+    # a < b / m^2 puts the minimizer above m (or within rounding of it),
+    # where only Newton steps reach it
+    b, m, w = 10.0 ** lb, 10.0 ** lm, 10.0 ** lw
+    a = b / m ** 2 * 10.0 ** -gap
+    assume(a - b / m ** 2 < 0)
+    got = onedim._gamma_update(np.array([a]), np.array([b]), m, w)[0]
+    ref = gamma_optimum_direct(a, b, m, w)
+    assert got >= m and abs(got - ref) <= 1e-14 * ref
+
+
+def _dq(gam, a, b, m, w):
+    """q'(gamma) of the gamma update's objective, and the size of its terms
+    (gamma q''(gamma) included), against which its rounding is measured."""
+    dq = a - b / gam ** 2 + 2.0 * w * np.maximum(gam - m, 0.0)
+    return dq, a + b / gam ** 2 + 2.0 * w * gam
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), size=st.integers(1, 64),
+       m=st.one_of(st.sampled_from([1, 2, 10, 100, 1000]),
+                   st.floats(1.0, 1e3)),
+       w=st.floats(1e-4, 10.0))
+def test_gamma_update_meets_the_first_order_condition(data, size, m, w):
+    # q is convex on [1, inf): its minimizer is 1 with q'(1) >= 0, or a
+    # zero of q'; both up to the rounding of q'
+    a = data.draw(arrays(float, size, elements=WEIGHT))
+    b = data.draw(arrays(float, size, elements=WEIGHT))
+    gam = onedim._gamma_update(a, b, m, w)
+    assert np.all(gam >= 1.0) and np.all(np.isfinite(gam))
+    dq, scale = _dq(gam, a, b, m, w)
+    tol = 8 * np.finfo(float).eps * scale
+    at_one = gam == 1.0
+    assert np.all(dq[at_one] >= -tol[at_one])
+    assert np.all(np.abs(dq[~at_one]) <= tol[~at_one])
+
+
+def test_gamma_update_reaches_a_root_far_above_m():
+    # a = 0 and b / w large put the root near (b / 2w)^(1/3), up to eight
+    # decades above m = 1: each Newton step from m grows gamma by about
+    # 1.5 until it nears the root, so this takes about 50 steps
+    a = np.zeros(3)
+    b = np.array([1e4, 1e8, 1e12])
+    w = 1e-12
+    gam = onedim._gamma_update(a, b, 1.0, w)
+    ref = np.array([gamma_optimum_direct(0.0, bj, 1.0, w) for bj in b])
+    assert np.all(np.abs(gam - ref) <= 1e-14 * ref)
+    assert np.all(gam > 1e5)
+    dq, scale = _dq(gam, a, b, 1.0, w)
+    assert np.all(np.abs(dq) <= 8 * np.finfo(float).eps * scale)
+
+
+def test_gamma_update_raises_when_newton_steps_run_out(monkeypatch):
+    monkeypatch.setattr(onedim, "NEWTON_ITER", 5)
+    with pytest.raises(onedim.ConvergenceError, match="5 Newton steps"):
+        onedim._gamma_update(np.zeros(1), np.array([1e4]), 1.0, 1e-4)
