@@ -196,7 +196,9 @@ def optimal_period(cfg, out):
     res = _onedim.optimal_period(params, (cfg["h_lo"], cfg["h_hi"]),
                                  grid=int(cfg["grid"]), tol=cfg["tol"], n=n)
     write_profile_csv(out / "profile.csv", res.profile.full())
-    return {**json.loads(res.to_json()),
+    return {"h_star": res.h_star, "c_star": res.c_star,
+            "trace": [list(t) for t in res.trace],
+            "stop": res.stop, "evals": res.evals,
             "dx_over_alpha": _dx_over_alpha(params, res.h_star, n),
             "kernel": _marginal_certificate(params, res.h_star, n)}, True
 
@@ -225,8 +227,7 @@ def minimize_1d(cfg, out):
            "resume": None},
           _SEED,
           click.option("--threads", type=int,
-                       help="worker threads (default: the STRIPES_THREADS "
-                            "environment variable, else 1)"),
+                       help="worker threads (default 1)"),
           click.option("-k", type=int,
                        help="stripe periods per side of the box L = 2k h*"),
           _N, click.option("--seeds", "n_seeds", type=int),
@@ -237,12 +238,11 @@ def minimize_1d(cfg, out):
 def minimize_2d(cfg, out):
     """Symmetry-breaking experiment: gradient flow from noise seeds."""
     params = _params(cfg)
-    opts = _flow.FlowOptions(seed=int(cfg["seed"]))
     if cfg["resume"]:
         u0, stored = read_pfd(cfg["resume"])
         run_params = stored if stored is not None else replace(params,
                                                                L=u0.L)
-        uf, tr = _flow.gradient_flow(u0, run_params, opts)
+        uf, tr = _flow.gradient_flow(u0, run_params)
         write_pfd(out / "resumed_final.pfd", uf, run_params)
         tr.write_csv(out / "resumed_trace.csv")
         op = _kernel.kernel_operator(u0.L, u0.n, run_params)
@@ -258,7 +258,8 @@ def minimize_2d(cfg, out):
         raise click.ClickException(str(exc))
     return _flow.symmetry_breaking_experiment(
         params, k=int(cfg["k"]), n=int(cfg["n"]),
-        n_seeds=int(cfg["n_seeds"]), opts=opts,
+        n_seeds=int(cfg["n_seeds"]),
+        opts=_flow.FlowOptions(seed=int(cfg["seed"])),
         anisotropy_threshold=cfg["anisotropy_threshold"],
         gap_threshold=cfg["gap_threshold"], threads=cfg["threads"]), True
 
@@ -297,7 +298,7 @@ def verify_decomposition(cfg, out):
     u = _field_from_cfg(cfg, params)
     params = replace(params, d=u.dims, L=u.L)
     rep_obj = _dec.lower_bound_report(u, params)
-    rep = json.loads(rep_obj.to_json())
+    rep = asdict(rep_obj)
     rep["delta_grad"] = _dec.default_delta_grad(u)
     rep["dx_over_alpha"] = u.h_grid / params.alpha
     rep["kernel"] = asdict(_kernel.kernel_operator(u.L, u.n,

@@ -9,21 +9,22 @@ double-well penalty Wcal:
 
 with equality for one-dimensional fields.  Gbar^i >= 0 holds in the
 continuum, but on a lattice that does not resolve the transition layer it
-can fail: on binary slices Gbar^i < 0 once dx >~ 3 alpha (see
-``directional_g``), and ``lower_bound_report`` records the fraction of
-such slices per axis.  On the lattice the identity behind the cross term
-is exact: summing the axis-slice nonlocal terms (against the lattice
-marginal of the periodized kernel) overshoots the full nonlocal term by
-exactly the sum of the cross terms, so the slack of the bound reduces to
-Wcal (C_tau - 2) >= 0 up to rounding.  The cross term is
-the torus term, a sum over every lag against the periodized kernel.
+can fail: a one-cell jump costs Mbar = 3 alpha / dx against 1 for a
+continuum transition, so on binary slices Gbar^i < 0 once dx >~ 3 alpha,
+and ``lower_bound_report`` records the fraction of such slices per axis.
+On the lattice the identity behind the cross term is exact: summing the
+axis-slice nonlocal terms (against the lattice marginal of the periodized
+kernel) overshoots the full nonlocal term by exactly the sum of the cross
+terms, so the slack of the bound reduces to Wcal (C_tau - 2) >= 0 up to
+rounding.  The cross term is the torus term, a sum over every lag against
+the periodized kernel.
 
 All discrete gradients are forward differences; the partition between the
 active set {||grad u||_1 > delta_grad} (feeding Mbar) and the flat set
 (feeding Wcal) uses one shared threshold, ``default_delta_grad(u)``, so no
 double-well mass is dropped or double counted.  One pass over the field
-gives Mbar^i and Gbar^i of every grid line and Wcal; the report, the slice
-tables and the single-slice terms all read it.  Every term reads the one
+gives Mbar^i and Gbar^i of every grid line and Wcal (``_slice_terms``);
+the report and ``directional_mm`` read it.  Every term reads the one
 cached periodized kernel grid of (L, n, params), truncated by the kernel
 module's rule, so the cross term, the slice terms and the full energy
 share a table.
@@ -32,8 +33,7 @@ share a table.
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -49,7 +49,8 @@ def default_delta_grad(u: PeriodicField) -> float:
     return 1e-12 / u.h_grid
 
 
-def _axis_operator(u: PeriodicField, params: ModelParams
+@lru_cache(maxsize=32)
+def _axis_operator(L: float, n: int, params: ModelParams
                    ) -> _kernel.PeriodicKernelOperator:
     """Operator of the lattice marginal of the periodized kernel grid along
     one axis (the same on every axis, by symmetry); cached per
@@ -59,12 +60,6 @@ def _axis_operator(u: PeriodicField, params: ModelParams
     it (rather than the closed-form marginal) makes the cross-term identity
     exact on the lattice.
     """
-    return _cached_axis_operator(float(u.L), int(u.n), params)
-
-
-@lru_cache(maxsize=32)
-def _cached_axis_operator(L: float, n: int, params: ModelParams
-                          ) -> _kernel.PeriodicKernelOperator:
     kgrid = _kernel.periodized_kernel_grid(L, n, params)
     return _kernel.PeriodicKernelOperator(
         _kernel.lattice_marginal(kgrid, 0, L / n))
@@ -81,9 +76,6 @@ class DecompositionReport:
     slack: float
     gbar_min: tuple[float, ...]                 # per axis, over its slices
     gbar_negative_fraction: tuple[float, ...]   # per axis, slices Gbar < 0
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
 
 
 @dataclass(frozen=True)
@@ -116,7 +108,7 @@ def _slice_terms(u: PeriodicField, params: ModelParams) -> _SliceTerms:
     # the Mbar density per unit |d_i u| on the active set
     dens = 3.0 * alpha * gl1 + (3.0 / alpha) * np.divide(
         w, gl1, out=np.zeros_like(gl1), where=active)
-    op = _axis_operator(u, params)
+    op = _axis_operator(float(u.L), int(u.n), params)
     ctau = _kernel.c_tau(params)
     mbar = [np.sum(dens * di, axis=ax, where=active) * h
             for ax, di in enumerate(diffs)]
@@ -135,21 +127,6 @@ def directional_mm(u: PeriodicField, i: int, x_perp, params: ModelParams
     """
     ax, perp = line_index(u, i, x_perp)
     return float(_slice_terms(u, params).mbar[ax][perp])
-
-
-def directional_g(u: PeriodicField, i: int, x_perp, params: ModelParams
-                  ) -> float:
-    """Slice coercivity term:
-    Mbar^i(0, L) * C_tau  minus the slice 1D nonlocal term.
-
-    Zero exactly on constant slices.  The continuum term is nonnegative,
-    but the lattice one is not once the grid does not resolve the
-    transition layer: a one-cell jump costs Mbar = 3 alpha / dx against 1
-    for a continuum transition, and on binary slices Gbar < 0 once
-    dx >~ 3 alpha.
-    """
-    ax, perp = line_index(u, i, x_perp)
-    return float(_slice_terms(u, params).gbar[ax][perp])
 
 
 def _cross_table(values: np.ndarray, ax: int) -> np.ndarray:
@@ -193,12 +170,6 @@ def cross_term(u: PeriodicField, i: int, params: ModelParams) -> float:
         / (2.0 * u.dims)
 
 
-def flat_penalty(u: PeriodicField, params: ModelParams) -> float:
-    """(3/alpha) sum W(u) vol over the flat set {||grad u||_1 <= delta_grad},
-    with delta_grad = ``default_delta_grad(u)``."""
-    return _slice_terms(u, params).wcal
-
-
 def lower_bound_report(u: PeriodicField, params: ModelParams
                        ) -> DecompositionReport:
     """Assemble the directional lower bound and its slack against the full
@@ -221,25 +192,6 @@ def lower_bound_report(u: PeriodicField, params: ModelParams
         gbar_min=tuple(float(np.min(g)) for g in terms.gbar),
         gbar_negative_fraction=tuple(float(np.mean(g < 0.0))
                                      for g in terms.gbar))
-
-
-def slice_tables(u: PeriodicField, params: ModelParams
-                 ) -> list[tuple[int, int, float, float]]:
-    """Rows (i, slice_index, mbar, gbar) for every direction and slice line
-    (slice lines enumerated in row-major order over the perpendicular grid).
-    """
-    terms = _slice_terms(u, params)
-    return [(ax + 1, k, float(m), float(g))
-            for ax in range(u.dims)
-            for k, (m, g) in enumerate(zip(terms.mbar[ax].ravel(),
-                                           terms.gbar[ax].ravel()))]
-
-
-def write_slice_csv(path, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write("i,slice_index,mbar,gbar\n")
-        for i, k, m, g in rows:
-            fh.write(f"{i},{k},{m!r},{g!r}\n")
 
 
 def positivity_identity_check(u: PeriodicField, j: int, axis_subset,

@@ -9,8 +9,9 @@ Rescaled energy per unit volume on the torus [0, L)^d:
 
 with alpha = eps tau^(1/beta) and C_tau the kernel first moment.  The
 unscaled energy uses the tau = 1 kernel with coupling J on the gradient
-part; the two are related by an exact change of variables implemented in
-``rescaling_identity_check``.
+part; with J = J_c - tau it equals tau^(1 + 1/beta) times the rescaled
+energy of the same samples on the torus stretched by tau^(-1/beta), an
+exact change of variables that the test suite checks.
 
 The nonlocal term is the pair form of the certified periodized kernel,
 evaluated from one fast Fourier transform of the field by
@@ -42,7 +43,6 @@ clipped descent path.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,19 +64,6 @@ class EnergyBreakdown:
     mm_term: float
     nonlocal_term: float
     total: float
-    n: int
-    L: float
-    params: ModelParams
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "mm_term": self.mm_term,
-            "nonlocal_term": self.nonlocal_term,
-            "total": self.total,
-            "n": self.n,
-            "L": self.L,
-            "params": self.params.to_dict(),
-        })
 
 
 def _differences(v: np.ndarray) -> list[np.ndarray]:
@@ -274,8 +261,7 @@ def nonlocal_energy(u: PeriodicField, params: ModelParams) -> float:
 def total_energy(u: PeriodicField, params: ModelParams) -> EnergyBreakdown:
     """Rescaled energy per unit volume with its two-term breakdown."""
     mm, nl = _FieldObjective.of(u, params).split(u.values)
-    return EnergyBreakdown(mm_term=mm, nonlocal_term=nl, total=mm - nl,
-                           n=u.n, L=u.L, params=params)
+    return EnergyBreakdown(mm_term=mm, nonlocal_term=nl, total=mm - nl)
 
 
 def unscaled_energy(u: PeriodicField, J: float, eps: float, L: float | None = None,
@@ -291,29 +277,6 @@ def unscaled_energy(u: PeriodicField, J: float, eps: float, L: float | None = No
     mm = modica_mortola(u, eps)
     nl = nonlocal_energy(u, params1)
     return float(vol_inv * (J * mm - nl))
-
-
-def rescaling_identity_check(u: PeriodicField, params: ModelParams
-                             ) -> tuple[float, float, float]:
-    """Evaluate the unscaled energy and the rescaled energy on corresponding
-    grids and return (lhs, rhs, gap).
-
-    The field ``u`` is read on the rescaled torus [0, params.L)^d; the same
-    sample values on the stretched torus of period L = tau^(-1/beta) params.L
-    define the unscaled configuration.  With coupling J = J_c - tau the
-    two sides agree to rounding error: the tau = 1 kernel table on the
-    stretched torus is a^p times the tau kernel table, since both sum the
-    same exponential-sum nodes in log(t a) (their entry bounds f_max, and
-    with them the truncations, differ by the same factor a^p).
-    """
-    a = params.kernel_scale
-    L_big = u.L / a
-    tau_pow = params.tau ** (1.0 + 1.0 / params.beta)
-    J = _kernel.j_c(params) - params.tau
-    u_big = PeriodicField(u.dims, u.n, L_big, u.values)
-    lhs = unscaled_energy(u_big, J, params.eps, p=params.p)
-    rhs = tau_pow * total_energy(u, params).total
-    return lhs, rhs, lhs - rhs
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,10 @@ certificate and the search runs as before.  A flow builds one
 prefactors once, and hands its
 ``energy`` and ``grad`` on raw arrays to ``solvers.projected_bb``: each of
 the KAPPA_STAGES kappa stages, starting at KAPPA, runs it with the fixed
-STEP0 and TOL_GRAD, and the trace keeps why each stage stopped (``grad``,
-``line_search`` or ``max_iter``), its energy calls and its final
-projected-gradient norm.
+STEP0 and TOL_GRAD, within MAX_ITER iterations of the whole flow, and the
+trace keeps a row every TRACE_EVERY iterations, why each stage stopped
+(``grad``, ``line_search`` or ``max_iter``), its energy calls and its
+final projected-gradient norm.
 The objective transforms each field once (its energy state serves the
 gradient of an accepted trial, and the gradient's serves the slope bound
 and the gradient that starts the next kappa stage),
@@ -39,8 +40,6 @@ samples.
 """
 from __future__ import annotations
 
-import json
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from functools import partial
@@ -60,6 +59,8 @@ KAPPA = 1e-3        # smoothing scale of the first stage
 KAPPA_STAGES = 3    # continuation: kappa -> kappa/10 per stage
 STEP0 = 1.0
 TOL_GRAD = 1e-6
+MAX_ITER = 5000     # iterations of one flow, over all its stages
+TRACE_EVERY = 10    # trace row every TRACE_EVERY iterations
 # the period search that fixes h* when the experiment is not given one
 SEARCH_N = 512
 H_RANGE = (0.3, 40.0)
@@ -67,8 +68,6 @@ H_RANGE = (0.3, 40.0)
 
 @dataclass(frozen=True)
 class FlowOptions:
-    max_iter: int = 5000
-    trace_every: int = 10
     seed: int = 0
 
 
@@ -77,7 +76,6 @@ class FlowTrace:
     entries: tuple          # (iteration, energy, step) triples
     converged: bool
     iterations: int
-    kappa_final: float
     stop: tuple             # solvers.STOP_REASONS entry of each kappa stage
     evals: tuple            # energy calls of each kappa stage
     grad_norm: tuple        # final projected-gradient max-norm of each stage
@@ -96,13 +94,6 @@ class StripeMetrics:
     best_nu: float
     l1_to_best_stripes: float
     fourier_anisotropy: float
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "best_axis": self.best_axis, "best_h": self.best_h,
-            "best_nu": self.best_nu,
-            "l1_to_best_stripes": self.l1_to_best_stripes,
-            "fourier_anisotropy": self.fourier_anisotropy})
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +118,7 @@ def energy_gradient(u: PeriodicField, params: ModelParams,
 # projected gradient flow
 # ---------------------------------------------------------------------------
 
-def gradient_flow(u0: PeriodicField, params: ModelParams,
-                  opts: FlowOptions | None = None
+def gradient_flow(u0: PeriodicField, params: ModelParams
                   ) -> tuple[PeriodicField, FlowTrace]:
     """Projected descent of the exact energy with box projection onto [0, 1].
 
@@ -136,7 +126,6 @@ def gradient_flow(u0: PeriodicField, params: ModelParams,
     scale starts at KAPPA and follows the continuation schedule
     kappa -> kappa / 10 after each stage, KAPPA_STAGES times in total.
     """
-    opts = opts or FlowOptions()
     obj = _energy._FieldObjective.of(u0, params)
     v = np.array(u0.values, dtype=float)
     e = obj.energy(v)
@@ -147,8 +136,8 @@ def gradient_flow(u0: PeriodicField, params: ModelParams,
     kappa = KAPPA
     for _ in range(KAPPA_STAGES):
         res = projected_bb(v, e, obj.energy, partial(obj.grad, kappa=kappa),
-                           0.0, 1.0, step0=STEP0, max_iter=opts.max_iter,
-                           tol_grad=TOL_GRAD, trace_every=opts.trace_every,
+                           0.0, 1.0, step0=STEP0, max_iter=MAX_ITER,
+                           tol_grad=TOL_GRAD, trace_every=TRACE_EVERY,
                            start=it, certify=obj.certificate())
         v, e, it, converged = res.x, res.energy, res.iterations, res.converged
         trace.extend(res.trace)
@@ -157,8 +146,7 @@ def gradient_flow(u0: PeriodicField, params: ModelParams,
     trace.append((it, e, 0.0))
     stops, evals, gnorms = zip(*stages)
     return (u0.with_values(v),
-            FlowTrace(tuple(trace), converged, it, kappa * 10.0, stops,
-                      evals, gnorms))
+            FlowTrace(tuple(trace), converged, it, stops, evals, gnorms))
 
 
 # ---------------------------------------------------------------------------
@@ -244,31 +232,21 @@ def stripe_metrics(u: PeriodicField, h_grid, nu_grid) -> StripeMetrics:
 # ---------------------------------------------------------------------------
 
 def _workers(n_seeds: int, threads: int | None) -> int:
-    """Worker threads for ``n_seeds`` runs: ``threads`` when given, else
-    the STRIPES_THREADS environment variable, else 1.  Raises ValueError
-    naming the value, and where it came from, when n_seeds < 1 or the
-    thread count is not a positive integer."""
+    """Worker threads for ``n_seeds`` runs: ``threads``, or 1 when it is
+    None.  Raises ValueError naming the value when n_seeds < 1 or the
+    thread count is below 1."""
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     if threads is None:
-        env = os.environ.get("STRIPES_THREADS")
-        if not env:
-            return 1
-        source = f"STRIPES_THREADS={env!r}"
-        try:
-            threads = int(env)
-        except ValueError:
-            raise ValueError(f"{source} is not an integer") from None
-    else:
-        source = f"threads={threads!r}"
+        return 1
     if threads < 1:
-        raise ValueError(f"{source}: the thread count must be >= 1")
+        raise ValueError(f"threads={threads!r}: the thread count must be "
+                         ">= 1")
     return threads
 
 
 def tiled_stripe_benchmark(params: ModelParams, h_star: float, k: int,
-                           n: int, opts: FlowOptions | None = None
-                           ) -> tuple[PeriodicField, float]:
+                           n: int) -> tuple[PeriodicField, float]:
     """Best one-dimensional competitor on the n^d flow grid: the binary
     k-fold stripe tiling of half-period h*, polished by the same gradient
     flow the experiment uses (it stays one-dimensional by equivariance), so
@@ -277,7 +255,7 @@ def tiled_stripe_benchmark(params: ModelParams, h_star: float, k: int,
         raise ValueError("2k must divide n so periods align with the grid")
     L = 2.0 * k * h_star
     u0 = make_stripes(StripeSpec(1, h_star, 0.0), L, n, params.d)
-    u, tr = gradient_flow(u0, params, opts)
+    u, tr = gradient_flow(u0, params)
     return u, tr.entries[-1][1]
 
 
@@ -295,6 +273,8 @@ def symmetry_breaking_experiment(params: ModelParams, k: int = 1,
     fraction (anisotropy and relative energy gap inside the thresholds),
     every input needed to reproduce the run bit for bit, and under
     ``kernel`` the certificate of the flows' periodized kernel table.
+    ``opts.seed`` is the master seed of the runs, and ``threads`` (None
+    for 1) the number of runs in flight at once.
     """
     workers = _workers(n_seeds, threads)
     opts = opts or FlowOptions()
@@ -304,8 +284,7 @@ def symmetry_breaking_experiment(params: ModelParams, k: int = 1,
     L = 2.0 * k * h_star
     run_params = replace(params, L=L)
 
-    bench_u, bench_e = tiled_stripe_benchmark(run_params, h_star, k, n,
-                                              opts=opts)
+    bench_u, bench_e = tiled_stripe_benchmark(run_params, h_star, k, n)
     h_grid = [L / (2 * j) for j in range(1, max(2 * k + 2, 4))
               if (n * (2 * (L / (2 * j))) / L) % 1 == 0
               and n % (2 * j) == 0]
@@ -319,7 +298,7 @@ def symmetry_breaking_experiment(params: ModelParams, k: int = 1,
         rng = np.random.default_rng(seed)
         u0 = PeriodicField(run_params.d, n, L,
                            rng.uniform(0.0, 1.0, (n,) * run_params.d))
-        uf, tr = gradient_flow(u0, run_params, opts)
+        uf, tr = gradient_flow(u0, run_params)
         m = stripe_metrics(uf, h_grid, nu_grid)
         ef = tr.entries[-1][1]     # the exact energy of uf
         rel_gap = (ef - bench_e) / (abs(bench_e) + 1e-30)

@@ -113,45 +113,18 @@ def j_c(params: ModelParams) -> float:
         / (params.beta * (params.beta + 1.0))
 
 
-def marginal_tail_mass(R: float, params: ModelParams) -> float:
-    """integral_{|z|>R} Khat(z) dz = 2 c (R+a)^(1-q) / (q-1)."""
-    if params.q <= 1:
-        raise DivergentMomentError("marginal tail mass requires q > 1")
-    if R < 0:
-        raise ValueError("R must be >= 0")
-    a = params.kernel_scale
-    c = marginal_constant(params.d, params.p)
-    return 2.0 * c * (R + a) ** (1.0 - params.q) / (params.q - 1.0)
-
-
-def marginal_tail_first_moment(R: float, params: ModelParams) -> float:
-    """integral_{|z|>R} |z| Khat(z) dz in closed form."""
-    if params.q <= 2:
-        raise DivergentMomentError("marginal tail first moment requires q > 2")
-    if R < 0:
-        raise ValueError("R must be >= 0")
-    a = params.kernel_scale
-    q = params.q
-    c = marginal_constant(params.d, params.p)
-    b = R + a
-    return 2.0 * c * (b ** (2.0 - q) / (q - 2.0) - a * b ** (1.0 - q) / (q - 1.0))
-
-
 @dataclass(frozen=True)
 class KernelMoments:
     mass: float
-    first_moment: float
     c_tau: float
     half_mass_marginal: float
     marginal_constant: float
 
 
 def moments(params: ModelParams) -> KernelMoments:
-    ct = c_tau(params)
     return KernelMoments(
         mass=mass(params),
-        first_moment=ct,
-        c_tau=ct,
+        c_tau=c_tau(params),
         half_mass_marginal=half_mass_marginal(params),
         marginal_constant=marginal_constant(params.d, params.p),
     )

@@ -15,6 +15,8 @@ import numpy as np
 
 #: values this close to [0,1] are silently clamped; larger violations raise
 CLAMP_TOL = 1e-12
+# the opt-in flags of ModelParams, off by default
+_FLAGS = ("allow_small_p", "allow_large_tau")
 
 
 class DomainError(ValueError):
@@ -85,24 +87,20 @@ class ModelParams:
         """Regularization offset tau^(1/beta) inside the kernel."""
         return self.tau ** (1.0 / self.beta)
 
-    @property
-    def Jc(self) -> float:
-        """Critical coupling: first moment of the tau=1 kernel."""
-        from . import kernel
-
-        return kernel.j_c(self)
-
     def with_(self, **changes: Any) -> "ModelParams":
         return replace(self, **changes)
 
     def to_dict(self) -> dict:
+        """The parameters, and each opt-in flag only when it is set."""
         return {"d": int(self.d), "p": self.p, "tau": self.tau,
-                "eps": self.eps, "L": self.L}
+                "eps": self.eps, "L": self.L,
+                **{flag: True for flag in _FLAGS if getattr(self, flag)}}
 
     @classmethod
-    def from_dict(cls, obj: dict, **flags: Any) -> "ModelParams":
+    def from_dict(cls, obj: dict) -> "ModelParams":
         return cls(d=int(obj["d"]), p=float(obj["p"]), tau=float(obj["tau"]),
-                   eps=float(obj["eps"]), L=float(obj["L"]), **flags)
+                   eps=float(obj["eps"]), L=float(obj["L"]),
+                   **{flag: bool(obj[flag]) for flag in _FLAGS if flag in obj})
 
 
 def clamp01(t, tol: float = CLAMP_TOL):

@@ -19,16 +19,17 @@ pointwise gamma update, and Euler-Lagrange diagnostics.
 Discretization: n samples on [0, L), forward differences, rectangle
 sums, nonlocal term through the cached operator of the certified
 periodized marginal kernel (``kernel.marginal_operator``), one table per
-(L, n) and model shared by ``f1d``, ``confined_split``, the descent and
-the Euler-Lagrange diagnostics.  ``_ProfileObjective`` is the one
-evaluation of the discrete F1d (split, gradient, interaction field) and
-``_reflect`` the one reflection.  A trial profile is reflected,
+(L, n) and model shared by ``f1d``, the descent and the Euler-Lagrange
+diagnostics.  ``_ProfileObjective`` is the one evaluation of the
+discrete F1d (split, gradient, interaction field) and ``_reflect`` the
+one reflection.  A trial profile is reflected,
 differenced and transformed once: the descent's energy and gradient
 share the reflection of a base profile, and the objective keeps the
 slope and rFFT of the last profile it evaluates for every later use of
 that same array.  The objective works on raw arrays and checks none of
-them: profiles are checked where they enter (``Profile1D``,
-``ReflectedProfile``, the descent's projection onto [1/2, 1]) and
+them: profiles are checked where they enter (``Profile1D``; base
+profiles by ``_check_base``, in ``ReflectedProfile`` and for the
+descent's start; the descent's projection onto [1/2, 1]) and
 coefficients by ``_gamma_array`` in the public functions that take them.
 In the profile descent
 (``solvers.projected_bb`` with the fixed MAX_ITER, TOL_GRAD and
@@ -65,7 +66,6 @@ for the measure of {gamma > 1 + GAMMA_TOL} in the gamma-limit study.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,10 +113,7 @@ class ReflectedProfile:
         g = np.asarray(self.base_g, dtype=float)
         if g.ndim != 1 or g.size < 3:
             raise ValueError("base_g must be a 1D array with >= 3 samples")
-        if abs(g[0] - 0.5) > 1e-9 or abs(g[-1] - 0.5) > 1e-9:
-            raise ValueError("base profile must have g(0) = g(h) = 1/2")
-        if np.any(g < 0.5 - 1e-12) or np.any(g > 1.0 + 1e-12):
-            raise ValueError("base profile must take values in [1/2, 1]")
+        _check_base(g)
         g = np.clip(g, 0.5, 1.0)
         g.setflags(write=False)
         object.__setattr__(self, "base_g", g)
@@ -143,6 +140,19 @@ class ReflectedProfile:
                else _reflect(self.base_gamma, odd=False)[:-1])
         return Profile1D(self.n, 2.0 * self.h, _reflect(self.base_g)[:-1],
                          gam)
+
+
+def _check_base(g: np.ndarray) -> None:
+    """Raise ValueError, naming the problem, unless the base samples g are
+    finite, start and end at 1/2 and lie in [1/2, 1], each up to
+    rounding."""
+    if not np.all(np.isfinite(g)):
+        raise ValueError("base profile must be finite")
+    if abs(g[0] - 0.5) > 1e-9 or abs(g[-1] - 0.5) > 1e-9:
+        raise ValueError("base profile must have g(0) = g(h) = 1/2, "
+                         f"got {float(g[0])} and {float(g[-1])}")
+    if np.any(g < 0.5 - 1e-12) or np.any(g > 1.0 + 1e-12):
+        raise ValueError("base profile must take values in [1/2, 1]")
 
 
 def _reflect(v: np.ndarray, odd: bool = True) -> np.ndarray:
@@ -342,25 +352,6 @@ def f1d(gamma, g: Profile1D, params: ModelParams) -> float:
         # underflows to 0 or where A = 0 (C_tau = 1)
         return np.inf
     return obj.energy(g.g, gam)
-
-
-def confined_split(gamma, g: Profile1D, params: ModelParams
-                   ) -> tuple[float, float]:
-    """Split the 1D energy as term1 + term2 with
-
-        term1 = (3/L) (C_tau/2 - 1) int [ alpha gamma |g'|^2 + W/(alpha gamma) ]
-        term2 = (3/(2L)) C_tau int [ same ] - NL/L.
-
-    For profiles confined to one side of 1/2 both parts are nonnegative once
-    tau is small; returned for direct inspection.
-    """
-    obj = _ProfileObjective(params, g.L, g.n)
-    gam = _gamma_array(gamma, g.n)
-    grad_int, well_int = obj.local_integrals(g.g, gam)
-    mm = obj.alpha * grad_int + well_int / obj.alpha
-    _, nonlocal_ = obj.split(g.g, gam)
-    return (3.0 / g.L * (0.5 * obj.c - 1.0) * mm,
-            1.5 * obj.c / g.L * mm - nonlocal_)
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +571,9 @@ def minimize_profile(params: ModelParams, h: float, n: int = 512,
     scalar or n coefficient samples in [1, inf]; samples joined by +inf
     entries move together (``_tie``), so a start with G' = 0 there keeps
     it, and a start with G' != 0 on such a step (energy +inf) raises
-    ValueError naming the first one.
+    ValueError naming the first one.  A given start ``g0_base`` must be
+    n/2 + 1 finite samples in [1/2, 1] with both ends at 1/2, or
+    ValueError names what it lacks.
     """
     if n < 32:
         raise ValueError("n must be >= 32")
@@ -599,8 +592,14 @@ def minimize_profile(params: ModelParams, h: float, n: int = 512,
         gb[0] = gb[-1] = 0.5
         return gb
 
-    gb = (np.asarray(g0_base, dtype=float).copy() if g0_base is not None
-          else _initial_base(h, m, params.alpha))
+    if g0_base is None:
+        gb = _initial_base(h, m, params.alpha)
+    else:
+        gb = np.array(g0_base, dtype=float)
+        if gb.shape != (m + 1,):
+            raise ValueError(f"g0_base must have n/2 + 1 = {m + 1} samples, "
+                             f"got shape {gb.shape}")
+        _check_base(gb)
     G = _reflect(gb)[:-1]
     if gamma is not None:
         # such a start has energy +inf, and tied samples never part
@@ -668,11 +667,6 @@ class PeriodSearchResult:
     trace: tuple  # (h, value) pairs
     stop: str     # why the descent at h* stopped: one of solvers.STOP_REASONS
     evals: int    # trials the descent at h* evaluated
-
-    def to_json(self) -> str:
-        return json.dumps({"h_star": self.h_star, "c_star": self.c_star,
-                           "trace": [list(t) for t in self.trace],
-                           "stop": self.stop, "evals": self.evals})
 
 
 def optimal_period(params: ModelParams,
@@ -746,18 +740,6 @@ class ELDiagnostics:
     gamma2_gap: float
     gamma3_ok: bool
     xbar: tuple[float, float] | None
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "max_abs_residual": self.max_abs_residual,
-            "ineq_min": self.ineq_min,
-            "first_integral_gap4": self.first_integral_gap4,
-            "first_integral_gap2": self.first_integral_gap2,
-            "gamma1_margin": self.gamma1_margin,
-            "gamma2_gap": self.gamma2_gap,
-            "gamma3_ok": self.gamma3_ok,
-            "xbar": list(self.xbar) if self.xbar else None,
-        })
 
 
 def el_residual(gamma, g, params: ModelParams) -> ELDiagnostics:

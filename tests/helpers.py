@@ -93,9 +93,10 @@ def slice_terms_direct(u: PeriodicField, params: ModelParams
     """Reference slice terms by the per-line loop: the np.roll gradient,
     line sums of the Mbar density over a boolean mask of the active set,
     and one ``pair_sum`` per 1D line against the lattice marginal of the
-    periodized kernel grid.  Returns (rows, mbar, gbar, wcal): the rows of
-    ``decomposition.slice_tables`` and the whole-field Mbar^i, Gbar^i and
-    Wcal of ``decomposition.lower_bound_report``."""
+    periodized kernel grid.  Returns (rows, mbar, gbar, wcal): one row
+    (i, slice_index, Mbar, Gbar) per direction i and slice line, the lines
+    in row-major order over the perpendicular grid, and the whole-field
+    Mbar^i, Gbar^i and Wcal of ``decomposition.lower_bound_report``."""
     d, n, h = u.dims, u.n, u.h_grid
     alpha = params.alpha
     diffs = [(np.roll(u.values, -1, axis=ax) - u.values) / h
@@ -123,6 +124,17 @@ def slice_terms_direct(u: PeriodicField, params: ModelParams
         gbar.append(mbar[-1] * ctau - nl_total * h ** (d - 1))
     wcal = float((3.0 / alpha) * np.sum(w[~active]) * h ** d)
     return rows, mbar, gbar, wcal
+
+
+def marginal_tail_mass(R: float, params: ModelParams) -> float:
+    """integral_{|z|>R} Khat(z) dz = 2 c (R+a)^(1-q) / (q-1)."""
+    if params.q <= 1:
+        raise kernel.DivergentMomentError("marginal tail mass requires q > 1")
+    if R < 0:
+        raise ValueError("R must be >= 0")
+    a = params.kernel_scale
+    c = kernel.marginal_constant(params.d, params.p)
+    return 2.0 * c * (R + a) ** (1.0 - params.q) / (params.q - 1.0)
 
 
 def _box_int_direct(lo, hi, a: float, pe: float) -> float:

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import asdict
 import platform
 import re
 import subprocess
@@ -13,9 +14,10 @@ from click.testing import CliRunner
 
 from helpers import table_bound
 from stripes.cli import FORMAT_VERSION, main
-from stripes.decomposition import slice_tables
+from stripes.decomposition import _slice_terms, lower_bound_report
 from stripes.field import PeriodicField, read_pfd, write_pfd
 from stripes.model import ModelParams
+from stripes.onedim import optimal_period
 from stripes.solvers import STOP_REASONS
 
 
@@ -183,13 +185,45 @@ def test_verify_decomposition_reports_slice_gbar(runner, tmp_path):
     u, ps = read_pfd(fpath)
     assert rep["dx_over_alpha"] == pytest.approx(u.h_grid / ps.alpha,
                                                   rel=1e-15)
-    rows = slice_tables(u, ps)
+    terms = _slice_terms(u, ps)
     for i in (1, 2):
-        gbar = [g for axis, _, _, g in rows if axis == i]
+        gbar = terms.gbar[i - 1].ravel().tolist()
         assert rep["gbar_min"][i - 1] == min(gbar)
         frac = rep["gbar_negative_fraction"][i - 1]
         assert 0.0 <= frac <= 1.0
         assert frac == sum(g < 0 for g in gbar) / len(gbar)
+
+
+def test_verify_decomposition_report_is_the_lower_bound_report(runner,
+                                                               tmp_path):
+    fpath = _start_field(tmp_path)
+    out = tmp_path / "vd"
+    res = runner.invoke(main, ["verify-decomposition", "--field", str(fpath),
+                               "--output-dir", str(out)])
+    assert res.exit_code == 0, res.output
+    rep = _payload(out / "verify_decomposition.json")["report"]
+    u, ps = read_pfd(fpath)
+    expected = asdict(lower_bound_report(u, ps))
+    # the report's fields come first, in their order, then the CLI's keys
+    assert list(rep)[:len(expected)] == list(expected)
+    for key, value in expected.items():
+        assert rep[key] == (list(value) if isinstance(value, tuple)
+                            else value), key
+
+
+def test_optimal_period_report_is_the_search_result(runner, tmp_path):
+    out = tmp_path / "op"
+    res = runner.invoke(main, ["optimal-period", "-n", "128",
+                               "--output-dir", str(out)])
+    assert res.exit_code == 0, res.output
+    rep = _payload(out / "optimal_period.json")["report"]
+    ps1 = ModelParams(d=1, p=3.0, tau=0.05, eps=0.05, L=1.0)
+    search = optimal_period(ps1, (0.3, 40.0), grid=12, tol=1e-3, n=128)
+    expected = {"h_star": search.h_star, "c_star": search.c_star,
+                "trace": [list(t) for t in search.trace],
+                "stop": search.stop, "evals": search.evals}
+    assert list(rep)[:len(expected)] == list(expected)
+    assert {key: rep[key] for key in expected} == expected
 
 
 def test_reports_carry_the_kernel_certificate(runner, tmp_path):
@@ -345,15 +379,14 @@ def test_minimize_2d_box_side_is_a_usage_error(runner, tmp_path):
     assert res.exit_code == 2
 
 
-def test_threads_flag_is_recorded_not_exported(runner, tmp_path,
-                                               monkeypatch):
-    monkeypatch.delenv("STRIPES_THREADS", raising=False)
+def test_threads_flag_is_recorded_not_exported(runner, tmp_path):
     fpath = _start_field(tmp_path)
+    environ = dict(os.environ)
     res = runner.invoke(main, ["minimize-2d", "--resume", str(fpath),
                                "--threads", "3",
                                "--output-dir", str(tmp_path / "t")])
     assert res.exit_code == 0, res.output
-    assert "STRIPES_THREADS" not in os.environ
+    assert dict(os.environ) == environ
     config = _payload(tmp_path / "t" / "minimize_2d_config.json")
     assert config["threads"] == 3
 

@@ -3,18 +3,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (rough_field, slice_terms_direct, smooth_field,
-                     smooth_profile)
+from helpers import (marginal_tail_mass, rough_field, slice_terms_direct,
+                     smooth_field, smooth_profile)
 from stripes import kernel
-from stripes.decomposition import (cross_term, directional_g,
-                                   directional_mm, flat_penalty,
+from stripes.decomposition import (_slice_terms, cross_term, directional_mm,
                                    lower_bound_report,
-                                   positivity_identity_check, slice_tables,
-                                   write_slice_csv)
+                                   positivity_identity_check)
 from stripes.energy import total_energy
-from stripes.field import (PeriodicField, Profile1D, StripeSpec,
+from stripes.field import (PeriodicField, Profile1D, StripeSpec, line_index,
                            make_one_dimensional, make_stripes)
 from stripes.model import ModelParams, double_well, transition_energy
+
+
+def directional_g(u, i, x_perp, params):
+    """Gbar^i of the line through ``x_perp``, read from the slice pass."""
+    ax, perp = line_index(u, i, x_perp)
+    return float(_slice_terms(u, params).gbar[ax][perp])
 
 
 def test_positivity_identity_random_fields(ps2):
@@ -101,8 +105,8 @@ def test_slow_transition_coercivity(ps1):
     u = PeriodicField(1, n, L, g)
     mbar = directional_mm(u, 1, (), ps1)
     gbar = directional_g(u, 1, (), ps1)
-    short_mass = (kernel.marginal_tail_mass(0.0, ps1)
-                  - kernel.marginal_tail_mass(delta0, ps1))
+    short_mass = (marginal_tail_mass(0.0, ps1)
+                  - marginal_tail_mass(delta0, ps1))
     # |zeta| Khat weight within |zeta| <= delta0
     from scipy.integrate import quad
     weight, _ = quad(lambda t: 2 * t * kernel.marginal_kernel(t, ps1),
@@ -115,21 +119,18 @@ def test_slow_transition_coercivity(ps1):
 def test_flat_penalty_constant_field(ps2):
     u = PeriodicField(2, 8, 2.0, np.full((8, 8), 0.25))
     expected = (3.0 / ps2.alpha) * double_well(0.25) * 2.0 ** 2
-    assert flat_penalty(u, ps2) == pytest.approx(expected, rel=1e-12)
+    assert lower_bound_report(u, ps2).wcal == pytest.approx(expected,
+                                                            rel=1e-12)
 
 
-def test_slice_tables_shape_and_csv(tmp_path, ps2):
+def test_slice_terms_put_the_interfacial_density_on_normal_lines(ps2):
     u = make_stripes(StripeSpec(1, 0.5, 0.0), L=2.0, n=8, d=2)
-    rows = slice_tables(u, ps2)
-    assert len(rows) == 2 * 8
-    path = tmp_path / "slices.csv"
-    write_slice_csv(path, rows)
-    assert len(path.read_text().strip().splitlines()) == 17
+    terms = _slice_terms(u, ps2)
+    assert [m.shape for m in terms.mbar] == [(8,), (8,)]
+    assert [g.shape for g in terms.gbar] == [(8,), (8,)]
     # slices along the stripe normal carry all the interfacial density
-    normal_rows = [r for r in rows if r[0] == 1]
-    assert all(r[2] > 0 for r in normal_rows)
-    parallel_rows = [r for r in rows if r[0] == 2]
-    assert all(r[2] == 0 for r in parallel_rows)
+    assert np.all(terms.mbar[0] > 0)
+    assert np.all(terms.mbar[1] == 0)
 
 
 def test_lower_bound_report_rejects_single_cell_grid(ps2):
@@ -193,7 +194,11 @@ def test_slice_terms_match_per_line_loop(data, u):
     def close(ref):
         return pytest.approx(ref, rel=1e-12, abs=1e-12)
 
-    got = slice_tables(u, params)
+    terms = _slice_terms(u, params)
+    got = [(ax + 1, k, float(m), float(g))
+           for ax in range(u.dims)
+           for k, (m, g) in enumerate(zip(terms.mbar[ax].ravel(),
+                                          terms.gbar[ax].ravel()))]
     assert [r[:2] for r in got] == [r[:2] for r in rows]
     assert np.array([r[2:] for r in got]) == close(
         np.array([r[2:] for r in rows]))

@@ -7,9 +7,8 @@ from scipy.integrate import quad
 from helpers import nonlocal_direct, rough_field, smooth_field
 from stripes import kernel
 from stripes.energy import (modica_mortola, nonlocal_energy,
-                            optimal_sharp_period, rescaling_identity_check,
-                            sharp_stripe_energy, total_energy,
-                            unscaled_energy)
+                            optimal_sharp_period, sharp_stripe_energy,
+                            total_energy, unscaled_energy)
 from stripes.field import PeriodicField, StripeSpec, make_stripes
 from stripes.model import ModelParams, double_well
 from stripes.solvers import golden_section
@@ -61,6 +60,29 @@ def test_modica_mortola_single_jump(ps1):
     dx = L / n
     assert modica_mortola(u, ps1.alpha) == pytest.approx(
         3.0 * ps1.alpha * 2.0 / dx, rel=1e-12)
+
+
+def rescaling_identity_check(u: PeriodicField, params: ModelParams
+                             ) -> tuple[float, float, float]:
+    """Evaluate the unscaled energy and the rescaled energy on corresponding
+    grids and return (lhs, rhs, gap).
+
+    The field ``u`` is read on the rescaled torus [0, params.L)^d; the same
+    sample values on the stretched torus of period L = tau^(-1/beta) params.L
+    define the unscaled configuration.  With coupling J = J_c - tau the
+    two sides agree to rounding error: the tau = 1 kernel table on the
+    stretched torus is a^p times the tau kernel table, since both sum the
+    same exponential-sum nodes in log(t a) (their entry bounds f_max, and
+    with them the truncations, differ by the same factor a^p).
+    """
+    a = params.kernel_scale
+    L_big = u.L / a
+    tau_pow = params.tau ** (1.0 + 1.0 / params.beta)
+    J = kernel.j_c(params) - params.tau
+    u_big = PeriodicField(u.dims, u.n, L_big, u.values)
+    lhs = unscaled_energy(u_big, J, params.eps, p=params.p)
+    rhs = tau_pow * total_energy(u, params).total
+    return lhs, rhs, lhs - rhs
 
 
 def test_rescaling_identity(ps1, ps2):

@@ -173,3 +173,15 @@ def test_profile_gamma_validation():
 def test_profile_rejects_a_nan_gamma():
     with pytest.raises(ValueError, match="got nan"):
         Profile1D(4, 1.0, np.full(4, 0.5), gamma=[1.0, np.nan, 2.0, 1.0])
+
+
+@pytest.mark.parametrize("params", [
+    ModelParams(d=2, p=3.5, tau=0.05, eps=0.05, L=1.0, allow_small_p=True),
+    ModelParams(d=2, p=4.0, tau=2.0, eps=0.05, L=1.0, allow_large_tau=True),
+], ids=["allow_small_p", "allow_large_tau"])
+def test_pfd_round_trips_params_that_need_an_opt_in_flag(tmp_path, params):
+    path = tmp_path / "f.pfd"
+    u = PeriodicField(2, 4, 1.0, np.full((4, 4), 0.5))
+    write_pfd(path, u, params)
+    v, ps_back = read_pfd(path)
+    assert np.array_equal(v.values, u.values) and ps_back == params

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from stripes import kernel
 from stripes.model import (DomainError, ModelParams, clamp01, double_well,
                            double_well_prime, omega_gap_ratio,
                            transition_energy)
@@ -18,7 +19,7 @@ def test_derived_exponents_d2(ps2):
     assert ps2.beta == pytest.approx(1.0)
     assert ps2.q == pytest.approx(3.0)
     assert ps2.kernel_scale == pytest.approx(0.05)
-    assert ps2.Jc == pytest.approx(2.0 / 3.0)
+    assert kernel.j_c(ps2) == pytest.approx(2.0 / 3.0)
 
 
 def test_rejects_divergent_first_moment():
@@ -122,3 +123,16 @@ def test_omega_gap_ratio_at_least_one(a, b):
 
 def test_to_from_dict_roundtrip(ps1):
     assert ModelParams.from_dict(ps1.to_dict()) == ps1
+
+
+@pytest.mark.parametrize("params, flags", [
+    (ModelParams(d=1, p=3.0, tau=0.05, eps=0.05, L=1.0), []),
+    (ModelParams(d=1, p=2.5, tau=0.05, eps=0.05, L=1.0, allow_small_p=True),
+     ["allow_small_p"]),
+    (ModelParams(d=2, p=4.0, tau=2.0, eps=0.05, L=1.0, allow_large_tau=True),
+     ["allow_large_tau"]),
+], ids=["default", "allow_small_p", "allow_large_tau"])
+def test_to_dict_records_only_the_flags_that_are_set(params, flags):
+    obj = params.to_dict()
+    assert list(obj) == ["d", "p", "tau", "eps", "L", *flags]
+    assert ModelParams.from_dict(obj) == params

@@ -10,7 +10,7 @@ from stripes.field import Profile1D, make_one_dimensional
 from stripes.kernel import c_tau
 from stripes.model import ModelParams
 from stripes.onedim import (ConvergenceError, CrossingError,
-                            chessboard_check, confined_split, el_residual,
+                            chessboard_check, el_residual,
                             f1d, free_boundary_points, gamma_limit_study,
                             i_g_profile, minimize_aux_penalized,
                             minimize_profile, obstacle_set, optimal_period,
@@ -73,7 +73,6 @@ def test_gamma_below_one_or_nan_is_rejected(ps1, bad, worst):
                                           np.random.default_rng(5)))
     gam = bad if np.isscalar(bad) else np.array(bad)
     calls = [lambda: f1d(gam, g, ps1),
-             lambda: confined_split(gam, g, ps1),
              lambda: minimize_profile(ps1, 1.0, n=32, gamma=gam)]
     if np.isscalar(bad):
         x = np.linspace(0.0, 1.0, 33)
@@ -88,13 +87,6 @@ def test_gamma_within_clamp_tolerance_of_one_is_accepted(ps1):
     g = Profile1D(32, 2.0, smooth_profile(32, 2.0,
                                           np.random.default_rng(5)))
     assert np.isfinite(f1d(1.0 - 1e-13, g, ps1))
-
-
-def test_confined_split_sums_to_f1d(ps1):
-    rng = np.random.default_rng(22)
-    g = Profile1D(128, 2.0, smooth_profile(128, 2.0, rng))
-    t1, t2 = confined_split(None, g, ps1)
-    assert t1 + t2 == pytest.approx(f1d(None, g, ps1), rel=1e-12)
 
 
 def test_reflections_are_involutive_about_half():
@@ -469,3 +461,37 @@ def test_minimize_profile_rejects_a_start_infeasible_for_gamma(
 def test_minimize_profile_rejects_tiny_grids(ps1):
     with pytest.raises(ValueError):
         minimize_profile(ps1, 1.0, n=16)
+
+
+def _bad_start(case: str) -> np.ndarray:
+    gb = onedim._initial_base(1.0, 256, 0.01)    # a valid n = 512 start
+    if case == "length":
+        return gb[:-1]
+    if case == "nan":
+        gb[100] = np.nan
+    elif case == "end":
+        gb[-1] = 0.3
+    else:
+        gb[100] = 1.2
+    return gb
+
+
+BAD_START_ERRORS = {
+    "length": r"n/2 \+ 1 = 257 samples, got shape \(256,\)",
+    "nan": "finite",
+    "end": r"g\(0\) = g\(h\) = 1/2, got 0.5 and 0.3",
+    "range": r"values in \[1/2, 1\]"}
+
+
+@pytest.mark.parametrize("case", list(BAD_START_ERRORS))
+def test_minimize_profile_rejects_a_bad_start(ps1, case):
+    with pytest.raises(ValueError, match=BAD_START_ERRORS[case]):
+        minimize_profile(ps1, 1.0, n=512, g0_base=_bad_start(case))
+
+
+def test_reflected_profile_rejects_nan():
+    g = np.full(9, 0.75)
+    g[0] = g[-1] = 0.5
+    g[4] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        onedim.ReflectedProfile(1.0, g)

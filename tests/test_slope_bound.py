@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 from helpers import count_ffts
 from stripes import energy, flow
 from stripes.field import PeriodicField
-from stripes.flow import FlowOptions, gradient_flow
+from stripes.flow import gradient_flow
 from stripes.model import ModelParams
 
 MAX_N = {2: 10, 3: 5}
@@ -151,7 +151,8 @@ def test_no_certificate_when_c_tau_is_at_most_one(monkeypatch):
     monkeypatch.setattr(flow, "projected_bb", spy)
     u0 = PeriodicField(2, 8, 2.0,
                        np.random.default_rng(7).uniform(0, 1, (8, 8)))
-    gradient_flow(u0, params, FlowOptions(max_iter=20))
+    monkeypatch.setattr(flow, "MAX_ITER", 20)
+    gradient_flow(u0, params)
     assert given_certify == [None] * flow.KAPPA_STAGES
 
 
@@ -166,7 +167,8 @@ def test_flow_counts_every_energy_call_of_its_stages(ps2, monkeypatch):
     monkeypatch.setattr(energy._FieldObjective, "energy", counted)
     u0 = PeriodicField(2, 16, 2.0,
                        np.random.default_rng(8).uniform(0, 1, (16, 16)))
-    _, tr = gradient_flow(u0, ps2, FlowOptions(max_iter=200))
+    monkeypatch.setattr(flow, "MAX_ITER", 200)
+    _, tr = gradient_flow(u0, ps2)
     # the flow evaluates its start once; the stages make every other call
     assert sum(tr.evals) == len(calls) - 1 > 0
     assert len(tr.evals) == len(tr.grad_norm) == flow.KAPPA_STAGES
