@@ -16,7 +16,7 @@ import json
 import platform
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from importlib.metadata import version
 from pathlib import Path
 
@@ -114,6 +114,14 @@ def _params(cfg: dict) -> ModelParams:
                            L=float(cfg.get("L", 1.0)))
     except (DomainError, ValueError) as exc:
         raise click.ClickException(str(exc))
+
+
+def _read_field(path: str, cfg: dict) -> tuple[PeriodicField, ModelParams]:
+    """A .pfd field with the params stored in its header, or with those of
+    ``cfg`` at the field's d and L when the header has none."""
+    u, stored = read_pfd(path)
+    return u, (stored if stored is not None
+               else _params({**cfg, "d": u.dims, "L": u.L}))
 
 
 def _emit(out: Path, name: str, config: dict, report: dict, ok: bool,
@@ -239,9 +247,7 @@ def minimize_2d(cfg, out):
     """Symmetry-breaking experiment: gradient flow from noise seeds."""
     params = _params(cfg)
     if cfg["resume"]:
-        u0, stored = read_pfd(cfg["resume"])
-        run_params = stored if stored is not None else replace(params,
-                                                               L=u0.L)
+        u0, run_params = _read_field(cfg["resume"], cfg)
         uf, tr = _flow.gradient_flow(u0, run_params)
         write_pfd(out / "resumed_final.pfd", uf, run_params)
         tr.write_csv(out / "resumed_trace.csv")
@@ -265,20 +271,20 @@ def minimize_2d(cfg, out):
 
 
 # ---------------------------------------------------------------------------
-def _field_from_cfg(cfg: dict, params: ModelParams) -> PeriodicField:
+def _field_from_cfg(cfg: dict) -> tuple[PeriodicField, ModelParams]:
     if cfg["field"]:
-        u, _ = read_pfd(cfg["field"])
-        return u
+        return _read_field(cfg["field"], cfg)
+    params = _params(cfg)
     n, L = int(cfg["n"]), params.L
     if cfg["kind"] == "random":
         rng = np.random.default_rng(int(cfg["seed"]))
         return PeriodicField(params.d, n, L,
-                             rng.uniform(0, 1, (n,) * params.d))
+                             rng.uniform(0, 1, (n,) * params.d)), params
     if cfg["kind"] == "stripe":
         if cfg["h"] is None:
             cfg["h"] = L / 4.0
         return make_stripes(StripeSpec(1, float(cfg["h"]), 0.0), L, n,
-                            params.d)
+                            params.d), params
     raise click.ClickException(f"unknown field kind {cfg['kind']!r}")
 
 
@@ -293,10 +299,9 @@ def _field_from_cfg(cfg: dict, params: ModelParams) -> PeriodicField:
           _N, click.option("--box-side", "L", type=float),
           click.option("--tol-slack", type=float))
 def verify_decomposition(cfg, out):
-    """Lower-bound decomposition report; fails on negative slack."""
-    params = _params(cfg)
-    u = _field_from_cfg(cfg, params)
-    params = replace(params, d=u.dims, L=u.L)
+    """Lower-bound decomposition report; fails on negative slack.  A
+    --field file is evaluated with the params stored in its header."""
+    u, params = _field_from_cfg(cfg)
     rep_obj = _dec.lower_bound_report(u, params)
     rep = asdict(rep_obj)
     rep["delta_grad"] = _dec.default_delta_grad(u)
@@ -382,7 +387,7 @@ def rp_check(cfg, out):
         g[i0] = 0.5
         prof = Profile1D(n0, 2.0, g)
         _, _, gap = _onedim.reflection_positivity_check(
-            prof, i0 * 2.0 / n0, params, N=2)
+            prof, i0 * 2.0 / n0, params)
         worst_rp = min(worst_rp, gap)
     worst_cb = np.inf
     for _ in range(max(count // 2, 1)):

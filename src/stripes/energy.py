@@ -296,11 +296,13 @@ def _segment_linear_moment(z0: float, z1: float, c0: float, c1: float,
     return c0 * (I0(z1) - I0(z0)) + c1 * (I1(z1) - I1(z0))
 
 
-def _square_wave_correlation_integral(h: float, params: ModelParams,
-                                      rel_tol: float = 1e-13) -> float:
+def _square_wave_correlation_integral(h: float, params: ModelParams
+                                      ) -> float:
     """2 int_0^inf t(z) Khat_tau(z) dz where t is the triangle wave
     t(z) = z/h on [0, h], (2h - z)/h on [h, 2h], extended 2h-periodically;
-    t is the x-average of |chi(x+z) - chi(x)|^2 for width-h stripes."""
+    t is the x-average of |chi(x+z) - chi(x)|^2 for width-h stripes.
+    Summed period by period until the bound on the tail's error is below
+    1e-13 of the total."""
     a = params.kernel_scale
     q = params.q
     c = _kernel.marginal_constant(params.d, params.p)
@@ -319,7 +321,7 @@ def _square_wave_correlation_integral(h: float, params: ModelParams,
         # the replacement error is at most Khat(z_next) * h / 2.
         half_tail = 0.5 * (z_next + a) ** (1.0 - q) / (q - 1.0)
         err = (z_next + a) ** (-q) * h / 2.0
-        if err <= rel_tol * max(abs(total + half_tail), 1e-300) and k >= 2:
+        if err <= 1e-13 * max(abs(total + half_tail), 1e-300) and k >= 2:
             total += half_tail
             break
         k += 1

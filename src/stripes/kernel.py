@@ -26,7 +26,8 @@ one rFFT (by Parseval) and convolves with the table by FFT, both also from
 an rFFT the caller already holds, so that an objective needing the pair
 form and the convolution of one array transforms it once, and
 ``kernel_operator``/``marginal_operator`` cache the operators of the
-periodized kernel and marginal.
+periodized kernel and marginal.  The pair form along the lines of one
+axis reads the same spectrum at zero frequency on the other axes.
 """
 
 from __future__ import annotations
@@ -286,6 +287,15 @@ def _symmetrized(vals: np.ndarray) -> np.ndarray:
     return vals[tuple(idx)]
 
 
+def _rfft_weights(n: int) -> np.ndarray:
+    """Weights of the n // 2 + 1 frequencies of an rFFT of length n in a
+    Parseval sum over all n: 2 where the rFFT drops the conjugate
+    frequency, else 1."""
+    w = np.ones(n // 2 + 1)
+    w[1:(n + 1) // 2] = 2.0
+    return w
+
+
 class PeriodicKernelOperator:
     """Circular convolution with a periodized kernel table over its nonzero
     lags, and the pair form sum_x sum_z |v(x + z) - v(x)|^2 K(z) it defines.
@@ -295,9 +305,9 @@ class PeriodicKernelOperator:
     lag, which adds nothing to the pair form nor to ``ksum * v - conv(v)``
     (the only way callers use ``conv``) and would cancel against itself,
     costing digits on coarse grids where K(0) dominates the table.  A
-    d-dimensional table acts on arrays of its own shape over all axes; a
-    1D table's pair form also runs along the lines of one ``axis`` of an
-    array of any dimension.  ``conv_rfft`` and ``pair_sum_rfft`` are
+    d-dimensional table acts on arrays of its own shape, over all axes or,
+    for the pair form, along the lines of one ``axis`` against the table
+    summed over the other axes.  ``conv_rfft`` and ``pair_sum_rfft`` are
     ``conv`` and the all-axes ``pair_sum`` of an array whose ``rfft`` the
     caller holds.  The operator is cached and shared, also across threads,
     so it keeps no state of the arrays it acts on.  ``kernel_operator``
@@ -316,11 +326,8 @@ class PeriodicKernelOperator:
         self.spectrum = np.fft.rfftn(off)
         self.spectrum.setflags(write=False)
         # Parseval: the pair form is 2/N sum_k w_k |V_k|^2 (ksum - spectrum_k)
-        # over the rFFT V of v, w_k = 2 where an rFFT drops the conjugate
-        # frequency; the mean (k = 0) adds nothing, so its weight is 0
-        n = self.table.shape[-1]
-        w = np.ones(self.spectrum.shape[-1])
-        w[1:(n + 1) // 2] = 2.0
+        # over the rFFT V of v; the mean (k = 0) adds nothing: weight 0
+        w = _rfft_weights(self.table.shape[-1])
         self._pair_weights = (w / self.table.size
                               * (self.ksum - self.spectrum.real))
         self._pair_weights[(0,) * off.ndim] = 0.0
@@ -364,19 +371,26 @@ class PeriodicKernelOperator:
         and lags z, from one rFFT of v by Parseval.  Invariant under
         constant shifts of v.
 
-        With ``axis`` given, a 1D table's pair form along every grid line
-        of v parallel to ``axis``, from one rFFT along it: an array of the
-        line sums, of v's shape without ``axis``."""
+        With ``axis`` given, the pair form along every grid line of v
+        parallel to ``axis`` against the table summed over the other axes,
+        from one rFFT along it: an array of the line sums, of v's shape
+        without ``axis``; the summed table's spectrum is ``spectrum`` at
+        zero frequency on the other axes."""
         if axis is None:
             return self.pair_sum_rfft(self.rfft(v))
-        if self.table.ndim != 1:
+        if v.ndim != self.table.ndim:
             raise ValueError(f"a {self.table.ndim}D kernel table acts on "
-                             "all axes, not along one")
+                             f"{self.table.ndim}D arrays, got {v.ndim}D")
         f = np.fft.rfft(v, axis=axis)
+        n = self.table.shape[axis]
+        line = self.spectrum[tuple(slice(None) if a == axis else 0
+                                   for a in range(v.ndim))][:n // 2 + 1]
+        weights = _rfft_weights(n) / n * (self.ksum - line.real)
+        weights[0] = 0.0
         shape = [1] * v.ndim
         shape[axis] = -1
         return 2.0 * np.sum((f.real ** 2 + f.imag ** 2)
-                            * self._pair_weights.reshape(shape), axis=axis)
+                            * weights.reshape(shape), axis=axis)
 
 
 def _check_grid(L: float, n: int) -> None:
@@ -443,13 +457,3 @@ def periodized_kernel_grid(L: float, n: int, params: ModelParams
                            ) -> np.ndarray:
     """The read-only table of ``kernel_operator``."""
     return kernel_operator(L, n, params).table
-
-
-def lattice_marginal(kernel_grid: np.ndarray, axis: int, spacing: float
-                     ) -> np.ndarray:
-    """Marginalize a d-dim periodized kernel grid onto one lag axis by the
-    lattice rectangle rule (exact counterpart of the continuum marginal for
-    lattice identities)."""
-    d = kernel_grid.ndim
-    other = tuple(ax for ax in range(d) if ax != axis)
-    return kernel_grid.sum(axis=other) * spacing ** (d - 1)

@@ -103,37 +103,38 @@ class ModelParams:
                    **{flag: bool(obj[flag]) for flag in _FLAGS if flag in obj})
 
 
-def clamp01(t, tol: float = CLAMP_TOL):
-    """Clamp values to [0,1]; violations beyond ``tol``, and NaN, are hard
-    errors."""
+def clamp01(t):
+    """Clamp values to [0,1]; violations beyond ``CLAMP_TOL``, and NaN, are
+    hard errors."""
     arr = np.asarray(t, dtype=float)
-    outside = ~((arr >= -tol) & (arr <= 1.0 + tol))    # NaN is outside
+    outside = ~((arr >= -CLAMP_TOL) & (arr <= 1.0 + CLAMP_TOL))  # NaN too
     if np.any(outside):
         bad = float(arr[outside].flat[0])
-        raise DomainError(f"value {bad} outside [0,1] beyond tolerance {tol}")
+        raise DomainError(
+            f"value {bad} outside [0,1] beyond tolerance {CLAMP_TOL}")
     out = np.clip(arr, 0.0, 1.0)
     return out if out.ndim else float(out)
 
 
-def double_well(t, tol: float = CLAMP_TOL):
+def double_well(t):
     """W(t) = t^2 (1-t)^2, the double-well potential with wells at 0 and 1."""
-    t = clamp01(t, tol)
+    t = clamp01(t)
     return t * t * (1.0 - t) * (1.0 - t)
 
 
-def double_well_prime(t, tol: float = CLAMP_TOL):
+def double_well_prime(t):
     """W'(t) = 2t(1-t)(1-2t)."""
-    t = clamp01(t, tol)
+    t = clamp01(t)
     return 2.0 * t * (1.0 - t) * (1.0 - 2.0 * t)
 
 
-def transition_energy(t, tol: float = CLAMP_TOL):
+def transition_energy(t):
     """omega(t) = 3t^2 - 2t^3 = integral_0^t 6 sqrt(W).
 
     The minimal cost of a monotone transition from 0 to t, normalized so
     omega(1) = 1.
     """
-    t = clamp01(t, tol)
+    t = clamp01(t)
     return 3.0 * t * t - 2.0 * t ** 3
 
 

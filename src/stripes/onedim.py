@@ -164,21 +164,19 @@ def _reflect(v: np.ndarray, odd: bool = True) -> np.ndarray:
     return np.concatenate([v, 1.0 - back if odd else back])
 
 
-def reflect_left(g: np.ndarray, i0: int, tol: float = CROSSING_TOL
-                 ) -> np.ndarray:
+def reflect_left(g: np.ndarray, i0: int) -> np.ndarray:
     """Left reflection about grid point i0: keep samples with index <= i0,
     replace the rest of a window of equal width by 1 - g mirrored."""
     if not (0 <= i0 < g.size):
         raise IndexError("i0 out of range")
-    if abs(g[i0] - 0.5) > tol:
+    if abs(g[i0] - 0.5) > CROSSING_TOL:
         raise CrossingError(f"g[i0] = {g[i0]} is not a 1/2-crossing")
     return _reflect(g[: i0 + 1])
 
 
-def reflect_right(g: np.ndarray, i0: int, tol: float = CROSSING_TOL
-                  ) -> np.ndarray:
+def reflect_right(g: np.ndarray, i0: int) -> np.ndarray:
     """Right reflection about grid point i0 (mirror image of reflect_left)."""
-    return reflect_left(g[::-1], g.size - 1 - i0, tol)[::-1]
+    return reflect_left(g[::-1], g.size - 1 - i0)[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +363,10 @@ def _quad_form(f: np.ndarray, x: np.ndarray, params: ModelParams) -> float:
     return float(f @ kmat @ f) * dx * dx
 
 
-def reflection_positivity_check(g: Profile1D, x0: float, params: ModelParams,
-                                N: int = 2) -> tuple[float, float, float]:
+def reflection_positivity_check(g: Profile1D, x0: float, params: ModelParams
+                                ) -> tuple[float, float, float]:
     """Check that reflecting at a 1/2-crossing does not increase the
-    nonlocal quadratic form on the window [-N L, N L]:
+    nonlocal quadratic form on the window [-2 L, 2 L]:
 
         Q(g - 1/2)  >=  1/2 [ Q(theta_l g - 1/2) + Q(theta_r g - 1/2) ],
 
@@ -385,11 +383,10 @@ def reflection_positivity_check(g: Profile1D, x0: float, params: ModelParams,
     if abs(g.g[i0_local % n] - 0.5) > CROSSING_TOL:
         raise CrossingError(f"g(x0) = {g.g[i0_local % n]} != 1/2")
 
-    # window [-N L, N L) by periodic extension, crossing at index i0
-    reps = 2 * N
-    G = np.tile(g.g, reps)
-    x = -N * L + np.arange(reps * n) * dx
-    i0 = N * n + i0_local
+    # window [-2 L, 2 L) by periodic extension, crossing at index i0
+    G = np.tile(g.g, 4)
+    x = -2 * L + np.arange(4 * n) * dx
+    i0 = 2 * n + i0_local
 
     f = G - 0.5
     lhs = _quad_form(f, x, params)
@@ -711,19 +708,18 @@ def i_g_profile(g, params: ModelParams) -> np.ndarray:
 OBSTACLE_TOL = 10 * np.finfo(float).eps * 1e3
 
 
-def obstacle_set(G: np.ndarray, tol: float = OBSTACLE_TOL) -> np.ndarray:
-    return G > 1.0 - tol
+def obstacle_set(G: np.ndarray) -> np.ndarray:
+    return G > 1.0 - OBSTACLE_TOL
 
 
-def free_boundary_points(g, tol: float = OBSTACLE_TOL
-                         ) -> tuple[float, float] | None:
+def free_boundary_points(g) -> tuple[float, float] | None:
     """(xbar1, xbar2): boundary of the contact set {g = 1} inside the first
     half-period, or None when the obstacle is never touched."""
     prof = g.full() if isinstance(g, ReflectedProfile) else g
     n = prof.n
     dx = prof.L / n
     half = prof.g[: n // 2 + 1]
-    on = np.nonzero(obstacle_set(half, tol))[0]
+    on = np.nonzero(obstacle_set(half))[0]
     if on.size == 0:
         return None
     return float(on[0] * dx), float(on[-1] * dx)
@@ -732,12 +728,8 @@ def free_boundary_points(g, tol: float = OBSTACLE_TOL
 @dataclass(frozen=True)
 class ELDiagnostics:
     residual: np.ndarray          # stationarity residual, NaN off {g < 1-d}
-    max_abs_residual: float
-    ineq_min: float               # min of (lhs - rhs) of the global form
     first_integral_gap4: float    # variation of the factor-4 invariant
     first_integral_gap2: float    # variation of the factor-2 invariant
-    gamma1_margin: float
-    gamma2_gap: float
     gamma3_ok: bool
     xbar: tuple[float, float] | None
 
@@ -748,12 +740,10 @@ def el_residual(gamma, g, params: ModelParams) -> ELDiagnostics:
     - residual of 3 (C-1) alpha (gamma g')' = 3 (C-1) W'(g)/(2 gamma alpha)
       + 2 I_g on {EL_DELTA < g < 1 - EL_DELTA} (centered divided
       differences of the half-point products gamma g');
-    - the same relation as a global inequality (>=, one-sided on the
-      obstacle);
     - constancy of the first integral
       3 (C-1) [alpha gamma^2 |g'|^2 - W(g)/alpha] - c int gamma g' I_g
       for both written factors c = 4 and c = 2;
-    - the pointwise optimal-coefficient conditions.
+    - gamma = +inf only where g' = 0 off the obstacle.
     """
     prof = g.full() if isinstance(g, ReflectedProfile) else g
     L, n = prof.L, prof.n
@@ -780,13 +770,6 @@ def el_residual(gamma, g, params: ModelParams) -> ELDiagnostics:
     # period the contact sets are {g = 1} and its mirror image {g = 0}
     interior = (G < 1.0 - EL_DELTA) & (G > EL_DELTA)
     res_interior = np.where(interior, res, np.nan)
-    max_res = float(np.nanmax(np.abs(res_interior))) if interior.any() \
-        else 0.0
-    # one-sided multiplier signs on the contact sets: res >= 0 on {g = 1},
-    # res <= 0 on the mirrored set {g = 0}
-    hi, lo = G >= 1.0 - EL_DELTA, G <= EL_DELTA
-    sides = np.concatenate([res[hi], -res[lo]])
-    ineq_min = float(np.min(sides)) if sides.size else 0.0
 
     # first integral on {g != 1}
     D_node = 0.5 * (D + np.roll(D, 1))
@@ -799,23 +782,13 @@ def el_residual(gamma, g, params: ModelParams) -> ELDiagnostics:
         vals = psi[notobs]
         gaps.append(float(np.max(vals) - np.min(vals)) if vals.size else 0.0)
 
-    finite = np.isfinite(gam)
-    gam1 = gam <= 1.0 + 1e-9
-    active = gam1 & interior
-    margin = float(np.min((alpha * D_node ** 2 - double_well(G) / alpha)
-                          [active])) if active.any() else np.inf
-    mid = finite & ~gam1
-    gap2 = float(np.max(np.abs((alpha * gam ** 2 * D_node ** 2
-                                - double_well(G) / alpha)[mid]))) \
-        if mid.any() else 0.0
-    inf_mask = ~finite & (G < 1.0 - OBSTACLE_TOL)
+    inf_mask = ~np.isfinite(gam) & (G < 1.0 - OBSTACLE_TOL)
     gamma3_ok = bool(np.all(np.abs(D_node[inf_mask]) < 1e-9)) \
         if inf_mask.any() else True
 
     return ELDiagnostics(
-        residual=res_interior, max_abs_residual=max_res, ineq_min=ineq_min,
-        first_integral_gap4=gaps[0], first_integral_gap2=gaps[1],
-        gamma1_margin=margin, gamma2_gap=gap2, gamma3_ok=gamma3_ok,
+        residual=res_interior, first_integral_gap4=gaps[0],
+        first_integral_gap2=gaps[1], gamma3_ok=gamma3_ok,
         xbar=free_boundary_points(prof))
 
 

@@ -88,6 +88,16 @@ def cross_term_direct(u: PeriodicField, i: int, params: ModelParams
     return total * u.h_grid ** (2 * d) / (2.0 * d)
 
 
+def lattice_marginal(kernel_grid: np.ndarray, axis: int, spacing: float
+                     ) -> np.ndarray:
+    """Marginalize a d-dim periodized kernel grid onto one lag axis by the
+    lattice rectangle rule: the table of the slice nonlocal terms of
+    ``decomposition`` as a 1D table of its own."""
+    d = kernel_grid.ndim
+    other = tuple(ax for ax in range(d) if ax != axis)
+    return kernel_grid.sum(axis=other) * spacing ** (d - 1)
+
+
 def slice_terms_direct(u: PeriodicField, params: ModelParams
                        ) -> tuple[list, list[float], list[float], float]:
     """Reference slice terms by the per-line loop: the np.roll gradient,
@@ -105,7 +115,7 @@ def slice_terms_direct(u: PeriodicField, params: ModelParams
     active = gl1 > default_delta_grad(u)
     w = double_well(u.values)
     kgrid = kernel.periodized_kernel_grid(u.L, n, params)
-    op = kernel.PeriodicKernelOperator(kernel.lattice_marginal(kgrid, 0, h))
+    op = kernel.PeriodicKernelOperator(lattice_marginal(kgrid, 0, h))
     ctau = kernel.c_tau(params)
     rows, mbar, gbar = [], [], []
     for ax, g in enumerate(diffs):

@@ -202,7 +202,7 @@ def test_criterion_07_reflection_positivity_and_chessboard():
         i0 = int(rng.integers(1, n - 1))
         g[i0] = 0.5
         _, _, gap = reflection_positivity_check(
-            Profile1D(n, L, g), i0 * L / n, PS1, N=2)
+            Profile1D(n, L, g), i0 * L / n, PS1)
         worst_rp = min(worst_rp, gap)
     worst_cb = np.inf
     for trial in range(50):

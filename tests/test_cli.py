@@ -211,6 +211,33 @@ def test_verify_decomposition_report_is_the_lower_bound_report(runner,
                             else value), key
 
 
+@pytest.mark.parametrize("stored", [True, False])
+def test_field_commands_read_the_params_of_a_pfd_file(runner, tmp_path,
+                                                      stored):
+    # a field written with tau = 0.2, eps = 0.04 is evaluated with them by
+    # both commands that read one: from its header, or from the flags
+    # when the header has none
+    ps = ModelParams(d=2, p=4.0, tau=0.2, eps=0.04, L=2.0)
+    u = PeriodicField(2, 16, 2.0,
+                      np.random.default_rng(9).uniform(0, 1, (16, 16)))
+    fpath = tmp_path / "f.pfd"
+    write_pfd(fpath, u, ps if stored else None)
+    flags = [] if stored else ["--tau", "0.2", "--eps", "0.04"]
+    reports = []
+    for cmd, opt in (("verify-decomposition", "--field"),
+                     ("minimize-2d", "--resume")):
+        out = tmp_path / cmd
+        res = runner.invoke(main, [cmd, opt, str(fpath), *flags,
+                                   "--output-dir", str(out)])
+        assert res.exit_code == 0, res.output
+        name = cmd.replace("-", "_")
+        reports.append(_payload(out / f"{name}.json")["report"])
+    decomposition, resumed = reports
+    assert decomposition["dx_over_alpha"] == pytest.approx(15.625,
+                                                           rel=1e-15)
+    assert decomposition["kernel"] == resumed["kernel"]
+
+
 def test_optimal_period_report_is_the_search_result(runner, tmp_path):
     out = tmp_path / "op"
     res = runner.invoke(main, ["optimal-period", "-n", "128",

@@ -69,6 +69,28 @@ def test_lower_bound_slack_random_fields(ps2):
             total_energy(u, ps2).total, rel=1e-9)
 
 
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 24), seed=st.integers(0, 2 ** 32 - 1),
+       smooth=st.booleans())
+def test_cross_terms_are_the_slice_overshoot_in_2d(n, seed, smooth):
+    # in d = 2 the slice nonlocal terms overshoot the full nonlocal term by
+    # exactly the sum of the cross terms, so the slack is Wcal (C_tau - 2)
+    ps = SLICE_PARAMS[2]
+    rng = np.random.default_rng(seed)
+    u = smooth_field(2, n, ps.L, rng) if smooth and n >= 7 \
+        else rough_field(2, n, ps.L, rng)
+    op = kernel.kernel_operator(u.L, n, ps)
+    vol2 = u.h_grid ** 4
+    slices = sum(float(np.sum(op.pair_sum(u.values, axis=ax))) * vol2
+                 for ax in range(2))
+    full = op.pair_sum(u.values) * vol2
+    rep = lower_bound_report(u, ps)
+    assert sum(rep.cross) == pytest.approx(slices - full, abs=1e-13 * slices)
+    assert rep.slack == pytest.approx(
+        rep.wcal * (kernel.c_tau(ps) - 2.0) / u.L ** 2,
+        abs=1e-12 * rep.full_energy)
+
+
 def test_lower_bound_equality_on_one_dimensional_fields(ps2):
     rng = np.random.default_rng(15)
     for i in (1, 2):

@@ -108,7 +108,7 @@ def test_reflection_positivity_on_crossings(ps1):
         g[i0] = 0.5
         prof = Profile1D(n, L, g)
         lhs, rhs, gap = reflection_positivity_check(
-            prof, i0 * L / n, ps1, N=2)
+            prof, i0 * L / n, ps1)
         assert gap >= -1e-8
 
 

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import nonlocal_direct, periodized_values_direct, table_bound
+from helpers import (lattice_marginal, nonlocal_direct,
+                     periodized_values_direct, table_bound)
 from stripes import kernel
 from stripes.model import ModelParams
 
@@ -194,18 +195,20 @@ def test_pair_sum_matches_direct_double_sum(dn, seed):
 # n = 2: K(0) is ~4e3 times K(1), the worst case for a form that cancels it
 @example(d=2, n=2, seed=8)
 def test_axis_pair_sum_matches_lag_sum(d, n, seed):
-    op = kernel.marginal_operator(1.5, n, ModelParams(d=1, p=3.0, tau=0.05,
-                                                      eps=0.05, L=1.5))
+    op = kernel.kernel_operator(1.5, n, ModelParams(d=d, p=d + 2.0, tau=0.05,
+                                                    eps=0.05, L=1.5))
     v = np.random.default_rng(seed).uniform(0.0, 1.0, (n,) * d)
     for ax in range(d):
-        # one lag sum per line along ax
-        ref = sum(op.table[j] * np.sum((np.roll(v, -j, axis=ax) - v) ** 2,
-                                       axis=ax)
+        # one lag sum per line along ax, against the table summed over the
+        # other axes
+        line_table = lattice_marginal(op.table, ax, 1.0)
+        ref = sum(line_table[j] * np.sum((np.roll(v, -j, axis=ax) - v) ** 2,
+                                         axis=ax)
                   for j in range(n))
         assert op.pair_sum(v, axis=ax) == pytest.approx(ref, rel=1e-12)
 
 
-def test_axis_pair_sum_needs_1d_table(ps2):
+def test_axis_pair_sum_needs_the_table_dimension(ps2):
     op = kernel.kernel_operator(ps2.L, 4, ps2)
-    with pytest.raises(ValueError, match="all axes"):
-        op.pair_sum(np.zeros((4, 4)), axis=0)
+    with pytest.raises(ValueError, match="acts on 2D arrays, got 3D"):
+        op.pair_sum(np.zeros((4, 4, 4)), axis=0)
