@@ -125,7 +125,8 @@ def directional_mm(u: PeriodicField, i: int, x_perp, params: ModelParams
     return float(_slice_terms(u, params).mbar[ax][perp])
 
 
-def cross_term(u: PeriodicField, i: int, params: ModelParams) -> float:
+def cross_term(u: PeriodicField, i: int, params: ModelParams,
+               f: np.ndarray | None = None) -> float:
     """Nonnegative cross term
 
         I^i = (1/d) int_{zeta_i > 0} int [ (u(x + zeta_i e_i) - u(x))
@@ -142,13 +143,15 @@ def cross_term(u: PeriodicField, i: int, params: ModelParams) -> float:
     with S(0) for the sum of the table's nonzero lags, m_i is exactly 0
     where k_i = 0 or k_perp = 0, where a field constant along e_i or along
     its normal hyperplane has all its power: its I^i is only the FFT's
-    rounding of the other modes.
+    rounding of the other modes.  ``f``, when the caller holds it, is U,
+    which is then not taken.
     """
     ax = i - 1
     if not (0 <= ax < u.dims):
         raise IndexError(f"axis {i} out of range for dims={u.dims}")
     op = _kernel.kernel_operator(u.L, u.n, params)
-    f = op.rfft(u.values)
+    if f is None:
+        f = op.rfft(u.values)
     s = op.spectrum.real
     line = s[tuple(slice(None) if a == ax else slice(0, 1)
                    for a in range(u.dims))]               # S(k_i, 0_perp)
@@ -163,17 +166,19 @@ def lower_bound_report(u: PeriodicField, params: ModelParams
                        ) -> DecompositionReport:
     """Assemble the directional lower bound and its slack against the full
     energy from one slice pass, with a single shared kernel grid and
-    gradient threshold."""
+    gradient threshold; the cross terms and the full energy share one
+    rFFT of u."""
     terms = _slice_terms(u, params)
+    f = _kernel.kernel_operator(u.L, u.n, params).rfft(u.values)
     d = u.dims
     perp_vol = u.h_grid ** (d - 1)
     mbars = [float(np.sum(m)) * perp_vol for m in terms.mbar]
     gbars = [float(np.sum(g)) * perp_vol for g in terms.gbar]
-    crosses = [cross_term(u, ax + 1, params) if d > 1 else 0.0
+    crosses = [cross_term(u, ax + 1, params, f) if d > 1 else 0.0
                for ax in range(d)]
     lower = (sum(-m + g for m, g in zip(mbars, gbars)) + sum(crosses)
              + terms.wcal) / u.L ** d
-    full = total_energy(u, params).total
+    full = total_energy(u, params, f).total
     return DecompositionReport(
         mbar=tuple(mbars), gbar=tuple(gbars), cross=tuple(crosses),
         wcal=terms.wcal, lower_bound=lower, full_energy=full,

@@ -139,21 +139,25 @@ class _FieldObjective:
             raise ValueError("field dimension does not match params.d")
         return cls(params, u.L, u.n)
 
-    def _evaluated(self, v: np.ndarray) -> tuple:
-        """(dv, D, rFFT) of v, kept while v is the last array evaluated."""
+    def _evaluated(self, v: np.ndarray, f: np.ndarray | None = None
+                   ) -> tuple:
+        """(dv, D, rFFT) of v, kept while v is the last array evaluated;
+        ``f``, when given, is the rFFT of v, which is then not taken."""
         if self._trial is None or self._trial[0] is not v:
             dv = _differences(v)
             self._trial = (v, dv, [t / self.dx for t in dv],
-                           self.op.rfft(v))
+                           self.op.rfft(v) if f is None else f)
         return self._trial[1:]
 
     def nonlocal_sum(self, v: np.ndarray) -> float:
         """NL(v), the lattice pair form of the periodized kernel."""
         return self.op.pair_sum(v) * self.vol2
 
-    def split(self, v: np.ndarray) -> tuple[float, float]:
-        """(mm_term, nonlocal_term) of ``EnergyBreakdown``."""
-        _, D, f = self._evaluated(v)
+    def split(self, v: np.ndarray, f: np.ndarray | None = None
+              ) -> tuple[float, float]:
+        """(mm_term, nonlocal_term) of ``EnergyBreakdown``; ``f`` as in
+        ``_evaluated``."""
+        _, D, f = self._evaluated(v, f)
         mm = (_modica_mortola(v, D, self.vol, self.alpha) * self.c1
               * self.vol_inv)
         return mm, self.op.pair_sum_rfft(f) * self.vol2 * self.vol_inv
@@ -258,9 +262,12 @@ def nonlocal_energy(u: PeriodicField, params: ModelParams) -> float:
     return _FieldObjective.of(u, params).nonlocal_sum(u.values)
 
 
-def total_energy(u: PeriodicField, params: ModelParams) -> EnergyBreakdown:
-    """Rescaled energy per unit volume with its two-term breakdown."""
-    mm, nl = _FieldObjective.of(u, params).split(u.values)
+def total_energy(u: PeriodicField, params: ModelParams,
+                 f: np.ndarray | None = None) -> EnergyBreakdown:
+    """Rescaled energy per unit volume with its two-term breakdown; ``f``,
+    when the caller holds it, is the rFFT of u's values
+    (``kernel.kernel_operator(...).rfft``), which is then not taken."""
+    mm, nl = _FieldObjective.of(u, params).split(u.values, f)
     return EnergyBreakdown(mm_term=mm, nonlocal_term=nl, total=mm - nl)
 
 

@@ -31,23 +31,25 @@ them: profiles are checked where they enter (``Profile1D``; base
 profiles by ``_check_base``, in ``ReflectedProfile`` and for the
 descent's start; the descent's projection onto [1/2, 1]) and
 coefficients by ``_gamma_array`` in the public functions that take them.
-In the profile descent
-(``solvers.projected_bb`` with the fixed MAX_ITER, TOL_GRAD and
-TRACE_EVERY) n is even, the free variables are g[1..n/2-1] in [1/2, 1]
+The profile descent (``_newton_descent``, with the fixed MAX_ITER,
+TOL_GRAD and TRACE_EVERY) is an active-set Newton iteration for this
+obstacle problem: n is even, the variables are g[1..n/2-1] in [1/2, 1]
 with both endpoints pinned at 1/2, and gradients on the full period are
-folded back onto the base through the reflection.  Its first trial step
-is 1/lam for a bound lam on the Hessian of the energy on the box, so the
-first trial is accepted, and its line search decides each trial on the
-energy change: the difference of the two energies where it exceeds their
-rounding (ENERGY_ROUNDING), the closed form ``_ProfileObjective.delta``
-(one rFFT, of the difference) inside it.  So the descent stops on its
-gradient test, not on rounding noise, and it needs no energy tolerance.
-The search is nonmonotone: a trial passes against the largest of the
-last ``solvers.GLL_MEMORY`` energies, so the energy trace may rise for a
-few steps, and most Barzilai-Borwein steps pass at the first trial.
-Where gamma is +inf, the energy is finite only while G' = 0 there, so
-a start without it is rejected and the descent projects its gradient
-onto such profiles (``_tie``): the samples joined by +inf steps move as
+folded back onto the base through the reflection.  Samples on a bound
+whose gradient pushes out of the box keep their value; on the free ones
+the Newton system is formed from the objective's own pieces (difference
+Laplacian, double well, kernel table) and solved densely with mirrored
+eigenvalues, or by conjugate gradients once the free set is large.  A
+trial passes a monotone Armijo test on its energy change: the difference
+of the two energies where it exceeds their rounding (ENERGY_ROUNDING),
+the closed form ``_ProfileObjective.delta`` (one rFFT, of the
+difference) inside it.  A Newton step that fails is halved, and after
+NEWTON_HALVINGS halvings the certified projected-gradient step 1/lam
+(``_first_step``, lam a bound on the Hessian on the box) is tried.  So
+the descent stops on its gradient test, not on rounding noise, and it
+needs no energy tolerance.  Where gamma is +inf, the energy is finite
+only while G' = 0 there, so a start without it is rejected and the
+samples joined by +inf steps are one variable (``_Runs``): they move as
 one, or not at all next to a pinned end.
 The period search is ``solvers.scan_golden``.  The penalized family updates
 gamma at all samples at once (``_gamma_update``): in closed form where the
@@ -67,14 +69,15 @@ for the measure of {gamma > 1 + GAMMA_TOL} in the gamma-limit study.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from . import kernel as _kernel
 from .field import Profile1D, check_gamma
 from .model import ModelParams, double_well, double_well_prime
-from .solvers import (ACTIVE_TOL, STEP_MAX, NoBracketError, projected_bb,
-                      scan_golden)
+from .solvers import (ACTIVE_TOL, BACKTRACK, STEP_MAX, DescentResult,
+                      NoBracketError, scan_golden)
 
 
 # distance from a 1/2-crossing that the reflection checks tolerate
@@ -470,11 +473,26 @@ def chessboard_check(gamma, g: np.ndarray, crossings, params: ModelParams,
 # closed-form change (``_ProfileObjective.delta``) instead: each energy is
 # a difference of two sums of n nonnegative terms taken by pairwise
 # summation and an FFT, whose rounding grows like log2(n) eps, and this
-# band holds that of two such energies with room to spare.
+# band holds that of two such energies with room to spare.  A trial passes
+# when its change is at most ARMIJO <g, trial - x> < 0; a Newton step that
+# fails is halved up to NEWTON_HALVINGS times before the certified
+# gradient step is tried.  The Newton system of at most DENSE_MAX free
+# samples is formed and solved by eigenvalues, each mirrored to its
+# absolute value and raised to CURVATURE_FLOOR times the largest; a larger
+# one is solved by at most CG_ITER conjugate-gradient steps.  Of DENSE_MAX
+# = 0...512, 256 was fastest on resolved layers (PS1, h = 2.68, n up to
+# 17152, whose ~100 free samples cost conjugate gradients dozens of rFFT
+# pairs per step) and on wide starts (g = 0.75); an eigh takes ~9 ms at
+# 256 samples and ~50 ms at 512 (numpy, one thread of a 2.1 GHz Xeon).
 MAX_ITER = 20000
 TOL_GRAD = 1e-7
 TRACE_EVERY = 50
 ENERGY_ROUNDING = 64 * np.finfo(float).eps
+ARMIJO = 1e-4
+NEWTON_HALVINGS = 10
+DENSE_MAX = 256
+CURVATURE_FLOOR = 1e-10
+CG_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -496,31 +514,33 @@ def _fold_grad(grad_G: np.ndarray, m: int) -> np.ndarray:
     return gb
 
 
-def _tie(gamma: np.ndarray | None, m: int):
-    """The projection of folded base gradients onto the base profiles with
-    G' = 0 wherever gamma = +inf (None when gamma is finite): the mean over
-    each run of base samples joined by +inf steps, a second-half step j
-    joining base samples n-1-j and n-j as ``_reflect`` mirrors them, and 0
-    on a run that holds a pinned end.  A +inf step costs +inf unless its
-    two samples are equal, so a trial that moves one of them alone is
-    rejected; projected, tied samples move together and stay equal bit
-    for bit."""
-    if gamma is None:
-        return None
-    inf = np.isinf(gamma)
-    if not inf.any():
-        return None
-    tied = inf[:m] | inf[::-1][:m]      # base step k: G step k and n-1-k
-    run = np.concatenate([[0], np.cumsum(~tied)])
-    size = np.bincount(run)
-    pinned = np.zeros(size.size, dtype=bool)
-    pinned[[run[0], run[-1]]] = True
+class _Runs:
+    """The variables of the profile descent: the base samples 0..m, with
+    each run of samples joined by +inf steps of gamma merged into one (a
+    second-half step j joins base samples n-1-j and n-j as ``_reflect``
+    mirrors them).  A +inf step costs +inf unless its two samples are
+    equal, so tied samples move as one and stay equal bit for bit; the
+    runs that hold the pinned ends 0 and m never move.  ``weight`` is the
+    coefficient gamma_k + gamma_{n-1-k} of base step k in the base energy,
+    0 on a tied step, whose slope stays 0."""
 
-    def tie(g: np.ndarray) -> np.ndarray:
-        mean = np.bincount(run, weights=g) / size
-        mean[pinned] = 0.0
-        return mean[run]
-    return tie
+    def __init__(self, gamma: np.ndarray | None, m: int):
+        if gamma is None:
+            tied = np.zeros(m, dtype=bool)
+            self.weight = np.full(m, 2.0)
+        else:
+            inf = np.isinf(gamma)
+            tied = inf[:m] | inf[::-1][:m]  # base step k: G step k, n-1-k
+            self.weight = np.where(tied, 0.0, gamma[:m] + gamma[::-1][:m])
+        self.label = np.concatenate([[0], np.cumsum(~tied)])
+        self.size = np.bincount(self.label)
+        self.first = np.flatnonzero(np.diff(self.label, prepend=-1))
+        self.pinned = np.zeros(self.size.size, dtype=bool)
+        self.pinned[[0, -1]] = True
+
+    def total(self, gb: np.ndarray) -> np.ndarray:
+        """The sum of base values gb over each run: a run's derivative."""
+        return np.bincount(self.label, weights=gb)
 
 
 def _initial_base(h: float, m: int, alpha: float) -> np.ndarray:
@@ -539,10 +559,10 @@ def _first_step(obj: _ProfileObjective, gamma: np.ndarray | None) -> float:
     2 B dx (W'' <= 2 on [0, 1]; -1 <= W'' gives -B dx when B < 0), the pair
     form is positive semidefinite so -NL adds nothing, and the reflection,
     which moves two samples per base sample, doubles the bound.  By the
-    descent lemma the first projected trial then lowers the energy.
-    gamma_max is the largest finite coefficient: where gamma is infinite
-    the energy is flat or +inf.  With lam = 0 the energy is concave and
-    every step descends, so the step is solvers.STEP_MAX."""
+    descent lemma the projected-gradient trial of this step lowers the
+    energy.  gamma_max is the largest finite coefficient: where gamma is
+    infinite the energy is flat or +inf.  With lam = 0 the energy is
+    concave and every step descends, so the step is solvers.STEP_MAX."""
     finite = 1.0 if gamma is None else np.max(gamma, initial=1.0,
                                                where=np.isfinite(gamma))
     lam = 2.0 * (8.0 * max(obj.A, 0.0) * finite / obj.dx
@@ -550,24 +570,176 @@ def _first_step(obj: _ProfileObjective, gamma: np.ndarray | None) -> float:
     return 1.0 / lam if lam > 0 else STEP_MAX
 
 
+def _project(y: np.ndarray) -> np.ndarray:
+    """y clipped to [1/2, 1], samples within ACTIVE_TOL of a bound snapped
+    onto it, both ends pinned at 1/2."""
+    gb = y.clip(0.5, 1.0)
+    gb[gb >= 1.0 - ACTIVE_TOL] = 1.0
+    gb[gb <= 0.5 + ACTIVE_TOL] = 0.5
+    gb[0] = gb[-1] = 0.5
+    return gb
+
+
+def _newton_direction(obj: _ProfileObjective, G: np.ndarray,
+                      gamma: np.ndarray | None, runs: _Runs,
+                      free: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """-H^-1 g on the ``free`` runs, H the Hessian of the energy in their
+    values at the profile G and g its gradient there.  On the full period
+    H is (2 A / dx) L_gamma, the difference Laplacian with gamma-weighted
+    steps, plus the diagonal B dx W''(G) / gamma plus (4 dx^2 / L)
+    (C - ksum I), C the circulant of the kernel table; through the
+    reflection base samples i, k see H[i, k] - H[i, n-k] - H[n-i, k]
+    + H[n-i, n-k], and a run the sum over its samples.  Up to DENSE_MAX
+    free samples H is formed from these pieces and inverted on its
+    eigenvalues, mirrored and floored (CURVATURE_FLOOR) so that the step
+    descends; more are solved by conjugate gradients on products with H,
+    one rFFT pair each, from 0 until the residual falls below
+    min(1/2, |g|^(1/2)) |g| or a direction of nonpositive curvature ends
+    them: at the first step the gradient is then scaled by its mirrored
+    curvature."""
+    n, m = obj.n, obj.n // 2
+    well = 2.0 + 12.0 * G * (G - 1.0)                 # W''(G)
+    if gamma is not None:
+        well = well / gamma
+    well *= obj.B * obj.dx
+    lap = 2.0 * obj.A / obj.dx
+    pair = 4.0 * obj.dx * obj.dx / obj.L
+    f = np.flatnonzero(free)
+    samples = np.flatnonzero(free[runs.label])
+    if samples.size <= DENSE_MAX:
+        table, w = obj.op.table, runs.weight
+        i, k = samples[:, None], samples[None, :]
+        H = (2.0 * pair) * (table[np.abs(i - k)] - table[i + k])
+        # the zero lag is not in C: the diagonal is -2 pair table[2i]
+        np.fill_diagonal(H, (-2.0 * pair) * table[2 * samples]
+                         + well[samples] + well[n - samples]
+                         + lap * (w[samples - 1] + w[samples])
+                         - 2.0 * pair * obj.op.ksum)
+        step = np.flatnonzero(np.diff(samples) == 1)
+        H[step, step + 1] -= lap * w[samples[step]]
+        H[step + 1, step] -= lap * w[samples[step]]
+        if samples.size > f.size:
+            P = (runs.label[samples][:, None] == f).astype(float)
+            H = P.T @ H @ P
+        lam, V = np.linalg.eigh(H)
+        lam = np.abs(lam)
+        np.maximum(lam, max(CURVATURE_FLOOR * lam.max(initial=0.0),
+                            np.finfo(float).tiny), out=lam)
+        return -(V @ ((V.T @ g) / lam))
+
+    gam = 1.0 if gamma is None else np.where(np.isinf(gamma), 0.0, gamma)
+
+    def hess(v: np.ndarray) -> np.ndarray:
+        vr = np.zeros(runs.size.size)
+        vr[f] = v
+        vb = vr[runs.label]
+        V = np.concatenate([vb, -vb[-2:0:-1]])     # V[n-i] = -vb[i]
+        gD = gam * (np.roll(V, -1) - V)
+        HV = (lap * (np.roll(gD, 1) - gD) + well * V
+              + pair * (obj.op.conv(V) - obj.op.ksum * V))
+        return runs.total(_fold_grad(HV, m))[f]
+
+    d = np.zeros(f.size)
+    r, p = -g, -g
+    rr = float(r @ r)
+    tol = min(0.5, rr ** 0.25) * rr ** 0.5
+    for j in range(CG_ITER):
+        Hp = hess(p)
+        curv = float(p @ Hp)
+        if curv <= 0.0:
+            if j == 0:
+                d = p * (rr / max(abs(curv), CURVATURE_FLOOR * rr))
+            break
+        a = rr / curv
+        d += a * p
+        r = r - a * Hp
+        rr, rr_old = float(r @ r), rr
+        if rr ** 0.5 <= tol:
+            break
+        p = r + (rr / rr_old) * p
+    return d
+
+
+def _newton_descent(obj: _ProfileObjective, gamma: np.ndarray | None,
+                    runs: _Runs, x: np.ndarray, G: np.ndarray, e: float,
+                    step0: float, max_iter: int) -> DescentResult:
+    """Active-set Newton descent of the base profile x (reflected G, energy
+    e) on [1/2, 1] with both ends pinned.
+
+    Each iteration takes the gradient g of every run and stops converged
+    once the projected max-norm of its mean over the run, 0 on the runs
+    on a bound where g pushes out of the box, is below TOL_GRAD.  Those
+    runs form the active set and keep their value; on the others it tries
+    the projected Newton step (``_newton_direction``), halved while it
+    fails the test up to NEWTON_HALVINGS times, and then the certified
+    projected-gradient step ``step0`` of the mean gradients
+    (``_first_step``).  A trial passes when its energy change, the
+    difference of the two energies or the closed form inside their
+    rounding, is at most ARMIJO <g, trial - x> < 0.  When no trial passes
+    the descent stops on ``line_search``, not converged.  The result's
+    energy is the one evaluated for its x, its step that of the last
+    trial, and ``evals`` counts the trials."""
+    m = obj.n // 2
+    trace = []
+    converged, stop, step = False, "max_iter", step0
+    gnorm = np.inf
+    evals = it = 0
+    while it < max_iter:
+        it += 1
+        gb = _fold_grad(obj.grad(G, gamma), m)
+        g = runs.total(gb)
+        mean = g / runs.size
+        mean[runs.pinned] = 0.0
+        xr = x[runs.first]
+        at_lo, at_hi = xr <= 0.5 + ACTIVE_TOL, xr >= 1.0 - ACTIVE_TOL
+        up = np.where(at_lo, 0.0, mean).max(initial=0.0)
+        down = np.where(at_hi, 0.0, mean).min(initial=0.0)
+        gnorm = abs(float(np.maximum(up, -down)))
+        if gnorm < TOL_GRAD:
+            converged, stop = True, "grad"
+            break
+        free = ~(runs.pinned | (at_lo & (g >= 0.0)) | (at_hi & (g <= 0.0)))
+        d = np.zeros(runs.size.size)
+        d[free] = _newton_direction(obj, G, gamma, runs, free, g[free])
+        newton = ((BACKTRACK ** k, d) for k in range(NEWTON_HALVINGS + 1))
+        for step, move in chain(newton, [(step0, -mean)]):
+            cand = _project(x + step * move[runs.label])
+            Gc = _reflect(cand)[:-1]
+            local, nonlocal_ = obj.split(Gc, gamma)
+            ec = local - nonlocal_
+            change = ec - e
+            if abs(change) <= ENERGY_ROUNDING * (abs(local) + abs(nonlocal_)):
+                change = obj.delta(G, Gc, gamma)
+            evals += 1
+            predicted = float(gb @ (cand - x))
+            if predicted < 0.0 and change <= ARMIJO * predicted:
+                break
+        else:
+            stop = "line_search"
+            break
+        x, G, e = cand, Gc, ec
+        if it % TRACE_EVERY == 0:
+            trace.append((it, e, step))
+    return DescentResult(x, e, it, converged, gnorm, step, tuple(trace),
+                         stop, evals)
+
+
 def minimize_profile(params: ModelParams, h: float, n: int = 512,
                      g0_base: np.ndarray | None = None,
                      gamma: np.ndarray | None = None
                      ) -> MinimizeProfileResult:
-    """Projected-gradient minimization of the gamma = 1 energy over C_h.
+    """Minimization of the energy over C_h by active-set Newton steps
+    (``_newton_descent``).
 
     Box constraints [1/2, 1] on the interior base samples, endpoints pinned
-    at 1/2, backtracking line search from the certified first step
-    ``_first_step``, step growth on success (``solvers.projected_bb``).
-    Each trial is decided on its energy change, nonmonotonically against
-    the last ``solvers.GLL_MEMORY`` energies: the difference of the two
-    energies, or the closed-form change where they differ by less than
-    their rounding (ENERGY_ROUNDING), so the descent stops only on its
-    gradient test: it raises ConvergenceError (with trace) if that test
-    is not met within MAX_ITER iterations.  ``gamma`` is None (for 1), a
-    scalar or n coefficient samples in [1, inf]; samples joined by +inf
-    entries move together (``_tie``), so a start with G' = 0 there keeps
-    it, and a start with G' != 0 on such a step (energy +inf) raises
+    at 1/2.  Each trial is decided on its energy change by a monotone
+    Armijo test, so the descent stops only on its gradient test: it raises
+    ConvergenceError (with trace) if that test is not met within MAX_ITER
+    iterations or if no trial of an iteration passes, neither the Newton
+    step and its halvings nor the certified projected-gradient step.  ``gamma`` is None
+    (for 1), a scalar or n coefficient samples in [1, inf]; samples joined
+    by +inf entries move together (``_Runs``), so a start with G' = 0 there
+    keeps it, and a start with G' != 0 on such a step (energy +inf) raises
     ValueError naming the first one.  A given start ``g0_base`` must be
     n/2 + 1 finite samples in [1/2, 1] with both ends at 1/2, or
     ValueError names what it lacks.
@@ -580,15 +752,6 @@ def minimize_profile(params: ModelParams, h: float, n: int = 512,
         gamma = _gamma_array(gamma, n)
     obj = _ProfileObjective(params, 2.0 * h, n)
     m = n // 2
-
-    def project(y: np.ndarray) -> np.ndarray:
-        # snap samples within rounding of a bound onto it; pin the ends
-        gb = y.clip(0.5, 1.0)
-        gb[gb >= 1.0 - ACTIVE_TOL] = 1.0
-        gb[gb <= 0.5 + ACTIVE_TOL] = 0.5
-        gb[0] = gb[-1] = 0.5
-        return gb
-
     if g0_base is None:
         gb = _initial_base(h, m, params.alpha)
     else:
@@ -606,40 +769,10 @@ def minimize_profile(params: ModelParams, h: float, n: int = 512,
             raise ValueError(
                 f"start has G' != 0 where gamma = +inf, first at step {j} "
                 f"(samples {j} and {(j + 1) % n})")
-    # (base profile, its reflection, its energy) of the iterate and of the
-    # last trial: each base profile is reflected once, so the objective's
-    # slots see the same array for its energy, gradient and change
-    at = [gb, G, obj.energy(G, gamma)]
-    trial = [None, None, None]
-
-    def iterate(x: np.ndarray) -> list:
-        # the descent moves only onto the trial it evaluated last
-        if x is trial[0]:
-            at[:] = trial
-        return at
-
-    tie = _tie(gamma, m)
-
-    def grad(x: np.ndarray) -> np.ndarray:
-        g = _fold_grad(obj.grad(iterate(x)[1], gamma), m)
-        return g if tie is None else tie(g)
-
-    def delta(x: np.ndarray, cand: np.ndarray) -> float:
-        _, G, e = iterate(x)
-        Gc = _reflect(cand)[:-1]
-        local, nonlocal_ = obj.split(Gc, gamma)
-        trial[:] = cand, Gc, local - nonlocal_
-        change = trial[2] - e
-        if not abs(change) <= ENERGY_ROUNDING * (abs(local)
-                                                 + abs(nonlocal_)):
-            return change       # decided by the energies (NaN rejects)
-        return obj.delta(G, Gc, gamma)
-
+    e0 = obj.energy(G, gamma)
     step0 = _first_step(obj, gamma)
-    e0 = at[2]
-    res = projected_bb(gb, e0, None, grad, 0.5, 1.0, project, step0=step0,
-                       max_iter=MAX_ITER, tol_grad=TOL_GRAD,
-                       trace_every=TRACE_EVERY, delta=delta)
+    res = _newton_descent(obj, gamma, _Runs(gamma, m), gb, G, e0, step0,
+                          MAX_ITER)
     trace = [(0, e0, step0), *res.trace]
     if not res.converged:
         raise ConvergenceError(
@@ -647,10 +780,9 @@ def minimize_profile(params: ModelParams, h: float, n: int = 512,
             f"(grad {res.grad_norm:.2e}, stop {res.stop})", trace)
     trace.append((res.iterations, res.energy, res.step))
     prof = ReflectedProfile(h, res.x)
-    # the energy evaluated for this very profile, which the descent's
-    # running energy (the start's plus the accepted changes) matches only
-    # to rounding; finite, since the profile keeps G' = 0 where gamma = +inf
-    value = (iterate(res.x)[2] if np.array_equal(prof.base_g, res.x)
+    # the energy evaluated for this very profile; finite, since the
+    # profile keeps G' = 0 where gamma = +inf
+    value = (res.energy if np.array_equal(prof.base_g, res.x)
              else f1d(gamma, prof.full(), params))
     return MinimizeProfileResult(prof, value, res.iterations, tuple(trace),
                                  res.stop, res.evals)

@@ -1,18 +1,13 @@
 """The shared solvers: projected Barzilai-Borwein descent (run by
-``flow.gradient_flow`` and ``onedim.minimize_profile``) and golden-section
-search with a logarithmic bracketing scan (run by both optimal-period
-searches).
+``flow.gradient_flow``) and golden-section search with a logarithmic
+bracketing scan (run by both optimal-period searches).  The constants
+ACTIVE_TOL, BACKTRACK and STEP_MAX and the ``DescentResult`` record are
+shared with the 1D profile descent (``onedim.minimize_profile``, an
+active-set Newton iteration).
 
-The descent's line search compares energies, or, when the caller can
-compute it, the energy change of a trial directly (``delta``): the 1D
-profile descent does, so its trials are decided below the rounding of
-the energy and it stops only on its gradient test.  A ``delta`` descent
-is nonmonotone: a trial passes against the largest of the last
-GLL_MEMORY running energies (Grippo-Lampariello-Lucidi), the safeguard
-that Barzilai-Borwein steps are known to need, so most of its BB steps
-pass at the first trial.  The 2D flow compares energies, stays
-monotone and keeps its certified exit (``certify``), which proves only
-that no shorter step goes below the current energy.  Each iteration's
+The descent's line search compares energies and is monotone: a trial
+must lower the energy, and the certified exit (``certify``) proves that
+no shorter step goes below the current energy.  Each iteration's
 projected-gradient norm is the maximum of two unmasked arrays, g with 0
 on the samples at the lower bound and at the upper one, rather than a
 masked reduction: the same value, NaN included, at a fraction of the
@@ -20,7 +15,6 @@ cost.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +27,6 @@ MAX_HALVINGS = 60
 # so every shorter step only samples rounding noise
 FLAT_TRIALS = 2
 STEP_MIN, STEP_MAX = 1e-10, 1e6
-# a ``delta`` descent accepts a trial against the largest of the last
-# GLL_MEMORY running energies (the current one included), less ARMIJO
-# times the predicted decrease (Grippo-Lampariello-Lucidi 1986)
-GLL_MEMORY = 10
-ARMIJO = 1e-4
 # a sample within this distance of a bound counts as sitting on it, so
 # samples parked at a bound up to rounding count as constrained
 ACTIVE_TOL = 1e-12
@@ -62,13 +51,13 @@ class DescentResult:
     step: float             # trial step length when the descent stopped
     trace: tuple            # (iteration, energy, step) every trace_every
     stop: str               # why it stopped: one of STOP_REASONS
-    evals: int              # calls of ``energy`` (or ``delta``) it made
+    evals: int              # trials it evaluated
 
 
 def projected_bb(x: np.ndarray, e: float, energy, grad, lo: float,
                  hi: float, project=None, *, step0: float, max_iter: int,
                  tol_grad: float, trace_every: int, start: int = 0,
-                 certify=None, delta=None) -> DescentResult:
+                 certify=None) -> DescentResult:
     """Projected descent of ``energy`` from ``x`` (of energy ``e``) on the
     box [lo, hi].
 
@@ -77,31 +66,14 @@ def projected_bb(x: np.ndarray, e: float, energy, grad, lo: float,
     max-norm of what is left is below ``tol_grad``.  Otherwise it tries
     ``project(x - step * grad)`` (default: clip to the box), with the
     Barzilai-Borwein step clamped to [STEP_MIN, STEP_MAX], and backtracks
-    until the energy decreases strictly (or, given ``delta``, until the
-    nonmonotone test below holds).  When no trial of MAX_HALVINGS does,
-    FLAT_TRIALS trials in a row return exactly the current energy (the
-    energy no longer resolves the step), or ``certify`` proves that no
-    shorter trial can (below), it stops, converged only if the projected
-    gradient is within 1e4 tol_grad.  Iterations are numbered from
-    ``start`` + 1 to ``max_iter``, so stages of one run can share the
+    until the energy decreases strictly.  When no trial of MAX_HALVINGS
+    does, FLAT_TRIALS trials in a row return exactly the current energy
+    (the energy no longer resolves the step), or ``certify`` proves that
+    no shorter trial can (below), it stops, converged only if the
+    projected gradient is within 1e4 tol_grad.  Iterations are numbered
+    from ``start`` + 1 to ``max_iter``, so stages of one run can share the
     count.  The result's ``stop`` names which of these three tests ended
-    the descent.
-
-    ``delta(x, cand)``, when given, replaces ``energy``: it returns the
-    energy change from the iterate x to the trial cand, so that a decrease
-    below the rounding of the energy itself still decides the trial.  The
-    running energy is then ``e`` plus the accepted changes, and a trial is
-    accepted by the nonmonotone rule of Grippo, Lampariello and Lucidi
-    (SIAM J. Numer. Anal. 1986), as in spectral projected gradient methods:
-
-        change <= max(last GLL_MEMORY running energies) - e
-                  + ARMIJO <g, cand - x>,
-
-    the current running energy e among the remembered ones, so a trial may
-    rise above e but never above the largest of them; a trial is flat when
-    the change is exactly 0.  Only the gradient test then counts as
-    converged (a ``line_search`` stop does not).  ``evals`` counts the
-    calls of ``energy``, or of ``delta`` when it is given.
+    the descent, and ``evals`` counts the calls of ``energy``.
 
     ``certify(x, g)``, when given, returns (slope, curv, s_max) such that
     energy(project(x - s g)) - energy(x) >= s slope - s^2 curv for every
@@ -120,7 +92,6 @@ def projected_bb(x: np.ndarray, e: float, energy, grad, lo: float,
     stop = "max_iter"
     trace = []
     x_prev = g_prev = None
-    recent = deque([e], maxlen=GLL_MEMORY)  # the last running energies
     evals = 0
     it = start
     while it < max_iter:
@@ -147,18 +118,10 @@ def projected_bb(x: np.ndarray, e: float, energy, grad, lo: float,
             break
         flat = 0
         bound = None
-        allowance = max(recent) - e
         for _ in range(MAX_HALVINGS):
             cand = project(x - step * g)
-            if delta is None:
-                ec = energy(cand)
-                down, same = ec < e, ec == e
-            else:
-                change = delta(x, cand)
-                ec = e + change
-                predicted = float(np.vdot(g, cand - x))
-                down = change <= allowance + ARMIJO * predicted
-                same = change == 0
+            ec = energy(cand)
+            down, same = ec < e, ec == e
             evals += 1
             if down:
                 break
@@ -173,13 +136,11 @@ def projected_bb(x: np.ndarray, e: float, energy, grad, lo: float,
                 if slope > 0 and step <= s_max and step * curv <= slope / 2:
                     break
         if not down:
-            # exact stall of the line search: accept only a small gradient,
-            # and only where the energy decides the trials
-            converged = delta is None and gnorm < 1e4 * tol_grad
+            # exact stall of the line search: accept only a small gradient
+            converged = gnorm < 1e4 * tol_grad
             stop = "line_search"
             break
         x, e = cand, ec
-        recent.append(e)
         step = min(step * STEP_GROWTH, STEP_MAX)
         if it % trace_every == 0:
             trace.append((it, e, step))

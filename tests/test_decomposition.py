@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (marginal_tail_mass, rough_field, slice_terms_direct,
-                     smooth_field, smooth_profile)
+from helpers import (count_ffts, marginal_tail_mass, rough_field,
+                     slice_terms_direct, smooth_field, smooth_profile)
 from stripes import kernel
 from stripes.decomposition import (_slice_terms, cross_term, directional_mm,
                                    lower_bound_report,
@@ -67,6 +67,22 @@ def test_lower_bound_slack_random_fields(ps2):
             / u.L ** 2, rel=1e-12)
         assert rep.full_energy == pytest.approx(
             total_energy(u, ps2).total, rel=1e-9)
+
+
+def test_lower_bound_report_transforms_the_field_once(ps2, monkeypatch):
+    # the cross terms and the full energy share one rFFT of u; the slice
+    # lines take their own rFFT along each axis; every term is the one
+    # that computing it alone gives, bit for bit
+    params = ps2.with_(L=1.0)
+    u = PeriodicField(2, 48, 1.0,
+                      np.random.default_rng(48).uniform(0.0, 1.0, (48, 48)))
+    kernel.kernel_operator(u.L, u.n, params)    # build the table first
+    calls = count_ffts(monkeypatch)
+    rep = lower_bound_report(u, params)
+    assert calls == {"rfftn": 1, "rfft": 2}
+    monkeypatch.undo()
+    assert rep.cross == (cross_term(u, 1, params), cross_term(u, 2, params))
+    assert rep.full_energy == total_energy(u, params).total
 
 
 @settings(max_examples=25, deadline=None)

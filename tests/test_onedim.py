@@ -346,44 +346,61 @@ WIDE = ModelParams(d=1, p=3.0, tau=0.05, eps=0.2, L=1.0)
     (False, 1.58, 2048, "finite"), (False, 4.0, 1024, "finite")])
 def test_certified_first_step_is_accepted(ps1, monkeypatch, wide, h, n,
                                           gamma):
-    # the first trial step 1/lam, lam a bound on the Hessian of the
-    # base-profile energy on the box, lowers the energy at once
+    # the fallback trial step 1/lam, lam a bound on the Hessian of the
+    # base-profile energy on the box, lowers the energy at once: with a
+    # Newton direction that rises, every halving of it is rejected and
+    # the projected-gradient trial of the first iteration is accepted
     params = WIDE if wide else ps1
     if gamma == "finite":
         gamma = np.random.default_rng(n).uniform(1.0, 3.0, n)
-    firsts, descend = [], onedim.projected_bb
+    firsts, descend = [], onedim._newton_descent
 
-    def first_iteration(*args, **kwargs):
-        firsts.append(descend(*args, **{**kwargs, "max_iter": 1}))
+    def first_iteration(*args):
+        firsts.append(descend(*args[:-1], 1))
         return firsts[-1]
 
-    monkeypatch.setattr(onedim, "projected_bb", first_iteration)
+    def rising(obj, G, gamma, runs, free, g):
+        return g
+
+    monkeypatch.setattr(onedim, "_newton_descent", first_iteration)
+    monkeypatch.setattr(onedim, "_newton_direction", rising)
     with pytest.raises(ConvergenceError, match="stop max_iter") as exc:
         minimize_profile(params, h, n=n, gamma=gamma)
     (res,) = firsts
-    assert (res.stop, res.evals) == ("max_iter", 1)
+    step0 = exc.value.trace[0][2]
+    assert (res.stop, res.evals) == ("max_iter", onedim.NEWTON_HALVINGS + 2)
+    assert res.step == step0
     assert res.energy < exc.value.trace[0][1]
 
 
 def test_rounding_level_descent_stops_on_its_gradient_test(ps1,
                                                           monkeypatch):
-    # at these grids the descents compared two rounding-level energies and
+    # at these grids a descent that compared two rounding-level energies
     # ended on line_search (at a projected gradient of 1.5e-7 for n=1024);
-    # the closed-form change decides those trials, also where the energy
-    # difference is nonzero but within the rounding band (n=8192 ends on
-    # line_search without the band)
-    results, descend = [], onedim.projected_bb
+    # the closed-form change decides the trials whose energies differ by
+    # less than their rounding (at n = 512 and 17152 the last Newton step
+    # changes the energy by that little), and every descent stops on its
+    # gradient test
+    results, descend = [], onedim._newton_descent
+    changes, delta = [], onedim._ProfileObjective.delta
 
-    def spy(*args, **kwargs):
-        results.append(descend(*args, **kwargs))
+    def spy(*args):
+        results.append(descend(*args))
         return results[-1]
 
-    monkeypatch.setattr(onedim, "projected_bb", spy)
-    for h, n in ((1.58, 1024), (0.46, 512), (1.58, 8192)):
+    def closed_form(*args):
+        changes.append(1)
+        return delta(*args)
+
+    monkeypatch.setattr(onedim, "_newton_descent", spy)
+    monkeypatch.setattr(onedim._ProfileObjective, "delta", closed_form)
+    for h, n in ((1.58, 1024), (0.46, 512), (1.58, 8192), (1.58, 512),
+                 (2.68, 17152)):
         res = minimize_profile(ps1, h, n=n)
         assert res.stop == "grad" and res.evals == results[-1].evals
         assert results[-1].grad_norm < onedim.TOL_GRAD
         assert res.value == f1d(None, res.profile.full(), ps1)
+    assert len(changes) >= 2
 
 
 def test_descent_with_infinite_gamma_on_the_plateau_converges():
@@ -448,7 +465,7 @@ def test_minimize_profile_rejects_a_start_infeasible_for_gamma(
     def no_descent(*args, **kwargs):
         raise AssertionError("descended from an infeasible start")
 
-    monkeypatch.setattr(onedim, "projected_bb", no_descent)
+    monkeypatch.setattr(onedim, "_newton_descent", no_descent)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"first at step {first} "):
@@ -495,3 +512,120 @@ def test_reflected_profile_rejects_nan():
     g[4] = np.nan
     with pytest.raises(ValueError, match="finite"):
         onedim.ReflectedProfile(1.0, g)
+
+
+@pytest.mark.parametrize("n, value", [
+    (2144, 0.358318), (4288, 0.412147), (8576, 0.425159)])
+def test_resolved_ladder_descents_stop_within_twenty_iterations(ps1, n,
+                                                                value):
+    # PS1 at h = 2.68 with dx / alpha = 1, 1/2, 1/4: the transition layer
+    # grows to ~40 free samples, and the Newton descent's iteration count
+    # stays small where a projected-gradient descent needed 26/56/127
+    res = minimize_profile(ps1, 2.68, n=n)
+    assert res.stop == "grad" and res.iterations <= 20
+    assert res.value == pytest.approx(value, abs=1e-6)
+
+
+@pytest.mark.parametrize("n", [2048, 8192])
+def test_interior_start_converges_on_the_conjugate_gradient_path(
+        ps1, monkeypatch, n):
+    # from g = 0.75 every interior sample is free, more than DENSE_MAX, so
+    # the first Newton system is solved by conjugate gradients
+    free_sizes, direction = [], onedim._newton_direction
+
+    def spy(obj, G, gamma, runs, free, g):
+        free_sizes.append(int(free.sum()))
+        return direction(obj, G, gamma, runs, free, g)
+
+    monkeypatch.setattr(onedim, "_newton_direction", spy)
+    g0 = np.full(n // 2 + 1, 0.75)
+    g0[0] = g0[-1] = 0.5
+    res = minimize_profile(ps1, 1.58, n=n, g0_base=g0)
+    assert free_sizes[0] == n // 2 - 1 > onedim.DENSE_MAX
+    assert res.stop == "grad"
+    assert res.value == f1d(None, res.profile.full(), ps1)
+    if n == 2048:
+        assert res.value == pytest.approx(0.898367152, rel=1e-9)
+
+
+def _reduced_case(tie: bool):
+    """(objective, base profile, gamma, runs, free) at the n = 1024
+    minimizer of WIDE, h = 1, whose transition layers hold 40 free
+    samples, where the reduced Hessian is positive definite; with
+    ``tie`` gamma is +inf on two steps inside the first layer, merging
+    three of its samples into one variable."""
+    h, n, m = 1.0, 1024, 512
+    gb = minimize_profile(WIDE, h, n=n).profile.base_g.copy()
+    gamma = None
+    free_samples = np.flatnonzero((gb > 0.5) & (gb < 1.0))
+    if tie:
+        j = free_samples[2]
+        gb[j:j + 3] = gb[j + 1]
+        gamma = np.ones(n)
+        gamma[j:j + 2] = np.inf
+    runs = onedim._Runs(gamma, m)
+    free = np.zeros(runs.size.size, dtype=bool)
+    free[runs.label[free_samples]] = True
+    return onedim._ProfileObjective(WIDE, 2.0 * h, n), gb, gamma, runs, free
+
+
+@pytest.mark.parametrize("tie", [False, True])
+def test_newton_direction_solves_the_reduced_hessian(monkeypatch, tie):
+    # H d = -g for the Hessian H in the free run values, checked against
+    # central differences of the folded gradient (to their 1e-6 or so);
+    # conjugate gradients (all free samples forced past DENSE_MAX) end
+    # once |H d + g| < |g|^(3/2)
+    obj, gb, gamma, runs, free = _reduced_case(tie)
+    m = obj.n // 2
+    f = np.flatnonzero(free)
+    assert f.size >= 38 and tie == (runs.size[f] == 3).any()
+    g = 1e-9 * np.random.default_rng(7).uniform(-1.0, 1.0, f.size)
+    G = onedim._reflect(gb)[:-1]
+    d = onedim._newton_direction(obj, G, gamma, runs, free, g)
+
+    def run_grad(v, eps):
+        vr = np.zeros(runs.size.size)
+        vr[f] = eps * v
+        Gv = onedim._reflect(gb + vr[runs.label])[:-1]
+        return runs.total(onedim._fold_grad(obj.grad(Gv, gamma), m))[f]
+
+    def hess(v):
+        eps = 1e-5 / np.abs(v).max()
+        return (run_grad(v, eps) - run_grad(v, -eps)) / (2.0 * eps)
+
+    assert np.abs(hess(d) + g).max() <= 1e-6 * np.abs(g).max()
+    monkeypatch.setattr(onedim, "DENSE_MAX", 0)
+    d_cg = onedim._newton_direction(obj, G, gamma, runs, free, g)
+    size = np.linalg.norm(g)
+    assert np.linalg.norm(hess(d_cg) + g) <= (size ** 0.5 + 1e-6) * size
+
+
+def test_every_accepted_newton_trial_meets_the_armijo_bound(monkeypatch):
+    # the iterates are the profiles whose gradient the descent takes; from
+    # each to the next the energy change (the difference of the energies,
+    # or the closed form inside their rounding) is at most
+    # ARMIJO <g, step> < 0, so the descent is monotone
+    iterates, grad = [], onedim._ProfileObjective.grad
+
+    def spy(self, G, gamma=None):
+        iterates.append(G)
+        return grad(self, G, gamma)
+
+    monkeypatch.setattr(onedim._ProfileObjective, "grad", spy)
+    h, n = 1.0, 128
+    g0 = np.full(n // 2 + 1, 0.75)
+    g0[0] = g0[-1] = 0.5
+    res = minimize_profile(WIDE, h, n=n, g0_base=g0)
+    monkeypatch.undo()
+    assert res.stop == "grad" and len(iterates) == res.iterations > 5
+    obj = onedim._ProfileObjective(WIDE, 2.0 * h, n)
+    m = n // 2
+    for G, Gc in zip(iterates, iterates[1:]):
+        local, nonlocal_ = obj.split(Gc)
+        change = (local - nonlocal_) - obj.energy(G)
+        if abs(change) <= onedim.ENERGY_ROUNDING * (abs(local)
+                                                    + abs(nonlocal_)):
+            change = obj.delta(G, Gc)
+        predicted = float(onedim._fold_grad(obj.grad(G), m)
+                          @ (Gc[:m + 1] - G[:m + 1]))
+        assert predicted < 0 and change <= onedim.ARMIJO * predicted

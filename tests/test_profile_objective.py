@@ -152,16 +152,20 @@ def test_energy_then_grad_transforms_the_profile_once(ps1, monkeypatch):
 
 
 def test_profile_descent_transforms_each_trial_once(monkeypatch):
-    # wide enough transition layers that the descent takes a dozen steps
+    # wide enough transition layers that the descent takes several Newton
+    # steps on a dense free set, and a start whose last step is decided by
+    # the closed-form change
     params = ModelParams(d=1, p=3.0, tau=0.05, eps=0.2, L=1.0)
-    h, n = 0.5, 64
-    kernel.marginal_operator(2.0 * h, n, params)  # build the table first
+    cases = ((params, 0.5, 64), (ModelParams(d=1, p=3.0, tau=0.05, eps=0.05,
+                                             L=1.0), 1.58, 512))
+    for params, h, n in cases:
+        kernel.marginal_operator(2.0 * h, n, params)  # build the table first
     results, reflections, changes = [], [], []
-    descend, reflect = onedim.projected_bb, onedim._reflect
+    descend, reflect = onedim._newton_descent, onedim._reflect
     delta = onedim._ProfileObjective.delta
 
-    def spy(*args, **kwargs):
-        results.append(descend(*args, **kwargs))
+    def spy(*args):
+        results.append(descend(*args))
         return results[-1]
 
     def counted(*args, **kwargs):
@@ -172,24 +176,30 @@ def test_profile_descent_transforms_each_trial_once(monkeypatch):
         changes.append(1)
         return delta(*args, **kwargs)
 
-    monkeypatch.setattr(onedim, "projected_bb", spy)
+    monkeypatch.setattr(onedim, "_newton_descent", spy)
     monkeypatch.setattr(onedim, "_reflect", counted)
     monkeypatch.setattr(onedim._ProfileObjective, "delta", closed_form)
     calls = count_ffts(monkeypatch)
-    res = onedim.minimize_profile(params, h, n=n)
-    (bb,) = results
-    # every iteration but the last, which stops on the gradient test without
-    # a trial, evaluates at least one trial
-    assert bb.evals >= bb.iterations - 1
-    assert bb.iterations == res.iterations > 0
-    assert res.evals == bb.evals and len(changes) > 0
-    # the start and every trial are reflected and transformed once, and the
-    # value of the final profile is the energy evaluated for it; each
-    # closed-form change adds the rFFT of the difference, and each
-    # iteration's gradient only its inverse rFFT
-    assert len(reflections) == bb.evals + 1
-    assert calls == {"rfft": bb.evals + 1 + len(changes),
-                     "irfft": bb.iterations}
+    for params, h, n in cases:
+        reflections.clear()
+        changes.clear()
+        calls.clear()
+        res = onedim.minimize_profile(params, h, n=n)
+        newton = results[-1]
+        # every iteration but the last, which stops on the gradient test
+        # without a trial, evaluates at least one trial
+        assert newton.evals >= newton.iterations - 1
+        assert newton.iterations == res.iterations > 1
+        assert res.evals == newton.evals
+        # the start and every trial are reflected and transformed once, and
+        # the value of the final profile is the energy evaluated for it;
+        # each closed-form change adds the rFFT of the difference, each
+        # iteration's gradient only its inverse rFFT, and the Hessian of a
+        # dense free set is read from the kernel table without a transform
+        assert len(reflections) == newton.evals + 1
+        assert calls == {"rfft": newton.evals + 1 + len(changes),
+                         "irfft": newton.iterations}
+    assert len(changes) > 0
 
 
 # zero, and magnitudes spread over 1e-10 ... 1e4
