@@ -149,9 +149,11 @@ def _marginal_certificate(params: ModelParams, h: float, n: int) -> dict:
     return asdict(_kernel.marginal_operator(2.0 * h, n, params).certificate)
 
 
-def _dx_over_alpha(params: ModelParams, h: float, n: int) -> float:
-    """The spacing of n samples on the period 2h, over alpha."""
-    return 2.0 * h / n / params.alpha
+def _resolution(params: ModelParams, dx: float) -> dict:
+    """A report's grid spacing over alpha, and whether it exceeds 1: then
+    the interface layer, of width ~alpha, is not resolved."""
+    ratio = dx / params.alpha
+    return {"dx_over_alpha": ratio, "unresolved": bool(ratio > 1.0)}
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
@@ -207,7 +209,8 @@ def optimal_period(cfg, out):
     return {"h_star": res.h_star, "c_star": res.c_star,
             "trace": [list(t) for t in res.trace],
             "stop": res.stop, "evals": res.evals,
-            "dx_over_alpha": _dx_over_alpha(params, res.h_star, n),
+            "iterations": list(res.iterations),
+            **_resolution(params, 2.0 * res.h_star / n),
             "kernel": _marginal_certificate(params, res.h_star, n)}, True
 
 
@@ -223,7 +226,7 @@ def minimize_1d(cfg, out):
     _write_csv(out / "trace.csv", "iteration,energy,step", res.trace)
     return {"value": res.value, "iterations": res.iterations,
             "stop": res.stop, "evals": res.evals, "h": cfg["h"],
-            "n": cfg["n"], "dx_over_alpha": _dx_over_alpha(params, h, n),
+            "n": cfg["n"], **_resolution(params, 2.0 * h / n),
             "kernel": _marginal_certificate(params, h, n)}, True
 
 
@@ -257,17 +260,19 @@ def minimize_2d(cfg, out):
                 "converged": tr.converged, "stop": list(tr.stop),
                 "evals": list(tr.evals), "grad_norm": list(tr.grad_norm),
                 "iterations": tr.iterations,
+                **_resolution(run_params, u0.h_grid),
                 "kernel": asdict(op.certificate)}, True
     try:
         _flow._workers(int(cfg["n_seeds"]), cfg["threads"])
     except ValueError as exc:
         raise click.ClickException(str(exc))
-    return _flow.symmetry_breaking_experiment(
+    rep = _flow.symmetry_breaking_experiment(
         params, k=int(cfg["k"]), n=int(cfg["n"]),
         n_seeds=int(cfg["n_seeds"]),
         opts=_flow.FlowOptions(seed=int(cfg["seed"])),
         anisotropy_threshold=cfg["anisotropy_threshold"],
-        gap_threshold=cfg["gap_threshold"], threads=cfg["threads"]), True
+        gap_threshold=cfg["gap_threshold"], threads=cfg["threads"])
+    return {**rep, **_resolution(params, rep["L"] / rep["n"])}, True
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +310,7 @@ def verify_decomposition(cfg, out):
     rep_obj = _dec.lower_bound_report(u, params)
     rep = asdict(rep_obj)
     rep["delta_grad"] = _dec.default_delta_grad(u)
-    rep["dx_over_alpha"] = u.h_grid / params.alpha
+    rep.update(_resolution(params, u.h_grid))
     rep["kernel"] = asdict(_kernel.kernel_operator(u.L, u.n,
                                                    params).certificate)
     return rep, rep_obj.slack >= -cfg["tol_slack"]
@@ -320,7 +325,7 @@ def verify_el(cfg, out):
     rep = {"n": [], "l2_residual": [], "residual_samples": [],
            "first_integral_gap4": [], "first_integral_gap2": [],
            "gamma3_ok": [], "stop": [], "evals": [], "dx_over_alpha": [],
-           "kernel": []}
+           "unresolved": [], "kernel": []}
     for nn in (n0, 2 * n0):
         res = _onedim.minimize_profile(params, h0, n=nn)
         diag = _onedim.el_residual(None, res.profile.full(), params)
@@ -337,7 +342,8 @@ def verify_el(cfg, out):
         rep["gamma3_ok"].append(diag.gamma3_ok)
         rep["stop"].append(res.stop)
         rep["evals"].append(res.evals)
-        rep["dx_over_alpha"].append(_dx_over_alpha(params, h0, nn))
+        for key, value in _resolution(params, 2.0 * h0 / nn).items():
+            rep[key].append(value)
         rep["kernel"].append(_marginal_certificate(params, h0, nn))
     fi = rep["first_integral_gap4"]
     rep["first_integral_ratio"] = fi[0] / fi[1] if fi[1] else np.inf
@@ -356,7 +362,7 @@ def gamma_study(cfg, out):
     sched = tuple(float(t) for t in str(cfg["m_schedule"]).split(","))
     params, h, n = _params(cfg), float(cfg["h"]), int(cfg["n"])
     rep = _onedim.gamma_limit_study(params, h, m_schedule=sched, n=n)
-    rep["dx_over_alpha"] = _dx_over_alpha(params, h, n)
+    rep.update(_resolution(params, 2.0 * h / n))
     rep["kernel"] = _marginal_certificate(params, h, n)
     _write_csv(out / "margins.csv",
                "m,value,sup_gamma_minus_1,measure_gamma_above",

@@ -171,36 +171,45 @@ def _majorant(dim: int, pe: float, a: float, L: float):
 def _upper_tail(X, log_c, s, a: float):
     """Bound on the nodes above X = t a >= pe dropped from the sum:
     sum_k c_k a^(-s_k) Gamma(s_k, X) / Gamma(pe), with
-    Gamma(s, X) <= X^(s-1) e^(-X) / (1 - (s-1)/X) for s >= 1, X > s - 1."""
-    return float(np.sum(np.exp(log_c - s * np.log(a) + (s - 1.0) * np.log(X)
-                               - X) / (1.0 - (s - 1.0) / X)))
+    Gamma(s, X) <= X^(s-1) e^(-X) / (1 - (s-1)/X) for s >= 1, X > s - 1;
+    one bound per entry of an array X."""
+    X = np.asarray(X, dtype=float)[..., None]
+    return np.sum(np.exp(log_c - s * np.log(a) + (s - 1.0) * np.log(X)
+                         - X) / (1.0 - (s - 1.0) / X), axis=-1)
 
 
-def _bound(dim: int, pe: float, a: float, L: float, h: float, r_lo: int,
-           r_hi: int) -> float:
+def _bound(pe: float, a: float, majorant, h: float, r_lo: int, r_hi: int
+           ) -> float:
     """Certified bound on the absolute error of every entry of
-    ``_exp_sum(n, dim, pe, a, L, h, r_lo, r_hi)``: the trapezoid error plus
-    the nodes dropped below r_lo and above r_hi."""
-    log_c, s, f_max = _majorant(dim, pe, a, L)
+    ``_exp_sum(n, dim, pe, a, L, h, r_lo, r_hi)``, given ``_majorant(dim,
+    pe, a, L)``: the trapezoid error plus the nodes dropped below r_lo and
+    above r_hi."""
+    log_c, s, f_max = majorant
     with np.errstate(over="ignore"):       # e^(2 pi theta / h) = inf: 0
         disc = float(np.min(2.0 * np.exp(-pe * np.log(np.cos(_THETAS)))
                             / np.expm1(2.0 * np.pi * _THETAS / h)))
     lower = np.sum(np.exp(log_c + s * (r_lo * h - np.log(a))) / s)
     X = np.exp(r_hi * h)
-    upper = _upper_tail(X, log_c, s, a) if X >= pe else np.inf
+    upper = float(_upper_tail(X, log_c, s, a)) if X >= pe else np.inf
     return float(disc * f_max + lower + upper)
 
 
-def _nodes(dim: int, pe: float, a: float, L: float
+# candidate last nodes whose upper tails ``_nodes`` evaluates at once: the
+# scan from X = pe takes 12-13 of them for every family member of this module
+_TAIL_WINDOW = 16
+
+
+def _nodes(dim: int, pe: float, a: float, majorant
            ) -> tuple[float, int, int]:
     """(h, r_lo, r_hi) whose ``_bound`` is below 0.9 eps f_max (eps the
     machine epsilon, f_max ``_majorant``'s bound on every entry): the
     largest step whose trapezoid bound at some theta meets _DISC_SHARE,
     the last node r_lo below which every lower-tail term meets its part
     of _TAIL_SHARE, and the first r_hi >= r_lo with X = e^(r_hi h) >= pe
-    whose upper tail meets _TAIL_SHARE of eps f_max (that bound decreases
-    in X >= pe and reaches 0 in floating point, so the scan ends)."""
-    log_c, s, f_max = _majorant(dim, pe, a, L)
+    whose upper tail meets _TAIL_SHARE of eps f_max.  That bound decreases
+    in X >= pe and reaches 0 in floating point, so the scan over windows
+    of _TAIL_WINDOW candidates ends."""
+    log_c, s, f_max = majorant
     eps = np.finfo(float).eps
     with np.errstate(over="ignore"):       # log1p(inf): no step at theta
         h = float(np.max(2.0 * np.pi * _THETAS / np.log1p(
@@ -209,9 +218,13 @@ def _nodes(dim: int, pe: float, a: float, L: float
     log_t = np.min((np.log(budget / (dim + 1) * s) - log_c) / s)
     r_lo = int(np.floor((log_t + np.log(a)) / h))
     r_hi = max(r_lo, int(np.ceil(np.log(pe) / h)))
-    while _upper_tail(np.exp(r_hi * h), log_c, s, a) > budget:
-        r_hi += 1
-    return h, r_lo, r_hi
+    while True:
+        r = r_hi + np.arange(_TAIL_WINDOW)
+        met = np.flatnonzero(_upper_tail(np.exp(r * h), log_c, s, a)
+                             <= budget)
+        if met.size:
+            return h, r_lo, r_hi + int(met[0])
+        r_hi += _TAIL_WINDOW
 
 
 def _exp_sum(n: int, dim: int, pe: float, a: float, L: float, h: float,
@@ -262,10 +275,11 @@ def _exp_sum_table(n: int, dim: int, pe: float, a: float, L: float
     last node, where it increases and (from t a >= pe on) decreases in u,
     bound the dropped nodes.
     """
-    h, r_lo, r_hi = _nodes(dim, pe, a, L)
+    majorant = _majorant(dim, pe, a, L)
+    h, r_lo, r_hi = _nodes(dim, pe, a, majorant)
     cert = KernelCertificate(step=h, nodes=r_hi - r_lo + 1,
                              log_t=(r_lo * h - _log(a), r_hi * h - _log(a)),
-                             bound=_bound(dim, pe, a, L, h, r_lo, r_hi))
+                             bound=_bound(pe, a, majorant, h, r_lo, r_hi))
     return _exp_sum(n, dim, pe, a, L, h, r_lo, r_hi), cert
 
 

@@ -51,7 +51,13 @@ needs no energy tolerance.  Where gamma is +inf, the energy is finite
 only while G' = 0 there, so a start without it is rejected and the
 samples joined by +inf steps are one variable (``_Runs``): they move as
 one, or not at all next to a pinned end.
-The period search is ``solvers.scan_golden``.  The penalized family updates
+The period search is ``solvers.scan_golden``, and each of its descents
+but the first starts from those already solved in the same search
+(``_warm_start``): a golden-section point from the interpolation in h of
+its two nearest neighbours' base profiles, a later point of the ascending
+scan from the profile solved below it, mapped in physical coordinates;
+the descents still stop on their gradient test, so the search visits the
+same periods as from cold starts.  The penalized family updates
 gamma at all samples at once (``_gamma_update``): in closed form where the
 penalized piece gamma > m cannot win, and by vectorized Newton steps that
 rise monotonically to the root of the convex objective's derivative where
@@ -793,9 +799,40 @@ class PeriodSearchResult:
     h_star: float
     c_star: float
     profile: ReflectedProfile
-    trace: tuple  # (h, value) pairs
-    stop: str     # why the descent at h* stopped: one of solvers.STOP_REASONS
-    evals: int    # trials the descent at h* evaluated
+    trace: tuple       # (h, value) pairs
+    stop: str          # why the descent at h* stopped: one of
+                       # solvers.STOP_REASONS
+    evals: int         # trials the descent at h* evaluated
+    iterations: tuple  # Newton iterations of each descent, in trace order
+
+
+def _warm_start(solved: dict, h: float) -> np.ndarray | None:
+    """Start of the descent at h from the base profiles ``solved`` (h ->
+    MinimizeProfileResult) of the same search; None (cold) when it is
+    empty.  Between two solved periods: the linear interpolation in h of
+    the nearest below and above, sample by sample (the base samples sit at
+    the same fractions of every h), clipped to [1/2, 1].  Past them: the
+    nearest solved profile g_k in physical coordinates,
+    g(x) = g_k(min(x, h - x)) from the first half of g_k, held at its mid
+    value beyond it, with both ends at 1/2."""
+    below = [k for k in solved if k < h]
+    above = [k for k in solved if k > h]
+    if below and above:
+        a, b = max(below), min(above)
+        ga = solved[a].profile.base_g
+        gb = solved[b].profile.base_g
+        return np.clip(ga + (h - a) / (b - a) * (gb - ga), 0.5, 1.0)
+    if not solved:
+        return None
+    k = max(below) if below else min(above)
+    gk = solved[k].profile.base_g
+    m = gk.size - 1
+    half = m // 2 + 1
+    j = np.arange(m + 1)
+    g = np.interp(np.minimum(j, m - j) * (h / m),
+                  np.arange(half) * (k / m), gk[:half])
+    g[0] = g[-1] = 0.5
+    return g
 
 
 def optimal_period(params: ModelParams,
@@ -803,14 +840,24 @@ def optimal_period(params: ModelParams,
                    grid: int = 12, tol: float = 1e-3, n: int = 512
                    ) -> PeriodSearchResult:
     """Minimize h -> min_{g in C_h} F1d(1, g) by a logarithmic scan followed
-    by golden section; ties break toward smaller h."""
+    by golden section; ties break toward smaller h.
+
+    Every descent but the first starts from the ones already solved in
+    this call (``_warm_start``): a golden-section point, which has solved
+    periods on both sides, from the interpolation in h of its two nearest
+    neighbours' base profiles, and a scan point (the scan ascends) from
+    the profile solved just below it, mapped in physical coordinates.  The
+    starts only shorten the descents; each still stops on its gradient
+    test, so the values, and the points the search visits, are those of
+    cold starts up to the descents' tolerance."""
     lo, hi = h_range
     trace = []
     cache: dict[float, MinimizeProfileResult] = {}
 
     def val(h: float) -> float:
         if h not in cache:
-            cache[h] = minimize_profile(params, h, n=n)
+            cache[h] = minimize_profile(params, h, n=n,
+                                        g0_base=_warm_start(cache, h))
             trace.append((h, cache[h].value))
         return cache[h].value
 
@@ -821,7 +868,8 @@ def optimal_period(params: ModelParams,
                                trace) from None
     res = cache[h_star]
     return PeriodSearchResult(h_star, res.value, res.profile, tuple(trace),
-                              res.stop, res.evals)
+                              res.stop, res.evals,
+                              tuple(r.iterations for r in cache.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,44 @@ def table_bound(params: ModelParams, L: float, marginal: bool = False
     return 0.9 * np.finfo(float).eps * f_max
 
 
+def _upper_tail_scalar(X: float, log_c, s, a: float) -> float:
+    return float(np.sum(np.exp(log_c - s * np.log(a) + (s - 1.0) * np.log(X)
+                               - X) / (1.0 - (s - 1.0) / X)))
+
+
+def exp_sum_nodes_loop(dim: int, pe: float, a: float, L: float
+                       ) -> tuple[float, int, int]:
+    """``kernel._nodes`` as one scalar upper-tail bound per candidate r_hi,
+    with its own ``kernel._majorant`` call."""
+    log_c, s, f_max = kernel._majorant(dim, pe, a, L)
+    eps = np.finfo(float).eps
+    with np.errstate(over="ignore"):
+        h = float(np.max(2.0 * np.pi * kernel._THETAS / np.log1p(
+            2.0 * np.exp(-pe * np.log(np.cos(kernel._THETAS)))
+            / kernel._DISC_SHARE / eps)))
+    budget = kernel._TAIL_SHARE * eps * f_max
+    log_t = np.min((np.log(budget / (dim + 1) * s) - log_c) / s)
+    r_lo = int(np.floor((log_t + np.log(a)) / h))
+    r_hi = max(r_lo, int(np.ceil(np.log(pe) / h)))
+    while _upper_tail_scalar(np.exp(r_hi * h), log_c, s, a) > budget:
+        r_hi += 1
+    return h, r_lo, r_hi
+
+
+def exp_sum_bound_loop(dim: int, pe: float, a: float, L: float, h: float,
+                       r_lo: int, r_hi: int) -> float:
+    """``kernel._bound`` with its own ``kernel._majorant`` call and the
+    scalar upper-tail bound."""
+    log_c, s, f_max = kernel._majorant(dim, pe, a, L)
+    with np.errstate(over="ignore"):
+        disc = float(np.min(2.0 * np.exp(-pe * np.log(np.cos(kernel._THETAS)))
+                            / np.expm1(2.0 * np.pi * kernel._THETAS / h)))
+    lower = np.sum(np.exp(log_c + s * (r_lo * h - np.log(a))) / s)
+    X = np.exp(r_hi * h)
+    upper = _upper_tail_scalar(X, log_c, s, a) if X >= pe else np.inf
+    return float(disc * f_max + lower + upper)
+
+
 def _family_mass(dim: int, pe: float, a: float) -> float:
     return 2.0 ** dim * _gamma(pe - dim) / _gamma(pe) * a ** (dim - pe)
 

@@ -311,13 +311,46 @@ def test_1d_reports_record_dx_over_alpha(runner, tmp_path):
 
     rep = report(["minimize-1d", "--half-period", "1.0", "-n", "128"], "m1")
     assert rep["dx_over_alpha"] == spacing(1.0, 128)
+    assert rep["unresolved"] is True
     rep = report(["optimal-period", "-n", "128"], "op")
     assert rep["dx_over_alpha"] == spacing(rep["h_star"], 128)
+    assert rep["unresolved"] is True
     rep = report(["gamma-study", "-n", "512", "--m-schedule", "1,10"],
                  "gs", codes=(0, 1))
     assert rep["dx_over_alpha"] == spacing(1.58, 512)
+    assert rep["unresolved"] is True
+    rep = report(["minimize-1d", "--half-period", "1.0", "-n", "1024"],
+                 "m1024")
+    assert rep["dx_over_alpha"] == spacing(1.0, 1024)
+    assert rep["unresolved"] is False
     rep = report(["verify-el", "-n", "128"], "el", codes=(0, 1))
     assert rep["dx_over_alpha"] == [spacing(1.58, 128), spacing(1.58, 256)]
+    assert rep["unresolved"] == [True, True]
+
+
+def test_2d_reports_flag_unresolved_grids(runner, tmp_path):
+    # the field's spacing L / n over alpha and whether it exceeds 1, in
+    # both branches of minimize-2d and in verify-decomposition
+    ps2 = ModelParams(d=2, p=4.0, tau=0.05, eps=0.05, L=2.0)
+    field = str(_start_field(tmp_path))
+    reports = []
+    for args in (["minimize-2d", "-n", "16", "--seeds", "1"],
+                 ["minimize-2d", "--resume", field],
+                 ["verify-decomposition", "--field", field],
+                 ["verify-decomposition", "--box-side", "0.5", "-n", "256"]):
+        out = tmp_path / str(len(reports))
+        res = runner.invoke(main, [*args, "--output-dir", str(out)])
+        assert res.exit_code == 0, res.output
+        name = args[0].replace("-", "_")
+        reports.append(_payload(out / f"{name}.json")["report"])
+    experiment, resumed, decomposition, fine = reports
+    assert experiment["dx_over_alpha"] == pytest.approx(
+        experiment["L"] / 16 / ps2.alpha, rel=1e-15)
+    assert resumed["dx_over_alpha"] == decomposition["dx_over_alpha"] \
+        == pytest.approx(2.0 / 16 / ps2.alpha, rel=1e-15)
+    assert fine["dx_over_alpha"] == pytest.approx(0.5 / 256 / ps2.alpha,
+                                                  rel=1e-15)
+    assert [r["unresolved"] for r in reports] == [True, True, True, False]
 
 
 def test_rp_check_passes(runner, tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import smooth_profile
-from stripes import kernel, onedim
+from stripes import kernel, onedim, solvers
 from stripes.energy import total_energy
 from stripes.field import Profile1D, make_one_dimensional
 from stripes.kernel import c_tau
@@ -227,6 +227,73 @@ def test_optimal_period_reference_point(ps1):
     assert res.h_star == pytest.approx(1.5806052254537448, rel=1e-4)
     assert res.c_star == pytest.approx(0.7734205422494789, rel=1e-6)
     assert len(res.trace) >= 12
+
+
+def _cold_period_search(params, h_range, grid, tol, n):
+    """The period search with every descent started cold: the log scan,
+    then golden section on the bracket around its smallest value."""
+    solved = {}
+
+    def val(h):
+        if h not in solved:
+            solved[h] = minimize_profile(params, h, n=n).value
+        return solved[h]
+
+    hs = np.geomspace(*h_range, grid)
+    i = int(np.argmin([val(h) for h in hs]))
+    h_star, c_star = solvers.golden_section(val, hs[i - 1], hs[i + 1],
+                                            rel_tol=tol)
+    return h_star, c_star, solved
+
+
+@pytest.mark.parametrize("n", [128, 512])
+def test_warm_started_period_search_equals_the_cold_one(ps1, n):
+    # the warm starts change how far each descent goes, not where it
+    # stops: the same periods in the same order and the same h*, and
+    # values within the descents' tolerance
+    res = optimal_period(ps1, (0.3, 40.0), grid=12, tol=1e-3, n=n)
+    h_star, c_star, cold = _cold_period_search(ps1, (0.3, 40.0), 12, 1e-3, n)
+    assert [h for h, _ in res.trace] == list(cold)
+    assert res.h_star == h_star
+    assert res.c_star == pytest.approx(c_star, rel=1e-12)
+    for h, value in res.trace:
+        assert value == pytest.approx(cold[h], rel=1e-12)
+    assert len(res.iterations) == len(res.trace)
+
+
+def test_period_search_starts_inside_the_class_and_between_neighbours(
+        ps1, monkeypatch):
+    # every start is a feasible base profile; one with solved periods on
+    # both sides lies sample by sample between their two profiles
+    calls, descend = [], onedim.minimize_profile
+
+    def spy(params, h, n=512, g0_base=None, gamma=None):
+        res = descend(params, h, n=n, g0_base=g0_base, gamma=gamma)
+        calls.append((h, g0_base, res.profile.base_g))
+        return res
+
+    monkeypatch.setattr(onedim, "minimize_profile", spy)
+    res = optimal_period(ps1, (0.3, 40.0), grid=12, tol=1e-3, n=128)
+    assert [h for h, _, _ in calls] == [h for h, _ in res.trace]
+    assert calls[0][1] is None
+    bracketed = 0
+    for i, (h, start, _) in enumerate(calls[1:], 1):
+        assert start[0] == start[-1] == 0.5
+        assert np.all((start >= 0.5) & (start <= 1.0))
+        below = [(k, g) for k, _, g in calls[:i] if k < h]
+        above = [(k, g) for k, _, g in calls[:i] if k > h]
+        if below and above:
+            bracketed += 1
+            ga, gb = max(below)[1], min(above)[1]
+            assert np.all(start >= np.minimum(ga, gb))
+            assert np.all(start <= np.maximum(ga, gb))
+    assert bracketed == len(calls) - 12
+
+
+def test_warm_started_period_search_takes_fewer_iterations(ps1):
+    # 118 Newton iterations with every descent started cold
+    res = optimal_period(ps1, (0.3, 40.0), grid=12, tol=1e-3, n=512)
+    assert sum(res.iterations) <= 90
 
 
 def test_negative_optimum_at_small_interface_width():

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (lattice_marginal, nonlocal_direct,
+from helpers import (exp_sum_bound_loop, exp_sum_nodes_loop,
+                     lattice_marginal, nonlocal_direct,
                      periodized_values_direct, table_bound)
 from stripes import kernel
 from stripes.model import ModelParams
@@ -71,14 +72,29 @@ def test_finer_build_stays_within_certificate(dim, n, beta, tau, L):
     # relative), which certificates at the entries' last bit leave visible
     pe, a = dim + 1.0 + beta, tau ** (1.0 / beta)
     vals, cert = kernel._exp_sum_table(n, dim, pe, a, L)
-    h, r_lo, r_hi = kernel._nodes(dim, pe, a, L)
+    majorant = kernel._majorant(dim, pe, a, L)
+    h, r_lo, r_hi = kernel._nodes(dim, pe, a, majorant)
     assert (cert.step, cert.nodes) == (h, r_hi - r_lo + 1)
     fine = (h / 2.0, 2 * r_lo - 20, 2 * r_hi + 10)
     finer = kernel._exp_sum(n, dim, pe, a, L, *fine)
     rounding = (3 * cert.nodes + 30) * EPS * finer
-    assert cert.bound <= 0.9 * EPS * kernel._majorant(dim, pe, a, L)[2]
+    assert cert.bound <= 0.9 * EPS * majorant[2]
     assert np.all(np.abs(vals - finer) <= cert.bound + rounding
-                  + kernel._bound(dim, pe, a, L, *fine))
+                  + kernel._bound(pe, a, majorant, *fine))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("L", [0.05, 1.0, 3.16, 40.0, 1e4])
+@pytest.mark.parametrize("beta, tau", [(1.0, 0.05), (2.0, 0.3), (3.0, 1.0)])
+def test_nodes_and_bound_match_the_scalar_tail_loop(dim, L, beta, tau):
+    # the windowed upper-tail scan and the shared majorant pick the same
+    # nodes and certify the same bound, bit for bit, as one scalar
+    # upper-tail bound per candidate and a majorant per call
+    pe, a = dim + 1.0 + beta, tau ** (1.0 / beta)
+    nodes = kernel._nodes(dim, pe, a, kernel._majorant(dim, pe, a, L))
+    assert nodes == exp_sum_nodes_loop(dim, pe, a, L)
+    _, cert = kernel._exp_sum_table(4, dim, pe, a, L)
+    assert cert.bound == exp_sum_bound_loop(dim, pe, a, L, *nodes)
 
 
 @SETTINGS
