@@ -39,7 +39,14 @@ active set {||grad u||_1 > delta_grad} (feeding Mbar) and the flat set
 (feeding Wcal) uses one shared threshold, ``default_delta_grad(u)``, so no
 double-well mass is dropped or double counted.  One pass over the field
 gives Mbar^i and Gbar^i of every grid line and Wcal (``_slice_terms``);
-the report and ``directional_mm`` read it.
+the report and ``directional_mm`` read it.  The report computes each
+intermediate once: the slice pass's forward differences (their 1-norm)
+and W(u) also give the full energy's M_alpha, its rFFT along the last
+axis is also the first stage of the full rFFT U, which the FFTs along the
+other axes complete (``kernel.rfft_from_last_axis``), and |U|^2 serves
+the d cross terms and the full nonlocal term.  The Parseval weights and
+the multipliers m_i are constants of the cached kernel operator, so a
+report builds none of them.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel as _kernel
-from .energy import total_energy
+from .energy import _Held, _well, total_energy
 from .field import PeriodicField, gradient, line_index
 from .model import ModelParams
 
@@ -77,10 +84,15 @@ class DecompositionReport:
 class _SliceTerms:
     """Mbar^i and Gbar^i of every grid line along each axis i, one array
     of shape (n,) * (d - 1) per axis indexed by the perpendicular grid,
-    and Wcal."""
+    and Wcal; with the intermediates the full energy also reads: the
+    1-norm ``norm`` of the forward differences, W(u) as ``well``, and the
+    rFFT ``last`` of u along its last axis."""
     mbar: list[np.ndarray]
     gbar: list[np.ndarray]
     wcal: float
+    norm: np.ndarray
+    well: np.ndarray
+    last: np.ndarray
 
 
 def _slice_terms(u: PeriodicField, params: ModelParams) -> _SliceTerms:
@@ -93,14 +105,16 @@ def _slice_terms(u: PeriodicField, params: ModelParams) -> _SliceTerms:
     and Gbar^i = Mbar^i C_tau minus the line's 1D nonlocal term against
     the kernel table summed over the other axes, which one rFFT along
     axis i gives for every line at once.  Wcal is
-    (3/alpha) sum W(u) vol over the flat set."""
+    (3/alpha) sum W(u) vol over the flat set.  The 1-norm of the
+    differences, W(u) and the rFFT along the last axis are kept for the
+    full energy of ``lower_bound_report``."""
     if u.dims != params.d:
         raise ValueError("field dimension does not match params.d")
     h, alpha, v = u.h_grid, params.alpha, u.values
     diffs = [np.abs(g) for g in gradient(u)]
     gl1 = sum(diffs)
     active = gl1 > default_delta_grad(u)
-    w = v * v * (1.0 - v) * (1.0 - v)      # double_well on [0, 1]
+    w = _well(v)
     # the Mbar density per unit |d_i u| on the active set
     dens = 3.0 * alpha * gl1 + (3.0 / alpha) * np.divide(
         w, gl1, out=np.zeros_like(gl1), where=active)
@@ -108,10 +122,11 @@ def _slice_terms(u: PeriodicField, params: ModelParams) -> _SliceTerms:
     ctau = _kernel.c_tau(params)
     mbar = [np.sum(dens * di, axis=ax, where=active) * h
             for ax, di in enumerate(diffs)]
-    gbar = [m * ctau - op.pair_sum(v, axis=ax) * h ** (u.dims + 1)
-            for ax, m in enumerate(mbar)]
+    lines = [np.fft.rfft(v, axis=ax) for ax in range(u.dims)]
+    gbar = [m * ctau - op.pair_sum_rfft(f, ax) * h ** (u.dims + 1)
+            for ax, (m, f) in enumerate(zip(mbar, lines))]
     wcal = float((3.0 / alpha) * np.sum(w[~active]) * h ** u.dims)
-    return _SliceTerms(mbar, gbar, wcal)
+    return _SliceTerms(mbar, gbar, wcal, gl1, w, lines[-1])
 
 
 def directional_mm(u: PeriodicField, i: int, x_perp, params: ModelParams
@@ -126,7 +141,7 @@ def directional_mm(u: PeriodicField, i: int, x_perp, params: ModelParams
 
 
 def cross_term(u: PeriodicField, i: int, params: ModelParams,
-               f: np.ndarray | None = None) -> float:
+               f: np.ndarray | _Held | None = None) -> float:
     """Nonnegative cross term
 
         I^i = (1/d) int_{zeta_i > 0} int [ (u(x + zeta_i e_i) - u(x))
@@ -143,22 +158,25 @@ def cross_term(u: PeriodicField, i: int, params: ModelParams,
     with S(0) for the sum of the table's nonzero lags, m_i is exactly 0
     where k_i = 0 or k_perp = 0, where a field constant along e_i or along
     its normal hyperplane has all its power: its I^i is only the FFT's
-    rounding of the other modes.  ``f``, when the caller holds it, is U,
-    which is then not taken.
+    rounding of the other modes.  In d = 1, m_1 vanishes and so does I^1.
+    The multipliers and w_k are constants of the cached kernel operator
+    (``cross_multipliers``, ``half_weights``).  ``f``, when the caller
+    holds it, is U, which is then not taken, or the ``_Held``
+    intermediates of ``lower_bound_report``, whose |U|^2 is read.
     """
     ax = i - 1
     if not (0 <= ax < u.dims):
         raise IndexError(f"axis {i} out of range for dims={u.dims}")
+    if u.dims == 1:
+        return 0.0
     op = _kernel.kernel_operator(u.L, u.n, params)
-    if f is None:
-        f = op.rfft(u.values)
-    s = op.spectrum.real
-    line = s[tuple(slice(None) if a == ax else slice(0, 1)
-                   for a in range(u.dims))]               # S(k_i, 0_perp)
-    mult = (s - s.take([0], axis=ax)) + (s.flat[0] - line)
-    np.maximum(mult, 0.0, out=mult)
-    power = f.real ** 2 + f.imag ** 2
-    total = float(np.sum(power * mult * _kernel._rfft_weights(u.n)))
+    if isinstance(f, _Held):
+        power = f.power
+    else:
+        power = _kernel.spectral_power(op.rfft(u.values) if f is None
+                                       else f)
+    total = float(np.sum(power * op.cross_multipliers[ax]
+                         * op.half_weights))
     return total * 2.0 / u.values.size * u.h_grid ** (2 * u.dims) / u.dims
 
 
@@ -166,19 +184,23 @@ def lower_bound_report(u: PeriodicField, params: ModelParams
                        ) -> DecompositionReport:
     """Assemble the directional lower bound and its slack against the full
     energy from one slice pass, with a single shared kernel grid and
-    gradient threshold; the cross terms and the full energy share one
-    rFFT of u."""
+    gradient threshold.  Each intermediate is computed once: the slice
+    pass's 1-norm of the forward differences and W(u) also give the full
+    energy's M_alpha, its rFFT along the last axis is also the first stage
+    of the full rFFT U of u, and |U|^2 serves every cross term and the full
+    nonlocal term; ``cross_term`` and ``total_energy`` read them as
+    ``_Held`` in place of U."""
     terms = _slice_terms(u, params)
-    f = _kernel.kernel_operator(u.L, u.n, params).rfft(u.values)
+    f = _kernel.rfft_from_last_axis(terms.last)
+    held = _Held(terms.norm, terms.well, _kernel.spectral_power(f))
     d = u.dims
     perp_vol = u.h_grid ** (d - 1)
     mbars = [float(np.sum(m)) * perp_vol for m in terms.mbar]
     gbars = [float(np.sum(g)) * perp_vol for g in terms.gbar]
-    crosses = [cross_term(u, ax + 1, params, f) if d > 1 else 0.0
-               for ax in range(d)]
+    crosses = [cross_term(u, ax + 1, params, held) for ax in range(d)]
     lower = (sum(-m + g for m, g in zip(mbars, gbars)) + sum(crosses)
              + terms.wcal) / u.L ** d
-    full = total_energy(u, params, f).total
+    full = total_energy(u, params, held).total
     return DecompositionReport(
         mbar=tuple(mbars), gbar=tuple(gbars), cross=tuple(crosses),
         wcal=terms.wcal, lower_bound=lower, full_energy=full,

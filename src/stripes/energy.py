@@ -28,27 +28,31 @@ W' and nonlocal gradient for ``slope_bound`` and for the gradient at the
 next kappa, with every result equal bit for bit to evaluating afresh.
 This state lives on the objective, which each flow builds for itself,
 not on the shared cached kernel operator, and an evaluated array must
-not be mutated in place.  The energy builds its terms (the squared
-1-norm of the differences, the double well, and the operator's
-Parseval sum) in place, in the operation order of the plain
-expressions, so its value is theirs bit for bit; in-place work touches
-only temporaries that the evaluation allocated itself, never the field,
-the slots with their differences, rFFT and nonlocal gradient, or an
-array that ``grad`` returned.
+not be mutated in place.  The energy builds its terms (the 1-norm of the
+differences, the double well, and the operator's Parseval sum) in place,
+in the operation order of the plain expressions, so its value is theirs
+bit for bit; in-place work touches only temporaries that the evaluation
+allocated itself, never the field, the slots with their differences,
+rFFT and nonlocal gradient, or an array that ``grad`` returned.  The
+differences are ``field.differences``, the package's one forward
+difference.
 ``total_energy``, ``nonlocal_energy`` and ``flow.energy_gradient`` are
-its wrappers for ``PeriodicField`` input.  Its ``slope_bound`` is the
-flow's line-search certificate: a lower bound on the exact energy along a
-clipped descent path.
+its wrappers for ``PeriodicField`` input; ``total_energy`` also takes
+the 1-norm, double well and rFFT power that the slicing report already
+holds (``_Held``), and reads both terms from them.  Its ``slope_bound``
+is the flow's line-search certificate: a lower bound on the exact energy
+along a clipped descent path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import kernel as _kernel
-from .field import PeriodicField, roll
+from .field import PeriodicField, differences, roll
 from .model import ModelParams
 from .solvers import scan_golden
 
@@ -66,9 +70,26 @@ class EnergyBreakdown:
     total: float
 
 
-def _differences(v: np.ndarray) -> list[np.ndarray]:
-    """The raw periodic forward differences v(x + e_i) - v(x), one per axis."""
-    return [roll(v, -1, ax) - v for ax in range(v.ndim)]
+class _Held(NamedTuple):
+    """Intermediates of one field's values v that a caller already holds,
+    which ``total_energy`` and ``decomposition.cross_term`` take in place
+    of the rFFT V of v and only read: the 1-norm ``norm`` = sum_i |D_i|
+    of the forward differences D = dv/dx, the double well ``well`` = W(v)
+    (``_well``) and the ``kernel.spectral_power`` of V."""
+
+    norm: np.ndarray
+    well: np.ndarray
+    power: np.ndarray
+
+
+def _well(v: np.ndarray) -> np.ndarray:
+    """W(v) on [0, 1] in a new array, built in place in the operation order
+    of ``model.double_well``, v v (1 - v) (1 - v)."""
+    w = 1.0 - v
+    well = v * v
+    well *= w
+    well *= w
+    return well
 
 
 def _well_prime(v: np.ndarray) -> np.ndarray:
@@ -76,22 +97,22 @@ def _well_prime(v: np.ndarray) -> np.ndarray:
     return 2.0 * v * (1.0 - v) * (1.0 - 2.0 * v)
 
 
-def _modica_mortola(v: np.ndarray, D: list[np.ndarray], vol: float,
-                    alpha: float) -> float:
-    """M_alpha of samples v in [0, 1] with forward differences D = dv/dx
-    and cell volume vol (no checks).  Each term is built in place in an
-    array allocated here, in the operation order of the plain expressions
-    (sum |D_i|)^2 and v v (1 - v) (1 - v), so the value is theirs bit for
-    bit; v and D are only read."""
+def _one_norm(D: list[np.ndarray]) -> np.ndarray:
+    """sum_i |D_i| in a new array, accumulated in place in the order of the
+    plain sum."""
     norm = np.abs(D[0])
     for t in D[1:]:
         norm += np.abs(t)
-    norm *= norm
-    w = 1.0 - v
-    well = v * v                            # double_well on [0, 1]
-    well *= w
-    well *= w
-    return float(3.0 * alpha * norm.sum() * vol
+    return norm
+
+
+def _modica_mortola(norm: np.ndarray, well: np.ndarray, vol: float,
+                    alpha: float) -> float:
+    """M_alpha from the 1-norm ``norm`` = sum_i |D_i| of the forward
+    differences D = dv/dx of samples v in [0, 1] (``_one_norm``), their
+    double well ``well`` = W(v) (``_well``) and the cell volume vol (no
+    checks); both arrays are only read."""
+    return float(3.0 * alpha * (norm * norm).sum() * vol
                  + (3.0 / alpha) * well.sum() * vol)
 
 
@@ -144,7 +165,7 @@ class _FieldObjective:
         """(dv, D, rFFT) of v, kept while v is the last array evaluated;
         ``f``, when given, is the rFFT of v, which is then not taken."""
         if self._trial is None or self._trial[0] is not v:
-            dv = _differences(v)
+            dv = differences(v)
             self._trial = (v, dv, [t / self.dx for t in dv],
                            self.op.rfft(v) if f is None else f)
         return self._trial[1:]
@@ -153,14 +174,20 @@ class _FieldObjective:
         """NL(v), the lattice pair form of the periodized kernel."""
         return self.op.pair_sum(v) * self.vol2
 
-    def split(self, v: np.ndarray, f: np.ndarray | None = None
+    def split(self, v: np.ndarray, f: np.ndarray | _Held | None = None
               ) -> tuple[float, float]:
         """(mm_term, nonlocal_term) of ``EnergyBreakdown``; ``f`` as in
-        ``_evaluated``."""
-        _, D, f = self._evaluated(v, f)
-        mm = (_modica_mortola(v, D, self.vol, self.alpha) * self.c1
-              * self.vol_inv)
-        return mm, self.op.pair_sum_rfft(f) * self.vol2 * self.vol_inv
+        ``_evaluated``, or the ``_Held`` intermediates of v, from which
+        both terms are read without transforming v or keeping it."""
+        if isinstance(f, _Held):
+            mm = _modica_mortola(f.norm, f.well, self.vol, self.alpha)
+            nl = self.op.pair_sum_power(f.power)
+        else:
+            _, D, f = self._evaluated(v, f)
+            mm = _modica_mortola(_one_norm(D), _well(v), self.vol,
+                                 self.alpha)
+            nl = self.op.pair_sum_rfft(f)
+        return mm * self.c1 * self.vol_inv, nl * self.vol2 * self.vol_inv
 
     def energy(self, v: np.ndarray) -> float:
         mm, nl = self.split(v)
@@ -225,12 +252,11 @@ class _FieldObjective:
         if self._iterate is not None and self._iterate[0] is v:
             _, dv, well_prime, nl_grad = self._iterate
         else:
-            dv, well_prime = _differences(v), _well_prime(v)
+            dv, well_prime = differences(v), _well_prime(v)
             nl_grad = self.pair_pref * (self.op.ksum * v - self.op.conv(v))
         # differences without the 1/dx: flux_pref holds one, the sum the other
         norm = slope_norm = 0.0
-        for ax in range(self.d):
-            dd = roll(d, -1, ax) - d
+        for ax, dd in enumerate(differences(d)):
             norm = norm + np.abs(dv[ax])
             slope_norm = slope_norm + np.where(dv[ax] == 0, np.abs(dd),
                                                np.sign(dv[ax]) * dd)
@@ -253,8 +279,9 @@ def modica_mortola(u: PeriodicField, alpha: float) -> float:
     if u.n < 2:
         raise ValueError("n must be >= 2")
     dx = u.h_grid
-    D = [t / dx for t in _differences(u.values)]
-    return _modica_mortola(u.values, D, dx ** u.dims, alpha)
+    D = [t / dx for t in differences(u.values)]
+    return _modica_mortola(_one_norm(D), _well(u.values), dx ** u.dims,
+                           alpha)
 
 
 def nonlocal_energy(u: PeriodicField, params: ModelParams) -> float:
@@ -263,10 +290,12 @@ def nonlocal_energy(u: PeriodicField, params: ModelParams) -> float:
 
 
 def total_energy(u: PeriodicField, params: ModelParams,
-                 f: np.ndarray | None = None) -> EnergyBreakdown:
+                 f: np.ndarray | _Held | None = None) -> EnergyBreakdown:
     """Rescaled energy per unit volume with its two-term breakdown; ``f``,
     when the caller holds it, is the rFFT of u's values
-    (``kernel.kernel_operator(...).rfft``), which is then not taken."""
+    (``kernel.kernel_operator(...).rfft``), which is then not taken, or
+    the ``_Held`` intermediates of the slicing report, from which both
+    terms are read."""
     mm, nl = _FieldObjective.of(u, params).split(u.values, f)
     return EnergyBreakdown(mm_term=mm, nonlocal_term=nl, total=mm - nl)
 

@@ -160,13 +160,19 @@ def roll(v: np.ndarray, shift: int, axis: int) -> np.ndarray:
                            v[lead + (np.s_[:cut],)]), axis=axis)
 
 
+def differences(v: np.ndarray) -> list[np.ndarray]:
+    """The raw forward differences with periodic wrap, v[. + e_i] - v, one
+    array per axis: the package's one discrete-gradient stencil."""
+    return [roll(v, -1, ax) - v for ax in range(v.ndim)]
+
+
 def gradient(u: PeriodicField) -> list[np.ndarray]:
     """Forward differences with periodic wrap, one grid per axis:
     (u[. + e_i] - u) / h_grid."""
     if u.n < 2:
         raise ValueError("n must be >= 2")
     h = u.h_grid
-    return [(roll(u.values, -1, ax) - u.values) / h for ax in range(u.dims)]
+    return [t / h for t in differences(u.values)]
 
 
 def make_one_dimensional(g: Profile1D, i: int, d: int, n: int) -> PeriodicField:

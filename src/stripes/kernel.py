@@ -27,7 +27,10 @@ an rFFT the caller already holds, so that an objective needing the pair
 form and the convolution of one array transforms it once, and
 ``kernel_operator``/``marginal_operator`` cache the operators of the
 periodized kernel and marginal.  The pair form along the lines of one
-axis reads the same spectrum at zero frequency on the other axes.
+axis reads the same spectrum at zero frequency on the other axes.  Every
+weight and multiplier that depends on the table alone, the slicing
+report's cross multipliers included, is computed once, when the operator
+is built.
 """
 
 from __future__ import annotations
@@ -310,6 +313,50 @@ def _rfft_weights(n: int) -> np.ndarray:
     return w
 
 
+def spectral_power(f: np.ndarray) -> np.ndarray:
+    """|f|^2 of a spectrum f, as f.real^2 + f.imag^2 in a new array."""
+    power = f.real ** 2
+    power += f.imag ** 2
+    return power
+
+
+def rfft_from_last_axis(f: np.ndarray) -> np.ndarray:
+    """The rFFT over all axes (``PeriodicKernelOperator.rfft``) of the
+    array whose rFFT along its last axis is f: the FFTs along the other
+    axes, from the last but one to the first, as ``numpy.fft.rfftn``
+    takes them after its own rFFT along the last axis, so the result is
+    rfftn's bit for bit."""
+    for ax in range(f.ndim - 2, -1, -1):
+        f = np.fft.fft(f, axis=ax)
+    return f
+
+
+def _line_weights(spectrum: np.ndarray, ksum: float, n: int, axis: int
+                  ) -> np.ndarray:
+    """Parseval weights of the pair form along the lines of ``axis`` of an
+    n^d grid, against the table summed over the other axes, whose
+    spectrum is S(k_i, 0_perp): w_k (ksum - S(k_i, 0_perp)) / n for the
+    n // 2 + 1 frequencies of an rFFT along the axis, 0 at k_i = 0,
+    shaped to broadcast along it."""
+    d = spectrum.ndim
+    line = spectrum[tuple(slice(None) if a == axis else 0
+                          for a in range(d))][:n // 2 + 1]
+    w = _rfft_weights(n) / n * (ksum - line.real)
+    w[0] = 0.0
+    return w.reshape([-1 if a == axis else 1 for a in range(d)])
+
+
+def _cross_multiplier(s: np.ndarray, axis: int) -> np.ndarray:
+    """m_i(k) = S(0) + S(k) - S(k_i, 0_perp) - S(0_i, k_perp) of the axis
+    i = ``axis``, from the real part s of the spectrum S, clipped at 0
+    since a negative value can only be rounding."""
+    line = s[tuple(slice(None) if a == axis else slice(0, 1)
+                   for a in range(s.ndim))]               # S(k_i, 0_perp)
+    m = (s - s.take([0], axis=axis)) + (s.flat[0] - line)
+    np.maximum(m, 0.0, out=m)
+    return m
+
+
 class PeriodicKernelOperator:
     """Circular convolution with a periodized kernel table over its nonzero
     lags, and the pair form sum_x sum_z |v(x + z) - v(x)|^2 K(z) it defines.
@@ -322,11 +369,21 @@ class PeriodicKernelOperator:
     d-dimensional table acts on arrays of its own shape, over all axes or,
     for the pair form, along the lines of one ``axis`` against the table
     summed over the other axes.  ``conv_rfft`` and ``pair_sum_rfft`` are
-    ``conv`` and the all-axes ``pair_sum`` of an array whose ``rfft`` the
-    caller holds.  The operator is cached and shared, also across threads,
-    so it keeps no state of the arrays it acts on.  ``kernel_operator``
-    and ``marginal_operator`` also keep the ``certificate`` of their
-    table's build.
+    ``conv`` and ``pair_sum`` of an array whose rFFT the caller holds, and
+    ``pair_sum_power`` is the all-axes ``pair_sum`` from its
+    ``spectral_power``.
+
+    Everything that depends only on the table is computed when the
+    operator is built and is read-only: the Parseval weights of the pair
+    form over all axes and along the lines of each axis, the rFFT
+    half-spectrum weights ``half_weights`` (2 where the rFFT drops the
+    conjugate frequency, else 1) and, for d >= 2, the
+    ``cross_multipliers`` m_i(k) = S(0) + S(k) - S(k_i, 0_perp)
+    - S(0_i, k_perp) of each axis i, clipped at 0 (see
+    ``decomposition.cross_term``).  The operator is cached and shared,
+    also across threads, so it keeps no state of the arrays it acts on.
+    ``kernel_operator`` and ``marginal_operator`` also keep the
+    ``certificate`` of their table's build.
     """
 
     certificate: KernelCertificate | None = None
@@ -336,16 +393,24 @@ class PeriodicKernelOperator:
         self.table.setflags(write=False)
         off = self.table.copy()
         off[(0,) * off.ndim] = 0.0
+        d, n = off.ndim, off.shape[-1]
         self.ksum = float(np.sum(off))
         self.spectrum = np.fft.rfftn(off)
         self.spectrum.setflags(write=False)
+        self.half_weights = _rfft_weights(n)
         # Parseval: the pair form is 2/N sum_k w_k |V_k|^2 (ksum - spectrum_k)
         # over the rFFT V of v; the mean (k = 0) adds nothing: weight 0
-        w = _rfft_weights(self.table.shape[-1])
-        self._pair_weights = (w / self.table.size
+        self._pair_weights = (self.half_weights / self.table.size
                               * (self.ksum - self.spectrum.real))
-        self._pair_weights[(0,) * off.ndim] = 0.0
-        self._pair_weights.setflags(write=False)
+        self._pair_weights[(0,) * d] = 0.0
+        self._line_weights = tuple(_line_weights(self.spectrum, self.ksum,
+                                                 n, ax) for ax in range(d))
+        self.cross_multipliers = tuple(
+            _cross_multiplier(self.spectrum.real, ax)
+            for ax in range(d)) if d > 1 else ()
+        for w in (self.half_weights, self._pair_weights, *self._line_weights,
+                  *self.cross_multipliers):
+            w.setflags(write=False)
 
     def rfft(self, v: np.ndarray) -> np.ndarray:
         """The rFFT of v over all axes, for ``conv_rfft`` and
@@ -371,13 +436,23 @@ class PeriodicKernelOperator:
         return np.fft.irfftn(f * self.spectrum, s=shape,
                              axes=tuple(range(len(shape))))
 
-    def pair_sum_rfft(self, f: np.ndarray) -> float:
-        """``pair_sum`` over all axes of the array whose ``rfft`` is f;
-        |f|^2 w is built in place in its own temporary, f is only read."""
-        power = f.real ** 2
-        power += f.imag ** 2
-        power *= self._pair_weights
-        return float(2.0 * power.sum())
+    def pair_sum_power(self, power: np.ndarray) -> float:
+        """``pair_sum`` over all axes of the array whose ``rfft`` has the
+        ``spectral_power`` ``power``, which is only read."""
+        return float(2.0 * np.sum(power * self._pair_weights))
+
+    def pair_sum_rfft(self, f: np.ndarray, axis: int | None = None
+                      ) -> float | np.ndarray:
+        """``pair_sum`` of the array whose rFFT is f: over all axes when f
+        is its ``rfft``, along the lines of ``axis`` when f is its rFFT
+        along that axis.  |f|^2 w is built in place in its own temporary,
+        f is only read."""
+        power = spectral_power(f)
+        if axis is None:
+            power *= self._pair_weights
+            return float(2.0 * power.sum())
+        power *= self._line_weights[axis]
+        return 2.0 * np.sum(power, axis=axis)
 
     def pair_sum(self, v: np.ndarray, axis: int | None = None
                  ) -> float | np.ndarray:
@@ -389,22 +464,14 @@ class PeriodicKernelOperator:
         parallel to ``axis`` against the table summed over the other axes,
         from one rFFT along it: an array of the line sums, of v's shape
         without ``axis``; the summed table's spectrum is ``spectrum`` at
-        zero frequency on the other axes."""
+        zero frequency on the other axes, and its Parseval weights along
+        each axis are kept with the operator."""
         if axis is None:
             return self.pair_sum_rfft(self.rfft(v))
         if v.ndim != self.table.ndim:
             raise ValueError(f"a {self.table.ndim}D kernel table acts on "
                              f"{self.table.ndim}D arrays, got {v.ndim}D")
-        f = np.fft.rfft(v, axis=axis)
-        n = self.table.shape[axis]
-        line = self.spectrum[tuple(slice(None) if a == axis else 0
-                                   for a in range(v.ndim))][:n // 2 + 1]
-        weights = _rfft_weights(n) / n * (self.ksum - line.real)
-        weights[0] = 0.0
-        shape = [1] * v.ndim
-        shape[axis] = -1
-        return 2.0 * np.sum((f.real ** 2 + f.imag ** 2)
-                            * weights.reshape(shape), axis=axis)
+        return self.pair_sum_rfft(np.fft.rfft(v, axis=axis), axis)
 
 
 def _check_grid(L: float, n: int) -> None:

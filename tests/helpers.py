@@ -88,6 +88,43 @@ def cross_term_direct(u: PeriodicField, i: int, params: ModelParams
     return total * u.h_grid ** (2 * d) / (2.0 * d)
 
 
+def line_weights_reference(op: kernel.PeriodicKernelOperator, axis: int
+                           ) -> np.ndarray:
+    """The Parseval weights of ``op.pair_sum(v, axis=axis)`` as that call
+    built them for itself before the operator kept them: w_k (ksum -
+    S(k_i, 0_perp)) / n, 0 at k_i = 0, shaped to broadcast along axis."""
+    d = op.table.ndim
+    n = op.table.shape[axis]
+    line = op.spectrum[tuple(slice(None) if a == axis else 0
+                             for a in range(d))][:n // 2 + 1]
+    weights = half_weights_reference(n) / n * (op.ksum - line.real)
+    weights[0] = 0.0
+    shape = [1] * d
+    shape[axis] = -1
+    return weights.reshape(shape)
+
+
+def half_weights_reference(n: int) -> np.ndarray:
+    """Weights of the n // 2 + 1 rFFT frequencies k in a Parseval sum over
+    all n: 1 at k = 0 and, for even n, at k = n / 2, which equal their own
+    conjugates, and 2 elsewhere."""
+    return np.array([1.0 if k == 0 or 2 * k == n else 2.0
+                     for k in range(n // 2 + 1)])
+
+
+def cross_multiplier_reference(op: kernel.PeriodicKernelOperator, axis: int
+                               ) -> np.ndarray:
+    """m_i(k) = S(0) + S(k) - S(k_i, 0_perp) - S(0_i, k_perp) clipped at 0,
+    as ``decomposition.cross_term`` built it on every call before the
+    operator kept it."""
+    s = op.spectrum.real
+    line = s[tuple(slice(None) if a == axis else slice(0, 1)
+                   for a in range(s.ndim))]
+    mult = (s - s.take([0], axis=axis)) + (s.flat[0] - line)
+    np.maximum(mult, 0.0, out=mult)
+    return mult
+
+
 def lattice_marginal(kernel_grid: np.ndarray, axis: int, spacing: float
                      ) -> np.ndarray:
     """Marginalize a d-dim periodized kernel grid onto one lag axis by the

@@ -70,19 +70,46 @@ def test_lower_bound_slack_random_fields(ps2):
 
 
 def test_lower_bound_report_transforms_the_field_once(ps2, monkeypatch):
-    # the cross terms and the full energy share one rFFT of u; the slice
-    # lines take their own rFFT along each axis; every term is the one
-    # that computing it alone gives, bit for bit
+    # the slice lines take one rFFT along each axis, and the one along the
+    # last axis is also the first stage of the full rFFT, which one FFT
+    # along the other axis completes; the cross terms and the full energy
+    # share it; every term is the one that computing it alone gives, bit
+    # for bit
     params = ps2.with_(L=1.0)
     u = PeriodicField(2, 48, 1.0,
                       np.random.default_rng(48).uniform(0.0, 1.0, (48, 48)))
     kernel.kernel_operator(u.L, u.n, params)    # build the table first
     calls = count_ffts(monkeypatch)
     rep = lower_bound_report(u, params)
-    assert calls == {"rfftn": 1, "rfft": 2}
+    assert calls == {"rfft": 2, "fft": 1}
     monkeypatch.undo()
     assert rep.cross == (cross_term(u, 1, params), cross_term(u, 2, params))
     assert rep.full_energy == total_energy(u, params).total
+
+
+@settings(max_examples=30, deadline=None)
+@given(dn=st.sampled_from([(2, 2), (2, 3), (2, 7), (2, 8), (2, 16), (3, 2),
+                           (3, 3), (3, 6), (3, 7)]),
+       seed=st.integers(0, 2 ** 32 - 1), smooth=st.booleans())
+def test_report_terms_are_the_terms_computed_alone(dn, seed, smooth):
+    # the report shares its intermediates between the slice pass, the
+    # cross terms and the full energy; each term it reports is the one that
+    # computing it alone gives, bit for bit, at even and odd n
+    d, n = dn
+    ps = SLICE_PARAMS[d]
+    rng = np.random.default_rng(seed)
+    u = smooth_field(d, n, ps.L, rng) if smooth and n >= 7 \
+        else rough_field(d, n, ps.L, rng)
+    rep = lower_bound_report(u, ps)
+    assert rep.cross == tuple(cross_term(u, i, ps) for i in range(1, d + 1))
+    assert rep.full_energy == total_energy(u, ps).total
+    op = kernel.kernel_operator(u.L, n, ps)
+    terms = _slice_terms(u, ps)
+    for ax in range(d):
+        alone = (terms.mbar[ax] * kernel.c_tau(ps)
+                 - op.pair_sum(u.values, axis=ax) * u.h_grid ** (d + 1))
+        assert np.array_equal(terms.gbar[ax], alone)
+        assert rep.gbar[ax] == float(np.sum(alone)) * u.h_grid ** (d - 1)
 
 
 @settings(max_examples=25, deadline=None)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helpers import marginal_tail_mass
+from helpers import (cross_multiplier_reference, half_weights_reference,
+                     line_weights_reference, marginal_tail_mass)
 from stripes import kernel
 from stripes.model import ModelParams
 
@@ -104,3 +105,43 @@ def test_periodized_marginal_dominates_nearest_image(ps1):
     assert np.all(khat >= nearest - 1e-12)
     image_bound = marginal_tail_mass(L / 2 - L / n, ps1) / (L / 2)
     assert np.max(khat - nearest) <= 4.0 * image_bound
+
+
+OPERATOR_GRIDS = [(1, 2), (1, 7), (1, 16), (2, 2), (2, 3), (2, 7), (2, 8),
+                  (3, 3), (3, 5), (3, 6), (4, 3)]
+
+
+@pytest.mark.parametrize("d, n", OPERATOR_GRIDS)
+def test_operator_constants_are_read_only_and_the_per_call_expressions(d, n):
+    # the Parseval weights and cross multipliers an operator keeps are the
+    # ones pair_sum(v, axis=) and cross_term built on every call, bit for
+    # bit, and a caller cannot write them
+    op = kernel.kernel_operator(1.0, n, params(d, d + 2.0, 0.05))
+    assert np.array_equal(op.half_weights, half_weights_reference(n))
+    assert len(op._line_weights) == d
+    for ax in range(d):
+        assert np.array_equal(op._line_weights[ax],
+                              line_weights_reference(op, ax))
+    assert len(op.cross_multipliers) == (d if d > 1 else 0)
+    for ax, m in enumerate(op.cross_multipliers):
+        assert np.array_equal(m, cross_multiplier_reference(op, ax))
+    for a in (op.half_weights, *op._line_weights, *op.cross_multipliers):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a.flat[0] = 1.0
+
+
+def test_marginal_operator_keeps_the_line_weights_only(ps1):
+    op = kernel.marginal_operator(2.0, 33, ps1)
+    assert op.cross_multipliers == ()
+    assert np.array_equal(op._line_weights[0], line_weights_reference(op, 0))
+    assert not op._line_weights[0].flags.writeable
+
+
+@pytest.mark.parametrize("d, n", OPERATOR_GRIDS)
+def test_rfft_from_last_axis_is_rfft(d, n):
+    # numpy's rfftn takes the same stages, so the two agree bit for bit
+    op = kernel.kernel_operator(1.0, n, params(d, d + 2.0, 0.05))
+    v = np.random.default_rng(n).uniform(0.0, 1.0, (n,) * d)
+    assert np.array_equal(kernel.rfft_from_last_axis(np.fft.rfft(v)),
+                          op.rfft(v))
