@@ -141,7 +141,7 @@ def directional_mm(u: PeriodicField, i: int, x_perp, params: ModelParams
 
 
 def cross_term(u: PeriodicField, i: int, params: ModelParams,
-               f: np.ndarray | _Held | None = None) -> float:
+               f: _Held | None = None) -> float:
     """Nonnegative cross term
 
         I^i = (1/d) int_{zeta_i > 0} int [ (u(x + zeta_i e_i) - u(x))
@@ -161,8 +161,8 @@ def cross_term(u: PeriodicField, i: int, params: ModelParams,
     rounding of the other modes.  In d = 1, m_1 vanishes and so does I^1.
     The multipliers and w_k are constants of the cached kernel operator
     (``cross_multipliers``, ``half_weights``).  ``f``, when the caller
-    holds it, is U, which is then not taken, or the ``_Held``
-    intermediates of ``lower_bound_report``, whose |U|^2 is read.
+    holds them, is the ``_Held`` intermediates of ``lower_bound_report``,
+    whose |U|^2 is read and U not taken.
     """
     ax = i - 1
     if not (0 <= ax < u.dims):
@@ -170,11 +170,8 @@ def cross_term(u: PeriodicField, i: int, params: ModelParams,
     if u.dims == 1:
         return 0.0
     op = _kernel.kernel_operator(u.L, u.n, params)
-    if isinstance(f, _Held):
-        power = f.power
-    else:
-        power = _kernel.spectral_power(op.rfft(u.values) if f is None
-                                       else f)
+    power = (_kernel.spectral_power(op.rfft(u.values)) if f is None
+             else f.power)
     total = float(np.sum(power * op.cross_multipliers[ax]
                          * op.half_weights))
     return total * 2.0 / u.values.size * u.h_grid ** (2 * u.dims) / u.dims

@@ -28,10 +28,10 @@ W' and nonlocal gradient for ``slope_bound`` and for the gradient at the
 next kappa, with every result equal bit for bit to evaluating afresh.
 This state lives on the objective, which each flow builds for itself,
 not on the shared cached kernel operator, and an evaluated array must
-not be mutated in place.  The energy builds its terms (the 1-norm of the
-differences, the double well, and the operator's Parseval sum) in place,
-in the operation order of the plain expressions, so its value is theirs
-bit for bit; in-place work touches only temporaries that the evaluation
+not be mutated in place.  The energy builds its terms (the squared
+1-norm of the differences and the double well) in place, in the
+operation order of the plain expressions, so its value is theirs bit for
+bit; in-place work touches only temporaries that the evaluation
 allocated itself, never the field, the slots with their differences,
 rFFT and nonlocal gradient, or an array that ``grad`` returned.  The
 differences are ``field.differences``, the package's one forward
@@ -73,7 +73,7 @@ class EnergyBreakdown:
 class _Held(NamedTuple):
     """Intermediates of one field's values v that a caller already holds,
     which ``total_energy`` and ``decomposition.cross_term`` take in place
-    of the rFFT V of v and only read: the 1-norm ``norm`` = sum_i |D_i|
+    of v's rFFT V and only read: the 1-norm ``norm`` = sum_i |D_i|
     of the forward differences D = dv/dx, the double well ``well`` = W(v)
     (``_well``) and the ``kernel.spectral_power`` of V."""
 
@@ -97,22 +97,23 @@ def _well_prime(v: np.ndarray) -> np.ndarray:
     return 2.0 * v * (1.0 - v) * (1.0 - 2.0 * v)
 
 
-def _one_norm(D: list[np.ndarray]) -> np.ndarray:
-    """sum_i |D_i| in a new array, accumulated in place in the order of the
-    plain sum."""
+def _squared_one_norm(D: list[np.ndarray]) -> np.ndarray:
+    """(sum_i |D_i|)^2 in a new array, built in place in the order of the
+    plain expression."""
     norm = np.abs(D[0])
     for t in D[1:]:
         norm += np.abs(t)
+    norm *= norm
     return norm
 
 
-def _modica_mortola(norm: np.ndarray, well: np.ndarray, vol: float,
+def _modica_mortola(norm2: np.ndarray, well: np.ndarray, vol: float,
                     alpha: float) -> float:
-    """M_alpha from the 1-norm ``norm`` = sum_i |D_i| of the forward
-    differences D = dv/dx of samples v in [0, 1] (``_one_norm``), their
-    double well ``well`` = W(v) (``_well``) and the cell volume vol (no
-    checks); both arrays are only read."""
-    return float(3.0 * alpha * (norm * norm).sum() * vol
+    """M_alpha from the squared 1-norm ``norm2`` = (sum_i |D_i|)^2 of the
+    forward differences D = dv/dx of samples v in [0, 1]
+    (``_squared_one_norm``), their double well ``well`` = W(v) (``_well``)
+    and the cell volume vol (no checks); both arrays are only read."""
+    return float(3.0 * alpha * norm2.sum() * vol
                  + (3.0 / alpha) * well.sum() * vol)
 
 
@@ -160,31 +161,30 @@ class _FieldObjective:
             raise ValueError("field dimension does not match params.d")
         return cls(params, u.L, u.n)
 
-    def _evaluated(self, v: np.ndarray, f: np.ndarray | None = None
-                   ) -> tuple:
-        """(dv, D, rFFT) of v, kept while v is the last array evaluated;
-        ``f``, when given, is the rFFT of v, which is then not taken."""
+    def _evaluated(self, v: np.ndarray) -> tuple:
+        """(dv, D, rFFT) of v, kept while v is the last array evaluated."""
         if self._trial is None or self._trial[0] is not v:
             dv = differences(v)
             self._trial = (v, dv, [t / self.dx for t in dv],
-                           self.op.rfft(v) if f is None else f)
+                           self.op.rfft(v))
         return self._trial[1:]
 
     def nonlocal_sum(self, v: np.ndarray) -> float:
         """NL(v), the lattice pair form of the periodized kernel."""
         return self.op.pair_sum(v) * self.vol2
 
-    def split(self, v: np.ndarray, f: np.ndarray | _Held | None = None
+    def split(self, v: np.ndarray, f: _Held | None = None
               ) -> tuple[float, float]:
-        """(mm_term, nonlocal_term) of ``EnergyBreakdown``; ``f`` as in
-        ``_evaluated``, or the ``_Held`` intermediates of v, from which
-        both terms are read without transforming v or keeping it."""
-        if isinstance(f, _Held):
-            mm = _modica_mortola(f.norm, f.well, self.vol, self.alpha)
-            nl = self.op.pair_sum_power(f.power)
+        """(mm_term, nonlocal_term) of ``EnergyBreakdown``; with ``f``, the
+        ``_Held`` intermediates of v, both terms are read from them without
+        transforming v or keeping it."""
+        if f is not None:
+            mm = _modica_mortola(f.norm * f.norm, f.well, self.vol,
+                                 self.alpha)
+            nl = self.op.pair_sum_power(f.power.copy())
         else:
-            _, D, f = self._evaluated(v, f)
-            mm = _modica_mortola(_one_norm(D), _well(v), self.vol,
+            _, D, f = self._evaluated(v)
+            mm = _modica_mortola(_squared_one_norm(D), _well(v), self.vol,
                                  self.alpha)
             nl = self.op.pair_sum_rfft(f)
         return mm * self.c1 * self.vol_inv, nl * self.vol2 * self.vol_inv
@@ -280,8 +280,8 @@ def modica_mortola(u: PeriodicField, alpha: float) -> float:
         raise ValueError("n must be >= 2")
     dx = u.h_grid
     D = [t / dx for t in differences(u.values)]
-    return _modica_mortola(_one_norm(D), _well(u.values), dx ** u.dims,
-                           alpha)
+    return _modica_mortola(_squared_one_norm(D), _well(u.values),
+                           dx ** u.dims, alpha)
 
 
 def nonlocal_energy(u: PeriodicField, params: ModelParams) -> float:
@@ -290,12 +290,10 @@ def nonlocal_energy(u: PeriodicField, params: ModelParams) -> float:
 
 
 def total_energy(u: PeriodicField, params: ModelParams,
-                 f: np.ndarray | _Held | None = None) -> EnergyBreakdown:
+                 f: _Held | None = None) -> EnergyBreakdown:
     """Rescaled energy per unit volume with its two-term breakdown; ``f``,
-    when the caller holds it, is the rFFT of u's values
-    (``kernel.kernel_operator(...).rfft``), which is then not taken, or
-    the ``_Held`` intermediates of the slicing report, from which both
-    terms are read."""
+    the ``_Held`` intermediates of u's values that the slicing report
+    already holds, gives both terms without transforming u."""
     mm, nl = _FieldObjective.of(u, params).split(u.values, f)
     return EnergyBreakdown(mm_term=mm, nonlocal_term=nl, total=mm - nl)
 

@@ -323,9 +323,11 @@ def spectral_power(f: np.ndarray) -> np.ndarray:
 def rfft_from_last_axis(f: np.ndarray) -> np.ndarray:
     """The rFFT over all axes (``PeriodicKernelOperator.rfft``) of the
     array whose rFFT along its last axis is f: the FFTs along the other
-    axes, from the last but one to the first, as ``numpy.fft.rfftn``
-    takes them after its own rFFT along the last axis, so the result is
-    rfftn's bit for bit."""
+    axes, from the last but one to the first, the order in which numpy 2's
+    ``numpy.fft.rfftn`` takes them after its own rFFT along the last axis,
+    so the result is rfftn's bit for bit (numpy 1 took them from the first
+    axis on, which rounds differently in d >= 3; the package requires
+    numpy 2)."""
     for ax in range(f.ndim - 2, -1, -1):
         f = np.fft.fft(f, axis=ax)
     return f
@@ -370,8 +372,8 @@ class PeriodicKernelOperator:
     for the pair form, along the lines of one ``axis`` against the table
     summed over the other axes.  ``conv_rfft`` and ``pair_sum_rfft`` are
     ``conv`` and ``pair_sum`` of an array whose rFFT the caller holds, and
-    ``pair_sum_power`` is the all-axes ``pair_sum`` from its
-    ``spectral_power``.
+    ``pair_sum_power`` is ``pair_sum`` from that rFFT's
+    ``spectral_power``, the one implementation of both.
 
     Everything that depends only on the table is computed when the
     operator is built and is read-only: the Parseval weights of the pair
@@ -436,23 +438,24 @@ class PeriodicKernelOperator:
         return np.fft.irfftn(f * self.spectrum, s=shape,
                              axes=tuple(range(len(shape))))
 
-    def pair_sum_power(self, power: np.ndarray) -> float:
-        """``pair_sum`` over all axes of the array whose ``rfft`` has the
-        ``spectral_power`` ``power``, which is only read."""
-        return float(2.0 * np.sum(power * self._pair_weights))
-
-    def pair_sum_rfft(self, f: np.ndarray, axis: int | None = None
-                      ) -> float | np.ndarray:
-        """``pair_sum`` of the array whose rFFT is f: over all axes when f
-        is its ``rfft``, along the lines of ``axis`` when f is its rFFT
-        along that axis.  |f|^2 w is built in place in its own temporary,
-        f is only read."""
-        power = spectral_power(f)
+    def pair_sum_power(self, power: np.ndarray, axis: int | None = None
+                       ) -> float | np.ndarray:
+        """``pair_sum`` of the array whose rFFT has the ``spectral_power``
+        ``power``: over all axes when the rFFT is its ``rfft``, along the
+        lines of ``axis`` when it is its rFFT along that axis.  power is
+        overwritten with its weighted terms, so that the sum allocates no
+        array; a caller that keeps power passes a copy."""
         if axis is None:
             power *= self._pair_weights
             return float(2.0 * power.sum())
         power *= self._line_weights[axis]
         return 2.0 * np.sum(power, axis=axis)
+
+    def pair_sum_rfft(self, f: np.ndarray, axis: int | None = None
+                      ) -> float | np.ndarray:
+        """``pair_sum_power`` of the ``spectral_power`` of the rFFT f, which
+        is only read."""
+        return self.pair_sum_power(spectral_power(f), axis)
 
     def pair_sum(self, v: np.ndarray, axis: int | None = None
                  ) -> float | np.ndarray:

@@ -140,7 +140,8 @@ def test_marginal_operator_keeps_the_line_weights_only(ps1):
 
 @pytest.mark.parametrize("d, n", OPERATOR_GRIDS)
 def test_rfft_from_last_axis_is_rfft(d, n):
-    # numpy's rfftn takes the same stages, so the two agree bit for bit
+    # numpy 2's rfftn takes the same stages in the same order, so the two
+    # agree bit for bit
     op = kernel.kernel_operator(1.0, n, params(d, d + 2.0, 0.05))
     v = np.random.default_rng(n).uniform(0.0, 1.0, (n,) * d)
     assert np.array_equal(kernel.rfft_from_last_axis(np.fft.rfft(v)),
