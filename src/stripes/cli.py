@@ -263,15 +263,14 @@ def minimize_2d(cfg, out):
                 **_resolution(run_params, u0.h_grid),
                 "kernel": asdict(op.certificate)}, True
     try:
-        _flow._workers(int(cfg["n_seeds"]), cfg["threads"])
+        rep = _flow.symmetry_breaking_experiment(
+            params, k=int(cfg["k"]), n=int(cfg["n"]),
+            n_seeds=int(cfg["n_seeds"]),
+            opts=_flow.FlowOptions(seed=int(cfg["seed"])),
+            anisotropy_threshold=cfg["anisotropy_threshold"],
+            gap_threshold=cfg["gap_threshold"], threads=cfg["threads"])
     except ValueError as exc:
         raise click.ClickException(str(exc))
-    rep = _flow.symmetry_breaking_experiment(
-        params, k=int(cfg["k"]), n=int(cfg["n"]),
-        n_seeds=int(cfg["n_seeds"]),
-        opts=_flow.FlowOptions(seed=int(cfg["seed"])),
-        anisotropy_threshold=cfg["anisotropy_threshold"],
-        gap_threshold=cfg["gap_threshold"], threads=cfg["threads"])
     return {**rep, **_resolution(params, rep["L"] / rep["n"])}, True
 
 

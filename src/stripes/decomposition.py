@@ -57,9 +57,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel as _kernel
-from .energy import _Held, _well, total_energy
+from .energy import _Held, total_energy
 from .field import PeriodicField, gradient, line_index
-from .model import ModelParams
+from .model import ModelParams, _well
 
 
 def default_delta_grad(u: PeriodicField) -> float:

@@ -53,7 +53,7 @@ import numpy as np
 
 from . import kernel as _kernel
 from .field import PeriodicField, differences, roll
-from .model import ModelParams
+from .model import ModelParams, _well, _well_prime
 from .solvers import scan_golden
 
 
@@ -80,21 +80,6 @@ class _Held(NamedTuple):
     norm: np.ndarray
     well: np.ndarray
     power: np.ndarray
-
-
-def _well(v: np.ndarray) -> np.ndarray:
-    """W(v) on [0, 1] in a new array, built in place in the operation order
-    of ``model.double_well``, v v (1 - v) (1 - v)."""
-    w = 1.0 - v
-    well = v * v
-    well *= w
-    well *= w
-    return well
-
-
-def _well_prime(v: np.ndarray) -> np.ndarray:
-    """W'(v) on [0, 1], in the operation order of ``model.double_well_prime``."""
-    return 2.0 * v * (1.0 - v) * (1.0 - 2.0 * v)
 
 
 def _squared_one_norm(D: list[np.ndarray]) -> np.ndarray:

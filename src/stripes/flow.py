@@ -251,8 +251,6 @@ def tiled_stripe_benchmark(params: ModelParams, h_star: float, k: int,
     k-fold stripe tiling of half-period h*, polished by the same gradient
     flow the experiment uses (it stays one-dimensional by equivariance), so
     benchmark and runs share one lattice energy."""
-    if n % (2 * k):
-        raise ValueError("2k must divide n so periods align with the grid")
     L = 2.0 * k * h_star
     u0 = make_stripes(StripeSpec(1, h_star, 0.0), L, n, params.d)
     u, tr = gradient_flow(u0, params)
@@ -274,8 +272,13 @@ def symmetry_breaking_experiment(params: ModelParams, k: int = 1,
     every input needed to reproduce the run bit for bit, and under
     ``kernel`` the certificate of the flows' periodized kernel table.
     ``opts.seed`` is the master seed of the runs, and ``threads`` (None
-    for 1) the number of runs in flight at once.
+    for 1) the number of runs in flight at once.  Before any work, k < 1,
+    2k not dividing n and what ``_workers`` rejects raise ValueError.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if n % (2 * k):
+        raise ValueError(f"2k = {2 * k} must divide n = {n}")
     workers = _workers(n_seeds, threads)
     opts = opts or FlowOptions()
     if h_star is None:
@@ -286,8 +289,7 @@ def symmetry_breaking_experiment(params: ModelParams, k: int = 1,
 
     bench_u, bench_e = tiled_stripe_benchmark(run_params, h_star, k, n)
     h_grid = [L / (2 * j) for j in range(1, max(2 * k + 2, 4))
-              if (n * (2 * (L / (2 * j))) / L) % 1 == 0
-              and n % (2 * j) == 0]
+              if n % (2 * j) == 0]
     nu_grid = np.arange(n) * (L / n)
 
     root = np.random.default_rng(opts.seed)

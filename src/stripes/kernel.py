@@ -291,7 +291,9 @@ def _symmetrized(vals: np.ndarray) -> np.ndarray:
     axis and over all permutations of the axes, then read every entry at
     the canonical lag of its orbit (each index folded to min(j, n - j), the
     indices sorted), so that the table is exactly invariant under both
-    symmetries and not only up to the rounding of the averages."""
+    symmetries and not only up to the rounding of the averages.  The raw
+    table can break reflection symmetry by rounding (d = 2 at n = 127, d = 3
+    at n = 33-35 and 37-39; x86-64 with numpy's bundled OpenBLAS)."""
     n = vals.shape[0]
     for ax in range(vals.ndim):
         flipped = np.roll(np.flip(vals, axis=ax), 1, axis=ax)  # i <-> n - i
@@ -299,7 +301,7 @@ def _symmetrized(vals: np.ndarray) -> np.ndarray:
     perms = list(itertools.permutations(range(vals.ndim)))
     vals = sum(np.transpose(vals, perm) for perm in perms) / len(perms)
     idx = np.indices(vals.shape)
-    np.minimum(idx, (n - idx) % n, out=idx)
+    np.minimum(idx, n - idx, out=idx)
     idx.sort(axis=0)
     return vals[tuple(idx)]
 

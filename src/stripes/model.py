@@ -3,7 +3,8 @@ function omega.
 
 The parameter set is (d, p, tau, eps, L) with derived exponents
 beta = p - d - 1, q = p - d + 1 and the transition scale
-alpha = eps * tau^(1/beta).
+alpha = eps * tau^(1/beta).  ``_well`` and ``_well_prime`` are the one W
+and W'; ``double_well`` and ``double_well_prime`` clamp their input first.
 """
 
 from __future__ import annotations
@@ -116,16 +117,29 @@ def clamp01(t):
     return out if out.ndim else float(out)
 
 
+def _well(v):
+    """W(v) = v v (1 - v) (1 - v), unchecked, built in place in that order
+    in a new array (a float for a float v)."""
+    w = 1.0 - v
+    well = v * v
+    well *= w
+    well *= w
+    return well
+
+
+def _well_prime(v):
+    """W'(v) = 2 v (1 - v) (1 - 2 v), unchecked."""
+    return 2.0 * v * (1.0 - v) * (1.0 - 2.0 * v)
+
+
 def double_well(t):
     """W(t) = t^2 (1-t)^2, the double-well potential with wells at 0 and 1."""
-    t = clamp01(t)
-    return t * t * (1.0 - t) * (1.0 - t)
+    return _well(clamp01(t))
 
 
 def double_well_prime(t):
     """W'(t) = 2t(1-t)(1-2t)."""
-    t = clamp01(t)
-    return 2.0 * t * (1.0 - t) * (1.0 - 2.0 * t)
+    return _well_prime(clamp01(t))
 
 
 def transition_energy(t):

@@ -22,8 +22,10 @@ periodized marginal kernel (``kernel.marginal_operator``), one table per
 (L, n) and model shared by ``f1d``, the descent and the Euler-Lagrange
 diagnostics.  ``_ProfileObjective`` is the one evaluation of the
 discrete F1d (split, gradient, interaction field) and ``_reflect`` the
-one reflection.  A trial profile is reflected,
-differenced and transformed once: the descent's energy and gradient
+one reflection; W and W' are ``model``'s, and only the objective's slope
+and its adjoint, on the descent's path, difference by hand rather than
+through ``field.roll`` and ``field.differences``.  A trial profile is
+reflected, differenced and transformed once: the descent's energy and gradient
 share the reflection of a base profile, and the objective keeps the
 slope and rFFT of the last profile it evaluates for every later use of
 that same array.  The objective works on raw arrays and checks none of
@@ -80,8 +82,9 @@ from itertools import chain
 import numpy as np
 
 from . import kernel as _kernel
-from .field import Profile1D, check_gamma
-from .model import ModelParams, double_well, double_well_prime
+from .field import Profile1D, check_gamma, differences, roll
+from .model import (ModelParams, _well, _well_prime, double_well,
+                    double_well_prime)
 from .solvers import (ACTIVE_TOL, BACKTRACK, STEP_MAX, DescentResult,
                       NoBracketError, scan_golden)
 
@@ -216,9 +219,7 @@ class _ProfileObjective:
     goes through it.
 
     Nothing is checked here: G must already lie in [0, 1] and gamma be
-    None, a scalar or n samples in [1, inf] (``_gamma_array``); W and W'
-    are evaluated inline in the operation order of ``model.double_well``
-    and ``model.double_well_prime``.
+    None, a scalar or n samples in [1, inf] (``_gamma_array``).
 
     Each profile is transformed once: the energy, its split and local
     integrals, the gradient and the interaction field keep the last G
@@ -242,6 +243,7 @@ class _ProfileObjective:
 
     def slope(self, G: np.ndarray) -> np.ndarray:
         """(G[j+1] - G[j]) / dx, periodically."""
+        # by hand: on the descent's path field.differences is ~3 us slower
         D = np.empty(self.n)
         np.subtract(G[1:], G[:-1], out=D[:-1])
         D[-1] = G[0] - G[-1]
@@ -259,7 +261,7 @@ class _ProfileObjective:
         """(int gamma |G'|^2, int W(G) / gamma); gamma = None means 1, and
         an infinite gamma costs nothing where G' = 0."""
         D = self._evaluated(G)[0]
-        grad2, well = D ** 2, G * G * (1.0 - G) * (1.0 - G)
+        grad2, well = D ** 2, _well(G)
         if gamma is not None:
             grad2 = np.multiply(gamma, grad2, out=np.zeros(self.n),
                                 where=D != 0)
@@ -294,12 +296,11 @@ class _ProfileObjective:
         else:
             gam = gamma
             gD = np.multiply(gamma, D, out=np.zeros(self.n), where=D != 0)
-        back = np.empty(self.n)  # gD[j-1] - gD[j], periodically
+        back = np.empty(self.n)  # gD[j-1] - gD[j], by hand as in slope
         np.subtract(gD[:-1], gD[1:], out=back[1:])
         back[0] = gD[-1] - gD[0]
-        well_prime = 2.0 * G * (1.0 - G) * (1.0 - 2.0 * G)
         grad = (self.A * 2.0 * back
-                + self.B * well_prime / gam * self.dx)
+                + self.B * _well_prime(G) / gam * self.dx)
         interaction = self.interaction(G)
         grad += (4.0 * self.dx * self.dx / self.L) * interaction
         self._iterate = (G, D, interaction)
@@ -329,9 +330,8 @@ class _ProfileObjective:
         P = Gc - G
         dP = self.slope(P)
         flux = dP * (2.0 * D + dP)
-        well = P * (2.0 * G * (1.0 - G) * (1.0 - 2.0 * G)
-                    + P * (1.0 + 6.0 * G * (G - 1.0)
-                           + P * (4.0 * G - 2.0 + P)))
+        well = P * (_well_prime(G) + P * (1.0 + 6.0 * G * (G - 1.0)
+                                          + P * (4.0 * G - 2.0 + P)))
         if gamma is not None:
             flux = np.multiply(gamma, flux, out=np.zeros(self.n),
                                where=flux != 0)
@@ -640,8 +640,8 @@ def _newton_direction(obj: _ProfileObjective, G: np.ndarray,
         vr[f] = v
         vb = vr[runs.label]
         V = np.concatenate([vb, -vb[-2:0:-1]])     # V[n-i] = -vb[i]
-        gD = gam * (np.roll(V, -1) - V)
-        HV = (lap * (np.roll(gD, 1) - gD) + well * V
+        gD = gam * differences(V)[0]
+        HV = (lap * (roll(gD, 1, 0) - gD) + well * V
               + pair * (obj.op.conv(V) - obj.op.ksum * V))
         return runs.total(_fold_grad(HV, m))[f]
 
@@ -905,6 +905,12 @@ def free_boundary_points(g) -> tuple[float, float] | None:
     return float(on[0] * dx), float(on[-1] * dx)
 
 
+def _node_slope(G: np.ndarray, dx: float) -> np.ndarray:
+    """g' at the samples: the mean of the forward differences either side."""
+    D = differences(G)[0] / dx
+    return 0.5 * (D + roll(D, 1, 0))
+
+
 @dataclass(frozen=True)
 class ELDiagnostics:
     residual: np.ndarray          # stationarity residual, NaN off {g < 1-d}
@@ -937,10 +943,9 @@ def el_residual(gamma, g, params: ModelParams) -> ELDiagnostics:
     # node-centered stencil, deliberately independent of the minimizer's
     # staggered discretization so the residual measures consistency with
     # the continuum equation rather than echoing the solver
-    D = (np.roll(G, -1) - G) / dx                     # half-point gradients
-    Dc = (np.roll(G, -1) - np.roll(G, 1)) / (2.0 * dx)
+    Dc = (roll(G, -1, 0) - roll(G, 1, 0)) / (2.0 * dx)
     prod = gam * Dc
-    div = (np.roll(prod, -1) - np.roll(prod, 1)) / (2.0 * dx)
+    div = (roll(prod, -1, 0) - roll(prod, 1, 0)) / (2.0 * dx)
     ig = i_g_profile(prof, params)
     lhs = pref * alpha * div
     rhs = pref * double_well_prime(G) / (2.0 * gam * alpha) + 2.0 * ig
@@ -952,7 +957,7 @@ def el_residual(gamma, g, params: ModelParams) -> ELDiagnostics:
     res_interior = np.where(interior, res, np.nan)
 
     # first integral on {g != 1}
-    D_node = 0.5 * (D + np.roll(D, 1))
+    D_node = _node_slope(G, dx)
     phi = pref * (alpha * gam ** 2 * D_node ** 2 - double_well(G) / alpha)
     flux = np.cumsum(gam * D_node * ig) * dx
     notobs = ~obstacle_set(G)
@@ -1112,23 +1117,18 @@ def gamma_limit_study(params: ModelParams, h: float, m_schedule=(1, 10, 100),
     report = {"m": [], "value": [], "sup_gamma_minus_1": [],
               "measure_gamma_above": []}
     descents = _Descents()
-    last = None
+    dx = 2.0 * h / n
     for m in m_schedule:
         gam_prof, g_prof, value = minimize_aux_penalized(
             m, params, h, n=n, descents=descents)
         gam = gam_prof.gamma
-        dx = 2.0 * h / n
         report["m"].append(m)
         report["value"].append(value)
         report["sup_gamma_minus_1"].append(float(np.max(gam) - 1.0))
         report["measure_gamma_above"].append(
             float(np.sum(gam > 1.0 + GAMMA_TOL) * dx))
-        last = (gam_prof, g_prof)
-    gam_prof, g_prof = last
-    G = g_prof.g
-    dx = 2.0 * h / n
-    D = (np.roll(G, -1) - G) / dx
-    D_node = 0.5 * (D + np.roll(D, 1))
+    G = g_prof.g    # the profile of the last m
+    D_node = _node_slope(G, dx)
     alpha = params.alpha
     # the strict inequality concerns the base half-period, where g takes
     # values in [1/2, 1]; the mirrored half repeats it through g -> 1 - g

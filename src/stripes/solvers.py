@@ -55,7 +55,7 @@ class DescentResult:
 
 
 def projected_bb(x: np.ndarray, e: float, energy, grad, lo: float,
-                 hi: float, project=None, *, step0: float, max_iter: int,
+                 hi: float, *, step0: float, max_iter: int,
                  tol_grad: float, trace_every: int, start: int = 0,
                  certify=None) -> DescentResult:
     """Projected descent of ``energy`` from ``x`` (of energy ``e``) on the
@@ -64,9 +64,9 @@ def projected_bb(x: np.ndarray, e: float, energy, grad, lo: float,
     Each iteration zeroes the gradient where a sample sits on a bound and
     the gradient points out of the box, and stops converged once the
     max-norm of what is left is below ``tol_grad``.  Otherwise it tries
-    ``project(x - step * grad)`` (default: clip to the box), with the
-    Barzilai-Borwein step clamped to [STEP_MIN, STEP_MAX], and backtracks
-    until the energy decreases strictly.  When no trial of MAX_HALVINGS
+    ``x - step * grad`` clipped to the box, with the Barzilai-Borwein step
+    clamped to [STEP_MIN, STEP_MAX], and backtracks until the energy
+    decreases strictly.  When no trial of MAX_HALVINGS
     does, FLAT_TRIALS trials in a row return exactly the current energy
     (the energy no longer resolves the step), or ``certify`` proves that
     no shorter trial can (below), it stops, converged only if the
@@ -76,16 +76,13 @@ def projected_bb(x: np.ndarray, e: float, energy, grad, lo: float,
     the descent, and ``evals`` counts the calls of ``energy``.
 
     ``certify(x, g)``, when given, returns (slope, curv, s_max) such that
-    energy(project(x - s g)) - energy(x) >= s slope - s^2 curv for every
+    energy(clip(x - s g)) - energy(x) >= s slope - s^2 curv for every
     0 < s <= s_max.  It is called once per iteration, at the first rejected
     trial, and the line search stops as ``line_search`` without a further
     energy call once the next trial step s has slope > 0, s <= s_max and
     s curv <= slope / 2: then every step in (0, s] raises the energy by at
     least s slope / 2, so no shorter trial can lower it.
     """
-    if project is None:
-        def project(y):
-            return y.clip(lo, hi)
     step = step0
     gnorm = np.inf
     converged = False
@@ -119,7 +116,7 @@ def projected_bb(x: np.ndarray, e: float, energy, grad, lo: float,
         flat = 0
         bound = None
         for _ in range(MAX_HALVINGS):
-            cand = project(x - step * g)
+            cand = (x - step * g).clip(lo, hi)
             ec = energy(cand)
             down, same = ec < e, ec == e
             evals += 1

@@ -88,6 +88,23 @@ def cross_term_direct(u: PeriodicField, i: int, params: ModelParams
     return total * u.h_grid ** (2 * d) / (2.0 * d)
 
 
+def symmetrized_reference(vals: np.ndarray) -> np.ndarray:
+    """A periodized table averaged over the reflections j -> n - j of each
+    axis and over all permutations of the axes, then read at the canonical
+    lag of its orbit: ``kernel._symmetrized`` as first written, the
+    reference its tables must equal bit for bit."""
+    n = vals.shape[0]
+    for ax in range(vals.ndim):
+        flipped = np.roll(np.flip(vals, axis=ax), 1, axis=ax)  # i <-> n - i
+        vals = 0.5 * (vals + flipped)
+    perms = list(itertools.permutations(range(vals.ndim)))
+    vals = sum(np.transpose(vals, perm) for perm in perms) / len(perms)
+    idx = np.indices(vals.shape)
+    np.minimum(idx, (n - idx) % n, out=idx)
+    idx.sort(axis=0)
+    return vals[tuple(idx)]
+
+
 def line_weights_reference(op: kernel.PeriodicKernelOperator, axis: int
                            ) -> np.ndarray:
     """The Parseval weights of ``op.pair_sum(v, axis=axis)`` as that call

@@ -263,9 +263,10 @@ def test_criterion_08_one_dimensional_optimum():
             "width and resolution: a transition layer of width ~ alpha "
             "lowers every pair interaction by an O(eps) constant, adding "
             "~ eps * C_tau (= 0.64 here) to the sharp-interface minimum "
-            "(-0.18); the value turns negative only for eps <~ 0.014, "
-            "verified at eps = 0.01 (value -0.110), and the n = 512 grid "
-            "adds a further positive endpoint-quadrature bias")
+            "(-0.18); resolved descents put the sign change at eps ~ "
+            "0.028 (value -0.014 at eps = 0.02, h = 9.78, dx = alpha/4, "
+            "and ~ -0.070 at eps = 0.01), and the n = 512 grid adds a "
+            "further positive endpoint-quadrature bias")
 
 
 def test_criterion_09_euler_lagrange_consistency():

@@ -423,6 +423,24 @@ def test_minimize_2d_rejects_zero_seeds(runner, tmp_path):
     assert not (tmp_path / "minimize_2d.json").exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["-n", "30", "-k", "2"], "Error: 2k = 4 must divide n = 30"),
+    (["-k", "0"], "Error: k must be >= 1, got 0"),
+    (["-k", "-1"], "Error: k must be >= 1, got -1")])
+def test_minimize_2d_rejects_a_box_off_the_grid(runner, tmp_path,
+                                                monkeypatch, args, message):
+    searches = []
+    monkeypatch.setattr("stripes.onedim.optimal_period",
+                        lambda *a, **kw: searches.append(a))
+    res = runner.invoke(main, ["minimize-2d", *args,
+                               "--output-dir", str(tmp_path)])
+    assert res.exit_code == 1
+    assert res.output.startswith(message)
+    assert "Traceback" not in res.output
+    assert searches == []
+    assert not (tmp_path / "minimize_2d.json").exists()
+
+
 def test_nan_tau_is_a_one_line_error(runner, tmp_path):
     res = runner.invoke(main, ["optimal-period", "--tau", "nan",
                                "--output-dir", str(tmp_path)])

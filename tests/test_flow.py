@@ -231,6 +231,44 @@ def test_experiment_rejects_a_nonpositive_seed_count(ps2, monkeypatch,
         symmetry_breaking_experiment(ps2, n_seeds=n_seeds)
 
 
+@pytest.mark.parametrize("k, n, message", [
+    (0, 64, "k must be >= 1, got 0"), (-1, 64, "k must be >= 1, got -1"),
+    (2, 30, "2k = 4 must divide n = 30")])
+def test_experiment_rejects_a_box_off_the_grid(ps2, monkeypatch, k, n,
+                                               message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before checking k and n")
+
+    # the check comes before the period search and the benchmark flow
+    monkeypatch.setattr(flow._onedim, "optimal_period", no_work)
+    monkeypatch.setattr(flow, "tiled_stripe_benchmark", no_work)
+    with pytest.raises(ValueError, match=message):
+        symmetry_breaking_experiment(ps2, k=k, n=n)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_experiment_offers_every_half_period_that_tiles(monkeypatch, k):
+    # at the d = 2 h* and n = 60, n (2 (L / 6)) / L rounds to
+    # 20.000000000000004 for L = 2k h*: a float test of the tiling dropped
+    # L / 6
+    offered = []
+
+    def recording_metrics(u, h_grid, nu_grid):
+        offered.append(list(h_grid))
+        return stripe_metrics(u, h_grid, nu_grid)
+
+    monkeypatch.setattr(flow, "stripe_metrics", recording_metrics)
+    monkeypatch.setattr(flow, "MAX_ITER", 3)
+    ps = ModelParams(d=2, p=4.0, tau=0.05, eps=0.05, L=2.0)
+    rep = symmetry_breaking_experiment(
+        ps, k=k, n=60, n_seeds=1, opts=FlowOptions(seed=1),
+        h_star=1.5117819735288371, threads=1)
+    L = rep["L"]
+    assert offered == [[L / (2 * j) for j in range(1, 2 * k + 2)
+                        if 60 % (2 * j) == 0]]
+    assert L / 6 in offered[0]
+
+
 def test_trace_csv(tmp_path, ps2, monkeypatch):
     rng = np.random.default_rng(34)
     u0 = rough_field(2, 8, 2.0, rng)

@@ -80,6 +80,24 @@ def test_double_well_values():
     assert np.allclose(double_well(t), double_well(1.0 - t))
 
 
+def test_double_well_is_the_plain_expression_bit_for_bit():
+    rng = np.random.default_rng(27)
+    t = np.concatenate([rng.uniform(0.0, 1.0, 1000), [0.0, 0.5, 1.0]])
+    assert np.array_equal(double_well(t), t * t * (1.0 - t) * (1.0 - t))
+    assert np.array_equal(double_well_prime(t),
+                          2.0 * t * (1.0 - t) * (1.0 - 2.0 * t))
+    assert np.array_equal(double_well(t.reshape(-1, 59)),
+                          double_well(t).reshape(-1, 59))
+    # a scalar gives a float, an integer array a float array
+    for x in (0.3, 1, np.float64(0.7)):
+        assert type(double_well(x)) is float
+        assert type(double_well_prime(x)) is float
+        assert double_well(x) == x * x * (1.0 - x) * (1.0 - x)
+    for f in (double_well, double_well_prime):
+        out = f(np.array([0, 1]))
+        assert out.dtype == float and np.array_equal(out, [0.0, 0.0])
+
+
 def test_double_well_prime_matches_fd():
     t = np.linspace(0.05, 0.95, 19)
     h = 1e-6

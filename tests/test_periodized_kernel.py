@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from helpers import (exp_sum_bound_loop, exp_sum_nodes_loop,
                      lattice_marginal, nonlocal_direct,
-                     periodized_values_direct, table_bound)
+                     periodized_values_direct, symmetrized_reference,
+                     table_bound)
 from stripes import kernel
 from stripes.model import ModelParams
 
@@ -164,6 +165,23 @@ def test_raw_1d_tables_are_their_own_symmetrization(n, L):
     raw, _ = kernel._exp_sum_table(n, 1, 3.0, params.kernel_scale, L)
     assert np.array_equal(kernel.periodized_marginal(L, n, params),
                           kernel.marginal_constant(2, 4.0) * raw)
+
+
+@pytest.mark.parametrize("d, p", [(2, 4.0), (2, 6.0), (3, 5.0)])
+@pytest.mark.parametrize("tau", [0.05, 0.2])
+@pytest.mark.parametrize("L", [0.7, 3.0235639470576742])
+def test_tables_equal_the_reference_symmetrization(d, p, tau, L):
+    # the sizes include n = 127 (d = 2) and 33 (d = 3), where the raw sum's
+    # matrix product can break its reflection symmetry by rounding, so
+    # that a table that skipped the reflection averages would differ
+    a = tau ** (1.0 / (p - d - 1))
+    for n in (2, 3, 4, 7, 8, 16, 33) + ((64, 127, 128) if d == 2 else ()):
+        raw, _ = kernel._exp_sum_table(n, d, p, a, L)
+        table = kernel._symmetrized(raw)
+        assert np.array_equal(table, symmetrized_reference(raw))
+        params = ModelParams(d=d, p=p, tau=tau, eps=0.05, L=L)
+        assert np.array_equal(kernel.kernel_operator(L, n, params).table,
+                              table)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
