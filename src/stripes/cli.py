@@ -358,9 +358,16 @@ def verify_el(cfg, out):
                             "e.g. 1,10,100,1000"))
 def gamma_study(cfg, out):
     """Penalized coefficient family: optimal gamma collapses to 1."""
-    sched = tuple(float(t) for t in str(cfg["m_schedule"]).split(","))
+    try:
+        sched = tuple(float(t) for t in str(cfg["m_schedule"]).split(","))
+    except ValueError:
+        raise click.ClickException("--m-schedule must be comma-separated "
+                                   f"numbers, got {cfg['m_schedule']!r}")
     params, h, n = _params(cfg), float(cfg["h"]), int(cfg["n"])
-    rep = _onedim.gamma_limit_study(params, h, m_schedule=sched, n=n)
+    try:
+        rep = _onedim.gamma_limit_study(params, h, m_schedule=sched, n=n)
+    except ValueError as exc:
+        raise click.ClickException(str(exc))
     rep.update(_resolution(params, 2.0 * h / n))
     rep["kernel"] = _marginal_certificate(params, h, n)
     _write_csv(out / "margins.csv",

@@ -24,13 +24,13 @@ Every nonlocal term is the pair form sum_x sum_z |v(x + z) - v(x)|^2 K(z)
 against a periodized table; ``PeriodicKernelOperator`` evaluates it from
 one rFFT (by Parseval) and convolves with the table by FFT, both also from
 an rFFT the caller already holds, so that an objective needing the pair
-form and the convolution of one array transforms it once, and
-``kernel_operator``/``marginal_operator`` cache the operators of the
-periodized kernel and marginal.  The pair form along the lines of one
-axis reads the same spectrum at zero frequency on the other axes.  Every
-weight and multiplier that depends on the table alone, the slicing
-report's cross multipliers included, is computed once, when the operator
-is built.
+form and the convolution of one array transforms it once.  One builder,
+``_operator``, makes the operators of the periodized kernel and of its
+marginal, which ``kernel_operator`` and ``marginal_operator`` cache.  The
+pair form along the lines of one axis reads the same spectrum at zero
+frequency on the other axes.  Every weight and multiplier that depends on
+the table alone, the slicing report's cross multipliers included, is
+computed once, when the operator is built.
 """
 
 from __future__ import annotations
@@ -487,32 +487,30 @@ def _check_grid(L: float, n: int) -> None:
         raise ValueError(f"n must be an integer >= 2, got {n!r}")
 
 
-def _certified_operator(vals: np.ndarray, cert: KernelCertificate
-                        ) -> PeriodicKernelOperator:
-    # a 1D table is symmetric as built: entry j is f_j + f_{n-j}
-    op = PeriodicKernelOperator(_symmetrized(vals) if vals.ndim > 1
-                                else vals)
-    op.certificate = cert
+def _operator(L: float, n: int, dim: int, pe: float, a: float, scale: float
+              ) -> PeriodicKernelOperator:
+    """Operator of ``_exp_sum_table``'s table and bound times scale; a
+    d >= 2 table is ``_symmetrized``, a 1D one is symmetric as built."""
+    vals, cert = _exp_sum_table(n, dim, pe, a, L)
+    vals = scale * vals
+    op = PeriodicKernelOperator(_symmetrized(vals) if dim > 1 else vals)
+    op.certificate = replace(cert, bound=scale * cert.bound)
     return op
 
 
-@lru_cache(maxsize=128)    # 1D tables are small
-def _cached_marginal_operator(L: float, n: int, d: int, p: float,
-                              tau: float) -> PeriodicKernelOperator:
-    c = marginal_constant(d, p)
-    a = tau ** (1.0 / (p - d - 1))
-    vals, cert = _exp_sum_table(n, 1, p - d + 1, a, L)
-    return _certified_operator(c * vals, replace(cert, bound=c * cert.bound))
+_cached_marginal_operator = lru_cache(maxsize=128)(_operator)  # 1D: small
+_cached_kernel_operator = lru_cache(maxsize=32)(_operator)
 
 
 def marginal_operator(L: float, n: int, params: ModelParams
                       ) -> PeriodicKernelOperator:
     """Operator of the L-periodized marginal kernel sum_k Khat(z + kL) at
     z_j = j L / n, certified to the rounding level of its largest possible
-    entry; cached per (L, n, d, p, tau)."""
+    entry; cached per (L, n, q, a, c_{d,p})."""
     _check_grid(L, n)
-    return _cached_marginal_operator(float(L), int(n), int(params.d),
-                                     float(params.p), float(params.tau))
+    return _cached_marginal_operator(float(L), int(n), 1, float(params.q),
+                                     params.kernel_scale,
+                                     marginal_constant(params.d, params.p))
 
 
 def periodized_marginal(L: float, n: int, params: ModelParams
@@ -521,22 +519,15 @@ def periodized_marginal(L: float, n: int, params: ModelParams
     return marginal_operator(L, n, params).table
 
 
-@lru_cache(maxsize=32)
-def _cached_kernel_operator(L: float, n: int, d: int, p: float, tau: float
-                            ) -> PeriodicKernelOperator:
-    a = tau ** (1.0 / (p - d - 1))
-    return _certified_operator(*_exp_sum_table(n, d, p, a, L))
-
-
 def kernel_operator(L: float, n: int, params: ModelParams
                     ) -> PeriodicKernelOperator:
     """Operator of the d-dimensional L-periodized kernel sum_k K(zeta + kL)
     at the lattice lags zeta = (j_1, ..., j_d) L / n, certified to the
     rounding level of its largest possible entry; cached per
-    (L, n, d, p, tau)."""
+    (L, n, d, p, a)."""
     _check_grid(L, n)
     return _cached_kernel_operator(float(L), int(n), int(params.d),
-                                   float(params.p), float(params.tau))
+                                   float(params.p), params.kernel_scale, 1.0)
 
 
 def periodized_kernel_grid(L: float, n: int, params: ModelParams

@@ -17,22 +17,23 @@ half-period h*, the penalized coefficient family F_m with its exact
 pointwise gamma update, and Euler-Lagrange diagnostics.
 
 Discretization: n samples on [0, L), forward differences, rectangle
-sums, nonlocal term through the cached operator of the certified
-periodized marginal kernel (``kernel.marginal_operator``), one table per
-(L, n) and model shared by ``f1d``, the descent and the Euler-Lagrange
-diagnostics.  ``_ProfileObjective`` is the one evaluation of the
-discrete F1d (split, gradient, interaction field) and ``_reflect`` the
-one reflection; W and W' are ``model``'s, and only the objective's slope
-and its adjoint, on the descent's path, difference by hand rather than
-through ``field.roll`` and ``field.differences``.  A trial profile is
-reflected, differenced and transformed once: the descent's energy and gradient
-share the reflection of a base profile, and the objective keeps the
-slope and rFFT of the last profile it evaluates for every later use of
-that same array.  The objective works on raw arrays and checks none of
-them: profiles are checked where they enter (``Profile1D``; base
-profiles by ``_check_base``, in ``ReflectedProfile`` and for the
-descent's start; the descent's projection onto [1/2, 1]) and
-coefficients by ``_gamma_array`` in the public functions that take them.
+sums, nonlocal term through a certified periodized kernel operator.
+``_ProfileObjective`` is the one 1D problem (its operator, period,
+prefactor 3 (C_tau - 1) and width alpha) and the one evaluation of the
+discrete F1d; ``_ProfileObjective.of`` derives all four from the model,
+with the cached marginal (``kernel.marginal_operator``), for ``f1d``,
+the descent, the Euler-Lagrange diagnostics and the gamma study.
+``_reflect`` is the one reflection; W and W' are ``model``'s, and only
+the objective's slope and its adjoint, on the descent's path, difference
+by hand.  A trial profile is reflected, differenced and transformed
+once: the descent's energy and gradient share the reflection of a base
+profile, and the objective keeps the slope and rFFT of the last profile
+it evaluates for every later use of that same array.  The objective
+works on raw arrays and checks none of them: profiles are checked where
+they enter (``Profile1D``; base profiles by ``_check_base``, in
+``ReflectedProfile`` and for the descent's start; the descent's
+projection onto [1/2, 1]) and coefficients by ``_gamma_array`` in the
+public functions that take them.
 The profile descent (``_newton_descent``, with the fixed MAX_ITER,
 TOL_GRAD and TRACE_EVERY) is an active-set Newton iteration for this
 obstacle problem: n is even, the variables are g[1..n/2-1] in [1/2, 1]
@@ -213,10 +214,10 @@ def _gamma_array(gamma, n: int) -> np.ndarray:
 
 
 class _ProfileObjective:
-    """The discrete F1d(gamma, G) of n samples G of an L-periodic profile:
-    forward differences, rectangle sums, and the pair form of the
-    periodized marginal kernel.  Every evaluation of F1d in this module
-    goes through it.
+    """The discrete F1d(gamma, G) of n = op.table.size samples G of an
+    L-periodic profile, prefactor ``pref`` = 3 (C_tau - 1) and width
+    ``alpha``: forward differences, rectangle sums, the pair form of the
+    kernel operator ``op``.  Every evaluation of F1d here goes through it.
 
     Nothing is checked here: G must already lie in [0, 1] and gamma be
     None, a scalar or n samples in [1, inf] (``_gamma_array``).
@@ -229,17 +230,22 @@ class _ProfileObjective:
     first.  Both slots hold G itself and match it by identity, so a
     profile that was evaluated must not be mutated in place."""
 
-    def __init__(self, params: ModelParams, L: float, n: int):
-        self.L = L
-        self.n = n
-        self.dx = L / n
-        self.alpha = params.alpha
-        self.c = _kernel.c_tau(params)
-        self.op = _kernel.marginal_operator(L, n, params)
-        self.A = 3.0 * (self.c - 1.0) * self.alpha / L
-        self.B = 3.0 * (self.c - 1.0) / (L * self.alpha)
+    def __init__(self, op: _kernel.PeriodicKernelOperator, L: float,
+                 pref: float, alpha: float):
+        self.op, self.L, self.pref, self.alpha = op, L, pref, alpha
+        self.n = op.table.size
+        self.dx = L / self.n
+        self.A = pref * alpha / L
+        self.B = pref / (L * alpha)
         self._trial = None      # (G, slope, rFFT) of the last G evaluated
         self._iterate = None    # (G, slope, interaction) of the last grad
+
+    @classmethod
+    def of(cls, params: ModelParams, L: float, n: int) -> _ProfileObjective:
+        """The model's F1d on n samples of period L: its periodized
+        marginal, 3 (C_tau - 1) and alpha."""
+        return cls(_kernel.marginal_operator(L, n, params), L,
+                   3.0 * (_kernel.c_tau(params) - 1.0), params.alpha)
 
     def slope(self, G: np.ndarray) -> np.ndarray:
         """(G[j+1] - G[j]) / dx, periodically."""
@@ -280,6 +286,11 @@ class _ProfileObjective:
                ) -> float:
         local, nonlocal_ = self.split(G, gamma)
         return local - nonlocal_
+
+    def first_integral(self, G, gamma, D: np.ndarray) -> np.ndarray:
+        """alpha gamma^2 D^2 - W(G) / alpha, D the slope of G: the local
+        part of the first integral over ``pref``, at every sample."""
+        return self.alpha * gamma ** 2 * D ** 2 - double_well(G) / self.alpha
 
     def interaction(self, G: np.ndarray) -> np.ndarray:
         """sum_{z != 0} (G(x + z) - G(x)) Khat_per(z) at every sample."""
@@ -349,7 +360,7 @@ def f1d(gamma, g: Profile1D, params: ModelParams) -> float:
     (infinite entries meeting g' != 0 give +inf).
     """
     gam = gamma if gamma is not None else g.gamma
-    obj = _ProfileObjective(params, g.L, g.n)
+    obj = _ProfileObjective.of(params, g.L, g.n)
     if gam is None:
         return obj.energy(g.g)
     gam = _gamma_array(gam, g.n)
@@ -756,10 +767,10 @@ def minimize_profile(params: ModelParams, h: float, n: int = 512,
         raise ValueError("n must be even")
     if gamma is not None:
         gamma = _gamma_array(gamma, n)
-    obj = _ProfileObjective(params, 2.0 * h, n)
+    obj = _ProfileObjective.of(params, 2.0 * h, n)
     m = n // 2
     if g0_base is None:
-        gb = _initial_base(h, m, params.alpha)
+        gb = _initial_base(h, m, obj.alpha)
     else:
         gb = np.array(g0_base, dtype=float)
         if gb.shape != (m + 1,):
@@ -881,7 +892,7 @@ def i_g_profile(g, params: ModelParams) -> np.ndarray:
     sample, against the periodized marginal (the far field enters through
     the periodization)."""
     prof = g.full() if isinstance(g, ReflectedProfile) else g
-    obj = _ProfileObjective(params, prof.L, prof.n)
+    obj = _ProfileObjective.of(params, prof.L, prof.n)
     return obj.dx * obj.interaction(prof.g)
 
 
@@ -924,21 +935,18 @@ def el_residual(gamma, g, params: ModelParams) -> ELDiagnostics:
     """Stationarity diagnostics for a candidate minimizer (gamma, g):
 
     - residual of 3 (C-1) alpha (gamma g')' = 3 (C-1) W'(g)/(2 gamma alpha)
-      + 2 I_g on {EL_DELTA < g < 1 - EL_DELTA} (centered divided
-      differences of the half-point products gamma g');
+      + 2 I_g on {EL_DELTA < g < 1 - EL_DELTA}: (gamma g')' is the centred
+      difference of the node products gamma g', g' itself centred, which
+      for gamma = 1 is the wide stencil (G[j+2] - 2 G[j] + G[j-2]) / (4 dx^2);
     - constancy of the first integral
       3 (C-1) [alpha gamma^2 |g'|^2 - W(g)/alpha] - c int gamma g' I_g
       for both written factors c = 4 and c = 2;
     - gamma = +inf only where g' = 0 off the obstacle.
     """
     prof = g.full() if isinstance(g, ReflectedProfile) else g
-    L, n = prof.L, prof.n
-    dx = L / n
-    G = prof.g
-    gam = _gamma_array(gamma, n)
-    alpha = params.alpha
-    c = _kernel.c_tau(params)
-    pref = 3.0 * (c - 1.0)
+    obj = _ProfileObjective.of(params, prof.L, prof.n)
+    dx, G, pref, alpha = obj.dx, prof.g, obj.pref, obj.alpha
+    gam = _gamma_array(gamma, prof.n)
 
     # node-centered stencil, deliberately independent of the minimizer's
     # staggered discretization so the residual measures consistency with
@@ -946,7 +954,7 @@ def el_residual(gamma, g, params: ModelParams) -> ELDiagnostics:
     Dc = (roll(G, -1, 0) - roll(G, 1, 0)) / (2.0 * dx)
     prod = gam * Dc
     div = (roll(prod, -1, 0) - roll(prod, 1, 0)) / (2.0 * dx)
-    ig = i_g_profile(prof, params)
+    ig = dx * obj.interaction(G)
     lhs = pref * alpha * div
     rhs = pref * double_well_prime(G) / (2.0 * gam * alpha) + 2.0 * ig
     res = lhs - rhs
@@ -958,7 +966,7 @@ def el_residual(gamma, g, params: ModelParams) -> ELDiagnostics:
 
     # first integral on {g != 1}
     D_node = _node_slope(G, dx)
-    phi = pref * (alpha * gam ** 2 * D_node ** 2 - double_well(G) / alpha)
+    phi = pref * obj.first_integral(G, gam, D_node)
     flux = np.cumsum(gam * D_node * ig) * dx
     notobs = ~obstacle_set(G)
     gaps = []
@@ -968,8 +976,7 @@ def el_residual(gamma, g, params: ModelParams) -> ELDiagnostics:
         gaps.append(float(np.max(vals) - np.min(vals)) if vals.size else 0.0)
 
     inf_mask = ~np.isfinite(gam) & (G < 1.0 - OBSTACLE_TOL)
-    gamma3_ok = bool(np.all(np.abs(D_node[inf_mask]) < 1e-9)) \
-        if inf_mask.any() else True
+    gamma3_ok = bool(np.all(np.abs(D_node[inf_mask]) < 1e-9))
 
     return ELDiagnostics(
         residual=res_interior, first_integral_gap4=gaps[0],
@@ -1025,30 +1032,26 @@ def _gamma_update(a: np.ndarray, b: np.ndarray, m: float, w: float
 
 
 class _Descents(dict):
-    """The profile descents of one ``gamma_limit_study`` call, that is of
-    one model, h and n: the ``MinimizeProfileResult`` of each descent keyed
-    by the exact bytes of its (start base, gamma).  The descent is
-    deterministic, so a reused result is bit for bit the one a new descent
-    would return.  ``reused`` counts the lookups that found one."""
+    """The profile descents of one ``gamma_limit_study`` or
+    ``minimize_aux_penalized`` call, that is of one model, h and n: the
+    ``MinimizeProfileResult`` of each descent keyed by the exact bytes of
+    its (start base, gamma).  The descent is deterministic, so a reused
+    result is bit for bit the one a new descent would return.  ``reused``
+    counts the lookups that found one."""
 
     reused = 0
 
-
-def _descend(params: ModelParams, h: float, n: int, gb: np.ndarray,
-             gamma: np.ndarray, descents: _Descents | None
-             ) -> MinimizeProfileResult:
-    """``minimize_profile`` from base gb at coefficient gamma, solved once
-    per distinct (gb, gamma) of ``descents`` when one is given."""
-    if descents is None:
-        return minimize_profile(params, h, n=n, g0_base=gb, gamma=gamma)
-    key = (gb.tobytes(), gamma.tobytes())
-    res = descents.get(key)
-    if res is None:
-        res = descents[key] = minimize_profile(params, h, n=n, g0_base=gb,
-                                               gamma=gamma)
-    else:
-        descents.reused += 1
-    return res
+    def solve(self, params: ModelParams, h: float, n: int, gb: np.ndarray,
+              gamma: np.ndarray) -> MinimizeProfileResult:
+        """``minimize_profile`` from base gb at coefficient gamma, solved
+        once per distinct (gb, gamma)."""
+        key = (gb.tobytes(), gamma.tobytes())
+        if key in self:
+            self.reused += 1
+        else:
+            self[key] = minimize_profile(params, h, n=n, g0_base=gb,
+                                         gamma=gamma)
+        return self[key]
 
 
 def minimize_aux_penalized(m: float, params: ModelParams, h: float,
@@ -1061,23 +1064,20 @@ def minimize_aux_penalized(m: float, params: ModelParams, h: float,
     Returns (gamma_m, g_m, value) as full-period profiles.  Raises
     ConvergenceError when OUTER_ITER rounds end without a decrease below
     TOL_OUTER.  ``descents`` (``gamma_limit_study``'s, for the same
-    model, h and n) reuses the descents of earlier calls.
+    model, h and n) reuses the descents of earlier calls; by default the
+    call keeps its own.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    obj = _ProfileObjective(params, 2.0 * h, n)
+    if not m >= 1:
+        raise ValueError(f"m must be >= 1, got {m!r}")
+    descents = _Descents() if descents is None else descents
+    obj = _ProfileObjective.of(params, 2.0 * h, n)
     mm = n // 2
     dx = obj.dx
-    gb = _initial_base(h, mm, params.alpha)
+    gb = _initial_base(h, mm, obj.alpha)
     gamma_full = np.ones(n)
-
-    def penalty(gamma_full):
-        return float(np.sum(np.maximum(gamma_full - m, 0.0) ** 2) * dx
-                     / (4.0 * h))
-
     prev = np.inf
     for _ in range(OUTER_ITER):
-        res = _descend(params, h, n, gb, gamma_full, descents)
+        res = descents.solve(params, h, n, gb, gamma_full)
         gb = res.profile.base_g.copy()
         G = _reflect(gb)[:-1]
         D = obj.slope(G)
@@ -1087,7 +1087,8 @@ def minimize_aux_penalized(m: float, params: ModelParams, h: float,
         # keep the coefficient in the reflection class
         mirror = _reflect(gamma_full[: mm + 1], odd=False)[:-1]
         gamma_full = 0.5 * (gamma_full + mirror)
-        value = obj.energy(G, gamma_full) + penalty(gamma_full)
+        value = obj.energy(G, gamma_full) + float(
+            np.sum(np.maximum(gamma_full - m, 0.0) ** 2) * dx / (4.0 * h))
         if prev - value < TOL_OUTER:
             break
         prev = value
@@ -1113,11 +1114,17 @@ def gamma_limit_study(params: ModelParams, h: float, m_schedule=(1, 10, 100),
     the study solves one descent per distinct (start, gamma) and reuses it
     for every m that repeats it.  The report counts the descents solved
     and reused and records the ``stop`` and the trials evaluated
-    (``evals``) of each solved one."""
+    (``evals``) of each solved one.  An empty schedule, or an m below 1,
+    raises ValueError naming it before any descent."""
+    m_schedule = tuple(m_schedule)
+    if not (m_schedule and all(m >= 1 for m in m_schedule)):
+        raise ValueError("m_schedule must hold one or more m >= 1, got "
+                         f"{m_schedule!r}")
     report = {"m": [], "value": [], "sup_gamma_minus_1": [],
               "measure_gamma_above": []}
     descents = _Descents()
-    dx = 2.0 * h / n
+    obj = _ProfileObjective.of(params, 2.0 * h, n)
+    dx = obj.dx
     for m in m_schedule:
         gam_prof, g_prof, value = minimize_aux_penalized(
             m, params, h, n=n, descents=descents)
@@ -1129,17 +1136,12 @@ def gamma_limit_study(params: ModelParams, h: float, m_schedule=(1, 10, 100),
             float(np.sum(gam > 1.0 + GAMMA_TOL) * dx))
     G = g_prof.g    # the profile of the last m
     D_node = _node_slope(G, dx)
-    alpha = params.alpha
     # the strict inequality concerns the base half-period, where g takes
     # values in [1/2, 1]; the mirrored half repeats it through g -> 1 - g
-    base = np.zeros(n, dtype=bool)
-    base[: n // 2 + 1] = True
-    sel = base & (G < 1.0 - EL_DELTA)
-    margin = float(np.min((alpha * gam_prof.gamma[sel] ** 2
-                           * D_node[sel] ** 2
-                           - double_well(G[sel]) / alpha))) if sel.any() \
-        else np.inf
-    report["strict_margin"] = margin
+    sel = G < 1.0 - EL_DELTA
+    sel[n // 2 + 1:] = False
+    report["strict_margin"] = float(np.min(obj.first_integral(G, gam, D_node),
+                                           where=sel, initial=np.inf))
     report["xbar"] = free_boundary_points(g_prof)
     report["grid_cell"] = dx
     report["descents_solved"] = len(descents)

@@ -3,6 +3,7 @@ that tests compare the library against."""
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from math import gamma as _gamma
 
 import numpy as np
@@ -442,6 +443,23 @@ def profile_energy_direct(G: np.ndarray, gamma, params: ModelParams,
     local = A * grad_int + B * well_int
     nonlocal_ = dx * dx * op.pair_sum(G) / L
     return local, nonlocal_, local - nonlocal_
+
+
+def profile_coefficients_direct(params: ModelParams, L: float, n: int
+                                ) -> tuple[float, float, np.ndarray,
+                                           kernel.KernelCertificate]:
+    """Reference (A, B, marginal table, its certificate) of the 1D
+    objective on n samples of period L, as the objective and the marginal
+    cache once derived them from the model each on its own: C_tau, alpha,
+    c_{d,p} and a = tau^(1/(p - d - 1)) computed here, in that code's
+    operation order."""
+    c = kernel.c_tau(params)
+    A = 3.0 * (c - 1.0) * params.alpha / L
+    B = 3.0 * (c - 1.0) / (L * params.alpha)
+    cm = kernel.marginal_constant(params.d, params.p)
+    a = params.tau ** (1.0 / (params.p - params.d - 1))
+    vals, cert = kernel._exp_sum_table(n, 1, params.p - params.d + 1, a, L)
+    return A, B, cm * vals, replace(cert, bound=cm * cert.bound)
 
 
 def profile_grad_direct(G: np.ndarray, gamma, params: ModelParams,

@@ -441,6 +441,24 @@ def test_minimize_2d_rejects_a_box_off_the_grid(runner, tmp_path,
     assert not (tmp_path / "minimize_2d.json").exists()
 
 
+@pytest.mark.parametrize("schedule, message", [
+    ("", "Error: --m-schedule must be comma-separated numbers, got ''"),
+    ("1,x", "Error: --m-schedule must be comma-separated numbers, "
+            "got '1,x'"),
+    ("0.5", "Error: m_schedule must hold one or more m >= 1, got (0.5,)")])
+def test_gamma_study_rejects_a_bad_schedule(runner, tmp_path, monkeypatch,
+                                            schedule, message):
+    descents = []
+    monkeypatch.setattr("stripes.onedim.minimize_profile",
+                        lambda *a, **kw: descents.append(a))
+    res = runner.invoke(main, ["gamma-study", "--m-schedule", schedule,
+                               "--output-dir", str(tmp_path)])
+    assert res.exit_code == 1
+    assert res.output == message + "\n"
+    assert descents == []
+    assert not (tmp_path / "gamma_study.json").exists()
+
+
 def test_nan_tau_is_a_one_line_error(runner, tmp_path):
     res = runner.invoke(main, ["optimal-period", "--tau", "nan",
                                "--output-dir", str(tmp_path)])

@@ -342,6 +342,20 @@ def test_penalized_family_raises_when_outer_loop_runs_out(ps1, monkeypatch):
     assert np.isfinite(value)
 
 
+@pytest.mark.parametrize("schedule, message", [
+    ((), r"one or more m >= 1, got \(\)"),
+    ((1, 0.5), r"one or more m >= 1, got \(1, 0.5\)"),
+    ((np.nan,), r"got \(nan,\)")])
+def test_gamma_limit_study_rejects_a_bad_schedule_before_any_descent(
+        ps1, monkeypatch, schedule, message):
+    descents = []
+    monkeypatch.setattr(onedim, "minimize_profile",
+                        lambda *a, **kw: descents.append(a))
+    with pytest.raises(ValueError, match=message):
+        gamma_limit_study(ps1, 1.58, m_schedule=schedule, n=256)
+    assert descents == []
+
+
 def test_gamma_limit_study_collapses(ps1):
     rep = gamma_limit_study(ps1, 1.58, m_schedule=(1, 10, 100), n=8192)
     assert rep["measure_gamma_above"][-1] <= rep["grid_cell"]
@@ -633,7 +647,7 @@ def _reduced_case(tie: bool):
     runs = onedim._Runs(gamma, m)
     free = np.zeros(runs.size.size, dtype=bool)
     free[runs.label[free_samples]] = True
-    return onedim._ProfileObjective(WIDE, 2.0 * h, n), gb, gamma, runs, free
+    return onedim._ProfileObjective.of(WIDE, 2.0 * h, n), gb, gamma, runs, free
 
 
 @pytest.mark.parametrize("tie", [False, True])
@@ -685,7 +699,7 @@ def test_every_accepted_newton_trial_meets_the_armijo_bound(monkeypatch):
     res = minimize_profile(WIDE, h, n=n, g0_base=g0)
     monkeypatch.undo()
     assert res.stop == "grad" and len(iterates) == res.iterations > 5
-    obj = onedim._ProfileObjective(WIDE, 2.0 * h, n)
+    obj = onedim._ProfileObjective.of(WIDE, 2.0 * h, n)
     m = n // 2
     for G, Gc in zip(iterates, iterates[1:]):
         local, nonlocal_ = obj.split(Gc)

@@ -9,18 +9,20 @@ first-order condition of its convex objective.  The closed-form energy
 change of the objective (``delta``) must match the difference of its
 energies to their rounding, and its own rounding must be relative to the
 change."""
+import itertools
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import (count_ffts, gamma_optimum_direct, profile_energy_direct,
+from helpers import (count_ffts, gamma_optimum_direct,
+                     profile_coefficients_direct, profile_energy_direct,
                      profile_grad_direct)
 from stripes import kernel, onedim
-from stripes.model import ModelParams
+from stripes.model import ModelParams, _well_prime
 
 SETTINGS = settings(max_examples=40, deadline=None)
 COEFF = st.one_of(st.just(np.inf), st.floats(1.0, 1e3))
@@ -53,7 +55,7 @@ def profiles(draw):
 @given(case=profiles())
 def test_profile_energy_is_bit_identical_to_reference(case):
     G, gamma, params, L = case
-    obj = onedim._ProfileObjective(params, L, G.size)
+    obj = onedim._ProfileObjective.of(params, L, G.size)
     # an infinite coefficient meeting a slope whose square underflows, or
     # a zero gradient prefactor (C_tau = 1), gives NaN on both sides
     with np.errstate(invalid="ignore"):
@@ -66,7 +68,7 @@ def test_profile_energy_is_bit_identical_to_reference(case):
 @given(case=profiles())
 def test_profile_gradient_is_bit_identical_to_reference(case):
     G, gamma, params, L = case
-    obj = onedim._ProfileObjective(params, L, G.size)
+    obj = onedim._ProfileObjective.of(params, L, G.size)
     # an infinite coefficient costs nothing on a flat step; where it meets
     # a sloped one the gradient reads +-inf or NaN on both sides
     with np.errstate(invalid="ignore"):
@@ -76,30 +78,61 @@ def test_profile_gradient_is_bit_identical_to_reference(case):
     assert np.array_equal(obj.interaction(G), interaction)
 
 
+def _change(n: int, L: float, params: ModelParams, seed: int,
+            exponent: float, kind: str, ties=()):
+    """(objective, G, Gc, gamma): uniform samples G, a trial Gc = G + P
+    with P of size 10^exponent, and gamma None (kind "one"), n samples in
+    [1, 3] ("finite") or those with +inf entries at the steps ``ties``
+    ("inf"), where neither G nor Gc has a slope (elsewhere an infinite
+    gamma makes both energies +inf)."""
+    rng = np.random.default_rng(seed)
+    G = rng.uniform(0.0, 1.0, n)
+    P = 10.0 ** exponent * rng.uniform(-1.0, 1.0, n)
+    gamma = None if kind == "one" else rng.uniform(1.0, 3.0, n)
+    # in increasing order, so that a later flat step keeps earlier ones
+    for j in sorted(ties):
+        G[j + 1], P[j + 1] = G[j], P[j]
+        gamma[j] = np.inf
+    obj = onedim._ProfileObjective.of(params, L, n)
+    return obj, G, G + P, gamma
+
+
 @st.composite
 def changes(draw):
-    """(objective, G, Gc, gamma) for n = 64...2048: uniform samples G, a
-    trial Gc = G + P with P of size 1e-14...1, and gamma None, n samples
-    in [1, 3] or those with +inf entries where neither G nor Gc has a
-    slope (elsewhere an infinite gamma makes both energies +inf)."""
+    """``_change`` for n = 64...2048 and P of size 1e-14...1."""
     n = draw(st.integers(64, 2048))
     L = draw(st.floats(0.5, 5.0))
     params = ModelParams(d=1, p=draw(st.floats(3.0, 5.0)),
                          tau=draw(st.floats(0.05, 1.0)),
                          eps=draw(st.floats(0.01, 0.2)), L=1.0)
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    G = rng.uniform(0.0, 1.0, n)
-    P = 10.0 ** draw(st.floats(-14.0, 0.0)) * rng.uniform(-1.0, 1.0, n)
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    exponent = draw(st.floats(-14.0, 0.0))
     kind = draw(st.sampled_from(["one", "finite", "inf"]))
-    gamma = None if kind == "one" else rng.uniform(1.0, 3.0, n)
-    if kind == "inf":
-        # in increasing order, so that a later flat step keeps earlier ones
-        for j in sorted(draw(st.lists(st.integers(0, n - 2), min_size=1,
-                                      max_size=8))):
-            G[j + 1], P[j + 1] = G[j], P[j]
-            gamma[j] = np.inf
-    obj = onedim._ProfileObjective(params, L, n)
-    return obj, G, G + P, gamma
+    ties = draw(st.lists(st.integers(0, n - 2), min_size=1,
+                         max_size=8)) if kind == "inf" else ()
+    return _change(n, L, params, seed, exponent, kind, ties)
+
+
+def _change_terms(obj, G, Gc, gamma) -> float:
+    """The sum of the magnitudes of the terms ``delta(G, Gc, gamma)`` adds
+    up, each written with absolute values (the pair form of P by its
+    bound 4 ksum |P|^2, the interaction field by its terms conv(|G|) and
+    ksum G, G >= 0): delta rounds relative to this, not to the change."""
+    P = np.abs(Gc - G)
+    D, dP = np.abs(obj.slope(G)), np.abs(obj.slope(Gc - G))
+    flux = dP * (2.0 * D + dP)
+    well = P * (np.abs(_well_prime(G)) + P * (np.abs(1.0 + 6.0 * G * (G - 1.0))
+                                              + P * (np.abs(4.0 * G - 2.0)
+                                                     + P)))
+    if gamma is not None:
+        flux = np.multiply(gamma, flux, out=np.zeros(obj.n), where=flux != 0)
+        well = well / gamma
+    op = obj.op
+    pair = 4.0 * op.ksum * float(P @ P) + 4.0 * float(
+        P @ (op.conv(G) + op.ksum * G))
+    return (abs(obj.A) * float(flux.sum()) * obj.dx
+            + abs(obj.B) * float(well.sum()) * obj.dx
+            + obj.dx * obj.dx * pair / obj.L)
 
 
 @settings(max_examples=40, deadline=None)
@@ -116,20 +149,39 @@ def test_profile_change_matches_the_energy_difference(case):
 
 @settings(max_examples=40, deadline=None)
 @given(case=changes(), frac=st.floats(0.0, 1.0))
+# parts of ~1e-7 whose terms cancel: a gap of 4e-19, 2e-12 of the parts
+@example(case=_change(242, 1.0, ModelParams(d=1, p=4.0, tau=1.0, eps=0.125,
+                                            L=1.0), 21443, -6.0, "finite"),
+         frac=0.25)
 def test_profile_change_is_additive_below_the_energy_rounding(case, frac):
     # the change to Gc equals the sum of the changes over a midpoint to
-    # rounding of the changes, however far below the rounding of the
-    # energies they sit
+    # rounding of the terms the changes add up, however far below the
+    # rounding of the energies they sit
     obj, G, Gc, gamma = case
     mid = G + frac * (Gc - G)
-    parts = (obj.delta(G, Gc, gamma), obj.delta(G, mid, gamma),
-             obj.delta(mid, Gc, gamma))
-    assert abs(parts[0] - parts[1] - parts[2]) <= 1e-12 * sum(
-        abs(t) for t in parts)
+    pairs = ((G, Gc), (G, mid), (mid, Gc))
+    parts = [obj.delta(a, b, gamma) for a, b in pairs]
+    terms = sum(_change_terms(obj, a, b, gamma) for a, b in pairs)
+    assert abs(parts[0] - parts[1] - parts[2]) <= 1e-12 * terms
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_objective_of_the_model_is_bit_identical_to_reference(d):
+    # a grid, since another operation order rounds A or B differently only
+    # for some of the values
+    for tau, eps, L, n in itertools.product((0.05, 0.13, 0.2),
+                                            (0.04, 0.05, 0.07),
+                                            (0.7, 1.3, 2.0, 3.16), (33, 64)):
+        params = ModelParams(d=d, p=d + 2.0, tau=tau, eps=eps, L=1.0)
+        obj = onedim._ProfileObjective.of(params, L, n)
+        A, B, table, cert = profile_coefficients_direct(params, L, n)
+        assert (obj.n, obj.A, obj.B) == (n, A, B)
+        assert np.array_equal(obj.op.table, table)
+        assert obj.op.certificate == cert
 
 
 def test_energy_then_grad_transforms_the_profile_once(ps1, monkeypatch):
-    obj = onedim._ProfileObjective(ps1, 2.0, 64)
+    obj = onedim._ProfileObjective.of(ps1, 2.0, 64)
     G = np.random.default_rng(4).uniform(0.0, 1.0, 64)
     gamma = np.random.default_rng(5).uniform(1.0, 3.0, 64)
     calls = count_ffts(monkeypatch)
@@ -145,7 +197,7 @@ def test_energy_then_grad_transforms_the_profile_once(ps1, monkeypatch):
     monkeypatch.undo()
     # an equal-valued copy is another array: evaluated afresh, same bits
     assert np.array_equal(obj.grad(G.copy(), gamma), g)
-    fresh = onedim._ProfileObjective(ps1, 2.0, 64)
+    fresh = onedim._ProfileObjective.of(ps1, 2.0, 64)
     assert fresh.delta(G.copy(), Gc, gamma) == change
     assert np.array_equal(fresh.grad(G, gamma), g)
     assert fresh.energy(G.copy(), gamma) == e
