@@ -29,7 +29,7 @@ from . import kernel as _kernel
 from . import onedim as _onedim
 from .field import (PeriodicField, Profile1D, StripeSpec, make_stripes,
                     read_pfd, write_pfd, write_profile_csv)
-from .model import DomainError, ModelParams
+from .model import ModelParams
 
 FORMAT_VERSION = "1"
 
@@ -78,16 +78,21 @@ def _command(name: str, defaults: dict, *flags):
     ``flags``; each flag is stored under its parameter name, which must be
     a key of ``defaults``.  ``cfg`` is ``defaults`` updated by the config
     file and then by the flags given, and ``out`` the output directory
-    (``runs/<name>`` unless given).
+    (``runs/<name>`` unless given).  A ValueError of the library, whose
+    message names the value it rejects, is a one-line error (exit 1).
     """
     def register(body):
         def command(config_path, output_dir, **given):
             start = time.perf_counter()
-            cfg = {**defaults, **_read_config(config_path, name, defaults),
-                   **{k: v for k, v in given.items() if v is not None}}
             out = Path(output_dir or f"runs/{name}")
-            out.mkdir(parents=True, exist_ok=True)
-            report, ok = body(cfg, out)
+            try:
+                cfg = {**defaults,
+                       **_read_config(config_path, name, defaults),
+                       **{k: v for k, v in given.items() if v is not None}}
+                out.mkdir(parents=True, exist_ok=True)
+                report, ok = body(cfg, out)
+            except ValueError as exc:
+                raise click.ClickException(str(exc)) from exc
             _emit(out, name.replace("-", "_"), cfg, report, ok,
                   time.perf_counter() - start)
 
@@ -108,12 +113,9 @@ def _command(name: str, defaults: dict, *flags):
 def _params(cfg: dict) -> ModelParams:
     # minimize-2d takes L from the run (2k h* or the resumed field), so its
     # table has no L and ModelParams gets a placeholder it never uses
-    try:
-        return ModelParams(d=int(cfg["d"]), p=float(cfg["p"]),
-                           tau=float(cfg["tau"]), eps=float(cfg["eps"]),
-                           L=float(cfg.get("L", 1.0)))
-    except (DomainError, ValueError) as exc:
-        raise click.ClickException(str(exc))
+    return ModelParams(d=int(cfg["d"]), p=float(cfg["p"]),
+                       tau=float(cfg["tau"]), eps=float(cfg["eps"]),
+                       L=float(cfg.get("L", 1.0)))
 
 
 def _read_field(path: str, cfg: dict) -> tuple[PeriodicField, ModelParams]:
@@ -170,11 +172,8 @@ def _write_csv(path: Path, header: str, rows) -> None:
 def kernel_moments(cfg, out):
     """Closed-form kernel moments against adaptive quadrature."""
     params = _params(cfg)
-    try:
-        mom = _kernel.moments(params)
-        jc = _kernel.j_c(params)
-    except _kernel.DivergentMomentError as exc:
-        raise click.ClickException(str(exc))
+    mom = _kernel.moments(params)
+    jc = _kernel.j_c(params)
     from scipy.integrate import quad
     half_quad, _ = quad(lambda t: _kernel.marginal_kernel(t, params),
                         0.0, np.inf)
@@ -262,15 +261,12 @@ def minimize_2d(cfg, out):
                 "iterations": tr.iterations,
                 **_resolution(run_params, u0.h_grid),
                 "kernel": asdict(op.certificate)}, True
-    try:
-        rep = _flow.symmetry_breaking_experiment(
-            params, k=int(cfg["k"]), n=int(cfg["n"]),
-            n_seeds=int(cfg["n_seeds"]),
-            opts=_flow.FlowOptions(seed=int(cfg["seed"])),
-            anisotropy_threshold=cfg["anisotropy_threshold"],
-            gap_threshold=cfg["gap_threshold"], threads=cfg["threads"])
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    rep = _flow.symmetry_breaking_experiment(
+        params, k=int(cfg["k"]), n=int(cfg["n"]),
+        n_seeds=int(cfg["n_seeds"]),
+        opts=_flow.FlowOptions(seed=int(cfg["seed"])),
+        anisotropy_threshold=cfg["anisotropy_threshold"],
+        gap_threshold=cfg["gap_threshold"], threads=cfg["threads"])
     return {**rep, **_resolution(params, rep["L"] / rep["n"])}, True
 
 
@@ -364,10 +360,7 @@ def gamma_study(cfg, out):
         raise click.ClickException("--m-schedule must be comma-separated "
                                    f"numbers, got {cfg['m_schedule']!r}")
     params, h, n = _params(cfg), float(cfg["h"]), int(cfg["n"])
-    try:
-        rep = _onedim.gamma_limit_study(params, h, m_schedule=sched, n=n)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    rep = _onedim.gamma_limit_study(params, h, m_schedule=sched, n=n)
     rep.update(_resolution(params, 2.0 * h / n))
     rep["kernel"] = _marginal_certificate(params, h, n)
     _write_csv(out / "margins.csv",
@@ -390,6 +383,8 @@ def rp_check(cfg, out):
     params = _params(cfg)
     rng = np.random.default_rng(int(cfg["seed"]))
     n0, count = int(cfg["n"]), int(cfg["profiles"])
+    if n0 < 3:              # a crossing sample strictly inside the period
+        raise click.ClickException(f"n must be >= 3, got {n0}")
     worst_rp = np.inf
     for _ in range(count):
         g = np.clip(0.5 + 0.4 * np.sin(2 * np.pi * np.arange(n0) / n0

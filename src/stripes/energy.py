@@ -262,7 +262,7 @@ def modica_mortola(u: PeriodicField, alpha: float) -> float:
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if u.n < 2:
-        raise ValueError("n must be >= 2")
+        raise ValueError(f"n must be >= 2, got {u.n}")
     dx = u.h_grid
     D = [t / dx for t in differences(u.values)]
     return _modica_mortola(_squared_one_norm(D), _well(u.values),

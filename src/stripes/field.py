@@ -170,7 +170,7 @@ def gradient(u: PeriodicField) -> list[np.ndarray]:
     """Forward differences with periodic wrap, one grid per axis:
     (u[. + e_i] - u) / h_grid."""
     if u.n < 2:
-        raise ValueError("n must be >= 2")
+        raise ValueError(f"n must be >= 2, got {u.n}")
     h = u.h_grid
     return [t / h for t in differences(u.values)]
 

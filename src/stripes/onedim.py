@@ -761,10 +761,12 @@ def minimize_profile(params: ModelParams, h: float, n: int = 512,
     n/2 + 1 finite samples in [1/2, 1] with both ends at 1/2, or
     ValueError names what it lacks.
     """
+    if not h > 0:
+        raise ValueError(f"h must be positive, got {h!r}")
     if n < 32:
-        raise ValueError("n must be >= 32")
+        raise ValueError(f"n must be >= 32, got {n}")
     if n % 2:
-        raise ValueError("n must be even")
+        raise ValueError(f"n must be even, got {n}")
     if gamma is not None:
         gamma = _gamma_array(gamma, n)
     obj = _ProfileObjective.of(params, 2.0 * h, n)
@@ -936,8 +938,9 @@ def el_residual(gamma, g, params: ModelParams) -> ELDiagnostics:
 
     - residual of 3 (C-1) alpha (gamma g')' = 3 (C-1) W'(g)/(2 gamma alpha)
       + 2 I_g on {EL_DELTA < g < 1 - EL_DELTA}: (gamma g')' is the centred
-      difference of the node products gamma g', g' itself centred, which
-      for gamma = 1 is the wide stencil (G[j+2] - 2 G[j] + G[j-2]) / (4 dx^2);
+      difference of the node products gamma g', g' itself centred (the
+      ``_node_slope`` the first integral also reads), which for gamma = 1
+      is the wide stencil (G[j+2] - 2 G[j] + G[j-2]) / (4 dx^2);
     - constancy of the first integral
       3 (C-1) [alpha gamma^2 |g'|^2 - W(g)/alpha] - c int gamma g' I_g
       for both written factors c = 4 and c = 2;
@@ -951,8 +954,8 @@ def el_residual(gamma, g, params: ModelParams) -> ELDiagnostics:
     # node-centered stencil, deliberately independent of the minimizer's
     # staggered discretization so the residual measures consistency with
     # the continuum equation rather than echoing the solver
-    Dc = (roll(G, -1, 0) - roll(G, 1, 0)) / (2.0 * dx)
-    prod = gam * Dc
+    D_node = _node_slope(G, dx)
+    prod = gam * D_node
     div = (roll(prod, -1, 0) - roll(prod, 1, 0)) / (2.0 * dx)
     ig = dx * obj.interaction(G)
     lhs = pref * alpha * div
@@ -965,7 +968,6 @@ def el_residual(gamma, g, params: ModelParams) -> ELDiagnostics:
     res_interior = np.where(interior, res, np.nan)
 
     # first integral on {g != 1}
-    D_node = _node_slope(G, dx)
     phi = pref * obj.first_integral(G, gam, D_node)
     flux = np.cumsum(gam * D_node * ig) * dx
     notobs = ~obstacle_set(G)

@@ -181,7 +181,7 @@ def scan_golden(f, lo: float, hi: float, grid: int, rel_tol: float
     bracket.  Raises NoBracketError when the smallest value sits at an end
     of the range."""
     if not (0 < lo < hi):
-        raise ValueError("need 0 < lo < hi")
+        raise ValueError(f"need 0 < lo < hi, got lo={lo!r}, hi={hi!r}")
     hs = np.geomspace(lo, hi, grid)
     i = int(np.argmin([f(h) for h in hs]))
     if i == 0 or i == grid - 1:

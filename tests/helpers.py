@@ -89,11 +89,30 @@ def cross_term_direct(u: PeriodicField, i: int, params: ModelParams
     return total * u.h_grid ** (2 * d) / (2.0 * d)
 
 
+def exp_sum_full_grid(n: int, dim: int, pe: float, a: float, L: float
+                      ) -> np.ndarray:
+    """A d >= 2 exponential-sum table at ``kernel._nodes``' nodes, as
+    ``kernel._exp_sum`` built it before it folded onto the lags 0..n // 2:
+    one matrix product over all n^d lags, which rounds an entry and its
+    mirror images differently at some sizes."""
+    h, r_lo, r_hi = kernel._nodes(dim, pe, a, kernel._majorant(dim, pe, a, L))
+    u = np.arange(r_lo, r_hi + 1) * h
+    t = np.exp(u) / a
+    w = h * np.exp(pe * u - np.exp(u) - pe * np.log(a) - kernel._lgamma(pe))
+    y = np.exp(np.multiply.outer(-t, np.arange(n + 1) * (L / n)))
+    E = (y[:, :n] + y[:, n:0:-1]) / -np.expm1(-t * L)[:, None]
+    rows = E
+    for _ in range(dim - 2):
+        rows = (rows[:, :, None] * E[:, None, :]).reshape(t.size, -1)
+    return ((E.T * w) @ rows).reshape((n,) * dim)
+
+
 def symmetrized_reference(vals: np.ndarray) -> np.ndarray:
     """A periodized table averaged over the reflections j -> n - j of each
     axis and over all permutations of the axes, then read at the canonical
-    lag of its orbit: ``kernel._symmetrized`` as first written, the
-    reference its tables must equal bit for bit."""
+    lag of its orbit: the averaging pass that once made the tables of
+    ``exp_sum_full_grid`` exactly symmetric, the oracle the tables built
+    symmetric by construction agree with to a few ulps."""
     n = vals.shape[0]
     for ax in range(vals.ndim):
         flipped = np.roll(np.flip(vals, axis=ax), 1, axis=ax)  # i <-> n - i

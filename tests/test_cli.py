@@ -459,6 +459,33 @@ def test_gamma_study_rejects_a_bad_schedule(runner, tmp_path, monkeypatch,
     assert not (tmp_path / "gamma_study.json").exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["optimal-period", "-n", "30"], "n must be >= 32, got 30"),
+    (["minimize-1d", "--half-period", "1.0", "-n", "31"],
+     "n must be >= 32, got 31"),
+    (["verify-el", "-n", "15"], "n must be >= 32, got 15"),
+    (["verify-decomposition", "-n", "1"], "n must be >= 2, got 1"),
+    (["optimal-period", "--h-lo", "5", "--h-hi", "1"],
+     "need 0 < lo < hi, got lo=5.0, hi=1.0"),
+    (["minimize-1d", "--half-period", "-1"], "h must be positive, got -1.0"),
+    (["rp-check", "-n", "2"], "n must be >= 3, got 2"),
+    (["kernel-moments", "-d", "1", "-p", "2"], "p must exceed d+1 = 2"),
+    (["kernel-moments", "--config", "{not_json}"],
+     "Expecting value: line 1 column 1 (char 0)")])
+def test_library_value_errors_are_one_line_errors(runner, tmp_path, args,
+                                                  message):
+    not_json = tmp_path / "cfg.json"
+    not_json.write_text("not json\n")
+    args = [a.format(not_json=not_json) for a in args]
+    res = runner.invoke(main, [*args, "--output-dir", str(tmp_path / "o")])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.startswith("Error: " + message)
+    assert res.output.count("\n") == 1
+    assert "Traceback" not in res.output
+    assert not list(tmp_path.glob("o/*.json"))
+
+
 def test_nan_tau_is_a_one_line_error(runner, tmp_path):
     res = runner.invoke(main, ["optimal-period", "--tau", "nan",
                                "--output-dir", str(tmp_path)])

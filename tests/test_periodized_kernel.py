@@ -11,8 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (exp_sum_bound_loop, exp_sum_nodes_loop,
-                     lattice_marginal, nonlocal_direct,
+from helpers import (exp_sum_bound_loop, exp_sum_full_grid,
+                     exp_sum_nodes_loop, lattice_marginal, nonlocal_direct,
                      periodized_values_direct, symmetrized_reference,
                      table_bound)
 from stripes import kernel
@@ -155,12 +155,11 @@ def test_invalid_grid_rejected(ps2, L, n, bad):
 @pytest.mark.parametrize("n, L", [(2, 1.0), (3, 0.7), (16, 2.0), (17, 3.16),
                                   (64, 1.58), (512, 3.1612), (513, 40.0)])
 def test_raw_1d_tables_are_their_own_symmetrization(n, L):
-    # entry j of a 1D build is f_j + f_{n-j}, so the marginal operator
-    # takes it without averaging; the averaging would return it bit for bit
+    # entry j of a 1D build is f_j + f_{n-j}, reflection-symmetric as
+    # built, and the marginal operator takes it as it is, times c_{d,p}
     for pe, a in [(3.0, 0.05), (2.5, 0.3), (4.0, 1.0)]:
         vals, _ = kernel._exp_sum_table(n, 1, pe, a, L)
-        for table in (vals, kernel.marginal_constant(2, pe + 1.0) * vals):
-            assert np.array_equal(kernel._symmetrized(table), table)
+        assert np.array_equal(vals, np.roll(vals[::-1], 1))
     params = ModelParams(d=2, p=4.0, tau=0.05, eps=0.05, L=L)
     raw, _ = kernel._exp_sum_table(n, 1, 3.0, params.kernel_scale, L)
     assert np.array_equal(kernel.periodized_marginal(L, n, params),
@@ -171,17 +170,22 @@ def test_raw_1d_tables_are_their_own_symmetrization(n, L):
 @pytest.mark.parametrize("tau", [0.05, 0.2])
 @pytest.mark.parametrize("L", [0.7, 3.0235639470576742])
 def test_tables_equal_the_reference_symmetrization(d, p, tau, L):
-    # the sizes include n = 127 (d = 2) and 33 (d = 3), where the raw sum's
-    # matrix product can break its reflection symmetry by rounding, so
-    # that a table that skipped the reflection averages would differ
+    # the sizes include n = 127 (d = 2) and 33-39 (d = 3), where a matrix
+    # product over all n^d lags breaks reflection symmetry by rounding;
+    # the tables are exactly symmetric and within 8 ulps of that
+    # product's reflection and permutation averages
     a = tau ** (1.0 / (p - d - 1))
-    for n in (2, 3, 4, 7, 8, 16, 33) + ((64, 127, 128) if d == 2 else ()):
-        raw, _ = kernel._exp_sum_table(n, d, p, a, L)
-        table = kernel._symmetrized(raw)
-        assert np.array_equal(table, symmetrized_reference(raw))
-        params = ModelParams(d=d, p=p, tau=tau, eps=0.05, L=L)
-        assert np.array_equal(kernel.kernel_operator(L, n, params).table,
-                              table)
+    params = ModelParams(d=d, p=p, tau=tau, eps=0.05, L=L)
+    sizes = (64, 127, 128) if d == 2 else tuple(range(34, 40))
+    for n in (2, 3, 4, 7, 8, 16, 33) + sizes:
+        table = kernel.kernel_operator(L, n, params).table
+        assert table.shape == (n,) * d
+        for ax in range(d):
+            assert np.array_equal(table, np.roll(np.flip(table, ax), 1, ax))
+        for perm in itertools.permutations(range(d)):
+            assert np.array_equal(table, table.transpose(perm))
+        ref = symmetrized_reference(exp_sum_full_grid(n, d, p, a, L))
+        assert np.max(np.abs(table - ref) / ref) <= 8 * EPS
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
