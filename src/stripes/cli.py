@@ -79,7 +79,9 @@ def _command(name: str, defaults: dict, *flags):
     a key of ``defaults``.  ``cfg`` is ``defaults`` updated by the config
     file and then by the flags given, and ``out`` the output directory
     (``runs/<name>`` unless given).  A ValueError of the library, whose
-    message names the value it rejects, is a one-line error (exit 1).
+    message names the value it rejects, and an ``onedim.ConvergenceError``
+    (a period search over a range without an interior minimum) are
+    one-line errors (exit 1).
     """
     def register(body):
         def command(config_path, output_dir, **given):
@@ -91,7 +93,7 @@ def _command(name: str, defaults: dict, *flags):
                        **{k: v for k, v in given.items() if v is not None}}
                 out.mkdir(parents=True, exist_ok=True)
                 report, ok = body(cfg, out)
-            except ValueError as exc:
+            except (ValueError, _onedim.ConvergenceError) as exc:
                 raise click.ClickException(str(exc)) from exc
             _emit(out, name.replace("-", "_"), cfg, report, ok,
                   time.perf_counter() - start)
@@ -385,6 +387,8 @@ def rp_check(cfg, out):
     n0, count = int(cfg["n"]), int(cfg["profiles"])
     if n0 < 3:              # a crossing sample strictly inside the period
         raise click.ClickException(f"n must be >= 3, got {n0}")
+    if count < 1:
+        raise click.ClickException(f"profiles must be >= 1, got {count}")
     worst_rp = np.inf
     for _ in range(count):
         g = np.clip(0.5 + 0.4 * np.sin(2 * np.pi * np.arange(n0) / n0

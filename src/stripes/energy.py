@@ -283,14 +283,12 @@ def total_energy(u: PeriodicField, params: ModelParams,
     return EnergyBreakdown(mm_term=mm, nonlocal_term=nl, total=mm - nl)
 
 
-def unscaled_energy(u: PeriodicField, J: float, eps: float, L: float | None = None,
-                    *, p: float) -> float:
+def unscaled_energy(u: PeriodicField, J: float, eps: float, *, p: float
+                    ) -> float:
     """Energy with the tau = 1 kernel and coupling J on the gradient part:
     (1/L^d) [ J M_eps(u) - NL_1(u) ]."""
     if J <= 0:
         raise ValueError("J must be positive")
-    if L is not None and abs(L - u.L) > 1e-12 * u.L:
-        raise ValueError("L does not match the field period")
     params1 = ModelParams(d=u.dims, p=p, tau=1.0, eps=eps, L=u.L)
     vol_inv = 1.0 / u.L ** u.dims
     mm = modica_mortola(u, eps)

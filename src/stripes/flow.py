@@ -5,17 +5,16 @@ The descent direction smooths the 1-norm in the interfacial term with
 ``sqrt(D_i^2 + kappa^2)``; line-search acceptance and all reported numbers
 use the exact (unsmoothed) energy, so the monotone-decrease invariant
 refers to the true functional.  The line search halves a rejected step, and
-a stage ends on ``line_search`` after solvers.MAX_HALVINGS rejected trials,
-as soon as solvers.FLAT_TRIALS trials in a row return the current energy
-exactly, since then the energy no longer resolves the step, or as soon as a
-slope bound certifies that no shorter step can lower the exact energy.  The
-smoothed direction crosses kinks of the exact 1-norm, so the exact energy
-can rise along it however short the step; at the first rejected trial
-``energy._FieldObjective.slope_bound`` gives the one-sided slope F' of the
-exact energy along the clipped path and a curvature bound Q, and the search
-stops once the next step s has F' > 0 and s Q <= F'/2.  The bound needs
-C_tau > 1 (a convex interfacial term); otherwise the flow passes no
-certificate and the search runs as before.  A flow builds one
+a stage ends on ``line_search`` after solvers.MAX_HALVINGS rejected trials
+or as soon as a slope bound certifies that no shorter step can lower the
+exact energy.  The smoothed direction crosses kinks of the exact 1-norm,
+so the exact energy can rise along it however short the step; at the
+first rejected trial ``energy._FieldObjective.slope_bound`` gives the
+one-sided slope F' of the exact energy along the clipped path and a
+curvature bound Q, and the search stops once the next step s has F' > 0
+and s Q <= F'/2.  The bound needs C_tau > 1 (a convex interfacial term);
+otherwise the flow passes no certificate and the search runs to
+MAX_HALVINGS.  A flow builds one
 ``energy._FieldObjective``, which resolves the kernel operator and the
 prefactors once, and hands its
 ``energy`` and ``grad`` on raw arrays to ``solvers.projected_bb``: each of

@@ -877,8 +877,9 @@ def optimal_period(params: ModelParams,
     try:
         h_star, _ = scan_golden(val, lo, hi, grid, tol)
     except NoBracketError:
-        raise ConvergenceError("no interior minimum over the h range",
-                               trace) from None
+        raise ConvergenceError(
+            f"no interior minimum over the h range [{lo!r}, {hi!r}]",
+            trace) from None
     res = cache[h_star]
     return PeriodSearchResult(h_star, res.value, res.profile, tuple(trace),
                               res.stop, res.evals,
@@ -888,15 +889,6 @@ def optimal_period(params: ModelParams,
 # ---------------------------------------------------------------------------
 # Euler-Lagrange diagnostics
 # ---------------------------------------------------------------------------
-
-def i_g_profile(g, params: ModelParams) -> np.ndarray:
-    """Lattice I_g(x) = sum_z (G(x + z) - G(x)) Khat_per(z) dx at every
-    sample, against the periodized marginal (the far field enters through
-    the periodization)."""
-    prof = g.full() if isinstance(g, ReflectedProfile) else g
-    obj = _ProfileObjective.of(params, prof.L, prof.n)
-    return obj.dx * obj.interaction(prof.g)
-
 
 OBSTACLE_TOL = 10 * np.finfo(float).eps * 1e3
 

@@ -5,13 +5,14 @@ ACTIVE_TOL, BACKTRACK and STEP_MAX and the ``DescentResult`` record are
 shared with the 1D profile descent (``onedim.minimize_profile``, an
 active-set Newton iteration).
 
-The descent's line search compares energies and is monotone: a trial
-must lower the energy, and the certified exit (``certify``) proves that
-no shorter step goes below the current energy.  Each iteration's
-projected-gradient norm is the maximum of two unmasked arrays, g with 0
-on the samples at the lower bound and at the upper one, rather than a
-masked reduction: the same value, NaN included, at a fraction of the
-cost.
+The descent keeps four rules: the clamped Barzilai-Borwein step, halving
+until a trial lowers the energy (the line search compares energies and is
+monotone), the certified exit (``certify``), which proves that no shorter
+step goes below the current energy, and MAX_HALVINGS rejected trials as
+the backstop.  Each iteration's projected-gradient norm is the maximum of
+two unmasked arrays, g with 0 on the samples at the lower bound and at the
+upper one, rather than a masked reduction: the same value, NaN included,
+at a fraction of the cost.
 """
 from __future__ import annotations
 
@@ -20,20 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 BACKTRACK = 0.5             # step factor after a rejected trial step
-STEP_GROWTH = 1.5           # step factor after an accepted one
 MAX_HALVINGS = 60
-# backtracking trials in a row that return exactly the current energy end
-# the line search: the energy did not move over a factor-2 range of steps,
-# so every shorter step only samples rounding noise
-FLAT_TRIALS = 2
 STEP_MIN, STEP_MAX = 1e-10, 1e6
 # a sample within this distance of a bound counts as sitting on it, so
 # samples parked at a bound up to rounding count as constrained
 ACTIVE_TOL = 1e-12
 # why a descent stopped: the projected-gradient test held, no backtracking
-# trial decreased the energy (or FLAT_TRIALS in a row returned it
-# unchanged, or a slope bound proved that no shorter trial can), or the
-# iteration budget ran out
+# trial decreased the energy (or a slope bound proved that no shorter trial
+# can), or the iteration budget ran out
 STOP_REASONS = ("grad", "line_search", "max_iter")
 
 
@@ -65,15 +60,16 @@ def projected_bb(x: np.ndarray, e: float, energy, grad, lo: float,
     the gradient points out of the box, and stops converged once the
     max-norm of what is left is below ``tol_grad``.  Otherwise it tries
     ``x - step * grad`` clipped to the box, with the Barzilai-Borwein step
-    clamped to [STEP_MIN, STEP_MAX], and backtracks until the energy
-    decreases strictly.  When no trial of MAX_HALVINGS
-    does, FLAT_TRIALS trials in a row return exactly the current energy
-    (the energy no longer resolves the step), or ``certify`` proves that
-    no shorter trial can (below), it stops, converged only if the
-    projected gradient is within 1e4 tol_grad.  Iterations are numbered
-    from ``start`` + 1 to ``max_iter``, so stages of one run can share the
-    count.  The result's ``stop`` names which of these three tests ended
-    the descent, and ``evals`` counts the calls of ``energy``.
+    s.s / s.y clamped to [STEP_MIN, STEP_MAX] (the previous iteration's
+    step when s.y <= 0, ``step0`` at the first), and halves it until the
+    energy decreases strictly.  When no trial of MAX_HALVINGS does, or
+    ``certify`` proves that no shorter trial can (below), it stops,
+    converged only if the projected gradient is within 1e4 tol_grad.
+    Iterations are numbered from ``start`` + 1 to ``max_iter``, so stages
+    of one run can share the count.  The result's ``stop`` names which of
+    these three tests ended the descent, ``evals`` counts the calls of
+    ``energy``, and each trace row carries the step of the trial accepted
+    at its iteration.
 
     ``certify(x, g)``, when given, returns (slope, curv, s_max) such that
     energy(clip(x - s g)) - energy(x) >= s slope - s^2 curv for every
@@ -113,19 +109,15 @@ def projected_bb(x: np.ndarray, e: float, energy, grad, lo: float,
         if gnorm < tol_grad:
             converged, stop = True, "grad"
             break
-        flat = 0
         bound = None
         for _ in range(MAX_HALVINGS):
             cand = (x - step * g).clip(lo, hi)
             ec = energy(cand)
-            down, same = ec < e, ec == e
+            down = ec < e
             evals += 1
             if down:
                 break
             step *= BACKTRACK
-            flat = flat + 1 if same else 0
-            if flat == FLAT_TRIALS:
-                break
             if certify is not None:
                 if bound is None:
                     bound = certify(x, g)
@@ -138,7 +130,6 @@ def projected_bb(x: np.ndarray, e: float, energy, grad, lo: float,
             stop = "line_search"
             break
         x, e = cand, ec
-        step = min(step * STEP_GROWTH, STEP_MAX)
         if it % trace_every == 0:
             trace.append((it, e, step))
     return DescentResult(x, e, it, converged, gnorm, step, tuple(trace),
@@ -178,10 +169,13 @@ def scan_golden(f, lo: float, hi: float, grid: int, rel_tol: float
                 ) -> tuple[float, float]:
     """Minimum of f on [lo, hi]: f at ``grid`` log-spaced points brackets
     it around the smallest value, and ``golden_section`` refines that
-    bracket.  Raises NoBracketError when the smallest value sits at an end
-    of the range."""
+    bracket.  Raises ValueError for a ``grid`` below 3, which cannot
+    bracket a minimum, and NoBracketError when the smallest value sits at
+    an end of the range."""
     if not (0 < lo < hi):
         raise ValueError(f"need 0 < lo < hi, got lo={lo!r}, hi={hi!r}")
+    if grid < 3:
+        raise ValueError(f"grid must be >= 3, got {grid!r}")
     hs = np.geomspace(lo, hi, grid)
     i = int(np.argmin([f(h) for h in hs]))
     if i == 0 or i == grid - 1:

@@ -471,7 +471,14 @@ def test_gamma_study_rejects_a_bad_schedule(runner, tmp_path, monkeypatch,
     (["rp-check", "-n", "2"], "n must be >= 3, got 2"),
     (["kernel-moments", "-d", "1", "-p", "2"], "p must exceed d+1 = 2"),
     (["kernel-moments", "--config", "{not_json}"],
-     "Expecting value: line 1 column 1 (char 0)")])
+     "Expecting value: line 1 column 1 (char 0)"),
+    (["optimal-period", "-n", "64", "--grid", "1"],
+     "grid must be >= 3, got 1"),
+    # the period search's ConvergenceError: three scan points, no
+    # interior minimum
+    (["optimal-period", "--h-lo", "0.3", "--h-hi", "0.31", "-n", "64",
+      "--grid", "3"], "no interior minimum over the h range [0.3, 0.31]"),
+    (["rp-check", "--profiles", "0"], "profiles must be >= 1, got 0")])
 def test_library_value_errors_are_one_line_errors(runner, tmp_path, args,
                                                   message):
     not_json = tmp_path / "cfg.json"

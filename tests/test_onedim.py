@@ -12,7 +12,7 @@ from stripes.model import ModelParams
 from stripes.onedim import (ConvergenceError, CrossingError,
                             chessboard_check, el_residual,
                             f1d, free_boundary_points, gamma_limit_study,
-                            i_g_profile, minimize_aux_penalized,
+                            minimize_aux_penalized,
                             minimize_profile, obstacle_set, optimal_period,
                             reflect_left, reflect_right,
                             reflection_positivity_check)
@@ -216,7 +216,8 @@ def test_i_g_profile_odd_symmetry(ps1):
     # the reflected profile satisfies G(2h - x) = 1 - G(x), so the
     # interaction field is odd about the crossing: I_g(2h - x) = -I_g(x)
     res = minimize_profile(ps1, 1.58, n=256)
-    ig = i_g_profile(res.profile.full(), ps1)
+    prof = res.profile.full()
+    ig = onedim._ProfileObjective.of(ps1, prof.L, prof.n).interaction(prof.g)
     mirrored = -np.roll(ig[::-1], 1)
     assert np.allclose(ig, mirrored, atol=1e-9 * np.max(np.abs(ig)))
 

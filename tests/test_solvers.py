@@ -11,8 +11,9 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from stripes.energy import optimal_sharp_period
 from stripes.onedim import ConvergenceError, optimal_period
-from stripes.solvers import (ACTIVE_TOL, BACKTRACK, FLAT_TRIALS,
-                             NoBracketError, golden_section, projected_bb)
+from stripes.solvers import (ACTIVE_TOL, BACKTRACK, MAX_HALVINGS,
+                             NoBracketError, golden_section, projected_bb,
+                             scan_golden)
 
 SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -89,14 +90,15 @@ def test_projected_bb_stops_on_the_rounding_of_its_energies():
 
 
 def test_projected_bb_counts_a_line_search_stop_converged_near_tol_grad():
-    # every trial is flat; the projected gradient (600 at the start) is
-    # within 1e4 tol_grad, so the line-search stop counts as converged
+    # every trial returns the start energy, so none is accepted and the
+    # search ends after MAX_HALVINGS trials; the projected gradient (600 at
+    # the start) is within 1e4 tol_grad, so the stop counts as converged
     w = np.geomspace(1.0, 1e3, 6)
     res = projected_bb(np.full(6, 0.9), 0.0, lambda x: 0.0,
                        lambda x: w * (x - 0.3), 0.0, 1.0, step0=0.1,
                        max_iter=500, tol_grad=100.0, trace_every=1)
     assert (res.stop, res.converged, res.evals) == ("line_search", True,
-                                                    FLAT_TRIALS)
+                                                    MAX_HALVINGS)
 
 
 def test_energy_path_accepts_only_decreases():
@@ -166,8 +168,8 @@ def test_certified_stop_makes_no_further_energy_call():
 @pytest.mark.parametrize("slope, curv, s_max, trials", [
     (1.0, 0.0, 0.1, 4),      # stops at the first trial step <= s_max
     (1.0, 8.0, np.inf, 4),   # ... and with step * curv <= slope / 2
-    (1.0, 1.0, 0.0, 6),      # never certified: the flat exit ends it
-    (0.0, 0.0, np.inf, 6),   # a zero slope proves nothing
+    (1.0, 1.0, 0.0, MAX_HALVINGS),     # never certified: it runs out
+    (0.0, 0.0, np.inf, MAX_HALVINGS),  # a zero slope proves nothing
 ])
 def test_certified_stop_needs_every_condition(slope, curv, s_max, trials):
     # every trial rises down to step 2^-3, then the energy is flat
@@ -192,11 +194,11 @@ def test_without_a_certificate_a_rising_line_search_halves_on():
     assert (res.stop, res.energy, res.evals) == ("max_iter", -1.0, 2)
 
 
-def test_flat_energy_ends_line_search_after_the_second_equal_trial():
+def test_stall_without_a_certificate_ends_after_max_halvings_trials():
     # trials rise above the start energy down to step 2^-4, and return it
-    # exactly for every shorter step
+    # exactly for every shorter step: none is accepted
     res, steps = _line_search([1.0] * 5, max_iter=50)
-    assert steps == [2.0 ** -k for k in range(5 + FLAT_TRIALS)]
+    assert steps == [2.0 ** -k for k in range(MAX_HALVINGS)]
     assert (res.stop, res.converged, res.iterations) == ("line_search",
                                                          False, 1)
     assert np.array_equal(res.x, np.zeros(3)) and res.energy == 0.0
@@ -219,20 +221,30 @@ def test_equal_trials_apart_do_not_stop_the_line_search():
     assert (res.stop, res.energy) == ("max_iter", -1.0)
 
 
-def test_flat_case_costs_two_energy_calls():
-    # the "flat" case of test_projected_bb_reports_why_it_stopped
-    calls = []
+def test_trace_row_carries_the_accepted_step():
+    # the unit step rises, the half step is accepted: its row and the
+    # result record the half step
+    res, steps = _line_search([1.0, -1.0])
+    assert steps == [1.0, 0.5]
+    assert res.trace == ((1, -1.0, 0.5),)
+    assert (res.stop, res.step) == ("max_iter", 0.5)
+    # along the quadratic, each row's step is the one that moved x there
+    w = np.geomspace(1.0, 1e3, 6)
+    trials = {}
 
     def energy(x):
-        calls.append(x)
-        return 0.0
+        e = 0.5 * float(np.sum(w * (x - 0.3) ** 2))
+        trials[e] = x
+        return e
 
-    w = np.geomspace(1.0, 1e3, 6)
-    res = projected_bb(np.full(6, 0.9), 0.0, energy, lambda x: w * (x - 0.3),
-                       0.0, 1.0, step0=0.1, max_iter=500, tol_grad=1e-9,
+    x = np.full(6, 0.9)
+    res = projected_bb(x, energy(x), energy, lambda x: w * (x - 0.3),
+                       -10.0, 10.0, step0=0.1, max_iter=30, tol_grad=1e-9,
                        trace_every=1)
-    assert (res.stop, res.converged) == ("line_search", False)
-    assert len(calls) == FLAT_TRIALS == 2
+    assert len(res.trace) > 5
+    for _, e, step in res.trace:
+        assert np.array_equal(trials[e], x - step * (w * (x - 0.3)))
+        x = trials[e]
 
 
 # samples on both bounds, within ACTIVE_TOL of them, inside, and NaN
@@ -258,6 +270,14 @@ def test_grad_norm_zeroes_only_components_pushing_out(xg):
                        step0=1.0, max_iter=1, tol_grad=1e-6,
                        trace_every=1)
     assert repr(res.grad_norm) == repr(ref)     # NaN and the sign of 0
+
+
+@pytest.mark.parametrize("grid", [-1, 0, 1, 2])
+def test_scan_golden_rejects_a_grid_below_3(grid):
+    calls = []
+    with pytest.raises(ValueError, match=f"grid must be >= 3, got {grid}"):
+        scan_golden(calls.append, 1.0, 2.0, grid, 1e-3)
+    assert calls == []
 
 
 def test_golden_section_evaluates_each_point_once():
