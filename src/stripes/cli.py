@@ -44,6 +44,10 @@ _SEED = click.option("--seed", type=int,
                      help="single 64-bit seed driving all randomness")
 _N = click.option("-n", type=int)
 _HALF_PERIOD = click.option("--half-period", "h", type=float)
+# kernel-moments passes when closed form and quadrature agree to this
+QUADRATURE_TOL = 1e-8
+# rounding may take the slicing slack and the rp-check gaps this far below 0
+ROUNDING_TOL = 1e-8
 
 
 @click.group()
@@ -168,9 +172,7 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 
 # ---------------------------------------------------------------------------
-@_command("kernel-moments", {**_MODEL, "tol": 1e-8},
-          click.option("--tol", type=float,
-                       help="relative tolerance against adaptive quadrature"))
+@_command("kernel-moments", _MODEL)
 def kernel_moments(cfg, out):
     """Closed-form kernel moments against adaptive quadrature."""
     params = _params(cfg)
@@ -190,22 +192,20 @@ def kernel_moments(cfg, out):
     delta = max(abs(half_quad - mom.half_mass_marginal) / half_quad,
                 abs(moment_quad - mom.c_tau) / moment_quad)
     rep["quadrature_rel_delta"] = delta
-    return rep, delta < cfg["tol"]
+    return rep, delta < QUADRATURE_TOL
 
 
 # ---------------------------------------------------------------------------
 @_command("optimal-period",
-          {**_MODEL, "h_lo": 0.3, "h_hi": 40.0, "grid": 12, "n": 512,
-           "tol": 1e-3},
+          {**_MODEL, "h_lo": 0.3, "h_hi": 40.0, "grid": 12, "n": 512},
           click.option("--h-lo", type=float),
           click.option("--h-hi", type=float),
-          click.option("--grid", type=int), _N,
-          click.option("--tol", type=float))
+          click.option("--grid", type=int), _N)
 def optimal_period(cfg, out):
     """Golden-section search for the optimal stripe half-period."""
     params, n = _params(cfg), int(cfg["n"])
     res = _onedim.optimal_period(params, (cfg["h_lo"], cfg["h_hi"]),
-                                 grid=int(cfg["grid"]), tol=cfg["tol"], n=n)
+                                 grid=int(cfg["grid"]), n=n)
     write_profile_csv(out / "profile.csv", res.profile.full())
     return {"h_star": res.h_star, "c_star": res.c_star,
             "trace": [list(t) for t in res.trace],
@@ -234,17 +234,13 @@ def minimize_1d(cfg, out):
 # ---------------------------------------------------------------------------
 @_command("minimize-2d",
           {"d": 2, "p": 4.0, "tau": 0.05, "eps": 0.05, "seed": 0,
-           "threads": None, "k": 1, "n": 64, "n_seeds": 10,
-           "anisotropy_threshold": 0.95, "gap_threshold": 0.02,
-           "resume": None},
+           "threads": None, "k": 1, "n": 64, "n_seeds": 10, "resume": None},
           _SEED,
           click.option("--threads", type=int,
                        help="worker threads (default 1)"),
           click.option("-k", type=int,
                        help="stripe periods per side of the box L = 2k h*"),
           _N, click.option("--seeds", "n_seeds", type=int),
-          click.option("--anisotropy-threshold", type=float),
-          click.option("--gap-threshold", type=float),
           click.option("--resume", type=click.Path(exists=True),
                        help="continue the flow from a dumped .pfd field"))
 def minimize_2d(cfg, out):
@@ -264,11 +260,8 @@ def minimize_2d(cfg, out):
                 **_resolution(run_params, u0.h_grid),
                 "kernel": asdict(op.certificate)}, True
     rep = _flow.symmetry_breaking_experiment(
-        params, k=int(cfg["k"]), n=int(cfg["n"]),
-        n_seeds=int(cfg["n_seeds"]),
-        opts=_flow.FlowOptions(seed=int(cfg["seed"])),
-        anisotropy_threshold=cfg["anisotropy_threshold"],
-        gap_threshold=cfg["gap_threshold"], threads=cfg["threads"])
+        params, k=int(cfg["k"]), n=int(cfg["n"]), n_seeds=int(cfg["n_seeds"]),
+        opts=_flow.FlowOptions(seed=int(cfg["seed"])), threads=cfg["threads"])
     return {**rep, **_resolution(params, rep["L"] / rep["n"])}, True
 
 
@@ -282,26 +275,22 @@ def _field_from_cfg(cfg: dict) -> tuple[PeriodicField, ModelParams]:
         rng = np.random.default_rng(int(cfg["seed"]))
         return PeriodicField(params.d, n, L,
                              rng.uniform(0, 1, (n,) * params.d)), params
-    if cfg["kind"] == "stripe":
-        if cfg["h"] is None:
-            cfg["h"] = L / 4.0
-        return make_stripes(StripeSpec(1, float(cfg["h"]), 0.0), L, n,
+    if cfg["kind"] == "stripe":     # half-period L/4: two periods per side
+        return make_stripes(StripeSpec(1, L / 4.0, 0.0), L, n,
                             params.d), params
     raise click.ClickException(f"unknown field kind {cfg['kind']!r}")
 
 
 @_command("verify-decomposition",
           {"d": 2, "p": 4.0, "tau": 0.05, "eps": 0.05, "L": 1.0, "seed": 0,
-           "field": None, "kind": "random", "n": 32, "h": None,
-           "tol_slack": 1e-8},
+           "field": None, "kind": "random", "n": 32},
           _SEED,
           click.option("--field", type=click.Path(exists=True),
                        help=".pfd input field"),
           click.option("--kind", type=click.Choice(["random", "stripe"])),
-          _N, click.option("--box-side", "L", type=float),
-          click.option("--tol-slack", type=float))
+          _N, click.option("--box-side", "L", type=float))
 def verify_decomposition(cfg, out):
-    """Lower-bound decomposition report; fails on negative slack.  A
+    """Lower-bound decomposition report; fails on slack < -ROUNDING_TOL.  A
     --field file is evaluated with the params stored in its header."""
     u, params = _field_from_cfg(cfg)
     rep_obj = _dec.lower_bound_report(u, params)
@@ -310,7 +299,7 @@ def verify_decomposition(cfg, out):
     rep.update(_resolution(params, u.h_grid))
     rep["kernel"] = asdict(_kernel.kernel_operator(u.L, u.n,
                                                    params).certificate)
-    return rep, rep_obj.slack >= -cfg["tol_slack"]
+    return rep, rep_obj.slack >= -ROUNDING_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -375,11 +364,10 @@ def gamma_study(cfg, out):
 
 # ---------------------------------------------------------------------------
 @_command("rp-check",
-          {**_MODEL, "seed": 0, "profiles": 25, "n": 64, "tol_gap": 1e-8},
+          {**_MODEL, "seed": 0, "profiles": 25, "n": 64},
           _SEED,
           click.option("--profiles", type=int,
-                       help="number of random crossing profiles"),
-          _N, click.option("--tol-gap", type=float))
+                       help="number of random crossing profiles"), _N)
 def rp_check(cfg, out):
     """Reflection positivity and chessboard estimates on random profiles."""
     params = _params(cfg)
@@ -412,8 +400,7 @@ def rp_check(cfg, out):
         worst_cb = min(worst_cb, gap)
     rep = {"profiles": count, "worst_rp_gap": float(worst_rp),
            "worst_chessboard_gap": float(worst_cb)}
-    tol = cfg["tol_gap"]
-    return rep, worst_rp >= -tol and worst_cb >= -tol
+    return rep, worst_rp >= -ROUNDING_TOL and worst_cb >= -ROUNDING_TOL
 
 
 if __name__ == "__main__":

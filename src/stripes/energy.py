@@ -56,6 +56,9 @@ from .field import PeriodicField, differences, roll
 from .model import ModelParams, _well, _well_prime
 from .solvers import scan_golden
 
+# log-spaced scan points of the sharp period search
+SHARP_GRID = 12
+
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
@@ -357,13 +360,12 @@ def sharp_stripe_energy(h: float, params: ModelParams) -> float:
 
 
 def optimal_sharp_period(params: ModelParams,
-                         h_range: tuple[float, float] = (1e-2, 1e2),
-                         grid: int = 12, tol: float = 1e-3
+                         h_range: tuple[float, float] = (1e-2, 1e2)
                          ) -> tuple[float, float]:
     """Minimize the sharp stripe energy over the half-period h.
 
-    A logarithmic scan over ``grid`` points brackets the minimum; golden
-    section refines it to relative tolerance ``tol``.
+    A logarithmic scan over SHARP_GRID points brackets the minimum; golden
+    section refines it to the relative bracket ``solvers.PERIOD_TOL``.
     """
     return scan_golden(lambda h: sharp_stripe_energy(h, params),
-                       *h_range, grid, tol)
+                       *h_range, SHARP_GRID)

@@ -63,6 +63,9 @@ TRACE_EVERY = 10    # trace row every TRACE_EVERY iterations
 # the period search that fixes h* when the experiment is not given one
 SEARCH_N = 512
 H_RANGE = (0.3, 40.0)
+# a run counts as stripes above this anisotropy and below this relative gap
+ANISOTROPY_THRESHOLD = 0.95
+GAP_THRESHOLD = 0.02
 
 
 @dataclass(frozen=True)
@@ -230,20 +233,6 @@ def stripe_metrics(u: PeriodicField, h_grid, nu_grid) -> StripeMetrics:
 # symmetry-breaking experiment
 # ---------------------------------------------------------------------------
 
-def _workers(n_seeds: int, threads: int | None) -> int:
-    """Worker threads for ``n_seeds`` runs: ``threads``, or 1 when it is
-    None.  Raises ValueError naming the value when n_seeds < 1 or the
-    thread count is below 1."""
-    if n_seeds < 1:
-        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
-    if threads is None:
-        return 1
-    if threads < 1:
-        raise ValueError(f"threads={threads!r}: the thread count must be "
-                         ">= 1")
-    return threads
-
-
 def tiled_stripe_benchmark(params: ModelParams, h_star: float, k: int,
                            n: int) -> tuple[PeriodicField, float]:
     """Best one-dimensional competitor on the n^d flow grid: the binary
@@ -260,25 +249,30 @@ def symmetry_breaking_experiment(params: ModelParams, k: int = 1,
                                  n: int = 64, n_seeds: int = 10,
                                  opts: FlowOptions | None = None,
                                  h_star: float | None = None,
-                                 anisotropy_threshold: float = 0.95,
-                                 gap_threshold: float = 0.02,
                                  threads: int | None = None) -> dict:
     """Gradient-flow runs from uniform-noise seeds on the torus of side
     L = 2 k h*, scored against the k-fold tiling of the 1D optimum.
 
     Returns a JSON-serializable report with per-seed metrics, the success
-    fraction (anisotropy and relative energy gap inside the thresholds),
-    every input needed to reproduce the run bit for bit, and under
-    ``kernel`` the certificate of the flows' periodized kernel table.
-    ``opts.seed`` is the master seed of the runs, and ``threads`` (None
-    for 1) the number of runs in flight at once.  Before any work, k < 1,
-    2k not dividing n and what ``_workers`` rejects raise ValueError.
+    fraction (anisotropy above ANISOTROPY_THRESHOLD and relative energy
+    gap below GAP_THRESHOLD, both recorded), every input needed to
+    reproduce the run bit for bit, and under ``kernel`` the certificate of
+    the flows' periodized kernel table.  ``opts.seed`` is the master seed
+    of the runs, and ``threads`` (None for 1) the number of runs in flight
+    at once.  Before any work, k < 1, an n that is not a positive multiple
+    of 2k, n_seeds < 1 and threads < 1 raise ValueError naming the value.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if n % (2 * k):
         raise ValueError(f"2k = {2 * k} must divide n = {n}")
-    workers = _workers(n_seeds, threads)
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+    workers = 1 if threads is None else threads
+    if workers < 1:
+        raise ValueError(f"threads={threads!r}: the thread count must be >= 1")
     opts = opts or FlowOptions()
     if h_star is None:
         search = _onedim.optimal_period(params, H_RANGE, n=SEARCH_N)
@@ -311,8 +305,8 @@ def symmetry_breaking_experiment(params: ModelParams, k: int = 1,
                 "fourier_anisotropy": m.fourier_anisotropy,
                 "energy_gap_to_1d": ef - bench_e,
                 "relative_gap": rel_gap,
-                "success": bool(m.fourier_anisotropy > anisotropy_threshold
-                                and abs(rel_gap) < gap_threshold)}
+                "success": bool(m.fourier_anisotropy > ANISOTROPY_THRESHOLD
+                                and abs(rel_gap) < GAP_THRESHOLD)}
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -321,13 +315,13 @@ def symmetry_breaking_experiment(params: ModelParams, k: int = 1,
         per_seed = [run(s) for s in seeds]
 
     undercut = min(r["energy"] - bench_e for r in per_seed)
-    report = {
+    return {
         "params": {"d": params.d, "p": params.p, "tau": params.tau,
                    "eps": params.eps},
         "k": k, "n": n, "L": L, "h_star": h_star,
         "benchmark_energy": bench_e,
-        "anisotropy_threshold": anisotropy_threshold,
-        "gap_threshold": gap_threshold,
+        "anisotropy_threshold": ANISOTROPY_THRESHOLD,
+        "gap_threshold": GAP_THRESHOLD,
         "master_seed": opts.seed, "seeds": seeds,
         "runs": per_seed,
         "success_fraction": sum(r["success"] for r in per_seed) / n_seeds,
@@ -335,4 +329,3 @@ def symmetry_breaking_experiment(params: ModelParams, k: int = 1,
         "kernel": asdict(_kernel.kernel_operator(L, n, run_params)
                           .certificate),
     }
-    return report

@@ -741,6 +741,13 @@ def _newton_descent(obj: _ProfileObjective, gamma: np.ndarray | None,
                          stop, evals)
 
 
+def _check_half_period(h: float) -> None:
+    """Raise ValueError naming h unless it is finite and positive."""
+    if not 0 < h < np.inf:      # NaN too
+        raise ValueError(f"h must be {'positive' if h <= 0 else 'finite'}, "
+                         f"got {h!r}")
+
+
 def minimize_profile(params: ModelParams, h: float, n: int = 512,
                      g0_base: np.ndarray | None = None,
                      gamma: np.ndarray | None = None
@@ -758,11 +765,10 @@ def minimize_profile(params: ModelParams, h: float, n: int = 512,
     by +inf entries move together (``_Runs``), so a start with G' = 0 there
     keeps it, and a start with G' != 0 on such a step (energy +inf) raises
     ValueError naming the first one.  A given start ``g0_base`` must be
-    n/2 + 1 finite samples in [1/2, 1] with both ends at 1/2, or
-    ValueError names what it lacks.
+    n/2 + 1 finite samples in [1/2, 1] with both ends at 1/2, and h finite
+    and positive, or ValueError names what they lack.
     """
-    if not h > 0:
-        raise ValueError(f"h must be positive, got {h!r}")
+    _check_half_period(h)
     if n < 32:
         raise ValueError(f"n must be >= 32, got {n}")
     if n % 2:
@@ -850,10 +856,10 @@ def _warm_start(solved: dict, h: float) -> np.ndarray | None:
 
 def optimal_period(params: ModelParams,
                    h_range: tuple[float, float] = (0.2, 50.0),
-                   grid: int = 12, tol: float = 1e-3, n: int = 512
-                   ) -> PeriodSearchResult:
-    """Minimize h -> min_{g in C_h} F1d(1, g) by a logarithmic scan followed
-    by golden section; ties break toward smaller h.
+                   grid: int = 12, n: int = 512) -> PeriodSearchResult:
+    """Minimize h -> min_{g in C_h} F1d(1, g) by a logarithmic scan over
+    ``grid`` points followed by golden section to the relative bracket
+    ``solvers.PERIOD_TOL``; ties break toward smaller h.
 
     Every descent but the first starts from the ones already solved in
     this call (``_warm_start``): a golden-section point, which has solved
@@ -875,7 +881,7 @@ def optimal_period(params: ModelParams,
         return cache[h].value
 
     try:
-        h_star, _ = scan_golden(val, lo, hi, grid, tol)
+        h_star, _ = scan_golden(val, lo, hi, grid)
     except NoBracketError:
         raise ConvergenceError(
             f"no interior minimum over the h range [{lo!r}, {hi!r}]",
@@ -1108,12 +1114,14 @@ def gamma_limit_study(params: ModelParams, h: float, m_schedule=(1, 10, 100),
     the study solves one descent per distinct (start, gamma) and reuses it
     for every m that repeats it.  The report counts the descents solved
     and reused and records the ``stop`` and the trials evaluated
-    (``evals``) of each solved one.  An empty schedule, or an m below 1,
-    raises ValueError naming it before any descent."""
+    (``evals``) of each solved one.  An empty schedule, an m below 1, or
+    an h that is not finite and positive raises ValueError naming it
+    before any descent."""
     m_schedule = tuple(m_schedule)
     if not (m_schedule and all(m >= 1 for m in m_schedule)):
         raise ValueError("m_schedule must hold one or more m >= 1, got "
                          f"{m_schedule!r}")
+    _check_half_period(h)
     report = {"m": [], "value": [], "sup_gamma_minus_1": [],
               "measure_gamma_above": []}
     descents = _Descents()

@@ -1,9 +1,9 @@
 """The shared solvers: projected Barzilai-Borwein descent (run by
 ``flow.gradient_flow``) and golden-section search with a logarithmic
-bracketing scan (run by both optimal-period searches).  The constants
-ACTIVE_TOL, BACKTRACK and STEP_MAX and the ``DescentResult`` record are
-shared with the 1D profile descent (``onedim.minimize_profile``, an
-active-set Newton iteration).
+bracketing scan (run by both optimal-period searches, which stop at the
+relative bracket PERIOD_TOL).  The constants ACTIVE_TOL, BACKTRACK and
+STEP_MAX and the ``DescentResult`` record are shared with the 1D profile
+descent (``onedim.minimize_profile``, an active-set Newton iteration).
 
 The descent keeps four rules: the clamped Barzilai-Borwein step, halving
 until a trial lowers the energy (the line search compares energies and is
@@ -30,6 +30,8 @@ ACTIVE_TOL = 1e-12
 # trial decreased the energy (or a slope bound proved that no shorter trial
 # can), or the iteration budget ran out
 STOP_REASONS = ("grad", "line_search", "max_iter")
+# relative width of the bracket at which both optimal-period searches stop
+PERIOD_TOL = 1e-3
 
 
 class NoBracketError(RuntimeError):
@@ -139,17 +141,23 @@ def projected_bb(x: np.ndarray, e: float, energy, grad, lo: float,
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_section(f, lo: float, hi: float, rel_tol: float = 1e-3
+def golden_section(f, lo: float, hi: float, rel_tol: float = PERIOD_TOL
                    ) -> tuple[float, float]:
-    """Golden-section minimum of f on [lo, hi]; ties resolve to the smaller
-    argument.  Each point is evaluated once, the ends of [lo, hi] only if
-    they are still ends of the final bracket.  Returns (argmin, value)."""
+    """Golden-section minimum of f on [lo, hi], the bracket narrowed until
+    it is within ``rel_tol`` (finite and positive, or ValueError) of its
+    larger end or stops narrowing; ties resolve to the smaller argument.
+    Each point is evaluated once, the ends of [lo, hi] only if they are
+    still ends of the final bracket, though in a bracket a few floats wide
+    a new point can round onto an old one.  Returns (argmin, value)."""
+    if not (np.isfinite(rel_tol) and rel_tol > 0):
+        raise ValueError(f"rel_tol must be finite and positive, got "
+                         f"{rel_tol!r}")
     a, b = lo, hi
     fa = fb = None
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
     f1, f2 = f(x1), f(x2)
-    while (b - a) > rel_tol * max(abs(a), abs(b), 1e-300):
+    while (width := b - a) > rel_tol * max(abs(a), abs(b), 1e-300):
         if f1 <= f2:
             b, fb, x2, f2 = x2, f2, x1, f1
             x1 = b - _INVPHI * (b - a)
@@ -158,15 +166,15 @@ def golden_section(f, lo: float, hi: float, rel_tol: float = 1e-3
             a, fa, x1, f1 = x1, f1, x2, f2
             x2 = a + _INVPHI * (b - a)
             f2 = f(x2)
-    if fa is None:
-        fa = f(a)
-    if fb is None:
-        fb = f(b)
+        if b - a >= width:
+            break
+    fa = f(a) if fa is None else fa
+    fb = f(b) if fb is None else fb
     return (a, fa) if fa <= fb else (b, fb)
 
 
-def scan_golden(f, lo: float, hi: float, grid: int, rel_tol: float
-                ) -> tuple[float, float]:
+def scan_golden(f, lo: float, hi: float, grid: int,
+                rel_tol: float = PERIOD_TOL) -> tuple[float, float]:
     """Minimum of f on [lo, hi]: f at ``grid`` log-spaced points brackets
     it around the smallest value, and ``golden_section`` refines that
     bracket.  Raises ValueError for a ``grid`` below 3, which cannot

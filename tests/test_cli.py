@@ -13,6 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 from helpers import table_bound
+from stripes import flow
 from stripes.cli import FORMAT_VERSION, main
 from stripes.decomposition import _slice_terms, lower_bound_report
 from stripes.field import PeriodicField, read_pfd, write_pfd
@@ -245,7 +246,7 @@ def test_optimal_period_report_is_the_search_result(runner, tmp_path):
     assert res.exit_code == 0, res.output
     rep = _payload(out / "optimal_period.json")["report"]
     ps1 = ModelParams(d=1, p=3.0, tau=0.05, eps=0.05, L=1.0)
-    search = optimal_period(ps1, (0.3, 40.0), grid=12, tol=1e-3, n=128)
+    search = optimal_period(ps1, (0.3, 40.0), grid=12, n=128)
     expected = {"h_star": search.h_star, "c_star": search.c_star,
                 "trace": [list(t) for t in search.trace],
                 "stop": search.stop, "evals": search.evals}
@@ -493,6 +494,73 @@ def test_library_value_errors_are_one_line_errors(runner, tmp_path, args,
     assert not list(tmp_path.glob("o/*.json"))
 
 
+@pytest.mark.parametrize("args, message", [
+    # checked before the period search, which n = 0 would run
+    (["minimize-2d", "-n", "0", "--seeds", "1"], "n must be >= 1, got 0"),
+    (["minimize-2d", "-n", "-4", "--seeds", "1"], "n must be >= 1, got -4"),
+    # named as h, not as the period L = 2h
+    (["gamma-study", "--half-period", "-1", "-n", "64"],
+     "h must be positive, got -1.0"),
+    (["gamma-study", "--half-period", "nan", "-n", "64"],
+     "h must be finite, got nan"),
+    (["minimize-1d", "--half-period", "inf"], "h must be finite, got inf")])
+def test_rejected_sizes_and_half_periods_are_one_line_errors(
+        runner, tmp_path, args, message):
+    res = runner.invoke(main, [*args, "--output-dir", str(tmp_path)])
+    assert res.exit_code == 1
+    assert res.output == f"Error: {message}\n"
+    assert not list(tmp_path.glob("*.json"))
+
+
+# the options that no program set, now module constants
+REMOVED_FLAGS = [("minimize-2d", "--anisotropy-threshold"),
+                 ("minimize-2d", "--gap-threshold"),
+                 ("optimal-period", "--tol"), ("kernel-moments", "--tol"),
+                 ("verify-decomposition", "--tol-slack"),
+                 ("rp-check", "--tol-gap")]
+REMOVED_KEYS = [("minimize-2d", "anisotropy_threshold"),
+                ("minimize-2d", "gap_threshold"), ("optimal-period", "tol"),
+                ("kernel-moments", "tol"), ("verify-decomposition", "h"),
+                ("verify-decomposition", "tol_slack"),
+                ("rp-check", "tol_gap")]
+
+
+@pytest.mark.parametrize("command, flag", REMOVED_FLAGS)
+def test_removed_flags_are_usage_errors(runner, tmp_path, command, flag):
+    res = runner.invoke(main, [command, flag, "0.5",
+                               "--output-dir", str(tmp_path)])
+    assert res.exit_code == 2
+    # click words it "No such option: --x" or "No such option '--x'."
+    assert re.search(f"No such option:? '?{flag}", res.output)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, key", REMOVED_KEYS)
+def test_sidecar_with_a_removed_key_is_rejected_by_name(runner, tmp_path,
+                                                        command, key):
+    cfg = tmp_path / "old_config.json"
+    cfg.write_text(json.dumps({"format_version": FORMAT_VERSION, key: 0.5}))
+    out = tmp_path / "out"
+    res = runner.invoke(main, [command, "--config", str(cfg),
+                               "--output-dir", str(out)])
+    assert res.exit_code == 1
+    assert res.output == (f"Error: {command} takes no config key {key!r} "
+                          f"(in {cfg})\n")
+    assert not out.exists()
+
+
+def test_minimize_2d_report_records_the_success_thresholds(runner, tmp_path):
+    out = tmp_path / "m2"
+    res = runner.invoke(main, ["minimize-2d", "-n", "16", "--seeds", "1",
+                               "--output-dir", str(out)])
+    assert res.exit_code == 0, res.output
+    report = _payload(out / "minimize_2d.json")["report"]
+    assert report["anisotropy_threshold"] == flow.ANISOTROPY_THRESHOLD
+    assert report["gap_threshold"] == flow.GAP_THRESHOLD
+    sidecar = _payload(out / "minimize_2d_config.json")
+    assert not {"anisotropy_threshold", "gap_threshold"} & set(sidecar)
+
+
 def test_nan_tau_is_a_one_line_error(runner, tmp_path):
     res = runner.invoke(main, ["optimal-period", "--tau", "nan",
                                "--output-dir", str(tmp_path)])
@@ -555,12 +623,12 @@ def test_config_file_unknown_key_is_rejected(runner, tmp_path):
 
 def test_config_file_value_beats_table_default(runner, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"tol": 1e-300}))
+    cfg.write_text(json.dumps({"tau": 1e-6}))
     out = tmp_path / "km"
     res = runner.invoke(main, ["kernel-moments", "--config", str(cfg),
                                "--output-dir", str(out)])
     assert res.exit_code == 1
-    assert _payload(out / "kernel_moments_config.json")["tol"] == 1e-300
+    assert _payload(out / "kernel_moments_config.json")["tau"] == 1e-6
 
 
 def test_verify_decomposition_honours_config_dimension(runner, tmp_path):

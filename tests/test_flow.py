@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -244,6 +246,21 @@ def test_experiment_rejects_a_box_off_the_grid(ps2, monkeypatch, k, n,
     monkeypatch.setattr(flow, "tiled_stripe_benchmark", no_work)
     with pytest.raises(ValueError, match=message):
         symmetry_breaking_experiment(ps2, k=k, n=n)
+
+
+@pytest.mark.parametrize("n", [0, -4])
+def test_experiment_rejects_a_nonpositive_n_before_any_work(ps2, monkeypatch,
+                                                            n):
+    # 2k divides n = 0, so n >= 1 needs a check of its own, before the
+    # period search and the stripe search, which warns at n = 0
+    searches = []
+    monkeypatch.setattr(flow._onedim, "optimal_period",
+                        lambda *a, **kw: searches.append(a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
+            symmetry_breaking_experiment(ps2, n=n, n_seeds=1)
+    assert searches == []
 
 
 @pytest.mark.parametrize("k", [1, 2])

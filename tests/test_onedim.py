@@ -252,7 +252,7 @@ def test_warm_started_period_search_equals_the_cold_one(ps1, n):
     # the warm starts change how far each descent goes, not where it
     # stops: the same periods in the same order and the same h*, and
     # values within the descents' tolerance
-    res = optimal_period(ps1, (0.3, 40.0), grid=12, tol=1e-3, n=n)
+    res = optimal_period(ps1, (0.3, 40.0), grid=12, n=n)
     h_star, c_star, cold = _cold_period_search(ps1, (0.3, 40.0), 12, 1e-3, n)
     assert [h for h, _ in res.trace] == list(cold)
     assert res.h_star == h_star
@@ -274,7 +274,7 @@ def test_period_search_starts_inside_the_class_and_between_neighbours(
         return res
 
     monkeypatch.setattr(onedim, "minimize_profile", spy)
-    res = optimal_period(ps1, (0.3, 40.0), grid=12, tol=1e-3, n=128)
+    res = optimal_period(ps1, (0.3, 40.0), grid=12, n=128)
     assert [h for h, _, _ in calls] == [h for h, _ in res.trace]
     assert calls[0][1] is None
     bracketed = 0
@@ -293,7 +293,7 @@ def test_period_search_starts_inside_the_class_and_between_neighbours(
 
 def test_warm_started_period_search_takes_fewer_iterations(ps1):
     # 118 Newton iterations with every descent started cold
-    res = optimal_period(ps1, (0.3, 40.0), grid=12, tol=1e-3, n=512)
+    res = optimal_period(ps1, (0.3, 40.0), grid=12, n=512)
     assert sum(res.iterations) <= 90
 
 
@@ -354,6 +354,36 @@ def test_gamma_limit_study_rejects_a_bad_schedule_before_any_descent(
                         lambda *a, **kw: descents.append(a))
     with pytest.raises(ValueError, match=message):
         gamma_limit_study(ps1, 1.58, m_schedule=schedule, n=256)
+    assert descents == []
+
+
+BAD_HALF_PERIODS = pytest.mark.parametrize("h, message", [
+    (-1.0, "h must be positive, got -1.0"),
+    (0.0, "h must be positive, got 0.0"),
+    (np.inf, "h must be finite, got inf"),
+    (np.nan, "h must be finite, got nan")])
+
+
+@BAD_HALF_PERIODS
+def test_minimize_profile_rejects_a_bad_half_period_before_any_descent(
+        ps1, monkeypatch, h, message):
+    # named as h, before the kernel table could name the period L = 2h
+    descents = []
+    monkeypatch.setattr(onedim, "_newton_descent",
+                        lambda *a, **kw: descents.append(a))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        minimize_profile(ps1, h, n=64)
+    assert descents == []
+
+
+@BAD_HALF_PERIODS
+def test_gamma_limit_study_rejects_a_bad_half_period_before_any_descent(
+        ps1, monkeypatch, h, message):
+    descents = []
+    monkeypatch.setattr(onedim, "minimize_profile",
+                        lambda *a, **kw: descents.append(a))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        gamma_limit_study(ps1, h, m_schedule=(1, 10), n=64)
     assert descents == []
 
 

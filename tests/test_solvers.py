@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from stripes import solvers
 from stripes.energy import optimal_sharp_period
 from stripes.onedim import ConvergenceError, optimal_period
 from stripes.solvers import (ACTIVE_TOL, BACKTRACK, MAX_HALVINGS,
@@ -290,6 +291,51 @@ def test_golden_section_evaluates_each_point_once():
     x, v = golden_section(f, 0.0, 4.0, rel_tol=1e-6)
     assert len(calls) == len(set(calls))
     assert x in calls and v == (x - 1.3) ** 2
+
+
+def _parabola_of(budget, calls):
+    """(t - 1.3)^2, recording each t in ``calls`` and raising once it is
+    called more than ``budget`` times, so a search that does not end
+    fails instead of hanging."""
+    def f(t):
+        calls.append(t)
+        if len(calls) > budget:
+            raise RuntimeError(f"more than {budget} calls")
+        return (t - 1.3) ** 2
+    return f
+
+
+@pytest.mark.parametrize("rel_tol", [1e-16, 1e-17, 1e-300, 5e-324])
+def test_golden_section_ends_below_the_float_spacing(rel_tol):
+    # no bracket around 1.3 is as narrow as rel_tol; the search ends once
+    # a step no longer narrows it (80 calls from [1, 4])
+    calls = []
+    x, v = golden_section(_parabola_of(200, calls), 1.0, 4.0,
+                          rel_tol=rel_tol)
+    assert abs(x - 1.3) <= 1e-15 and v == (x - 1.3) ** 2
+
+
+@pytest.mark.parametrize("rel_tol", [0.0, -1e-3, math.nan, math.inf,
+                                     -math.inf])
+def test_golden_section_rejects_a_tolerance_not_finite_and_positive(rel_tol):
+    calls = []
+    with pytest.raises(ValueError, match="rel_tol must be finite and "
+                                         f"positive, got {rel_tol!r}"):
+        golden_section(_parabola_of(200, calls), 1.0, 4.0, rel_tol=rel_tol)
+    assert calls == []
+
+
+def test_both_period_searches_stop_at_the_shared_tolerance(ps1, monkeypatch):
+    tols = []
+
+    def spy(f, lo, hi, rel_tol=solvers.PERIOD_TOL):
+        tols.append(rel_tol)
+        return golden_section(f, lo, hi, rel_tol)
+
+    monkeypatch.setattr(solvers, "golden_section", spy)
+    optimal_sharp_period(ps1)
+    optimal_period(ps1, (0.3, 40.0), n=128)
+    assert tols == [solvers.PERIOD_TOL] * 2
 
 
 @pytest.mark.parametrize("h_range", [(10.0, 100.0), (0.01, 0.1)])
