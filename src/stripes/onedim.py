@@ -1065,10 +1065,12 @@ def minimize_aux_penalized(m: float, params: ModelParams, h: float,
     ConvergenceError when OUTER_ITER rounds end without a decrease below
     TOL_OUTER.  ``descents`` (``gamma_limit_study``'s, for the same
     model, h and n) reuses the descents of earlier calls; by default the
-    call keeps its own.
+    call keeps its own.  An m below 1 or an h that is not finite and
+    positive raises ValueError naming it.
     """
     if not m >= 1:
         raise ValueError(f"m must be >= 1, got {m!r}")
+    _check_half_period(h)
     descents = _Descents() if descents is None else descents
     obj = _ProfileObjective.of(params, 2.0 * h, n)
     mm = n // 2

@@ -173,13 +173,12 @@ def golden_section(f, lo: float, hi: float, rel_tol: float = PERIOD_TOL
     return (a, fa) if fa <= fb else (b, fb)
 
 
-def scan_golden(f, lo: float, hi: float, grid: int,
-                rel_tol: float = PERIOD_TOL) -> tuple[float, float]:
+def scan_golden(f, lo: float, hi: float, grid: int) -> tuple[float, float]:
     """Minimum of f on [lo, hi]: f at ``grid`` log-spaced points brackets
     it around the smallest value, and ``golden_section`` refines that
-    bracket.  Raises ValueError for a ``grid`` below 3, which cannot
-    bracket a minimum, and NoBracketError when the smallest value sits at
-    an end of the range."""
+    bracket to PERIOD_TOL.  Raises ValueError for a ``grid`` below 3,
+    which cannot bracket a minimum, and NoBracketError when the smallest
+    value sits at an end of the range."""
     if not (0 < lo < hi):
         raise ValueError(f"need 0 < lo < hi, got lo={lo!r}, hi={hi!r}")
     if grid < 3:
@@ -188,4 +187,4 @@ def scan_golden(f, lo: float, hi: float, grid: int,
     i = int(np.argmin([f(h) for h in hs]))
     if i == 0 or i == grid - 1:
         raise NoBracketError("no interior minimum in the scanned range")
-    return golden_section(f, hs[i - 1], hs[i + 1], rel_tol=rel_tol)
+    return golden_section(f, hs[i - 1], hs[i + 1])

@@ -387,6 +387,17 @@ def test_gamma_limit_study_rejects_a_bad_half_period_before_any_descent(
     assert descents == []
 
 
+@BAD_HALF_PERIODS
+def test_minimize_aux_penalized_rejects_a_bad_half_period_before_any_descent(
+        ps1, monkeypatch, h, message):
+    descents = []
+    monkeypatch.setattr(onedim, "minimize_profile",
+                        lambda *a, **kw: descents.append(a))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        minimize_aux_penalized(10.0, ps1, h, n=64)
+    assert descents == []
+
+
 def test_gamma_limit_study_collapses(ps1):
     rep = gamma_limit_study(ps1, 1.58, m_schedule=(1, 10, 100), n=8192)
     assert rep["measure_gamma_above"][-1] <= rep["grid_cell"]

@@ -277,7 +277,7 @@ def test_grad_norm_zeroes_only_components_pushing_out(xg):
 def test_scan_golden_rejects_a_grid_below_3(grid):
     calls = []
     with pytest.raises(ValueError, match=f"grid must be >= 3, got {grid}"):
-        scan_golden(calls.append, 1.0, 2.0, grid, 1e-3)
+        scan_golden(calls.append, 1.0, 2.0, grid)
     assert calls == []
 
 
