@@ -189,8 +189,10 @@ def kernel_moments(cfg, out):
            "half_mass_quadrature": half_quad,
            "first_moment_quadrature": moment_quad,
            "c_tau_times_tau": mom.c_tau * params.tau}
-    delta = max(abs(half_quad - mom.half_mass_marginal) / half_quad,
-                abs(moment_quad - mom.c_tau) / moment_quad)
+    # relative to the quadratures' magnitudes, so that a quadrature of the
+    # wrong sign fails the check
+    delta = max(abs(half_quad - mom.half_mass_marginal) / abs(half_quad),
+                abs(moment_quad - mom.c_tau) / abs(moment_quad))
     rep["quadrature_rel_delta"] = delta
     return rep, delta < QUADRATURE_TOL
 

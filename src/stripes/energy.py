@@ -41,7 +41,11 @@ its wrappers for ``PeriodicField`` input; ``total_energy`` also takes
 the 1-norm, double well and rFFT power that the slicing report already
 holds (``_Held``), and reads both terms from them.  Its ``slope_bound``
 is the flow's line-search certificate: a lower bound on the exact energy
-along a clipped descent path.
+along a clipped descent path, up to the step s_max at which a moving
+sample reaches a bound; s_max is box geometry, which
+``solvers.projected_bb`` owns and checks before it asks for the bound.
+The gradient builds its nonlocal term, roots and fluxes in place, in the
+operation order of the plain expressions, as the energy builds its terms.
 """
 
 from __future__ import annotations
@@ -193,14 +197,29 @@ class _FieldObjective:
         else:
             dv, diffs, f = self._evaluated(v)
             well_prime = _well_prime(v)
-            nl_grad = self.pair_pref * (self.op.ksum * v
-                                        - self.op.conv_rfft(f, v.shape))
-        roots = [np.sqrt(t * t + kappa * kappa) for t in diffs]
-        s = sum(roots)
-        grad = self.well_pref * well_prime * self.vol
+            nl_grad = self.op.ksum * v
+            nl_grad -= self.op.conv_rfft(f, v.shape)
+            nl_grad *= self.pair_pref
+        # the plain expressions' operations, in their order, in place on
+        # the temporaries built here
+        kappa2 = kappa * kappa
+        roots = []
+        for t in diffs:
+            root = t * t
+            root += kappa2
+            roots.append(np.sqrt(root, out=root))
+        s = roots[0].copy()
+        for root in roots[1:]:
+            s += root
+        grad = self.well_pref * well_prime
+        grad *= self.vol
         for ax in range(self.d):
-            flux = s * diffs[ax] / roots[ax]
-            grad += self.flux_pref * (roll(flux, 1, ax) - flux)
+            flux = s * diffs[ax]
+            flux /= roots[ax]
+            term = roll(flux, 1, ax)
+            term -= flux
+            term *= self.flux_pref
+            grad += term
         grad -= nl_grad
         self._iterate = (v, dv, well_prime, nl_grad)
         return grad
@@ -208,17 +227,22 @@ class _FieldObjective:
     def certificate(self):
         """``slope_bound``, the line-search certificate of
         ``solvers.projected_bb`` on [0, 1], when C_tau > 1; None otherwise,
-        since then the interfacial term is concave and the bound fails."""
+        since then the interfacial term is concave and the bound fails.
+        The descent asks for it at most once per line search, when a
+        halved step first falls within s_max."""
         return self.slope_bound if self.c1 > 0 else None
 
     def slope_bound(self, v: np.ndarray, g: np.ndarray
-                    ) -> tuple[float, float, float]:
-        """(slope, curv, s_max) with F(clip(v - s g)) - F(v) >=
-        s slope - s^2 curv for 0 <= s <= s_max, exact in exact arithmetic.
+                    ) -> tuple[float, float]:
+        """(slope, curv) with F(clip(v - s g)) - F(v) >= s slope - s^2 curv
+        for 0 <= s <= s_max, exact in exact arithmetic, where s_max is the
+        first step at which a moving sample of the clipped path reaches a
+        bound.  s_max is box geometry, so ``solvers.projected_bb`` owns it
+        (``solvers._step_to_bound``) and asks for this bound only once a
+        halved step falls within it.
 
         On [0, s_max] the clipped path is v + s d, with d = -g except on
-        samples that sit on a bound and that g pushes out (d = 0 there), and
-        s_max the first step at which a moving sample reaches a bound.
+        samples that sit on a bound and that g pushes out (d = 0 there).
         Along it (sum_i |D_i v|)^2 is convex, so its one-sided slope (a kink
         D_i v = 0 contributes |D_i d|) bounds it from below; W'' >= -1; and
         NL is quadratic, NL(v + s d) = NL(v) + s <grad NL, d> + s^2 NL(d).
@@ -230,13 +254,6 @@ class _FieldObjective:
         is returned without it."""
         d = -g
         d[((v <= 0.0) & (g > 0)) | ((v >= 1.0) & (g < 0))] = 0.0
-        # a sample moving down sits above 0 and one moving up below 1, so
-        # every denominator is positive; rate is 1/(steps to the bound)
-        with np.errstate(over="ignore"):
-            rate = np.abs(d) / np.where(d < 0, v, np.where(d > 0, 1.0 - v,
-                                                           1.0))
-        top = float(np.max(rate))
-        s_max = 1.0 / top if top > 0 else np.inf
         if self._iterate is not None and self._iterate[0] is v:
             _, dv, well_prime, nl_grad = self._iterate
         else:
@@ -254,10 +271,10 @@ class _FieldObjective:
                  - float(np.sum(nl_grad * d)))
         if not slope > 0:
             # the bound certifies nothing then; +inf keeps it valid
-            return slope, np.inf, s_max
+            return slope, np.inf
         curv = (0.5 * well * float(np.sum(d * d))
                 + self.nonlocal_sum(d) * self.vol_inv)
-        return slope, curv, s_max
+        return slope, curv
 
 
 def modica_mortola(u: PeriodicField, alpha: float) -> float:

@@ -8,9 +8,11 @@ refers to the true functional.  The line search halves a rejected step, and
 a stage ends on ``line_search`` after solvers.MAX_HALVINGS rejected trials
 or as soon as a slope bound certifies that no shorter step can lower the
 exact energy.  The smoothed direction crosses kinks of the exact 1-norm,
-so the exact energy can rise along it however short the step; at the
-first rejected trial ``energy._FieldObjective.slope_bound`` gives the
-one-sided slope F' of the exact energy along the clipped path and a
+so the exact energy can rise along it however short the step; once a
+halved step first falls within s_max, the step at which a moving sample
+of the clipped path reaches a bound (``solvers.projected_bb`` computes it
+at the first rejected trial), ``energy._FieldObjective.slope_bound`` gives
+the one-sided slope F' of the exact energy along that path and a
 curvature bound Q, and the search stops once the next step s has F' > 0
 and s Q <= F'/2.  The bound needs C_tau > 1 (a convex interfacial term);
 otherwise the flow passes no certificate and the search runs to

@@ -9,10 +9,15 @@ The descent keeps four rules: the clamped Barzilai-Borwein step, halving
 until a trial lowers the energy (the line search compares energies and is
 monotone), the certified exit (``certify``), which proves that no shorter
 step goes below the current energy, and MAX_HALVINGS rejected trials as
-the backstop.  Each iteration's projected-gradient norm is the maximum of
-two unmasked arrays, g with 0 on the samples at the lower bound and at the
-upper one, rather than a masked reduction: the same value, NaN included,
-at a fraction of the cost.
+the backstop.  It computes each quantity only when the decision that reads
+it is reached.  The projected-gradient norm is the maximum of two unmasked
+arrays, g with 0 on the samples at the lower bound and at the upper one,
+rather than a masked reduction (the same value, NaN included, at a
+fraction of the cost); the first half alone shows that most iterations
+have not converged, so the second is taken only when the first cannot
+decide and at the iteration that ends the descent.  The step s_max up to
+which the certificate holds is box geometry (``_step_to_bound``), and
+``certify`` is called only once a halved step falls within it.
 """
 from __future__ import annotations
 
@@ -51,6 +56,34 @@ class DescentResult:
     evals: int              # trials it evaluated
 
 
+def _step_to_bound(x: np.ndarray, g: np.ndarray, lo: float, hi: float
+                   ) -> float:
+    """The first step s at which a moving sample of the clipped path
+    clip(x - s g) to [lo, hi] reaches a bound (inf when none moves): up to
+    it the path is x + s d, with d = -g except on the samples that sit on
+    a bound and that g pushes out (d = 0 there)."""
+    d = -g
+    d[((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0))] = 0.0
+    # a sample moving down sits above lo and one moving up below hi, so
+    # every denominator is positive; rate is 1/(steps to the bound)
+    with np.errstate(over="ignore"):
+        rate = np.abs(d) / np.where(d < 0, x - lo, np.where(d > 0, hi - x,
+                                                            1.0))
+    top = float(np.max(rate))
+    return 1.0 / top if top > 0 else np.inf
+
+
+def _grad_norm(x: np.ndarray, g: np.ndarray, hi: float, up) -> float:
+    """max |g| over the components that do not push out of the box, from
+    ``up``, the largest g off the lower bound, and the largest -g off the
+    upper one, each with 0 in place of the samples on that bound (the
+    maximum of a masked reduction, which costs several times as much); on
+    a box wider than 2 ACTIVE_TOL a NaN in g or x enters one of the two
+    and so the norm."""
+    down = np.where(x >= hi - ACTIVE_TOL, 0.0, g).min(initial=0.0)
+    return abs(float(np.maximum(up, -down)))
+
+
 def projected_bb(x: np.ndarray, e: float, energy, grad, lo: float,
                  hi: float, *, step0: float, max_iter: int,
                  tol_grad: float, trace_every: int, start: int = 0,
@@ -73,13 +106,23 @@ def projected_bb(x: np.ndarray, e: float, energy, grad, lo: float,
     ``energy``, and each trace row carries the step of the trial accepted
     at its iteration.
 
-    ``certify(x, g)``, when given, returns (slope, curv, s_max) such that
+    The gradient test reads the largest g off the lower bound first: when
+    that alone reaches tol_grad, as it does in most iterations, the test
+    fails without the other half.  The full norm is taken only when the
+    first half cannot decide and at the iteration that ends the descent,
+    so the ``grad_norm`` of every stop is the full norm of its last
+    projected gradient.
+
+    ``certify(x, g)``, when given, returns (slope, curv) such that
     energy(clip(x - s g)) - energy(x) >= s slope - s^2 curv for every
-    0 < s <= s_max.  It is called once per iteration, at the first rejected
-    trial, and the line search stops as ``line_search`` without a further
-    energy call once the next trial step s has slope > 0, s <= s_max and
-    s curv <= slope / 2: then every step in (0, s] raises the energy by at
-    least s slope / 2, so no shorter trial can lower it.
+    0 < s <= s_max, where s_max is the first step at which a moving sample
+    of the clipped path reaches a bound (``_step_to_bound``, computed here
+    at the first rejected trial).  It is called at most once per line
+    search, when the halved step first falls within s_max, and the line
+    search stops as ``line_search`` without a further energy call once the
+    next trial step s has slope > 0, s <= s_max and s curv <= slope / 2:
+    then every step in (0, s] raises the energy by at least s slope / 2, so
+    no shorter trial can lower it.
     """
     step = step0
     gnorm = np.inf
@@ -99,21 +142,18 @@ def projected_bb(x: np.ndarray, e: float, energy, grad, lo: float,
             if sy > 0:
                 step = min(max(float(s @ s) / sy, STEP_MIN), STEP_MAX)
         x_prev, g_prev = x, g
-        # max |g| over the components that do not push out of the box: the
-        # largest g off the lower bound and the largest -g off the upper
-        # one, with 0 in place of the samples on that bound (the maximum of
-        # a masked reduction, which costs several times as much); on a box
-        # wider than 2 ACTIVE_TOL a NaN in g or x enters one of the two and
-        # so the norm
+        # the full norm is below tol_grad only if its first half is
         up = np.where(x <= lo + ACTIVE_TOL, 0.0, g).max(initial=0.0)
-        down = np.where(x >= hi - ACTIVE_TOL, 0.0, g).min(initial=0.0)
-        gnorm = abs(float(np.maximum(up, -down)))
-        if gnorm < tol_grad:
+        gnorm = _grad_norm(x, g, hi, up) if up < tol_grad else None
+        if gnorm is not None and gnorm < tol_grad:
             converged, stop = True, "grad"
             break
-        bound = None
+        s_max = bound = None
         for _ in range(MAX_HALVINGS):
-            cand = (x - step * g).clip(lo, hi)
+            # x - step g, clipped, built in place
+            cand = np.multiply(step, g)
+            np.subtract(x, cand, out=cand)
+            np.clip(cand, lo, hi, out=cand)
             ec = energy(cand)
             down = ec < e
             evals += 1
@@ -121,19 +161,27 @@ def projected_bb(x: np.ndarray, e: float, energy, grad, lo: float,
                 break
             step *= BACKTRACK
             if certify is not None:
-                if bound is None:
-                    bound = certify(x, g)
-                slope, curv, s_max = bound
-                if slope > 0 and step <= s_max and step * curv <= slope / 2:
-                    break
+                if s_max is None:
+                    s_max = _step_to_bound(x, g, lo, hi)
+                if step <= s_max:
+                    if bound is None:
+                        bound = certify(x, g)
+                    slope, curv = bound
+                    if slope > 0 and step * curv <= slope / 2:
+                        break
         if not down:
-            # exact stall of the line search: accept only a small gradient
-            converged = gnorm < 1e4 * tol_grad
             stop = "line_search"
             break
         x, e = cand, ec
         if it % trace_every == 0:
             trace.append((it, e, step))
+    if gnorm is None:
+        # a line-search stop or the end of the budget: the full norm of the
+        # last iteration's projected gradient
+        gnorm = _grad_norm(x_prev, g_prev, hi, up)
+    if stop == "line_search":
+        # exact stall of the line search: accept only a small gradient
+        converged = gnorm < 1e4 * tol_grad
     return DescentResult(x, e, it, converged, gnorm, step, tuple(trace),
                          stop, evals)
 

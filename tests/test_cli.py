@@ -94,6 +94,22 @@ def test_kernel_moments_passes_and_embeds_config(runner, tmp_path):
     assert (out / "kernel_moments_config.json").exists()
 
 
+def test_kernel_moments_fails_a_quadrature_of_the_wrong_sign(runner,
+                                                             tmp_path):
+    # at tau = 1e-7 the first-moment quadrature comes out near -2 against
+    # c_tau = 1e7; its error relative to its magnitude fails the check
+    out = tmp_path / "km"
+    res = runner.invoke(main, ["kernel-moments", "--tau", "1e-7",
+                               "--output-dir", str(out)])
+    assert res.exit_code == 1
+    assert "FAILED checks present" in res.output
+    payload = _payload(out / "kernel_moments.json")
+    assert payload["passed"] is False
+    report = payload["report"]
+    assert report["first_moment_quadrature"] < 0 < report["c_tau"]
+    assert report["quadrature_rel_delta"] > 1.0
+
+
 def test_kernel_moments_rejects_divergent_exponents(runner, tmp_path):
     res = runner.invoke(main, ["kernel-moments", "-d", "2", "-p", "2.5",
                                "--tau", "0.05", "--eps", "0.05",

@@ -124,29 +124,30 @@ def test_energy_path_accepts_only_decreases():
     assert len(trials) == res.evals
 
 
-def _line_search(values, max_iter=1, certify=None):
-    """One projected_bb run from x0 = 0 along the constant gradient 1, with
-    trial step t = 2^-k returning values[k] relative to the start energy 0
-    (0 below the listed steps); returns the result and the trial steps."""
+def _line_search(values, max_iter=1, certify=None, lo=-10.0,
+                 tol_grad=1e-9):
+    """One projected_bb run from x0 = 0 along the constant gradient 1 on
+    [lo, 10], whose k-th trial (step 2^-k while no trial is accepted)
+    returns values[k] relative to the start energy 0 (0 past the list);
+    returns the result and the distance each trial moved x."""
     steps = []
 
     def energy(x):
-        t = -float(x[0])
-        steps.append(t)
-        k = round(-math.log2(t))
+        k = len(steps)
+        steps.append(-float(x[0]))
         return values[k] if k < len(values) else 0.0
 
-    res = projected_bb(np.zeros(3), 0.0, energy, np.ones_like, -10.0, 10.0,
-                       step0=1.0, max_iter=max_iter, tol_grad=1e-9,
+    res = projected_bb(np.zeros(3), 0.0, energy, np.ones_like, lo, 10.0,
+                       step0=1.0, max_iter=max_iter, tol_grad=tol_grad,
                        trace_every=1, certify=certify)
     return res, steps
 
 
-def _bound(slope, curv, s_max, calls):
-    """A certificate that returns (slope, curv, s_max) and logs its calls."""
+def _bound(slope, curv, calls):
+    """A certificate that returns (slope, curv) and logs its calls."""
     def certify(x, g):
         calls.append((x.copy(), g.copy()))
-        return slope, curv, s_max
+        return slope, curv
     return certify
 
 
@@ -155,7 +156,7 @@ def test_certified_stop_makes_no_further_energy_call():
     # too, so the search stops before trying 1/2
     calls = []
     res, steps = _line_search([1.0, -1.0], max_iter=50,
-                              certify=_bound(1.0, 0.0, np.inf, calls))
+                              certify=_bound(1.0, 0.0, calls))
     assert steps == [1.0]
     assert (res.stop, res.converged, res.iterations) == ("line_search",
                                                          False, 1)
@@ -173,19 +174,59 @@ def test_certified_stop_makes_no_further_energy_call():
     (0.0, 0.0, np.inf, MAX_HALVINGS),  # a zero slope proves nothing
 ])
 def test_certified_stop_needs_every_condition(slope, curv, s_max, trials):
-    # every trial rises down to step 2^-3, then the energy is flat
+    # x = 0 moves down at unit speed and reaches lo = -s_max at s_max (a
+    # denormal distance, whose rate overflows, stands for 0; x then sits
+    # within ACTIVE_TOL of lo, so a zero tol_grad keeps the gradient test
+    # from ending the descent before its line search); every trial rises
+    # down to step 2^-3, then the energy is flat
+    lo = -s_max if s_max > 0 else -5e-324
+    assert solvers._step_to_bound(np.zeros(3), np.ones(3), lo, 10.0) \
+        == s_max
     calls = []
     res, steps = _line_search([1.0] * 4, max_iter=50,
-                              certify=_bound(slope, curv, s_max, calls))
+                              certify=_bound(slope, curv, calls), lo=lo,
+                              tol_grad=0.0)
     assert res.stop == "line_search" and len(steps) == res.evals == trials
-    assert len(calls) == 1      # once per line search, however long
+    # once per line search, however long, once a step is within s_max
+    assert len(calls) == (1 if s_max > 0 else 0)
 
 
 def test_certificate_is_not_built_when_the_first_trial_is_accepted():
     calls = []
-    res, steps = _line_search([-1.0], certify=_bound(1.0, 0.0, 1.0, calls))
+    res, steps = _line_search([-1.0], certify=_bound(1.0, 0.0, calls))
     assert (res.stop, res.energy, steps, calls) == ("max_iter", -1.0,
                                                     [1.0], [])
+
+
+def test_certificate_is_not_built_before_a_step_is_within_s_max():
+    # s_max = 1/4: the unit step is rejected, and the halved step 1/2,
+    # still beyond s_max, is accepted without a certificate
+    calls = []
+    res, steps = _line_search([1.0, -1.0], certify=_bound(1.0, 0.0, calls),
+                              lo=-0.25)
+    assert (res.stop, res.energy, res.step, calls) == ("max_iter", -1.0,
+                                                       0.5, [])
+    assert steps == [0.25, 0.25]        # both trials clipped at lo
+
+
+def test_certificate_is_built_at_most_once_per_line_search():
+    # every line search rejects three trials and accepts the fourth; the
+    # zero slope certifies nothing, so each search halves on
+    calls, trials = [], []
+
+    def energy(x):
+        trials.append(1)
+        return -float(len(trials) // 4) + (0.0 if len(trials) % 4 == 0
+                                           else 1.0)
+
+    res = projected_bb(np.zeros(3), 0.0, energy, np.ones_like, -10.0, 10.0,
+                       step0=1.0, max_iter=3, tol_grad=1e-9, trace_every=1,
+                       certify=_bound(0.0, 0.0, calls))
+    assert (res.stop, res.evals, res.energy) == ("max_iter", 12, -3.0)
+    assert len(calls) == 3
+    # each call is made at its own iterate: the accepted steps are 1/8
+    # and, g being constant, 1/64 (the last step, halved thrice)
+    assert [x[0] for x, _ in calls] == [0.0, -0.125, -0.140625]
 
 
 def test_without_a_certificate_a_rising_line_search_halves_on():
@@ -248,6 +289,15 @@ def test_trace_row_carries_the_accepted_step():
         x = trials[e]
 
 
+def _projected_norm(x, g):
+    """The reference projected-gradient norm on [0, 1]: the max-norm of g
+    after zeroing every component at a bound that g pushes out."""
+    pg = g.copy()
+    pg[(x <= 0.0 + ACTIVE_TOL) & (pg > 0)] = 0.0
+    pg[(x >= 1.0 - ACTIVE_TOL) & (pg < 0)] = 0.0
+    return float(np.max(np.abs(pg)))
+
+
 # samples on both bounds, within ACTIVE_TOL of them, inside, and NaN
 POINT = st.one_of(st.sampled_from([0.0, 1.0, 1e-13, 1.0 - 1e-13, np.nan]),
                   st.floats(0.0, 1.0))
@@ -262,15 +312,57 @@ GRAD = st.one_of(st.sampled_from([0.0, -0.0, np.nan]),
 def test_grad_norm_zeroes_only_components_pushing_out(xg):
     # 1D profiles and the 2D fields that the flow descends
     x, g = xg
-    # the reference: zero every component at a bound that g pushes out
-    pg = g.copy()
-    pg[(x <= 0.0 + ACTIVE_TOL) & (pg > 0)] = 0.0
-    pg[(x >= 1.0 - ACTIVE_TOL) & (pg < 0)] = 0.0
-    ref = float(np.max(np.abs(pg)))
     res = projected_bb(x, 0.0, lambda y: 0.0, lambda y: g, 0.0, 1.0,
                        step0=1.0, max_iter=1, tol_grad=1e-6,
                        trace_every=1)
-    assert repr(res.grad_norm) == repr(ref)     # NaN and the sign of 0
+    # NaN and the sign of 0
+    assert repr(res.grad_norm) == repr(_projected_norm(x, g))
+
+
+@pytest.mark.parametrize("case, stop", [
+    ("quadratic", "grad"),
+    ("one_iteration", "max_iter"),
+    ("flat", "line_search"),
+])
+def test_grad_norm_is_the_full_norm_at_every_stop(case, stop):
+    # at x0 = 0.5 the largest g off the lower bound is 50 (0.2 w, w ~ 251)
+    # and the largest -g off the upper one 400 (0.4 w, w = 1000): the
+    # first half shows that the descent has not converged, and the second
+    # gives the norm; "flat" keeps the gradient but gives every trial the
+    # start's energy
+    w = np.geomspace(1.0, 1e3, 6)
+    c = np.array([0.3, 0.9] * 3)
+
+    def energy(x):
+        if case == "flat":
+            return 0.0
+        return 0.5 * float(np.sum(w * (x - c) ** 2))
+
+    def grad(x):
+        return w * (x - c)
+
+    x0 = np.full(6, 0.5)
+    res = projected_bb(
+        x0, energy(x0), energy, grad, 0.0, 1.0, step0=0.1,
+        max_iter=1 if case == "one_iteration" else 500, tol_grad=1e-9,
+        trace_every=1)
+    assert res.stop == stop
+    # the norm of the last iteration's gradient, at the iterate it was
+    # taken at: the start, unless the descent ended on its gradient test
+    x = res.x if stop == "grad" else x0
+    assert res.grad_norm == _projected_norm(x, grad(x))
+    if stop != "grad":
+        assert res.grad_norm == 400.0
+
+
+def test_step_to_bound_pins_samples_pushed_out_of_the_box():
+    v = np.full((8, 8), 0.5)
+    v[0, 0], v[1, 1] = 0.0, 1.0
+    g = np.zeros((8, 8))
+    g[0, 0], g[1, 1] = 1.0, -1.0    # both pushed out: nothing moves
+    assert solvers._step_to_bound(v, g, 0.0, 1.0) == np.inf
+    g[2, 2] = 0.25                  # moves down, reaches 0 at s = 2
+    assert solvers._step_to_bound(v, g, 0.0, 1.0) == 2.0
 
 
 @pytest.mark.parametrize("grid", [-1, 0, 1, 2])
