@@ -239,7 +239,7 @@ def minimize_1d(cfg, out):
            "threads": None, "k": 1, "n": 64, "n_seeds": 10, "resume": None},
           _SEED,
           click.option("--threads", type=int,
-                       help="worker threads (default 1)"),
+                       help="thread count, recorded; runs are sequential"),
           click.option("-k", type=int,
                        help="stripe periods per side of the box L = 2k h*"),
           _N, click.option("--seeds", "n_seeds", type=int),

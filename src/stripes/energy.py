@@ -14,38 +14,37 @@ energy of the same samples on the torus stretched by tau^(-1/beta), an
 exact change of variables that the test suite checks.
 
 The nonlocal term is the pair form of the certified periodized kernel,
-evaluated from one fast Fourier transform of the field by
+evaluated from one fast Fourier transform of the array by
 ``kernel.PeriodicKernelOperator``; the kernel module fixes its truncation,
-so no energy here takes a tolerance.  ``_FieldObjective`` is the one
-evaluation of the discrete energy and of its gradient (with the smoothed
-1-norm) on raw arrays: it resolves C_tau, alpha, the cell volume and the
-kernel operator once per (params, L, n), so a descent that evaluates many
-trial fields builds no field object and looks up no cache per trial.  It
-also transforms each field once: the energy of an array keeps its
-forward differences and rFFT, which the gradient of that same array (the
-accepted trial) reads, and the gradient keeps the iterate's differences,
-W' and nonlocal gradient for ``slope_bound`` and for the gradient at the
-next kappa, with every result equal bit for bit to evaluating afresh.
-This state lives on the objective, which each flow builds for itself,
-not on the shared cached kernel operator, and an evaluated array must
-not be mutated in place.  The energy builds its terms (the squared
-1-norm of the differences and the double well) in place, in the
-operation order of the plain expressions, so its value is theirs bit for
-bit; in-place work touches only temporaries that the evaluation
-allocated itself, never the field, the slots with their differences,
-rFFT and nonlocal gradient, or an array that ``grad`` returned.  The
-differences are ``field.differences``, the package's one forward
-difference.
-``total_energy``, ``nonlocal_energy`` and ``flow.energy_gradient`` are
-its wrappers for ``PeriodicField`` input; ``total_energy`` also takes
-the 1-norm, double well and rFFT power that the slicing report already
-holds (``_Held``), and reads both terms from them.  Its ``slope_bound``
-is the flow's line-search certificate: a lower bound on the exact energy
-along a clipped descent path, up to the step s_max at which a moving
-sample reaches a bound; s_max is box geometry, which
-``solvers.projected_bb`` owns and checks before it asks for the bound.
-The gradient builds its nonlocal term, roots and fluxes in place, in the
-operation order of the plain expressions, as the energy builds its terms.
+so no energy here takes a tolerance.  ``_Objective`` is the one discrete
+energy: built from a kernel operator, L, C_tau - 1 and alpha, it gives F
+and its split on raw arrays, with an optional coefficient gamma on the
+interfacial terms (the 1D problem's) or from the intermediates a caller
+already holds (``_Held``), and the nonlocal gradient.
+``_FieldObjective`` is it on the d-dimensional kernel, with the gradient
+for the smoothed 1-norm and the flow's line-search certificate
+``slope_bound``; ``onedim._ProfileObjective`` is it on the 1D marginal.
+An objective resolves its prefactors once, so a descent that evaluates
+many trial arrays builds no field object and looks up no cache per
+trial, and it transforms each array once: the energy of an array keeps
+its forward differences (``field.differences``, the package's one
+forward difference) and rFFT, which the gradient of that same array (the
+accepted trial) reads, and a gradient keeps its array's differences, W'
+and nonlocal gradient for what is asked of that array after a rejected
+trial (the slope bound, the gradient at the next kappa, the 1D
+closed-form change), every result equal bit for bit to evaluating
+afresh.  This state lives on the objective, which each descent builds
+for itself, not on the shared cached kernel operator, and an evaluated
+array must not be mutated in place.  Energy and gradient build their
+terms in place, in the operation order of the plain expressions, so
+their values are those expressions' bit for bit; in-place work touches
+only temporaries the evaluation allocated, never the input, the kept
+slots or a returned gradient.  ``total_energy``, ``nonlocal_energy`` and
+``flow.energy_gradient`` are the wrappers for ``PeriodicField`` input.
+The slope bound is a lower bound on the exact energy along a clipped
+descent path up to the step s_max at which a moving sample reaches a
+bound; s_max is box geometry, which ``solvers.projected_bb`` owns and
+checks before it asks for the bound.
 """
 
 from __future__ import annotations
@@ -89,12 +88,21 @@ class _Held(NamedTuple):
     power: np.ndarray
 
 
-def _squared_one_norm(D: list[np.ndarray]) -> np.ndarray:
-    """(sum_i |D_i|)^2 in a new array, built in place in the order of the
-    plain expression."""
+def _one_norm(D: list[np.ndarray]) -> np.ndarray:
+    """sum_i |D_i| in a new array, built in place in the order of the plain
+    expression."""
     norm = np.abs(D[0])
     for t in D[1:]:
         norm += np.abs(t)
+    return norm
+
+
+def _squared_one_norm(D: list[np.ndarray]) -> np.ndarray:
+    """(sum_i |D_i|)^2 in a new array; of one axis, D_0 D_0, the same bits
+    without the pass that takes |D_0|."""
+    if len(D) == 1:
+        return D[0] * D[0]
+    norm = _one_norm(D)
     norm *= norm
     return norm
 
@@ -109,42 +117,125 @@ def _modica_mortola(norm2: np.ndarray, well: np.ndarray, vol: float,
                  + (3.0 / alpha) * well.sum() * vol)
 
 
-class _FieldObjective:
-    """The discrete energy F of n^d samples of an L-periodic field with
-    values in [0, 1], and its gradient with the smoothed 1-norm.  Every
-    evaluation of F or of its gradient in this package goes through it;
-    the arrays it takes are not checked.
+class _Objective:
+    """The discrete energy F of n^d samples v of an L-periodic array with
+    values in [0, 1] against the kernel operator ``op`` (an n^d table),
+    with c1 = C_tau - 1 and the width alpha:
 
-    Each array is transformed once.  ``energy`` (and ``split``) keep the
-    last array they evaluate with its raw forward differences dv, D =
-    dv/dx and rFFT, and ``grad`` of that same array reads them, so an
-    accepted trial field is not transformed again.  ``grad`` keeps its own
-    array's dv, W' and nonlocal gradient in a second slot, which
-    ``slope_bound`` reads after a rejected trial has replaced the first,
-    and which ``grad`` itself reads when a new kappa stage starts from the
-    array the last one stopped at.
-    Both slots hold the array itself and match it by identity, so an
-    array that was evaluated must not be mutated in place.  The slots live
-    on the objective, which each flow builds for itself, never on the
-    shared cached kernel operator."""
+        F(v) = c1 M_alpha(v) / L^d - NL(v) / L^d,
 
-    def __init__(self, params: ModelParams, L: float, n: int):
-        d = self.d = int(params.d)
-        self.op = _kernel.kernel_operator(L, n, params)
-        self.alpha = alpha = params.alpha
-        self.c1 = _kernel.c_tau(params) - 1.0
-        self.dx = dx = L / n
+    M_alpha by forward differences and rectangle sums, NL the pair form of
+    ``op``.  A coefficient gamma (None for 1, a scalar or samples in
+    [1, inf]) weights the squared 1-norm by gamma and W by 1/gamma; an
+    infinite gamma costs nothing where the 1-norm is 0.  Nothing is
+    checked.  The last array evaluated is kept with its forward
+    differences D = dv/dx and rFFT, and the last gradient's array with its
+    D, W' and nonlocal gradient (``_gradient_parts``), each matched by
+    identity."""
+
+    def __init__(self, op: _kernel.PeriodicKernelOperator, L: float,
+                 c1: float, alpha: float):
+        self.op, self.L, self.c1, self.alpha = op, L, c1, alpha
+        d = self.d = op.table.ndim
+        self.n = op.table.shape[0]
+        self.dx = dx = L / self.n
         self.vol = vol = dx ** d
         self.vol2 = dx ** (2 * d)
         self.vol_inv = 1.0 / L ** d
         # prefactors of the three gradient terms
-        pref = self.c1 / L ** d
+        pref = c1 / L ** d
         self.well_pref = pref * (3.0 / alpha)
         self.flux_pref = pref * 6.0 * alpha * vol / dx
         self.pair_pref = 4.0 * vol * vol / L ** d
-        # (v, dv, D, rFFT) of the last array evaluated, and (v, dv, W'(v),
-        # nonlocal gradient) of the last grad call's array, for slope_bound
+        # (v, D, rFFT) of the last array evaluated, and (v, D, W'(v),
+        # nonlocal gradient) of the last gradient's array
         self._trial = self._iterate = None
+
+    def _evaluated(self, v: np.ndarray) -> tuple:
+        """(D, rFFT) of v, kept while v is the last array evaluated."""
+        if self._trial is None or self._trial[0] is not v:
+            D = differences(v)
+            for t in D:
+                t /= self.dx
+            self._trial = (v, D, self.op.rfft(v))
+        return self._trial[1:]
+
+    def nonlocal_sum(self, v: np.ndarray) -> float:
+        """NL(v), the lattice pair form of the periodized kernel."""
+        return self.op.pair_sum(v) * self.vol2
+
+    def nonlocal_grad(self, v: np.ndarray) -> np.ndarray:
+        """The gradient pair_pref (ksum v - conv(v)) of NL(v) / L^d, from
+        the kept rFFT of v, built in place."""
+        f = self._evaluated(v)[1]
+        nl_grad = self.op.ksum * v
+        nl_grad -= self.op.conv_rfft(f, v.shape)
+        nl_grad *= self.pair_pref
+        return nl_grad
+
+    def _gradient_parts(self, v: np.ndarray) -> tuple:
+        """(D, W'(v), nonlocal gradient) of v, kept by the last gradient
+        when it was taken at this array."""
+        if self._iterate is not None and self._iterate[0] is v:
+            return self._iterate[1:]
+        return self._evaluated(v)[0], _well_prime(v), self.nonlocal_grad(v)
+
+    def _gradient(self, v: np.ndarray, parts: tuple,
+                  fluxes: list[np.ndarray], gamma=None) -> np.ndarray:
+        """dF/dv from v's ``_gradient_parts`` and the fluxes, the
+        derivatives of the interfacial density in each difference (whose
+        adjoint is the backward difference), with W' over gamma when gamma
+        is given; built in place, in the operation order of the plain
+        expressions, in temporaries allocated here.  Keeps the parts for
+        the next ``_gradient_parts(v)``."""
+        _, well_prime, nl_grad = parts
+        grad = self.well_pref * well_prime
+        if gamma is not None:
+            grad /= gamma
+        grad *= self.vol
+        for ax, flux in enumerate(fluxes):
+            term = roll(flux, 1, ax)
+            term -= flux
+            term *= self.flux_pref
+            grad += term
+        grad -= nl_grad
+        self._iterate = (v, *parts)
+        return grad
+
+    def split(self, v: np.ndarray, gamma=None, held: _Held | None = None
+              ) -> tuple[float, float]:
+        """(mm_term, nonlocal_term) of ``EnergyBreakdown``, F = mm_term -
+        nonlocal_term; with ``held``, the ``_Held`` intermediates of v, both
+        terms are read from them without transforming v or keeping it."""
+        if held is not None:
+            norm2, well = held.norm * held.norm, held.well
+            nl = self.op.pair_sum_power(held.power.copy())
+        else:
+            D, f = self._evaluated(v)
+            norm2, well = _squared_one_norm(D), _well(v)
+            if gamma is not None:
+                norm2 = np.multiply(gamma, norm2, out=np.zeros(v.shape),
+                                    where=_one_norm(D) != 0)
+                well /= gamma
+            nl = self.op.pair_sum_rfft(f)
+        mm = _modica_mortola(norm2, well, self.vol, self.alpha)
+        return mm * self.c1 * self.vol_inv, nl * self.vol2 * self.vol_inv
+
+    def energy(self, v: np.ndarray, gamma=None) -> float:
+        mm, nl = self.split(v, gamma)
+        return mm - nl
+
+
+class _FieldObjective(_Objective):
+    """The energy of n^d samples of an L-periodic field against the
+    d-dimensional periodized kernel, with its gradient for the smoothed
+    1-norm and the flow's line-search certificate.  Every evaluation of
+    the energy of a field, or of its gradient, in this package goes
+    through it."""
+
+    def __init__(self, params: ModelParams, L: float, n: int):
+        super().__init__(_kernel.kernel_operator(L, n, params), L,
+                         _kernel.c_tau(params) - 1.0, params.alpha)
 
     @classmethod
     def of(cls, u: PeriodicField, params: ModelParams) -> "_FieldObjective":
@@ -153,53 +244,15 @@ class _FieldObjective:
             raise ValueError("field dimension does not match params.d")
         return cls(params, u.L, u.n)
 
-    def _evaluated(self, v: np.ndarray) -> tuple:
-        """(dv, D, rFFT) of v, kept while v is the last array evaluated."""
-        if self._trial is None or self._trial[0] is not v:
-            dv = differences(v)
-            self._trial = (v, dv, [t / self.dx for t in dv],
-                           self.op.rfft(v))
-        return self._trial[1:]
-
-    def nonlocal_sum(self, v: np.ndarray) -> float:
-        """NL(v), the lattice pair form of the periodized kernel."""
-        return self.op.pair_sum(v) * self.vol2
-
-    def split(self, v: np.ndarray, f: _Held | None = None
-              ) -> tuple[float, float]:
-        """(mm_term, nonlocal_term) of ``EnergyBreakdown``; with ``f``, the
-        ``_Held`` intermediates of v, both terms are read from them without
-        transforming v or keeping it."""
-        if f is not None:
-            mm = _modica_mortola(f.norm * f.norm, f.well, self.vol,
-                                 self.alpha)
-            nl = self.op.pair_sum_power(f.power.copy())
-        else:
-            _, D, f = self._evaluated(v)
-            mm = _modica_mortola(_squared_one_norm(D), _well(v), self.vol,
-                                 self.alpha)
-            nl = self.op.pair_sum_rfft(f)
-        return mm * self.c1 * self.vol_inv, nl * self.vol2 * self.vol_inv
-
-    def energy(self, v: np.ndarray) -> float:
-        mm, nl = self.split(v)
-        return mm - nl
-
     def grad(self, v: np.ndarray, kappa: float) -> np.ndarray:
         """dF/dv_j with the 1-norm of the forward differences D_i smoothed
         to sum_i sqrt(D_i^2 + kappa^2).  The adjoint of D_i is the backward
         difference, so this is the exact gradient of the smoothed discrete
         energy (the nonlocal part is exact, no smoothing)."""
-        if self._iterate is not None and self._iterate[0] is v:
-            # a kappa stage starts where the last one stopped
-            _, dv, well_prime, nl_grad = self._iterate
-            diffs = [t / self.dx for t in dv]
-        else:
-            dv, diffs, f = self._evaluated(v)
-            well_prime = _well_prime(v)
-            nl_grad = self.op.ksum * v
-            nl_grad -= self.op.conv_rfft(f, v.shape)
-            nl_grad *= self.pair_pref
+        # D, W' and the nonlocal gradient, kept from the last grad when a
+        # kappa stage starts where the last one stopped
+        parts = self._gradient_parts(v)
+        diffs = parts[0]
         # the plain expressions' operations, in their order, in place on
         # the temporaries built here
         kappa2 = kappa * kappa
@@ -211,18 +264,12 @@ class _FieldObjective:
         s = roots[0].copy()
         for root in roots[1:]:
             s += root
-        grad = self.well_pref * well_prime
-        grad *= self.vol
-        for ax in range(self.d):
-            flux = s * diffs[ax]
-            flux /= roots[ax]
-            term = roll(flux, 1, ax)
-            term -= flux
-            term *= self.flux_pref
-            grad += term
-        grad -= nl_grad
-        self._iterate = (v, dv, well_prime, nl_grad)
-        return grad
+        fluxes = []
+        for t, root in zip(diffs, roots):
+            flux = s * t
+            flux /= root
+            fluxes.append(flux)
+        return self._gradient(v, parts, fluxes)
 
     def certificate(self):
         """``slope_bound``, the line-search certificate of
@@ -247,19 +294,16 @@ class _FieldObjective:
         D_i v = 0 contributes |D_i d|) bounds it from below; W'' >= -1; and
         NL is quadratic, NL(v + s d) = NL(v) + s <grad NL, d> + s^2 NL(d).
         So slope is F'(v; d) and curv = (3/alpha) sum d^2 / 2 + NL(d), each
-        with its prefactor.  The differences, W' and nonlocal gradient of v
-        come from the last ``grad(v)`` call when it was made on this array,
-        so only NL(d) takes an rFFT, and only when slope > 0: otherwise the
+        with its prefactor.  W' and the nonlocal gradient of v come from the
+        last ``grad(v)`` call when it was made on this array, so only NL(d)
+        takes an rFFT, and only when slope > 0: otherwise the
         bound cannot stop a line search, and curv = +inf (a valid bound)
         is returned without it."""
         d = -g
         d[((v <= 0.0) & (g > 0)) | ((v >= 1.0) & (g < 0))] = 0.0
-        if self._iterate is not None and self._iterate[0] is v:
-            _, dv, well_prime, nl_grad = self._iterate
-        else:
-            dv, well_prime = differences(v), _well_prime(v)
-            nl_grad = self.pair_pref * (self.op.ksum * v - self.op.conv(v))
+        _, well_prime, nl_grad = self._gradient_parts(v)
         # differences without the 1/dx: flux_pref holds one, the sum the other
+        dv = differences(v)
         norm = slope_norm = 0.0
         for ax, dd in enumerate(differences(d)):
             norm = norm + np.abs(dv[ax])
@@ -299,7 +343,7 @@ def total_energy(u: PeriodicField, params: ModelParams,
     """Rescaled energy per unit volume with its two-term breakdown; ``f``,
     the ``_Held`` intermediates of u's values that the slicing report
     already holds, gives both terms without transforming u."""
-    mm, nl = _FieldObjective.of(u, params).split(u.values, f)
+    mm, nl = _FieldObjective.of(u, params).split(u.values, held=f)
     return EnergyBreakdown(mm_term=mm, nonlocal_term=nl, total=mm - nl)
 
 

@@ -14,6 +14,7 @@ version "1".
 from __future__ import annotations
 
 import json
+from builtins import slice as _slice  # this module's slice takes a line
 from dataclasses import dataclass, field as _dc_field
 from typing import Optional
 
@@ -155,14 +156,22 @@ def roll(v: np.ndarray, shift: int, axis: int) -> np.ndarray:
     """``np.roll(v, shift, axis=axis)`` as one concatenate of two basic
     slices: the same array, without np.roll's per-call overhead."""
     cut = v.shape[axis] - shift % v.shape[axis]
-    lead = (np.s_[:],) * axis
-    return np.concatenate((v[lead + (np.s_[cut:],)],
-                           v[lead + (np.s_[:cut],)]), axis=axis)
+    lead = (_slice(None),) * axis
+    return np.concatenate((v[lead + (_slice(cut, None),)],
+                           v[lead + (_slice(cut),)]), axis=axis)
 
 
 def differences(v: np.ndarray) -> list[np.ndarray]:
     """The raw forward differences with periodic wrap, v[. + e_i] - v, one
-    array per axis: the package's one discrete-gradient stencil."""
+    array per axis: the package's one discrete-gradient stencil.  A 1D
+    array is differenced by slices into one new array, the same values
+    bit for bit at half the cost of a roll at the sizes of the profile
+    descent."""
+    if v.ndim == 1:
+        dv = np.empty(v.shape, v.dtype)
+        np.subtract(v[1:], v[:-1], out=dv[:-1])
+        dv[-1] = v[0] - v[-1]
+        return [dv]
     return [roll(v, -1, ax) - v for ax in range(v.ndim)]
 
 

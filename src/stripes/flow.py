@@ -27,21 +27,21 @@ trace keeps a row every TRACE_EVERY iterations, why each stage stopped
 final projected-gradient norm.
 The objective transforms each field once (its energy state serves the
 gradient of an accepted trial, and the gradient's serves the slope bound
-and the gradient that starts the next kappa stage),
-and it belongs to its flow alone, so runs on several threads share only the
-read-only kernel operator.  The last trace entry of a flow is the exact
-energy of the field it returns, so the benchmark and the experiment's runs
-report it without evaluating it again.  The stripe search rasterizes every
-candidate stripe profile in one broadcast and screens the candidates by
-per-axis slab sums of |u| and |u - 1| with a certified rounding margin; only
-those within the margin of the best are summed over the whole grid, which
-gives the exhaustive search's choice bit for bit.  Without a given h*, the
+and the gradient that starts the next kappa stage), and it belongs to its
+flow alone: flows share only the read-only cached kernel operator, and
+the experiment solves its runs one after another.  The last trace entry
+of a flow is the exact energy of the field it returns, so the benchmark
+and the experiment's runs report it without evaluating it again.  The
+stripe search rasterizes every candidate stripe profile in one broadcast
+and screens the candidates by per-axis slab sums of |u| and |u - 1| with
+a certified rounding margin; only those within the margin of the best
+are summed over the whole grid, which gives the exhaustive search's
+choice bit for bit.  Without a given h*, the
 experiment takes it from ``onedim.optimal_period`` over H_RANGE at SEARCH_N
 samples.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 
@@ -260,9 +260,11 @@ def symmetry_breaking_experiment(params: ModelParams, k: int = 1,
     gap below GAP_THRESHOLD, both recorded), every input needed to
     reproduce the run bit for bit, and under ``kernel`` the certificate of
     the flows' periodized kernel table.  ``opts.seed`` is the master seed
-    of the runs, and ``threads`` (None for 1) the number of runs in flight
-    at once.  Before any work, k < 1, an n that is not a positive multiple
-    of 2k, n_seeds < 1 and threads < 1 raise ValueError naming the value.
+    of the runs.  ``threads`` (None for 1) is only validated: the runs are
+    solved one after another, since a thread pool made the experiment
+    slower at every count above 1, and the report does not depend on it.
+    Before any work, k < 1, an n that is not a positive multiple of 2k,
+    n_seeds < 1 and threads < 1 raise ValueError naming the value.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -272,8 +274,7 @@ def symmetry_breaking_experiment(params: ModelParams, k: int = 1,
         raise ValueError(f"2k = {2 * k} must divide n = {n}")
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
-    workers = 1 if threads is None else threads
-    if workers < 1:
+    if threads is not None and threads < 1:
         raise ValueError(f"threads={threads!r}: the thread count must be >= 1")
     opts = opts or FlowOptions()
     if h_star is None:
@@ -310,11 +311,7 @@ def symmetry_breaking_experiment(params: ModelParams, k: int = 1,
                 "success": bool(m.fourier_anisotropy > ANISOTROPY_THRESHOLD
                                 and abs(rel_gap) < GAP_THRESHOLD)}
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_seed = list(pool.map(run, seeds))
-    else:
-        per_seed = [run(s) for s in seeds]
+    per_seed = [run(s) for s in seeds]
 
     undercut = min(r["energy"] - bench_e for r in per_seed)
     return {

@@ -18,22 +18,25 @@ pointwise gamma update, and Euler-Lagrange diagnostics.
 
 Discretization: n samples on [0, L), forward differences, rectangle
 sums, nonlocal term through a certified periodized kernel operator.
-``_ProfileObjective`` is the one 1D problem (its operator, period,
-prefactor 3 (C_tau - 1) and width alpha) and the one evaluation of the
-discrete F1d; ``_ProfileObjective.of`` derives all four from the model,
-with the cached marginal (``kernel.marginal_operator``), for ``f1d``,
-the descent, the Euler-Lagrange diagnostics and the gamma study.
-``_reflect`` is the one reflection; W and W' are ``model``'s, and only
-the objective's slope and its adjoint, on the descent's path, difference
-by hand.  A trial profile is reflected, differenced and transformed
-once: the descent's energy and gradient share the reflection of a base
-profile, and the objective keeps the slope and rFFT of the last profile
-it evaluates for every later use of that same array.  The objective
-works on raw arrays and checks none of them: profiles are checked where
-they enter (``Profile1D``; base profiles by ``_check_base``, in
-``ReflectedProfile`` and for the descent's start; the descent's
-projection onto [1/2, 1]) and coefficients by ``_gamma_array`` in the
-public functions that take them.
+``_ProfileObjective`` is the one 1D problem and the one evaluation of
+the discrete F1d: the package's one discrete energy
+(``energy._Objective``, which the d-dimensional ``_FieldObjective``
+shares) on the cached periodized marginal (``kernel.marginal_operator``)
+with C_tau - 1 and alpha, which ``_ProfileObjective.of`` derives from
+the model for ``f1d``, the descent, the Euler-Lagrange diagnostics and
+the gamma study; at d = 1 the two objectives give the same energy bit
+for bit.  It adds the exact gradient in G, the closed-form change, the
+first integral and the interaction field.  ``_reflect`` is the one
+reflection, W and W' are ``model``'s, and every difference is
+``field.differences``.  A trial profile is reflected, differenced and
+transformed once: the descent's energy and gradient share the
+reflection of a base profile, and the objective keeps the differences
+and rFFT of the last profile it evaluates for every later use of that
+same array.  The objective works on raw arrays and checks none of them:
+profiles are checked where they enter (``Profile1D``; base profiles by
+``_check_base``, in ``ReflectedProfile`` and for the descent's start;
+the descent's projection onto [1/2, 1]) and coefficients by
+``_gamma_array`` in the public functions that take them.
 The profile descent (``_newton_descent``, with the fixed MAX_ITER,
 TOL_GRAD and TRACE_EVERY) is an active-set Newton iteration for this
 obstacle problem: n is even, the variables are g[1..n/2-1] in [1/2, 1]
@@ -82,10 +85,10 @@ from itertools import chain
 
 import numpy as np
 
+from . import energy as _energy
 from . import kernel as _kernel
 from .field import Profile1D, check_gamma, differences, roll
-from .model import (ModelParams, _well, _well_prime, double_well,
-                    double_well_prime)
+from .model import ModelParams, double_well, double_well_prime
 from .solvers import (ACTIVE_TOL, BACKTRACK, STEP_MAX, DescentResult,
                       NoBracketError, scan_golden)
 
@@ -213,79 +216,43 @@ def _gamma_array(gamma, n: int) -> np.ndarray:
     return arr
 
 
-class _ProfileObjective:
-    """The discrete F1d(gamma, G) of n = op.table.size samples G of an
-    L-periodic profile, prefactor ``pref`` = 3 (C_tau - 1) and width
-    ``alpha``: forward differences, rectangle sums, the pair form of the
-    kernel operator ``op``.  Every evaluation of F1d here goes through it.
+class _ProfileObjective(_energy._Objective):
+    """The discrete F1d(gamma, G) of n samples G of an L-periodic profile:
+    ``energy._Objective`` on the periodized marginal kernel, whose split
+    (local, nonlocal) has local = A int gamma |G'|^2 + B int W(G) / gamma
+    with A = pref alpha / L, B = pref / (L alpha) and ``pref`` =
+    3 (C_tau - 1).  Every evaluation of F1d here goes through it.  It adds
+    the exact gradient in G, the closed-form change ``delta``, the first
+    integral and the interaction field; A and B are the Newton step's.
 
     Nothing is checked here: G must already lie in [0, 1] and gamma be
-    None, a scalar or n samples in [1, inf] (``_gamma_array``).
-
-    Each profile is transformed once: the energy, its split and local
-    integrals, the gradient and the interaction field keep the last G
-    they evaluate with its slope and rFFT and read them again for that
-    same array.  ``grad`` keeps its own G's slope and interaction field in
-    a second slot, which ``delta`` reads after a trial has replaced the
-    first.  Both slots hold G itself and match it by identity, so a
-    profile that was evaluated must not be mutated in place."""
-
-    def __init__(self, op: _kernel.PeriodicKernelOperator, L: float,
-                 pref: float, alpha: float):
-        self.op, self.L, self.pref, self.alpha = op, L, pref, alpha
-        self.n = op.table.size
-        self.dx = L / self.n
-        self.A = pref * alpha / L
-        self.B = pref / (L * alpha)
-        self._trial = None      # (G, slope, rFFT) of the last G evaluated
-        self._iterate = None    # (G, slope, interaction) of the last grad
+    None, a scalar or n samples in [1, inf] (``_gamma_array``).  A profile
+    is transformed once (``energy._Objective``): the slot that ``grad``
+    keeps serves ``delta`` after a trial has replaced the last profile
+    evaluated."""
 
     @classmethod
     def of(cls, params: ModelParams, L: float, n: int) -> _ProfileObjective:
         """The model's F1d on n samples of period L: its periodized
-        marginal, 3 (C_tau - 1) and alpha."""
+        marginal, C_tau - 1 and alpha."""
         return cls(_kernel.marginal_operator(L, n, params), L,
-                   3.0 * (_kernel.c_tau(params) - 1.0), params.alpha)
+                   _kernel.c_tau(params) - 1.0, params.alpha)
+
+    @property
+    def pref(self) -> float:
+        return 3.0 * self.c1
+
+    @property
+    def A(self) -> float:
+        return self.pref * self.alpha / self.L
+
+    @property
+    def B(self) -> float:
+        return self.pref / (self.L * self.alpha)
 
     def slope(self, G: np.ndarray) -> np.ndarray:
         """(G[j+1] - G[j]) / dx, periodically."""
-        # by hand: on the descent's path field.differences is ~3 us slower
-        D = np.empty(self.n)
-        np.subtract(G[1:], G[:-1], out=D[:-1])
-        D[-1] = G[0] - G[-1]
-        D /= self.dx
-        return D
-
-    def _evaluated(self, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(slope, rFFT) of G, kept while G is the last profile evaluated."""
-        if self._trial is None or self._trial[0] is not G:
-            self._trial = (G, self.slope(G), self.op.rfft(G))
-        return self._trial[1:]
-
-    def local_integrals(self, G: np.ndarray, gamma: np.ndarray | None = None
-                        ) -> tuple[float, float]:
-        """(int gamma |G'|^2, int W(G) / gamma); gamma = None means 1, and
-        an infinite gamma costs nothing where G' = 0."""
-        D = self._evaluated(G)[0]
-        grad2, well = D ** 2, _well(G)
-        if gamma is not None:
-            grad2 = np.multiply(gamma, grad2, out=np.zeros(self.n),
-                                where=D != 0)
-            well = well / gamma
-        return float(grad2.sum() * self.dx), float(well.sum() * self.dx)
-
-    def split(self, G: np.ndarray, gamma: np.ndarray | None = None
-              ) -> tuple[float, float]:
-        """(local, nonlocal) with F1d = local - nonlocal."""
-        grad_int, well_int = self.local_integrals(G, gamma)
-        f = self._evaluated(G)[1]
-        return (self.A * grad_int + self.B * well_int,
-                self.dx * self.dx * self.op.pair_sum_rfft(f) / self.L)
-
-    def energy(self, G: np.ndarray, gamma: np.ndarray | None = None
-               ) -> float:
-        local, nonlocal_ = self.split(G, gamma)
-        return local - nonlocal_
+        return differences(G)[0] / self.dx
 
     def first_integral(self, G, gamma, D: np.ndarray) -> np.ndarray:
         """alpha gamma^2 D^2 - W(G) / alpha, D the slope of G: the local
@@ -299,23 +266,13 @@ class _ProfileObjective:
 
     def grad(self, G: np.ndarray, gamma: np.ndarray | None = None
              ) -> np.ndarray:
-        """dF1d/dG_j; an infinite gamma costs nothing where G' = 0, as in
-        ``local_integrals``."""
-        D = self._evaluated(G)[0]
-        if gamma is None:
-            gam, gD = 1.0, D
-        else:
-            gam = gamma
-            gD = np.multiply(gamma, D, out=np.zeros(self.n), where=D != 0)
-        back = np.empty(self.n)  # gD[j-1] - gD[j], by hand as in slope
-        np.subtract(gD[:-1], gD[1:], out=back[1:])
-        back[0] = gD[-1] - gD[0]
-        grad = (self.A * 2.0 * back
-                + self.B * _well_prime(G) / gam * self.dx)
-        interaction = self.interaction(G)
-        grad += (4.0 * self.dx * self.dx / self.L) * interaction
-        self._iterate = (G, D, interaction)
-        return grad
+        """dF1d/dG_j, exact; an infinite gamma costs nothing where G' = 0,
+        as in the energy."""
+        parts = self._gradient_parts(G)
+        D = parts[0][0]
+        flux = D if gamma is None else np.multiply(
+            gamma, D, out=np.zeros(self.n), where=D != 0)
+        return self._gradient(G, parts, [flux], gamma)
 
     def delta(self, G: np.ndarray, Gc: np.ndarray,
               gamma: np.ndarray | None = None) -> float:
@@ -324,34 +281,28 @@ class _ProfileObjective:
 
             A dx sum gamma P' (2 G' + P')
             + B dx sum P (W' + P (W''/2 + P (W'''/6 + P))) / gamma
-            - (dx^2 / L) (pair(P) - 4 <P, I(G)>),
+            - NL(P) / L - <P, nonlocal gradient of G>,
 
         exact in exact arithmetic (W is a quartic with W''''/24 = 1, and
-        the pair form is a quadratic form whose gradient is -4 I), with
-        every term of the size of the change, so that its rounding is
-        relative to the change and not to the energy.  G' and the
-        interaction field I(G) come from the last ``grad`` call when it
-        was made on this G, so only P takes an rFFT.  An infinite gamma
-        costs nothing where P' (2 G' + P') = 0."""
-        if self._iterate is not None and self._iterate[0] is G:
-            _, D, interaction = self._iterate
-        else:
-            D = self.slope(G)
-            interaction = self.op.conv(G) - self.op.ksum * G
+        the pair form is a quadratic form), with every term of the size of
+        the change, so that its rounding is relative to the change and not
+        to the energy.  G', W'(G) and the nonlocal gradient of G come from
+        the last ``grad`` call when it was made on this G, so only P takes
+        an rFFT.  An infinite gamma costs nothing where
+        P' (2 G' + P') = 0."""
+        D, well_prime, nl_grad = self._gradient_parts(G)
         P = Gc - G
         dP = self.slope(P)
-        flux = dP * (2.0 * D + dP)
-        well = P * (_well_prime(G) + P * (1.0 + 6.0 * G * (G - 1.0)
-                                          + P * (4.0 * G - 2.0 + P)))
+        flux = dP * (2.0 * D[0] + dP)
+        well = P * (well_prime + P * (1.0 + 6.0 * G * (G - 1.0)
+                                      + P * (4.0 * G - 2.0 + P)))
         if gamma is not None:
             flux = np.multiply(gamma, flux, out=np.zeros(self.n),
                                where=flux != 0)
             well = well / gamma
-        pair = (self.op.pair_sum_rfft(self.op.rfft(P))
-                - 4.0 * float(P @ interaction))
         return (self.A * float(flux.sum()) * self.dx
                 + self.B * float(well.sum()) * self.dx
-                - self.dx * self.dx * pair / self.L)
+                - self.nonlocal_sum(P) * self.vol_inv - float(P @ nl_grad))
 
 
 def f1d(gamma, g: Profile1D, params: ModelParams) -> float:
@@ -620,7 +571,7 @@ def _newton_direction(obj: _ProfileObjective, G: np.ndarray,
         well = well / gamma
     well *= obj.B * obj.dx
     lap = 2.0 * obj.A / obj.dx
-    pair = 4.0 * obj.dx * obj.dx / obj.L
+    pair = obj.pair_pref
     f = np.flatnonzero(free)
     samples = np.flatnonzero(free[runs.label])
     if samples.size <= DENSE_MAX:

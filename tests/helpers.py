@@ -443,24 +443,25 @@ def stripe_search_direct(u: PeriodicField, h_grid, nu_grid
 def profile_energy_direct(G: np.ndarray, gamma, params: ModelParams,
                           L: float) -> tuple[float, float, float]:
     """Reference (local, nonlocal, F1d) of n samples G of an L-periodic
-    profile by the ``np.roll`` and ``double_well`` arithmetic
-    ``onedim._ProfileObjective`` had before it evaluated W inline and took
-    differences by slicing, in the same operation order, so the two agree
-    bit for bit.  gamma is None, a scalar or n samples."""
+    profile by ``np.roll`` and ``double_well``, in the operation order of
+    the energy the 1D and d-dimensional objectives share
+    (``energy._Objective.split``): 3 alpha int gamma |G'|^2 + (3/alpha)
+    int W(G) / gamma, times (C_tau - 1) / L, and the pair form times
+    dx^2 / L, so the two agree bit for bit.  gamma is None, a scalar or n
+    samples."""
     n = G.size
     dx = L / n
-    c = kernel.c_tau(params)
-    A = 3.0 * (c - 1.0) * params.alpha / L
-    B = 3.0 * (c - 1.0) / (L * params.alpha)
+    alpha = params.alpha
     D = (np.roll(G, -1) - G) / dx
     grad2, well = D ** 2, double_well(G)
     if gamma is not None:
         grad2 = np.multiply(gamma, grad2, out=np.zeros(n), where=D != 0)
         well = well / gamma
-    grad_int, well_int = float(np.sum(grad2) * dx), float(np.sum(well) * dx)
+    mm = float(3.0 * alpha * np.sum(grad2) * dx
+               + (3.0 / alpha) * np.sum(well) * dx)
     op = kernel.marginal_operator(L, n, params)
-    local = A * grad_int + B * well_int
-    nonlocal_ = dx * dx * op.pair_sum(G) / L
+    local = mm * (kernel.c_tau(params) - 1.0) * (1.0 / L)
+    nonlocal_ = op.pair_sum(G) * dx ** 2 * (1.0 / L)
     return local, nonlocal_, local - nonlocal_
 
 
@@ -484,14 +485,14 @@ def profile_coefficients_direct(params: ModelParams, L: float, n: int
 def profile_grad_direct(G: np.ndarray, gamma, params: ModelParams,
                         L: float) -> tuple[np.ndarray, np.ndarray]:
     """Reference (gradient of F1d, interaction field) by the arithmetic of
-    ``profile_energy_direct``, in the same operation order as
-    ``onedim._ProfileObjective.grad`` and ``interaction``; like the energy,
-    it zeroes gamma G' where G' = 0, also for gamma = +inf."""
+    ``profile_energy_direct``, in the operation order of the gradient the
+    1D and d-dimensional objectives share (``energy._Objective._gradient``)
+    and of ``onedim._ProfileObjective.interaction``; like the energy, it
+    zeroes gamma G' where G' = 0, also for gamma = +inf."""
     n = G.size
     dx = L / n
-    c = kernel.c_tau(params)
-    A = 3.0 * (c - 1.0) * params.alpha / L
-    B = 3.0 * (c - 1.0) / (L * params.alpha)
+    alpha = params.alpha
+    pref = (kernel.c_tau(params) - 1.0) / L
     gam = 1.0 if gamma is None else gamma
     D = (np.roll(G, -1) - G) / dx
     # an infinite coefficient costs nothing where the slope is 0
@@ -499,9 +500,9 @@ def profile_grad_direct(G: np.ndarray, gamma, params: ModelParams,
         gamma, D, out=np.zeros(n), where=D != 0)
     op = kernel.marginal_operator(L, n, params)
     interaction = op.conv(G) - op.ksum * G
-    grad = (A * 2.0 * (np.roll(gD, 1) - gD)
-            + B * double_well_prime(G) / gam * dx)
-    grad += (4.0 * dx * dx / L) * interaction
+    grad = pref * (3.0 / alpha) * double_well_prime(G) / gam * dx
+    grad += pref * 6.0 * alpha * dx / dx * (np.roll(gD, 1) - gD)
+    grad -= (4.0 * dx * dx / L) * (op.ksum * G - op.conv(G))
     return grad, interaction
 
 

@@ -1,7 +1,8 @@
 """Property tests of the 1D objective (``onedim._ProfileObjective``) and
 of the vectorized gamma update (``onedim._gamma_update``) against their
 references in ``helpers``: the objective must agree with the
-``np.roll``/``double_well`` arithmetic bit for bit, not just to rounding,
+``np.roll``/``double_well`` arithmetic bit for bit, not just to rounding
+(and at d = 1 with the field objective, ``energy._FieldObjective``),
 and the gamma update with the scalar SciPy-root oracle
 ``gamma_optimum_direct`` to 1e-14 relative (Newton steps and Brent's
 method land within an ulp or so of the same root), and it must meet the
@@ -21,7 +22,7 @@ from hypothesis.extra.numpy import arrays
 from helpers import (count_ffts, gamma_optimum_direct,
                      profile_coefficients_direct, profile_energy_direct,
                      profile_grad_direct)
-from stripes import kernel, onedim
+from stripes import energy, kernel, onedim
 from stripes.model import ModelParams, _well_prime
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -76,6 +77,19 @@ def test_profile_gradient_is_bit_identical_to_reference(case):
         grad = obj.grad(G, gamma)
     np.testing.assert_array_equal(grad, ref)
     assert np.array_equal(obj.interaction(G), interaction)
+
+
+@SETTINGS
+@given(case=profiles())
+def test_field_and_profile_objectives_are_one_energy_at_d_1(case):
+    # at d = 1 the d-dimensional kernel table is the marginal one, and the
+    # two objectives evaluate the one shared energy: equal bit for bit
+    G, _, params, L = case
+    field = energy._FieldObjective(params, L, G.size)
+    profile = onedim._ProfileObjective.of(params, L, G.size)
+    assert field.split(G) == profile.split(G)
+    assert field.energy(G) == profile.energy(G)
+    assert np.array_equal(field.nonlocal_grad(G), profile.nonlocal_grad(G))
 
 
 def _change(n: int, L: float, params: ModelParams, seed: int,
